@@ -138,13 +138,6 @@ def cmd_solve(args) -> int:
     return EXIT_INPUT
 
 
-def _nat(n: int) -> LfExpr:
-    e: LfExpr = Const("z")
-    for _ in range(n):
-        e = App(Const("s"), e)
-    return e
-
-
 def _list_of(elems: list[LfExpr]) -> LfExpr:
     e: LfExpr = Const("nil")
     for x in reversed(elems):
@@ -295,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=["naive", "optimized", "both"], default="both")
     sp.add_argument("--format", choices=["csv", "text"], default="csv")
     sp.add_argument("--search", action="store_true", help="leave the output list as a meta-variable")
-    sp.add_argument("--seed", type=int, default=0, help="corpus generation seed (reserved)")
     add_limits(sp)
     sp.set_defaults(fn=cmd_bench)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .lf_syntax import (
     App,
@@ -208,17 +208,20 @@ def happs(head: HhTerm, args: Iterable[HhTerm]) -> HhTerm:
     return head
 
 
-def h_instantiate(body: HhTerm, value: HhTerm, depth: int = 0) -> HhTerm:
-    """Replace HBound(depth) with the locally closed `value`."""
+def h_instantiate(body: HhTerm, values: Sequence[HhTerm], depth: int = 0) -> HhTerm:
+    """Replace the `len(values)` innermost loose bound variables of `body`
+    with the locally closed `values`, outermost binder first, in one pass:
+    HBound(depth) becomes `values[-1]`."""
     match body:
         case HBound(k):
-            if k == depth:
-                return value
-            return HBound(k - 1) if k > depth else body
+            if k < depth:
+                return body
+            i = len(values) - 1 - (k - depth)
+            return values[i] if i >= 0 else HBound(k - len(values))
         case HApp(f, a):
-            return HApp(h_instantiate(f, value, depth), h_instantiate(a, value, depth))
+            return HApp(h_instantiate(f, values, depth), h_instantiate(a, values, depth))
         case HLam(h, b):
-            return HLam(h, h_instantiate(b, value, depth + 1))
+            return HLam(h, h_instantiate(b, values, depth + 1))
         case _:
             return body
 
@@ -303,14 +306,15 @@ class FForall(HhFormula):
         return print_formula(self)
 
 
-def f_instantiate(f: HhFormula, value: HhTerm, depth: int = 0) -> HhFormula:
+def f_instantiate(f: HhFormula, values: Sequence[HhTerm], depth: int = 0) -> HhFormula:
+    """`h_instantiate` on every term of a formula."""
     match f:
         case FAtom(s, c):
-            return FAtom(h_instantiate(s, value, depth), h_instantiate(c, value, depth))
+            return FAtom(h_instantiate(s, values, depth), h_instantiate(c, values, depth))
         case FImplies(a, b):
-            return FImplies(f_instantiate(a, value, depth), f_instantiate(b, value, depth))
+            return FImplies(f_instantiate(a, values, depth), f_instantiate(b, values, depth))
         case FForall(h, st, body):
-            return FForall(h, st, f_instantiate(body, value, depth + 1))
+            return FForall(h, st, f_instantiate(body, values, depth + 1))
         case _:
             return f
 
@@ -376,6 +380,9 @@ class ClauseSet:
     clauses: tuple[Clause, ...]
     mode: str  # "naive" | "optimized"
     constants: Mapping[str, SimpleType] = field(compare=False, default_factory=dict)
+    # the prover's compiled form of `clauses`, built by its first Solver and
+    # kept here so that it lives exactly as long as the set
+    compiled: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.clauses)

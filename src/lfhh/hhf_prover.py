@@ -8,6 +8,19 @@ newest first, then the static program), the quantifier prefix is renamed to
 fresh unification variables, heads are unified, and guards are proved left to
 right one level deeper.
 
+Clauses are compiled once into a quantifier prefix, guard templates and a
+head template; static clauses when the first Solver over a `ClauseSet` is
+made (the result is kept on the set), assumptions when they are pushed.
+Renaming makes one fresh variable per binder and substitutes the whole prefix
+into a template in a single pass: the head first, the guards only once the
+head has unified.  Before renaming, a clause is skipped when its head
+constant cannot match the goal (first-argument indexing): the subject's head
+constant against a rigid goal subject, or the classifier's family constant
+when the goal subject is an unbound variable.  A skipped clause still uses up
+the variable ids that renaming and the failed unification would have taken,
+so variable names such as `?M9` in traces and answers do not depend on the
+index.
+
 Unification stays inside the pattern fragment: a unification variable may
 only be applied to distinct eigenvariables or locally bound variables.
 Problems outside the fragment fail the branch and raise a diagnostic flag on
@@ -18,7 +31,8 @@ variables are pruned away).
 
 Counters: `backchain_steps` counts committed backchain applications only;
 truth discharges are counted separately; `unify_calls` counts top-level
-unification invocations and is the resource budget.
+unification invocations and is the resource budget; clauses skipped by the
+index are not counted.
 """
 
 from __future__ import annotations
@@ -43,6 +57,7 @@ from .hhf_logic import (
     HMeta,
     HhFormula,
     HhTerm,
+    SimpleType,
     collect_metas,
     f_instantiate,
     h_instantiate,
@@ -114,7 +129,7 @@ def _walk(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
                 t = happs(b, args)
                 continue
         if isinstance(head, HLam) and args:
-            t = happs(h_instantiate(head.body, args[0]), args[1:])
+            t = happs(h_instantiate(head.body, (args[0],)), args[1:])
             continue
         return t
 
@@ -158,6 +173,71 @@ def _term_eigens(t: HhTerm) -> list[HEigen]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Compiled clauses
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CompiledClause:
+    """A clause split once into the parts that backchaining uses.
+
+    Templates refer to the quantifier prefix by de Bruijn index: a guard
+    sees the `scope` outermost binders, the head sees all of them.  The head
+    constants index the clause: `subject_head` is the constant at the head of
+    the head's subject, and `family_head` the one at the head of its
+    classifier, recorded only when the subject is that constant applied to
+    distinct prefix binders (`subject_vars` of them), the shape every
+    translated declaration has."""
+
+    origin: str
+    prefix: tuple[tuple[str, SimpleType], ...]
+    guards: tuple[tuple[int, HhFormula], ...]
+    head: FAtom | None
+    subject_head: str | None
+    family_head: str | None
+    subject_vars: int
+
+
+def compile_clause(clause: Clause) -> CompiledClause:
+    prefix: list[tuple[str, SimpleType]] = []
+    guards: list[tuple[int, HhFormula]] = []
+    f = clause.formula
+    while True:
+        match f:
+            case FForall(hint, st, body):
+                prefix.append((hint, st))
+                f = body
+            case FImplies(ant, cons):
+                guards.append((len(prefix), ant))
+                f = cons
+            case _:
+                break
+    head = f if isinstance(f, FAtom) else None
+    subject_head = family_head = None
+    subject_vars = 0
+    if head is not None:
+        sh, sargs = hspine(head.subject)
+        if isinstance(sh, HConst):
+            subject_head = sh.name
+            fh, _ = hspine(head.classifier)
+            binders = {a.index for a in sargs if isinstance(a, HBound) and a.index < len(prefix)}
+            if isinstance(fh, HConst) and len(binders) == len(sargs):
+                family_head = fh.name
+                subject_vars = len(sargs)
+    return CompiledClause(
+        clause.origin, tuple(prefix), tuple(guards), head, subject_head, family_head, subject_vars
+    )
+
+
+def compiled_program(program: ClauseSet) -> tuple[CompiledClause, ...]:
+    """The compiled static clauses of `program`, built on first use and kept
+    on the set itself, so every Solver over one set shares them."""
+    if program.compiled is None:
+        object.__setattr__(program, "compiled", tuple(compile_clause(c) for c in program.clauses))
+    return program.compiled
+
+
 @dataclass(frozen=True)
 class Solution:
     """One answer: a frozen snapshot of the binding store plus bookkeeping."""
@@ -186,13 +266,14 @@ class Solver:
         bindings: dict[int, HhTerm] | None = None,
     ):
         self.program = program
+        self.static = compiled_program(program)
         self.limits = limits or Limits()
         # each backchain level costs a handful of interpreter frames
         need = 1000 + 16 * self.limits.depth
         if sys.getrecursionlimit() < need:
             sys.setrecursionlimit(need)
         self.bindings: dict[int, HhTerm] = dict(bindings) if bindings else {}
-        self.dynamic: list[Clause] = []
+        self.dynamic: list[CompiledClause] = []
         self.trail: list[int] = []
         self.counters = Counters()
         self.level = 0
@@ -201,7 +282,7 @@ class Solver:
         self.non_pattern_seen = False
         self.trace_on = trace
         self.trace: list[str] = []
-        self._meta_ids = itertools.count(1)
+        self._next_meta = 1
         self._eigen_ids = itertools.count(1)
 
     # -- public entry points --------------------------------------------------
@@ -259,12 +340,13 @@ class Solver:
             taken.extend(m.id for m in term_metas(t))
             eigens.extend(e.id for e in _term_eigens(t))
         if taken:
-            self._meta_ids = itertools.count(max(taken) + 1)
+            self._next_meta = max(taken) + 1
         if max(eigens):
             self._eigen_ids = itertools.count(max(eigens) + 1)
 
     def _fresh_meta(self, hint: str, stype, level: int | None = None) -> HMeta:
-        i = next(self._meta_ids)
+        i = self._next_meta
+        self._next_meta += 1
         base = hint if hint and hint != "_" else "V"
         return HMeta(f"{base}{i}", i, stype, self.level if level is None else level)
 
@@ -304,11 +386,11 @@ class Solver:
                 e = self._fresh_eigen(hint)
                 self._note(f"all {e.name}")
                 try:
-                    yield from self._prove(f_instantiate(body, e), depth)
+                    yield from self._prove(f_instantiate(body, (e,)), depth)
                 finally:
                     self.level -= 1
             case FImplies(ant, cons):
-                self.dynamic.append(Clause("assumption", ant))
+                self.dynamic.append(compile_clause(Clause("assumption", ant)))
                 self._note(f"imp+ {print_formula(ant)}")
                 try:
                     yield from self._prove(cons, depth)
@@ -330,42 +412,63 @@ class Solver:
         if depth >= self.limits.depth:
             self.depth_hit = True
             return
-        for clause in itertools.chain(reversed(self.dynamic), self.program.clauses):
+        key, want, pruned, non_pattern = self._index(goal)
+        for clause in itertools.chain(reversed(self.dynamic), self.static):
+            if key is not None:
+                have = getattr(clause, key)
+                if have is not None and have != want:
+                    self._next_meta += len(clause.prefix) + pruned * clause.subject_vars
+                    self.non_pattern_seen |= non_pattern
+                    continue
             mark = self._mark()
-            metas, guards, head = self._rename(clause.formula)
+            metas = [self._fresh_meta(hint, st) for hint, st in clause.prefix]
+            head = clause.head
             if (
                 head is not None
-                and self._unify(head.subject, goal.subject)
-                and self._unify(head.classifier, goal.classifier)
+                and self._unify(h_instantiate(head.subject, metas), goal.subject)
+                and self._unify(h_instantiate(head.classifier, metas), goal.classifier)
             ):
                 self.counters.backchain_steps += 1
                 if self.trace_on:
                     inst = " ".join(print_term(self.resolve(m), 2) for m in metas)
                     self._note(f"bc {clause.origin}{' ' + inst if inst else ''}")
+                guards = [f_instantiate(g, metas[:scope]) for scope, g in clause.guards]
                 yield from self._prove_seq(guards, depth + 1)
             self._undo(mark)
 
-    def _rename(
-        self, formula: HhFormula
-    ) -> tuple[list[HMeta], list[HhFormula], FAtom | None]:
-        """Instantiate a clause's quantifier prefix with fresh variables and
-        split it into guards and head atom."""
-        metas: list[HMeta] = []
-        guards: list[HhFormula] = []
-        f = formula
-        while True:
-            match f:
-                case FForall(hint, st, body):
-                    m = self._fresh_meta(hint, st)
-                    metas.append(m)
-                    f = f_instantiate(body, m)
-                case FImplies(ant, cons):
-                    guards.append(ant)
-                    f = cons
-                case FAtom():
-                    return metas, guards, f
-                case _:
-                    return metas, guards, None
+    def _index(self, goal: FAtom) -> tuple[str | None, str | None, int, bool]:
+        """Which clauses cannot match `goal`, decided before renaming: those
+        whose `key` head constant is set and differs from `want`.
+
+        A rigid goal subject is compared on its head.  A flexible one would be
+        bound to any clause's subject, so the classifier's head decides, and
+        the caller replays the side effects of that skipped binding: it
+        leaves the pattern fragment (`non_pattern`, which raises the flag)
+        or, when the goal's variable is older than the current level, prunes
+        one fresh variable per subject argument (`pruned` is then 1).  A
+        skipped clause thus uses up exactly the variable ids a failed attempt
+        would have."""
+        subject = _walk(self.bindings, goal.subject)
+        head, args = hspine(subject)
+        match head:
+            case HConst(name):
+                return "subject_head", name, 0, False
+            case HEigen() | HBound():
+                return "subject_head", None, 0, False
+            case HMeta():
+                family, _ = hspine(_walk(self.bindings, goal.classifier))
+                match family:
+                    case HConst(name):
+                        want = name
+                    case HEigen() | HBound():
+                        want = None
+                    case _:
+                        return None, None, 0, False
+                if self._pattern(args) is None:
+                    return "family_head", want, 0, True
+                return "family_head", want, int(self.level > head.level), False
+            case _:
+                return None, None, 0, False
 
     # -- pattern unification -----------------------------------------------------
 
@@ -408,7 +511,7 @@ class Solver:
 
     def _apply1(self, t: HhTerm, e: HhTerm) -> HhTerm:
         if isinstance(t, HLam):
-            return h_instantiate(t.body, e)
+            return h_instantiate(t.body, (e,))
         return HApp(t, e)
 
     def _as_var(self, t: HhTerm) -> HEigen | HBound | None:

@@ -139,7 +139,7 @@ def h_instantiate_or_apply(t: HhTerm, v: HhTerm) -> HhTerm:
     from .hhf_logic import h_instantiate
 
     if isinstance(t, HLam):
-        return h_instantiate(t.body, v)
+        return h_instantiate(t.body, (v,))
     return HApp(t, v)
 
 

@@ -1,9 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from lfhh import hhf_prover
 from lfhh.hhf_logic import (
     FAtom,
+    FForall,
     FTop,
     HApp,
     HBound,
@@ -28,7 +32,8 @@ from lfhh.hhf_prover import (
     pattern_unify,
     solve,
 )
-from lfhh.lf_syntax import Const, make_app, parse_expr_text, parse_query
+from lfhh.lf_syntax import Const, make_app, parse_expr_text, parse_query, parse_signature
+from lfhh.lf_typecheck import checked_signature
 
 from corpus import append_proof, append_query_corpus, list_elems, list_term
 
@@ -284,3 +289,134 @@ def test_assumption_trace_event(append_sig, programs):
     sol = next(solver.solve(goal))
     assert any(t.startswith("all ") for t in sol.trace)
     assert any(t.startswith("imp+ ") for t in sol.trace)
+
+
+# -- compiled clauses and head indexing ---------------------------------------------------
+
+# Naive output search `append (cons z (cons z nil)) (cons z nil) Out` with
+# iterative deepening, as measured before clauses were compiled and indexed:
+# the index must leave the committed steps and the trace, variable names
+# included, as they were, and only save unification attempts.
+NAIVE_OUT_STEPS = 101
+NAIVE_OUT_UNIFY_UNINDEXED = 739
+NAIVE_OUT_TRACE = (
+    "bc appCons z (cons z nil) (cons z nil) ?M540 ?x541",
+    "bc z",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+    "bc cons ?x560 ?x1561",
+    "bc z",
+    "bc cons ?x635 ?x1636",
+    "bc z",
+    "bc nil",
+    "bc appCons z nil (cons z nil) (cons z nil) ?x646",
+    "bc z",
+    "bc nil",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+    "bc appNil (cons z nil)",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+)
+
+
+def test_index_keeps_steps_and_trace_naive_output_search(append_sig, programs):
+    q, _ = parse_query("append (cons z (cons z nil)) (cons z nil) Out", append_sig)
+    goal, _ = translate_query(append_sig, q, "naive")
+    solver = Solver(programs["naive"], trace=True)
+    sol = next(solver.solve(goal, iterative=True))
+    assert sol.counters.backchain_steps == NAIVE_OUT_STEPS
+    assert sol.counters.unify_calls < NAIVE_OUT_UNIFY_UNINDEXED
+    assert sol.trace == NAIVE_OUT_TRACE
+
+
+# Simply typed lambda terms in higher-order abstract syntax.  Inferring the
+# type of `lam base ([x] lam base ([y] y))` proves guards under eigenvariables,
+# where the goal's subject is a variable older than the clauses' fresh ones:
+# a skipped clause must also use up the ids that pruning them would have
+# taken (`?B107111` below).  Trace as measured before indexing.
+STLC_TEXT = """\
+tp : type.
+base : tp.
+arr : tp -> tp -> tp.
+tm : type.
+app : tm -> tm -> tm.
+lam : tp -> (tm -> tm) -> tm.
+of : tm -> tp -> type.
+ofApp : {M:tm} {N:tm} {A:tp} {B:tp} of M (arr A B) -> of N A -> of (app M N) B.
+ofLam : {A:tp} {B:tp} {M:tm -> tm} ({x:tm} of x A -> of (M x) B) -> of (lam A M) (arr A B).
+"""
+HOAS_UNIFY_UNINDEXED = 70
+HOAS_TRACE = (
+    "bc ofLam base ?B79 (\\x1. lam base (\\x2. x2)) ?x81",
+    "top",
+    "top",
+    "top",
+    "all x!11",
+    "imp+ hastype x!11 tm",
+    "all x2!12",
+    "imp+ hastype x2!12 (of x!11 ?A78)",
+    "bc ofLam base ?B107111 (\\x1. x1) ?x109113",
+    "top",
+    "top",
+    "top",
+    "all x!14",
+    "imp+ hastype x!14 tm",
+    "all x2!15",
+    "imp+ hastype x2!15 (of x!14 ?A106)",
+    "bc assumption",
+)
+
+
+def test_index_keeps_variable_names_under_binders():
+    sig, _ = checked_signature(parse_signature(STLC_TEXT))
+    q, _ = parse_query("of (lam base ([x:tm] lam base ([y:tm] y))) T", sig)
+    goal, _ = translate_query(sig, q, "optimized")
+    solver = Solver(translate(sig, "optimized"), trace=True)
+    sol = next(solver.solve(goal, iterative=True))
+    assert sol.counters.backchain_steps == 6
+    assert sol.counters.unify_calls < HOAS_UNIFY_UNINDEXED
+    assert sol.trace == HOAS_TRACE
+
+
+def test_eigenvariable_subject_tries_no_static_clause(programs):
+    goal = FForall("x", TM, FAtom(HBound(0), HConst("nat")))
+    solver = Solver(programs["naive"])
+    assert list(solver.solve(goal)) == []
+    assert solver.counters.unify_calls == 0
+
+
+def test_skipped_clauses_still_raise_non_pattern_flag(programs):
+    # no clause has family `vec`, but binding `F (s z)` to any clause's
+    # subject would have left the pattern fragment
+    f = HMeta("F", 701, TM, 0)
+    goal = FAtom(HApp(f, HApp(HConst("s"), HConst("z"))), HConst("vec"))
+    solver = Solver(programs["naive"])
+    assert list(solver.solve(goal)) == []
+    assert solver.counters.unify_calls == 0
+    assert solver.non_pattern_seen
+
+
+def test_solvers_share_one_compiled_program(append_sig):
+    module_state = dict(vars(hhf_prover))
+    program = translate(append_sig, "naive")
+    assert program.compiled is None
+    first = Solver(program)
+    second = Solver(program)
+    assert first.static is second.static is program.compiled
+    assert len(program.compiled) == len(program)
+    assert dict(vars(hhf_prover)) == module_state
+    # the compiled clauses live exactly as long as their set
+    clause = weakref.ref(program.compiled[0])
+    del program, first, second
+    gc.collect()
+    assert clause() is None
