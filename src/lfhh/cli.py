@@ -1,8 +1,9 @@
 """Command-line front end: check, analyze, translate, solve, bench, compare.
 
 Exit codes are a stable contract: 0 success, 1 input error or definitive
-failure (no inhabitant), 2 resource exhaustion (depth or budget), 3 internal
-invariant violation (the kernel rejected a solver answer).
+failure (no inhabitant), 2 resource exhaustion (depth or budget, or input
+nested too deeply for the interpreter stack), 3 internal invariant violation
+(the kernel rejected a solver answer).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def cmd_translate(args) -> int:
 
 
 def _print_answer(sess: QuerySession, sol, answer) -> None:
-    for name, value in sess.binding_report(sol, answer).items():
+    for name, value in sess.binding_report(answer).items():
         print(f"{name} = {pretty_print(value)}")
     print(f"proof = {pretty_print(answer.lf_proof)}")
     print(f"type = {pretty_print(answer.lf_type)}")
@@ -307,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KernelError, LfError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -47,6 +47,8 @@ __all__ = [
     "HApp",
     "HMeta",
     "HEigen",
+    "OPEN",
+    "is_closed",
     "HhFormula",
     "FTop",
     "FAtom",
@@ -128,6 +130,16 @@ def erased_signature(sig: Signature) -> dict[str, SimpleType]:
 # ---------------------------------------------------------------------------
 
 
+# Every term has a `scope`, read in O(1): the number of enclosing binders it
+# needs, that is one more than its highest loose de Bruijn index (0 when it
+# has none), or `OPEN` when it contains a meta-variable, an eigenvariable or
+# a beta-redex at a spine head.  Leaves carry it as a class attribute or a
+# derived field; `HApp` and `HLam` compute it once from their children when
+# they are built.  A term is closed when its scope is 0: then dereferencing,
+# normalizing, instantiating or inverting it returns the term itself.
+OPEN = -1
+
+
 @dataclass(frozen=True)
 class HhTerm:
     pass
@@ -136,6 +148,7 @@ class HhTerm:
 @dataclass(frozen=True)
 class HConst(HhTerm):
     name: str
+    scope = 0
 
     def __str__(self) -> str:
         return print_term(self)
@@ -144,6 +157,10 @@ class HConst(HhTerm):
 @dataclass(frozen=True)
 class HBound(HhTerm):
     index: int
+    scope: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scope", self.index + 1)
 
     def __str__(self) -> str:
         return print_term(self)
@@ -153,6 +170,11 @@ class HBound(HhTerm):
 class HLam(HhTerm):
     hint: str = field(compare=False)
     body: HhTerm = None  # type: ignore[assignment]
+    scope: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        b = self.body.scope
+        object.__setattr__(self, "scope", b - 1 if b > 0 else b)
 
     def __str__(self) -> str:
         return print_term(self)
@@ -162,6 +184,12 @@ class HLam(HhTerm):
 class HApp(HhTerm):
     fn: HhTerm
     arg: HhTerm
+    scope: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        f, a = self.fn.scope, self.arg.scope
+        redex_or_open = f < 0 or a < 0 or isinstance(self.fn, HLam)
+        object.__setattr__(self, "scope", OPEN if redex_or_open else max(f, a))
 
     def __str__(self) -> str:
         return print_term(self)
@@ -176,6 +204,7 @@ class HMeta(HhTerm):
     id: int = 0
     stype: SimpleType = field(compare=False, default=TM)
     level: int = field(compare=False, default=0)
+    scope = OPEN
 
     def __str__(self) -> str:
         return print_term(self)
@@ -188,9 +217,16 @@ class HEigen(HhTerm):
     name: str = field(compare=False)
     id: int = 0
     level: int = 0
+    scope = OPEN
 
     def __str__(self) -> str:
         return print_term(self)
+
+
+def is_closed(t: HhTerm) -> bool:
+    """No meta-variable, no eigenvariable, no loose bound variable and no
+    beta-redex at a spine head: every traversal returns `t` itself."""
+    return t.scope == 0
 
 
 def hspine(t: HhTerm) -> tuple[HhTerm, list[HhTerm]]:
@@ -212,6 +248,8 @@ def h_instantiate(body: HhTerm, values: Sequence[HhTerm], depth: int = 0) -> HhT
     """Replace the `len(values)` innermost loose bound variables of `body`
     with the locally closed `values`, outermost binder first, in one pass:
     HBound(depth) becomes `values[-1]`."""
+    if 0 <= body.scope <= depth:
+        return body
     match body:
         case HBound(k):
             if k < depth:

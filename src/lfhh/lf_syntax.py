@@ -337,10 +337,11 @@ class Signature:
     every classifier may reference only earlier entries.
     """
 
-    __slots__ = ("entries", "_index")
+    __slots__ = ("entries", "_index", "_fingerprint")
 
     def __init__(self, entries: tuple[SigEntry, ...] = ()):
         self.entries = entries
+        self._fingerprint: str | None = None
         self._index = {e.name: i for i, e in enumerate(entries)}
         if len(self._index) != len(entries):
             raise LfSyntaxError("duplicate name in signature")
@@ -358,7 +359,10 @@ class Signature:
         return set(self._index)
 
     def fingerprint(self) -> str:
-        return ",".join(e.name for e in self.entries) if self.entries else "."
+        """Declaration names in order; computed once per signature."""
+        if self._fingerprint is None:
+            self._fingerprint = ",".join(e.name for e in self.entries) if self.entries else "."
+        return self._fingerprint
 
     def __contains__(self, name: str) -> bool:
         return name in self._index

@@ -66,18 +66,25 @@ class KernelError(LfError):
 
 @dataclass(frozen=True)
 class Judgment:
-    """Conclusion record: context fingerprint, printed subject and classifier."""
+    """Conclusion record: context fingerprint, subject and classifier.  The
+    subject and classifier are kept as expressions (or literal text) and
+    printed only when the judgment is."""
 
     context: str
-    subject: str | None
-    classifier: str | None
+    subject: LfExpr | str | None
+    classifier: LfExpr | str | None
 
     def __str__(self) -> str:
         if self.subject is None:
             return f"{self.context} ctx"
+        subject = _text(self.subject)
         if self.classifier is None:
-            return f"{self.context} |- {self.subject}"
-        return f"{self.context} |- {self.subject} : {self.classifier}"
+            return f"{self.context} |- {subject}"
+        return f"{self.context} |- {subject} : {_text(self.classifier)}"
+
+
+def _text(e: LfExpr | str) -> str:
+    return e if isinstance(e, str) else pretty_print(e)
 
 
 @dataclass(frozen=True)
@@ -108,17 +115,6 @@ def to_sexpr(d: Derivation) -> str:
     """`(rule conclusion (premises...))` trace form for golden tests."""
     inner = " ".join(to_sexpr(p) for p in d.premises)
     return f'({d.rule} "{d.conclusion}" ({inner}))'
-
-
-def _judge(sig: Signature, subject: LfExpr | str, classifier: LfExpr | str | None) -> Judgment:
-    subj = subject if isinstance(subject, str) else pretty_print(subject)
-    if classifier is None:
-        cls = None
-    elif isinstance(classifier, str):
-        cls = classifier
-    else:
-        cls = pretty_print(classifier)
-    return Judgment(sig.fingerprint(), subj, cls)
 
 
 def _reject_metas(e: LfExpr, rule: str, judgment: Judgment) -> None:
@@ -168,7 +164,7 @@ def check_context(sig: Signature) -> Derivation:
 
 def check_kind(sig: Signature, k: LfExpr) -> Derivation:
     """Derivation of `sig |- k kind` for canonical `k`."""
-    j = _judge(sig, k, "kind")
+    j = Judgment(sig.fingerprint(), k, "kind")
     _reject_metas(k, "PiKind", j)
     return _check_kind(sig, k)
 
@@ -176,15 +172,15 @@ def check_kind(sig: Signature, k: LfExpr) -> Derivation:
 def _check_kind(sig: Signature, k: LfExpr) -> Derivation:
     match k:
         case TypeKind():
-            return _derive("TypeKind", _judge(sig, "type", "kind"))
+            return _derive("TypeKind", Judgment(sig.fingerprint(), "type", "kind"))
         case Pi(hint, annot, body):
             da = check_type(sig, annot)
             x = fresh_name(hint, sig.names())
             inner_sig = sig.extend(x, annot, "type")
             db = _check_kind(inner_sig, instantiate(body, Const(x)))
-            return _derive("PiKind", _judge(sig, k, "kind"), (da, db))
+            return _derive("PiKind", Judgment(sig.fingerprint(), k, "kind"), (da, db))
         case _:
-            raise KernelError("kind expected", "PiKind", _judge(sig, k, "kind"))
+            raise KernelError("kind expected", "PiKind", Judgment(sig.fingerprint(), k, "kind"))
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +195,13 @@ def check_type(sig: Signature, a: LfExpr) -> Derivation:
 
 def check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
     """Derivation of `sig |- a : k` with `k` a canonical kind."""
-    j = _judge(sig, a, k)
+    j = Judgment(sig.fingerprint(), a, k)
     _reject_metas(a, "BackchainFam", j)
     return _check_family(sig, a, k)
 
 
 def _check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
-    j = _judge(sig, a, k)
+    j = Judgment(sig.fingerprint(), a, k)
     match k:
         case Pi(hint, dom, krest):
             # Canonical families of product kind are abstractions.
@@ -261,14 +257,14 @@ def check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
     `a` must be canonical and already accepted by `check_type`; the subject is
     expected in beta-eta-long form (normalize at the boundary first).
     """
-    j = _judge(sig, m, a)
+    j = Judgment(sig.fingerprint(), m, a)
     _reject_metas(m, "BackchainObj", j)
     _reject_metas(a, "BackchainObj", j)
     return _check_object(sig, m, a)
 
 
 def _check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
-    j = _judge(sig, m, a)
+    j = Judgment(sig.fingerprint(), m, a)
     match a:
         case Pi(hint, dom, rest):
             if not isinstance(m, Lam):

@@ -14,7 +14,7 @@ reported, never swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .hhf_logic import (
@@ -27,6 +27,7 @@ from .hhf_logic import (
     collect_metas,
     hspine,
     inhabitation_goal,
+    is_closed,
     translate,
     translate_query,
 )
@@ -74,6 +75,9 @@ class CertifiedAnswer:
     counters: Counters
     status: str  # "certified" | "rejected"
     reason: str | None = None
+    # the binding store after residual closing, kept for decoding the query
+    # variables of a certified answer
+    store: dict[int, HhTerm] | None = field(default=None, compare=False, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -307,9 +311,10 @@ def finalize_metavars(
         check_type(sig, closed_type)
     except KernelError as e:
         raise ReconstructError(f"ill-typed binding: {e}") from None
-    # the decoded result only drives the residual solves; certification
-    # re-decodes the closed store strictly
-    close(lambda c: c.close_hh(resolve_term(store, proof_meta), closed_type))
+    # the decoded result only drives the residual solves, and a closed proof
+    # has none; certification re-decodes the closed store strictly
+    if not is_closed(resolve_term(store, proof_meta)):
+        close(lambda c: c.close_hh(resolve_term(store, proof_meta), closed_type))
     return closed_type, resolve_term(store, proof_meta), store
 
 
@@ -330,13 +335,13 @@ def certify(
 ) -> CertifiedAnswer:
     """Close, decode, and re-check one solver answer with the kernel."""
     try:
-        closed_type, closed_proof, _ = finalize_metavars(
+        closed_type, closed_proof, store = finalize_metavars(
             sig, query_type, solution, program, goal_metas, proof_meta, limits, iterative
         )
         lf_proof = decode_term(sig, closed_proof, closed_type)
         check_type(sig, closed_type)
         derivation = check_object(sig, lf_proof, closed_type)
-        return CertifiedAnswer(lf_proof, closed_type, derivation, solution.counters, "certified")
+        return CertifiedAnswer(lf_proof, closed_type, derivation, solution.counters, "certified", store=store)
     except (ReconstructError, KernelError) as e:
         return CertifiedAnswer(None, None, None, solution.counters, "rejected", str(e))
 
@@ -384,15 +389,11 @@ class QuerySession:
     def first_answer(self, iterative: bool = False) -> tuple[Solution, CertifiedAnswer] | None:
         return next(self.answers(iterative=iterative), None)
 
-    def binding_report(self, sol: Solution, answer: CertifiedAnswer) -> dict[str, LfExpr]:
-        """Query-meta instantiations of a certified answer, decoded to LF."""
+    def binding_report(self, answer: CertifiedAnswer) -> dict[str, LfExpr]:
+        """Query-meta instantiations of a certified answer, decoded to LF from
+        the store that certification closed."""
         if not answer.certified:
             return {}
-        try:
-            _, _, store = finalize_metavars(
-                self.sig, self.query_type, sol, self.program, self.metas, self.proof_meta, self.limits
-            )
-        except ReconstructError:
-            store = dict(sol.bindings)
+        store = answer.store
         closer = _Closer(self.sig, store, self.metas)
         return {name: closer.close_hh(resolve_term(store, m), None) for name, m in self.metas.items()}

@@ -111,7 +111,7 @@ def test_criterion_2_query_reproduction(append_sig):
             assert got is not None, f"{mode}: no solution"
             sol, ans = got
             assert ans.certified, f"{mode}: {ans.reason}"
-            bindings = sess.binding_report(sol, ans)
+            bindings = sess.binding_report(ans)
             assert bindings["L"] == expected_l, f"{mode}: L = {pretty_print(bindings['L'])}"
             check_object(append_sig, ans.lf_proof, ans.lf_type)
             answers[mode] = (sol, ans, sess)

@@ -1,8 +1,15 @@
+import csv
 import io
+import os
+import pathlib
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import lfhh
 from lfhh.cli import main
 
 
@@ -170,6 +177,19 @@ def test_bench_text_format():
     assert code == 0 and "optimized" in out and "backchain" in out
 
 
+def test_bench_optimized_ground_check_scales_to_256():
+    # the optimized check binds each variable to a ground term in O(1);
+    # rebuilding the bound term on every bind made this take about two
+    # minutes on a 2-vCPU host
+    t0 = time.perf_counter()
+    code, out, _ = run_cli("bench", "--sizes", "256", "--mode", "optimized", "--format", "csv")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["n"], r["mode"], r["backchain_steps"]) for r in rows] == [("256", "optimized", "257")]
+    assert elapsed < 10.0
+
+
 def test_bench_search_variant():
     code, out, _ = run_cli("bench", "--sizes", "2,4", "--search", "--mode", "optimized")
     assert code == 0
@@ -205,3 +225,30 @@ def test_output_deterministic(append_lf):
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second
+
+
+# -- deep input -----------------------------------------------------------------------
+
+
+DEEP = 3000
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "solve"])
+def test_deeply_nested_input_exits_cleanly(command, append_lf, tmp_path):
+    # a fresh interpreter, so that the stack limit is the default one and not
+    # whatever an earlier search in this process raised it to
+    deep = tmp_path / "deep.lf"
+    deep.write_text("a : type.\nb : " + "(" * DEEP + "a" + ")" * DEEP + ".\n")
+    argv = {
+        "check": ["check", str(deep)],
+        "translate": ["translate", str(deep), "--mode", "optimized"],
+        "solve": ["solve", append_lf, "(" * DEEP + "append nil nil nil" + ")" * DEEP],
+    }[command]
+    src = str(pathlib.Path(lfhh.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lfhh.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: input nested too deeply\n"
+    assert proc.stdout == ""

@@ -1,0 +1,189 @@
+"""The closed flag on target terms: `scope` and `is_closed` against plain
+recursive reference definitions, and the traversals that return closed
+subterms unchanged."""
+
+import random
+
+import pytest
+
+from lfhh.hhf_logic import (
+    OPEN,
+    TM,
+    HApp,
+    HBound,
+    HConst,
+    HEigen,
+    HLam,
+    HMeta,
+    h_instantiate,
+    happs,
+    is_closed,
+    translate,
+)
+from lfhh.hhf_prover import Solution, Solver, resolve_term
+from lfhh.lf_syntax import parse_query
+from lfhh.reconstruct import QuerySession, certify
+
+
+def ref_closed(t, depth=0):
+    match t:
+        case HConst():
+            return True
+        case HBound(k):
+            return k < depth
+        case HLam(_, b):
+            return ref_closed(b, depth + 1)
+        case HApp(f, a):
+            return not isinstance(f, HLam) and ref_closed(f, depth) and ref_closed(a, depth)
+        case _:
+            return False
+
+
+def ref_scope(t):
+    """1 + highest loose index (0 if none), or OPEN with a meta-variable, an
+    eigenvariable or a redex at a spine head anywhere in `t`."""
+    match t:
+        case HConst():
+            return 0
+        case HBound(k):
+            return k + 1
+        case HLam(_, b):
+            s = ref_scope(b)
+            return OPEN if s == OPEN else max(s - 1, 0)
+        case HApp(f, a):
+            sf, sa = ref_scope(f), ref_scope(a)
+            if isinstance(f, HLam) or OPEN in (sf, sa):
+                return OPEN
+            return max(sf, sa)
+        case _:
+            return OPEN
+
+
+def ref_h_instantiate(body, values, depth=0):
+    match body:
+        case HBound(k):
+            if k < depth:
+                return body
+            i = len(values) - 1 - (k - depth)
+            return values[i] if i >= 0 else HBound(k - len(values))
+        case HApp(f, a):
+            return HApp(ref_h_instantiate(f, values, depth), ref_h_instantiate(a, values, depth))
+        case HLam(h, b):
+            return HLam(h, ref_h_instantiate(b, values, depth + 1))
+        case _:
+            return body
+
+
+METAS = [HMeta(f"G{i}", 100 + i, TM, 0) for i in range(3)]
+EIGENS = [HEigen(f"e!{i}", 200 + i, 1) for i in range(2)]
+
+
+def random_term(rng, binders=0, size=6):
+    """Mostly closed terms, with λs, metas, eigenvariables, loose indices
+    and redexes mixed in."""
+    r = rng.random()
+    if size <= 1 or r < 0.3:
+        leaf = rng.random()
+        if leaf < 0.55:
+            return HConst(rng.choice(["z", "nil", "s", "cons", "c"]))
+        if leaf < 0.85:
+            # mostly bound by an enclosing λ, sometimes loose
+            return HBound(rng.randrange(binders + 2))
+        if leaf < 0.93:
+            return rng.choice(METAS)
+        return rng.choice(EIGENS)
+    if r < 0.5:
+        return HLam("x", random_term(rng, binders + 1, size - 1))
+    if r < 0.55:
+        fn = HLam("x", random_term(rng, binders + 1, size // 2))
+        return HApp(fn, random_term(rng, binders, size // 2))
+    head = HConst(rng.choice(["s", "cons", "c", "app"]))
+    n = rng.randint(1, 3)
+    return happs(head, [random_term(rng, binders, size // n) for _ in range(n)])
+
+
+def subterms(t):
+    yield t
+    match t:
+        case HApp(f, a):
+            yield from subterms(f)
+            yield from subterms(a)
+        case HLam(_, b):
+            yield from subterms(b)
+
+
+@pytest.fixture(scope="module")
+def terms():
+    rng = random.Random(20101)
+    return [random_term(rng, 0, rng.randint(1, 12)) for _ in range(600)]
+
+
+def test_generated_terms_cover_every_shape(terms):
+    nodes = [u for t in terms for u in subterms(t)]
+    assert len(terms) >= 500
+    assert sum(map(is_closed, terms)) >= 100
+    assert sum(not is_closed(t) for t in terms) >= 100
+    for kind in (HLam, HMeta, HEigen):
+        assert any(isinstance(u, kind) for u in nodes)
+    assert any(isinstance(u, HApp) and isinstance(u.fn, HLam) for u in nodes)
+    assert any(u.scope > 0 for u in nodes if isinstance(u, HApp))  # loose index
+
+
+def test_is_closed_and_scope_agree_with_reference(terms):
+    for t in terms:
+        for u in subterms(t):
+            assert is_closed(u) == ref_closed(u), u
+            assert u.scope == ref_scope(u), u
+
+
+def test_closed_terms_come_back_unchanged(append_sig, terms):
+    solver = Solver(translate(append_sig, "optimized"))
+    bindings = {m.id: HConst("z") for m in METAS}
+    m = HMeta("M", 1, TM, 0)
+    values = (HConst("nil"), HMeta("V", 7, TM, 0))
+    seen = 0
+    for t in terms:
+        for u in subterms(t):
+            if not is_closed(u):
+                continue
+            seen += 1
+            assert solver._invert(u, m, {}, 0, 0) is u
+            assert resolve_term(bindings, u) is u
+            assert h_instantiate(u, values) is u
+    assert seen >= 500
+
+
+def test_instantiate_agrees_with_reference(terms):
+    values = (HConst("nil"), HMeta("V", 7, TM, 0), HEigen("e!9", 9, 1))
+    for t in terms:
+        for depth in (0, 1, 2):
+            assert h_instantiate(t, values, depth) == ref_h_instantiate(t, values, depth)
+
+
+def test_binding_to_a_long_ground_list_stores_the_list_itself(append_sig):
+    t = HConst("nil")
+    for _ in range(1000):
+        t = happs(HConst("cons"), [HConst("z"), t])
+    assert is_closed(t)
+    solver = Solver(translate(append_sig, "optimized"))
+    m = HMeta("M", 1, TM, 0)
+    assert solver.unify(m, t)
+    assert solver.bindings[m.id] is t
+    assert solver.resolve(m) is t
+
+
+def test_certify_rejects_closed_proof_with_undeclared_head(append_sig):
+    # the proof is closed, so residual closing skips it; the strict decoder
+    # and the kernel still see it
+    q, _ = parse_query("append nil nil nil", append_sig)
+    sess = QuerySession(append_sig, q, "optimized")
+    sol, ans = sess.first_answer()
+    assert ans.certified
+    bad = dict(sol.bindings)
+    bad[sess.proof_meta.id] = HApp(HConst("appMissing"), HConst("nil"))
+    assert is_closed(resolve_term(bad, sess.proof_meta))
+    verdict = certify(
+        append_sig, q, Solution(bad, sol.counters, ()), sess.program, sess.metas, sess.proof_meta
+    )
+    assert verdict.status == "rejected"
+    assert "appMissing" in verdict.reason

@@ -97,7 +97,7 @@ def test_finalize_residual_binds_first_inhabitant(append_sig):
     assert ans.certified
     assert pretty_print(ans.lf_type) == "append nil nil nil"
     assert pretty_print(ans.lf_proof) == "appNil nil"
-    assert pretty_print(sess.binding_report(sol, ans)["K"]) == "nil"
+    assert pretty_print(sess.binding_report(ans)["K"]) == "nil"
 
 
 def test_finalize_uninhabited_residual(append_sig):
