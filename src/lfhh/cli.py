@@ -1,9 +1,10 @@
 """Command-line front end: check, analyze, translate, solve, bench, compare.
 
 Exit codes are a stable contract: 0 success, 1 input error or definitive
-failure (no inhabitant), 2 resource exhaustion (depth or budget, or input
-nested too deeply for the interpreter stack), 3 internal invariant violation
-(the kernel rejected a solver answer).
+failure (no inhabitant), 2 resource exhaustion (depth or budget, in `solve`,
+`compare` and `bench`, or input nested too deeply for the interpreter
+stack), 3 internal invariant violation (the kernel rejected a solver answer,
+or a `bench` query failed within its limits).
 """
 
 from __future__ import annotations
@@ -139,20 +140,17 @@ def cmd_solve(args) -> int:
     return EXIT_INPUT
 
 
-def _list_of(elems: list[LfExpr]) -> LfExpr:
-    e: LfExpr = Const("nil")
+def _append_check(elems: list[LfExpr]) -> tuple[LfExpr, LfExpr]:
+    """The type `append L nil L` for the list L of `elems`, and its proof.
+    Each suffix list of L is built once and shared by the type and by every
+    step of the proof that mentions it, so both have O(n) distinct nodes."""
+    nil = Const("nil")
+    suffix = nil  # the list of elems[i:], for i from n down to 0
+    proof: LfExpr = App(Const("appNil"), nil)
     for x in reversed(elems):
-        e = make_app(Const("cons"), [x, e])
-    return e
-
-
-def _append_proof(l: list[LfExpr], k: list[LfExpr]) -> LfExpr:
-    if not l:
-        return App(Const("appNil"), _list_of(k))
-    return make_app(
-        Const("appCons"),
-        [l[0], _list_of(l[1:]), _list_of(k), _list_of(l[1:] + k), _append_proof(l[1:], k)],
-    )
+        proof = make_app(Const("appCons"), [x, suffix, nil, suffix, proof])
+        suffix = make_app(Const("cons"), [x, suffix])
+    return make_app(Const("append"), [suffix, nil, suffix]), proof
 
 
 def cmd_bench(args) -> int:
@@ -169,12 +167,11 @@ def cmd_bench(args) -> int:
     programs = {m: translate(sig, m) for m in modes}
     rows: list[tuple[int, str, int, int, int]] = []
     for n in sizes:
-        elems = [Const("z")] * n
-        ty = make_app(Const("append"), [_list_of(elems), Const("nil"), _list_of(elems)])
+        ty, proof = _append_check([Const("z")] * n)
         for mode in modes:
             solver = Solver(programs[mode], _limits(args))
             if args.search:
-                open_ty = make_app(Const("append"), [_list_of(elems), Const("nil"), Meta("Out")])
+                open_ty = App(ty.fn, Meta("Out"))  # append L nil Out
                 sess = QuerySession(sig, open_ty, mode, _limits(args), program=programs[mode])
                 solver = sess.solver
                 t0 = time.perf_counter_ns()
@@ -182,12 +179,18 @@ def cmd_bench(args) -> int:
                 wall = time.perf_counter_ns() - t0
                 ok = got is not None
             else:
-                goal = inhabitation_goal(sig, ty, encode_term(_append_proof(elems, [])), mode)
+                goal = inhabitation_goal(sig, ty, encode_term(proof), mode)
                 t0 = time.perf_counter_ns()
                 got = next(solver.solve(goal), None)
                 wall = time.perf_counter_ns() - t0
                 ok = got is not None
             if not ok:
+                if solver.budget_hit:
+                    print(f"no solution: unification budget ({args.budget}) exceeded")
+                    return EXIT_RESOURCE
+                if solver.depth_hit:
+                    print(f"no solution within depth {args.depth}")
+                    return EXIT_RESOURCE
                 print(f"error: bench query n={n} mode={mode} failed", file=sys.stderr)
                 return EXIT_INTERNAL
             rows.append((n, mode, solver.counters.backchain_steps, solver.counters.unify_calls, wall))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .lf_syntax import (
+    OPEN,
     App,
     Bound,
     Const,
@@ -130,14 +131,14 @@ def erased_signature(sig: Signature) -> dict[str, SimpleType]:
 # ---------------------------------------------------------------------------
 
 
-# Every term has a `scope`, read in O(1): the number of enclosing binders it
-# needs, that is one more than its highest loose de Bruijn index (0 when it
-# has none), or `OPEN` when it contains a meta-variable, an eigenvariable or
-# a beta-redex at a spine head.  Leaves carry it as a class attribute or a
-# derived field; `HApp` and `HLam` compute it once from their children when
-# they are built.  A term is closed when its scope is 0: then dereferencing,
-# normalizing, instantiating or inverting it returns the term itself.
-OPEN = -1
+# Every term has a `scope`, read in O(1), as LF expressions do: the number of
+# enclosing binders it needs, that is one more than its highest loose de
+# Bruijn index (0 when it has none), or `OPEN` when it contains a
+# meta-variable, an eigenvariable or a beta-redex at a spine head.  Leaves
+# carry it as a class attribute or a derived field; `HApp` and `HLam` compute
+# it once from their children when they are built.  A term is closed when its
+# scope is 0: then dereferencing, normalizing, instantiating or inverting it
+# returns the term itself.
 
 
 @dataclass(frozen=True)
@@ -280,22 +281,32 @@ def h_abstract(t: HhTerm, name: str, depth: int = 0) -> HhTerm:
 
 def encode_term(e: LfExpr, metas: Mapping[str, HMeta] | None = None) -> HhTerm:
     """Encode a canonical object or base type: annotations are dropped,
-    structure is preserved, meta-variables map through `metas`."""
-    match e:
-        case Const(n):
-            return HConst(n)
-        case Bound(k):
-            return HBound(k)
-        case Meta(n):
-            if metas is None or n not in metas:
-                raise LfError(f"meta-variable {n!r} has no target assignment")
-            return metas[n]
-        case App(f, a):
-            return HApp(encode_term(f, metas), encode_term(a, metas))
-        case Lam(h, _, body):
-            return HLam(h, encode_term(body, metas))
-        case _:
-            raise LfError(f"expression has no term encoding: {e!r}")
+    structure is preserved, meta-variables map through `metas`.  An
+    application node that occurs several times in `e` is encoded once, and
+    its occurrences share the encoding."""
+    shared: dict[int, HhTerm] = {}  # id of an App node of `e` -> its encoding
+
+    def go(t: LfExpr) -> HhTerm:
+        match t:
+            case Const(n):
+                return HConst(n)
+            case Bound(k):
+                return HBound(k)
+            case Meta(n):
+                if metas is None or n not in metas:
+                    raise LfError(f"meta-variable {n!r} has no target assignment")
+                return metas[n]
+            case App(f, a):
+                out = shared.get(id(t))
+                if out is None:
+                    out = shared[id(t)] = HApp(go(f), go(a))
+                return out
+            case Lam(h, _, body):
+                return HLam(h, go(body))
+            case _:
+                raise LfError(f"expression has no term encoding: {t!r}")
+
+    return go(e)
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +453,19 @@ def _naive(
     sig: Signature,
     a: LfExpr,
     subject: HhTerm,
-    avoid: set[str],
+    local: tuple[str, ...],
     metas: Mapping[str, HMeta] | None = None,
 ) -> HhFormula:
     """Plain translation: every binder keeps its typing guard.  Positive and
-    negative positions coincide when nothing is elided."""
+    negative positions coincide when nothing is elided.  Binder names avoid
+    the signature and `local`, the query's meta-variables and the names of
+    the enclosing binders."""
     if isinstance(a, Pi):
-        x = fresh_name(a.hint, avoid)
+        x = fresh_name(a.hint, sig, local)
         body = instantiate(a.body, Const(x))
-        guard = _naive(sig, a.annot, HConst(x), avoid | {x}, metas)
-        inner = _naive(sig, body, HApp(subject, HConst(x)), avoid | {x}, metas)
+        local += (x,)
+        guard = _naive(sig, a.annot, HConst(x), local, metas)
+        inner = _naive(sig, body, HApp(subject, HConst(x)), local, metas)
         return _forall(a.hint, a.annot, x, guard, inner)
     return FAtom(subject, encode_term(a, metas))
 
@@ -461,18 +475,19 @@ def _opt_pos(
     a: LfExpr,
     subject: HhTerm,
     flags: tuple[bool, ...],
-    avoid: set[str],
+    local: tuple[str, ...],
     metas: Mapping[str, HMeta] | None = None,
 ) -> HhFormula:
     """Positive translation: guards of rigid binders become truth."""
     if isinstance(a, Pi):
-        x = fresh_name(a.hint, avoid)
+        x = fresh_name(a.hint, sig, local)
         body = instantiate(a.body, Const(x))
+        local += (x,)
         if flags[0]:
             guard: HhFormula = FTop()
         else:
-            guard = _opt_neg(sig, a.annot, HConst(x), avoid | {x}, metas)
-        inner = _opt_pos(sig, body, HApp(subject, HConst(x)), flags[1:], avoid | {x}, metas)
+            guard = _opt_neg(sig, a.annot, HConst(x), local, metas)
+        inner = _opt_pos(sig, body, HApp(subject, HConst(x)), flags[1:], local, metas)
         return _forall(a.hint, a.annot, x, guard, inner)
     return FAtom(subject, encode_term(a, metas))
 
@@ -481,17 +496,18 @@ def _opt_neg(
     sig: Signature,
     a: LfExpr,
     subject: HhTerm,
-    avoid: set[str],
+    local: tuple[str, ...],
     metas: Mapping[str, HMeta] | None = None,
 ) -> HhFormula:
     """Negative translation: binder guards are positive translations of the
     domains, analyzed afresh with no ambient candidates."""
     if isinstance(a, Pi):
-        x = fresh_name(a.hint, avoid)
+        x = fresh_name(a.hint, sig, local)
         body = instantiate(a.body, Const(x))
+        local += (x,)
         dom_flags = tuple(r for _, r in plan_for_type(sig, a.annot))
-        guard = _opt_pos(sig, a.annot, HConst(x), dom_flags, avoid | {x}, metas)
-        inner = _opt_neg(sig, body, HApp(subject, HConst(x)), avoid | {x}, metas)
+        guard = _opt_pos(sig, a.annot, HConst(x), dom_flags, local, metas)
+        inner = _opt_neg(sig, body, HApp(subject, HConst(x)), local, metas)
         return _forall(a.hint, a.annot, x, guard, inner)
     return FAtom(subject, encode_term(a, metas))
 
@@ -499,9 +515,8 @@ def _opt_neg(
 def translate_simple(sig: Signature) -> ClauseSet:
     """One clause per object-level declaration, in signature order.  Family
     declarations contribute constants to the erased signature only."""
-    avoid = sig.names()
     clauses = tuple(
-        Clause(e.name, _naive(sig, e.classifier, HConst(e.name), avoid))
+        Clause(e.name, _naive(sig, e.classifier, HConst(e.name), ()))
         for e in sig
         if e.sort == "type"
     )
@@ -513,7 +528,7 @@ def translate_optimized_decl(sig: Signature, decl_name: str) -> HhFormula:
     if entry is None:
         raise KeyError(decl_name)
     flags = tuple(r for _, r in plan_for_type(sig, entry.classifier))
-    return _opt_pos(sig, entry.classifier, HConst(entry.name), flags, sig.names())
+    return _opt_pos(sig, entry.classifier, HConst(entry.name), flags, ())
 
 
 def translate_optimized(sig: Signature) -> ClauseSet:
@@ -609,11 +624,11 @@ def inhabitation_goal(
     metas: Mapping[str, HMeta] | None = None,
 ) -> HhFormula:
     """Translation of type `a` applied to a given subject term."""
-    avoid = sig.names() | (set(metas) if metas else set())
+    local = tuple(metas) if metas else ()
     if mode == "naive":
-        return _naive(sig, a, subject, avoid, metas)
+        return _naive(sig, a, subject, local, metas)
     if mode == "optimized":
-        return _opt_neg(sig, a, subject, avoid, metas)
+        return _opt_neg(sig, a, subject, local, metas)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -11,7 +11,7 @@ exactly alpha-equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Container, Iterator, Mapping
 
 __all__ = [
     "LfExpr",
@@ -22,6 +22,7 @@ __all__ = [
     "Bound",
     "Const",
     "Meta",
+    "OPEN",
     "TYPE",
     "KIND",
     "SigEntry",
@@ -71,77 +72,119 @@ class NormalizeError(LfError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# Every expression has a `scope`, read in O(1): the number of enclosing
+# binders it needs, that is one more than its highest loose de Bruijn index
+# (0 when it has none), or `OPEN` when it contains a beta-redex.  Leaves carry
+# it as a class attribute or a derived field; `Pi`, `Lam` and `App` compute it
+# once from their children when they are built.  The field takes no part in
+# equality, hashing, `repr` or pattern matching; nodes keep their fields in
+# slots, so it adds no per-node dictionary entry.  `instantiate` returns a
+# subterm whose scope is at most the substitution depth, and `beta_normalize`
+# one whose scope is not `OPEN`, as that very object.
+OPEN = -1
+
+
+def _binder_scope(annot: LfExpr, body: LfExpr) -> int:
+    a, b = annot.scope, body.scope
+    if a < 0 or b < 0:
+        return OPEN
+    return a if a >= b else b - 1
+
+
+@dataclass(frozen=True, slots=True)
 class LfExpr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeKind(LfExpr):
     """The kind `type`."""
+
+    scope = 0
 
     def __str__(self) -> str:
         return "type"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pi(LfExpr):
     """Dependent product {x:A} B.  `hint` is a display name only."""
 
     hint: str = field(compare=False)
     annot: LfExpr
     body: LfExpr
+    scope: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scope", _binder_scope(self.annot, self.body))
 
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(LfExpr):
     """Abstraction [x:A] M."""
 
     hint: str = field(compare=False)
     annot: LfExpr
     body: LfExpr
+    scope: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scope", _binder_scope(self.annot, self.body))
 
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(LfExpr):
     fn: LfExpr
     arg: LfExpr
+    scope: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        fn = self.fn
+        f, a = fn.scope, self.arg.scope
+        redex_or_open = f < 0 or a < 0 or isinstance(fn, Lam)
+        object.__setattr__(self, "scope", OPEN if redex_or_open else (f if f >= a else a))
 
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bound(LfExpr):
     """de Bruijn index of a binder-bound occurrence."""
 
     index: int
+    scope: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scope", self.index + 1)
 
     def __str__(self) -> str:
         return f"#{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(LfExpr):
     """A declared constant or a context variable, identified by name."""
 
     name: str
+    scope = 0
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Meta(LfExpr):
     """An instantiatable placeholder; legal in queries, rejected by the kernel."""
 
     name: str
+    scope = 0
 
     def __str__(self) -> str:
         return self.name
@@ -187,8 +230,11 @@ def instantiate(body: LfExpr, value: LfExpr, depth: int = 0) -> LfExpr:
     """Replace Bound(depth) by `value` in `body`, closing one binder.
 
     `value` must be locally closed (no dangling indices), which makes the
-    substitution capture-free by construction.
+    substitution capture-free by construction.  A subterm with no loose index
+    at or above `depth` comes back as the same object.
     """
+    if 0 <= body.scope <= depth:
+        return body
     match body:
         case Bound(k):
             if k == depth:
@@ -299,15 +345,15 @@ def substitute(e: LfExpr, s: Subst) -> LfExpr:
             return e
 
 
-def fresh_name(base: str, avoid: set[str]) -> str:
-    """Pick a name based on `base` that is not in `avoid`."""
+def fresh_name(base: str, *avoid: Container[str]) -> str:
+    """Pick a name based on `base` that is in none of the `avoid` containers
+    (a signature, a context, a set of names...); none of them is copied."""
     base = base if base and base != "_" else "x"
-    if base not in avoid and base != "type":
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
+    name, i = base, 0
+    while name == "type" or any(name in names for names in avoid):
         i += 1
-    return f"{base}{i}"
+        name = f"{base}{i}"
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +380,9 @@ class Signature:
     """Ordered list of declarations; also serves as the typing context.
 
     Immutable: `extend` returns a new signature.  Entry order is meaningful,
-    every classifier may reference only earlier entries.
+    every classifier may reference only earlier entries.  Extending costs one
+    copy of the name index and one of the fingerprint text, both flat, so the
+    kernel can extend the context at every binder it opens.
     """
 
     __slots__ = ("entries", "_index", "_fingerprint")
@@ -353,10 +401,13 @@ class Signature:
     def extend(self, name: str, classifier: LfExpr, sort: str) -> "Signature":
         if name in self._index:
             raise LfSyntaxError(f"duplicate name {name!r}")
-        return Signature(self.entries + (SigEntry(name, classifier, sort),))
-
-    def names(self) -> set[str]:
-        return set(self._index)
+        out = Signature.__new__(Signature)
+        out.entries = self.entries + (SigEntry(name, classifier, sort),)
+        out._index = index = self._index.copy()
+        index[name] = len(self.entries)
+        fp = self.fingerprint()
+        out._fingerprint = name if fp == "." else f"{fp},{name}"
+        return out
 
     def fingerprint(self) -> str:
         """Declaration names in order; computed once per signature."""
@@ -546,6 +597,8 @@ class _Parser:
 
 
 def _shift(e: LfExpr, by: int, cutoff: int) -> LfExpr:
+    if 0 <= e.scope <= cutoff:
+        return e
     match e:
         case Bound(k):
             return Bound(k + by) if k >= cutoff else e
@@ -650,11 +703,11 @@ def pretty_print(e: LfExpr) -> str:
                     # the arrow body skips the unused binder slot
                     right = go(instantiate(body, Const("_")), _PREC_EXPR, names)
                     return wrap(f"{left} -> {right}", _PREC_EXPR, prec)
-                name = fresh_name(hint, free_names(body) | set(names))
+                name = fresh_name(hint, free_names(body), names)
                 inner = go(body, _PREC_EXPR, names + [name])
                 return wrap(f"{{{name}:{go(annot, _PREC_EXPR, names)}}} {inner}", _PREC_EXPR, prec)
             case Lam(hint, annot, body):
-                name = fresh_name(hint, free_names(body) | set(names))
+                name = fresh_name(hint, free_names(body), names)
                 inner = go(body, _PREC_EXPR, names + [name])
                 return wrap(f"[{name}:{go(annot, _PREC_EXPR, names)}] {inner}", _PREC_EXPR, prec)
             case _:
@@ -684,10 +737,15 @@ class _Budget:
 
 def beta_normalize(e: LfExpr, budget: int | _Budget = DEFAULT_STEP_BUDGET) -> LfExpr:
     """Full normal-order beta normalization.  The budget bounds the number of
-    contractions so that ill-typed input cannot loop the kernel."""
+    contractions so that ill-typed input cannot loop the kernel.  A redex-free
+    subterm comes back as the same object."""
+    if e.scope >= 0:
+        return e
     b = budget if isinstance(budget, _Budget) else _Budget(budget)
 
     def go(t: LfExpr) -> LfExpr:
+        if t.scope >= 0:
+            return t  # no redex inside
         match t:
             case App(f, a):
                 fn = go(f)
@@ -738,12 +796,6 @@ def normalize(
             case _:
                 return None
 
-    def avoid() -> set[str]:
-        names = set(env)
-        if sig is not None:
-            names |= sig.names()
-        return names
-
     def eta_spine(t: LfExpr) -> LfExpr:
         head, args = spine(t)
         if not args:
@@ -765,7 +817,7 @@ def normalize(
                 case TypeKind():
                     return t
                 case Pi(h, annot, body):
-                    x = fresh_name(h, avoid() | free_names(body))
+                    x = fresh_name(h, env, sig or (), free_names(body))
                     env[x] = annot_n = eta(annot, TYPE)
                     inner = eta(instantiate(body, Const(x)), KIND)
                     del env[x]
@@ -775,7 +827,7 @@ def normalize(
         if isinstance(cls, TypeKind):
             match t:
                 case Pi(h, annot, body):
-                    x = fresh_name(h, avoid() | free_names(body))
+                    x = fresh_name(h, env, sig or (), free_names(body))
                     env[x] = annot_n = eta(annot, TYPE)
                     inner = eta(instantiate(body, Const(x)), TYPE)
                     del env[x]
@@ -788,7 +840,7 @@ def normalize(
                     return eta_spine(t)
         if isinstance(cls, Pi):
             if isinstance(t, Lam):
-                x = fresh_name(t.hint, avoid() | free_names(t.body))
+                x = fresh_name(t.hint, env, sig or (), free_names(t.body))
                 env[x] = annot_n = eta(t.annot, TYPE)
                 inner = eta(
                     beta_normalize(instantiate(t.body, Const(x)), b),
@@ -798,7 +850,7 @@ def normalize(
                 return Lam(t.hint, annot_n, abstract(inner, x))
             if isinstance(t, (Pi, TypeKind)):
                 raise NormalizeError("cannot eta-expand: head shape does not match classifier")
-            x = fresh_name(cls.hint, avoid() | free_names(t))
+            x = fresh_name(cls.hint, env, sig or (), free_names(t))
             env[x] = annot_n = eta(cls.annot, TYPE)
             inner = eta(App(t, Const(x)), beta_normalize(instantiate(cls.body, Const(x)), b))
             del env[x]

@@ -175,7 +175,7 @@ def _check_kind(sig: Signature, k: LfExpr) -> Derivation:
             return _derive("TypeKind", Judgment(sig.fingerprint(), "type", "kind"))
         case Pi(hint, annot, body):
             da = check_type(sig, annot)
-            x = fresh_name(hint, sig.names())
+            x = fresh_name(hint, sig)
             inner_sig = sig.extend(x, annot, "type")
             db = _check_kind(inner_sig, instantiate(body, Const(x)))
             return _derive("PiKind", Judgment(sig.fingerprint(), k, "kind"), (da, db))
@@ -209,7 +209,7 @@ def _check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
                 raise KernelError("family of product kind must be an abstraction", "AbsFam", j)
             if not alpha_eq(a.annot, dom):
                 raise KernelError("abstraction annotation differs from kind domain", "AbsFam", j)
-            x = fresh_name(a.hint, sig.names())
+            x = fresh_name(a.hint, sig)
             inner = sig.extend(x, dom, "type")
             db = _check_family(inner, instantiate(a.body, Const(x)), instantiate(krest, Const(x)))
             return _derive("AbsFam", j, (db,))
@@ -217,7 +217,7 @@ def _check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
             match a:
                 case Pi(hint, annot, body):
                     da = check_type(sig, annot)
-                    x = fresh_name(hint, sig.names())
+                    x = fresh_name(hint, sig)
                     inner = sig.extend(x, annot, "type")
                     db = _check_family(inner, instantiate(body, Const(x)), TYPE)
                     return _derive("PiFam", j, (da, db))
@@ -271,7 +271,7 @@ def _check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
                 raise KernelError("object of product type must be an abstraction", "AbsObj", j)
             if not alpha_eq(m.annot, dom):
                 raise KernelError("abstraction annotation differs from product domain", "AbsObj", j)
-            x = fresh_name(m.hint, sig.names())
+            x = fresh_name(m.hint, sig)
             inner = sig.extend(x, dom, "type")
             db = _check_object(inner, instantiate(m.body, Const(x)), instantiate(rest, Const(x)))
             return _derive("AbsObj", j, (db,))

@@ -103,7 +103,7 @@ def decode_term(
 
     def go(u: HhTerm, cls: LfExpr) -> LfExpr:
         if isinstance(cls, Pi):
-            x = fresh_name(cls.hint, set(env) | sig.names())
+            x = fresh_name(cls.hint, env, sig)
             body = h_instantiate_or_apply(u, HConst(x))
             env[x] = cls.annot
             inner = go(body, beta_normalize(instantiate(cls.body, Const(x))))
@@ -168,14 +168,11 @@ class _Closer:
             self.pending.append((m, cls))
         return Meta(f"?{m.id}")
 
-    def _names(self) -> set[str]:
-        return set(self.env) | self.sig.names()
-
     def close_type(self, a: LfExpr) -> LfExpr:
         match a:
             case Pi(h, annot, body):
                 annot2 = self.close_type(annot)
-                x = fresh_name(h, self._names())
+                x = fresh_name(h, self.env, self.sig)
                 self.env[x] = annot2
                 inner = self.close_type(instantiate(body, Const(x)))
                 del self.env[x]
@@ -203,7 +200,7 @@ class _Closer:
                 return self.close_hh(resolve_term(self.store, hm), expected)
             case Lam(h, annot, body):
                 annot2 = self.close_type(annot)
-                x = fresh_name(h, self._names())
+                x = fresh_name(h, self.env, self.sig)
                 self.env[x] = annot2
                 inner_expected = (
                     beta_normalize(instantiate(expected.body, Const(x)))
@@ -237,7 +234,7 @@ class _Closer:
         """Decode a resolved target-language term, leaving placeholders for
         variables that are still unbound."""
         if isinstance(expected, Pi):
-            x = fresh_name(expected.hint, self._names())
+            x = fresh_name(expected.hint, self.env, self.sig)
             body = h_instantiate_or_apply(t, HConst(x))
             self.env[x] = expected.annot
             inner = self.close_hh(body, beta_normalize(instantiate(expected.body, Const(x))))
@@ -339,7 +336,6 @@ def certify(
             sig, query_type, solution, program, goal_metas, proof_meta, limits, iterative
         )
         lf_proof = decode_term(sig, closed_proof, closed_type)
-        check_type(sig, closed_type)
         derivation = check_object(sig, lf_proof, closed_type)
         return CertifiedAnswer(lf_proof, closed_type, derivation, solution.counters, "certified", store=store)
     except (ReconstructError, KernelError) as e:

@@ -79,7 +79,7 @@ def _as_local_var(e: LfExpr, delta: tuple[str, ...]) -> str | None:
 def rigid_in_object(ctx: RigidCtx, x: str, m: LfExpr) -> bool:
     """Does `x` occur rigidly in the canonical object `m`?"""
     while isinstance(m, Lam):
-        y = fresh_name(m.hint, ctx.gamma | set(ctx.delta))
+        y = fresh_name(m.hint, ctx.gamma, ctx.delta)
         ctx = ctx.push(y)
         m = instantiate(m.body, Const(y))
     head, args = spine(m)
@@ -105,7 +105,7 @@ def rigid_in_type(candidates: frozenset[str] | set[str], x: str, a: LfExpr) -> b
     the object judgment starts empty at each argument."""
     cands = frozenset(candidates)
     while isinstance(a, Pi):
-        y = fresh_name(a.hint, cands | {x})
+        y = fresh_name(a.hint, cands, (x,))
         cands |= {y}
         a = instantiate(a.body, Const(y))
     _, args = spine(a)
@@ -118,12 +118,11 @@ def plan_for_type(sig: Signature, classifier: LfExpr) -> tuple[tuple[str, bool],
     remaining suffix with the previously seen binders as candidates."""
     flags: list[tuple[str, bool]] = []
     seen: list[str] = []
-    avoid = set(sig.names())
     a = classifier
     i = 0
     while isinstance(a, Pi):
         i += 1
-        c = fresh_name(a.hint, avoid | set(seen))
+        c = fresh_name(a.hint, sig, seen)
         body = instantiate(a.body, Const(c))
         display = a.hint if a.hint != "_" else f"arg{i}"
         flags.append((display, rigid_in_type(frozenset(seen) | {c}, c, body)))

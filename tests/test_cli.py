@@ -53,6 +53,37 @@ def test_check_unbound(tmp_path):
     assert "unbound constant 'd'" in err
 
 
+STLC_BLOCK = """\
+tp{t} : type.
+base{t} : tp{t}.
+arr{t} : tp{t} -> tp{t} -> tp{t}.
+tm{t} : type.
+app{t} : tm{t} -> tm{t} -> tm{t}.
+lam{t} : tp{t} -> (tm{t} -> tm{t}) -> tm{t}.
+of{t} : tm{t} -> tp{t} -> type.
+ofApp{t} : {M:tm{t}} {N:tm{t}} {A:tp{t}} {B:tp{t}} of{t} M (arr{t} A B) -> of{t} N A -> of{t} (app{t} M N) B.
+ofLam{t} : {A:tp{t}} {B:tp{t}} {M:tm{t} -> tm{t}} ({x:tm{t}} of{t} x A -> of{t} (M x) B) -> of{t} (lam{t} A M) (arr{t} A B).
+nat{t} : type.
+z{t} : nat{t}.
+s{t} : nat{t} -> nat{t}.
+vec{t} : nat{t} -> type.
+vnil{t} : vec{t} z{t}.
+vcons{t} : {N:nat{t}} tp{t} -> vec{t} N -> vec{t} (s{t} N).
+"""
+
+
+def test_check_of_3000_declarations_scales(tmp_path):
+    # every binder the kernel crossed used to copy the whole signature:
+    # about 6 s on a 2-vCPU host
+    f = tmp_path / "stlc3000.lf"
+    f.write_text("".join(STLC_BLOCK.replace("{t}", f"_{i}") for i in range(200)))
+    t0 = time.perf_counter()
+    code, out, _ = run_cli("check", str(f))
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and out == "ok (3000 declarations)\n"
+    assert elapsed < 3.0
+
+
 def test_check_syntax_error_location(tmp_path):
     f = tmp_path / "syn.lf"
     f.write_text("a : type\nb : type.\n")
@@ -190,12 +221,45 @@ def test_bench_optimized_ground_check_scales_to_256():
     assert elapsed < 10.0
 
 
+@pytest.mark.parametrize(
+    "limit, message",
+    [
+        (("--mode", "optimized", "--depth", "10"), "no solution within depth 10\n"),
+        (("--mode", "naive", "--budget", "50"), "no solution: unification budget (50) exceeded\n"),
+    ],
+)
+def test_bench_resource_limit_exits_2(limit, message):
+    # a row that hits the depth or budget limit is resource exhaustion, as
+    # in `solve`, not an internal error
+    code, out, err = run_cli("bench", "--sizes", "16", *limit)
+    assert code == 2
+    assert out == message
+    assert err == ""
+
+
 def test_bench_search_variant():
     code, out, _ = run_cli("bench", "--sizes", "2,4", "--search", "--mode", "optimized")
     assert code == 0
     rows = [l.split(",") for l in out.strip().splitlines()[1:]]
     # search instantiates the output list: same backchain law holds
     assert int(rows[0][2]) == 3 and int(rows[1][2]) == 5
+
+
+def test_certified_solve_of_128_element_append_scales(append_lf):
+    # the kernel and the decoder used to walk every argument again after
+    # each binder they crossed: about 4 s on a 2-vCPU host
+    elems = [i % 3 for i in range(128)]
+    spelled = "nil"
+    for x in reversed(elems):
+        spelled = f"(cons {'(s ' * x}z{')' * x} {spelled})"
+    t0 = time.perf_counter()
+    code, out, _ = run_cli("solve", append_lf, f"append {spelled} nil Out")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert f"Out = {spelled[1:-1]}\n" in out
+    assert "certified (kernel derivation size " in out
+    assert "backchain_steps=129 " in out
+    assert elapsed < 3.0
 
 
 # -- compare ------------------------------------------------------------------------

@@ -1,0 +1,258 @@
+"""The `scope` field of LF expressions: agreement with a plain recursive
+reference, substitution and beta normalization against versions with no
+shortcut, closed and normal subterms returned as the same object, and
+`fresh_name` over separate containers against the old set union."""
+
+import random
+
+import pytest
+
+from lfhh.lf_syntax import (
+    OPEN,
+    TYPE,
+    App,
+    Bound,
+    Const,
+    Lam,
+    Meta,
+    NormalizeError,
+    Pi,
+    Signature,
+    TypeKind,
+    _shift,
+    beta_normalize,
+    fresh_name,
+    instantiate,
+    make_app,
+)
+
+
+def ref_scope(e):
+    """1 + highest loose index (0 if none), or OPEN with a beta-redex
+    anywhere in `e`."""
+    match e:
+        case Bound(k):
+            return k + 1
+        case App(f, a):
+            sf, sa = ref_scope(f), ref_scope(a)
+            if isinstance(f, Lam) or OPEN in (sf, sa):
+                return OPEN
+            return max(sf, sa)
+        case Pi(_, annot, body) | Lam(_, annot, body):
+            sa, sb = ref_scope(annot), ref_scope(body)
+            if OPEN in (sa, sb):
+                return OPEN
+            return max(sa, sb - 1, 0)
+        case _:
+            return 0
+
+
+def ref_instantiate(body, value, depth=0):
+    match body:
+        case Bound(k):
+            if k == depth:
+                return value
+            if k > depth:
+                return Bound(k - 1)
+            return body
+        case App(f, a):
+            return App(ref_instantiate(f, value, depth), ref_instantiate(a, value, depth))
+        case Pi(h, annot, inner):
+            return Pi(h, ref_instantiate(annot, value, depth), ref_instantiate(inner, value, depth + 1))
+        case Lam(h, annot, inner):
+            return Lam(h, ref_instantiate(annot, value, depth), ref_instantiate(inner, value, depth + 1))
+        case _:
+            return body
+
+
+def ref_shift(e, by, cutoff):
+    match e:
+        case Bound(k):
+            return Bound(k + by) if k >= cutoff else e
+        case App(f, a):
+            return App(ref_shift(f, by, cutoff), ref_shift(a, by, cutoff))
+        case Pi(h, annot, body):
+            return Pi(h, ref_shift(annot, by, cutoff), ref_shift(body, by, cutoff + 1))
+        case Lam(h, annot, body):
+            return Lam(h, ref_shift(annot, by, cutoff), ref_shift(body, by, cutoff + 1))
+        case _:
+            return e
+
+
+def ref_beta_normalize(e, budget):
+    left = [budget]
+
+    def go(t):
+        match t:
+            case App(f, a):
+                fn = go(f)
+                if isinstance(fn, Lam):
+                    left[0] -= 1
+                    if left[0] < 0:
+                        raise NormalizeError("normalization budget exceeded")
+                    return go(ref_instantiate(fn.body, a))
+                return App(fn, go(a))
+            case Pi(h, annot, body):
+                return Pi(h, go(annot), go(body))
+            case Lam(h, annot, body):
+                return Lam(h, go(annot), go(body))
+            case _:
+                return t
+
+    return go(e)
+
+
+def ref_fresh_name(base, avoid):
+    """`fresh_name` as it was, over one set of names."""
+    base = base if base and base != "_" else "x"
+    if base not in avoid and base != "type":
+        return base
+    i = 1
+    while f"{base}{i}" in avoid:
+        i += 1
+    return f"{base}{i}"
+
+
+def random_expr(rng, binders=0, size=6):
+    """Mostly redex-free expressions, with products, abstractions,
+    meta-variables, loose indices and redexes mixed in."""
+    r = rng.random()
+    if size <= 1 or r < 0.3:
+        leaf = rng.random()
+        if leaf < 0.45:
+            return Const(rng.choice(["z", "nil", "s", "cons", "tm", "c"]))
+        if leaf < 0.8:
+            # mostly bound by an enclosing binder, sometimes loose
+            return Bound(rng.randrange(binders + 2))
+        if leaf < 0.95:
+            return Meta(rng.choice(["X", "Y"]))
+        return TYPE
+
+    def annot():
+        return random_expr(rng, binders, 2)
+
+    if r < 0.45:
+        return Lam("x", annot(), random_expr(rng, binders + 1, size - 1))
+    if r < 0.55:
+        return Pi("y", annot(), random_expr(rng, binders + 1, size - 1))
+    if r < 0.62:
+        fn = Lam("x", annot(), random_expr(rng, binders + 1, size // 2))
+        return App(fn, random_expr(rng, binders, size // 2))
+    head = rng.choice([Const("s"), Const("cons"), Const("app"), Meta("F"), Bound(binders)])
+    n = rng.randint(1, 3)
+    return make_app(head, [random_expr(rng, binders, size // n) for _ in range(n)])
+
+
+def subterms(e):
+    yield e
+    match e:
+        case App(f, a):
+            yield from subterms(f)
+            yield from subterms(a)
+        case Pi(_, annot, body) | Lam(_, annot, body):
+            yield from subterms(annot)
+            yield from subterms(body)
+
+
+@pytest.fixture(scope="module")
+def exprs():
+    rng = random.Random(20106)
+    return [random_expr(rng, 0, rng.randint(1, 12)) for _ in range(600)]
+
+
+VALUES = (Const("nil"), Meta("V"), Bound(0), Lam("w", Const("tm"), Bound(1)))
+
+
+def test_generated_expressions_cover_every_shape(exprs):
+    nodes = [u for e in exprs for u in subterms(e)]
+    assert sum(e.scope == 0 for e in exprs) >= 100
+    assert sum(e.scope > 0 for e in exprs) >= 100
+    assert sum(e.scope == OPEN for e in exprs) >= 30
+    for kind in (Pi, Lam, Meta, TypeKind):
+        assert any(isinstance(u, kind) for u in nodes)
+    assert any(isinstance(u, Pi) and u.scope > 0 for u in nodes)
+
+
+def test_scope_agrees_with_reference(exprs):
+    for e in exprs:
+        for u in subterms(e):
+            assert u.scope == ref_scope(u), u
+
+
+def test_scope_is_invisible_to_equality_hash_and_repr():
+    a = Lam("x", Const("tm"), App(Bound(0), Bound(1)))
+    b = Lam("y", Const("tm"), App(Bound(0), Bound(1)))
+    assert a == b and hash(a) == hash(b)
+    assert "scope" not in repr(a)
+    match a:
+        case Lam(h, annot, body):
+            assert (h, annot, body) == ("x", Const("tm"), App(Bound(0), Bound(1)))
+
+
+def test_instantiate_agrees_with_reference(exprs):
+    for e in exprs:
+        for depth in (0, 1, 2):
+            for v in VALUES:
+                assert instantiate(e, v, depth) == ref_instantiate(e, v, depth)
+
+
+def test_shift_agrees_with_reference(exprs):
+    for e in exprs:
+        for cutoff in (0, 1, 2):
+            assert _shift(e, 1, cutoff) == ref_shift(e, 1, cutoff)
+
+
+def test_beta_normalize_agrees_with_reference(exprs):
+    budget = 200
+    for e in exprs:
+        try:
+            want = ref_beta_normalize(e, budget)
+        except NormalizeError:
+            with pytest.raises(NormalizeError):
+                beta_normalize(e, budget)
+            continue
+        got = beta_normalize(e, budget)
+        assert got == want, e
+        assert got.scope != OPEN
+
+
+def test_closed_and_normal_subterms_come_back_unchanged(exprs):
+    seen = 0
+    for e in exprs:
+        for u in subterms(e):
+            if u.scope == OPEN:
+                continue
+            assert beta_normalize(u) is u
+            for depth in range(u.scope, u.scope + 2):
+                for v in VALUES:
+                    assert instantiate(u, v, depth) is u
+            assert _shift(u, 1, u.scope) is u
+            seen += u.scope == 0
+    assert seen >= 500
+
+
+def test_fresh_name_agrees_with_the_set_union():
+    rng = random.Random(20107)
+    pool = ["x", "x1", "x2", "y", "y1", "M", "M1", "type", "type1", "_", "a", "a2"]
+    for _ in range(400):
+        sig = Signature()
+        for name in rng.sample(pool, rng.randint(0, 5)):
+            sig = sig.extend(name, TYPE, "kind")
+        env = {n: Const("tm") for n in rng.sample(pool, rng.randint(0, 3))}
+        local = tuple(rng.sample(pool, rng.randint(0, 3)))
+        for base in ("", "_", "x", "y", "M", "type", "a"):
+            union = {e.name for e in sig} | set(env) | set(local)
+            assert fresh_name(base, sig, env, local) == ref_fresh_name(base, union)
+
+
+def test_extend_keeps_index_and_fingerprint():
+    sig = Signature()
+    assert sig.fingerprint() == "."
+    for i, name in enumerate(["nat", "z", "s"]):
+        sig = sig.extend(name, TYPE, "kind")
+        assert sig.lookup(name).name == name and len(sig) == i + 1
+    assert sig.fingerprint() == "nat,z,s"
+    assert sig == Signature(sig.entries)
+    assert Signature(sig.entries).fingerprint() == sig.fingerprint()
+    wider = sig.extend("x", Const("nat"), "type")
+    assert "x" in wider and "x" not in sig and sig.lookup("x") is None
