@@ -3,8 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 input error or definitive
 failure (no inhabitant), 2 resource exhaustion (depth or budget, in `solve`,
 `compare` and `bench`, or input nested too deeply for the interpreter
-stack), 3 internal invariant violation (the kernel rejected a solver answer,
-or a `bench` query failed within its limits).
+stack), 3 internal invariant violation (a solver answer was not certified:
+residual closing, decoding or the kernel rejected it; or a `bench` query
+failed within its limits).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def cmd_solve(args) -> int:
     found = False
     for sol, answer in sess.answers(iterative=args.iterdeep):
         if not answer.certified:
-            print(f"internal error: kernel rejected a solver answer: {answer.reason}", file=sys.stderr)
+            print(f"internal error: a solver answer was not certified: {answer.reason}", file=sys.stderr)
             return EXIT_INTERNAL
         if found:
             print("---")
@@ -235,7 +236,7 @@ def cmd_compare(args) -> int:
     sol_o, ans_o = res_o
     for mode, ans in (("naive", ans_n), ("optimized", ans_o)):
         if not ans.certified:
-            print(f"internal error: {mode} answer rejected by kernel: {ans.reason}", file=sys.stderr)
+            print(f"internal error: the {mode} answer was not certified: {ans.reason}", file=sys.stderr)
             return EXIT_INTERNAL
     same_type = ans_n.lf_type == ans_o.lf_type
     same_proof = ans_n.lf_proof == ans_o.lf_proof

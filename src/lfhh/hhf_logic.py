@@ -74,6 +74,7 @@ __all__ = [
     "hspine",
     "happs",
     "h_instantiate",
+    "h_apply",
     "f_instantiate",
 ]
 
@@ -263,6 +264,13 @@ def h_instantiate(body: HhTerm, values: Sequence[HhTerm], depth: int = 0) -> HhT
             return HLam(h, h_instantiate(b, values, depth + 1))
         case _:
             return body
+
+
+def h_apply(t: HhTerm, v: HhTerm) -> HhTerm:
+    """`t v`, with the redex reduced when `t` is an abstraction."""
+    if isinstance(t, HLam):
+        return h_instantiate(t.body, (v,))
+    return HApp(t, v)
 
 
 def h_abstract(t: HhTerm, name: str, depth: int = 0) -> HhTerm:

@@ -70,6 +70,7 @@ from .hhf_logic import (
     SimpleType,
     collect_metas,
     f_instantiate,
+    h_apply,
     h_instantiate,
     happs,
     hspine,
@@ -84,8 +85,6 @@ __all__ = [
     "Solver",
     "EquivalenceReport",
     "solve",
-    "pattern_unify",
-    "counters",
     "resolve_term",
     "check_depth_equivalence",
 ]
@@ -494,7 +493,7 @@ class Solver:
         if isinstance(a, HLam) or isinstance(b, HLam):
             i = next(self._eigen_ids)
             e = HEigen(f"u!{i}", i, self.level + 1)
-            return self._uni(self._apply1(a, e), self._apply1(b, e))
+            return self._uni(h_apply(a, e), h_apply(b, e))
         ha, aa = hspine(a)
         hb, ab = hspine(b)
         if isinstance(ha, HMeta) and isinstance(hb, HMeta) and ha.id == hb.id:
@@ -518,11 +517,6 @@ class Solver:
         if len(aa) != len(ab):
             return False
         return all(self._uni(x, y) for x, y in zip(aa, ab))
-
-    def _apply1(self, t: HhTerm, e: HhTerm) -> HhTerm:
-        if isinstance(t, HLam):
-            return h_instantiate(t.body, (e,))
-        return HApp(t, e)
 
     def _as_var(self, t: HhTerm) -> HEigen | HBound | None:
         """Recognize an eigenvariable or local variable, possibly eta-expanded."""
@@ -694,16 +688,6 @@ def solve(
     iterative: bool = False,
 ) -> Iterator[Solution]:
     yield from Solver(program, limits, trace).solve(goal, iterative=iterative)
-
-
-def pattern_unify(a: HhTerm, b: HhTerm, solver: Solver) -> bool:
-    """Unify within the pattern fragment against the solver's store;
-    bindings commit on success and roll back on failure."""
-    return solver.unify(a, b)
-
-
-def counters(solver: Solver) -> Counters:
-    return replace(solver.counters)
 
 
 @dataclass(frozen=True)

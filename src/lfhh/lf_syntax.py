@@ -31,14 +31,12 @@ __all__ = [
     "LfError",
     "LfSyntaxError",
     "NormalizeError",
-    "alpha_eq",
     "spine",
     "make_app",
     "instantiate",
     "abstract",
     "free_names",
     "contains_meta",
-    "meta_names",
     "substitute",
     "fresh_name",
     "parse_signature",
@@ -199,11 +197,6 @@ KIND = "kind"
 Subst = Mapping[str, LfExpr]
 
 
-def alpha_eq(a: LfExpr, b: LfExpr) -> bool:
-    """Equality up to renaming of bound variables (hints do not compare)."""
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # Structural helpers
 # ---------------------------------------------------------------------------
@@ -300,28 +293,6 @@ def contains_meta(e: LfExpr) -> bool:
             return contains_meta(annot) or contains_meta(body)
         case _:
             return False
-
-
-def meta_names(e: LfExpr) -> list[str]:
-    """Meta-variable names in first-occurrence order."""
-    out: list[str] = []
-
-    def walk(t: LfExpr) -> None:
-        match t:
-            case Meta(n):
-                if n not in out:
-                    out.append(n)
-            case App(f, a):
-                walk(f)
-                walk(a)
-            case Pi(_, annot, body) | Lam(_, annot, body):
-                walk(annot)
-                walk(body)
-            case _:
-                pass
-
-    walk(e)
-    return out
 
 
 def substitute(e: LfExpr, s: Subst) -> LfExpr:

@@ -26,7 +26,6 @@ from .lf_syntax import (
     Pi,
     Signature,
     TypeKind,
-    alpha_eq,
     beta_normalize,
     contains_meta,
     fresh_name,
@@ -40,13 +39,11 @@ __all__ = [
     "Judgment",
     "Derivation",
     "KernelError",
-    "check_context",
     "checked_signature",
     "check_kind",
     "check_type",
     "check_family",
     "check_object",
-    "derivation_size",
     "to_sexpr",
 ]
 
@@ -107,10 +104,6 @@ def _derive(
     return Derivation(rule, conclusion, premises, 1 + sum(p.size for p in premises), head, instantiation)
 
 
-def derivation_size(d: Derivation) -> int:
-    return d.size
-
-
 def to_sexpr(d: Derivation) -> str:
     """`(rule conclusion (premises...))` trace form for golden tests."""
     inner = " ".join(to_sexpr(p) for p in d.premises)
@@ -149,12 +142,6 @@ def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
         checked = checked.extend(entry.name, classifier, entry.sort)
         d = _derive(rule, Judgment(checked.fingerprint(), None, None), (cd, d))
     return checked, d
-
-
-def check_context(sig: Signature) -> Derivation:
-    """Derivation of `|- sig ctx`; classifiers are normalized as they are
-    admitted (use `checked_signature` to obtain the normalized entries)."""
-    return checked_signature(sig)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +194,7 @@ def _check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
             # Canonical families of product kind are abstractions.
             if not isinstance(a, Lam):
                 raise KernelError("family of product kind must be an abstraction", "AbsFam", j)
-            if not alpha_eq(a.annot, dom):
+            if a.annot != dom:
                 raise KernelError("abstraction annotation differs from kind domain", "AbsFam", j)
             x = fresh_name(a.hint, sig)
             inner = sig.extend(x, dom, "type")
@@ -269,7 +256,7 @@ def _check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
         case Pi(hint, dom, rest):
             if not isinstance(m, Lam):
                 raise KernelError("object of product type must be an abstraction", "AbsObj", j)
-            if not alpha_eq(m.annot, dom):
+            if m.annot != dom:
                 raise KernelError("abstraction annotation differs from product domain", "AbsObj", j)
             x = fresh_name(m.hint, sig)
             inner = sig.extend(x, dom, "type")
@@ -295,7 +282,7 @@ def _backchain_object(sig: Signature, m: LfExpr, a: LfExpr, j: Judgment) -> Deri
     premises, target = _check_spine(sig, entry.classifier, args, head.name, j)
     if isinstance(target, Pi):
         raise KernelError(f"{head.name!r} is under-applied (subject not eta-long)", "BackchainObj", j)
-    if not alpha_eq(target, a):
+    if target != a:
         raise KernelError(
             f"head {head.name!r} constructs {pretty_print(target)}, expected {pretty_print(a)}",
             "BackchainObj",

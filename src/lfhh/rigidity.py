@@ -55,9 +55,6 @@ class GuardPlan:
     decl_name: str
     binders: tuple[tuple[str, bool], ...]  # (display name, rigid?)
 
-    def rigid_flags(self) -> tuple[bool, ...]:
-        return tuple(r for _, r in self.binders)
-
 
 def _as_local_var(e: LfExpr, delta: tuple[str, ...]) -> str | None:
     """Recognize a (possibly eta-expanded) occurrence of a delta variable."""

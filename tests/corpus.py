@@ -39,6 +39,19 @@ chk : num z -> type.
 mk : {t:{x:nat} num z} chk (t z).
 """
 
+# Simply typed lambda terms in higher-order abstract syntax.
+STLC_TEXT = """\
+tp : type.
+base : tp.
+arr : tp -> tp -> tp.
+tm : type.
+app : tm -> tm -> tm.
+lam : tp -> (tm -> tm) -> tm.
+of : tm -> tp -> type.
+ofApp : {M:tm} {N:tm} {A:tp} {B:tp} of M (arr A B) -> of N A -> of (app M N) B.
+ofLam : {A:tp} {B:tp} {M:tm -> tm} ({x:tm} of x A -> of (M x) B) -> of (lam A M) (arr A B).
+"""
+
 
 def append_signature() -> Signature:
     return checked_signature(parse_signature(APPEND_TEXT))[0]

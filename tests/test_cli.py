@@ -12,6 +12,8 @@ import pytest
 import lfhh
 from lfhh.cli import main
 
+from corpus import STLC_TEXT
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -275,6 +277,26 @@ def test_compare_both_fail(append_lf):
     code, out, _ = run_cli("compare", append_lf, "append nil nil (cons z nil)")
     assert code == 0
     assert "both modes fail (finitely)" in out
+
+
+# Pins a known defect: the search binds `M := \x. x`, but residual closing never
+# substitutes a query variable that appears applied (`[x:tm] M x` after
+# eta-expansion), so the answer is not certified.  The message must not blame
+# the kernel, which never ran.
+def test_uncertified_answer_exits_3_without_naming_the_kernel(tmp_path):
+    f = tmp_path / "stlc.lf"
+    f.write_text(STLC_TEXT)
+    query = "of (lam base M) (arr base base)"
+    code, out, err = run_cli("solve", str(f), query)
+    assert code == 3 and out == ""
+    assert err == (
+        "internal error: a solver answer was not certified: residual meta-variables with"
+        " undetermined classifiers in of (lam base ([x:tm] M x)) (arr base base)\n"
+    )
+    code, out, err = run_cli("compare", str(f), query)
+    assert code == 3
+    assert err.startswith("internal error: the naive answer was not certified: residual meta-variables")
+    assert "kernel" not in err
 
 
 # -- determinism --------------------------------------------------------------------

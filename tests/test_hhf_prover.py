@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -28,14 +29,12 @@ from lfhh.hhf_prover import (
     Solver,
     _term_eigens,
     check_depth_equivalence,
-    counters,
-    pattern_unify,
     solve,
 )
 from lfhh.lf_syntax import Const, make_app, parse_expr_text, parse_query, parse_signature
 from lfhh.lf_typecheck import checked_signature
 
-from corpus import append_proof, append_query_corpus, list_elems, list_term
+from corpus import STLC_TEXT, append_proof, append_query_corpus, list_elems, list_term
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +105,7 @@ def test_budget_exhaustion_flag(append_sig, programs):
 def test_counters_accessor(programs):
     solver = Solver(programs["optimized"])
     next(solver.solve(FAtom(HConst("z"), HConst("nat"))))
-    snap = counters(solver)
+    snap = replace(solver.counters)
     assert snap.backchain_steps == 1
     assert snap is not solver.counters
 
@@ -157,7 +156,7 @@ def test_scope_violation_rejected(programs):
     solver = Solver(programs["optimized"])
     m = HMeta("F", 501, TM, 0)
     e = HEigen("c", 900, 5)
-    assert not pattern_unify(m, e, solver)  # binding would leak the eigenvariable
+    assert not solver.unify(m, e)  # binding would leak the eigenvariable
 
 
 # -- pattern unification ----------------------------------------------------------------
@@ -169,7 +168,7 @@ def test_first_order_head_unification(programs):
     k = HMeta("K", 602, TM, 0)
     a = happs(HConst("append"), [HConst("nil"), l, l])
     b = happs(HConst("append"), [HConst("nil"), encode_term(parse_expr_text("cons z nil")), k])
-    assert pattern_unify(a, b, solver)
+    assert solver.unify(a, b)
     assert solver.resolve(k) == encode_term(parse_expr_text("cons z nil"))
     assert solver.resolve(l) == solver.resolve(k)
 
@@ -177,7 +176,7 @@ def test_first_order_head_unification(programs):
 def test_self_unification_noop(programs):
     solver = Solver(programs["optimized"])
     m = HMeta("M", 603, TM, 0)
-    assert pattern_unify(m, m, solver)
+    assert solver.unify(m, m)
     assert solver.bindings == {}
 
 
@@ -186,26 +185,26 @@ def test_pattern_inversion(programs):
     f = HMeta("F", 604, TM, 0)
     x = HEigen("x", 901, 0)
     y = HEigen("y", 902, 0)
-    assert pattern_unify(happs(f, [x, y]), happs(HConst("cons"), [x, y]), solver)
+    assert solver.unify(happs(f, [x, y]), happs(HConst("cons"), [x, y]))
     assert solver.resolve(f) == HLam("w", HLam("w", happs(HConst("cons"), [HBound(1), HBound(0)])))
 
 
 def test_non_pattern_diagnostic(programs):
     solver = Solver(programs["optimized"])
     f = HMeta("F", 605, TM, 0)
-    assert not pattern_unify(HApp(f, HApp(HConst("s"), HConst("z"))), HConst("z"), solver)
+    assert not solver.unify(HApp(f, HApp(HConst("s"), HConst("z"))), HConst("z"))
     assert solver.non_pattern_seen
 
 
 def test_occurs_check(programs):
     solver = Solver(programs["optimized"])
     f = HMeta("F", 606, TM, 0)
-    assert not pattern_unify(f, HApp(HConst("s"), f), solver)
+    assert not solver.unify(f, HApp(HConst("s"), f))
 
 
 def test_eta_respecting_rigid_compare(programs):
     solver = Solver(programs["optimized"])
-    assert pattern_unify(HLam("x", HApp(HConst("s"), HBound(0))), HConst("s"), solver)
+    assert solver.unify(HLam("x", HApp(HConst("s"), HBound(0))), HConst("s"))
 
 
 def test_transactional_rollback(programs):
@@ -214,7 +213,7 @@ def test_transactional_rollback(programs):
     bad = happs(HConst("append"), [HConst("nil"), k, HConst("nil")])
     worse = happs(HConst("append"), [HConst("z"), HConst("z"), HConst("z")])
     before = dict(solver.bindings)
-    assert not pattern_unify(bad, worse, solver)
+    assert not solver.unify(bad, worse)
     assert solver.bindings == before
 
 
@@ -339,22 +338,11 @@ def test_index_keeps_steps_and_trace_naive_output_search(append_sig, programs):
     assert sol.trace == NAIVE_OUT_TRACE
 
 
-# Simply typed lambda terms in higher-order abstract syntax.  Inferring the
-# type of `lam base ([x] lam base ([y] y))` proves guards under eigenvariables,
+# In the simply typed lambda calculus of `STLC_TEXT`, inferring the type of
+# `lam base ([x] lam base ([y] y))` proves guards under eigenvariables,
 # where the goal's subject is a variable older than the clauses' fresh ones:
 # a skipped clause must also use up the ids that pruning them would have
 # taken (`?B107111` below).  Trace as measured before indexing.
-STLC_TEXT = """\
-tp : type.
-base : tp.
-arr : tp -> tp -> tp.
-tm : type.
-app : tm -> tm -> tm.
-lam : tp -> (tm -> tm) -> tm.
-of : tm -> tp -> type.
-ofApp : {M:tm} {N:tm} {A:tp} {B:tp} of M (arr A B) -> of N A -> of (app M N) B.
-ofLam : {A:tp} {B:tp} {M:tm -> tm} ({x:tm} of x A -> of (M x) B) -> of (lam A M) (arr A B).
-"""
 HOAS_UNIFY_UNINDEXED = 70
 HOAS_TRACE = (
     "bc ofLam base ?B79 (\\x1. lam base (\\x2. x2)) ?x81",

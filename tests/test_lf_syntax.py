@@ -11,7 +11,6 @@ from lfhh.lf_syntax import (
     Meta,
     NormalizeError,
     Pi,
-    alpha_eq,
     beta_normalize,
     free_names,
     make_app,
@@ -198,30 +197,30 @@ def test_beta_normalize_deep():
 
 
 def test_alpha_eq_renamed_identity():
-    assert alpha_eq(Lam("x", Const("nat"), Bound(0)), Lam("y", Const("nat"), Bound(0)))
+    assert Lam("x", Const("nat"), Bound(0)) == Lam("y", Const("nat"), Bound(0))
 
 
 def test_alpha_eq_distinguishes():
-    assert not alpha_eq(App(Const("s"), Const("z")), Const("z"))
+    assert not App(Const("s"), Const("z")) == Const("z")
 
 
 def test_alpha_eq_equivalence_seeded():
     rng = random.Random(3)
     terms = [random_list(rng) for _ in range(20)] + [random_nat(rng) for _ in range(20)]
     for t in terms:
-        assert alpha_eq(t, t)
+        assert t == t
     for a in terms[:10]:
         for b in terms[:10]:
-            assert alpha_eq(a, b) == alpha_eq(b, a)
+            assert (a == b) == (b == a)
             for c in terms[:5]:
-                if alpha_eq(a, b) and alpha_eq(b, c):
-                    assert alpha_eq(a, c)
+                if a == b and b == c:
+                    assert a == c
 
 
 def test_alpha_eq_invariant_under_renaming():
     a = Pi("K", Const("list"), make_app(Const("append"), [Const("nil"), Bound(0), Bound(0)]))
     b = Pi("Q", Const("list"), make_app(Const("append"), [Const("nil"), Bound(0), Bound(0)]))
-    assert alpha_eq(a, b)
+    assert a == b
 
 
 # -- printing round trips -----------------------------------------------------

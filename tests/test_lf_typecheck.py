@@ -20,12 +20,10 @@ from lfhh.lf_syntax import (
 from lfhh.lf_typecheck import (
     Derivation,
     KernelError,
-    check_context,
     check_kind,
     check_object,
     check_type,
     checked_signature,
-    derivation_size,
     to_sexpr,
 )
 
@@ -41,19 +39,19 @@ def recount(d: Derivation) -> int:
 
 
 def test_append_context_accepted(append_text):
-    d = check_context(parse_signature(append_text))
+    d = checked_signature(parse_signature(append_text))[1]
     assert d.rule in ("TypeCtx", "KindCtx")
-    assert derivation_size(d) == recount(d)
+    assert d.size == recount(d)
 
 
 def test_empty_context():
-    d = check_context(Signature())
+    d = checked_signature(Signature())[1]
     assert d.rule == "NullCtx" and d.size == 1
 
 
 def test_unbound_constant_in_context():
     with pytest.raises(KernelError, match="unbound constant 'd'"):
-        check_context(parse_signature("c : d."))
+        checked_signature(parse_signature("c : d."))[1]
 
 
 def test_checked_signature_normalizes():
@@ -95,7 +93,7 @@ def test_kind_expected_error(append_sig):
 def test_type_backchain(append_sig):
     d = check_type(append_sig, parse_expr_text("append nil nil nil"))
     assert d.rule == "BackchainFam" and len(d.premises) == 3
-    assert derivation_size(d) == recount(d) == 4
+    assert d.size == recount(d) == 4
 
 
 def test_type_pi_classifier(append_sig):
@@ -122,7 +120,7 @@ def test_object_backchain_size(append_sig):
     d = check_object(append_sig, parse_expr_text("appNil nil"), parse_expr_text("append nil nil nil"))
     assert d.rule == "BackchainObj" and d.head == "appNil"
     # frozen golden from the independent recount oracle
-    assert derivation_size(d) == recount(d) == 2
+    assert d.size == recount(d) == 2
 
 
 def test_object_identity(append_sig):
@@ -134,7 +132,7 @@ def test_object_example_inhabitant(append_sig):
     proof = parse_expr_text("appCons z nil (cons (s z) nil) (cons (s z) nil) (appNil (cons (s z) nil))")
     ty = parse_expr_text("append (cons z nil) (cons (s z) nil) (cons z (cons (s z) nil))")
     d = check_object(append_sig, proof, ty)
-    assert derivation_size(d) == recount(d) == 16
+    assert d.size == recount(d) == 16
 
 
 def test_object_shape_errors(append_sig):

@@ -3,14 +3,17 @@ import random
 import pytest
 
 from lfhh.hhf_logic import (
+    TM,
     HApp,
     HBound,
     HConst,
     HLam,
+    HMeta,
     encode_term,
+    happs,
 )
 from lfhh.hhf_prover import Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import Const, parse_expr_text, parse_query, pretty_print
+from lfhh.lf_syntax import Const, LfExpr, Meta, parse_expr_text, parse_query, pretty_print
 from lfhh.lf_typecheck import check_object
 from lfhh.reconstruct import (
     QuerySession,
@@ -49,6 +52,28 @@ def test_decode_rejects_junk(append_sig):
         decode_term(append_sig, HConst("cons"), Const("list"))
     with pytest.raises(ReconstructError, match="applied too far"):
         decode_term(append_sig, HApp(HConst("z"), HConst("z")), Const("nat"))
+
+
+def test_decode_pending_collects_unbound_variable_once(append_sig):
+    x = HMeta("X", 901, TM, 0)
+    pending = []
+    t = happs(HConst("cons"), [x, happs(HConst("cons"), [x, HConst("nil")])])
+    d = decode_term(append_sig, t, Const("list"), pending=pending)
+    assert pretty_print(d) == "cons ?901 (cons ?901 nil)"
+    assert pending == [(x, Const("nat"))]
+
+
+def test_decode_pending_skips_applied_variable(append_sig):
+    f = HMeta("F", 902, TM, 0)
+    pending = []
+    d = decode_term(append_sig, HApp(f, HConst("z")), Const("nat"), pending=pending)
+    assert d == Meta("?902")
+    assert pending == []
+
+
+def test_decode_without_pending_rejects_unbound_variable(append_sig):
+    with pytest.raises(ReconstructError, match="unresolved variable"):
+        decode_term(append_sig, HMeta("X", 903, TM, 0), Const("nat"))
 
 
 def test_decode_example_proof_round_trip(append_sig):
@@ -98,6 +123,17 @@ def test_finalize_residual_binds_first_inhabitant(append_sig):
     assert pretty_print(ans.lf_type) == "append nil nil nil"
     assert pretty_print(ans.lf_proof) == "appNil nil"
     assert pretty_print(sess.binding_report(ans)["K"]) == "nil"
+
+
+def test_finalize_returns_the_certified_proof(append_sig):
+    # the proof's last closing round is the decoded proof certification checks
+    q, _ = parse_query("append nil K K", append_sig)
+    sess = QuerySession(append_sig, q, "optimized")
+    sol = next(sess.solver.solve(sess.goal))
+    ty, proof, _ = finalize_metavars(append_sig, q, sol, sess.program, sess.metas, sess.proof_meta)
+    ans = certify(append_sig, q, sol, sess.program, sess.metas, sess.proof_meta)
+    assert isinstance(proof, LfExpr)
+    assert ans.certified and proof == ans.lf_proof and ty == ans.lf_type
 
 
 def test_finalize_uninhabited_residual(append_sig):
