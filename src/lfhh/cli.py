@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 import time
@@ -256,7 +257,10 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each call gets a fresh namespace."""
     p = argparse.ArgumentParser(prog="lfhh", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

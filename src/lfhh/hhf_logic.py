@@ -8,6 +8,12 @@ clause: a quantifier prefix with one guard per binder and a head atom for the
 target type.  The optimized translation replaces the guard of every rigid
 binder with truth; guards in negative positions restart the analysis with an
 empty candidate set.
+
+The translations walk a classifier's binders by de Bruijn index and build
+each quantifier in place: an LF index under a binder is the same index under
+its quantifier, a guard's domain is shifted by one because it sits under its
+own quantifier, and an atom's subject is its head applied to the indices of
+the binders crossed.  No binder is opened by name and abstracted back.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from .lf_syntax import (
     Pi,
     Signature,
     TypeKind,
+    _shift,
     fresh_name,
-    instantiate,
     spine,
 )
 from .rigidity import plan_for_type
@@ -273,20 +279,6 @@ def h_apply(t: HhTerm, v: HhTerm) -> HhTerm:
     return HApp(t, v)
 
 
-def h_abstract(t: HhTerm, name: str, depth: int = 0) -> HhTerm:
-    match t:
-        case HConst(n) if n == name:
-            return HBound(depth)
-        case HBound(k):
-            return HBound(k + 1) if k >= depth else t
-        case HApp(f, a):
-            return HApp(h_abstract(f, name, depth), h_abstract(a, name, depth))
-        case HLam(h, b):
-            return HLam(h, h_abstract(b, name, depth + 1))
-        case _:
-            return t
-
-
 def encode_term(e: LfExpr, metas: Mapping[str, HMeta] | None = None) -> HhTerm:
     """Encode a canonical object or base type: annotations are dropped,
     structure is preserved, meta-variables map through `metas`.  An
@@ -376,18 +368,6 @@ def f_instantiate(f: HhFormula, values: Sequence[HhTerm], depth: int = 0) -> HhF
             return f
 
 
-def f_abstract(f: HhFormula, name: str, depth: int = 0) -> HhFormula:
-    match f:
-        case FAtom(s, c):
-            return FAtom(h_abstract(s, name, depth), h_abstract(c, name, depth))
-        case FImplies(a, b):
-            return FImplies(f_abstract(a, name, depth), f_abstract(b, name, depth))
-        case FForall(h, st, body):
-            return FForall(h, st, f_abstract(body, name, depth + 1))
-        case _:
-            return f
-
-
 def collect_metas(f: HhFormula) -> dict[str, HMeta]:
     """Metas occurring in a formula, keyed by display name, first occurrence wins."""
     out: dict[str, HMeta] = {}
@@ -453,78 +433,59 @@ class ClauseSet:
 # ---------------------------------------------------------------------------
 
 
-def _forall(hint: str, annot: LfExpr, var: str, guard: HhFormula, inner: HhFormula) -> HhFormula:
-    return FForall(hint if hint != "_" else var, erase_type(annot), f_abstract(FImplies(guard, inner), var))
+_VAR = HBound(0)  # the subject of a guard: the variable its quantifier binds
 
 
-def _naive(
+def _clause(
     sig: Signature,
     a: LfExpr,
-    subject: HhTerm,
+    head: HhTerm,
+    polarity: str,
     local: tuple[str, ...],
     metas: Mapping[str, HMeta] | None = None,
+    flags: tuple[bool, ...] = (),
 ) -> HhFormula:
-    """Plain translation: every binder keeps its typing guard.  Positive and
-    negative positions coincide when nothing is elided.  Binder names avoid
-    the signature and `local`, the query's meta-variables and the names of
-    the enclosing binders."""
-    if isinstance(a, Pi):
-        x = fresh_name(a.hint, sig, local)
-        body = instantiate(a.body, Const(x))
-        local += (x,)
-        guard = _naive(sig, a.annot, HConst(x), local, metas)
-        inner = _naive(sig, body, HApp(subject, HConst(x)), local, metas)
-        return _forall(a.hint, a.annot, x, guard, inner)
-    return FAtom(subject, encode_term(a, metas))
+    """Translation of the type `a` for `head`: the quantifier prefix of `a`
+    with one guard per binder, closed by the atom whose subject is `head`
+    (an index counted where the prefix starts, or a term with no loose
+    index) applied to the prefix's variables.
 
-
-def _opt_pos(
-    sig: Signature,
-    a: LfExpr,
-    subject: HhTerm,
-    flags: tuple[bool, ...],
-    local: tuple[str, ...],
-    metas: Mapping[str, HMeta] | None = None,
-) -> HhFormula:
-    """Positive translation: guards of rigid binders become truth."""
-    if isinstance(a, Pi):
+    `polarity` picks the guards.  "naive": every binder keeps its typing
+    guard, positive and negative positions coinciding when nothing is
+    elided.  "pos": guards of the binders rigid by `flags` become truth, the
+    others are negative translations of the domains.  "neg": guards are
+    positive translations of the domains, analyzed afresh with no ambient
+    candidates.  A guard's domain is shifted by one, as the guard sits under
+    its own quantifier.  `_` binders are named to avoid the signature and
+    `local`: the query's meta-variables and the names of the enclosing
+    binders."""
+    prefix: list[tuple[str, SimpleType, HhFormula]] = []
+    while isinstance(a, Pi):
         x = fresh_name(a.hint, sig, local)
-        body = instantiate(a.body, Const(x))
         local += (x,)
-        if flags[0]:
-            guard: HhFormula = FTop()
+        dom = _shift(a.annot, 1, 0)
+        if polarity == "naive":
+            guard = _clause(sig, dom, _VAR, "naive", local, metas)
+        elif polarity == "neg":
+            guard = _clause(sig, dom, _VAR, "pos", local, metas, tuple(r for _, r in plan_for_type(sig, dom)))
         else:
-            guard = _opt_neg(sig, a.annot, HConst(x), local, metas)
-        inner = _opt_pos(sig, body, HApp(subject, HConst(x)), flags[1:], local, metas)
-        return _forall(a.hint, a.annot, x, guard, inner)
-    return FAtom(subject, encode_term(a, metas))
-
-
-def _opt_neg(
-    sig: Signature,
-    a: LfExpr,
-    subject: HhTerm,
-    local: tuple[str, ...],
-    metas: Mapping[str, HMeta] | None = None,
-) -> HhFormula:
-    """Negative translation: binder guards are positive translations of the
-    domains, analyzed afresh with no ambient candidates."""
-    if isinstance(a, Pi):
-        x = fresh_name(a.hint, sig, local)
-        body = instantiate(a.body, Const(x))
-        local += (x,)
-        dom_flags = tuple(r for _, r in plan_for_type(sig, a.annot))
-        guard = _opt_pos(sig, a.annot, HConst(x), dom_flags, local, metas)
-        inner = _opt_neg(sig, body, HApp(subject, HConst(x)), local, metas)
-        return _forall(a.hint, a.annot, x, guard, inner)
-    return FAtom(subject, encode_term(a, metas))
+            guard = FTop() if flags[len(prefix)] else _clause(sig, dom, _VAR, "neg", local, metas)
+        prefix.append((a.hint if a.hint != "_" else x, erase_type(a.annot), guard))
+        a = a.body
+    n = len(prefix)
+    if isinstance(head, HBound):
+        head = HBound(head.index + n)
+    f: HhFormula = FAtom(happs(head, [HBound(i) for i in range(n - 1, -1, -1)]), encode_term(a, metas))
+    for hint, stype, guard in reversed(prefix):
+        f = FForall(hint, stype, FImplies(guard, f))
+    return f
 
 
 def translate_simple(sig: Signature) -> ClauseSet:
     """One clause per object-level declaration, in signature order.  Family
     declarations contribute constants to the erased signature only."""
     clauses = tuple(
-        Clause(e.name, _naive(sig, e.classifier, HConst(e.name), ()))
+        Clause(e.name, _clause(sig, e.classifier, HConst(e.name), "naive", ()))
         for e in sig
         if e.sort == "type"
     )
@@ -536,7 +497,7 @@ def translate_optimized_decl(sig: Signature, decl_name: str) -> HhFormula:
     if entry is None:
         raise KeyError(decl_name)
     flags = tuple(r for _, r in plan_for_type(sig, entry.classifier))
-    return _opt_pos(sig, entry.classifier, HConst(entry.name), flags, ())
+    return _clause(sig, entry.classifier, HConst(entry.name), "pos", (), flags=flags)
 
 
 def translate_optimized(sig: Signature) -> ClauseSet:
@@ -631,12 +592,13 @@ def inhabitation_goal(
     mode: str,
     metas: Mapping[str, HMeta] | None = None,
 ) -> HhFormula:
-    """Translation of type `a` applied to a given subject term."""
+    """Translation of type `a` applied to a given subject term, which has no
+    loose bound variable."""
     local = tuple(metas) if metas else ()
     if mode == "naive":
-        return _naive(sig, a, subject, local, metas)
+        return _clause(sig, a, subject, "naive", local, metas)
     if mode == "optimized":
-        return _opt_neg(sig, a, subject, local, metas)
+        return _clause(sig, a, subject, "neg", local, metas)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "TYPE",
     "KIND",
     "SigEntry",
+    "Fingerprint",
     "Signature",
     "Subst",
     "LfError",
@@ -222,16 +223,18 @@ def make_app(head: LfExpr, args: Iterator[LfExpr] | tuple[LfExpr, ...] | list[Lf
 def instantiate(body: LfExpr, value: LfExpr, depth: int = 0) -> LfExpr:
     """Replace Bound(depth) by `value` in `body`, closing one binder.
 
-    `value` must be locally closed (no dangling indices), which makes the
-    substitution capture-free by construction.  A subterm with no loose index
-    at or above `depth` comes back as the same object.
+    `value` lives outside the binder: where it lands under the `depth`
+    binders crossed on the way, its loose indices are shifted by `depth`, so
+    the substitution is capture-free.  A value with no loose index is placed
+    as is, and a subterm with no loose index at or above `depth` comes back
+    as the same object.
     """
     if 0 <= body.scope <= depth:
         return body
     match body:
         case Bound(k):
             if k == depth:
-                return value
+                return _shift(value, depth, 0) if depth and value.scope else value
             if k > depth:
                 return Bound(k - 1)
             return body
@@ -347,23 +350,46 @@ def classifier_sort(classifier: LfExpr) -> str:
     return "kind" if isinstance(t, TypeKind) else "type"
 
 
+class Fingerprint:
+    """The declaration names of a signature in order, rendered as text only
+    when printed: comma-separated, or "." when there are none.  A signature
+    extended by one name shares the fingerprint of its prefix, so keeping
+    the fingerprints of many nested contexts costs one node each."""
+
+    __slots__ = ("prev", "name")
+
+    def __init__(self, prev: "Fingerprint | None" = None, name: str | None = None):
+        self.prev = prev
+        self.name = name
+
+    def __str__(self) -> str:
+        names: list[str] = []
+        node = self
+        while node.prev is not None:
+            names.append(node.name)
+            node = node.prev
+        return ",".join(reversed(names)) if names else "."
+
+
 class Signature:
     """Ordered list of declarations; also serves as the typing context.
 
     Immutable: `extend` returns a new signature.  Entry order is meaningful,
     every classifier may reference only earlier entries.  Extending costs one
-    copy of the name index and one of the fingerprint text, both flat, so the
-    kernel can extend the context at every binder it opens.
+    flat copy of the name index and one fingerprint node, so the kernel can
+    extend the context at every binder it opens.
     """
 
-    __slots__ = ("entries", "_index", "_fingerprint")
+    __slots__ = ("entries", "_index", "names")
 
     def __init__(self, entries: tuple[SigEntry, ...] = ()):
         self.entries = entries
-        self._fingerprint: str | None = None
         self._index = {e.name: i for i, e in enumerate(entries)}
         if len(self._index) != len(entries):
             raise LfSyntaxError("duplicate name in signature")
+        self.names = Fingerprint()
+        for e in entries:
+            self.names = Fingerprint(self.names, e.name)
 
     def lookup(self, name: str) -> SigEntry | None:
         i = self._index.get(name)
@@ -376,15 +402,12 @@ class Signature:
         out.entries = self.entries + (SigEntry(name, classifier, sort),)
         out._index = index = self._index.copy()
         index[name] = len(self.entries)
-        fp = self.fingerprint()
-        out._fingerprint = name if fp == "." else f"{fp},{name}"
+        out.names = Fingerprint(self.names, name)
         return out
 
     def fingerprint(self) -> str:
-        """Declaration names in order; computed once per signature."""
-        if self._fingerprint is None:
-            self._fingerprint = ",".join(e.name for e in self.entries) if self.entries else "."
-        return self._fingerprint
+        """Declaration names in order, as text."""
+        return str(self.names)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -745,25 +768,26 @@ def normalize(
     `classifier` is a type (for objects), a kind (for type families), or the
     sentinel KIND when `e` itself is a kind.  The signature supplies the
     classifiers of application heads so arguments can be expanded too; heads
-    that cannot be resolved (e.g. meta-variables) keep their arguments as-is.
+    that cannot be resolved (meta-variables, loose indices of `e`) keep their
+    arguments as-is.  Binders are walked by de Bruijn index, never opened by
+    name: a stack holds the normalized classifier of every binder crossed,
+    innermost last, and the classifier of a head `Bound(k)` is its entry
+    shifted by k+1.  An eta-expansion shifts the expanded term by one.
     The result is idempotent: normalizing it again is the identity.
     """
     b = _Budget(budget)
     e = beta_normalize(e, b)
     if isinstance(classifier, LfExpr):
         classifier = beta_normalize(classifier, b)
-    env: dict[str, LfExpr] = {}
+    stack: list[LfExpr] = []
 
     def head_classifier(h: LfExpr) -> LfExpr | None:
         match h:
-            case Const(n):
-                if n in env:
-                    return env[n]
-                if sig is not None:
-                    entry = sig.lookup(n)
-                    if entry is not None:
-                        return entry.classifier
-                return None
+            case Const(n) if sig is not None:
+                entry = sig.lookup(n)
+                return entry.classifier if entry is not None else None
+            case Bound(k) if k < len(stack):
+                return _shift(stack[-1 - k], k + 1, 0)
             case _:
                 return None
 
@@ -782,27 +806,28 @@ def normalize(
             cls = beta_normalize(instantiate(cls.body, a), b)
         return make_app(head, out)
 
+    def under(annot: LfExpr, t: LfExpr, cls: LfExpr | str) -> LfExpr:
+        """`eta(t, cls)` under a binder of classifier `annot`."""
+        stack.append(annot)
+        inner = eta(t, cls)
+        stack.pop()
+        return inner
+
     def eta(t: LfExpr, cls: LfExpr | str) -> LfExpr:
         if cls == KIND:
             match t:
                 case TypeKind():
                     return t
                 case Pi(h, annot, body):
-                    x = fresh_name(h, env, sig or (), free_names(body))
-                    env[x] = annot_n = eta(annot, TYPE)
-                    inner = eta(instantiate(body, Const(x)), KIND)
-                    del env[x]
-                    return Pi(h, annot_n, abstract(inner, x))
+                    annot_n = eta(annot, TYPE)
+                    return Pi(h, annot_n, under(annot_n, body, KIND))
                 case _:
                     raise NormalizeError("cannot eta-expand: kind expected")
         if isinstance(cls, TypeKind):
             match t:
                 case Pi(h, annot, body):
-                    x = fresh_name(h, env, sig or (), free_names(body))
-                    env[x] = annot_n = eta(annot, TYPE)
-                    inner = eta(instantiate(body, Const(x)), TYPE)
-                    del env[x]
-                    return Pi(h, annot_n, abstract(inner, x))
+                    annot_n = eta(annot, TYPE)
+                    return Pi(h, annot_n, under(annot_n, body, TYPE))
                 case Lam():
                     raise NormalizeError("cannot eta-expand: abstraction at kind 'type'")
                 case TypeKind():
@@ -811,21 +836,13 @@ def normalize(
                     return eta_spine(t)
         if isinstance(cls, Pi):
             if isinstance(t, Lam):
-                x = fresh_name(t.hint, env, sig or (), free_names(t.body))
-                env[x] = annot_n = eta(t.annot, TYPE)
-                inner = eta(
-                    beta_normalize(instantiate(t.body, Const(x)), b),
-                    beta_normalize(instantiate(cls.body, Const(x)), b),
-                )
-                del env[x]
-                return Lam(t.hint, annot_n, abstract(inner, x))
+                annot_n = eta(t.annot, TYPE)
+                return Lam(t.hint, annot_n, under(annot_n, beta_normalize(t.body, b), beta_normalize(cls.body, b)))
             if isinstance(t, (Pi, TypeKind)):
                 raise NormalizeError("cannot eta-expand: head shape does not match classifier")
-            x = fresh_name(cls.hint, env, sig or (), free_names(t))
-            env[x] = annot_n = eta(cls.annot, TYPE)
-            inner = eta(App(t, Const(x)), beta_normalize(instantiate(cls.body, Const(x)), b))
-            del env[x]
-            return Lam(cls.hint, annot_n, abstract(inner, x))
+            annot_n = eta(cls.annot, TYPE)
+            body = App(_shift(t, 1, 0), Bound(0))
+            return Lam(cls.hint, annot_n, under(annot_n, body, beta_normalize(cls.body, b)))
         # base-type classifier
         if isinstance(t, (Lam, Pi, TypeKind)):
             raise NormalizeError("cannot eta-expand: head shape does not match classifier")

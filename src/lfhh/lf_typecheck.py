@@ -20,6 +20,7 @@ from .lf_syntax import (
     KIND,
     TYPE,
     Const,
+    Fingerprint,
     LfError,
     LfExpr,
     Lam,
@@ -63,11 +64,12 @@ class KernelError(LfError):
 
 @dataclass(frozen=True)
 class Judgment:
-    """Conclusion record: context fingerprint, subject and classifier.  The
-    subject and classifier are kept as expressions (or literal text) and
-    printed only when the judgment is."""
+    """Conclusion record: context fingerprint, subject and classifier.  All
+    three are kept as they are (the fingerprint shares its prefix with the
+    enclosing contexts' ones, the subject and classifier are expressions or
+    literal text) and printed only when the judgment is."""
 
-    context: str
+    context: Fingerprint
     subject: LfExpr | str | None
     classifier: LfExpr | str | None
 
@@ -128,7 +130,7 @@ def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
     so declarations may only reference earlier names.
     """
     checked = Signature()
-    d = _derive("NullCtx", Judgment(".", None, None))
+    d = _derive("NullCtx", Judgment(checked.names, None, None))
     for entry in sig:
         if entry.name in checked:
             raise KernelError(f"duplicate declaration of {entry.name!r}", "KindCtx" if entry.sort == "kind" else "TypeCtx")
@@ -140,7 +142,7 @@ def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
             cd = check_type(checked, classifier)
             rule = "TypeCtx"
         checked = checked.extend(entry.name, classifier, entry.sort)
-        d = _derive(rule, Judgment(checked.fingerprint(), None, None), (cd, d))
+        d = _derive(rule, Judgment(checked.names, None, None), (cd, d))
     return checked, d
 
 
@@ -151,7 +153,7 @@ def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
 
 def check_kind(sig: Signature, k: LfExpr) -> Derivation:
     """Derivation of `sig |- k kind` for canonical `k`."""
-    j = Judgment(sig.fingerprint(), k, "kind")
+    j = Judgment(sig.names, k, "kind")
     _reject_metas(k, "PiKind", j)
     return _check_kind(sig, k)
 
@@ -159,15 +161,15 @@ def check_kind(sig: Signature, k: LfExpr) -> Derivation:
 def _check_kind(sig: Signature, k: LfExpr) -> Derivation:
     match k:
         case TypeKind():
-            return _derive("TypeKind", Judgment(sig.fingerprint(), "type", "kind"))
+            return _derive("TypeKind", Judgment(sig.names, "type", "kind"))
         case Pi(hint, annot, body):
             da = check_type(sig, annot)
             x = fresh_name(hint, sig)
             inner_sig = sig.extend(x, annot, "type")
             db = _check_kind(inner_sig, instantiate(body, Const(x)))
-            return _derive("PiKind", Judgment(sig.fingerprint(), k, "kind"), (da, db))
+            return _derive("PiKind", Judgment(sig.names, k, "kind"), (da, db))
         case _:
-            raise KernelError("kind expected", "PiKind", Judgment(sig.fingerprint(), k, "kind"))
+            raise KernelError("kind expected", "PiKind", Judgment(sig.names, k, "kind"))
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +184,13 @@ def check_type(sig: Signature, a: LfExpr) -> Derivation:
 
 def check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
     """Derivation of `sig |- a : k` with `k` a canonical kind."""
-    j = Judgment(sig.fingerprint(), a, k)
+    j = Judgment(sig.names, a, k)
     _reject_metas(a, "BackchainFam", j)
     return _check_family(sig, a, k)
 
 
 def _check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
-    j = Judgment(sig.fingerprint(), a, k)
+    j = Judgment(sig.names, a, k)
     match k:
         case Pi(hint, dom, krest):
             # Canonical families of product kind are abstractions.
@@ -244,14 +246,14 @@ def check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
     `a` must be canonical and already accepted by `check_type`; the subject is
     expected in beta-eta-long form (normalize at the boundary first).
     """
-    j = Judgment(sig.fingerprint(), m, a)
+    j = Judgment(sig.names, m, a)
     _reject_metas(m, "BackchainObj", j)
     _reject_metas(a, "BackchainObj", j)
     return _check_object(sig, m, a)
 
 
 def _check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
-    j = Judgment(sig.fingerprint(), m, a)
+    j = Judgment(sig.names, m, a)
     match a:
         case Pi(hint, dom, rest):
             if not isinstance(m, Lam):

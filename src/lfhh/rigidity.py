@@ -74,24 +74,29 @@ def _as_local_var(e: LfExpr, delta: tuple[str, ...]) -> str | None:
 
 
 def rigid_in_object(ctx: RigidCtx, x: str, m: LfExpr) -> bool:
-    """Does `x` occur rigidly in the canonical object `m`?"""
+    """Does `x` occur rigidly in the canonical object `m`?  A loose index
+    at a spine head is a variable bound outside the classifier under
+    analysis (the clause translations hand in domains under their
+    quantifiers); like a constant that is not a candidate, it is rigid, and
+    `x` may occur rigidly in its arguments."""
     while isinstance(m, Lam):
         y = fresh_name(m.hint, ctx.gamma, ctx.delta)
         ctx = ctx.push(y)
         m = instantiate(m.body, Const(y))
     head, args = spine(m)
-    if not isinstance(head, Const):
-        return False
-    if head.name == x:
-        seen: set[str] = set()
-        for a in args:
-            v = _as_local_var(a, ctx.delta)
-            if v is None or v in seen:
-                return False
-            seen.add(v)
-        return True
-    if head.name in ctx.gamma:
-        # another candidate's shape is not stable under instantiation
+    if isinstance(head, Const):
+        if head.name == x:
+            seen: set[str] = set()
+            for a in args:
+                v = _as_local_var(a, ctx.delta)
+                if v is None or v in seen:
+                    return False
+                seen.add(v)
+            return True
+        if head.name in ctx.gamma:
+            # another candidate's shape is not stable under instantiation
+            return False
+    elif not isinstance(head, Bound):
         return False
     return any(rigid_in_object(ctx, x, a) for a in args)
 

@@ -53,6 +53,27 @@ ofLam : {A:tp} {B:tp} {M:tm -> tm} ({x:tm} of x A -> of (M x) B) -> of (lam A M)
 """
 
 
+# STLC typing and a dependent `vec`; `{t}` is replaced by a suffix, so
+# that renamed copies can be concatenated into large signatures.
+STLC_BLOCK = """\
+tp{t} : type.
+base{t} : tp{t}.
+arr{t} : tp{t} -> tp{t} -> tp{t}.
+tm{t} : type.
+app{t} : tm{t} -> tm{t} -> tm{t}.
+lam{t} : tp{t} -> (tm{t} -> tm{t}) -> tm{t}.
+of{t} : tm{t} -> tp{t} -> type.
+ofApp{t} : {M:tm{t}} {N:tm{t}} {A:tp{t}} {B:tp{t}} of{t} M (arr{t} A B) -> of{t} N A -> of{t} (app{t} M N) B.
+ofLam{t} : {A:tp{t}} {B:tp{t}} {M:tm{t} -> tm{t}} ({x:tm{t}} of{t} x A -> of{t} (M x) B) -> of{t} (lam{t} A M) (arr{t} A B).
+nat{t} : type.
+z{t} : nat{t}.
+s{t} : nat{t} -> nat{t}.
+vec{t} : nat{t} -> type.
+vnil{t} : vec{t} z{t}.
+vcons{t} : {N:nat{t}} tp{t} -> vec{t} N -> vec{t} (s{t} N).
+"""
+
+
 def append_signature() -> Signature:
     return checked_signature(parse_signature(APPEND_TEXT))[0]
 

@@ -12,7 +12,7 @@ import pytest
 import lfhh
 from lfhh.cli import main
 
-from corpus import STLC_TEXT
+from corpus import STLC_BLOCK, STLC_TEXT
 
 
 def run_cli(*argv):
@@ -55,23 +55,6 @@ def test_check_unbound(tmp_path):
     assert "unbound constant 'd'" in err
 
 
-STLC_BLOCK = """\
-tp{t} : type.
-base{t} : tp{t}.
-arr{t} : tp{t} -> tp{t} -> tp{t}.
-tm{t} : type.
-app{t} : tm{t} -> tm{t} -> tm{t}.
-lam{t} : tp{t} -> (tm{t} -> tm{t}) -> tm{t}.
-of{t} : tm{t} -> tp{t} -> type.
-ofApp{t} : {M:tm{t}} {N:tm{t}} {A:tp{t}} {B:tp{t}} of{t} M (arr{t} A B) -> of{t} N A -> of{t} (app{t} M N) B.
-ofLam{t} : {A:tp{t}} {B:tp{t}} {M:tm{t} -> tm{t}} ({x:tm{t}} of{t} x A -> of{t} (M x) B) -> of{t} (lam{t} A M) (arr{t} A B).
-nat{t} : type.
-z{t} : nat{t}.
-s{t} : nat{t} -> nat{t}.
-vec{t} : nat{t} -> type.
-vnil{t} : vec{t} z{t}.
-vcons{t} : {N:nat{t}} tp{t} -> vec{t} N -> vec{t} (s{t} N).
-"""
 
 
 def test_check_of_3000_declarations_scales(tmp_path):
@@ -311,6 +294,29 @@ def test_output_deterministic(append_lf):
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second
+
+
+def test_parser_is_built_once_and_keeps_no_state(append_lf):
+    from lfhh.cli import build_parser
+
+    assert build_parser() is build_parser()
+    # each call sees its own flags and the defaults, never an earlier call's
+    code, out, _ = run_cli("solve", append_lf, "nat", "--all", "--depth", "2", "--trace")
+    assert code == 0 and out.count("proof =") == 2 and "# " in out
+    code, out, _ = run_cli("solve", append_lf, "nat")
+    assert code == 0 and out.count("proof =") == 1 and "# " not in out
+    assert run_cli("translate", append_lf, "--mode", "naive") == run_cli("translate", append_lf, "--mode", "naive")
+    code, out, _ = run_cli("translate", append_lf, "--mode", "optimized")
+    assert code == 0 and out == (pathlib.Path(append_lf).parent / "append_optimized.hh").read_text()
+    code, out, _ = run_cli("bench", "--sizes", "2", "--format", "text", "--mode", "optimized")
+    assert code == 0 and "backchain" in out
+    code, out, _ = run_cli("bench", "--sizes", "2")
+    assert code == 0 and out.startswith("n,mode,") and out.count("\n") == 3
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main(["solve", append_lf])  # a usage error exits through argparse
+    assert exc.value.code == 2
+    code, out, _ = run_cli("check", append_lf)
+    assert code == 0 and out == "ok (9 declarations)\n"
 
 
 # -- deep input -----------------------------------------------------------------------

@@ -48,10 +48,12 @@ def ref_scope(e):
 
 
 def ref_instantiate(body, value, depth=0):
+    """Capture-free substitution: `value` is shifted by the number of
+    binders it lands under."""
     match body:
         case Bound(k):
             if k == depth:
-                return value
+                return ref_shift(value, depth, 0)
             if k > depth:
                 return Bound(k - 1)
             return body

@@ -11,6 +11,7 @@ from lfhh.lf_syntax import (
     Meta,
     NormalizeError,
     Pi,
+    TYPE,
     beta_normalize,
     free_names,
     make_app,
@@ -23,7 +24,9 @@ from lfhh.lf_syntax import (
     substitute,
 )
 
-from corpus import APPEND_TEXT, list_term, nat_term, random_list, random_nat
+from lfhh.lf_typecheck import checked_signature
+
+from corpus import APPEND_TEXT, STLC_TEXT, list_term, nat_term, random_list, random_nat
 
 
 # -- parsing ------------------------------------------------------------------
@@ -183,6 +186,17 @@ def test_normalize_budget_guard():
 def test_normalize_shape_mismatch(append_sig):
     with pytest.raises(NormalizeError, match="eta-expand"):
         normalize(Lam("x", Const("nat"), Bound(0)), Const("nat"), append_sig)
+
+
+def test_normalize_substitutes_without_capture():
+    # the argument `y` of the inner redex lands under the binder `z`; it
+    # used to be captured by it, giving `[z:tm] z`
+    sig = checked_signature(parse_signature(STLC_TEXT))[0]
+    q, _ = parse_query("of (lam base ([y:tm] ([x:tm] lam (arr base base) ([z:tm] x)) y)) T", sig)
+    got = pretty_print(normalize(q, TYPE, sig))
+    assert got == "of (lam base ([y:tm] lam (arr base base) ([z:tm] y))) T"
+    redex = parse_expr_text("[y:tm] ([x:tm] [z:tm] x) y")
+    assert beta_normalize(redex) == parse_expr_text("[y:tm] [z:tm] y")
 
 
 def test_beta_normalize_deep():

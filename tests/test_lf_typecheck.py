@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,7 @@ from lfhh.lf_typecheck import (
     to_sexpr,
 )
 
-from corpus import append_proof, list_elems, substitution_instance
+from corpus import STLC_BLOCK, append_proof, list_elems, substitution_instance
 
 
 def recount(d: Derivation) -> int:
@@ -52,6 +53,21 @@ def test_empty_context():
 def test_unbound_constant_in_context():
     with pytest.raises(KernelError, match="unbound constant 'd'"):
         checked_signature(parse_signature("c : d."))[1]
+
+
+def test_checked_signature_memory_is_linear():
+    # every judgment shares its context's fingerprint with the enclosing
+    # contexts; a copy of the text in each made 3000 declarations hold
+    # about 100 MiB
+    raw = parse_signature("".join(STLC_BLOCK.replace("{t}", f"_{i}") for i in range(200)))
+    tracemalloc.start()
+    try:
+        sig, d = checked_signature(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sig) == 3000 and peak < 30 * 2**20
+    assert str(d.conclusion) == ",".join(e.name for e in sig) + " ctx"
 
 
 def test_checked_signature_normalizes():
