@@ -66,6 +66,7 @@ __all__ = [
     "erase_type",
     "erased_signature",
     "encode_term",
+    "lf_head",
     "translate_simple",
     "translate_optimized",
     "translate_optimized_decl",
@@ -80,6 +81,7 @@ __all__ = [
     "hspine",
     "happs",
     "h_instantiate",
+    "h_shift",
     "h_apply",
     "f_instantiate",
 ]
@@ -272,6 +274,22 @@ def h_instantiate(body: HhTerm, values: Sequence[HhTerm], depth: int = 0) -> HhT
             return body
 
 
+def h_shift(t: HhTerm, depth: int = 0) -> HhTerm:
+    """`t` under one more binder: its loose bound variables at or above
+    `depth` are raised by one."""
+    if 0 <= t.scope <= depth:
+        return t
+    match t:
+        case HBound(k):
+            return HBound(k + 1) if k >= depth else t
+        case HApp(f, a):
+            return HApp(h_shift(f, depth), h_shift(a, depth))
+        case HLam(h, b):
+            return HLam(h, h_shift(b, depth + 1))
+        case _:
+            return t
+
+
 def h_apply(t: HhTerm, v: HhTerm) -> HhTerm:
     """`t v`, with the redex reduced when `t` is an abstraction."""
     if isinstance(t, HLam):
@@ -307,6 +325,18 @@ def encode_term(e: LfExpr, metas: Mapping[str, HMeta] | None = None) -> HhTerm:
                 raise LfError(f"expression has no term encoding: {t!r}")
 
     return go(e)
+
+
+def lf_head(h: HhTerm) -> LfExpr | None:
+    """The LF head that `encode_term` maps to the head `h`: a constant or a
+    bound variable; None for any other term."""
+    match h:
+        case HConst(n):
+            return Const(n)
+        case HBound(k):
+            return Bound(k)
+        case _:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +497,7 @@ def _clause(
         if polarity == "naive":
             guard = _clause(sig, dom, _VAR, "naive", local, metas)
         elif polarity == "neg":
-            guard = _clause(sig, dom, _VAR, "pos", local, metas, tuple(r for _, r in plan_for_type(sig, dom)))
+            guard = _clause(sig, dom, _VAR, "pos", local, metas, tuple(r for _, r in plan_for_type(dom)))
         else:
             guard = FTop() if flags[len(prefix)] else _clause(sig, dom, _VAR, "neg", local, metas)
         prefix.append((a.hint if a.hint != "_" else x, erase_type(a.annot), guard))
@@ -496,7 +526,7 @@ def translate_optimized_decl(sig: Signature, decl_name: str) -> HhFormula:
     entry = sig.lookup(decl_name)
     if entry is None:
         raise KeyError(decl_name)
-    flags = tuple(r for _, r in plan_for_type(sig, entry.classifier))
+    flags = tuple(r for _, r in plan_for_type(entry.classifier))
     return _clause(sig, entry.classifier, HConst(entry.name), "pos", (), flags=flags)
 
 

@@ -11,7 +11,7 @@ exactly alpha-equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterator, Mapping
+from typing import Container, Iterator, Mapping, Sequence
 
 __all__ = [
     "LfExpr",
@@ -35,7 +35,8 @@ __all__ = [
     "spine",
     "make_app",
     "instantiate",
-    "abstract",
+    "codomain",
+    "head_classifier",
     "free_names",
     "contains_meta",
     "substitute",
@@ -246,24 +247,6 @@ def instantiate(body: LfExpr, value: LfExpr, depth: int = 0) -> LfExpr:
             return Lam(h, instantiate(annot, value, depth), instantiate(inner, value, depth + 1))
         case _:
             return body
-
-
-def abstract(e: LfExpr, name: str, depth: int = 0) -> LfExpr:
-    """Turn free occurrences of Const(name) into Bound(depth): the inverse of
-    opening a binder with a fresh constant."""
-    match e:
-        case Const(n) if n == name:
-            return Bound(depth)
-        case Bound(k):
-            return Bound(k + 1) if k >= depth else e
-        case App(f, a):
-            return App(abstract(f, name, depth), abstract(a, name, depth))
-        case Pi(h, annot, inner):
-            return Pi(h, abstract(annot, name, depth), abstract(inner, name, depth + 1))
-        case Lam(h, annot, inner):
-            return Lam(h, abstract(annot, name, depth), abstract(inner, name, depth + 1))
-        case _:
-            return e
 
 
 def free_names(e: LfExpr) -> set[str]:
@@ -757,6 +740,27 @@ def beta_normalize(e: LfExpr, budget: int | _Budget = DEFAULT_STEP_BUDGET) -> Lf
     return go(e)
 
 
+def codomain(cls: Pi, arg: LfExpr, budget: int | _Budget = DEFAULT_STEP_BUDGET) -> LfExpr:
+    """The classifier of `h arg` for a head `h` of product classifier `cls`:
+    its body instantiated with `arg`, beta-normalized."""
+    return beta_normalize(instantiate(cls.body, arg), budget)
+
+
+def head_classifier(h: LfExpr | None, sig: Signature | None, stack: Sequence[LfExpr]) -> LfExpr | None:
+    """The classifier of an application head: a declared constant's from
+    `sig`, or a bound variable `#k`'s from `stack`, the classifiers of the
+    binders crossed, innermost last, as its entry shifted by k+1.  None for
+    any other head, such as a meta-variable or an index beyond the stack."""
+    match h:
+        case Const(n) if sig is not None:
+            entry = sig.lookup(n)
+            return entry.classifier if entry is not None else None
+        case Bound(k) if k < len(stack):
+            return _shift(stack[-1 - k], k + 1, 0)
+        case _:
+            return None
+
+
 def normalize(
     e: LfExpr,
     classifier: LfExpr | str,
@@ -781,21 +785,11 @@ def normalize(
         classifier = beta_normalize(classifier, b)
     stack: list[LfExpr] = []
 
-    def head_classifier(h: LfExpr) -> LfExpr | None:
-        match h:
-            case Const(n) if sig is not None:
-                entry = sig.lookup(n)
-                return entry.classifier if entry is not None else None
-            case Bound(k) if k < len(stack):
-                return _shift(stack[-1 - k], k + 1, 0)
-            case _:
-                return None
-
     def eta_spine(t: LfExpr) -> LfExpr:
         head, args = spine(t)
         if not args:
             return t
-        cls = head_classifier(head)
+        cls = head_classifier(head, sig, stack)
         if cls is None:
             return t  # unknown head: leave arguments untouched
         out: list[LfExpr] = []
@@ -803,7 +797,7 @@ def normalize(
             if not isinstance(cls, Pi):
                 raise NormalizeError("cannot eta-expand: head applied beyond its arity")
             out.append(eta(a, cls.annot))
-            cls = beta_normalize(instantiate(cls.body, a), b)
+            cls = codomain(cls, a, b)
         return make_app(head, out)
 
     def under(annot: LfExpr, t: LfExpr, cls: LfExpr | str) -> LfExpr:

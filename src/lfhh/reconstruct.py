@@ -19,35 +19,35 @@ is reported, never swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .hhf_logic import (
     ClauseSet,
-    HConst,
+    HApp,
+    HBound,
     HLam,
     HMeta,
     HhTerm,
     collect_metas,
-    h_apply,
+    h_shift,
     hspine,
     inhabitation_goal,
+    lf_head,
     translate,
     translate_query,
 )
 from .hhf_prover import Counters, Limits, Solution, Solver, resolve_term
 from .lf_syntax import (
-    Const,
     LfError,
     LfExpr,
     Lam,
     Meta,
     Pi,
     Signature,
-    abstract,
-    beta_normalize,
+    classifier_sort,
+    codomain,
     contains_meta,
-    fresh_name,
-    instantiate,
+    head_classifier,
     make_app,
     pretty_print,
     spine,
@@ -96,37 +96,36 @@ def decode_term(
     sig: Signature,
     t: HhTerm,
     expected: LfExpr | None,
-    env: Mapping[str, LfExpr] | None = None,
+    stack: Sequence[LfExpr] = (),
     pending: list[tuple[HMeta, LfExpr]] | None = None,
 ) -> LfExpr:
     """Invert the erasure: rebuild the object whose encoding is `t` at the
     canonical classifier `expected`, or at the classifier of its head when
-    `expected` is None.  `env` holds the classifiers of local constants.
+    `expected` is None.
+
+    Binders are walked by de Bruijn index, never opened by name.  `stack`
+    holds the classifiers of the binders `t` is under, innermost last, and
+    the decoder extends it at every product it crosses, so the classifier of
+    a head `#k` is its entry shifted by k+1.  At a product classifier an
+    abstraction's body is decoded in place, and an eta-short term is shifted
+    by one and applied to the new binder.
 
     An unbound variable is an error unless `pending` is given.  Then it
     decodes to the placeholder `?id`, and if it is unapplied at a known
     classifier free of meta-variables, it is added to `pending` once.
     Raises on anything that is not an encoding; by the correctness property
     this never fires on solver output over translated programs."""
-    env = dict(env) if env else {}
+    stack = list(stack)
 
     def go(u: HhTerm, cls: LfExpr | None) -> LfExpr:
         if isinstance(cls, Pi):
-            x = fresh_name(cls.hint, env, sig)
-            body = h_apply(u, HConst(x))
-            env[x] = cls.annot
-            inner = go(body, beta_normalize(instantiate(cls.body, Const(x))))
-            del env[x]
-            return Lam(cls.hint, cls.annot, abstract(inner, x))
+            body = u.body if isinstance(u, HLam) else HApp(h_shift(u), HBound(0))
+            stack.append(cls.annot)
+            inner = go(body, cls.body)
+            stack.pop()
+            return Lam(cls.hint, cls.annot, inner)
         head, args = hspine(u)
         match head:
-            case HConst(name):
-                if name in env:
-                    head_cls: LfExpr = env[name]
-                elif (entry := sig.lookup(name)) is not None and entry.sort == "type":
-                    head_cls = entry.classifier
-                else:
-                    raise ReconstructError(f"not an encoding: unknown head {name!r}")
             case HMeta() as m:
                 if pending is None:
                     raise ReconstructError(f"not an encoding: unresolved variable ?{m.name}")
@@ -136,19 +135,20 @@ def decode_term(
                 return Meta(f"?{m.id}")
             case HLam():
                 raise ReconstructError("not an encoding: abstraction without product classifier")
-            case _:
-                raise ReconstructError(f"not an encoding: bad head {head!r}")
+        lf = lf_head(head)
+        cur = head_classifier(lf, sig, stack)
+        if cur is None or classifier_sort(cur) == "kind":
+            raise ReconstructError(f"not an encoding: unknown head {head}")
         out: list[LfExpr] = []
-        cur = head_cls
         for a in args:
             if not isinstance(cur, Pi):
-                raise ReconstructError(f"not an encoding: {name!r} applied too far")
+                raise ReconstructError(f"not an encoding: {lf} applied too far")
             arg_lf = go(a, cur.annot)
             out.append(arg_lf)
-            cur = beta_normalize(instantiate(cur.body, arg_lf))
+            cur = codomain(cur, arg_lf)
         if isinstance(cur, Pi) and cls is not None:
-            raise ReconstructError(f"not an encoding: {name!r} under-applied")
-        return make_app(Const(name), out)
+            raise ReconstructError(f"not an encoding: {lf} under-applied")
+        return make_app(lf, out)
 
     return go(t, expected)
 
@@ -173,7 +173,7 @@ def finalize_metavars(
     the extended binding store.  Idempotent when the solution is already
     closed."""
     store = dict(solution.bindings)
-    env: dict[str, LfExpr] = {}
+    stack: list[LfExpr] = []  # classifiers of the binders crossed, innermost last
 
     def close_query(e: LfExpr, expected: LfExpr | None, pending: list[tuple[HMeta, LfExpr]]) -> LfExpr:
         """`e` with each query variable decoded from the store; the user's
@@ -182,28 +182,21 @@ def finalize_metavars(
             case Meta(n):
                 if n not in goal_metas:
                     raise ReconstructError(f"unknown meta-variable {n!r}")
-                return decode_term(sig, resolve_term(store, goal_metas[n]), expected, env, pending)
+                return decode_term(sig, resolve_term(store, goal_metas[n]), expected, stack, pending)
             case Pi(h, annot, body) | Lam(h, annot, body):
                 annot2 = close_query(annot, None, pending)
-                x = fresh_name(h, env, sig)
-                env[x] = annot2
-                inner_expected = (
-                    beta_normalize(instantiate(expected.body, Const(x))) if isinstance(expected, Pi) else None
-                )
-                inner = close_query(instantiate(body, Const(x)), inner_expected, pending)
-                del env[x]
-                return type(e)(h, annot2, abstract(inner, x))
+                stack.append(annot2)
+                inner = close_query(body, expected.body if isinstance(expected, Pi) else None, pending)
+                stack.pop()
+                return type(e)(h, annot2, inner)
             case _:
                 head, args = spine(e)
-                cls = None
-                if isinstance(head, Const):
-                    entry = sig.lookup(head.name)
-                    cls = env.get(head.name, entry.classifier if entry is not None else None)
+                cls = head_classifier(head, sig, stack)
                 out: list[LfExpr] = []
                 for arg in args:
                     arg2 = close_query(arg, cls.annot if isinstance(cls, Pi) else None, pending)
                     out.append(arg2)
-                    cls = beta_normalize(instantiate(cls.body, arg2)) if isinstance(cls, Pi) else None
+                    cls = codomain(cls, arg2) if isinstance(cls, Pi) else None
                 return make_app(head, out)
 
     def aux_solve(m: HMeta, cls: LfExpr) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 
+from lfhh.cli import APPEND_SIGNATURE as APPEND_TEXT  # the signature `bench` runs
 from lfhh.lf_syntax import (
     App,
     Const,
@@ -16,18 +17,6 @@ from lfhh.lf_syntax import (
     parse_signature,
 )
 from lfhh.lf_typecheck import checked_signature
-
-APPEND_TEXT = """\
-nat : type.
-z : nat.
-s : nat -> nat.
-list : type.
-nil : list.
-cons : nat -> list -> list.
-append : list -> list -> list -> type.
-appNil : {K:list} append nil K K.
-appCons : {X:nat} {L:list} {K:list} {M:list} (append L K M) -> (append (cons X L) K (cons X M)).
-"""
 
 REMARK_TEXT = """\
 nat : type.

@@ -20,7 +20,6 @@ from lfhh.lf_syntax import (
     Pi,
     TypeKind,
     _Budget,
-    abstract,
     beta_normalize,
     fresh_name,
     free_names,
@@ -70,6 +69,24 @@ def test_loose_head_in_a_domain_is_rigid(golden_dir):
 
 
 # -- normalize against the named normalizer ---------------------------------------
+
+
+def abstract(e, name, depth=0):
+    """Turn free occurrences of Const(name) into Bound(depth): the inverse of
+    opening a binder with a fresh constant."""
+    match e:
+        case Const(n) if n == name:
+            return Bound(depth)
+        case Bound(k):
+            return Bound(k + 1) if k >= depth else e
+        case App(f, a):
+            return App(abstract(f, name, depth), abstract(a, name, depth))
+        case Pi(h, annot, inner):
+            return Pi(h, abstract(annot, name, depth), abstract(inner, name, depth + 1))
+        case Lam(h, annot, inner):
+            return Lam(h, abstract(annot, name, depth), abstract(inner, name, depth + 1))
+        case _:
+            return e
 
 
 def named_normalize(e, classifier, sig=None, budget=10**6):
