@@ -156,9 +156,6 @@ def _append_check(elems: list[LfExpr]) -> tuple[LfExpr, LfExpr]:
 
 
 def cmd_bench(args) -> int:
-    if args.family != "append":
-        print(f"error: unknown bench family {args.family!r}", file=sys.stderr)
-        return EXIT_INPUT
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
@@ -292,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("bench", help="count inference steps on generated queries")
-    sp.add_argument("--family", default="append")
     sp.add_argument("--sizes", default="8,16,32,64")
     sp.add_argument("--mode", choices=["naive", "optimized", "both"], default="both")
     sp.add_argument("--format", choices=["csv", "text"], default="csv")

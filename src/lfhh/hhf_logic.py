@@ -18,7 +18,6 @@ the binders crossed.  No binder is opened by name and abstracted back.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -208,11 +207,10 @@ class HApp(HhTerm):
 @dataclass(frozen=True)
 class HMeta(HhTerm):
     """Unification variable.  Identity is the numeric id; the name is for
-    display, the simple type and scope level are bookkeeping."""
+    display, the scope level is bookkeeping."""
 
     name: str = field(compare=False)
     id: int = 0
-    stype: SimpleType = field(compare=False, default=TM)
     level: int = field(compare=False, default=0)
     scope = OPEN
 
@@ -548,54 +546,26 @@ def translate(sig: Signature, mode: str) -> ClauseSet:
 # -- queries -----------------------------------------------------------------
 
 
-def _assign_query_metas(sig: Signature, a: LfExpr, ids: "itertools.count[int]") -> dict[str, HMeta]:
-    """Give every meta of a query type a target-level variable whose simple
-    type is the erasure of the expected classifier at its first occurrence."""
+def _query_metas(a: LfExpr) -> dict[str, HMeta]:
+    """A target-level variable for each meta of query type `a` that occurs
+    as an argument, inside an abstraction that is one, or as the head of an
+    applied argument, numbered from 1 in order of first occurrence."""
     out: dict[str, HMeta] = {}
 
-    def note(name: str, expected: LfExpr | None) -> None:
-        if name not in out:
-            st = erase_type(expected) if expected is not None else TM
-            out[name] = HMeta(name, next(ids), st, 0)
-
-    def walk_object(m: LfExpr, expected: LfExpr | None) -> None:
-        match m:
-            case Meta(n):
-                note(n, expected)
-            case Lam(_, _, body):
-                inner = expected.body if isinstance(expected, Pi) else None
-                walk_object(body, inner)
-            case App():
-                head, args = spine(m)
-                cls: LfExpr | None = None
-                if isinstance(head, Const):
-                    entry = sig.lookup(head.name)
-                    cls = entry.classifier if entry is not None else None
-                elif isinstance(head, Meta):
-                    note(head.name, None)
-                for arg in args:
-                    dom = cls.annot if isinstance(cls, Pi) else None
-                    walk_object(arg, dom)
-                    cls = cls.body if isinstance(cls, Pi) else None
-            case _:
-                pass
-
-    def walk_type(t: LfExpr) -> None:
-        if isinstance(t, Pi):
-            walk_type(t.annot)
-            walk_type(t.body)
-            return
-        head, args = spine(t)
-        cls = None
-        if isinstance(head, Const):
-            entry = sig.lookup(head.name)
-            cls = entry.classifier if entry is not None else None
+    def walk(e: LfExpr, is_arg: bool) -> None:
+        head, args = spine(e)
+        match head:
+            case Pi(_, annot, body) if not is_arg and not args:
+                walk(annot, False)
+                walk(body, False)
+            case Lam(_, _, body) if is_arg and not args:
+                walk(body, True)
+            case Meta(n) if is_arg and n not in out:
+                out[n] = HMeta(n, len(out) + 1)
         for arg in args:
-            dom = cls.annot if isinstance(cls, Pi) else None
-            walk_object(arg, dom)
-            cls = cls.body if isinstance(cls, Pi) else None
+            walk(arg, True)
 
-    walk_type(a)
+    walk(a, False)
     return out
 
 
@@ -606,11 +576,8 @@ def translate_query(
     the canonical type `a`, applied to a fresh proof variable.  Metas of `a`
     are carried through and can be recovered from the goal with
     `collect_metas`."""
-    ids = itertools.count(1)
-    metas = _assign_query_metas(sig, a, ids)
-    taken = set(metas)
-    pname = "M" if "M" not in taken else fresh_name("M", taken)
-    proof = HMeta(pname, 0, erase_type(a), 0)
+    metas = _query_metas(a)
+    proof = HMeta(fresh_name("M", metas), 0)
     goal = inhabitation_goal(sig, a, proof, mode, metas)
     return goal, proof
 

@@ -6,7 +6,9 @@ level; an implication assumes its antecedent as a program clause for the
 subgoal; an atom backchains: clauses are tried in order (dynamic assumptions
 newest first, then the static program), the quantifier prefix is renamed to
 fresh unification variables, heads are unified, and guards are proved left to
-right one level deeper.
+right one level deeper.  Every goal is proved at its own eigenvariable level
+and under its own assumptions, passed down with it, so a guard never sees
+the assumptions or the level of a sibling guard proved before it.
 
 Clauses are compiled once into a quantifier prefix, guard templates and a
 head template; static clauses when the first Solver over a `ClauseSet` is
@@ -282,10 +284,9 @@ class Solver:
         if sys.getrecursionlimit() < need:
             sys.setrecursionlimit(need)
         self.bindings: dict[int, HhTerm] = dict(bindings) if bindings else {}
-        self.dynamic: list[CompiledClause] = []
         self.trail: list[int] = []
         self.counters = Counters()
-        self.level = 0
+        self.level = 0  # eigenvariable level of the running clause attempt; unification reads it
         self.depth_hit = False
         self.budget_hit = False
         self.non_pattern_seen = False
@@ -309,7 +310,7 @@ class Solver:
         self._seed_ids(goal)
         try:
             if not iterative:
-                for _ in self._prove(goal, 0):
+                for _ in self._prove(goal, 0, 0, ()):
                     yield Solution(dict(self.bindings), replace(self.counters), tuple(self.trace))
                 return
             full = self.limits
@@ -317,7 +318,7 @@ class Solver:
                 self.limits = replace(full, depth=d)
                 self.depth_hit = False
                 found = False
-                for _ in self._prove(goal, 0):
+                for _ in self._prove(goal, 0, 0, ()):
                     found = True
                     yield Solution(dict(self.bindings), replace(self.counters), tuple(self.trace))
                 if found or not self.depth_hit:
@@ -353,16 +354,16 @@ class Solver:
         if max(eigens):
             self._eigen_ids = itertools.count(max(eigens) + 1)
 
-    def _fresh_meta(self, hint: str, stype, level: int | None = None) -> HMeta:
+    def _fresh_meta(self, hint: str, level: int) -> HMeta:
         i = self._next_meta
         self._next_meta += 1
         base = hint if hint and hint != "_" else "V"
-        return HMeta(f"{base}{i}", i, stype, self.level if level is None else level)
+        return HMeta(f"{base}{i}", i, level)
 
-    def _fresh_eigen(self, hint: str) -> HEigen:
+    def _fresh_eigen(self, hint: str, level: int) -> HEigen:
         i = next(self._eigen_ids)
         base = hint if hint and hint != "_" else "c"
-        return HEigen(f"{base}!{i}", i, self.level)
+        return HEigen(f"{base}!{i}", i, level)
 
     def _mark(self) -> tuple[int, int]:
         return len(self.trail), len(self.trace)
@@ -384,53 +385,60 @@ class Solver:
 
     # -- search ----------------------------------------------------------------
 
-    def _prove(self, goal: HhFormula, depth: int) -> Iterator[None]:
+    def _prove(
+        self, goal: HhFormula, depth: int, level: int, assumptions: tuple[CompiledClause, ...]
+    ) -> Iterator[None]:
+        """Prove `goal` at eigenvariable `level` under `assumptions`, the
+        dynamic clauses in scope, oldest first."""
         match goal:
             case FTop():
                 self.counters.top_steps += 1
                 self._note("top")
                 yield
             case FForall(hint, _, body):
-                self.level += 1
-                e = self._fresh_eigen(hint)
+                e = self._fresh_eigen(hint, level + 1)
                 self._note(f"all {e.name}")
-                try:
-                    yield from self._prove(f_instantiate(body, (e,)), depth)
-                finally:
-                    self.level -= 1
+                yield from self._prove(f_instantiate(body, (e,)), depth, level + 1, assumptions)
             case FImplies(ant, cons):
-                self.dynamic.append(compile_clause(Clause("assumption", ant)))
+                assumed = assumptions + (compile_clause(Clause("assumption", ant)),)
                 self._note(f"imp+ {print_formula(ant)}")
-                try:
-                    yield from self._prove(cons, depth)
-                finally:
-                    self.dynamic.pop()
+                yield from self._prove(cons, depth, level, assumed)
             case FAtom():
-                yield from self._prove_atom(goal, depth)
+                yield from self._prove_atom(goal, depth, level, assumptions)
             case _:
                 raise TypeError(f"not a goal: {goal!r}")
 
-    def _prove_seq(self, goals: list[HhFormula], depth: int) -> Iterator[None]:
+    def _prove_seq(
+        self, goals: list[HhFormula], depth: int, level: int, assumptions: tuple[CompiledClause, ...]
+    ) -> Iterator[None]:
+        """Prove `goals` left to right.  An atom goes to `_prove_atom`
+        directly, so the suspended proof of each guard holds one generator
+        frame fewer."""
         if not goals:
             yield
             return
-        for _ in self._prove(goals[0], depth):
-            yield from self._prove_seq(goals[1:], depth)
+        goal = goals[0]
+        prove = self._prove_atom if isinstance(goal, FAtom) else self._prove
+        for _ in prove(goal, depth, level, assumptions):
+            yield from self._prove_seq(goals[1:], depth, level, assumptions)
 
-    def _prove_atom(self, goal: FAtom, depth: int) -> Iterator[None]:
+    def _prove_atom(
+        self, goal: FAtom, depth: int, level: int, assumptions: tuple[CompiledClause, ...]
+    ) -> Iterator[None]:
         if depth >= self.limits.depth:
             self.depth_hit = True
             return
-        key, want, pruned, non_pattern = self._index(goal)
-        for clause in itertools.chain(reversed(self.dynamic), self.static):
+        key, want, pruned, non_pattern = self._index(goal, level)
+        for clause in itertools.chain(reversed(assumptions), self.static):
             if key is not None:
                 have = getattr(clause, key)
                 if have is not None and have != want:
                     self._next_meta += len(clause.prefix) + pruned * clause.subject_vars
                     self.non_pattern_seen |= non_pattern
                     continue
+            self.level = level
             mark = self._mark()
-            metas = [self._fresh_meta(hint, st) for hint, st in clause.prefix]
+            metas = [self._fresh_meta(hint, level) for hint, _ in clause.prefix]
             head = clause.head
             if (
                 head is not None
@@ -442,10 +450,10 @@ class Solver:
                     inst = " ".join(print_term(self.resolve(m), 2) for m in metas)
                     self._note(f"bc {clause.origin}{' ' + inst if inst else ''}")
                 guards = [f_instantiate(g, metas[:scope]) for scope, g in clause.guards]
-                yield from self._prove_seq(guards, depth + 1)
+                yield from self._prove_seq(guards, depth + 1, level, assumptions)
             self._undo(mark)
 
-    def _index(self, goal: FAtom) -> tuple[str | None, str | None, int, bool]:
+    def _index(self, goal: FAtom, level: int) -> tuple[str | None, str | None, int, bool]:
         """Which clauses cannot match `goal`, decided before renaming: those
         whose `key` head constant is set and differs from `want`.
 
@@ -453,7 +461,7 @@ class Solver:
         bound to any clause's subject, so the classifier's head decides, and
         the caller replays the side effects of that skipped binding: it
         leaves the pattern fragment (`non_pattern`, which raises the flag)
-        or, when the goal's variable is older than the current level, prunes
+        or, when the goal's variable is older than `level`, prunes
         one fresh variable per subject argument (`pruned` is then 1).  A
         skipped clause thus uses up exactly the variable ids a failed attempt
         would have."""
@@ -475,7 +483,7 @@ class Solver:
                         return None, None, 0, False
                 if self._pattern(args) is None:
                     return "family_head", want, 0, True
-                return "family_head", want, int(self.level > head.level), False
+                return "family_head", want, int(level > head.level), False
             case _:
                 return None, None, 0, False
 
@@ -565,7 +573,7 @@ class Solver:
             return False
         n = len(pa)
         keep = [i for i in range(n) if pa[i] == pb[i]]
-        inner = self._fresh_meta(m.name, m.stype, level=m.level)
+        inner = self._fresh_meta(m.name, m.level)
         body: HhTerm = happs(inner, [HBound(n - 1 - i) for i in keep])
         for _ in range(n):
             body = HLam("w", body)
@@ -667,7 +675,7 @@ class Solver:
                 keep.append(i)
                 inv_args.append(v)
             # anything else is out of scope for m: pruned
-        g2 = self._fresh_meta(g.name, g.stype, level=min(g.level, m.level))
+        g2 = self._fresh_meta(g.name, min(g.level, m.level))
         narrowed: HhTerm = happs(g2, [HBound(len(gvars) - 1 - i) for i in keep])
         for _ in range(len(gvars)):
             narrowed = HLam("w", narrowed)

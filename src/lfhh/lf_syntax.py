@@ -345,13 +345,16 @@ class Fingerprint:
         self.prev = prev
         self.name = name
 
-    def __str__(self) -> str:
+    def __iter__(self) -> Iterator[str]:
         names: list[str] = []
         node = self
         while node.prev is not None:
             names.append(node.name)
             node = node.prev
-        return ",".join(reversed(names)) if names else "."
+        return reversed(names)
+
+    def __str__(self) -> str:
+        return ",".join(self) or "."
 
 
 class Signature:
@@ -359,8 +362,7 @@ class Signature:
 
     Immutable: `extend` returns a new signature.  Entry order is meaningful,
     every classifier may reference only earlier entries.  Extending costs one
-    flat copy of the name index and one fingerprint node, so the kernel can
-    extend the context at every binder it opens.
+    flat copy of the name index and one fingerprint node.
     """
 
     __slots__ = ("entries", "_index", "names")
@@ -669,7 +671,7 @@ def pretty_print(e: LfExpr) -> str:
             case Const(n) | Meta(n):
                 return n
             case Bound(k):
-                return names[-1 - k]
+                return names[-1 - k] if k < len(names) else f"#{k}"
             case App():
                 head, args = spine(t)
                 parts = [go(head, _PREC_APP, names)] + [go(a, _PREC_ATOM, names) for a in args]
@@ -751,14 +753,12 @@ def head_classifier(h: LfExpr | None, sig: Signature | None, stack: Sequence[LfE
     `sig`, or a bound variable `#k`'s from `stack`, the classifiers of the
     binders crossed, innermost last, as its entry shifted by k+1.  None for
     any other head, such as a meta-variable or an index beyond the stack."""
-    match h:
-        case Const(n) if sig is not None:
-            entry = sig.lookup(n)
-            return entry.classifier if entry is not None else None
-        case Bound(k) if k < len(stack):
-            return _shift(stack[-1 - k], k + 1, 0)
-        case _:
-            return None
+    if isinstance(h, Const):
+        entry = sig.lookup(h.name) if sig is not None else None
+        return entry.classifier if entry is not None else None
+    if isinstance(h, Bound) and h.index < len(stack):
+        return _shift(stack[-1 - h.index], h.index + 1, 0)
+    return None
 
 
 def normalize(

@@ -1,12 +1,20 @@
 """Trusted kernel: decides the four typing assertions of the canonical system.
 
 Checking is syntax-directed.  Objects and families at base classifiers are
-handled by a single big-step backchaining rule: look up the head's declared
-classifier, check each argument against the progressively instantiated binder
+handled by a single big-step backchaining rule: take the classifier of the
+head, check each argument against the progressively instantiated binder
 domains, and match the instantiated target against the expected classifier.
 Subjects and classifiers are normalized once at the boundary; inside a
 derivation everything stays in beta-eta-long form, so rule application never
 renormalizes except after instantiation.
+
+Binders are walked by de Bruijn index, as `normalize` and the decoder walk
+them: a rule checks a binder's body in place, open over the hints and the
+classifiers of the binders crossed, and `lf_syntax.head_classifier` gives
+the classifier of a head, a declared constant or a binder `#k`.  The
+signature is never extended while checking.  A binder is named only when a
+judgment or an error is printed: its hint, made fresh against the
+declarations and the names outside it.
 
 Meta-variables are rejected outright: this module is the certification oracle
 and must only ever accept closed expressions.
@@ -27,9 +35,11 @@ from .lf_syntax import (
     Pi,
     Signature,
     TypeKind,
-    beta_normalize,
+    classifier_sort,
+    codomain,
     contains_meta,
     fresh_name,
+    head_classifier,
     instantiate,
     normalize,
     pretty_print,
@@ -62,32 +72,56 @@ class KernelError(LfError):
         self.judgment = judgment
 
 
-@dataclass(frozen=True)
+# Every rule is told the binders it is under, innermost last, as two tuples:
+# their hints, and their classifiers, each open over the binders before it.
+Hints = tuple[str, ...]
+Stack = tuple[LfExpr, ...]
+
+
+@dataclass(frozen=True, slots=True)
 class Judgment:
-    """Conclusion record: context fingerprint, subject and classifier.  All
-    three are kept as they are (the fingerprint shares its prefix with the
-    enclosing contexts' ones, the subject and classifier are expressions or
-    literal text) and printed only when the judgment is."""
+    """Conclusion record: the declarations' fingerprint, the hints of the
+    binders crossed (innermost last), and a subject and classifier open over
+    those binders (expressions or literal text).  All are kept as they are,
+    so a judgment costs O(1), and binders are named only when printed."""
 
     context: Fingerprint
+    binders: Hints
     subject: LfExpr | str | None
     classifier: LfExpr | str | None
 
+    def names(self) -> list[str]:
+        """A name for each binder: its hint, made fresh against the
+        declarations and the names of the binders outside it."""
+        declared, names = set(self.context), []
+        for hint in self.binders:
+            names.append(fresh_name(hint, declared, names))
+        return names
+
+    def show(self, e: LfExpr | str) -> str:
+        """`e`, open over the binders, as text with the binders named."""
+        if isinstance(e, str):
+            return e
+        for name in reversed(self.names()):
+            e = instantiate(e, Const(name))
+        return pretty_print(e)
+
     def __str__(self) -> str:
+        context = ",".join([*self.context, *self.names()]) or "."
         if self.subject is None:
-            return f"{self.context} ctx"
-        subject = _text(self.subject)
+            return f"{context} ctx"
         if self.classifier is None:
-            return f"{self.context} |- {subject}"
-        return f"{self.context} |- {subject} : {_text(self.classifier)}"
+            return f"{context} |- {self.show(self.subject)}"
+        return f"{context} |- {self.show(self.subject)} : {self.show(self.classifier)}"
 
 
-def _text(e: LfExpr | str) -> str:
-    return e if isinstance(e, str) else pretty_print(e)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
+    """A derivation node.  A backchaining node records the subject's `head`,
+    a declared constant's name or `#k` for the k-th of the conclusion's
+    binders counted from the innermost, and its arguments as
+    `instantiation`, open over those binders like the subject."""
+
     rule: str
     conclusion: Judgment
     premises: tuple["Derivation", ...]
@@ -130,19 +164,16 @@ def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
     so declarations may only reference earlier names.
     """
     checked = Signature()
-    d = _derive("NullCtx", Judgment(checked.names, None, None))
+    d = _derive("NullCtx", Judgment(checked.names, (), None, None))
     for entry in sig:
+        kind = entry.sort == "kind"
+        rule = "KindCtx" if kind else "TypeCtx"
         if entry.name in checked:
-            raise KernelError(f"duplicate declaration of {entry.name!r}", "KindCtx" if entry.sort == "kind" else "TypeCtx")
-        classifier = normalize(entry.classifier, KIND if entry.sort == "kind" else TYPE, checked)
-        if entry.sort == "kind":
-            cd = check_kind(checked, classifier)
-            rule = "KindCtx"
-        else:
-            cd = check_type(checked, classifier)
-            rule = "TypeCtx"
+            raise KernelError(f"duplicate declaration of {entry.name!r}", rule)
+        classifier = normalize(entry.classifier, KIND if kind else TYPE, checked)
+        cd = check_kind(checked, classifier) if kind else check_type(checked, classifier)
         checked = checked.extend(entry.name, classifier, entry.sort)
-        d = _derive(rule, Judgment(checked.names, None, None), (cd, d))
+        d = _derive(rule, Judgment(checked.names, (), None, None), (cd, d))
     return checked, d
 
 
@@ -153,23 +184,20 @@ def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
 
 def check_kind(sig: Signature, k: LfExpr) -> Derivation:
     """Derivation of `sig |- k kind` for canonical `k`."""
-    j = Judgment(sig.names, k, "kind")
-    _reject_metas(k, "PiKind", j)
-    return _check_kind(sig, k)
+    _reject_metas(k, "PiKind", Judgment(sig.names, (), k, "kind"))
+    return _check_kind(sig, (), (), k)
 
 
-def _check_kind(sig: Signature, k: LfExpr) -> Derivation:
+def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr) -> Derivation:
     match k:
         case TypeKind():
-            return _derive("TypeKind", Judgment(sig.names, "type", "kind"))
+            return _derive("TypeKind", Judgment(sig.names, hints, "type", "kind"))
         case Pi(hint, annot, body):
-            da = check_type(sig, annot)
-            x = fresh_name(hint, sig)
-            inner_sig = sig.extend(x, annot, "type")
-            db = _check_kind(inner_sig, instantiate(body, Const(x)))
-            return _derive("PiKind", Judgment(sig.names, k, "kind"), (da, db))
+            da = _check_family(sig, hints, stack, annot, TYPE)
+            db = _check_kind(sig, hints + (hint,), stack + (annot,), body)
+            return _derive("PiKind", Judgment(sig.names, hints, k, "kind"), (da, db))
         case _:
-            raise KernelError("kind expected", "PiKind", Judgment(sig.names, k, "kind"))
+            raise KernelError("kind expected", "PiKind", Judgment(sig.names, hints, k, "kind"))
 
 
 # ---------------------------------------------------------------------------
@@ -184,55 +212,35 @@ def check_type(sig: Signature, a: LfExpr) -> Derivation:
 
 def check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
     """Derivation of `sig |- a : k` with `k` a canonical kind."""
-    j = Judgment(sig.names, a, k)
-    _reject_metas(a, "BackchainFam", j)
-    return _check_family(sig, a, k)
+    _reject_metas(a, "BackchainFam", Judgment(sig.names, (), a, k))
+    return _check_family(sig, (), (), a, k)
 
 
-def _check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
-    j = Judgment(sig.names, a, k)
+def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, k: LfExpr) -> Derivation:
+    j = Judgment(sig.names, hints, a, k)
     match k:
-        case Pi(hint, dom, krest):
+        case Pi(_, dom, krest):
             # Canonical families of product kind are abstractions.
             if not isinstance(a, Lam):
                 raise KernelError("family of product kind must be an abstraction", "AbsFam", j)
             if a.annot != dom:
                 raise KernelError("abstraction annotation differs from kind domain", "AbsFam", j)
-            x = fresh_name(a.hint, sig)
-            inner = sig.extend(x, dom, "type")
-            db = _check_family(inner, instantiate(a.body, Const(x)), instantiate(krest, Const(x)))
+            db = _check_family(sig, hints + (a.hint,), stack + (dom,), a.body, krest)
             return _derive("AbsFam", j, (db,))
         case TypeKind():
             match a:
                 case Pi(hint, annot, body):
-                    da = check_type(sig, annot)
-                    x = fresh_name(hint, sig)
-                    inner = sig.extend(x, annot, "type")
-                    db = _check_family(inner, instantiate(body, Const(x)), TYPE)
+                    da = _check_family(sig, hints, stack, annot, TYPE)
+                    db = _check_family(sig, hints + (hint,), stack + (annot,), body, TYPE)
                     return _derive("PiFam", j, (da, db))
                 case Lam():
                     raise KernelError("abstraction cannot have kind 'type'", "PiFam", j)
                 case TypeKind():
                     raise KernelError("'type' is not a type", "PiFam", j)
                 case _:
-                    return _backchain_family(sig, a, j)
+                    return _backchain(sig, stack, a, k, j)
         case _:
             raise KernelError("classifier is not a kind", "AbsFam", j)
-
-
-def _backchain_family(sig: Signature, a: LfExpr, j: Judgment) -> Derivation:
-    head, args = spine(a)
-    if not isinstance(head, Const):
-        raise KernelError("base type must be headed by a declared family", "BackchainFam", j)
-    entry = sig.lookup(head.name)
-    if entry is None:
-        raise KernelError(f"unbound constant {head.name!r}", "BackchainFam", j)
-    if entry.sort != "kind":
-        raise KernelError(f"{head.name!r} is not a type family", "BackchainFam", j)
-    premises, target = _check_spine(sig, entry.classifier, args, head.name, j)
-    if not isinstance(target, TypeKind):
-        raise KernelError(f"family {head.name!r} is not fully applied", "BackchainFam", j)
-    return _derive("BackchainFam", j, premises, head=head.name, instantiation=args)
 
 
 # ---------------------------------------------------------------------------
@@ -246,71 +254,63 @@ def check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
     `a` must be canonical and already accepted by `check_type`; the subject is
     expected in beta-eta-long form (normalize at the boundary first).
     """
-    j = Judgment(sig.names, m, a)
+    j = Judgment(sig.names, (), m, a)
     _reject_metas(m, "BackchainObj", j)
     _reject_metas(a, "BackchainObj", j)
-    return _check_object(sig, m, a)
+    return _check_object(sig, (), (), m, a)
 
 
-def _check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
-    j = Judgment(sig.names, m, a)
+def _check_object(sig: Signature, hints: Hints, stack: Stack, m: LfExpr, a: LfExpr) -> Derivation:
+    j = Judgment(sig.names, hints, m, a)
     match a:
-        case Pi(hint, dom, rest):
+        case Pi(_, dom, rest):
             if not isinstance(m, Lam):
                 raise KernelError("object of product type must be an abstraction", "AbsObj", j)
             if m.annot != dom:
                 raise KernelError("abstraction annotation differs from product domain", "AbsObj", j)
-            x = fresh_name(m.hint, sig)
-            inner = sig.extend(x, dom, "type")
-            db = _check_object(inner, instantiate(m.body, Const(x)), instantiate(rest, Const(x)))
+            db = _check_object(sig, hints + (m.hint,), stack + (dom,), m.body, rest)
             return _derive("AbsObj", j, (db,))
         case TypeKind():
             raise KernelError("objects cannot have kind classifiers", "BackchainObj", j)
         case _:
-            return _backchain_object(sig, m, a, j)
+            return _backchain(sig, stack, m, a, j)
 
 
-def _backchain_object(sig: Signature, m: LfExpr, a: LfExpr, j: Judgment) -> Derivation:
-    if isinstance(m, Lam):
-        raise KernelError("abstraction against a base type", "BackchainObj", j)
-    head, args = spine(m)
-    if not isinstance(head, Const):
-        raise KernelError("object head must be a declared constant or context variable", "BackchainObj", j)
-    entry = sig.lookup(head.name)
-    if entry is None:
-        raise KernelError(f"unbound constant {head.name!r}", "BackchainObj", j)
-    if entry.sort != "type":
-        raise KernelError(f"{head.name!r} is a type family, not an object", "BackchainObj", j)
-    premises, target = _check_spine(sig, entry.classifier, args, head.name, j)
-    if isinstance(target, Pi):
-        raise KernelError(f"{head.name!r} is under-applied (subject not eta-long)", "BackchainObj", j)
-    if target != a:
-        raise KernelError(
-            f"head {head.name!r} constructs {pretty_print(target)}, expected {pretty_print(a)}",
-            "BackchainObj",
-            j,
-        )
-    return _derive("BackchainObj", j, premises, head=head.name, instantiation=args)
-
-
-def _check_spine(
-    sig: Signature,
-    classifier: LfExpr,
-    args: tuple[LfExpr, ...],
-    head_name: str,
-    j: Judgment,
-) -> tuple[tuple[Derivation, ...], LfExpr]:
-    """Check the i-th argument against the i-th binder domain instantiated
-    with the previous arguments (left to right), and return the instantiated
-    target classifier."""
+def _backchain(sig: Signature, stack: Stack, subject: LfExpr, expected: LfExpr, j: Judgment) -> Derivation:
+    """One rule for families (`expected` is `type`) and objects at a base
+    type: take the classifier of the subject's head, a declared constant or
+    a binder `#k`, check the i-th argument against the i-th binder domain
+    instantiated with the arguments before it, and match the instantiated
+    target against `expected`.  The arguments are checked under the
+    binders of `j`."""
+    family = isinstance(expected, TypeKind)
+    rule = "BackchainFam" if family else "BackchainObj"
+    if isinstance(subject, Lam):
+        raise KernelError("abstraction against a base type", rule, j)
+    head, args = spine(subject)
+    cls = head_classifier(head, sig, stack)
+    if cls is None:
+        if isinstance(head, Const):
+            raise KernelError(f"unbound constant {head.name!r}", rule, j)
+        if family:
+            raise KernelError("base type must be headed by a declared family", rule, j)
+        raise KernelError("object head must be a declared constant or context variable", rule, j)
+    if family != (classifier_sort(cls) == "kind"):
+        what = "is not a type family" if family else "is a type family, not an object"
+        raise KernelError(f"{j.show(head)!r} {what}", rule, j)
     premises: list[Derivation] = []
-    cls = classifier
     for i, n in enumerate(args):
         if not isinstance(cls, Pi):
-            raise KernelError(f"{head_name!r} applied to too many arguments", "BackchainObj", j)
+            raise KernelError(f"{j.show(head)!r} applied to too many arguments", "BackchainObj", j)
         try:
-            premises.append(_check_object(sig, n, cls.annot))
+            premises.append(_check_object(sig, j.binders, stack, n, cls.annot))
         except KernelError as err:
-            raise KernelError(f"argument {i + 1} of {head_name!r}: {err.message}", err.rule, err.judgment) from None
-        cls = beta_normalize(instantiate(cls.body, n))
-    return tuple(premises), cls
+            raise KernelError(f"argument {i + 1} of {j.show(head)!r}: {err.message}", err.rule, err.judgment) from None
+        cls = codomain(cls, n)
+    if cls != expected:
+        if family:
+            raise KernelError(f"family {j.show(head)!r} is not fully applied", rule, j)
+        if isinstance(cls, Pi):
+            raise KernelError(f"{j.show(head)!r} is under-applied (subject not eta-long)", rule, j)
+        raise KernelError(f"head {j.show(head)!r} constructs {j.show(cls)}, expected {j.show(expected)}", rule, j)
+    return _derive(rule, j, tuple(premises), str(head), args)

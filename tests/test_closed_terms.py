@@ -8,7 +8,6 @@ import pytest
 
 from lfhh.hhf_logic import (
     OPEN,
-    TM,
     HApp,
     HBound,
     HConst,
@@ -74,7 +73,7 @@ def ref_h_instantiate(body, values, depth=0):
             return body
 
 
-METAS = [HMeta(f"G{i}", 100 + i, TM, 0) for i in range(3)]
+METAS = [HMeta(f"G{i}", 100 + i, 0) for i in range(3)]
 EIGENS = [HEigen(f"e!{i}", 200 + i, 1) for i in range(2)]
 
 
@@ -139,8 +138,8 @@ def test_is_closed_and_scope_agree_with_reference(terms):
 def test_closed_terms_come_back_unchanged(append_sig, terms):
     solver = Solver(translate(append_sig, "optimized"))
     bindings = {m.id: HConst("z") for m in METAS}
-    m = HMeta("M", 1, TM, 0)
-    values = (HConst("nil"), HMeta("V", 7, TM, 0))
+    m = HMeta("M", 1, 0)
+    values = (HConst("nil"), HMeta("V", 7, 0))
     seen = 0
     for t in terms:
         for u in subterms(t):
@@ -154,7 +153,7 @@ def test_closed_terms_come_back_unchanged(append_sig, terms):
 
 
 def test_instantiate_agrees_with_reference(terms):
-    values = (HConst("nil"), HMeta("V", 7, TM, 0), HEigen("e!9", 9, 1))
+    values = (HConst("nil"), HMeta("V", 7, 0), HEigen("e!9", 9, 1))
     for t in terms:
         for depth in (0, 1, 2):
             assert h_instantiate(t, values, depth) == ref_h_instantiate(t, values, depth)
@@ -166,7 +165,7 @@ def test_binding_to_a_long_ground_list_stores_the_list_itself(append_sig):
         t = happs(HConst("cons"), [HConst("z"), t])
     assert is_closed(t)
     solver = Solver(translate(append_sig, "optimized"))
-    m = HMeta("M", 1, TM, 0)
+    m = HMeta("M", 1, 0)
     assert solver.unify(m, t)
     assert solver.bindings[m.id] is t
     assert solver.resolve(m) is t

@@ -154,7 +154,7 @@ def test_solution_bindings_are_eigen_free(append_sig, programs):
 
 def test_scope_violation_rejected(programs):
     solver = Solver(programs["optimized"])
-    m = HMeta("F", 501, TM, 0)
+    m = HMeta("F", 501, 0)
     e = HEigen("c", 900, 5)
     assert not solver.unify(m, e)  # binding would leak the eigenvariable
 
@@ -164,8 +164,8 @@ def test_scope_violation_rejected(programs):
 
 def test_first_order_head_unification(programs):
     solver = Solver(programs["optimized"])
-    l = HMeta("l", 601, TM, 0)
-    k = HMeta("K", 602, TM, 0)
+    l = HMeta("l", 601, 0)
+    k = HMeta("K", 602, 0)
     a = happs(HConst("append"), [HConst("nil"), l, l])
     b = happs(HConst("append"), [HConst("nil"), encode_term(parse_expr_text("cons z nil")), k])
     assert solver.unify(a, b)
@@ -175,14 +175,14 @@ def test_first_order_head_unification(programs):
 
 def test_self_unification_noop(programs):
     solver = Solver(programs["optimized"])
-    m = HMeta("M", 603, TM, 0)
+    m = HMeta("M", 603, 0)
     assert solver.unify(m, m)
     assert solver.bindings == {}
 
 
 def test_pattern_inversion(programs):
     solver = Solver(programs["optimized"])
-    f = HMeta("F", 604, TM, 0)
+    f = HMeta("F", 604, 0)
     x = HEigen("x", 901, 0)
     y = HEigen("y", 902, 0)
     assert solver.unify(happs(f, [x, y]), happs(HConst("cons"), [x, y]))
@@ -191,14 +191,14 @@ def test_pattern_inversion(programs):
 
 def test_non_pattern_diagnostic(programs):
     solver = Solver(programs["optimized"])
-    f = HMeta("F", 605, TM, 0)
+    f = HMeta("F", 605, 0)
     assert not solver.unify(HApp(f, HApp(HConst("s"), HConst("z"))), HConst("z"))
     assert solver.non_pattern_seen
 
 
 def test_occurs_check(programs):
     solver = Solver(programs["optimized"])
-    f = HMeta("F", 606, TM, 0)
+    f = HMeta("F", 606, 0)
     assert not solver.unify(f, HApp(HConst("s"), f))
 
 
@@ -209,7 +209,7 @@ def test_eta_respecting_rigid_compare(programs):
 
 def test_transactional_rollback(programs):
     solver = Solver(programs["optimized"])
-    k = HMeta("K", 607, TM, 0)
+    k = HMeta("K", 607, 0)
     bad = happs(HConst("append"), [HConst("nil"), k, HConst("nil")])
     worse = happs(HConst("append"), [HConst("z"), HConst("z"), HConst("z")])
     before = dict(solver.bindings)
@@ -376,6 +376,18 @@ def test_index_keeps_variable_names_under_binders():
     assert sol.trace == HOAS_TRACE
 
 
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+def test_sibling_guard_does_not_see_earlier_guard_assumptions(mode):
+    # mk's first guard assumes `hastype x r` for a fresh x; its second guard,
+    # `hastype M r`, is proved after the first succeeds and must not try that
+    # assumption: 6 unifications, where trying it made 7
+    sig, _ = checked_signature(parse_signature("q : type. r : type. s : type. mk : (r -> q) -> r -> s. g : q."))
+    goal, _ = translate_query(sig, Const("s"), mode)
+    solver = Solver(translate(sig, mode))
+    assert list(solver.solve(goal)) == []
+    assert solver.counters.unify_calls == 6
+
+
 def test_eigenvariable_subject_tries_no_static_clause(programs):
     goal = FForall("x", TM, FAtom(HBound(0), HConst("nat")))
     solver = Solver(programs["naive"])
@@ -386,7 +398,7 @@ def test_eigenvariable_subject_tries_no_static_clause(programs):
 def test_skipped_clauses_still_raise_non_pattern_flag(programs):
     # no clause has family `vec`, but binding `F (s z)` to any clause's
     # subject would have left the pattern fragment
-    f = HMeta("F", 701, TM, 0)
+    f = HMeta("F", 701, 0)
     goal = FAtom(HApp(f, HApp(HConst("s"), HConst("z"))), HConst("vec"))
     solver = Solver(programs["naive"])
     assert list(solver.solve(goal)) == []

@@ -262,3 +262,9 @@ def test_print_avoids_shadowing_free_constants():
     printed = pretty_print(e)
     reparsed = parse_expr_text(printed)
     assert reparsed == e
+
+
+def test_print_renders_loose_index_as_hash():
+    # an index beyond its binders prints as `#k`, the raw index where it stands
+    assert pretty_print(Bound(0)) == "#0"
+    assert pretty_print(Lam("x", Const("nat"), App(App(Const("f"), Bound(0)), Bound(2)))) == "[x:nat] f x #2"

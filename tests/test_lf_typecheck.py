@@ -9,6 +9,7 @@ from lfhh.lf_syntax import (
     Const,
     Lam,
     Meta,
+    Pi,
     Signature,
     TYPE,
     beta_normalize,
@@ -53,6 +54,13 @@ def test_empty_context():
 def test_unbound_constant_in_context():
     with pytest.raises(KernelError, match="unbound constant 'd'"):
         checked_signature(parse_signature("c : d."))[1]
+
+
+def test_undeclared_constant_named_like_a_binder_is_unbound():
+    # the binder [y:a] is printed as y1, since y is declared; the constant y1
+    # in its body is still undeclared, not that binder
+    with pytest.raises(KernelError, match="unbound constant 'y1'"):
+        checked_signature(parse_signature("a : type. y : a. f : (a -> a) -> type. d : f ([y:a] y1)."))
 
 
 def test_checked_signature_memory_is_linear():
@@ -165,6 +173,17 @@ def test_kernel_rejects_metas(append_sig):
         check_object(append_sig, Meta("M"), Const("nat"))
     with pytest.raises(KernelError, match="meta-variables"):
         check_type(append_sig, make_app(Const("append"), [Const("nil"), Meta("K"), Meta("K")]))
+
+
+def test_loose_index_is_a_kernel_error(append_sig):
+    # an index beyond its binders has no classifier; the judgment in the
+    # message names it `#k`, counted from outside the binders
+    with pytest.raises(KernelError, match=r"headed by a declared family .* nat,.*,x \|- #2 : type$"):
+        check_type(append_sig, Pi("x", Const("nat"), Bound(3)))
+    with pytest.raises(KernelError, match=r"argument 1 of 's': object head .* \|- #0 : nat$"):
+        check_object(append_sig, Lam("x", Const("nat"), App(Const("s"), Bound(1))), parse_expr_text("nat -> nat"))
+    with pytest.raises(KernelError, match=r"argument 2 of 'append'"):
+        check_type(append_sig, make_app(Const("append"), [Const("nil"), Bound(0), Const("nil")]))
 
 
 def test_error_reports_carry_rule_and_judgment(append_sig):

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from lfhh.hhf_logic import (
-    TM,
     HApp,
     HBound,
     HConst,
@@ -55,7 +54,7 @@ def test_decode_rejects_junk(append_sig):
 
 
 def test_decode_pending_collects_unbound_variable_once(append_sig):
-    x = HMeta("X", 901, TM, 0)
+    x = HMeta("X", 901, 0)
     pending = []
     t = happs(HConst("cons"), [x, happs(HConst("cons"), [x, HConst("nil")])])
     d = decode_term(append_sig, t, Const("list"), pending=pending)
@@ -64,7 +63,7 @@ def test_decode_pending_collects_unbound_variable_once(append_sig):
 
 
 def test_decode_pending_skips_applied_variable(append_sig):
-    f = HMeta("F", 902, TM, 0)
+    f = HMeta("F", 902, 0)
     pending = []
     d = decode_term(append_sig, HApp(f, HConst("z")), Const("nat"), pending=pending)
     assert d == Meta("?902")
@@ -73,7 +72,7 @@ def test_decode_pending_skips_applied_variable(append_sig):
 
 def test_decode_without_pending_rejects_unbound_variable(append_sig):
     with pytest.raises(ReconstructError, match="unresolved variable"):
-        decode_term(append_sig, HMeta("X", 903, TM, 0), Const("nat"))
+        decode_term(append_sig, HMeta("X", 903, 0), Const("nat"))
 
 
 def test_decode_example_proof_round_trip(append_sig):
