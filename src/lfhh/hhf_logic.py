@@ -146,27 +146,32 @@ def erased_signature(sig: Signature) -> dict[str, SimpleType]:
 # carry it as a class attribute or a derived field; `HApp` and `HLam` compute
 # it once from their children when they are built.  A term is closed when its
 # scope is 0: then dereferencing, normalizing, instantiating or inverting it
-# returns the term itself.
+# returns the term itself.  A term whose scope is not `OPEN` also has
+# `lam_free`, true when it has no abstraction anywhere inside: a class
+# attribute on `HConst`, `HBound` and `HLam`, a field that `HApp` computes
+# when it is built and leaves unset when its scope is `OPEN`.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HhTerm:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HConst(HhTerm):
     name: str
     scope = 0
+    lam_free = True
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HBound(HhTerm):
     index: int
     scope: int = field(init=False, compare=False, repr=False)
+    lam_free = True
 
     def __post_init__(self):
         object.__setattr__(self, "scope", self.index + 1)
@@ -175,11 +180,12 @@ class HBound(HhTerm):
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HLam(HhTerm):
     hint: str = field(compare=False)
     body: HhTerm = None  # type: ignore[assignment]
     scope: int = field(init=False, compare=False, repr=False)
+    lam_free = False
 
     def __post_init__(self):
         b = self.body.scope
@@ -189,22 +195,26 @@ class HLam(HhTerm):
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HApp(HhTerm):
     fn: HhTerm
     arg: HhTerm
     scope: int = field(init=False, compare=False, repr=False)
+    lam_free: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         f, a = self.fn.scope, self.arg.scope
-        redex_or_open = f < 0 or a < 0 or isinstance(self.fn, HLam)
-        object.__setattr__(self, "scope", OPEN if redex_or_open else max(f, a))
+        if f < 0 or a < 0 or isinstance(self.fn, HLam):
+            object.__setattr__(self, "scope", OPEN)
+        else:
+            object.__setattr__(self, "scope", f if f >= a else a)
+            object.__setattr__(self, "lam_free", self.fn.lam_free and self.arg.lam_free)
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HMeta(HhTerm):
     """Unification variable.  Identity is the numeric id; the name is for
     display, the scope level is bookkeeping."""
@@ -218,7 +228,7 @@ class HMeta(HhTerm):
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HEigen(HhTerm):
     """Scoped constant introduced by a universal goal."""
 
@@ -397,10 +407,13 @@ def f_instantiate(f: HhFormula, values: Sequence[HhTerm], depth: int = 0) -> HhF
 
 
 def collect_metas(f: HhFormula) -> dict[str, HMeta]:
-    """Metas occurring in a formula, keyed by display name, first occurrence wins."""
+    """Metas occurring in a formula, keyed by display name, first occurrence
+    wins.  A term whose scope is not `OPEN` has none and is not entered."""
     out: dict[str, HMeta] = {}
 
     def walk_term(t: HhTerm) -> None:
+        if t.scope >= 0:
+            return
         match t:
             case HMeta() as m:
                 out.setdefault(m.name, m)

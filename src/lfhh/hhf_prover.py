@@ -29,9 +29,10 @@ bound variable and no beta-redex, is returned as is by dereferencing
 (`resolve_term`), instantiation and inversion.  Binding a variable to a
 ground term therefore stores that term itself in O(1) instead of walking and
 rebuilding it, and the optimized ground check of a length-`n` list does
-`n+1` steps with O(1) work per bind.  Unification still compares closed
-terms node by node: it uses up eigenvariable ids under lambdas and works up
-to eta, so a shortcut there would change traces.
+`n+1` steps with O(1) work per bind.  Unification succeeds at once on a
+term and itself when the term is closed and has no abstraction inside; one
+with an abstraction is still compared node by node, because that uses up
+eigenvariable ids, which traces show.
 
 Unification stays inside the pattern fragment: a unification variable may
 only be applied to distinct eigenvariables or locally bound variables.
@@ -117,19 +118,30 @@ class _UnifyFail(Exception):
 
 
 def resolve_term(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
-    """Fully dereference and beta-normalize `t` under `bindings`."""
-    t = _walk(bindings, t)
-    if t.scope >= 0:
-        return t
-    match t:
-        case HLam(h, b):
-            return HLam(h, resolve_term(bindings, b))
-        case HApp():
-            head, args = hspine(t)
-            head = resolve_term(bindings, head) if isinstance(head, HLam) else head
-            return happs(head, [resolve_term(bindings, a) for a in args])
-        case _:
+    """Fully dereference and beta-normalize `t` under `bindings`.  Each
+    distinct node of `t` is resolved once, so a node that occurs several
+    times, such as a variable bound once, resolves to one shared term."""
+    memo: dict[int, tuple[HhTerm, HhTerm]] = {}  # id of a node -> (node, result)
+
+    def go(t: HhTerm) -> HhTerm:
+        if t.scope >= 0:
             return t
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        u = _walk(bindings, t)
+        out = u
+        if u.scope < 0:
+            match u:
+                case HLam(h, b):
+                    out = HLam(h, go(b))
+                case HApp():
+                    head, args = hspine(u)  # `_walk` left no abstraction at the head
+                    out = happs(head, [go(a) for a in args])
+        memo[id(t)] = (t, out)
+        return out
+
+    return go(t)
 
 
 def _walk(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
@@ -149,6 +161,8 @@ def term_metas(t: HhTerm) -> list[HMeta]:
     out: list[HMeta] = []
 
     def go(u: HhTerm) -> None:
+        if u.scope >= 0:
+            return
         match u:
             case HMeta() as m:
                 if all(m.id != x.id for x in out):
@@ -169,6 +183,8 @@ def _term_eigens(t: HhTerm) -> list[HEigen]:
     out: list[HEigen] = []
 
     def go(u: HhTerm) -> None:
+        if u.scope >= 0:
+            return
         match u:
             case HEigen() as e:
                 out.append(e)
@@ -498,6 +514,8 @@ class Solver:
     def _uni(self, a: HhTerm, b: HhTerm) -> bool:
         a = _walk(self.bindings, a)
         b = _walk(self.bindings, b)
+        if a is b and a.scope == 0 and a.lam_free:
+            return True
         if isinstance(a, HLam) or isinstance(b, HLam):
             i = next(self._eigen_ids)
             e = HEigen(f"u!{i}", i, self.level + 1)

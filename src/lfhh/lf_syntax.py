@@ -270,15 +270,22 @@ def free_names(e: LfExpr) -> set[str]:
 
 
 def contains_meta(e: LfExpr) -> bool:
-    match e:
-        case Meta():
-            return True
-        case App(f, a):
-            return contains_meta(f) or contains_meta(a)
-        case Pi(_, annot, body) | Lam(_, annot, body):
-            return contains_meta(annot) or contains_meta(body)
-        case _:
-            return False
+    """Whether a meta-variable occurs in `e`; each distinct node is visited
+    once, so a node that occurs many times costs one visit."""
+    seen: dict[int, LfExpr] = {}  # id of an inner node -> the node
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        match t:
+            case Meta():
+                return True
+            case App(f, a) | Pi(_, f, a) | Lam(_, f, a):
+                key = id(t)
+                if key not in seen:
+                    seen[key] = t
+                    stack.append(f)
+                    stack.append(a)
+    return False
 
 
 def substitute(e: LfExpr, s: Subst) -> LfExpr:
@@ -659,10 +666,17 @@ def _uses_bound(e: LfExpr, depth: int) -> bool:
 
 
 def pretty_print(e: LfExpr) -> str:
-    """Render in the concrete syntax; reparsing yields an alpha-equal tree."""
+    """Render in the concrete syntax; reparsing yields an alpha-equal tree.
+    Outside every binder, an application node met again at the same
+    precedence reuses its text, which is kept from the second meeting on:
+    the nodes of a term without sharing keep no text."""
 
     def wrap(s: str, have: int, want: int) -> str:
         return f"({s})" if have < want else s
+
+    # (id of an App node, precedence) -> (the node, its text once met twice,
+    # None before), at binder depth 0
+    shown: dict[tuple[int, int], tuple[LfExpr, str | None]] = {}
 
     def go(t: LfExpr, prec: int, names: list[str]) -> str:
         match t:
@@ -673,9 +687,16 @@ def pretty_print(e: LfExpr) -> str:
             case Bound(k):
                 return names[-1 - k] if k < len(names) else f"#{k}"
             case App():
+                key = (id(t), prec)
+                met = not names and key in shown
+                if met and shown[key][1] is not None:
+                    return shown[key][1]
                 head, args = spine(t)
                 parts = [go(head, _PREC_APP, names)] + [go(a, _PREC_ATOM, names) for a in args]
-                return wrap(" ".join(parts), _PREC_APP, prec)
+                text = wrap(" ".join(parts), _PREC_APP, prec)
+                if not names:
+                    shown[key] = (t, text if met else None)
+                return text
             case Pi(hint, annot, body):
                 if not _uses_bound(body, 0):
                     left = go(annot, _PREC_APP, names)

@@ -38,6 +38,7 @@ from .lf_syntax import (
     classifier_sort,
     codomain,
     contains_meta,
+    free_names,
     fresh_name,
     head_classifier,
     instantiate,
@@ -76,6 +77,10 @@ class KernelError(LfError):
 # their hints, and their classifiers, each open over the binders before it.
 Hints = tuple[str, ...]
 Stack = tuple[LfExpr, ...]
+# The derivations of one top-level check that were made under no binder, by
+# the ids of their subject and classifier: (subject, classifier, derivation).
+# Keeping the two objects keeps their ids from being reused while it lives.
+Memo = dict[tuple[int, int], tuple[LfExpr, LfExpr, "Derivation"]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +97,12 @@ class Judgment:
 
     def names(self) -> list[str]:
         """A name for each binder: its hint, made fresh against the
-        declarations and the names of the binders outside it."""
+        declarations, the constants of the subject and the classifier, and
+        the names of the binders outside it."""
         declared, names = set(self.context), []
+        for e in (self.subject, self.classifier):
+            if isinstance(e, LfExpr):
+                declared |= free_names(e)
         for hint in self.binders:
             names.append(fresh_name(hint, declared, names))
         return names
@@ -185,16 +194,16 @@ def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
 def check_kind(sig: Signature, k: LfExpr) -> Derivation:
     """Derivation of `sig |- k kind` for canonical `k`."""
     _reject_metas(k, "PiKind", Judgment(sig.names, (), k, "kind"))
-    return _check_kind(sig, (), (), k)
+    return _check_kind(sig, (), (), k, {})
 
 
-def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr) -> Derivation:
+def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr, memo: Memo) -> Derivation:
     match k:
         case TypeKind():
             return _derive("TypeKind", Judgment(sig.names, hints, "type", "kind"))
         case Pi(hint, annot, body):
-            da = _check_family(sig, hints, stack, annot, TYPE)
-            db = _check_kind(sig, hints + (hint,), stack + (annot,), body)
+            da = _check_family(sig, hints, stack, annot, TYPE, memo)
+            db = _check_kind(sig, hints + (hint,), stack + (annot,), body, memo)
             return _derive("PiKind", Judgment(sig.names, hints, k, "kind"), (da, db))
         case _:
             raise KernelError("kind expected", "PiKind", Judgment(sig.names, hints, k, "kind"))
@@ -213,10 +222,10 @@ def check_type(sig: Signature, a: LfExpr) -> Derivation:
 def check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
     """Derivation of `sig |- a : k` with `k` a canonical kind."""
     _reject_metas(a, "BackchainFam", Judgment(sig.names, (), a, k))
-    return _check_family(sig, (), (), a, k)
+    return _check_family(sig, (), (), a, k, {})
 
 
-def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, k: LfExpr) -> Derivation:
+def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, k: LfExpr, memo: Memo) -> Derivation:
     j = Judgment(sig.names, hints, a, k)
     match k:
         case Pi(_, dom, krest):
@@ -225,20 +234,20 @@ def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, k: LfEx
                 raise KernelError("family of product kind must be an abstraction", "AbsFam", j)
             if a.annot != dom:
                 raise KernelError("abstraction annotation differs from kind domain", "AbsFam", j)
-            db = _check_family(sig, hints + (a.hint,), stack + (dom,), a.body, krest)
+            db = _check_family(sig, hints + (a.hint,), stack + (dom,), a.body, krest, memo)
             return _derive("AbsFam", j, (db,))
         case TypeKind():
             match a:
                 case Pi(hint, annot, body):
-                    da = _check_family(sig, hints, stack, annot, TYPE)
-                    db = _check_family(sig, hints + (hint,), stack + (annot,), body, TYPE)
+                    da = _check_family(sig, hints, stack, annot, TYPE, memo)
+                    db = _check_family(sig, hints + (hint,), stack + (annot,), body, TYPE, memo)
                     return _derive("PiFam", j, (da, db))
                 case Lam():
                     raise KernelError("abstraction cannot have kind 'type'", "PiFam", j)
                 case TypeKind():
                     raise KernelError("'type' is not a type", "PiFam", j)
                 case _:
-                    return _backchain(sig, stack, a, k, j)
+                    return _backchain(sig, stack, a, k, j, memo)
         case _:
             raise KernelError("classifier is not a kind", "AbsFam", j)
 
@@ -257,10 +266,10 @@ def check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
     j = Judgment(sig.names, (), m, a)
     _reject_metas(m, "BackchainObj", j)
     _reject_metas(a, "BackchainObj", j)
-    return _check_object(sig, (), (), m, a)
+    return _check_object(sig, (), (), m, a, {})
 
 
-def _check_object(sig: Signature, hints: Hints, stack: Stack, m: LfExpr, a: LfExpr) -> Derivation:
+def _check_object(sig: Signature, hints: Hints, stack: Stack, m: LfExpr, a: LfExpr, memo: Memo) -> Derivation:
     j = Judgment(sig.names, hints, m, a)
     match a:
         case Pi(_, dom, rest):
@@ -268,21 +277,31 @@ def _check_object(sig: Signature, hints: Hints, stack: Stack, m: LfExpr, a: LfEx
                 raise KernelError("object of product type must be an abstraction", "AbsObj", j)
             if m.annot != dom:
                 raise KernelError("abstraction annotation differs from product domain", "AbsObj", j)
-            db = _check_object(sig, hints + (m.hint,), stack + (dom,), m.body, rest)
+            db = _check_object(sig, hints + (m.hint,), stack + (dom,), m.body, rest, memo)
             return _derive("AbsObj", j, (db,))
         case TypeKind():
             raise KernelError("objects cannot have kind classifiers", "BackchainObj", j)
         case _:
-            return _backchain(sig, stack, m, a, j)
+            return _backchain(sig, stack, m, a, j, memo)
 
 
-def _backchain(sig: Signature, stack: Stack, subject: LfExpr, expected: LfExpr, j: Judgment) -> Derivation:
+def _backchain(
+    sig: Signature, stack: Stack, subject: LfExpr, expected: LfExpr, j: Judgment, memo: Memo
+) -> Derivation:
     """One rule for families (`expected` is `type`) and objects at a base
     type: take the classifier of the subject's head, a declared constant or
     a binder `#k`, check the i-th argument against the i-th binder domain
     instantiated with the arguments before it, and match the instantiated
     target against `expected`.  The arguments are checked under the
-    binders of `j`."""
+    binders of `j`.
+
+    Under no binder, a judgment about the very subject object at the very
+    classifier object that this top-level check has already derived gets
+    that derivation again: it is the same rule applied to the same input.
+    A failure raises and is never kept."""
+    key = None if stack else (id(subject), id(expected))
+    if key is not None and (hit := memo.get(key)) is not None:
+        return hit[2]
     family = isinstance(expected, TypeKind)
     rule = "BackchainFam" if family else "BackchainObj"
     if isinstance(subject, Lam):
@@ -303,7 +322,7 @@ def _backchain(sig: Signature, stack: Stack, subject: LfExpr, expected: LfExpr, 
         if not isinstance(cls, Pi):
             raise KernelError(f"{j.show(head)!r} applied to too many arguments", "BackchainObj", j)
         try:
-            premises.append(_check_object(sig, j.binders, stack, n, cls.annot))
+            premises.append(_check_object(sig, j.binders, stack, n, cls.annot, memo))
         except KernelError as err:
             raise KernelError(f"argument {i + 1} of {j.show(head)!r}: {err.message}", err.rule, err.judgment) from None
         cls = codomain(cls, n)
@@ -313,4 +332,7 @@ def _backchain(sig: Signature, stack: Stack, subject: LfExpr, expected: LfExpr, 
         if isinstance(cls, Pi):
             raise KernelError(f"{j.show(head)!r} is under-applied (subject not eta-long)", rule, j)
         raise KernelError(f"head {j.show(head)!r} constructs {j.show(cls)}, expected {j.show(expected)}", rule, j)
-    return _derive(rule, j, tuple(premises), str(head), args)
+    d = _derive(rule, j, tuple(premises), str(head), args)
+    if key is not None:
+        memo[key] = (subject, expected, d)
+    return d

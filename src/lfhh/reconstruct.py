@@ -114,10 +114,25 @@ def decode_term(
     decodes to the placeholder `?id`, and if it is unapplied at a known
     classifier free of meta-variables, it is added to `pending` once.
     Raises on anything that is not an encoding; by the correctness property
-    this never fires on solver output over translated programs."""
+    this never fires on solver output over translated programs.
+
+    A closed node decodes the same wherever it occurs, so each distinct
+    closed node is decoded once at each classifier object it meets, and a
+    node shared in `t` decodes to a node shared in the result."""
     stack = list(stack)
+    # (id of a closed node, id of its classifier) -> (node, classifier, result)
+    decoded: dict[tuple[int, int], tuple[HhTerm, LfExpr | None, LfExpr]] = {}
 
     def go(u: HhTerm, cls: LfExpr | None) -> LfExpr:
+        if u.scope != 0:
+            return decode(u, cls)
+        key = (id(u), id(cls))
+        hit = decoded.get(key)
+        if hit is None:
+            hit = decoded[key] = (u, cls, decode(u, cls))
+        return hit[2]
+
+    def decode(u: HhTerm, cls: LfExpr | None) -> LfExpr:
         if isinstance(cls, Pi):
             body = u.body if isinstance(u, HLam) else HApp(h_shift(u), HBound(0))
             stack.append(cls.annot)
