@@ -6,22 +6,26 @@ level; an implication assumes its antecedent as a program clause for the
 subgoal; an atom backchains: clauses are tried in order (dynamic assumptions
 newest first, then the static program), the quantifier prefix is renamed to
 fresh unification variables, heads are unified, and guards are proved left to
-right one level deeper.  Every goal is proved at its own eigenvariable level
-and under its own assumptions, passed down with it, so a guard never sees
-the assumptions or the level of a sibling guard proved before it.
+right one level deeper.  Every goal carries its own level and assumptions, so
+a guard never sees those of a sibling guard proved before it.
+
+Search is one loop, not a recursion: the goals still to prove are a linked
+list, and a stack holds a choice point per committed backchain.  Backtracking
+pops the newest one, undoes the trail and the trace to its mark and tries the
+atom's remaining clauses, so the depth of a proof costs list entries, not
+interpreter frames.
 
 Clauses are compiled once into a quantifier prefix, guard templates and a
-head template; static clauses when the first Solver over a `ClauseSet` is
-made (the result is kept on the set), assumptions when they are pushed.
-Renaming makes one fresh variable per binder and substitutes the whole prefix
-into a template in a single pass: the head first, the guards only once the
-head has unified.  Before renaming, a clause is skipped when its head
-constant cannot match the goal (first-argument indexing): the subject's head
-constant against a rigid goal subject, or the classifier's family constant
-when the goal subject is an unbound variable.  A skipped clause still uses up
-the variable ids that renaming and the failed unification would have taken,
-so variable names such as `?M9` in traces and answers do not depend on the
-index.
+head template (static clauses on first use, kept on the `ClauseSet`;
+assumptions when they are pushed).  The head template is unified with the
+goal in place, its prefix binders read as the fresh variables; guards are
+instantiated once the head has unified.  Before renaming, a clause is skipped
+when its head constant cannot match the goal (first-argument indexing): the
+subject's head constant against a rigid goal subject, or the classifier's
+family constant when the goal subject is an unbound variable.  A skipped
+clause still uses up the variable ids that renaming and the failed
+unification would have taken, so names such as `?M9` in traces and answers
+do not depend on the index.
 
 Every term node records its `scope` when it is built (see `hhf_logic`): a
 closed term, one with no unification variable, no eigenvariable, no loose
@@ -53,7 +57,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, Literal
 
 from .hhf_logic import (
     Clause,
@@ -257,6 +261,9 @@ def compile_clause(clause: Clause) -> CompiledClause:
     )
 
 
+_Goals = tuple | None  # (goal, depth, level, assumptions, rest), or None when empty
+
+
 def compiled_program(program: ClauseSet) -> tuple[CompiledClause, ...]:
     """The compiled static clauses of `program`, built on first use and kept
     on the set itself, so every Solver over one set shares them."""
@@ -295,7 +302,9 @@ class Solver:
         self.program = program
         self.static = compiled_program(program)
         self.limits = limits or Limits()
-        # each backchain level costs a handful of interpreter frames
+        # search keeps its goals on lists, but encoding, resolving, decoding
+        # and kernel-checking an answer recurse on term depth, which grows
+        # with the search depth
         need = 1000 + 16 * self.limits.depth
         if sys.getrecursionlimit() < need:
             sys.setrecursionlimit(need)
@@ -326,7 +335,7 @@ class Solver:
         self._seed_ids(goal)
         try:
             if not iterative:
-                for _ in self._prove(goal, 0, 0, ()):
+                for _ in self._search(goal):
                     yield Solution(dict(self.bindings), replace(self.counters), tuple(self.trace))
                 return
             full = self.limits
@@ -334,7 +343,7 @@ class Solver:
                 self.limits = replace(full, depth=d)
                 self.depth_hit = False
                 found = False
-                for _ in self._prove(goal, 0, 0, ()):
+                for _ in self._search(goal):
                     found = True
                     yield Solution(dict(self.bindings), replace(self.counters), tuple(self.trace))
                 if found or not self.depth_hit:
@@ -401,51 +410,58 @@ class Solver:
 
     # -- search ----------------------------------------------------------------
 
-    def _prove(
-        self, goal: HhFormula, depth: int, level: int, assumptions: tuple[CompiledClause, ...]
-    ) -> Iterator[None]:
-        """Prove `goal` at eigenvariable `level` under `assumptions`, the
-        dynamic clauses in scope, oldest first."""
-        match goal:
-            case FTop():
-                self.counters.top_steps += 1
-                self._note("top")
+    def _search(self, goal: HhFormula) -> Iterator[None]:
+        """Yield once per proof of `goal`, with its bindings in place.  A goal
+        record is `(goal, depth, level, assumptions, rest)`, assumptions
+        oldest first; a choice point is `(record, next clause, mark, index)`."""
+        goals: _Goals = (goal, 0, 0, (), None)
+        stack: list[tuple[_Goals, int, tuple[int, int], tuple]] = []
+        while True:
+            if goals is None:
                 yield
-            case FForall(hint, _, body):
-                e = self._fresh_eigen(hint, level + 1)
-                self._note(f"all {e.name}")
-                yield from self._prove(f_instantiate(body, (e,)), depth, level + 1, assumptions)
-            case FImplies(ant, cons):
-                assumed = assumptions + (compile_clause(Clause("assumption", ant)),)
-                self._note(f"imp+ {print_formula(ant)}")
-                yield from self._prove(cons, depth, level, assumed)
-            case FAtom():
-                yield from self._prove_atom(goal, depth, level, assumptions)
-            case _:
-                raise TypeError(f"not a goal: {goal!r}")
+                goals = False
+            else:
+                g, depth, level, assumptions, rest = goals
+                if isinstance(g, FAtom):
+                    if depth >= self.limits.depth:
+                        self.depth_hit = True
+                        goals = False
+                    else:
+                        goals = self._backchain(goals, 0, self._index(g, level), stack)
+                elif isinstance(g, FTop):
+                    self.counters.top_steps += 1
+                    self._note("top")
+                    goals = rest
+                elif isinstance(g, FForall):
+                    e = self._fresh_eigen(g.hint, level + 1)
+                    self._note(f"all {e.name}")
+                    goals = (f_instantiate(g.body, (e,)), depth, level + 1, assumptions, rest)
+                elif isinstance(g, FImplies):
+                    assumed = assumptions + (compile_clause(Clause("assumption", g.antecedent)),)
+                    self._note(f"imp+ {print_formula(g.antecedent)}")
+                    goals = (g.consequent, depth, level, assumed, rest)
+                else:
+                    raise TypeError(f"not a goal: {g!r}")
+            while goals is False:
+                if not stack:
+                    return
+                record, pos, mark, index = stack.pop()
+                self._undo(mark)
+                goals = self._backchain(record, pos, index, stack)
 
-    def _prove_seq(
-        self, goals: list[HhFormula], depth: int, level: int, assumptions: tuple[CompiledClause, ...]
-    ) -> Iterator[None]:
-        """Prove `goals` left to right.  An atom goes to `_prove_atom`
-        directly, so the suspended proof of each guard holds one generator
-        frame fewer."""
-        if not goals:
-            yield
-            return
-        goal = goals[0]
-        prove = self._prove_atom if isinstance(goal, FAtom) else self._prove
-        for _ in prove(goal, depth, level, assumptions):
-            yield from self._prove_seq(goals[1:], depth, level, assumptions)
-
-    def _prove_atom(
-        self, goal: FAtom, depth: int, level: int, assumptions: tuple[CompiledClause, ...]
-    ) -> Iterator[None]:
-        if depth >= self.limits.depth:
-            self.depth_hit = True
-            return
-        key, want, pruned, non_pattern = self._index(goal, level)
-        for clause in itertools.chain(reversed(assumptions), self.static):
+    def _backchain(
+        self, record: _Goals, pos: int, index: tuple, stack: list
+    ) -> _Goals | Literal[False]:
+        """Try the atom's clauses from position `pos` on.  On the first that
+        unifies, push a choice point and return its guards followed by the
+        rest; return False when none is left."""
+        atom, depth, level, assumptions, rest = record
+        key, want, pruned, non_pattern = index
+        dynamic = len(assumptions)
+        static = self.static
+        while pos < dynamic + len(static):
+            clause = assumptions[dynamic - 1 - pos] if pos < dynamic else static[pos - dynamic]
+            pos += 1
             if key is not None:
                 have = getattr(clause, key)
                 if have is not None and have != want:
@@ -458,16 +474,20 @@ class Solver:
             head = clause.head
             if (
                 head is not None
-                and self._unify(h_instantiate(head.subject, metas), goal.subject)
-                and self._unify(h_instantiate(head.classifier, metas), goal.classifier)
+                and self._unify_head(head.subject, atom.subject, metas)
+                and self._unify_head(head.classifier, atom.classifier, metas)
             ):
                 self.counters.backchain_steps += 1
                 if self.trace_on:
                     inst = " ".join(print_term(self.resolve(m), 2) for m in metas)
                     self._note(f"bc {clause.origin}{' ' + inst if inst else ''}")
-                guards = [f_instantiate(g, metas[:scope]) for scope, g in clause.guards]
-                yield from self._prove_seq(guards, depth + 1, level, assumptions)
+                stack.append((record, pos, mark, index))
+                goals = rest
+                for scope, g in reversed(clause.guards):
+                    goals = (f_instantiate(g, metas[:scope]), depth + 1, level, assumptions, goals)
+                return goals
             self._undo(mark)
+        return False
 
     def _index(self, goal: FAtom, level: int) -> tuple[str | None, str | None, int, bool]:
         """Which clauses cannot match `goal`, decided before renaming: those
@@ -510,6 +530,38 @@ class Solver:
         if self.counters.unify_calls > self.limits.budget:
             raise BudgetExceeded()
         return self._uni(a, b)
+
+    def _unify_head(self, tmpl: HhTerm, t: HhTerm, metas: list[HMeta]) -> bool:
+        """`_unify(h_instantiate(tmpl, metas), t)`, with the same effects,
+        without building the instance where `tmpl` is first order."""
+        self.counters.unify_calls += 1
+        if self.counters.unify_calls > self.limits.budget:
+            raise BudgetExceeded()
+        return self._uni_head(tmpl, t, metas)
+
+    def _uni_head(self, tmpl: HhTerm, t: HhTerm, metas: list[HMeta]) -> bool:
+        """`_uni(h_instantiate(tmpl, metas), t)`.  An unbound variable meeting
+        a closed term other than an abstraction is bound to it, as `_bind`
+        would; a part with an abstraction or a variable head, or meeting an
+        abstraction or a flexible term, is instantiated."""
+        if tmpl.scope == 0:
+            return self._uni(tmpl, t)
+        if isinstance(tmpl, HBound):
+            m = metas[len(metas) - 1 - tmpl.index]
+            if t.scope == 0 and not isinstance(t, HLam) and m.id not in self.bindings:
+                self._set(m, t)
+                return True
+            return self._uni(m, t)
+        head, targs = hspine(tmpl)
+        if isinstance(head, HConst):
+            b = _walk(self.bindings, t)
+            if not isinstance(b, HLam):
+                hb, bargs = hspine(b)
+                if not isinstance(hb, HMeta):
+                    if not (isinstance(hb, HConst) and hb.name == head.name and len(bargs) == len(targs)):
+                        return False
+                    return all(self._uni_head(x, y, metas) for x, y in zip(targs, bargs))
+        return self._uni(h_instantiate(tmpl, metas), t)
 
     def _uni(self, a: HhTerm, b: HhTerm) -> bool:
         a = _walk(self.bindings, a)

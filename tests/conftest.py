@@ -12,6 +12,16 @@ from corpus import APPEND_TEXT, REMARK_TEXT, append_signature, remark_signature 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+@pytest.fixture(autouse=True)
+def recursion_limit():
+    """Restore the recursion limit after each test.  A `Solver` raises it for
+    the whole process, so without this a test's verdict on deep input could
+    depend on which search ran before it."""
+    limit = sys.getrecursionlimit()
+    yield
+    sys.setrecursionlimit(limit)
+
+
 @pytest.fixture(scope="session")
 def append_sig():
     return append_signature()

@@ -209,12 +209,8 @@ def test_bench_optimized_ground_check_scales(n):
     # rebuilding the bound term on every bind made n=256 take about two
     # minutes on a 2-vCPU host, and unifying a shared list with itself node
     # by node made n=2048 take about 53 s
-    limit = sys.getrecursionlimit()  # the search raises it for its depth
     t0 = time.perf_counter()
-    try:
-        code, out, _ = run_cli("bench", "--sizes", str(n), "--mode", "optimized", "--format", "csv", "--depth", "10000")
-    finally:
-        sys.setrecursionlimit(limit)
+    code, out, _ = run_cli("bench", "--sizes", str(n), "--mode", "optimized", "--format", "csv", "--depth", "10000")
     elapsed = time.perf_counter() - t0
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -343,8 +339,6 @@ DEEP = 3000
 
 @pytest.mark.parametrize("command", ["check", "translate", "solve"])
 def test_deeply_nested_input_exits_cleanly(command, append_lf, tmp_path):
-    # a fresh interpreter, so that the stack limit is the default one and not
-    # whatever an earlier search in this process raised it to
     deep = tmp_path / "deep.lf"
     deep.write_text("a : type.\nb : " + "(" * DEEP + "a" + ")" * DEEP + ".\n")
     argv = {
@@ -352,11 +346,25 @@ def test_deeply_nested_input_exits_cleanly(command, append_lf, tmp_path):
         "translate": ["translate", str(deep), "--mode", "optimized"],
         "solve": ["solve", append_lf, "(" * DEEP + "append nil nil nil" + ")" * DEEP],
     }[command]
-    src = str(pathlib.Path(lfhh.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lfhh.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = run_fresh(*argv)
     assert proc.returncode == 2
     assert proc.stderr == "error: input nested too deeply\n"
     assert proc.stdout == ""
+
+
+def test_deep_search_runs_off_the_interpreter_stack():
+    # search keeps its goals and choice points on lists; when it nested one
+    # generator chain per backchain step, this exited 139 on a C stack overflow
+    proc = run_fresh("bench", "--sizes", "4096", "--mode", "optimized", "--depth", "10000", "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[1]
+    assert row.startswith("4096,optimized,4097,")
+
+
+def run_fresh(*argv):
+    """`lfhh` in a fresh interpreter, so that the recursion limit is the
+    default one and not whatever an earlier `Solver` in this process raised
+    it to."""
+    src = str(pathlib.Path(lfhh.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "lfhh.cli", *argv], capture_output=True, text=True, env=env, timeout=120)

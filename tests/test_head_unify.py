@@ -1,0 +1,153 @@
+"""`Solver._unify_head` against unifying the built instance of the template.
+
+Backchaining unifies a clause head template with the goal in place, without
+building the template's instance.  Each case runs `_unify_head(tmpl, t,
+metas)` on one solver and `_unify(h_instantiate(tmpl, metas), t)` on a
+second solver in the same state; everything a caller can observe must agree.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from lfhh.hhf_logic import ClauseSet, HApp, HBound, HConst, HEigen, HLam, HMeta, h_instantiate, happs
+from lfhh.hhf_prover import Solver, resolve_term
+
+PROGRAM = ClauseSet((), "optimized")
+ARITY = {"c": 0, "d": 0, "f": 1, "g": 2, "k": 2, "h": 3}
+LEVEL = 2  # the level of the goal, and of the template's fresh variables
+NEXT_META = 100
+NEXT_EIGEN = 50
+
+# goal-side eigenvariables and variables, at levels older and newer than LEVEL
+E = [HEigen("a!1", 1, 1), HEigen("b!2", 2, 2), HEigen("e!3", 3, 3)]
+OLD, SAME, NEW, OLD1 = HMeta("P", 1, 0), HMeta("Q", 2, LEVEL), HMeta("R", 3, 3), HMeta("S", 7, 1)
+GROUND, OPEN_BOUND, FN_BOUND = HMeta("T", 4, 0), HMeta("U", 5, 1), HMeta("W", 6, 0)
+UNBOUND = [OLD, SAME, NEW, OLD1]
+BINDINGS = {
+    GROUND.id: HApp(HConst("f"), HConst("c")),
+    OPEN_BOUND.id: happs(HConst("g"), [E[0], OLD]),
+    FN_BOUND.id: HLam("w", happs(HConst("g"), [HBound(0), SAME])),
+}
+
+
+def c(name, *args):
+    return happs(HConst(name), args)
+
+
+def closed(rng, size):
+    name = rng.choice([n for n in ARITY if ARITY[n] == 0 or size > 0])
+    return c(name, *(closed(rng, size - 1) for _ in range(ARITY[name])))
+
+
+def template(rng, nprefix, depth, size):
+    """A head template over `nprefix` prefix binders under `depth` local ones."""
+    prefix = lambda: HBound(depth + rng.randrange(nprefix))
+    roll = rng.random()
+    if size <= 0 or roll < 0.3:
+        if depth and rng.random() < 0.3:
+            return HBound(rng.randrange(depth))
+        return prefix() if rng.random() < 0.8 else closed(rng, 1)
+    if roll < 0.4:
+        return closed(rng, 2)
+    if roll < 0.5:
+        return HLam("x", template(rng, nprefix, depth + 1, size - 1))
+    if roll < 0.6:
+        local = [HBound(k) for k in range(depth)]
+        return happs(prefix(), rng.sample(local, rng.randint(0, depth)) or [template(rng, nprefix, depth, size - 1)])
+    name = rng.choice(["f", "g", "k", "h"])
+    return c(name, *(template(rng, nprefix, depth, size - 1) for _ in range(ARITY[name])))
+
+
+def goal_term(rng, depth, size):
+    roll = rng.random()
+    if size <= 0 or roll < 0.25:
+        leaves = [*E, *UNBOUND, GROUND, OPEN_BOUND, closed(rng, 1)] + [HBound(k) for k in range(depth)]
+        return rng.choice(leaves)
+    if roll < 0.35:
+        return HLam("y", goal_term(rng, depth + 1, size - 1))
+    if roll < 0.45:
+        # a flexible term: a pattern over eigenvariables and local variables,
+        # or outside the fragment
+        vars_ = E + [HBound(k) for k in range(depth)]
+        args = rng.sample(vars_, rng.randint(1, 2)) if rng.random() < 0.7 else [closed(rng, 1)]
+        return happs(rng.choice(UNBOUND), args)
+    if roll < 0.5:
+        return HApp(FN_BOUND, goal_term(rng, depth, size - 1))
+    name = rng.choice(["f", "g", "k", "h"])
+    return c(name, *(goal_term(rng, depth, size - 1) for _ in range(ARITY[name])))
+
+
+def solver_state():
+    s = Solver(PROGRAM, bindings=BINDINGS)
+    s.level = LEVEL
+    s._next_meta = NEXT_META
+    s._eigen_ids = itertools.count(NEXT_EIGEN)
+    return s
+
+
+def observe(s, verdict):
+    return {
+        "verdict": verdict,
+        "bindings": [(k, resolve_term(s.bindings, v)) for k, v in s.bindings.items()],
+        "trail": list(s.trail),
+        "counters": s.counters,
+        "next_meta": s._next_meta,
+        "next_eigen": next(s._eigen_ids),
+        "non_pattern_seen": s.non_pattern_seen,
+    }
+
+
+def compare(tmpl, t, nprefix):
+    in_place, built = solver_state(), solver_state()
+    metas = [in_place._fresh_meta("X", LEVEL) for _ in range(nprefix)]
+    built._next_meta = in_place._next_meta
+    got = observe(in_place, in_place._unify_head(tmpl, t, metas))
+    want = observe(built, built._unify(h_instantiate(tmpl, metas), t))
+    assert got == want, (tmpl, t)
+    return want
+
+
+# append (cons X L) K (cons X M) over the prefix X, L, K, M (M innermost)
+X, L, K, M = HBound(3), HBound(2), HBound(1), HBound(0)
+APPEND_HEAD = c("append", c("cons", X, L), K, c("cons", X, M))
+ONE = c("s", HConst("z"))
+
+
+@pytest.mark.parametrize(
+    "goal",
+    [
+        c("append", c("cons", ONE, HConst("nil")), HConst("nil"), c("cons", ONE, HConst("nil"))),
+        c("append", c("cons", ONE, HConst("nil")), HConst("nil"), c("cons", HConst("z"), HConst("nil"))),
+        c("append", c("cons", ONE, HConst("nil")), OLD, NEW),
+        c("append", c("cons", OLD, HConst("nil")), HConst("nil"), c("cons", ONE, NEW)),
+        c("append", SAME, HConst("nil"), c("cons", E[0], HConst("nil"))),
+        c("append", c("cons", E[2], HConst("nil")), OLD, c("cons", E[2], NEW)),
+    ],
+)
+def test_repeated_head_variable(goal):
+    compare(APPEND_HEAD, goal, 4)
+
+
+def test_head_constant_applied_to_fewer_arguments():
+    assert not compare(c("g", HBound(1), HBound(0)), c("g", HConst("c")), 2)["verdict"]
+
+
+def test_random_templates_and_goals():
+    rng = random.Random(20261018)
+    seen = {"true": 0, "false": 0, "lambda": 0, "non_pattern": 0, "bound": 0}
+    for _ in range(3000):
+        nprefix = rng.randint(1, 4)
+        tmpl = template(rng, nprefix, 0, rng.randint(1, 4))
+        if rng.random() < 0.5 and isinstance(tmpl, HApp):
+            # a goal of the template's shape, so that unification goes deep
+            t = h_instantiate(tmpl, [goal_term(rng, 0, 2) for _ in range(nprefix)])
+        else:
+            t = goal_term(rng, 0, rng.randint(0, 4))
+        out = compare(tmpl, t, nprefix)
+        seen["true" if out["verdict"] else "false"] += 1
+        seen["lambda"] += out["next_eigen"] > NEXT_EIGEN
+        seen["non_pattern"] += out["non_pattern_seen"]
+        seen["bound"] += len(out["bindings"]) > len(BINDINGS)
+    assert all(n >= 50 for n in seen.values()), seen

@@ -1,11 +1,13 @@
 import gc
 import random
+import time
 import weakref
 from dataclasses import replace
 
 import pytest
 
 from lfhh import hhf_prover
+from lfhh.cli import _append_check
 from lfhh.hhf_logic import (
     FAtom,
     FForall,
@@ -134,6 +136,43 @@ def test_enumerates_inhabitants_in_clause_order(append_sig, programs):
     assert got[0] == HConst("z")
     assert got[1] == HApp(HConst("s"), HConst("z"))
     assert len(got) == 3  # one backchain per depth level: z, s z, s (s z)
+
+
+Z3 = "cons z (cons z (cons z nil))"
+SPLITS = [("nil", Z3), ("cons z nil", "cons z (cons z nil)"), ("cons z (cons z nil)", "cons z nil"), (Z3, "nil")]
+
+
+@pytest.mark.parametrize(
+    "mode, iterative, counters",
+    [
+        ("naive", True, [(386, 0, 862), (417, 0, 932), (574, 0, 1308), (837, 0, 1880)]),
+        ("optimized", False, [(1, 1, 2), (3, 6, 6), (5, 11, 10), (7, 16, 14)]),
+    ],
+)
+def test_enumerates_every_split_resuming_after_each_answer(append_sig, programs, mode, iterative, counters):
+    # each answer after the first resumes the search from its choice points
+    q, _ = parse_query(f"append L K ({Z3})", append_sig)
+    goal, _ = translate_query(append_sig, q, mode)
+    metas = collect_metas(goal)
+    solver = Solver(programs[mode])
+    sols = list(solver.solve(goal, iterative=iterative))
+    want = [tuple(encode_term(parse_expr_text(t)) for t in split) for split in SPLITS]
+    assert [(sol.value(metas["L"]), sol.value(metas["K"])) for sol in sols] == want
+    steps = [(sol.counters.backchain_steps, sol.counters.top_steps, sol.counters.unify_calls) for sol in sols]
+    assert steps == counters
+
+
+def test_dropping_a_deep_search_is_cheap(append_sig, programs):
+    # closing the search after its first answer frees a list of choice
+    # points; with one suspended generator chain per backchain step it took
+    # 0.33 s at n = 3000 on a 2-vCPU host
+    solver = Solver(programs["optimized"], Limits(depth=10000))  # deep enough for the goal's terms too
+    ty, proof = _append_check([Const("z")] * 3000)
+    search = solver.solve(inhabitation_goal(append_sig, ty, encode_term(proof), "optimized"))
+    assert next(search).counters.backchain_steps == 3001
+    t0 = time.perf_counter()
+    search.close()
+    assert time.perf_counter() - t0 < 0.05
 
 
 # -- dynamic clauses and eigenvariables ----------------------------------------------
