@@ -18,9 +18,9 @@ import sys
 import time
 
 from . import hhf_prover, lf_syntax
-from .hhf_logic import encode_term, inhabitation_goal, print_clauses, translate
-from .hhf_prover import Limits, Solver, check_depth_equivalence
-from .lf_syntax import App, Const, LfError, LfExpr, Meta, make_app, parse_query, parse_signature, pretty_print
+from .hhf_logic import collect_metas, encode_term, inhabitation_goal, print_clauses, translate
+from .hhf_prover import Limits, Solver
+from .lf_syntax import App, Const, LfError, LfExpr, Meta, Signature, make_app, parse_query, parse_signature, pretty_print
 from .lf_typecheck import KernelError, checked_signature
 from .reconstruct import QuerySession
 from .rigidity import guard_plan
@@ -52,6 +52,14 @@ def _load_signature(path: str):
     return checked_signature(raw)
 
 
+def _load_query(args) -> tuple[Signature, LfExpr]:
+    """The checked signature of `args.file` and `args.query` parsed against
+    it, normalized at kind `type`."""
+    sig, _ = _load_signature(args.file)
+    goal_type, _ = parse_query(args.query, sig)
+    return sig, lf_syntax.normalize(goal_type, lf_syntax.TYPE, sig)
+
+
 def _limits(args) -> Limits:
     if args.depth < 1:
         raise LfError("--depth must be at least 1")
@@ -61,21 +69,13 @@ def _limits(args) -> Limits:
 
 
 def cmd_check(args) -> int:
-    try:
-        sig, _ = _load_signature(args.file)
-    except (LfError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    sig, _ = _load_signature(args.file)
     print(f"ok ({len(sig)} declarations)")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    try:
-        sig, _ = _load_signature(args.file)
-    except (LfError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    sig, _ = _load_signature(args.file)
     for entry in sig:
         if entry.sort != "type":
             continue
@@ -86,11 +86,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    try:
-        sig, _ = _load_signature(args.file)
-    except (LfError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    sig, _ = _load_signature(args.file)
     sys.stdout.write(print_clauses(translate(sig, args.mode)))
     return EXIT_OK
 
@@ -106,13 +102,7 @@ def _print_answer(sess: QuerySession, sol, answer) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        sig, _ = _load_signature(args.file)
-        goal_type, _metas = parse_query(args.query, sig)
-        goal_type = lf_syntax.normalize(goal_type, lf_syntax.TYPE, sig)
-    except (LfError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    sig, goal_type = _load_query(args)
     sess = QuerySession(sig, goal_type, args.mode, _limits(args), trace=args.trace)
     found = False
     for sol, answer in sess.answers(iterative=args.iterdeep):
@@ -168,21 +158,16 @@ def cmd_bench(args) -> int:
     for n in sizes:
         ty, proof = _append_check([Const("z")] * n)
         for mode in modes:
-            solver = Solver(programs[mode], _limits(args))
             if args.search:
                 open_ty = App(ty.fn, Meta("Out"))  # append L nil Out
                 sess = QuerySession(sig, open_ty, mode, _limits(args), program=programs[mode])
-                solver = sess.solver
-                t0 = time.perf_counter_ns()
-                got = next(solver.solve(sess.goal), None)
-                wall = time.perf_counter_ns() - t0
-                ok = got is not None
+                solver, goal = sess.solver, sess.goal
             else:
+                solver = Solver(programs[mode], _limits(args))
                 goal = inhabitation_goal(sig, ty, encode_term(proof), mode)
-                t0 = time.perf_counter_ns()
-                got = next(solver.solve(goal), None)
-                wall = time.perf_counter_ns() - t0
-                ok = got is not None
+            t0 = time.perf_counter_ns()
+            ok = next(solver.solve(goal), None) is not None
+            wall = time.perf_counter_ns() - t0
             if not ok:
                 if solver.budget_hit:
                     print(f"no solution: unification budget ({args.budget}) exceeded")
@@ -207,13 +192,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        sig, _ = _load_signature(args.file)
-        goal_type, _ = parse_query(args.query, sig)
-        goal_type = lf_syntax.normalize(goal_type, lf_syntax.TYPE, sig)
-    except (LfError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    sig, goal_type = _load_query(args)
     limits = _limits(args)
     sess_n = QuerySession(sig, goal_type, "naive", limits)
     sess_o = QuerySession(sig, goal_type, "optimized", limits)
@@ -240,11 +219,11 @@ def cmd_compare(args) -> int:
     same_proof = ans_n.lf_proof == ans_o.lf_proof
     print(f"certified: both | type agreement: {same_type} | proof agreement: {same_proof}")
     if sess_n.goal == sess_o.goal:
-        rep = check_depth_equivalence(sess_n.program, sess_o.program, sess_o.goal, limits, iterative=True)
+        agree = all(sol_n.value(m) == sol_o.value(m) for m in collect_metas(sess_o.goal).values())
         print(
-            f"shared-goal run: naive steps={rep.counters_a.backchain_steps}"
-            f" optimized steps={rep.counters_b.backchain_steps}"
-            f" bindings agree: {rep.bindings_agree}"
+            f"shared-goal run: naive steps={sol_n.counters.backchain_steps}"
+            f" optimized steps={sol_o.counters.backchain_steps}"
+            f" bindings agree: {agree}"
         )
     if not (same_type and same_proof):
         print("DISAGREEMENT: first answers differ")
@@ -309,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KernelError, LfError) as e:
+    except (KernelError, LfError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

@@ -33,7 +33,10 @@ from .lf_syntax import (
     Pi,
     Signature,
     TypeKind,
+    _Cursor,
+    _error,
     _shift,
+    _token_pattern,
     fresh_name,
     spine,
 )
@@ -625,7 +628,10 @@ def inhabitation_goal(
 #   stype    :=  satom ("->" stype)?
 #   satom    :=  "tm" | "ty" | "o" | "(" stype ")"
 #
-# Bound variables print as x1, x2, ... in binder order.
+# Bound variables print as x1, x2, ... in binder order.  The text is read by
+# `lf_syntax`'s scanner and parser cursor, with the punctuation above: so
+# comments, identifiers and `line:col` in errors are those of LF text, and an
+# identifier cannot start with a digit.
 
 
 def print_simple_type(t: SimpleType, prec: int = 0) -> str:
@@ -700,85 +706,33 @@ def print_clauses(cs: ClauseSet) -> str:
 
 # -- parsing of the clause format (used by golden tests and interop) ---------
 
-
-def _tokenize_hh(text: str) -> list[tuple[str, str]]:
-    toks: list[tuple[str, str]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("=>", i):
-            toks.append(("punct", "=>"))
-            i += 2
-            continue
-        if text.startswith("->", i):
-            toks.append(("punct", "->"))
-            i += 2
-            continue
-        if c in "().:\\":
-            toks.append(("punct", c))
-            i += 1
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(("ident", text[i:j]))
-            i = j
-            continue
-        raise LfError(f"bad character in clause text: {c!r}")
-    toks.append(("eof", ""))
-    return toks
+_SIMPLE_TYPES = {"tm": TM, "ty": TY, "o": PROP}
 
 
-class _HhParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize_hh(text)
-        self.pos = 0
-        self.binders: list[str] = []
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str, text: str | None = None):
-        k, s = self.next()
-        if k != kind or (text is not None and s != text):
-            raise LfError(f"clause syntax: expected {text or kind!r}, found {s!r}")
-        return s
+class _HhParser(_Cursor):
+    pattern = _token_pattern(("(", ")", ".", ":", "->", "=>", "\\"))
 
     def stype(self) -> SimpleType:
         left = self.satom()
-        if self.peek() == ("punct", "->"):
+        if self.at("->"):
             self.next()
             return SArrow(left, self.stype())
         return left
 
     def satom(self) -> SimpleType:
-        k, s = self.next()
-        if (k, s) == ("punct", "("):
-            t = self.stype()
+        t = self.next()
+        if t.text == "(":
+            st = self.stype()
             self.expect("punct", ")")
-            return t
-        if k == "ident" and s in ("tm", "ty", "o"):
-            return {"tm": TM, "ty": TY, "o": PROP}[s]
-        raise LfError(f"clause syntax: bad simple type token {s!r}")
+            return st
+        if t.kind == "ident" and t.text in _SIMPLE_TYPES:
+            return _SIMPLE_TYPES[t.text]
+        raise _error(f"bad simple type token {t.text!r}", t)
 
     def formula(self) -> HhFormula:
-        k, s = self.peek()
-        if (k, s) == ("ident", "forall"):
+        if self.at("forall"):
             self.next()
-            name = self.expect("ident")
+            name = self.expect("ident").text
             self.expect("punct", ":")
             st = self.stype()
             self.expect("punct", ".")
@@ -791,54 +745,52 @@ class _HhParser:
 
     def implies(self) -> HhFormula:
         left = self.funit()
-        if self.peek() == ("punct", "=>"):
+        if self.at("=>"):
             self.next()
             return FImplies(left, self.implies())
         return left
 
     def funit(self) -> HhFormula:
-        k, s = self.peek()
-        if (k, s) == ("ident", "top"):
-            self.next()
+        t = self.next()
+        if t.text == "top":
             return FTop()
-        if (k, s) == ("ident", "hastype"):
-            self.next()
+        if t.text == "hastype":
             return FAtom(self.tatom(), self.tatom())
-        if (k, s) == ("punct", "("):
-            self.next()
+        if t.text == "(":
             f = self.formula()
             self.expect("punct", ")")
             return f
-        raise LfError(f"clause syntax: unexpected {s!r} in formula")
+        raise _error(f"unexpected {t.text or t.kind!r} in formula", t)
 
     def term(self) -> HhTerm:
         t = self.tatom()
         while True:
-            k, s = self.peek()
-            if k == "ident" or (k, s) == ("punct", "(") or (k, s) == ("punct", "\\"):
+            nxt = self.peek()
+            if nxt.kind == "ident" or nxt.text == "(" or nxt.text == "\\":
                 t = HApp(t, self.tatom())
             else:
                 return t
 
     def tatom(self) -> HhTerm:
-        k, s = self.next()
-        if (k, s) == ("punct", "("):
-            t = self.term()
+        t = self.next()
+        kind, text = t.kind, t.text
+        if text == "(":
+            inner = self.term()
             self.expect("punct", ")")
-            return t
-        if (k, s) == ("punct", "\\"):
-            name = self.expect("ident")
+            return inner
+        if text == "\\":
+            name = self.expect("ident").text
             self.expect("punct", ".")
             self.binders.append(name)
             body = self.term()
             self.binders.pop()
             return HLam(name, body)
-        if k == "ident":
+        if kind == "ident":
             for depth, b in enumerate(reversed(self.binders)):
-                if b == s:
+                if b == text:
                     return HBound(depth)
-            return HConst(s)
-        raise LfError(f"clause syntax: unexpected {s!r} in term")
+            return HConst(text)
+        raise _error(f"unexpected {text or kind!r} in term", t)
 
 
 def parse_clauses(text: str) -> list[HhFormula]:
@@ -846,7 +798,7 @@ def parse_clauses(text: str) -> list[HhFormula]:
     of the format)."""
     p = _HhParser(text)
     out: list[HhFormula] = []
-    while p.peek()[0] != "eof":
+    while p.peek().kind != "eof":
         f = p.formula()
         p.expect("punct", ".")
         out.append(f)

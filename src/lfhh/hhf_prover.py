@@ -90,10 +90,8 @@ __all__ = [
     "Counters",
     "Solution",
     "Solver",
-    "EquivalenceReport",
     "solve",
     "resolve_term",
-    "check_depth_equivalence",
 ]
 
 DEFAULT_DEPTH = 512
@@ -330,7 +328,8 @@ class Solver:
         With `iterative` the depth bound grows from 1 up to the configured
         limit and all solutions of the first successful bound are streamed;
         search stops early when a bound is exhausted without being hit, since
-        deeper bounds cannot change a finite failure.
+        deeper bounds cannot change a finite failure.  The trace of a failed
+        bound is dropped; variable and eigenvariable ids keep counting.
         """
         self._seed_ids(goal)
         try:
@@ -349,6 +348,7 @@ class Solver:
                 if found or not self.depth_hit:
                     self.limits = full
                     return
+                self.trace.clear()
             self.limits = full
             self.depth_hit = True
         except BudgetExceeded:
@@ -766,46 +766,3 @@ def solve(
     iterative: bool = False,
 ) -> Iterator[Solution]:
     yield from Solver(program, limits, trace).solve(goal, iterative=iterative)
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    success_a: bool
-    success_b: bool
-    bindings_agree: bool | None
-    resource_hit_a: bool
-    resource_hit_b: bool
-    counters_a: Counters
-    counters_b: Counters
-
-    @property
-    def agree(self) -> bool:
-        return self.success_a == self.success_b and self.bindings_agree is not False
-
-
-def check_depth_equivalence(
-    program_a: ClauseSet,
-    program_b: ClauseSet,
-    goal: HhFormula,
-    limits: Limits | None = None,
-    iterative: bool = False,
-) -> EquivalenceReport:
-    """Run the same goal against two programs under the same limits; report
-    success agreement and first-solution binding agreement up to renaming."""
-    metas = list(collect_metas(goal).values())
-    sa = Solver(program_a, limits)
-    first_a = next(sa.solve(goal, iterative=iterative), None)
-    sb = Solver(program_b, limits)
-    first_b = next(sb.solve(goal, iterative=iterative), None)
-    agree: bool | None = None
-    if first_a is not None and first_b is not None:
-        agree = all(first_a.value(m) == first_b.value(m) for m in metas)
-    return EquivalenceReport(
-        first_a is not None,
-        first_b is not None,
-        agree,
-        sa.depth_hit or sa.budget_hit,
-        sb.depth_hit or sb.budget_hit,
-        replace(sa.counters),
-        replace(sb.counters),
-    )

@@ -14,6 +14,8 @@ from lfhh.lf_syntax import (
     Meta,
     Signature,
     make_app,
+    parse_expr_text,
+    parse_query,
     parse_signature,
 )
 from lfhh.lf_typecheck import checked_signature
@@ -300,3 +302,108 @@ def substitution_instance(
             m = list_term(list_elems(rng, 2), Const("xv"))
     extended = sig.extend("xv", Const(b_name), "type")
     return extended, "xv", Const(b_name), n_val, m, a
+
+
+# Clause texts of the two translations of the append signature; compare them
+# with `parse_clauses`, so bound names do not matter.
+REFERENCE_SIMPLE = """
+hastype z nat.
+forall n:tm. hastype n nat => hastype (s n) nat.
+hastype nil list.
+forall n:tm. hastype n nat => (forall l:tm. hastype l list => hastype (cons n l) list).
+forall l:tm. hastype l list => hastype (appNil l) (append nil l l).
+forall x:tm. hastype x nat => (forall l:tm. hastype l list => (forall k:tm. hastype k list =>
+  (forall m:tm. hastype m list => (forall a:tm. hastype a (append l k m) =>
+    hastype (appCons x l k m a) (append (cons x l) k (cons x m)))))).
+"""
+
+REFERENCE_OPTIMIZED = """
+hastype z nat.
+forall n:tm. hastype n nat => hastype (s n) nat.
+hastype nil list.
+forall n:tm. hastype n nat => (forall l:tm. hastype l list => hastype (cons n l) list).
+forall l:tm. top => hastype (appNil l) (append nil l l).
+forall x:tm. top => (forall l:tm. top => (forall k:tm. top =>
+  (forall m:tm. top => (forall a:tm. hastype a (append l k m) =>
+    hastype (appCons x l k m a) (append (cons x l) k (cons x m)))))).
+"""
+
+
+# -- malformed text ------------------------------------------------------------
+
+# Pieces that malformed inputs are drawn from: LF and clause-text punctuation,
+# characters neither format accepts, identifiers (including `type`, an
+# uppercase query variable and a primed name), comments and line breaks.
+_TEXT_PIECES = (
+    "{", "}", "[", "]", "(", ")", ":", ".", "->", "=>", "\\", "=", "-",
+    "0", "7", "42", "é", "½", "x½", "%", "% note", "\t", "\n", " ", "\r",
+    "a", "nat", "type", "X", "L", "append", "z", "s", "x'", "_", "cons", "nil", "b2", "éa",
+)
+
+_WELL_FORMED = (
+    "a : type.\nb : a.",
+    "nat : type. z : nat. s : nat -> nat.",
+    "append (cons z nil) nil L",
+    "{x:nat} append nil (cons x nil) (cons x nil)",
+    "[x:nat] s x",
+    "list -> list -> type",
+    "appNil : {K:list} append nil K K.",
+)
+
+# Inputs whose errors are worth pinning by hand: a character LF lacks on a
+# second line, a missing '.', a comment at the end of the input with and
+# without a final newline, a duplicate, and `type` out of place.
+_HAND_PICKED = (
+    "a : type.\nb : a = a.",
+    "a : type\nb : type.",
+    "a : type.\nb : a % trailing",
+    "a : type.\nb : a % trailing\n",
+    "a : type.\t% c\n\tb : a",
+    "a : type. a : type.",
+    "type : type.",
+    "a : type type.",
+    "[type:a] a",
+    "{X:nat} X",
+)
+
+
+def malformed_texts(rng: random.Random, count: int) -> list[str]:
+    """The hand-picked inputs, then `count` inputs: half joined from random
+    pieces, half a well-formed text with one to three pieces inserted at
+    random offsets or one character deleted."""
+    out = list(_HAND_PICKED)
+    for i in range(count):
+        if i % 2 == 0:
+            out.append("".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(1, 10))))
+            continue
+        text = rng.choice(_WELL_FORMED)
+        if rng.random() < 0.25:
+            k = rng.randrange(len(text))
+            out.append(text[:k] + text[k + 1 :])
+            continue
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(0, len(text))
+            text = text[:k] + rng.choice(_TEXT_PIECES) + text[k:]
+        out.append(text)
+    return out
+
+
+def syntax_error_report(sig: Signature, texts: list[str]) -> str:
+    """For each text, its `repr` and then what `parse_signature`,
+    `parse_query` against `sig` and `parse_expr_text` make of it: `ok`, or
+    the class and message of the error raised."""
+    lines: list[str] = []
+    for text in texts:
+        lines.append(repr(text))
+        for name, parse in (
+            ("parse_signature", parse_signature),
+            ("parse_query", lambda t: parse_query(t, sig)),
+            ("parse_expr_text", parse_expr_text),
+        ):
+            try:
+                parse(text)
+                got = "ok"
+            except Exception as e:  # the report records whatever is raised
+                got = f"{type(e).__name__}: {e}"
+            lines.append(f"  {name}: {got}")
+    return "".join(f"{line}\n" for line in lines)

@@ -30,36 +30,14 @@ from lfhh.reconstruct import QuerySession, certify
 from lfhh.rigidity import guard_plan
 
 from corpus import (
+    REFERENCE_OPTIMIZED,
+    REFERENCE_SIMPLE,
     append_proof,
     append_query_corpus,
     list_term,
     random_signature_case,
     substitution_instance,
 )
-
-# Reference clause forms for the running example (simple and optimized);
-# comparison is up to bound-variable renaming via parse + structural equality.
-REFERENCE_SIMPLE = """
-hastype z nat.
-forall n:tm. hastype n nat => hastype (s n) nat.
-hastype nil list.
-forall n:tm. hastype n nat => (forall l:tm. hastype l list => hastype (cons n l) list).
-forall l:tm. hastype l list => hastype (appNil l) (append nil l l).
-forall x:tm. hastype x nat => (forall l:tm. hastype l list => (forall k:tm. hastype k list =>
-  (forall m:tm. hastype m list => (forall a:tm. hastype a (append l k m) =>
-    hastype (appCons x l k m a) (append (cons x l) k (cons x m)))))).
-"""
-
-REFERENCE_OPTIMIZED = """
-hastype z nat.
-forall n:tm. hastype n nat => hastype (s n) nat.
-hastype nil list.
-forall n:tm. hastype n nat => (forall l:tm. hastype l list => hastype (cons n l) list).
-forall l:tm. top => hastype (appNil l) (append nil l l).
-forall x:tm. top => (forall l:tm. top => (forall k:tm. top =>
-  (forall m:tm. top => (forall a:tm. hastype a (append l k m) =>
-    hastype (appCons x l k m a) (append (cons x l) k (cons x m)))))).
-"""
 
 RESULTS: dict[str, object] = {}
 

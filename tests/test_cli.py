@@ -79,6 +79,13 @@ def test_check_of_3000_declarations_scales(tmp_path):
     assert elapsed < 3.0
 
 
+def test_check_missing_file(tmp_path):
+    missing = tmp_path / "missing.lf"
+    code, out, err = run_cli("check", str(missing))
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
 def test_check_syntax_error_location(tmp_path):
     f = tmp_path / "syn.lf"
     f.write_text("a : type\nb : type.\n")
@@ -166,6 +173,18 @@ def test_solve_all_enumerates(append_lf):
 def test_solve_trace(append_lf):
     code, out, _ = run_cli("solve", append_lf, "list", "--trace")
     assert code == 0 and "# bc nil" in out
+
+
+def test_iterdeep_trace_keeps_only_the_answer_round(append_lf):
+    # the round at depth 1 fails: its events are dropped, while eigenvariable
+    # ids keep counting, so the answer's round introduces x!2
+    code, out, _ = run_cli(
+        "solve", append_lf, "nat -> append nil nil nil", "--iterdeep", "--trace", "--mode", "naive"
+    )
+    assert code == 0
+    trace = [line for line in out.splitlines() if line.startswith("# ")]
+    assert trace == ["# all x!2", "# imp+ hastype x!2 nat", "# bc appNil nil", "# bc nil"]
+    assert "counters: backchain_steps=3 top_steps=0 unify_calls=13" in out
 
 
 def test_solve_bad_depth(append_lf):

@@ -35,37 +35,21 @@ from lfhh.lf_syntax import (
     Bound,
     Const,
     Lam,
+    LfSyntaxError,
     Meta,
     TYPE,
     make_app,
     parse_expr_text,
     substitute,
 )
-from corpus import list_elems, list_term, random_nat, random_signature_case
-
-# Reference clause texts for the two translations of the running example
-# (bound names are immaterial: comparison is up to renaming).
-REFERENCE_SIMPLE = """
-hastype z nat.
-forall n:tm. hastype n nat => hastype (s n) nat.
-hastype nil list.
-forall n:tm. hastype n nat => (forall l:tm. hastype l list => hastype (cons n l) list).
-forall l:tm. hastype l list => hastype (appNil l) (append nil l l).
-forall x:tm. hastype x nat => (forall l:tm. hastype l list => (forall k:tm. hastype k list =>
-  (forall m:tm. hastype m list => (forall a:tm. hastype a (append l k m) =>
-    hastype (appCons x l k m a) (append (cons x l) k (cons x m)))))).
-"""
-
-REFERENCE_OPTIMIZED = """
-hastype z nat.
-forall n:tm. hastype n nat => hastype (s n) nat.
-hastype nil list.
-forall n:tm. hastype n nat => (forall l:tm. hastype l list => hastype (cons n l) list).
-forall l:tm. top => hastype (appNil l) (append nil l l).
-forall x:tm. top => (forall l:tm. top => (forall k:tm. top =>
-  (forall m:tm. top => (forall a:tm. hastype a (append l k m) =>
-    hastype (appCons x l k m a) (append (cons x l) k (cons x m)))))).
-"""
+from corpus import (
+    REFERENCE_OPTIMIZED,
+    REFERENCE_SIMPLE,
+    list_elems,
+    list_term,
+    random_nat,
+    random_signature_case,
+)
 
 
 # -- erasure --------------------------------------------------------------------
@@ -258,6 +242,16 @@ def test_golden_clause_files(append_sig, golden_dir):
     opt = print_clauses(translate_optimized(append_sig))
     assert naive == (golden_dir / "append_naive.hh").read_text()
     assert opt == (golden_dir / "append_optimized.hh").read_text()
+
+
+def test_clause_text_errors_carry_line_and_column():
+    # clause text is read by the LF scanner: no identifier starts with a digit
+    with pytest.raises(LfSyntaxError) as e:
+        parse_clauses("top.\nforall 1x:tm. top.")
+    assert str(e.value) == "2:8: unexpected character '1'"
+    with pytest.raises(LfSyntaxError) as e:
+        parse_clauses("hastype z nat =>\n  (top")
+    assert str(e.value) == "2:7: expected ')', found 'eof'"
 
 
 # -- well-sortedness oracle ---------------------------------------------------------

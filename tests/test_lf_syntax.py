@@ -26,7 +26,16 @@ from lfhh.lf_syntax import (
 
 from lfhh.lf_typecheck import checked_signature
 
-from corpus import APPEND_TEXT, STLC_TEXT, list_term, nat_term, random_list, random_nat
+from corpus import (
+    APPEND_TEXT,
+    STLC_TEXT,
+    list_term,
+    malformed_texts,
+    nat_term,
+    random_list,
+    random_nat,
+    syntax_error_report,
+)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -61,6 +70,19 @@ def test_parse_syntax_error_has_location():
     with pytest.raises(LfSyntaxError) as e:
         parse_signature("a : type\nb : type.")
     assert e.value.line == 2  # the missing '.' is noticed at 'b'
+
+
+def test_syntax_errors_golden(append_sig, golden_dir):
+    # message and line:col of every parser on a seeded set of malformed texts
+    got = syntax_error_report(append_sig, malformed_texts(random.Random(13), 300))
+    assert got == (golden_dir / "syntax_errors.txt").read_text(encoding="utf-8")
+
+
+def test_end_of_input_after_a_trailing_comment():
+    # the end of input stands past the comment, not where the comment starts
+    with pytest.raises(LfSyntaxError) as e:
+        parse_signature("a : type.\nb : a % trailing")
+    assert str(e.value) == "2:17: expected '.', found 'eof'"
 
 
 def test_parse_query_metavars(append_sig):
