@@ -286,6 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # a `Solver` raises the recursion limit for the whole process; putting
+    # back the one found here keeps a call's verdict on deep input from
+    # depending on the calls made before it in the same process
+    limit = sys.getrecursionlimit()
     try:
         return args.fn(args)
     except (KernelError, LfError, OSError) as e:
@@ -294,6 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_RESOURCE
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

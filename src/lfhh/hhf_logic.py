@@ -146,99 +146,122 @@ def erased_signature(sig: Signature) -> dict[str, SimpleType]:
 # enclosing binders it needs, that is one more than its highest loose de
 # Bruijn index (0 when it has none), or `OPEN` when it contains a
 # meta-variable, an eigenvariable or a beta-redex at a spine head.  Leaves
-# carry it as a class attribute or a derived field; `HApp` and `HLam` compute
-# it once from their children when they are built.  A term is closed when its
-# scope is 0: then dereferencing, normalizing, instantiating or inverting it
-# returns the term itself.  A term whose scope is not `OPEN` also has
-# `lam_free`, true when it has no abstraction anywhere inside: a class
-# attribute on `HConst`, `HBound` and `HLam`, a field that `HApp` computes
-# when it is built and leaves unset when its scope is `OPEN`.
+# carry it as a class attribute or compute it from their index; `HApp` and
+# `HLam` compute it once from their children in their constructor.  A term
+# is closed when its scope is 0: then dereferencing, normalizing,
+# instantiating or inverting it returns the term itself.  A term whose scope
+# is not `OPEN` also has `lam_free`, true when it has no abstraction anywhere
+# inside: a class attribute on `HConst`, `HBound` and `HLam`, a slot that
+# `HApp`'s constructor sets, and leaves unset when its scope is `OPEN`.
 
 
-@dataclass(frozen=True, slots=True)
 class HhTerm:
-    pass
+    """Base of every target term node.  As with LF expressions, each class
+    has one hand-written constructor that assigns its slots, `scope` and
+    `lam_free` included, and terms are immutable by contract: no code writes
+    a field after the constructor returns, and no `__setattr__` guard slows
+    construction down to enforce it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class HConst(HhTerm):
     name: str
     scope = 0
     lam_free = True
 
+    def __init__(self, name: str):
+        self.name = name
+
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class HBound(HhTerm):
     index: int
     scope: int = field(init=False, compare=False, repr=False)
     lam_free = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "scope", self.index + 1)
+    def __init__(self, index: int):
+        self.index = index
+        self.scope = index + 1
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class HLam(HhTerm):
     hint: str = field(compare=False)
-    body: HhTerm = None  # type: ignore[assignment]
+    body: HhTerm
     scope: int = field(init=False, compare=False, repr=False)
     lam_free = False
 
-    def __post_init__(self):
-        b = self.body.scope
-        object.__setattr__(self, "scope", b - 1 if b > 0 else b)
+    def __init__(self, hint: str, body: HhTerm):
+        self.hint = hint
+        self.body = body
+        b = body.scope
+        self.scope = b - 1 if b > 0 else b
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class HApp(HhTerm):
     fn: HhTerm
     arg: HhTerm
     scope: int = field(init=False, compare=False, repr=False)
     lam_free: bool = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        f, a = self.fn.scope, self.arg.scope
-        if f < 0 or a < 0 or isinstance(self.fn, HLam):
-            object.__setattr__(self, "scope", OPEN)
+    def __init__(self, fn: HhTerm, arg: HhTerm):
+        self.fn = fn
+        self.arg = arg
+        f, a = fn.scope, arg.scope
+        if f < 0 or a < 0 or isinstance(fn, HLam):
+            self.scope = OPEN
         else:
-            object.__setattr__(self, "scope", f if f >= a else a)
-            object.__setattr__(self, "lam_free", self.fn.lam_free and self.arg.lam_free)
+            self.scope = f if f >= a else a
+            self.lam_free = fn.lam_free and arg.lam_free
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class HMeta(HhTerm):
     """Unification variable.  Identity is the numeric id; the name is for
     display, the scope level is bookkeeping."""
 
     name: str = field(compare=False)
-    id: int = 0
-    level: int = field(compare=False, default=0)
+    id: int
+    level: int = field(compare=False)
     scope = OPEN
+
+    def __init__(self, name: str, id: int = 0, level: int = 0):
+        self.name = name
+        self.id = id
+        self.level = level
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class HEigen(HhTerm):
     """Scoped constant introduced by a universal goal."""
 
     name: str = field(compare=False)
-    id: int = 0
-    level: int = 0
+    id: int
+    level: int
     scope = OPEN
+
+    def __init__(self, name: str, id: int = 0, level: int = 0):
+        self.name = name
+        self.id = id
+        self.level = level
 
     def __str__(self) -> str:
         return print_term(self)
@@ -355,42 +378,57 @@ def lf_head(h: HhTerm) -> LfExpr | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HhFormula:
-    pass
+    """Base of every formula node; like terms, formulas have one constructor
+    each and are immutable by contract."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class FTop(HhFormula):
     def __str__(self) -> str:
         return "top"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class FAtom(HhFormula):
     """The sole predicate: subject term related to classifier term."""
 
     subject: HhTerm
     classifier: HhTerm
 
+    def __init__(self, subject: HhTerm, classifier: HhTerm):
+        self.subject = subject
+        self.classifier = classifier
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class FImplies(HhFormula):
     antecedent: HhFormula
     consequent: HhFormula
 
+    def __init__(self, antecedent: HhFormula, consequent: HhFormula):
+        self.antecedent = antecedent
+        self.consequent = consequent
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class FForall(HhFormula):
     hint: str = field(compare=False)
-    stype: SimpleType = None  # type: ignore[assignment]
-    body: HhFormula = None  # type: ignore[assignment]
+    stype: SimpleType
+    body: HhFormula
+
+    def __init__(self, hint: str, stype: SimpleType, body: HhFormula):
+        self.hint = hint
+        self.stype = stype
+        self.body = body
 
     def __str__(self) -> str:
         return print_formula(self)

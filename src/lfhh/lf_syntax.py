@@ -76,28 +76,29 @@ class NormalizeError(LfError):
 # Every expression has a `scope`, read in O(1): the number of enclosing
 # binders it needs, that is one more than its highest loose de Bruijn index
 # (0 when it has none), or `OPEN` when it contains a beta-redex.  Leaves carry
-# it as a class attribute or a derived field; `Pi`, `Lam` and `App` compute it
-# once from their children when they are built.  The field takes no part in
-# equality, hashing, `repr` or pattern matching; nodes keep their fields in
-# slots, so it adds no per-node dictionary entry.  `instantiate` returns a
-# subterm whose scope is at most the substitution depth, and `beta_normalize`
-# one whose scope is not `OPEN`, as that very object.
+# it as a class attribute or compute it from their index; `Pi`, `Lam` and
+# `App` compute it once from their children in their constructor.  The field
+# takes no part in equality, hashing, `repr` or pattern matching; nodes keep
+# their fields in slots, so it adds no per-node dictionary entry.
+# `instantiate` returns a subterm whose scope is at most the substitution
+# depth, and `beta_normalize` one whose scope is not `OPEN`, as that very
+# object.
 OPEN = -1
 
 
-def _binder_scope(annot: LfExpr, body: LfExpr) -> int:
-    a, b = annot.scope, body.scope
-    if a < 0 or b < 0:
-        return OPEN
-    return a if a >= b else b - 1
-
-
-@dataclass(frozen=True, slots=True)
 class LfExpr:
-    pass
+    """Base of every expression node.
+
+    Each node class has one hand-written constructor that assigns its slots
+    and its `scope`; the dataclass decorator supplies only equality, hashing,
+    `repr` and `__match_args__`.  Nodes are immutable by contract: no code
+    writes a field after the constructor returns.  Nothing enforces that at
+    run time, since a `__setattr__` guard would slow every construction."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class TypeKind(LfExpr):
     """The kind `type`."""
 
@@ -107,7 +108,7 @@ class TypeKind(LfExpr):
         return "type"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Pi(LfExpr):
     """Dependent product {x:A} B.  `hint` is a display name only."""
 
@@ -116,14 +117,18 @@ class Pi(LfExpr):
     body: LfExpr
     scope: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "scope", _binder_scope(self.annot, self.body))
+    def __init__(self, hint: str, annot: LfExpr, body: LfExpr):
+        self.hint = hint
+        self.annot = annot
+        self.body = body
+        a, b = annot.scope, body.scope
+        self.scope = OPEN if a < 0 or b < 0 else (a if a >= b else b - 1)
 
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Lam(LfExpr):
     """Abstraction [x:A] M."""
 
@@ -132,60 +137,71 @@ class Lam(LfExpr):
     body: LfExpr
     scope: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "scope", _binder_scope(self.annot, self.body))
+    def __init__(self, hint: str, annot: LfExpr, body: LfExpr):
+        self.hint = hint
+        self.annot = annot
+        self.body = body
+        a, b = annot.scope, body.scope
+        self.scope = OPEN if a < 0 or b < 0 else (a if a >= b else b - 1)
 
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class App(LfExpr):
     fn: LfExpr
     arg: LfExpr
     scope: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        fn = self.fn
-        f, a = fn.scope, self.arg.scope
-        redex_or_open = f < 0 or a < 0 or isinstance(fn, Lam)
-        object.__setattr__(self, "scope", OPEN if redex_or_open else (f if f >= a else a))
+    def __init__(self, fn: LfExpr, arg: LfExpr):
+        self.fn = fn
+        self.arg = arg
+        f, a = fn.scope, arg.scope
+        self.scope = OPEN if f < 0 or a < 0 or isinstance(fn, Lam) else (f if f >= a else a)
 
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Bound(LfExpr):
     """de Bruijn index of a binder-bound occurrence."""
 
     index: int
     scope: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "scope", self.index + 1)
+    def __init__(self, index: int):
+        self.index = index
+        self.scope = index + 1
 
     def __str__(self) -> str:
         return f"#{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Const(LfExpr):
     """A declared constant or a context variable, identified by name."""
 
     name: str
     scope = 0
 
+    def __init__(self, name: str):
+        self.name = name
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Meta(LfExpr):
     """An instantiatable placeholder; legal in queries, rejected by the kernel."""
 
     name: str
     scope = 0
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
@@ -824,12 +840,15 @@ def normalize(
         if cls is None:
             return t  # unknown head: leave arguments untouched
         out: list[LfExpr] = []
+        same = True
         for a in args:
             if not isinstance(cls, Pi):
                 raise NormalizeError("cannot eta-expand: head applied beyond its arity")
-            out.append(eta(a, cls.annot))
+            a_n = eta(a, cls.annot)
+            same = same and a_n is a
+            out.append(a_n)
             cls = codomain(cls, a, b)
-        return make_app(head, out)
+        return t if same else make_app(head, out)
 
     def under(annot: LfExpr, t: LfExpr, cls: LfExpr | str) -> LfExpr:
         """`eta(t, cls)` under a binder of classifier `annot`."""
@@ -838,21 +857,28 @@ def normalize(
         stack.pop()
         return inner
 
+    def binder(t: Pi | Lam, cls: LfExpr | str) -> LfExpr:
+        """`t` with its annotation normalized at `type` and its body at
+        `cls`; `t` itself when neither changes."""
+        annot_n = eta(t.annot, TYPE)
+        body_n = under(annot_n, t.body, cls)
+        if annot_n is t.annot and body_n is t.body:
+            return t
+        return type(t)(t.hint, annot_n, body_n)
+
     def eta(t: LfExpr, cls: LfExpr | str) -> LfExpr:
         if cls == KIND:
             match t:
                 case TypeKind():
                     return t
-                case Pi(h, annot, body):
-                    annot_n = eta(annot, TYPE)
-                    return Pi(h, annot_n, under(annot_n, body, KIND))
+                case Pi():
+                    return binder(t, KIND)
                 case _:
                     raise NormalizeError("cannot eta-expand: kind expected")
         if isinstance(cls, TypeKind):
             match t:
-                case Pi(h, annot, body):
-                    annot_n = eta(annot, TYPE)
-                    return Pi(h, annot_n, under(annot_n, body, TYPE))
+                case Pi():
+                    return binder(t, TYPE)
                 case Lam():
                     raise NormalizeError("cannot eta-expand: abstraction at kind 'type'")
                 case TypeKind():
@@ -861,8 +887,7 @@ def normalize(
                     return eta_spine(t)
         if isinstance(cls, Pi):
             if isinstance(t, Lam):
-                annot_n = eta(t.annot, TYPE)
-                return Lam(t.hint, annot_n, under(annot_n, beta_normalize(t.body, b), beta_normalize(cls.body, b)))
+                return binder(t, beta_normalize(cls.body, b))
             if isinstance(t, (Pi, TypeKind)):
                 raise NormalizeError("cannot eta-expand: head shape does not match classifier")
             annot_n = eta(cls.annot, TYPE)

@@ -22,7 +22,7 @@ and must only ever accept closed expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lf_syntax import (
     KIND,
@@ -83,17 +83,30 @@ Stack = tuple[LfExpr, ...]
 Memo = dict[tuple[int, int], tuple[LfExpr, LfExpr, "Derivation"]]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Judgment:
     """Conclusion record: the declarations' fingerprint, the hints of the
     binders crossed (innermost last), and a subject and classifier open over
     those binders (expressions or literal text).  All are kept as they are,
-    so a judgment costs O(1), and binders are named only when printed."""
+    so a judgment costs O(1), and binders are named only when printed.
+    Like expression nodes, a judgment is immutable by contract."""
 
     context: Fingerprint
     binders: Hints
     subject: LfExpr | str | None
     classifier: LfExpr | str | None
+
+    def __init__(
+        self,
+        context: Fingerprint,
+        binders: Hints,
+        subject: LfExpr | str | None,
+        classifier: LfExpr | str | None,
+    ):
+        self.context = context
+        self.binders = binders
+        self.subject = subject
+        self.classifier = classifier
 
     def names(self) -> list[str]:
         """A name for each binder: its hint, made fresh against the
@@ -124,29 +137,38 @@ class Judgment:
         return f"{context} |- {self.show(self.subject)} : {self.show(self.classifier)}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Derivation:
-    """A derivation node.  A backchaining node records the subject's `head`,
-    a declared constant's name or `#k` for the k-th of the conclusion's
-    binders counted from the innermost, and its arguments as
+    """A derivation node, immutable by contract; its constructor counts its
+    `size`, the nodes of the tree it roots.  A backchaining node records the
+    subject's `head`, a declared constant's name or `#k` for the k-th of the
+    conclusion's binders counted from the innermost, and its arguments as
     `instantiation`, open over those binders like the subject."""
 
     rule: str
     conclusion: Judgment
     premises: tuple["Derivation", ...]
-    size: int
-    head: str | None = None
-    instantiation: tuple[LfExpr, ...] = ()
+    size: int = field(init=False)
+    head: str | None
+    instantiation: tuple[LfExpr, ...]
 
-
-def _derive(
-    rule: str,
-    conclusion: Judgment,
-    premises: tuple[Derivation, ...] = (),
-    head: str | None = None,
-    instantiation: tuple[LfExpr, ...] = (),
-) -> Derivation:
-    return Derivation(rule, conclusion, premises, 1 + sum(p.size for p in premises), head, instantiation)
+    def __init__(
+        self,
+        rule: str,
+        conclusion: Judgment,
+        premises: tuple["Derivation", ...] = (),
+        head: str | None = None,
+        instantiation: tuple[LfExpr, ...] = (),
+    ):
+        self.rule = rule
+        self.conclusion = conclusion
+        self.premises = premises
+        size = 1
+        for p in premises:
+            size += p.size
+        self.size = size
+        self.head = head
+        self.instantiation = instantiation
 
 
 def to_sexpr(d: Derivation) -> str:
@@ -173,7 +195,7 @@ def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
     so declarations may only reference earlier names.
     """
     checked = Signature()
-    d = _derive("NullCtx", Judgment(checked.names, (), None, None))
+    d = Derivation("NullCtx", Judgment(checked.names, (), None, None))
     for entry in sig:
         kind = entry.sort == "kind"
         rule = "KindCtx" if kind else "TypeCtx"
@@ -182,7 +204,7 @@ def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
         classifier = normalize(entry.classifier, KIND if kind else TYPE, checked)
         cd = check_kind(checked, classifier) if kind else check_type(checked, classifier)
         checked = checked.extend(entry.name, classifier, entry.sort)
-        d = _derive(rule, Judgment(checked.names, (), None, None), (cd, d))
+        d = Derivation(rule, Judgment(checked.names, (), None, None), (cd, d))
     return checked, d
 
 
@@ -200,11 +222,11 @@ def check_kind(sig: Signature, k: LfExpr) -> Derivation:
 def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr, memo: Memo) -> Derivation:
     match k:
         case TypeKind():
-            return _derive("TypeKind", Judgment(sig.names, hints, "type", "kind"))
+            return Derivation("TypeKind", Judgment(sig.names, hints, "type", "kind"))
         case Pi(hint, annot, body):
             da = _check_family(sig, hints, stack, annot, TYPE, memo)
             db = _check_kind(sig, hints + (hint,), stack + (annot,), body, memo)
-            return _derive("PiKind", Judgment(sig.names, hints, k, "kind"), (da, db))
+            return Derivation("PiKind", Judgment(sig.names, hints, k, "kind"), (da, db))
         case _:
             raise KernelError("kind expected", "PiKind", Judgment(sig.names, hints, k, "kind"))
 
@@ -235,13 +257,13 @@ def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, k: LfEx
             if a.annot != dom:
                 raise KernelError("abstraction annotation differs from kind domain", "AbsFam", j)
             db = _check_family(sig, hints + (a.hint,), stack + (dom,), a.body, krest, memo)
-            return _derive("AbsFam", j, (db,))
+            return Derivation("AbsFam", j, (db,))
         case TypeKind():
             match a:
                 case Pi(hint, annot, body):
                     da = _check_family(sig, hints, stack, annot, TYPE, memo)
                     db = _check_family(sig, hints + (hint,), stack + (annot,), body, TYPE, memo)
-                    return _derive("PiFam", j, (da, db))
+                    return Derivation("PiFam", j, (da, db))
                 case Lam():
                     raise KernelError("abstraction cannot have kind 'type'", "PiFam", j)
                 case TypeKind():
@@ -278,7 +300,7 @@ def _check_object(sig: Signature, hints: Hints, stack: Stack, m: LfExpr, a: LfEx
             if m.annot != dom:
                 raise KernelError("abstraction annotation differs from product domain", "AbsObj", j)
             db = _check_object(sig, hints + (m.hint,), stack + (dom,), m.body, rest, memo)
-            return _derive("AbsObj", j, (db,))
+            return Derivation("AbsObj", j, (db,))
         case TypeKind():
             raise KernelError("objects cannot have kind classifiers", "BackchainObj", j)
         case _:
@@ -332,7 +354,7 @@ def _backchain(
         if isinstance(cls, Pi):
             raise KernelError(f"{j.show(head)!r} is under-applied (subject not eta-long)", rule, j)
         raise KernelError(f"head {j.show(head)!r} constructs {j.show(cls)}, expected {j.show(expected)}", rule, j)
-    d = _derive(rule, j, tuple(premises), str(head), args)
+    d = Derivation(rule, j, tuple(premises), str(head), args)
     if key is not None:
         memo[key] = (subject, expected, d)
     return d

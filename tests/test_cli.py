@@ -380,6 +380,18 @@ def test_deep_search_runs_off_the_interpreter_stack():
     assert row.startswith("4096,optimized,4097,")
 
 
+def test_deep_input_verdict_does_not_depend_on_an_earlier_search(append_lf, tmp_path):
+    # a `Solver` raises the recursion limit for the whole process; before
+    # `main` put back the limit it found, this `check` printed `ok` after the
+    # `solve` although it exits 2 in a fresh process
+    deep = tmp_path / "deep.lf"
+    deep.write_text("a : type.\nb : " + "(" * DEEP + "a" + ")" * DEEP + ".\n")
+    assert run_cli("check", str(deep)) == (2, "", "error: input nested too deeply\n")
+    code, out, _ = run_cli("solve", append_lf, "append nil nil nil", "--depth", "512")
+    assert code == 0 and "certified" in out
+    assert run_cli("check", str(deep)) == (2, "", "error: input nested too deeply\n")
+
+
 def run_fresh(*argv):
     """`lfhh` in a fresh interpreter, so that the recursion limit is the
     default one and not whatever an earlier `Solver` in this process raised

@@ -1,13 +1,20 @@
-"""The closed flag on target terms: `scope` and `is_closed` against plain
-recursive reference definitions, and the traversals that return closed
-subterms unchanged."""
+"""The closed flag on target terms: `scope`, `lam_free` and `is_closed`
+against plain recursive reference definitions, and the traversals that
+return closed subterms unchanged.  Also the term and formula classes'
+equality and hashing, which ignore binder hints, and their `repr` text."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from lfhh.hhf_logic import (
     OPEN,
+    TM,
+    FAtom,
+    FForall,
+    FImplies,
+    FTop,
     HApp,
     HBound,
     HConst,
@@ -56,6 +63,17 @@ def ref_scope(t):
             return max(sf, sa)
         case _:
             return OPEN
+
+
+def ref_lam_free(t):
+    """No abstraction anywhere in `t`."""
+    match t:
+        case HLam():
+            return False
+        case HApp(f, a):
+            return ref_lam_free(f) and ref_lam_free(a)
+        case _:
+            return True
 
 
 def ref_h_instantiate(body, values, depth=0):
@@ -133,6 +151,57 @@ def test_is_closed_and_scope_agree_with_reference(terms):
         for u in subterms(t):
             assert is_closed(u) == ref_closed(u), u
             assert u.scope == ref_scope(u), u
+
+
+def test_lam_free_agrees_with_reference(terms):
+    seen = Counter()
+    for t in terms:
+        for u in subterms(t):
+            if u.scope != OPEN:
+                assert u.lam_free == ref_lam_free(u), u
+                seen[u.lam_free, type(u)] += 1
+    assert seen[True, HApp] >= 100 and seen[False, HApp] >= 30
+
+
+def rehint(x, hint):
+    """A term or formula with the hint of every binder replaced by `hint`."""
+    match x:
+        case HApp(f, a):
+            return HApp(rehint(f, hint), rehint(a, hint))
+        case HLam(_, b):
+            return HLam(hint, rehint(b, hint))
+        case FAtom(s, c):
+            return FAtom(rehint(s, hint), rehint(c, hint))
+        case FImplies(a, b):
+            return FImplies(rehint(a, hint), rehint(b, hint))
+        case FForall(_, st, b):
+            return FForall(hint, st, rehint(b, hint))
+        case _:
+            return x
+
+
+def test_equality_and_hash_ignore_binder_hints(append_sig, terms):
+    formulas = [c.formula for mode in ("naive", "optimized") for c in translate(append_sig, mode)]
+    assert any(isinstance(f, FForall) for f in formulas)
+    for x in [u for t in terms for u in subterms(t)] + formulas:
+        y = rehint(x, "renamed")
+        assert y == x and hash(y) == hash(x), x
+    assert HLam("x", HBound(0)) != HLam("x", HBound(1))
+    assert FForall("x", TM, FTop()) != FForall("x", TM, FAtom(HBound(0), HConst("tm")))
+
+
+def test_repr_of_every_node_class():
+    # `repr` reaches error messages, so its text is pinned
+    assert repr(HApp(HLam("x", HBound(0)), HConst("z"))) == (
+        "HApp(fn=HLam(hint='x', body=HBound(index=0)), arg=HConst(name='z'))"
+    )
+    assert repr(HMeta("X", 3, 1)) == "HMeta(name='X', id=3, level=1)"
+    assert repr(HEigen("e!4", 4, 2)) == "HEigen(name='e!4', id=4, level=2)"
+    f = FForall("x", TM, FImplies(FTop(), FAtom(HBound(0), HConst("tm"))))
+    assert repr(f) == (
+        "FForall(hint='x', stype=SBase(name='tm'), body=FImplies(antecedent=FTop(), "
+        "consequent=FAtom(subject=HBound(index=0), classifier=HConst(name='tm'))))"
+    )
 
 
 def test_closed_terms_come_back_unchanged(append_sig, terms):

@@ -1,7 +1,9 @@
 """The `scope` field of LF expressions: agreement with a plain recursive
 reference, substitution and beta normalization against versions with no
 shortcut, closed and normal subterms returned as the same object, and
-`fresh_name` over separate containers against the old set union."""
+`fresh_name` over separate containers against the old set union.  Also the
+node classes' equality and hashing, which ignore binder hints, and their
+`repr` text."""
 
 import random
 
@@ -189,6 +191,38 @@ def test_scope_is_invisible_to_equality_hash_and_repr():
     match a:
         case Lam(h, annot, body):
             assert (h, annot, body) == ("x", Const("tm"), App(Bound(0), Bound(1)))
+
+
+def rehint(e, hint):
+    """`e` with the hint of every binder replaced by `hint`."""
+    match e:
+        case App(f, a):
+            return App(rehint(f, hint), rehint(a, hint))
+        case Pi(_, annot, body):
+            return Pi(hint, rehint(annot, hint), rehint(body, hint))
+        case Lam(_, annot, body):
+            return Lam(hint, rehint(annot, hint), rehint(body, hint))
+        case _:
+            return e
+
+
+def test_equality_and_hash_ignore_binder_hints(exprs):
+    for e in exprs:
+        for u in subterms(e):
+            v = rehint(u, "renamed")
+            assert v == u and hash(v) == hash(u), u
+    assert Pi("x", Const("a"), Bound(0)) != Pi("x", Const("a"), Bound(1))
+    assert Lam("x", Const("a"), Bound(0)) != Lam("x", Const("b"), Bound(0))
+    assert Pi("x", Const("a"), Bound(0)) != Lam("x", Const("a"), Bound(0))
+
+
+def test_repr_of_every_node_class():
+    # `repr` reaches error messages, so its text is pinned
+    assert repr(TYPE) == "TypeKind()"
+    assert repr(Pi("x", Const("a"), Bound(0))) == "Pi(hint='x', annot=Const(name='a'), body=Bound(index=0))"
+    assert repr(Lam("y", Meta("M"), App(Bound(0), Const("c")))) == (
+        "Lam(hint='y', annot=Meta(name='M'), body=App(fn=Bound(index=0), arg=Const(name='c')))"
+    )
 
 
 def test_instantiate_agrees_with_reference(exprs):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lfhh.lf_syntax import (
+    KIND,
     App,
     Bound,
     Const,
@@ -11,6 +12,7 @@ from lfhh.lf_syntax import (
     Meta,
     NormalizeError,
     Pi,
+    Signature,
     TYPE,
     beta_normalize,
     free_names,
@@ -25,9 +27,11 @@ from lfhh.lf_syntax import (
 )
 
 from lfhh.lf_typecheck import checked_signature
+from lfhh.reconstruct import QuerySession
 
 from corpus import (
     APPEND_TEXT,
+    REMARK_TEXT,
     STLC_TEXT,
     list_term,
     malformed_texts,
@@ -167,12 +171,56 @@ def test_substitution_composition_seeded():
 def test_normalize_canonical_unchanged(append_sig):
     e = Lam("x", Const("nat"), App(Const("s"), Bound(0)))
     nn = parse_expr_text("nat -> nat")
-    assert normalize(e, nn, append_sig) == e
+    assert normalize(e, nn, append_sig) is e
 
 
 def test_normalize_eta_expands_bare_head(append_sig):
     nn = parse_expr_text("nat -> nat")
     assert normalize(Const("s"), nn, append_sig) == Lam("x", Const("nat"), App(Const("s"), Bound(0)))
+
+
+@pytest.mark.parametrize("name", ["append", "stlc", "vec", "remark"])
+def test_normalize_returns_canonical_classifiers_themselves(name, golden_dir):
+    text = {
+        "append": APPEND_TEXT,
+        "stlc": STLC_TEXT,
+        "vec": (golden_dir / "vec.lf").read_text(),
+        "remark": REMARK_TEXT,
+    }[name]
+    sig = checked_signature(parse_signature(text))[0]
+    prefix = Signature()
+    for entry in sig:
+        c = entry.classifier
+        assert normalize(c, KIND if entry.sort == "kind" else TYPE, prefix) is c, entry.name
+        prefix = prefix.extend(entry.name, c, entry.sort)
+
+
+@pytest.mark.parametrize(
+    "text, query",
+    [
+        (APPEND_TEXT, "append (cons z (cons (s z) nil)) (cons z nil) L"),
+        (STLC_TEXT, "of (lam base ([x:tm] lam base ([y:tm] y))) T"),
+    ],
+    ids=["append", "stlc"],
+)
+def test_normalize_returns_a_decoded_proof_itself(text, query):
+    sig = checked_signature(parse_signature(text))[0]
+    q, _ = parse_query(query, sig)
+    _, ans = QuerySession(sig, q, "optimized").first_answer(iterative=True)
+    assert ans.certified
+    assert normalize(ans.lf_type, TYPE, sig) is ans.lf_type
+    assert normalize(ans.lf_proof, ans.lf_type, sig) is ans.lf_proof
+
+
+def test_normalize_still_eta_expands_inside_a_classifier():
+    # `M : tm -> tm` occurs unapplied in the raw declaration of `ofLam`
+    raw = parse_signature(STLC_TEXT)
+    sig = checked_signature(raw)[0]
+    c = raw.lookup("ofLam").classifier
+    got = normalize(c, TYPE, sig)
+    assert got is not c and got == sig.lookup("ofLam").classifier
+    assert "lam A ([x:tm] M x)" in pretty_print(got)
+    assert normalize(got, TYPE, sig) is got
 
 
 def test_normalize_single_beta_step(append_sig):
