@@ -263,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=["naive", "optimized"], default="optimized")
     sp.add_argument("--all", action="store_true", help="enumerate all answers")
     sp.add_argument("--trace", action="store_true", help="print the search trace")
-    sp.add_argument("--iterdeep", action="store_true", help="iterative deepening on the depth bound")
+    sp.add_argument(
+        "--iterdeep",
+        action="store_true",
+        help="iterative deepening on the depth bound; with --all, the answers of the first bound that has any",
+    )
     add_limits(sp)
     sp.set_defaults(fn=cmd_solve)
 

@@ -294,18 +294,17 @@ def h_instantiate(body: HhTerm, values: Sequence[HhTerm], depth: int = 0) -> HhT
     HBound(depth) becomes `values[-1]`."""
     if 0 <= body.scope <= depth:
         return body
-    match body:
-        case HBound(k):
-            if k < depth:
-                return body
-            i = len(values) - 1 - (k - depth)
-            return values[i] if i >= 0 else HBound(k - len(values))
-        case HApp(f, a):
-            return HApp(h_instantiate(f, values, depth), h_instantiate(a, values, depth))
-        case HLam(h, b):
-            return HLam(h, h_instantiate(b, values, depth + 1))
-        case _:
+    if isinstance(body, HBound):
+        k = body.index
+        if k < depth:
             return body
+        i = len(values) - 1 - (k - depth)
+        return values[i] if i >= 0 else HBound(k - len(values))
+    if isinstance(body, HApp):
+        return HApp(h_instantiate(body.fn, values, depth), h_instantiate(body.arg, values, depth))
+    if isinstance(body, HLam):
+        return HLam(body.hint, h_instantiate(body.body, values, depth + 1))
+    return body
 
 
 def h_shift(t: HhTerm, depth: int = 0) -> HhTerm:
@@ -336,29 +335,30 @@ def encode_term(e: LfExpr, metas: Mapping[str, HMeta] | None = None) -> HhTerm:
     structure is preserved, meta-variables map through `metas`.  An
     application node that occurs several times in `e` is encoded once, and
     its occurrences share the encoding."""
-    shared: dict[int, HhTerm] = {}  # id of an App node of `e` -> its encoding
+    return _encode(e, metas, {})
 
-    def go(t: LfExpr) -> HhTerm:
-        match t:
-            case Const(n):
-                return HConst(n)
-            case Bound(k):
-                return HBound(k)
-            case Meta(n):
-                if metas is None or n not in metas:
-                    raise LfError(f"meta-variable {n!r} has no target assignment")
-                return metas[n]
-            case App(f, a):
-                out = shared.get(id(t))
-                if out is None:
-                    out = shared[id(t)] = HApp(go(f), go(a))
-                return out
-            case Lam(h, _, body):
-                return HLam(h, go(body))
-            case _:
-                raise LfError(f"expression has no term encoding: {t!r}")
 
-    return go(e)
+def _encode(t: LfExpr, metas: Mapping[str, HMeta] | None, shared: dict[int, HhTerm]) -> HhTerm:
+    """`encode_term`'s walk; `shared` maps the id of an App node of the
+    input to its encoding."""
+    match t:
+        case Const(n):
+            return HConst(n)
+        case Bound(k):
+            return HBound(k)
+        case Meta(n):
+            if metas is None or n not in metas:
+                raise LfError(f"meta-variable {n!r} has no target assignment")
+            return metas[n]
+        case App(f, a):
+            out = shared.get(id(t))
+            if out is None:
+                out = shared[id(t)] = HApp(_encode(f, metas, shared), _encode(a, metas, shared))
+            return out
+        case Lam(h, _, body):
+            return HLam(h, _encode(body, metas, shared))
+        case _:
+            raise LfError(f"expression has no term encoding: {t!r}")
 
 
 def lf_head(h: HhTerm) -> LfExpr | None:
@@ -436,51 +436,50 @@ class FForall(HhFormula):
 
 def f_instantiate(f: HhFormula, values: Sequence[HhTerm], depth: int = 0) -> HhFormula:
     """`h_instantiate` on every term of a formula."""
-    match f:
-        case FAtom(s, c):
-            return FAtom(h_instantiate(s, values, depth), h_instantiate(c, values, depth))
-        case FImplies(a, b):
-            return FImplies(f_instantiate(a, values, depth), f_instantiate(b, values, depth))
-        case FForall(h, st, body):
-            return FForall(h, st, f_instantiate(body, values, depth + 1))
-        case _:
-            return f
+    if isinstance(f, FAtom):
+        return FAtom(h_instantiate(f.subject, values, depth), h_instantiate(f.classifier, values, depth))
+    if isinstance(f, FImplies):
+        return FImplies(f_instantiate(f.antecedent, values, depth), f_instantiate(f.consequent, values, depth))
+    if isinstance(f, FForall):
+        return FForall(f.hint, f.stype, f_instantiate(f.body, values, depth + 1))
+    return f
 
 
 def collect_metas(f: HhFormula) -> dict[str, HMeta]:
     """Metas occurring in a formula, keyed by display name, first occurrence
     wins.  A term whose scope is not `OPEN` has none and is not entered."""
     out: dict[str, HMeta] = {}
-
-    def walk_term(t: HhTerm) -> None:
-        if t.scope >= 0:
-            return
-        match t:
-            case HMeta() as m:
-                out.setdefault(m.name, m)
-            case HApp(fn, a):
-                walk_term(fn)
-                walk_term(a)
-            case HLam(_, b):
-                walk_term(b)
-            case _:
-                pass
-
-    def walk(g: HhFormula) -> None:
-        match g:
-            case FAtom(s, c):
-                walk_term(s)
-                walk_term(c)
-            case FImplies(a, b):
-                walk(a)
-                walk(b)
-            case FForall(_, _, b):
-                walk(b)
-            case _:
-                pass
-
-    walk(f)
+    _add_formula_metas(f, out)
     return out
+
+
+def _add_formula_metas(g: HhFormula, out: dict[str, HMeta]) -> None:
+    match g:
+        case FAtom(s, c):
+            _add_term_metas(s, out)
+            _add_term_metas(c, out)
+        case FImplies(a, b):
+            _add_formula_metas(a, out)
+            _add_formula_metas(b, out)
+        case FForall(_, _, b):
+            _add_formula_metas(b, out)
+        case _:
+            pass
+
+
+def _add_term_metas(t: HhTerm, out: dict[str, HMeta]) -> None:
+    if t.scope >= 0:
+        return
+    match t:
+        case HMeta() as m:
+            out.setdefault(m.name, m)
+        case HApp(fn, a):
+            _add_term_metas(fn, out)
+            _add_term_metas(a, out)
+        case HLam(_, b):
+            _add_term_metas(b, out)
+        case _:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -605,22 +604,22 @@ def _query_metas(a: LfExpr) -> dict[str, HMeta]:
     as an argument, inside an abstraction that is one, or as the head of an
     applied argument, numbered from 1 in order of first occurrence."""
     out: dict[str, HMeta] = {}
-
-    def walk(e: LfExpr, is_arg: bool) -> None:
-        head, args = spine(e)
-        match head:
-            case Pi(_, annot, body) if not is_arg and not args:
-                walk(annot, False)
-                walk(body, False)
-            case Lam(_, _, body) if is_arg and not args:
-                walk(body, True)
-            case Meta(n) if is_arg and n not in out:
-                out[n] = HMeta(n, len(out) + 1)
-        for arg in args:
-            walk(arg, True)
-
-    walk(a, False)
+    _add_query_metas(a, False, out)
     return out
+
+
+def _add_query_metas(e: LfExpr, is_arg: bool, out: dict[str, HMeta]) -> None:
+    head, args = spine(e)
+    match head:
+        case Pi(_, annot, body) if not is_arg and not args:
+            _add_query_metas(annot, False, out)
+            _add_query_metas(body, False, out)
+        case Lam(_, _, body) if is_arg and not args:
+            _add_query_metas(body, True, out)
+        case Meta(n) if is_arg and n not in out:
+            out[n] = HMeta(n, len(out) + 1)
+    for arg in args:
+        _add_query_metas(arg, True, out)
 
 
 def translate_query(
@@ -716,25 +715,24 @@ class _NameGen:
 
 
 def print_formula(f: HhFormula) -> str:
-    gen = _NameGen()
+    return _show_formula(f, 0, (), _NameGen())
 
-    def go(g: HhFormula, prec: int, names: tuple[str, ...]) -> str:
-        match g:
-            case FTop():
-                return "top"
-            case FAtom(s, c):
-                return f"hastype {print_term(s, 2, names)} {print_term(c, 2, names)}"
-            case FImplies(a, b):
-                s = f"{go(a, 2, names)} => {go(b, 1, names)}"
-                return f"({s})" if prec > 1 else s
-            case FForall(_, st, body):
-                name = gen.next()
-                s = f"forall {name}:{print_simple_type(st)}. {go(body, 0, names + (name,))}"
-                return f"({s})" if prec > 0 else s
-            case _:
-                raise LfError(f"bad formula {g!r}")
 
-    return go(f, 0, ())
+def _show_formula(g: HhFormula, prec: int, names: tuple[str, ...], gen: _NameGen) -> str:
+    match g:
+        case FTop():
+            return "top"
+        case FAtom(s, c):
+            return f"hastype {print_term(s, 2, names)} {print_term(c, 2, names)}"
+        case FImplies(a, b):
+            s = f"{_show_formula(a, 2, names, gen)} => {_show_formula(b, 1, names, gen)}"
+            return f"({s})" if prec > 1 else s
+        case FForall(_, st, body):
+            name = gen.next()
+            s = f"forall {name}:{print_simple_type(st)}. {_show_formula(body, 0, names + (name,), gen)}"
+            return f"({s})" if prec > 0 else s
+        case _:
+            raise LfError(f"bad formula {g!r}")
 
 
 def print_clauses(cs: ClauseSet) -> str:

@@ -4,10 +4,11 @@ Goals are truth, implications, universals, and atoms.  Truth succeeds at unit
 cost; a universal introduces a fresh scoped constant (eigenvariable) at a new
 level; an implication assumes its antecedent as a program clause for the
 subgoal; an atom backchains: clauses are tried in order (dynamic assumptions
-newest first, then the static program), the quantifier prefix is renamed to
-fresh unification variables, heads are unified, and guards are proved left to
-right one level deeper.  Every goal carries its own level and assumptions, so
-a guard never sees those of a sibling guard proved before it.
+newest first, then the static program), heads are unified with the
+quantifier prefix read as fresh unification variables, and guards are proved
+left to right one level deeper.  Every goal carries its own level and
+assumptions, so a guard never sees those of a sibling guard proved before
+it.
 
 Search is one loop, not a recursion: the goals still to prove are a linked
 list, and a stack holds a choice point per committed backchain.  Backtracking
@@ -18,14 +19,28 @@ interpreter frames.
 Clauses are compiled once into a quantifier prefix, guard templates and a
 head template (static clauses on first use, kept on the `ClauseSet`;
 assumptions when they are pushed).  The head template is unified with the
-goal in place, its prefix binders read as the fresh variables; guards are
-instantiated once the head has unified.  Before renaming, a clause is skipped
-when its head constant cannot match the goal (first-argument indexing): the
-subject's head constant against a rigid goal subject, or the classifier's
-family constant when the goal subject is an unbound variable.  A skipped
-clause still uses up the variable ids that renaming and the failed
-unification would have taken, so names such as `?M9` in traces and answers
-do not depend on the index.
+goal in place, and the prefix binders are registers, not variables: an
+attempt reserves the ids of the binders' variables (binder i gets the i-th
+of them) and starts with every register empty.  A binder that first meets a
+closed term other than an abstraction holds that term, so it is never bound,
+trailed or undone; its variable is made, with its reserved id and name, only
+when the binder meets any other term, when a template part has to be
+instantiated (an abstraction or a variable head, or a goal part that is an
+abstraction or flexible), or when the register is still empty after the head
+unified.  Guards are instantiated with the registers once the head has
+unified, so a guard shows a held binder's value where it would show the
+binder's variable (a traced `imp+` line prints it so).  In the ground
+checks of the append ladder every binder ends in a register, and the
+binding store stays empty.  The head template is compiled too: its prefix
+binders to register indices and each constant applied to open parts to the
+constant and the parts' code, so unifying it walks no template spine.
+
+Before an attempt, a clause is skipped when its head constant cannot match
+the goal (first-argument indexing): the subject's head constant against a
+rigid goal subject, or the classifier's family constant when the goal
+subject is an unbound variable.  A skipped clause still uses up the
+variable ids that its binders and the failed unification would have taken,
+so names such as `?M9` in traces and answers do not depend on the index.
 
 Every term node records its `scope` when it is built (see `hhf_logic`): a
 closed term, one with no unification variable, no eigenvariable, no loose
@@ -33,8 +48,9 @@ bound variable and no beta-redex, is returned as is by dereferencing
 (`resolve_term`), instantiation and inversion.  Binding a variable to a
 ground term therefore stores that term itself in O(1) instead of walking and
 rebuilding it, and the optimized ground check of a length-`n` list does
-`n+1` steps with O(1) work per bind.  Unification succeeds at once on a
-term and itself when the term is closed and has no abstraction inside; one
+`n+1` steps with O(1) work per step.  Two closed terms without an
+abstraction inside unify exactly when they are equal, so unification
+compares them with `==`, which returns at once on a term and itself; a pair
 with an abstraction is still compared node by node, because that uses up
 eigenvariable ids, which traces show.
 
@@ -123,27 +139,27 @@ def resolve_term(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
     """Fully dereference and beta-normalize `t` under `bindings`.  Each
     distinct node of `t` is resolved once, so a node that occurs several
     times, such as a variable bound once, resolves to one shared term."""
-    memo: dict[int, tuple[HhTerm, HhTerm]] = {}  # id of a node -> (node, result)
+    return _resolve(t, bindings, {})
 
-    def go(t: HhTerm) -> HhTerm:
-        if t.scope >= 0:
-            return t
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        u = _walk(bindings, t)
-        out = u
-        if u.scope < 0:
-            match u:
-                case HLam(h, b):
-                    out = HLam(h, go(b))
-                case HApp():
-                    head, args = hspine(u)  # `_walk` left no abstraction at the head
-                    out = happs(head, [go(a) for a in args])
-        memo[id(t)] = (t, out)
-        return out
 
-    return go(t)
+def _resolve(t: HhTerm, bindings: dict[int, HhTerm], memo: dict[int, tuple[HhTerm, HhTerm]]) -> HhTerm:
+    """`resolve_term`'s walk; `memo` maps the id of a node to (node, result)."""
+    if t.scope >= 0:
+        return t
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
+    u = _walk(bindings, t)
+    out = u
+    if u.scope < 0:
+        match u:
+            case HLam(h, b):
+                out = HLam(h, _resolve(b, bindings, memo))
+            case HApp():
+                head, args = hspine(u)  # `_walk` left no abstraction at the head
+                out = happs(head, [_resolve(a, bindings, memo) for a in args])
+    memo[id(t)] = (t, out)
+    return out
 
 
 def _walk(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
@@ -161,45 +177,35 @@ def _walk(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
 
 def term_metas(t: HhTerm) -> list[HMeta]:
     out: list[HMeta] = []
-
-    def go(u: HhTerm) -> None:
-        if u.scope >= 0:
-            return
-        match u:
-            case HMeta() as m:
-                if all(m.id != x.id for x in out):
-                    out.append(m)
-            case HApp(f, a):
-                go(f)
-                go(a)
-            case HLam(_, b):
-                go(b)
-            case _:
-                pass
-
-    go(t)
+    for m in _open_leaves(t, HMeta, []):
+        if all(m.id != x.id for x in out):
+            out.append(m)
     return out
 
 
 def _term_eigens(t: HhTerm) -> list[HEigen]:
-    out: list[HEigen] = []
+    return _open_leaves(t, HEigen, [])
 
-    def go(u: HhTerm) -> None:
-        if u.scope >= 0:
-            return
-        match u:
-            case HEigen() as e:
-                out.append(e)
-            case HApp(f, a):
-                go(f)
-                go(a)
-            case HLam(_, b):
-                go(b)
-            case _:
-                pass
 
-    go(t)
+def _open_leaves(u: HhTerm, kind: type, out: list) -> list:
+    """`out` extended with the leaves of `u` of class `kind`, left to right."""
+    if u.scope >= 0:
+        return out
+    match u:
+        case HApp(f, a):
+            _open_leaves(f, kind, out)
+            _open_leaves(a, kind, out)
+        case HLam(_, b):
+            _open_leaves(b, kind, out)
+        case _ if isinstance(u, kind):
+            out.append(u)
     return out
+
+
+def _meta(hint: str, i: int, level: int) -> HMeta:
+    """The unification variable with id `i`, named after the binder `hint`."""
+    base = hint if hint and hint != "_" else "V"
+    return HMeta(f"{base}{i}", i, level)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +218,18 @@ class CompiledClause:
     """A clause split once into the parts that backchaining uses.
 
     Templates refer to the quantifier prefix by de Bruijn index: a guard
-    sees the `scope` outermost binders, the head sees all of them.  The head
-    constants index the clause: `subject_head` is the constant at the head of
-    the head's subject, and `family_head` the one at the head of its
-    classifier, recorded only when the subject is that constant applied to
-    distinct prefix binders (`subject_vars` of them), the shape every
-    translated declaration has."""
+    sees the `scope` outermost binders, the head sees all of them.  `head`
+    holds the code that `Solver._uni_head` runs for the head's subject and
+    classifier (see `_head_code`).  The head constants index the clause:
+    `subject_head` is the constant at the head of the head's subject, and
+    `family_head` the one at the head of its classifier, recorded only when
+    the subject is that constant applied to distinct prefix binders
+    (`subject_vars` of them), the shape every translated declaration has."""
 
     origin: str
     prefix: tuple[tuple[str, SimpleType], ...]
     guards: tuple[tuple[int, HhFormula], ...]
-    head: FAtom | None
+    head: tuple[_HeadCode, _HeadCode] | None
     subject_head: str | None
     family_head: str | None
     subject_vars: int
@@ -254,9 +261,30 @@ def compile_clause(clause: Clause) -> CompiledClause:
             if isinstance(fh, HConst) and len(binders) == len(sargs):
                 family_head = fh.name
                 subject_vars = len(sargs)
+    code = None
+    if head is not None:
+        code = _head_code(head.subject, len(prefix)), _head_code(head.classifier, len(prefix))
     return CompiledClause(
-        clause.origin, tuple(prefix), tuple(guards), head, subject_head, family_head, subject_vars
+        clause.origin, tuple(prefix), tuple(guards), code, subject_head, family_head, subject_vars
     )
+
+
+_HeadCode = HhTerm | int | tuple  # see `_head_code`
+
+
+def _head_code(tmpl: HhTerm, nprefix: int) -> _HeadCode:
+    """The code of the head template part `tmpl` over a prefix of `nprefix`
+    binders: a prefix binder is the index of its register; a constant
+    applied to parts not all closed is (the constant's name, the parts'
+    code, `tmpl`); any other part, closed or to be instantiated, is `tmpl`
+    itself."""
+    if isinstance(tmpl, HBound):
+        return nprefix - 1 - tmpl.index
+    if tmpl.scope != 0:
+        head, args = hspine(tmpl)
+        if isinstance(head, HConst):
+            return head.name, tuple(_head_code(a, nprefix) for a in args), tmpl
+    return tmpl
 
 
 _Goals = tuple | None  # (goal, depth, level, assumptions, rest), or None when empty
@@ -309,7 +337,11 @@ class Solver:
         self.bindings: dict[int, HhTerm] = dict(bindings) if bindings else {}
         self.trail: list[int] = []
         self.counters = Counters()
-        self.level = 0  # eigenvariable level of the running clause attempt; unification reads it
+        # the running clause attempt, which head unification reads: its
+        # eigenvariable level, quantifier prefix and first variable id
+        self.level = 0
+        self._prefix: tuple[tuple[str, SimpleType], ...] = ()
+        self._base = 0
         self.depth_hit = False
         self.budget_hit = False
         self.non_pattern_seen = False
@@ -382,8 +414,28 @@ class Solver:
     def _fresh_meta(self, hint: str, level: int) -> HMeta:
         i = self._next_meta
         self._next_meta += 1
-        base = hint if hint and hint != "_" else "V"
-        return HMeta(f"{base}{i}", i, level)
+        return _meta(hint, i, level)
+
+    def _registers(self, prefix: tuple[tuple[str, SimpleType], ...]) -> list:
+        """Empty registers for a clause attempt over `prefix`, one per binder;
+        the ids of the binders' variables are reserved, binder i's being
+        `base + i`, so they are the same whether or not a variable is made."""
+        self._prefix = prefix
+        self._base = self._next_meta
+        self._next_meta += len(prefix)
+        return [None] * len(prefix)
+
+    def _binder_var(self, regs: list, i: int) -> HMeta:
+        """Binder i's variable, made and put in its empty register."""
+        m = regs[i] = _meta(self._prefix[i][0], self._base + i, self.level)
+        return m
+
+    def _filled(self, regs: list) -> list:
+        """`regs` with a variable in every register that is still empty."""
+        for i, r in enumerate(regs):
+            if r is None:
+                self._binder_var(regs, i)
+        return regs
 
     def _fresh_eigen(self, hint: str, level: int) -> HEigen:
         i = next(self._eigen_ids)
@@ -438,7 +490,8 @@ class Solver:
                     goals = (f_instantiate(g.body, (e,)), depth, level + 1, assumptions, rest)
                 elif isinstance(g, FImplies):
                     assumed = assumptions + (compile_clause(Clause("assumption", g.antecedent)),)
-                    self._note(f"imp+ {print_formula(g.antecedent)}")
+                    if self.trace_on:
+                        self._note(f"imp+ {print_formula(g.antecedent)}")
                     goals = (g.consequent, depth, level, assumed, rest)
                 else:
                     raise TypeError(f"not a goal: {g!r}")
@@ -459,7 +512,8 @@ class Solver:
         key, want, pruned, non_pattern = index
         dynamic = len(assumptions)
         static = self.static
-        while pos < dynamic + len(static):
+        end = dynamic + len(static)
+        while pos < end:
             clause = assumptions[dynamic - 1 - pos] if pos < dynamic else static[pos - dynamic]
             pos += 1
             if key is not None:
@@ -470,21 +524,22 @@ class Solver:
                     continue
             self.level = level
             mark = self._mark()
-            metas = [self._fresh_meta(hint, level) for hint, _ in clause.prefix]
+            regs = self._registers(clause.prefix)
             head = clause.head
             if (
                 head is not None
-                and self._unify_head(head.subject, atom.subject, metas)
-                and self._unify_head(head.classifier, atom.classifier, metas)
+                and self._unify_head(head[0], atom.subject, regs)
+                and self._unify_head(head[1], atom.classifier, regs)
             ):
+                self._filled(regs)
                 self.counters.backchain_steps += 1
                 if self.trace_on:
-                    inst = " ".join(print_term(self.resolve(m), 2) for m in metas)
+                    inst = " ".join(print_term(self.resolve(r), 2) for r in regs)
                     self._note(f"bc {clause.origin}{' ' + inst if inst else ''}")
                 stack.append((record, pos, mark, index))
                 goals = rest
                 for scope, g in reversed(clause.guards):
-                    goals = (f_instantiate(g, metas[:scope]), depth + 1, level, assumptions, goals)
+                    goals = (f_instantiate(g, regs[:scope]), depth + 1, level, assumptions, goals)
                 return goals
             self._undo(mark)
         return False
@@ -501,14 +556,16 @@ class Solver:
         one fresh variable per subject argument (`pruned` is then 1).  A
         skipped clause thus uses up exactly the variable ids a failed attempt
         would have."""
-        subject = _walk(self.bindings, goal.subject)
-        head, args = hspine(subject)
+        head = subject = _walk(self.bindings, goal.subject)
+        while isinstance(head, HApp):
+            head = head.fn
+        if isinstance(head, HConst):
+            return "subject_head", head.name, 0, False
         match head:
-            case HConst(name):
-                return "subject_head", name, 0, False
             case HEigen() | HBound():
                 return "subject_head", None, 0, False
             case HMeta():
+                _, args = hspine(subject)
                 family, _ = hspine(_walk(self.bindings, goal.classifier))
                 match family:
                     case HConst(name):
@@ -531,43 +588,60 @@ class Solver:
             raise BudgetExceeded()
         return self._uni(a, b)
 
-    def _unify_head(self, tmpl: HhTerm, t: HhTerm, metas: list[HMeta]) -> bool:
-        """`_unify(h_instantiate(tmpl, metas), t)`, with the same effects,
-        without building the instance where `tmpl` is first order."""
+    def _unify_head(self, code: _HeadCode, t: HhTerm, regs: list) -> bool:
+        """`_unify(h_instantiate(tmpl, values), t)` for the head template
+        part `tmpl` of `code` and the binders' variables `values`, over the
+        registers `regs` of the running clause attempt: the same verdict and
+        effects, except that a binder held in its register has no binding
+        (see `_uni_head`)."""
         self.counters.unify_calls += 1
         if self.counters.unify_calls > self.limits.budget:
             raise BudgetExceeded()
-        return self._uni_head(tmpl, t, metas)
+        return self._uni_head(code, t, regs)
 
-    def _uni_head(self, tmpl: HhTerm, t: HhTerm, metas: list[HMeta]) -> bool:
-        """`_uni(h_instantiate(tmpl, metas), t)`.  An unbound variable meeting
-        a closed term other than an abstraction is bound to it, as `_bind`
-        would; a part with an abstraction or a variable head, or meeting an
-        abstraction or a flexible term, is instantiated."""
-        if tmpl.scope == 0:
-            return self._uni(tmpl, t)
-        if isinstance(tmpl, HBound):
-            m = metas[len(metas) - 1 - tmpl.index]
-            if t.scope == 0 and not isinstance(t, HLam) and m.id not in self.bindings:
-                self._set(m, t)
-                return True
-            return self._uni(m, t)
-        head, targs = hspine(tmpl)
-        if isinstance(head, HConst):
-            b = _walk(self.bindings, t)
+    def _uni_head(self, code: _HeadCode, t: HhTerm, regs: list) -> bool:
+        """`_uni(h_instantiate(tmpl, values), t)` without building the
+        instance where the template part is first order.  A binder whose
+        register is empty and meets a closed term other than an abstraction
+        takes that term into its register, where `_bind` would have bound
+        its variable to it: no binding, trail entry or undo.  Otherwise the
+        binder's variable is made when first needed and unified.  A part
+        with an abstraction or a variable head, or meeting an abstraction or
+        a flexible term, is instantiated with the registers, every empty one
+        given its variable."""
+        if code.__class__ is int:
+            r = regs[code]
+            if r is None:
+                if t.scope == 0 and not isinstance(t, HLam):
+                    regs[code] = t
+                    return True
+                r = self._binder_var(regs, code)
+            return self._uni(r, t)
+        if code.__class__ is tuple:
+            name, parts, tmpl = code
+            b = t if t.scope >= 0 else _walk(self.bindings, t)
             if not isinstance(b, HLam):
                 hb, bargs = hspine(b)
                 if not isinstance(hb, HMeta):
-                    if not (isinstance(hb, HConst) and hb.name == head.name and len(bargs) == len(targs)):
+                    if not (isinstance(hb, HConst) and hb.name == name and len(bargs) == len(parts)):
                         return False
-                    return all(self._uni_head(x, y, metas) for x, y in zip(targs, bargs))
-        return self._uni(h_instantiate(tmpl, metas), t)
+                    for x, y in zip(parts, bargs):
+                        if not self._uni_head(x, y, regs):
+                            return False
+                    return True
+        else:
+            tmpl = code
+            if tmpl.scope == 0:
+                return self._uni(tmpl, t)
+        return self._uni(h_instantiate(tmpl, self._filled(regs)), t)
 
     def _uni(self, a: HhTerm, b: HhTerm) -> bool:
-        a = _walk(self.bindings, a)
-        b = _walk(self.bindings, b)
-        if a is b and a.scope == 0 and a.lam_free:
-            return True
+        if a.scope < 0:
+            a = _walk(self.bindings, a)
+        if b.scope < 0:
+            b = _walk(self.bindings, b)
+        if a.scope == 0 and b.scope == 0 and a.lam_free and b.lam_free:
+            return a == b
         if isinstance(a, HLam) or isinstance(b, HLam):
             i = next(self._eigen_ids)
             e = HEigen(f"u!{i}", i, self.level + 1)
@@ -594,7 +668,10 @@ class Solver:
                 return False
         if len(aa) != len(ab):
             return False
-        return all(self._uni(x, y) for x, y in zip(aa, ab))
+        for x, y in zip(aa, ab):
+            if not self._uni(x, y):
+                return False
+        return True
 
     def _as_var(self, t: HhTerm) -> HEigen | HBound | None:
         """Recognize an eigenvariable or local variable, possibly eta-expanded."""

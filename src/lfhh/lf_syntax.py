@@ -696,50 +696,49 @@ def pretty_print(e: LfExpr) -> str:
     Outside every binder, an application node met again at the same
     precedence reuses its text, which is kept from the second meeting on:
     the nodes of a term without sharing keep no text."""
+    return _show(e, _PREC_EXPR, [], {})
 
-    def wrap(s: str, have: int, want: int) -> str:
-        return f"({s})" if have < want else s
 
-    # (id of an App node, precedence) -> (the node, its text once met twice,
-    # None before), at binder depth 0
-    shown: dict[tuple[int, int], tuple[LfExpr, str | None]] = {}
+def _wrap(s: str, have: int, want: int) -> str:
+    return f"({s})" if have < want else s
 
-    def go(t: LfExpr, prec: int, names: list[str]) -> str:
-        match t:
-            case TypeKind():
-                return "type"
-            case Const(n) | Meta(n):
-                return n
-            case Bound(k):
-                return names[-1 - k] if k < len(names) else f"#{k}"
-            case App():
-                key = (id(t), prec)
-                met = not names and key in shown
-                if met and shown[key][1] is not None:
-                    return shown[key][1]
-                head, args = spine(t)
-                parts = [go(head, _PREC_APP, names)] + [go(a, _PREC_ATOM, names) for a in args]
-                text = wrap(" ".join(parts), _PREC_APP, prec)
-                if not names:
-                    shown[key] = (t, text if met else None)
-                return text
-            case Pi(hint, annot, body):
-                if not _uses_bound(body, 0):
-                    left = go(annot, _PREC_APP, names)
-                    # the arrow body skips the unused binder slot
-                    right = go(instantiate(body, Const("_")), _PREC_EXPR, names)
-                    return wrap(f"{left} -> {right}", _PREC_EXPR, prec)
-                name = fresh_name(hint, free_names(body), names)
-                inner = go(body, _PREC_EXPR, names + [name])
-                return wrap(f"{{{name}:{go(annot, _PREC_EXPR, names)}}} {inner}", _PREC_EXPR, prec)
-            case Lam(hint, annot, body):
-                name = fresh_name(hint, free_names(body), names)
-                inner = go(body, _PREC_EXPR, names + [name])
-                return wrap(f"[{name}:{go(annot, _PREC_EXPR, names)}] {inner}", _PREC_EXPR, prec)
-            case _:
-                raise LfError(f"cannot print {t!r}")
 
-    return go(e, _PREC_EXPR, [])
+def _show(t: LfExpr, prec: int, names: list[str], shown: dict[tuple[int, int], tuple[LfExpr, str | None]]) -> str:
+    """`pretty_print`'s walk.  `shown` maps (id of an App node, precedence)
+    to (the node, its text once met twice, None before), at binder depth 0."""
+    match t:
+        case TypeKind():
+            return "type"
+        case Const(n) | Meta(n):
+            return n
+        case Bound(k):
+            return names[-1 - k] if k < len(names) else f"#{k}"
+        case App():
+            key = (id(t), prec)
+            met = not names and key in shown
+            if met and shown[key][1] is not None:
+                return shown[key][1]
+            head, args = spine(t)
+            parts = [_show(head, _PREC_APP, names, shown)] + [_show(a, _PREC_ATOM, names, shown) for a in args]
+            text = _wrap(" ".join(parts), _PREC_APP, prec)
+            if not names:
+                shown[key] = (t, text if met else None)
+            return text
+        case Pi(hint, annot, body):
+            if not _uses_bound(body, 0):
+                left = _show(annot, _PREC_APP, names, shown)
+                # the arrow body skips the unused binder slot
+                right = _show(instantiate(body, Const("_")), _PREC_EXPR, names, shown)
+                return _wrap(f"{left} -> {right}", _PREC_EXPR, prec)
+            name = fresh_name(hint, free_names(body), names)
+            inner = _show(body, _PREC_EXPR, names + [name], shown)
+            return _wrap(f"{{{name}:{_show(annot, _PREC_EXPR, names, shown)}}} {inner}", _PREC_EXPR, prec)
+        case Lam(hint, annot, body):
+            name = fresh_name(hint, free_names(body), names)
+            inner = _show(body, _PREC_EXPR, names + [name], shown)
+            return _wrap(f"[{name}:{_show(annot, _PREC_EXPR, names, shown)}] {inner}", _PREC_EXPR, prec)
+        case _:
+            raise LfError(f"cannot print {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -767,26 +766,25 @@ def beta_normalize(e: LfExpr, budget: int | _Budget = DEFAULT_STEP_BUDGET) -> Lf
     subterm comes back as the same object."""
     if e.scope >= 0:
         return e
-    b = budget if isinstance(budget, _Budget) else _Budget(budget)
+    return _beta(e, budget if isinstance(budget, _Budget) else _Budget(budget))
 
-    def go(t: LfExpr) -> LfExpr:
-        if t.scope >= 0:
-            return t  # no redex inside
-        match t:
-            case App(f, a):
-                fn = go(f)
-                if isinstance(fn, Lam):
-                    b.spend()
-                    return go(instantiate(fn.body, a))
-                return App(fn, go(a))
-            case Pi(h, annot, body):
-                return Pi(h, go(annot), go(body))
-            case Lam(h, annot, body):
-                return Lam(h, go(annot), go(body))
-            case _:
-                return t
 
-    return go(e)
+def _beta(t: LfExpr, b: _Budget) -> LfExpr:
+    if t.scope >= 0:
+        return t  # no redex inside
+    match t:
+        case App(f, a):
+            fn = _beta(f, b)
+            if isinstance(fn, Lam):
+                b.spend()
+                return _beta(instantiate(fn.body, a), b)
+            return App(fn, _beta(a, b))
+        case Pi(h, annot, body):
+            return Pi(h, _beta(annot, b), _beta(body, b))
+        case Lam(h, annot, body):
+            return Lam(h, _beta(annot, b), _beta(body, b))
+        case _:
+            return t
 
 
 def codomain(cls: Pi, arg: LfExpr, budget: int | _Budget = DEFAULT_STEP_BUDGET) -> LfExpr:
@@ -830,13 +828,24 @@ def normalize(
     e = beta_normalize(e, b)
     if isinstance(classifier, LfExpr):
         classifier = beta_normalize(classifier, b)
-    stack: list[LfExpr] = []
+    return _Expander(sig, b).eta(e, classifier)
 
-    def eta_spine(t: LfExpr) -> LfExpr:
+
+class _Expander:
+    """The eta-expansion walk of one `normalize` call."""
+
+    __slots__ = ("sig", "budget", "stack")
+
+    def __init__(self, sig: Signature | None, budget: _Budget):
+        self.sig = sig
+        self.budget = budget
+        self.stack: list[LfExpr] = []  # classifiers of the binders crossed, innermost last
+
+    def eta_spine(self, t: LfExpr) -> LfExpr:
         head, args = spine(t)
         if not args:
             return t
-        cls = head_classifier(head, sig, stack)
+        cls = head_classifier(head, self.sig, self.stack)
         if cls is None:
             return t  # unknown head: leave arguments untouched
         out: list[LfExpr] = []
@@ -844,58 +853,56 @@ def normalize(
         for a in args:
             if not isinstance(cls, Pi):
                 raise NormalizeError("cannot eta-expand: head applied beyond its arity")
-            a_n = eta(a, cls.annot)
+            a_n = self.eta(a, cls.annot)
             same = same and a_n is a
             out.append(a_n)
-            cls = codomain(cls, a, b)
+            cls = codomain(cls, a, self.budget)
         return t if same else make_app(head, out)
 
-    def under(annot: LfExpr, t: LfExpr, cls: LfExpr | str) -> LfExpr:
+    def under(self, annot: LfExpr, t: LfExpr, cls: LfExpr | str) -> LfExpr:
         """`eta(t, cls)` under a binder of classifier `annot`."""
-        stack.append(annot)
-        inner = eta(t, cls)
-        stack.pop()
+        self.stack.append(annot)
+        inner = self.eta(t, cls)
+        self.stack.pop()
         return inner
 
-    def binder(t: Pi | Lam, cls: LfExpr | str) -> LfExpr:
+    def binder(self, t: Pi | Lam, cls: LfExpr | str) -> LfExpr:
         """`t` with its annotation normalized at `type` and its body at
         `cls`; `t` itself when neither changes."""
-        annot_n = eta(t.annot, TYPE)
-        body_n = under(annot_n, t.body, cls)
+        annot_n = self.eta(t.annot, TYPE)
+        body_n = self.under(annot_n, t.body, cls)
         if annot_n is t.annot and body_n is t.body:
             return t
         return type(t)(t.hint, annot_n, body_n)
 
-    def eta(t: LfExpr, cls: LfExpr | str) -> LfExpr:
+    def eta(self, t: LfExpr, cls: LfExpr | str) -> LfExpr:
         if cls == KIND:
             match t:
                 case TypeKind():
                     return t
                 case Pi():
-                    return binder(t, KIND)
+                    return self.binder(t, KIND)
                 case _:
                     raise NormalizeError("cannot eta-expand: kind expected")
         if isinstance(cls, TypeKind):
             match t:
                 case Pi():
-                    return binder(t, TYPE)
+                    return self.binder(t, TYPE)
                 case Lam():
                     raise NormalizeError("cannot eta-expand: abstraction at kind 'type'")
                 case TypeKind():
                     raise NormalizeError("cannot eta-expand: 'type' is not a type")
                 case _:
-                    return eta_spine(t)
+                    return self.eta_spine(t)
         if isinstance(cls, Pi):
             if isinstance(t, Lam):
-                return binder(t, beta_normalize(cls.body, b))
+                return self.binder(t, beta_normalize(cls.body, self.budget))
             if isinstance(t, (Pi, TypeKind)):
                 raise NormalizeError("cannot eta-expand: head shape does not match classifier")
-            annot_n = eta(cls.annot, TYPE)
+            annot_n = self.eta(cls.annot, TYPE)
             body = App(_shift(t, 1, 0), Bound(0))
-            return Lam(cls.hint, annot_n, under(annot_n, body, beta_normalize(cls.body, b)))
+            return Lam(cls.hint, annot_n, self.under(annot_n, body, beta_normalize(cls.body, self.budget)))
         # base-type classifier
         if isinstance(t, (Lam, Pi, TypeKind)):
             raise NormalizeError("cannot eta-expand: head shape does not match classifier")
-        return eta_spine(t)
-
-    return eta(e, classifier)
+        return self.eta_spine(t)

@@ -119,29 +119,41 @@ def decode_term(
     A closed node decodes the same wherever it occurs, so each distinct
     closed node is decoded once at each classifier object it meets, and a
     node shared in `t` decodes to a node shared in the result."""
-    stack = list(stack)
-    # (id of a closed node, id of its classifier) -> (node, classifier, result)
-    decoded: dict[tuple[int, int], tuple[HhTerm, LfExpr | None, LfExpr]] = {}
+    return _Decoder(sig, list(stack), pending).go(t, expected)
 
-    def go(u: HhTerm, cls: LfExpr | None) -> LfExpr:
+
+class _Decoder:
+    """The walk of one `decode_term` call."""
+
+    __slots__ = ("sig", "stack", "pending", "decoded")
+
+    def __init__(self, sig: Signature, stack: list[LfExpr], pending: list[tuple[HMeta, LfExpr]] | None):
+        self.sig = sig
+        self.stack = stack
+        self.pending = pending
+        # (id of a closed node, id of its classifier) -> (node, classifier, result)
+        self.decoded: dict[tuple[int, int], tuple[HhTerm, LfExpr | None, LfExpr]] = {}
+
+    def go(self, u: HhTerm, cls: LfExpr | None) -> LfExpr:
         if u.scope != 0:
-            return decode(u, cls)
+            return self.decode(u, cls)
         key = (id(u), id(cls))
-        hit = decoded.get(key)
+        hit = self.decoded.get(key)
         if hit is None:
-            hit = decoded[key] = (u, cls, decode(u, cls))
+            hit = self.decoded[key] = (u, cls, self.decode(u, cls))
         return hit[2]
 
-    def decode(u: HhTerm, cls: LfExpr | None) -> LfExpr:
+    def decode(self, u: HhTerm, cls: LfExpr | None) -> LfExpr:
         if isinstance(cls, Pi):
             body = u.body if isinstance(u, HLam) else HApp(h_shift(u), HBound(0))
-            stack.append(cls.annot)
-            inner = go(body, cls.body)
-            stack.pop()
+            self.stack.append(cls.annot)
+            inner = self.go(body, cls.body)
+            self.stack.pop()
             return Lam(cls.hint, cls.annot, inner)
         head, args = hspine(u)
         match head:
             case HMeta() as m:
+                pending = self.pending
                 if pending is None:
                     raise ReconstructError(f"not an encoding: unresolved variable ?{m.name}")
                 known = not args and cls is not None and not contains_meta(cls)
@@ -151,21 +163,19 @@ def decode_term(
             case HLam():
                 raise ReconstructError("not an encoding: abstraction without product classifier")
         lf = lf_head(head)
-        cur = head_classifier(lf, sig, stack)
+        cur = head_classifier(lf, self.sig, self.stack)
         if cur is None or classifier_sort(cur) == "kind":
             raise ReconstructError(f"not an encoding: unknown head {head}")
         out: list[LfExpr] = []
         for a in args:
             if not isinstance(cur, Pi):
                 raise ReconstructError(f"not an encoding: {lf} applied too far")
-            arg_lf = go(a, cur.annot)
+            arg_lf = self.go(a, cur.annot)
             out.append(arg_lf)
             cur = codomain(cur, arg_lf)
         if isinstance(cur, Pi) and cls is not None:
             raise ReconstructError(f"not an encoding: {lf} under-applied")
         return make_app(lf, out)
-
-    return go(t, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -187,44 +197,75 @@ def finalize_metavars(
     the closed type.  Returns the closed type, the decoded closed proof, and
     the extended binding store.  Idempotent when the solution is already
     closed."""
-    store = dict(solution.bindings)
-    stack: list[LfExpr] = []  # classifiers of the binders crossed, innermost last
+    run = _Closing(sig, program, goal_metas, dict(solution.bindings), limits)
+    closed_type = run.close(lambda pending: run.close_query(query_type, None, pending))
+    try:
+        check_type(sig, closed_type)
+    except KernelError as e:
+        raise ReconstructError(f"ill-typed binding: {e}") from None
+    lf_proof = run.close(
+        lambda pending: decode_term(sig, resolve_term(run.store, proof_meta), closed_type, pending=pending)
+    )
+    return closed_type, lf_proof, run.store
 
-    def close_query(e: LfExpr, expected: LfExpr | None, pending: list[tuple[HMeta, LfExpr]]) -> LfExpr:
+
+class _Closing:
+    """The state of one `finalize_metavars` call: the binding store, which
+    each auxiliary search extends, and the classifiers of the binders that
+    `close_query` has crossed, innermost last."""
+
+    __slots__ = ("sig", "program", "goal_metas", "store", "limits", "stack")
+
+    def __init__(
+        self,
+        sig: Signature,
+        program: ClauseSet,
+        goal_metas: Mapping[str, HMeta],
+        store: dict[int, HhTerm],
+        limits: Limits | None,
+    ):
+        self.sig = sig
+        self.program = program
+        self.goal_metas = goal_metas
+        self.store = store
+        self.limits = limits
+        self.stack: list[LfExpr] = []
+
+    def close_query(self, e: LfExpr, expected: LfExpr | None, pending: list[tuple[HMeta, LfExpr]]) -> LfExpr:
         """`e` with each query variable decoded from the store; the user's
         binder names are kept."""
         match e:
             case Meta(n):
-                if n not in goal_metas:
+                if n not in self.goal_metas:
                     raise ReconstructError(f"unknown meta-variable {n!r}")
-                return decode_term(sig, resolve_term(store, goal_metas[n]), expected, stack, pending)
+                value = resolve_term(self.store, self.goal_metas[n])
+                return decode_term(self.sig, value, expected, self.stack, pending)
             case Pi(h, annot, body) | Lam(h, annot, body):
-                annot2 = close_query(annot, None, pending)
-                stack.append(annot2)
-                inner = close_query(body, expected.body if isinstance(expected, Pi) else None, pending)
-                stack.pop()
+                annot2 = self.close_query(annot, None, pending)
+                self.stack.append(annot2)
+                inner = self.close_query(body, expected.body if isinstance(expected, Pi) else None, pending)
+                self.stack.pop()
                 return type(e)(h, annot2, inner)
             case _:
                 head, args = spine(e)
-                cls = head_classifier(head, sig, stack)
+                cls = head_classifier(head, self.sig, self.stack)
                 out: list[LfExpr] = []
                 for arg in args:
-                    arg2 = close_query(arg, cls.annot if isinstance(cls, Pi) else None, pending)
+                    arg2 = self.close_query(arg, cls.annot if isinstance(cls, Pi) else None, pending)
                     out.append(arg2)
                     cls = codomain(cls, arg2) if isinstance(cls, Pi) else None
                 return make_app(head, out)
 
-    def aux_solve(m: HMeta, cls: LfExpr) -> None:
-        nonlocal store
-        goal = inhabitation_goal(sig, cls, m, program.mode)
-        solver = Solver(program, limits, bindings=store)
+    def aux_solve(self, m: HMeta, cls: LfExpr) -> None:
+        goal = inhabitation_goal(self.sig, cls, m, self.program.mode)
+        solver = Solver(self.program, self.limits, bindings=self.store)
         sol = next(solver.solve(goal, iterative=True), None)
         if sol is None:
             raise ReconstructError(f"uninhabited residual type: {pretty_print(cls)}")
-        store = dict(sol.bindings)
+        self.store = dict(sol.bindings)
 
-    def close(decode: Callable[[list[tuple[HMeta, LfExpr]]], LfExpr]) -> LfExpr:
-        for _ in range(1 + len(goal_metas) + 16):
+    def close(self, decode: Callable[[list[tuple[HMeta, LfExpr]]], LfExpr]) -> LfExpr:
+        for _ in range(1 + len(self.goal_metas) + 16):
             pending: list[tuple[HMeta, LfExpr]] = []
             result = decode(pending)
             if not contains_meta(result):
@@ -234,18 +275,8 @@ def finalize_metavars(
                     f"residual meta-variables with undetermined classifiers in {pretty_print(result)}"
                 )
             for m, cls in pending:
-                aux_solve(m, cls)
+                self.aux_solve(m, cls)
         raise ReconstructError("residual closing did not converge")
-
-    closed_type = close(lambda pending: close_query(query_type, None, pending))
-    try:
-        check_type(sig, closed_type)
-    except KernelError as e:
-        raise ReconstructError(f"ill-typed binding: {e}") from None
-    lf_proof = close(
-        lambda pending: decode_term(sig, resolve_term(store, proof_meta), closed_type, pending=pending)
-    )
-    return closed_type, lf_proof, store
 
 
 # ---------------------------------------------------------------------------

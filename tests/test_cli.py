@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import os
 import pathlib
@@ -10,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import lfhh
-from lfhh.cli import main
+from lfhh.cli import build_parser, main
 
 from corpus import STLC_BLOCK, STLC_TEXT
 
@@ -348,6 +349,40 @@ def test_parser_is_built_once_and_keeps_no_state(append_lf):
     assert exc.value.code == 2
     code, out, _ = run_cli("check", append_lf)
     assert code == 0 and out == "ok (9 declarations)\n"
+
+
+def test_calls_leave_no_cyclic_garbage(append_lf, golden_dir, tmp_path):
+    # the walkers of a call keep their tables in arguments or in a per-call
+    # object, never in a closure that refers to itself, so a call's tables
+    # are freed when it returns, without the cyclic collector; when they
+    # were closures, one `check` of 750 declarations left 21,585 objects
+    # for the collector
+    sig = tmp_path / "stlc.lf"
+    sig.write_text("".join(STLC_BLOCK.replace("{t}", f"_{i}") for i in range(5)))
+    calls = [
+        ("check", str(sig)),
+        ("analyze", str(sig)),
+        ("translate", str(sig), "--mode", "naive"),
+        ("translate", str(sig), "--mode", "optimized"),
+        ("solve", append_lf, "append (cons z nil) (cons (s z) nil) Out"),
+        ("solve", append_lf, "append L K (cons z (cons z nil))", "--all", "--mode", "naive", "--iterdeep"),
+        ("solve", str(sig), "of_0 (lam_0 base_0 ([x:tm_0] x)) T", "--mode", "naive", "--iterdeep", "--trace"),
+        ("solve", str(sig), "of_1 (lam_1 base_1 ([x:tm_1] lam_1 base_1 ([y:tm_1] x))) T", "--depth", "6"),
+        ("solve", str(golden_dir / "vec.lf"), "vec (s z)", "--depth", "4"),
+        ("bench", "--sizes", "4,8"),
+        ("bench", "--sizes", "4", "--search"),
+    ]
+    build_parser()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in calls:
+            run_cli(*argv)
+            assert gc.collect() == 0, argv
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- deep input -----------------------------------------------------------------------

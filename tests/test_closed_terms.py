@@ -228,6 +228,25 @@ def test_instantiate_agrees_with_reference(terms):
             assert h_instantiate(t, values, depth) == ref_h_instantiate(t, values, depth)
 
 
+def test_closed_lambda_free_terms_unify_exactly_when_equal(append_sig, terms):
+    # unification compares two closed λ-free terms by equality: it binds
+    # nothing and uses up no eigenvariable id, whatever the verdict
+    pool = [u for t in terms for u in subterms(t) if is_closed(u) and u.lam_free]
+    rng = random.Random(20261019)
+    pairs = [(a, a) for a in pool] + [(a, rehint(a, "copy")) for a in pool]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(3000)]
+    solver = Solver(translate(append_sig, "optimized"))
+    eigen = next(solver._eigen_ids)
+    verdicts = Counter()
+    for a, b in pairs:
+        verdict = solver.unify(a, b)
+        assert verdict == (a == b), (a, b)
+        verdicts[verdict] += 1
+    assert solver.bindings == {} and solver.trail == []
+    assert next(solver._eigen_ids) == eigen + 1
+    assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
+
+
 def test_binding_to_a_long_ground_list_stores_the_list_itself(append_sig):
     t = HConst("nil")
     for _ in range(1000):

@@ -1,9 +1,15 @@
 """`Solver._unify_head` against unifying the built instance of the template.
 
 Backchaining unifies a clause head template with the goal in place, without
-building the template's instance.  Each case runs `_unify_head(tmpl, t,
-metas)` on one solver and `_unify(h_instantiate(tmpl, metas), t)` on a
-second solver in the same state; everything a caller can observe must agree.
+building the template's instance, and keeps the values of the clause's
+binders in registers: a binder that meets a closed term takes it into its
+register, and its variable is made only when it is needed.  Each case runs
+`_unify_head(_head_code(tmpl, nprefix), t, regs)` on one solver and
+`_unify(h_instantiate(tmpl, metas), t)` on a second solver in the same
+state, where `metas` are the binders' variables with the ids the registers
+reserved; everything a caller can observe must agree.  A binder is compared through its resolved register
+value against its resolved variable, every other variable through its store
+entry.
 """
 
 import itertools
@@ -12,7 +18,8 @@ import random
 import pytest
 
 from lfhh.hhf_logic import ClauseSet, HApp, HBound, HConst, HEigen, HLam, HMeta, h_instantiate, happs
-from lfhh.hhf_prover import Solver, resolve_term
+from lfhh.hhf_logic import TM
+from lfhh.hhf_prover import Solver, _head_code, _meta, resolve_term
 
 PROGRAM = ClauseSet((), "optimized")
 ARITY = {"c": 0, "d": 0, "f": 1, "g": 2, "k": 2, "h": 3}
@@ -87,11 +94,15 @@ def solver_state():
     return s
 
 
-def observe(s, verdict):
+def observe(s, verdict, binders):
+    """What a caller sees: `binders` are the values of the template's
+    binders, whose own store entries are left out."""
+    ids = range(NEXT_META, NEXT_META + len(binders))
     return {
         "verdict": verdict,
-        "bindings": [(k, resolve_term(s.bindings, v)) for k, v in s.bindings.items()],
-        "trail": list(s.trail),
+        "binders": [resolve_term(s.bindings, v) for v in binders],
+        "bindings": [(k, resolve_term(s.bindings, v)) for k, v in s.bindings.items() if k not in ids],
+        "trail": [k for k in s.trail if k not in ids],
         "counters": s.counters,
         "next_meta": s._next_meta,
         "next_eigen": next(s._eigen_ids),
@@ -101,12 +112,15 @@ def observe(s, verdict):
 
 def compare(tmpl, t, nprefix):
     in_place, built = solver_state(), solver_state()
-    metas = [in_place._fresh_meta("X", LEVEL) for _ in range(nprefix)]
+    regs = in_place._registers((("X", TM),) * nprefix)
+    metas = [_meta("X", NEXT_META + i, LEVEL) for i in range(nprefix)]
     built._next_meta = in_place._next_meta
-    got = observe(in_place, in_place._unify_head(tmpl, t, metas))
-    want = observe(built, built._unify(h_instantiate(tmpl, metas), t))
+    verdict = in_place._unify_head(_head_code(tmpl, nprefix), t, regs)
+    held = sum(r is not None and not isinstance(r, HMeta) for r in regs)
+    got = observe(in_place, verdict, in_place._filled(regs))
+    want = observe(built, built._unify(h_instantiate(tmpl, metas), t), metas)
     assert got == want, (tmpl, t)
-    return want
+    return {**want, "held": held}
 
 
 # append (cons X L) K (cons X M) over the prefix X, L, K, M (M innermost)
@@ -136,7 +150,7 @@ def test_head_constant_applied_to_fewer_arguments():
 
 def test_random_templates_and_goals():
     rng = random.Random(20261018)
-    seen = {"true": 0, "false": 0, "lambda": 0, "non_pattern": 0, "bound": 0}
+    seen = {"true": 0, "false": 0, "lambda": 0, "non_pattern": 0, "bound": 0, "held": 0}
     for _ in range(3000):
         nprefix = rng.randint(1, 4)
         tmpl = template(rng, nprefix, 0, rng.randint(1, 4))
@@ -150,4 +164,5 @@ def test_random_templates_and_goals():
         seen["lambda"] += out["next_eigen"] > NEXT_EIGEN
         seen["non_pattern"] += out["non_pattern_seen"]
         seen["bound"] += len(out["bindings"]) > len(BINDINGS)
+        seen["held"] += out["held"] > 0
     assert all(n >= 50 for n in seen.values()), seen

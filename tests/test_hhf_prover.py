@@ -125,6 +125,18 @@ def test_optimized_backchain_law(append_sig, programs):
         assert solver.counters.top_steps == 4 * n + 1
 
 
+@pytest.mark.parametrize("mode, steps, unify_calls", [("naive", 562, 1124), ("optimized", 17, 34)])
+def test_ground_check_binds_no_variable(append_sig, programs, mode, steps, unify_calls):
+    # `bench`'s ground check at n = 16: every clause binder meets a closed
+    # term and is kept in a register, so the store stays empty; when each
+    # binder was a variable bound in the store, it held one entry per binder
+    ty, proof = _append_check([Const("z")] * 16)
+    solver = Solver(programs[mode])
+    assert next(solver.solve(inhabitation_goal(append_sig, ty, encode_term(proof), mode)), None) is not None
+    assert solver.bindings == {} and solver.trail == []
+    assert (solver.counters.backchain_steps, solver.counters.unify_calls) == (steps, unify_calls)
+
+
 # -- all-solutions enumeration -------------------------------------------------------
 
 
