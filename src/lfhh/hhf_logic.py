@@ -18,7 +18,6 @@ the binders crossed.  No binder is opened by name and abstracted back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .lf_syntax import (
@@ -31,12 +30,14 @@ from .lf_syntax import (
     LfExpr,
     Meta,
     Pi,
+    Record,
     Signature,
     TypeKind,
     _Cursor,
     _error,
     _shift,
     _token_pattern,
+    fields_repr,
     fresh_name,
     spine,
 )
@@ -94,23 +95,28 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimpleType:
-    pass
+class SimpleType(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SBase(SimpleType):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class SArrow(SimpleType):
-    dom: SimpleType
-    cod: SimpleType
+    __slots__ = ("dom", "cod")
+    __match_args__ = ("dom", "cod")
+
+    def __init__(self, dom: SimpleType, cod: SimpleType):
+        self.dom = dom
+        self.cod = cod
 
     def __str__(self) -> str:
         return print_simple_type(self)
@@ -158,45 +164,63 @@ def erased_signature(sig: Signature) -> dict[str, SimpleType]:
 class HhTerm:
     """Base of every target term node.  As with LF expressions, each class
     has one hand-written constructor that assigns its slots, `scope` and
-    `lam_free` included, and terms are immutable by contract: no code writes
-    a field after the constructor returns, and no `__setattr__` guard slows
-    construction down to enforce it."""
+    `lam_free` included, its own `__eq__` and `__hash__`, and a `repr` of
+    the fields in `__match_args__`.  Terms are immutable by contract: no
+    code writes a field after the constructor returns, and no `__setattr__`
+    guard slows construction down to enforce it."""
 
     __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        return fields_repr(self, self.__match_args__)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class HConst(HhTerm):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     scope = 0
     lam_free = True
 
     def __init__(self, name: str):
         self.name = name
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HConst:
+            return NotImplemented
+        return self is other or self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class HBound(HhTerm):
-    index: int
-    scope: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("index", "scope")
+    __match_args__ = ("index",)
     lam_free = True
 
     def __init__(self, index: int):
         self.index = index
         self.scope = index + 1
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HBound:
+            return NotImplemented
+        return self is other or self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class HLam(HhTerm):
-    hint: str = field(compare=False)
-    body: HhTerm
-    scope: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("hint", "body", "scope")
+    __match_args__ = ("hint", "body")
     lam_free = False
 
     def __init__(self, hint: str, body: HhTerm):
@@ -205,16 +229,21 @@ class HLam(HhTerm):
         b = body.scope
         self.scope = b - 1 if b > 0 else b
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HLam:
+            return NotImplemented
+        return self is other or self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
+
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class HApp(HhTerm):
-    fn: HhTerm
-    arg: HhTerm
-    scope: int = field(init=False, compare=False, repr=False)
-    lam_free: bool = field(init=False, compare=False, repr=False)
+    __slots__ = ("fn", "arg", "scope", "lam_free")
+    __match_args__ = ("fn", "arg")
 
     def __init__(self, fn: HhTerm, arg: HhTerm):
         self.fn = fn
@@ -226,42 +255,62 @@ class HApp(HhTerm):
             self.scope = f if f >= a else a
             self.lam_free = fn.lam_free and arg.lam_free
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HApp:
+            return NotImplemented
+        return self is other or (self.fn == other.fn and self.arg == other.arg)
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.arg))
+
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class HMeta(HhTerm):
     """Unification variable.  Identity is the numeric id; the name is for
     display, the scope level is bookkeeping."""
 
-    name: str = field(compare=False)
-    id: int
-    level: int = field(compare=False)
+    __slots__ = ("name", "id", "level")
+    __match_args__ = ("name", "id", "level")
     scope = OPEN
 
     def __init__(self, name: str, id: int = 0, level: int = 0):
         self.name = name
         self.id = id
         self.level = level
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HMeta:
+            return NotImplemented
+        return self is other or self.id == other.id
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class HEigen(HhTerm):
     """Scoped constant introduced by a universal goal."""
 
-    name: str = field(compare=False)
-    id: int
-    level: int
+    __slots__ = ("name", "id", "level")
+    __match_args__ = ("name", "id", "level")
     scope = OPEN
 
     def __init__(self, name: str, id: int = 0, level: int = 0):
         self.name = name
         self.id = id
         self.level = level
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HEigen:
+            return NotImplemented
+        return self is other or (self.id == other.id and self.level == other.level)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.level))
 
     def __str__(self) -> str:
         return print_term(self)
@@ -379,56 +428,87 @@ def lf_head(h: HhTerm) -> LfExpr | None:
 
 
 class HhFormula:
-    """Base of every formula node; like terms, formulas have one constructor
-    each and are immutable by contract."""
+    """Base of every formula node; like terms, formulas have one constructor,
+    `__eq__` and `__hash__` each, and are immutable by contract."""
 
     __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        return fields_repr(self, self.__match_args__)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class FTop(HhFormula):
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is FTop else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
     def __str__(self) -> str:
         return "top"
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class FAtom(HhFormula):
     """The sole predicate: subject term related to classifier term."""
 
-    subject: HhTerm
-    classifier: HhTerm
+    __slots__ = ("subject", "classifier")
+    __match_args__ = ("subject", "classifier")
 
     def __init__(self, subject: HhTerm, classifier: HhTerm):
         self.subject = subject
         self.classifier = classifier
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FAtom:
+            return NotImplemented
+        return self is other or (self.subject == other.subject and self.classifier == other.classifier)
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.classifier))
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class FImplies(HhFormula):
-    antecedent: HhFormula
-    consequent: HhFormula
+    __slots__ = ("antecedent", "consequent")
+    __match_args__ = ("antecedent", "consequent")
 
     def __init__(self, antecedent: HhFormula, consequent: HhFormula):
         self.antecedent = antecedent
         self.consequent = consequent
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FImplies:
+            return NotImplemented
+        return self is other or (self.antecedent == other.antecedent and self.consequent == other.consequent)
+
+    def __hash__(self) -> int:
+        return hash((self.antecedent, self.consequent))
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class FForall(HhFormula):
-    hint: str = field(compare=False)
-    stype: SimpleType
-    body: HhFormula
+    __slots__ = ("hint", "stype", "body")
+    __match_args__ = ("hint", "stype", "body")
 
     def __init__(self, hint: str, stype: SimpleType, body: HhFormula):
         self.hint = hint
         self.stype = stype
         self.body = body
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FForall:
+            return NotImplemented
+        return self is other or (self.stype == other.stype and self.body == other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.stype, self.body))
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -487,20 +567,32 @@ def _add_term_metas(t: HhTerm, out: dict[str, HMeta]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Clause:
-    origin: str  # name of the originating declaration
-    formula: HhFormula
+class Clause(Record):
+    __slots__ = ("origin", "formula")
+    __match_args__ = ("origin", "formula")
+
+    def __init__(self, origin: str, formula: HhFormula):
+        self.origin = origin  # name of the originating declaration
+        self.formula = formula
 
 
-@dataclass(frozen=True)
-class ClauseSet:
-    clauses: tuple[Clause, ...]
-    mode: str  # "naive" | "optimized"
-    constants: Mapping[str, SimpleType] = field(compare=False, default_factory=dict)
-    # the prover's compiled form of `clauses`, built by its first Solver and
-    # kept here so that it lives exactly as long as the set
-    compiled: tuple | None = field(default=None, init=False, compare=False, repr=False)
+class ClauseSet(Record):
+    __slots__ = ("clauses", "mode", "constants", "compiled")
+    __match_args__ = ("clauses", "mode", "constants")
+    _compared = ("clauses", "mode")
+
+    def __init__(
+        self,
+        clauses: tuple[Clause, ...],
+        mode: str,
+        constants: Mapping[str, SimpleType] | None = None,
+    ):
+        self.clauses = clauses
+        self.mode = mode  # "naive" | "optimized"
+        self.constants = {} if constants is None else constants
+        # the prover's compiled form of `clauses`, built by its first Solver
+        # and kept here so that it lives exactly as long as the set
+        self.compiled: tuple | None = None
 
     def __iter__(self):
         return iter(self.clauses)

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, replace
 from typing import Iterator, Literal
 
 from .hhf_logic import (
@@ -100,6 +99,7 @@ from .hhf_logic import (
     print_formula,
     print_term,
 )
+from .lf_syntax import Record
 
 __all__ = [
     "Limits",
@@ -114,17 +114,30 @@ DEFAULT_DEPTH = 512
 DEFAULT_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class Limits:
-    depth: int = DEFAULT_DEPTH
-    budget: int = DEFAULT_BUDGET
+class Limits(Record):
+    __slots__ = ("depth", "budget")
+    __match_args__ = ("depth", "budget")
+
+    def __init__(self, depth: int = DEFAULT_DEPTH, budget: int = DEFAULT_BUDGET):
+        self.depth = depth
+        self.budget = budget
 
 
-@dataclass
-class Counters:
-    backchain_steps: int = 0
-    top_steps: int = 0
-    unify_calls: int = 0
+class Counters(Record):
+    """The search's running counts; the one record that is written after
+    construction, so it is not hashable."""
+
+    __slots__ = ("backchain_steps", "top_steps", "unify_calls")
+    __match_args__ = ("backchain_steps", "top_steps", "unify_calls")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, backchain_steps: int = 0, top_steps: int = 0, unify_calls: int = 0):
+        self.backchain_steps = backchain_steps
+        self.top_steps = top_steps
+        self.unify_calls = unify_calls
+
+    def copy(self) -> Counters:
+        return Counters(self.backchain_steps, self.top_steps, self.unify_calls)
 
 
 class BudgetExceeded(Exception):
@@ -213,8 +226,7 @@ def _meta(hint: str, i: int, level: int) -> HMeta:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompiledClause:
+class CompiledClause(Record):
     """A clause split once into the parts that backchaining uses.
 
     Templates refer to the quantifier prefix by de Bruijn index: a guard
@@ -226,13 +238,26 @@ class CompiledClause:
     the subject is that constant applied to distinct prefix binders
     (`subject_vars` of them), the shape every translated declaration has."""
 
-    origin: str
-    prefix: tuple[tuple[str, SimpleType], ...]
-    guards: tuple[tuple[int, HhFormula], ...]
-    head: tuple[_HeadCode, _HeadCode] | None
-    subject_head: str | None
-    family_head: str | None
-    subject_vars: int
+    __slots__ = ("origin", "prefix", "guards", "head", "subject_head", "family_head", "subject_vars")
+    __match_args__ = __slots__
+
+    def __init__(
+        self,
+        origin: str,
+        prefix: tuple[tuple[str, SimpleType], ...],
+        guards: tuple[tuple[int, HhFormula], ...],
+        head: tuple[_HeadCode, _HeadCode] | None,
+        subject_head: str | None,
+        family_head: str | None,
+        subject_vars: int,
+    ):
+        self.origin = origin
+        self.prefix = prefix
+        self.guards = guards
+        self.head = head
+        self.subject_head = subject_head
+        self.family_head = family_head
+        self.subject_vars = subject_vars
 
 
 def compile_clause(clause: Clause) -> CompiledClause:
@@ -294,17 +319,20 @@ def compiled_program(program: ClauseSet) -> tuple[CompiledClause, ...]:
     """The compiled static clauses of `program`, built on first use and kept
     on the set itself, so every Solver over one set shares them."""
     if program.compiled is None:
-        object.__setattr__(program, "compiled", tuple(compile_clause(c) for c in program.clauses))
+        program.compiled = tuple(compile_clause(c) for c in program.clauses)
     return program.compiled
 
 
-@dataclass(frozen=True)
-class Solution:
-    """One answer: a frozen snapshot of the binding store plus bookkeeping."""
+class Solution(Record):
+    """One answer: a snapshot of the binding store plus bookkeeping."""
 
-    bindings: dict[int, HhTerm]
-    counters: Counters
-    trace: tuple[str, ...] = ()
+    __slots__ = ("bindings", "counters", "trace")
+    __match_args__ = ("bindings", "counters", "trace")
+
+    def __init__(self, bindings: dict[int, HhTerm], counters: Counters, trace: tuple[str, ...] = ()):
+        self.bindings = bindings
+        self.counters = counters
+        self.trace = trace
 
     def value(self, m: HhTerm) -> HhTerm:
         return resolve_term(self.bindings, m)
@@ -367,16 +395,16 @@ class Solver:
         try:
             if not iterative:
                 for _ in self._search(goal):
-                    yield Solution(dict(self.bindings), replace(self.counters), tuple(self.trace))
+                    yield Solution(dict(self.bindings), self.counters.copy(), tuple(self.trace))
                 return
             full = self.limits
             for d in range(1, full.depth + 1):
-                self.limits = replace(full, depth=d)
+                self.limits = Limits(d, full.budget)
                 self.depth_hit = False
                 found = False
                 for _ in self._search(goal):
                     found = True
-                    yield Solution(dict(self.bindings), replace(self.counters), tuple(self.trace))
+                    yield Solution(dict(self.bindings), self.counters.copy(), tuple(self.trace))
                 if found or not self.depth_hit:
                     self.limits = full
                     return

@@ -11,8 +11,8 @@ exactly alpha-equality.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Container, Iterator, Mapping, NamedTuple, Sequence
+from collections.abc import Mapping
+from typing import Container, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "LfExpr",
@@ -86,36 +86,50 @@ class NormalizeError(LfError):
 OPEN = -1
 
 
+def fields_repr(obj: object, fields: Sequence[str]) -> str:
+    """`Class(field=value, ...)` over `fields`, as a dataclass prints."""
+    shown = ", ".join([f"{f}={getattr(obj, f)!r}" for f in fields])
+    return f"{type(obj).__qualname__}({shown})"
+
+
 class LfExpr:
     """Base of every expression node.
 
-    Each node class has one hand-written constructor that assigns its slots
-    and its `scope`; the dataclass decorator supplies only equality, hashing,
-    `repr` and `__match_args__`.  Nodes are immutable by contract: no code
-    writes a field after the constructor returns.  Nothing enforces that at
-    run time, since a `__setattr__` guard would slow every construction."""
+    Each node class lists its fields in `__slots__`, has one hand-written
+    constructor that assigns them and its `scope`, and its own `__eq__` and
+    `__hash__`, which skip binder hints and `scope`.  `repr` shows the fields
+    in `__match_args__`.  Nodes are immutable by contract: no code writes a
+    field after the constructor returns.  Nothing enforces that at run time,
+    since a `__setattr__` guard would slow every construction."""
 
     __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        return fields_repr(self, self.__match_args__)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class TypeKind(LfExpr):
     """The kind `type`."""
 
+    __slots__ = ()
     scope = 0
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is TypeKind else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def __str__(self) -> str:
         return "type"
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class Pi(LfExpr):
     """Dependent product {x:A} B.  `hint` is a display name only."""
 
-    hint: str = field(compare=False)
-    annot: LfExpr
-    body: LfExpr
-    scope: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("hint", "annot", "body", "scope")
+    __match_args__ = ("hint", "annot", "body")
 
     def __init__(self, hint: str, annot: LfExpr, body: LfExpr):
         self.hint = hint
@@ -124,18 +138,23 @@ class Pi(LfExpr):
         a, b = annot.scope, body.scope
         self.scope = OPEN if a < 0 or b < 0 else (a if a >= b else b - 1)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Pi:
+            return NotImplemented
+        return self is other or (self.annot == other.annot and self.body == other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.annot, self.body))
+
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class Lam(LfExpr):
     """Abstraction [x:A] M."""
 
-    hint: str = field(compare=False)
-    annot: LfExpr
-    body: LfExpr
-    scope: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("hint", "annot", "body", "scope")
+    __match_args__ = ("hint", "annot", "body")
 
     def __init__(self, hint: str, annot: LfExpr, body: LfExpr):
         self.hint = hint
@@ -144,15 +163,21 @@ class Lam(LfExpr):
         a, b = annot.scope, body.scope
         self.scope = OPEN if a < 0 or b < 0 else (a if a >= b else b - 1)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Lam:
+            return NotImplemented
+        return self is other or (self.annot == other.annot and self.body == other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.annot, self.body))
+
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class App(LfExpr):
-    fn: LfExpr
-    arg: LfExpr
-    scope: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("fn", "arg", "scope")
+    __match_args__ = ("fn", "arg")
 
     def __init__(self, fn: LfExpr, arg: LfExpr):
         self.fn = fn
@@ -160,48 +185,79 @@ class App(LfExpr):
         f, a = fn.scope, arg.scope
         self.scope = OPEN if f < 0 or a < 0 or isinstance(fn, Lam) else (f if f >= a else a)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not App:
+            return NotImplemented
+        return self is other or (self.fn == other.fn and self.arg == other.arg)
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.arg))
+
     def __str__(self) -> str:
         return pretty_print(self)
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class Bound(LfExpr):
     """de Bruijn index of a binder-bound occurrence."""
 
-    index: int
-    scope: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("index", "scope")
+    __match_args__ = ("index",)
 
     def __init__(self, index: int):
         self.index = index
         self.scope = index + 1
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Bound:
+            return NotImplemented
+        return self is other or self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
     def __str__(self) -> str:
         return f"#{self.index}"
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class Const(LfExpr):
     """A declared constant or a context variable, identified by name."""
 
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     scope = 0
 
     def __init__(self, name: str):
         self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Const:
+            return NotImplemented
+        return self is other or self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class Meta(LfExpr):
     """An instantiatable placeholder; legal in queries, rejected by the kernel."""
 
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     scope = 0
 
     def __init__(self, name: str):
         self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Meta:
+            return NotImplemented
+        return self is other or self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -213,6 +269,9 @@ TYPE = TypeKind()
 # (kinds have no classifier of their own).
 KIND = "kind"
 
+# `collections.abc.Mapping`, not `typing.Mapping`: typing caches its aliases
+# process-wide, and the cached alias would keep every class of a re-imported
+# copy of this module alive through `LfExpr`.
 Subst = Mapping[str, LfExpr]
 
 
@@ -338,15 +397,58 @@ def fresh_name(base: str, *avoid: Container[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class Record:
+    """Base of the plain value records (signature entries, clauses, search
+    limits and results, ...).  Each record class lists its fields in
+    `__slots__` and `__match_args__`, in constructor order, and its
+    constructor assigns them.  Equality and hashing read the fields named in
+    `_compared`, and `repr` those in `_shown`; both default to
+    `__match_args__`.  Records of different classes are never equal.  Like
+    nodes, records are immutable by contract (search counters excepted)."""
+
+    # a record can be weakly referenced, as a dataclass instance could
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    _shown: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._compared = cls.__dict__.get("_compared", cls.__match_args__)
+        cls._shown = cls.__dict__.get("_shown", cls.__match_args__)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return fields_repr(self, self._shown)
+
+
+# ---------------------------------------------------------------------------
 # Signatures
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigEntry:
-    name: str
-    classifier: LfExpr
-    sort: str  # "kind" for type-family declarations, "type" for object constants
+class SigEntry(Record):
+    __slots__ = ("name", "classifier", "sort")
+    __match_args__ = ("name", "classifier", "sort")
+
+    def __init__(self, name: str, classifier: LfExpr, sort: str):
+        self.name = name
+        self.classifier = classifier
+        self.sort = sort  # "kind" for type-family declarations, "type" for object constants
 
 
 def classifier_sort(classifier: LfExpr) -> str:

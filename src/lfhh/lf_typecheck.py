@@ -22,8 +22,6 @@ and must only ever accept closed expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .lf_syntax import (
     KIND,
     TYPE,
@@ -38,6 +36,7 @@ from .lf_syntax import (
     classifier_sort,
     codomain,
     contains_meta,
+    fields_repr,
     free_names,
     fresh_name,
     head_classifier,
@@ -83,18 +82,16 @@ Stack = tuple[LfExpr, ...]
 Memo = dict[tuple[int, int], tuple[LfExpr, LfExpr, "Derivation"]]
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class Judgment:
     """Conclusion record: the declarations' fingerprint, the hints of the
     binders crossed (innermost last), and a subject and classifier open over
     those binders (expressions or literal text).  All are kept as they are,
     so a judgment costs O(1), and binders are named only when printed.
-    Like expression nodes, a judgment is immutable by contract."""
+    Like expression nodes, a judgment is immutable by contract, and all its
+    fields take part in equality."""
 
-    context: Fingerprint
-    binders: Hints
-    subject: LfExpr | str | None
-    classifier: LfExpr | str | None
+    __slots__ = ("context", "binders", "subject", "classifier")
+    __match_args__ = __slots__
 
     def __init__(
         self,
@@ -107,6 +104,22 @@ class Judgment:
         self.binders = binders
         self.subject = subject
         self.classifier = classifier
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Judgment:
+            return NotImplemented
+        return self is other or (
+            self.context == other.context
+            and self.binders == other.binders
+            and self.subject == other.subject
+            and self.classifier == other.classifier
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.binders, self.subject, self.classifier))
+
+    def __repr__(self) -> str:
+        return fields_repr(self, self.__match_args__)
 
     def names(self) -> list[str]:
         """A name for each binder: its hint, made fresh against the
@@ -137,20 +150,16 @@ class Judgment:
         return f"{context} |- {self.show(self.subject)} : {self.show(self.classifier)}"
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
 class Derivation:
     """A derivation node, immutable by contract; its constructor counts its
     `size`, the nodes of the tree it roots.  A backchaining node records the
     subject's `head`, a declared constant's name or `#k` for the k-th of the
     conclusion's binders counted from the innermost, and its arguments as
-    `instantiation`, open over those binders like the subject."""
+    `instantiation`, open over those binders like the subject.  All its
+    fields, `size` included, take part in equality and `repr`."""
 
-    rule: str
-    conclusion: Judgment
-    premises: tuple["Derivation", ...]
-    size: int = field(init=False)
-    head: str | None
-    instantiation: tuple[LfExpr, ...]
+    __slots__ = ("rule", "conclusion", "premises", "size", "head", "instantiation")
+    __match_args__ = ("rule", "conclusion", "premises", "head", "instantiation")
 
     def __init__(
         self,
@@ -169,6 +178,24 @@ class Derivation:
         self.size = size
         self.head = head
         self.instantiation = instantiation
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Derivation:
+            return NotImplemented
+        return self is other or (
+            self.size == other.size
+            and self.rule == other.rule
+            and self.head == other.head
+            and self.conclusion == other.conclusion
+            and self.premises == other.premises
+            and self.instantiation == other.instantiation
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.conclusion, self.premises, self.size, self.head, self.instantiation))
+
+    def __repr__(self) -> str:
+        return fields_repr(self, self.__slots__)
 
 
 def to_sexpr(d: Derivation) -> str:

@@ -18,7 +18,6 @@ is reported, never swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .hhf_logic import (
@@ -43,6 +42,7 @@ from .lf_syntax import (
     Lam,
     Meta,
     Pi,
+    Record,
     Signature,
     classifier_sort,
     codomain,
@@ -68,19 +68,32 @@ class ReconstructError(LfError):
     pass
 
 
-@dataclass(frozen=True)
-class CertifiedAnswer:
+class CertifiedAnswer(Record):
     """Kernel verdict on one decoded answer."""
 
-    lf_proof: LfExpr | None
-    lf_type: LfExpr | None
-    kernel_derivation: Derivation | None
-    counters: Counters
-    status: str  # "certified" | "rejected"
-    reason: str | None = None
-    # the binding store after residual closing, kept for decoding the query
-    # variables of a certified answer
-    store: dict[int, HhTerm] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("lf_proof", "lf_type", "kernel_derivation", "counters", "status", "reason", "store")
+    __match_args__ = __slots__
+    _compared = _shown = __slots__[:-1]  # all but the store
+
+    def __init__(
+        self,
+        lf_proof: LfExpr | None,
+        lf_type: LfExpr | None,
+        kernel_derivation: Derivation | None,
+        counters: Counters,
+        status: str,
+        reason: str | None = None,
+        store: dict[int, HhTerm] | None = None,
+    ):
+        self.lf_proof = lf_proof
+        self.lf_type = lf_type
+        self.kernel_derivation = kernel_derivation
+        self.counters = counters
+        self.status = status  # "certified" | "rejected"
+        self.reason = reason
+        # the binding store after residual closing, kept for decoding the
+        # query variables of a certified answer
+        self.store = store
 
     @property
     def certified(self) -> bool:

@@ -29,19 +29,20 @@ A binder's hint is only a display name and takes no part in the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lf_syntax import Bound, Lam, LfExpr, Meta, Pi, Signature, spine
+from .lf_syntax import Bound, Lam, LfExpr, Meta, Pi, Record, Signature, spine
 
 __all__ = ["GuardPlan", "guard_plan", "plan_for_type"]
 
 
-@dataclass(frozen=True)
-class GuardPlan:
+class GuardPlan(Record):
     """Per-binder guard decision for one declaration, in binder order."""
 
-    decl_name: str
-    binders: tuple[tuple[str, bool], ...]  # (display name, rigid?)
+    __slots__ = ("decl_name", "binders")
+    __match_args__ = ("decl_name", "binders")
+
+    def __init__(self, decl_name: str, binders: tuple[tuple[str, bool], ...]):
+        self.decl_name = decl_name
+        self.binders = binders  # (display name, rigid?)
 
 
 def _local_var(e: LfExpr, depth: int) -> int | None:

@@ -1,7 +1,8 @@
 """The closed flag on target terms: `scope`, `lam_free` and `is_closed`
 against plain recursive reference definitions, and the traversals that
 return closed subterms unchanged.  Also the term and formula classes'
-equality and hashing, which ignore binder hints, and their `repr` text."""
+equality and hashing, which ignore binder hints, and their `repr` text, and
+those of clauses and the prover's records."""
 
 import random
 from collections import Counter
@@ -11,6 +12,8 @@ import pytest
 from lfhh.hhf_logic import (
     OPEN,
     TM,
+    Clause,
+    ClauseSet,
     FAtom,
     FForall,
     FImplies,
@@ -26,7 +29,7 @@ from lfhh.hhf_logic import (
     is_closed,
     translate,
 )
-from lfhh.hhf_prover import Solution, Solver, resolve_term
+from lfhh.hhf_prover import Counters, Limits, Solution, Solver, resolve_term
 from lfhh.lf_syntax import parse_query
 from lfhh.reconstruct import QuerySession, certify
 
@@ -186,6 +189,11 @@ def test_equality_and_hash_ignore_binder_hints(append_sig, terms):
     for x in [u for t in terms for u in subterms(t)] + formulas:
         y = rehint(x, "renamed")
         assert y == x and hash(y) == hash(x), x
+    for mode in ("naive", "optimized"):
+        program = translate(append_sig, mode)
+        renamed = ClauseSet(tuple(Clause(c.origin, rehint(c.formula, "renamed")) for c in program), mode)
+        assert renamed == program and hash(renamed) == hash(program)
+        assert renamed.clauses != program.clauses[::-1]
     assert HLam("x", HBound(0)) != HLam("x", HBound(1))
     assert FForall("x", TM, FTop()) != FForall("x", TM, FAtom(HBound(0), HConst("tm")))
 
@@ -202,6 +210,12 @@ def test_repr_of_every_node_class():
         "FForall(hint='x', stype=SBase(name='tm'), body=FImplies(antecedent=FTop(), "
         "consequent=FAtom(subject=HBound(index=0), classifier=HConst(name='tm'))))"
     )
+    assert repr(Clause("z", FAtom(HConst("z"), HConst("nat")))) == (
+        "Clause(origin='z', formula=FAtom(subject=HConst(name='z'), classifier=HConst(name='nat')))"
+    )
+    assert repr(ClauseSet((), "naive")) == "ClauseSet(clauses=(), mode='naive', constants={})"
+    assert repr(Limits()) == "Limits(depth=512, budget=10000000)"
+    assert repr(Counters()) == "Counters(backchain_steps=0, top_steps=0, unify_calls=0)"
 
 
 def test_closed_terms_come_back_unchanged(append_sig, terms):

@@ -2,7 +2,6 @@ import gc
 import random
 import time
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -106,7 +105,7 @@ def test_budget_exhaustion_flag(append_sig, programs):
 def test_counters_accessor(programs):
     solver = Solver(programs["optimized"])
     next(solver.solve(FAtom(HConst("z"), HConst("nat"))))
-    snap = replace(solver.counters)
+    snap = solver.counters.copy()
     assert snap.backchain_steps == 1
     assert snap is not solver.counters
 
@@ -176,14 +175,18 @@ def test_enumerates_every_split_resuming_after_each_answer(append_sig, programs,
 def test_dropping_a_deep_search_is_cheap(append_sig, programs):
     # closing the search after its first answer frees a list of choice
     # points; with one suspended generator chain per backchain step it took
-    # 0.33 s at n = 3000 on a 2-vCPU host
+    # 0.33 s at n = 3000 on a 2-vCPU host, longer than the search itself.
+    # The bound is relative to the search, timed in the same process, so a
+    # loaded host slows both sides alike.
     solver = Solver(programs["optimized"], Limits(depth=10000))  # deep enough for the goal's terms too
     ty, proof = _append_check([Const("z")] * 3000)
     search = solver.solve(inhabitation_goal(append_sig, ty, encode_term(proof), "optimized"))
+    t0 = time.perf_counter()
     assert next(search).counters.backchain_steps == 3001
+    searched = time.perf_counter() - t0
     t0 = time.perf_counter()
     search.close()
-    assert time.perf_counter() - t0 < 0.05
+    assert time.perf_counter() - t0 < searched / 10
 
 
 # -- dynamic clauses and eigenvariables ----------------------------------------------

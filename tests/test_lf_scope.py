@@ -3,7 +3,7 @@ reference, substitution and beta normalization against versions with no
 shortcut, closed and normal subterms returned as the same object, and
 `fresh_name` over separate containers against the old set union.  Also the
 node classes' equality and hashing, which ignore binder hints, and their
-`repr` text."""
+`repr` text, and those of signature entries and kernel derivations."""
 
 import random
 
@@ -26,7 +26,9 @@ from lfhh.lf_syntax import (
     fresh_name,
     instantiate,
     make_app,
+    parse_signature,
 )
+from lfhh.lf_typecheck import Derivation, Judgment, checked_signature
 
 
 def ref_scope(e):
@@ -223,6 +225,44 @@ def test_repr_of_every_node_class():
     assert repr(Lam("y", Meta("M"), App(Bound(0), Const("c")))) == (
         "Lam(hint='y', annot=Meta(name='M'), body=App(fn=Bound(index=0), arg=Const(name='c')))"
     )
+    sig = parse_signature("a : type. f : {x:a} a.")
+    assert repr(sig.entries[1]) == (
+        "SigEntry(name='f', classifier=Pi(hint='x', annot=Const(name='a'), body=Const(name='a')), sort='type')"
+    )
+    _, d = checked_signature(sig)
+    fp = d.conclusion.context
+    assert repr(d.conclusion) == f"Judgment(context={fp!r}, binders=(), subject=None, classifier=None)"
+    assert repr(d).startswith(f"Derivation(rule='TypeCtx', conclusion={d.conclusion!r}, premises=(Derivation(")
+    assert repr(d).endswith(f"size={d.size}, head=None, instantiation=())")
+
+
+def copy_derivation(d):
+    """`d` rebuilt from new nodes that share only its fingerprints."""
+    c = d.conclusion
+    return Derivation(
+        d.rule,
+        Judgment(c.context, tuple(c.binders), c.subject, c.classifier),
+        tuple(copy_derivation(p) for p in d.premises),
+        d.head,
+        d.instantiation,
+    )
+
+
+def test_kernel_derivations_compare_every_field():
+    sig = parse_signature("a : type. b : a -> type. f : {x:a} b x -> a.")
+    _, d = checked_signature(sig)
+    copy = copy_derivation(d)
+    assert copy is not d and copy == d and hash(copy) == hash(d) and repr(copy) == repr(d)
+    assert d.size > 1
+    # binder hints are part of a judgment; separate checks have separate
+    # fingerprints, which compare by identity
+    _, again = checked_signature(sig)
+    assert again != d
+    leaf = d
+    while leaf.premises:
+        leaf = leaf.premises[-1]
+    c = leaf.conclusion
+    assert Judgment(c.context, c.binders + ("y",), c.subject, c.classifier) != c
 
 
 def test_instantiate_agrees_with_reference(exprs):

@@ -1,0 +1,304 @@
+"""Equality, hashing, `repr` and `__match_args__` of every node and record
+class.  The classes are plain slotted classes with hand-written methods; the
+table pins what each method reads, field by field, so that a field added to
+a class or to its comparison shows up here."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import lfhh
+from lfhh.hhf_logic import (
+    TM,
+    TY,
+    Clause,
+    ClauseSet,
+    FAtom,
+    FForall,
+    FImplies,
+    FTop,
+    HApp,
+    HBound,
+    HConst,
+    HEigen,
+    HLam,
+    HMeta,
+    SArrow,
+    SBase,
+    SimpleType,
+)
+from lfhh.hhf_prover import CompiledClause, Counters, Limits, Solution
+from lfhh.lf_syntax import TYPE, App, Bound, Const, Fingerprint, Lam, Meta, Pi, SigEntry, TypeKind
+from lfhh.lf_typecheck import Derivation, Judgment
+from lfhh.reconstruct import CertifiedAnswer
+from lfhh.rigidity import GuardPlan
+
+ATOM = FAtom(HConst("z"), HConst("nat"))
+CLAUSE = Clause("c", ATOM)
+FP = Fingerprint(Fingerprint(), "a")
+JUDGMENT = Judgment(FP, ("x",), Bound(0), Const("a"))
+LEAF = Derivation("Type", Judgment(FP, (), TYPE, None))
+
+# class, constructor arguments, a different value for each field (fields the
+# constructor does not take are written after construction), the fields that
+# equality and hashing ignore, `__match_args__`, and the `repr` of the sample
+CASES = [
+    (TypeKind, (), {}, set(), (), "TypeKind()"),
+    (
+        Pi,
+        ("x", Const("a"), Bound(0)),
+        {"hint": "y", "annot": Const("b"), "body": Bound(1), "scope": 9},
+        {"hint", "scope"},
+        ("hint", "annot", "body"),
+        "Pi(hint='x', annot=Const(name='a'), body=Bound(index=0))",
+    ),
+    (
+        Lam,
+        ("x", Const("a"), Bound(0)),
+        {"hint": "y", "annot": Const("b"), "body": Bound(1), "scope": 9},
+        {"hint", "scope"},
+        ("hint", "annot", "body"),
+        "Lam(hint='x', annot=Const(name='a'), body=Bound(index=0))",
+    ),
+    (
+        App,
+        (Const("f"), Bound(0)),
+        {"fn": Const("g"), "arg": Bound(1), "scope": 9},
+        {"scope"},
+        ("fn", "arg"),
+        "App(fn=Const(name='f'), arg=Bound(index=0))",
+    ),
+    (Bound, (0,), {"index": 1, "scope": 9}, {"scope"}, ("index",), "Bound(index=0)"),
+    (Const, ("a",), {"name": "b"}, set(), ("name",), "Const(name='a')"),
+    (Meta, ("M",), {"name": "N"}, set(), ("name",), "Meta(name='M')"),
+    (
+        SigEntry,
+        ("a", TYPE, "kind"),
+        {"name": "b", "classifier": Const("b"), "sort": "type"},
+        set(),
+        ("name", "classifier", "sort"),
+        "SigEntry(name='a', classifier=TypeKind(), sort='kind')",
+    ),
+    (
+        Judgment,
+        (FP, ("x",), Bound(0), Const("a")),
+        {"context": Fingerprint(), "binders": ("y",), "subject": Bound(1), "classifier": "text"},
+        set(),
+        ("context", "binders", "subject", "classifier"),
+        f"Judgment(context={FP!r}, binders=('x',), subject=Bound(index=0), classifier=Const(name='a'))",
+    ),
+    (
+        Derivation,
+        ("Const", JUDGMENT, (), "a", (Const("b"),)),
+        {
+            "rule": "Var",
+            "conclusion": Judgment(FP, ("x",), Bound(0), Const("b")),
+            "premises": (LEAF,),
+            "size": 5,
+            "head": "#0",
+            "instantiation": (),
+        },
+        set(),
+        ("rule", "conclusion", "premises", "head", "instantiation"),
+        f"Derivation(rule='Const', conclusion={JUDGMENT!r}, premises=(), size=1, head='a', "
+        "instantiation=(Const(name='b'),))",
+    ),
+    (SimpleType, (), {}, set(), (), "SimpleType()"),
+    (SBase, ("tm",), {"name": "ty"}, set(), ("name",), "SBase(name='tm')"),
+    (
+        SArrow,
+        (TM, TY),
+        {"dom": TY, "cod": TM},
+        set(),
+        ("dom", "cod"),
+        "SArrow(dom=SBase(name='tm'), cod=SBase(name='ty'))",
+    ),
+    (HConst, ("z",), {"name": "s"}, set(), ("name",), "HConst(name='z')"),
+    (HBound, (0,), {"index": 1, "scope": 9}, {"scope"}, ("index",), "HBound(index=0)"),
+    (
+        HLam,
+        ("x", HBound(0)),
+        {"hint": "y", "body": HBound(1), "scope": 9},
+        {"hint", "scope"},
+        ("hint", "body"),
+        "HLam(hint='x', body=HBound(index=0))",
+    ),
+    (
+        HApp,
+        (HConst("s"), HConst("z")),
+        {"fn": HConst("t"), "arg": HConst("y"), "scope": 9, "lam_free": False},
+        {"scope", "lam_free"},
+        ("fn", "arg"),
+        "HApp(fn=HConst(name='s'), arg=HConst(name='z'))",
+    ),
+    (
+        HMeta,
+        ("X", 3, 1),
+        {"name": "Y", "id": 4, "level": 2},
+        {"name", "level"},
+        ("name", "id", "level"),
+        "HMeta(name='X', id=3, level=1)",
+    ),
+    (
+        HEigen,
+        ("e!4", 4, 2),
+        {"name": "f!4", "id": 5, "level": 3},
+        {"name"},
+        ("name", "id", "level"),
+        "HEigen(name='e!4', id=4, level=2)",
+    ),
+    (FTop, (), {}, set(), (), "FTop()"),
+    (
+        FAtom,
+        (HConst("z"), HConst("nat")),
+        {"subject": HConst("s"), "classifier": HConst("tm")},
+        set(),
+        ("subject", "classifier"),
+        "FAtom(subject=HConst(name='z'), classifier=HConst(name='nat'))",
+    ),
+    (
+        FImplies,
+        (FTop(), ATOM),
+        {"antecedent": ATOM, "consequent": FTop()},
+        set(),
+        ("antecedent", "consequent"),
+        "FImplies(antecedent=FTop(), consequent=FAtom(subject=HConst(name='z'), classifier=HConst(name='nat')))",
+    ),
+    (
+        FForall,
+        ("x", TM, FTop()),
+        {"hint": "y", "stype": TY, "body": ATOM},
+        {"hint"},
+        ("hint", "stype", "body"),
+        "FForall(hint='x', stype=SBase(name='tm'), body=FTop())",
+    ),
+    (
+        Clause,
+        ("c", ATOM),
+        {"origin": "d", "formula": FTop()},
+        set(),
+        ("origin", "formula"),
+        "Clause(origin='c', formula=FAtom(subject=HConst(name='z'), classifier=HConst(name='nat')))",
+    ),
+    (
+        ClauseSet,
+        ((CLAUSE,), "naive", {"z": TM}),
+        {"clauses": (), "mode": "optimized", "constants": {}, "compiled": ()},
+        {"constants", "compiled"},
+        ("clauses", "mode", "constants"),
+        f"ClauseSet(clauses=({CLAUSE!r},), mode='naive', constants={{'z': SBase(name='tm')}})",
+    ),
+    (Limits, (16, 100), {"depth": 17, "budget": 101}, set(), ("depth", "budget"), "Limits(depth=16, budget=100)"),
+    (
+        Counters,
+        (1, 2, 3),
+        {"backchain_steps": 0, "top_steps": 0, "unify_calls": 0},
+        set(),
+        ("backchain_steps", "top_steps", "unify_calls"),
+        "Counters(backchain_steps=1, top_steps=2, unify_calls=3)",
+    ),
+    (
+        CompiledClause,
+        ("c", (("x", TM),), ((0, FTop()),), None, "z", "nat", 0),
+        {
+            "origin": "d",
+            "prefix": (),
+            "guards": (),
+            "head": (0, 0),
+            "subject_head": None,
+            "family_head": None,
+            "subject_vars": 1,
+        },
+        set(),
+        ("origin", "prefix", "guards", "head", "subject_head", "family_head", "subject_vars"),
+        "CompiledClause(origin='c', prefix=(('x', SBase(name='tm')),), guards=((0, FTop()),), head=None, "
+        "subject_head='z', family_head='nat', subject_vars=0)",
+    ),
+    (
+        Solution,
+        ({1: HConst("z")}, Counters(1, 2, 3), ("bc z",)),
+        {"bindings": {}, "counters": Counters(), "trace": ()},
+        set(),
+        ("bindings", "counters", "trace"),
+        "Solution(bindings={1: HConst(name='z')}, counters=Counters(backchain_steps=1, top_steps=2, "
+        "unify_calls=3), trace=('bc z',))",
+    ),
+    (
+        CertifiedAnswer,
+        (Const("p"), Const("t"), LEAF, Counters(), "certified", None, {1: HConst("z")}),
+        {
+            "lf_proof": Const("q"),
+            "lf_type": Const("u"),
+            "kernel_derivation": None,
+            "counters": Counters(1),
+            "status": "rejected",
+            "reason": "no",
+            "store": {},
+        },
+        {"store"},
+        ("lf_proof", "lf_type", "kernel_derivation", "counters", "status", "reason", "store"),
+        f"CertifiedAnswer(lf_proof=Const(name='p'), lf_type=Const(name='t'), kernel_derivation={LEAF!r}, "
+        "counters=Counters(backchain_steps=0, top_steps=0, unify_calls=0), status='certified', reason=None)",
+    ),
+    (
+        GuardPlan,
+        ("appNil", (("K", True),)),
+        {"decl_name": "appCons", "binders": ()},
+        set(),
+        ("decl_name", "binders"),
+        "GuardPlan(decl_name='appNil', binders=(('K', True),))",
+    ),
+]
+
+# records that hold a mutable value, or are one, have no hash
+UNHASHABLE = {Counters, Solution, CertifiedAnswer}
+
+
+def _with(cls, args, field, value):
+    """A fresh instance of `cls` from `args`, with `field` set to `value`."""
+    if field in cls.__match_args__:
+        i = cls.__match_args__.index(field)
+        return cls(*args[:i], value, *args[i + 1 :])
+    out = cls(*args)
+    object.__setattr__(out, field, value)
+    return out
+
+
+@pytest.mark.parametrize("cls, args, others, ignored, match_args, text", CASES, ids=[c[0].__name__ for c in CASES])
+def test_equality_hash_repr_and_match_args(cls, args, others, ignored, match_args, text):
+    a, b = cls(*args), cls(*args)
+    assert a == b and not a != b
+    assert a != object() and a != None  # noqa: E711
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert cls.__match_args__ == match_args
+    assert repr(a) == text
+    for field, value in others.items():
+        c = _with(cls, args, field, value)
+        assert getattr(c, field) is value
+        if field in ignored:
+            assert c == a and a == c, field
+            assert cls in UNHASHABLE or hash(c) == hash(a), field
+        else:
+            assert c != a and a != c, field
+
+
+def test_classes_of_different_kinds_are_never_equal():
+    assert Const("a") != HConst("a") and Bound(0) != HBound(0)
+    assert TypeKind() != FTop() and SimpleType() != TypeKind()
+    assert SBase("tm") != SimpleType()
+
+
+def test_import_uses_no_dataclass_machinery():
+    # building classes with `dataclasses` was most of the import time
+    src = str(pathlib.Path(lfhh.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lfhh.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
