@@ -52,12 +52,14 @@ def _load_signature(path: str):
     return checked_signature(raw)
 
 
-def _load_query(args) -> tuple[Signature, LfExpr]:
-    """The checked signature of `args.file` and `args.query` parsed against
-    it, normalized at kind `type`."""
+def _load_query(args) -> tuple[Signature, LfExpr, dict[str, LfExpr]]:
+    """The checked signature of `args.file`, `args.query` parsed against it
+    and normalized at kind `type`, and the classifiers of its variables that
+    normalizing recorded."""
     sig, _ = _load_signature(args.file)
     goal_type, _ = parse_query(args.query, sig)
-    return sig, lf_syntax.normalize(goal_type, lf_syntax.TYPE, sig)
+    classifiers: dict[str, LfExpr] = {}
+    return sig, lf_syntax.normalize(goal_type, lf_syntax.TYPE, sig, metas=classifiers), classifiers
 
 
 def _limits(args) -> Limits:
@@ -102,8 +104,8 @@ def _print_answer(sess: QuerySession, sol, answer) -> None:
 
 
 def cmd_solve(args) -> int:
-    sig, goal_type = _load_query(args)
-    sess = QuerySession(sig, goal_type, args.mode, _limits(args), trace=args.trace)
+    sig, goal_type, classifiers = _load_query(args)
+    sess = QuerySession(sig, goal_type, args.mode, _limits(args), trace=args.trace, classifiers=classifiers)
     found = False
     for sol, answer in sess.answers(iterative=args.iterdeep):
         if not answer.certified:
@@ -192,10 +194,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sig, goal_type = _load_query(args)
+    sig, goal_type, classifiers = _load_query(args)
     limits = _limits(args)
-    sess_n = QuerySession(sig, goal_type, "naive", limits)
-    sess_o = QuerySession(sig, goal_type, "optimized", limits)
+    sess_n = QuerySession(sig, goal_type, "naive", limits, classifiers=classifiers)
+    sess_o = QuerySession(sig, goal_type, "optimized", limits, classifiers=classifiers)
     res_n = sess_n.first_answer(iterative=True)
     res_o = sess_o.first_answer(iterative=True)
     ok_n = res_n is not None

@@ -34,7 +34,6 @@ from .lf_syntax import (
     Signature,
     TypeKind,
     _Cursor,
-    _error,
     _shift,
     _token_pattern,
     fields_repr,
@@ -165,15 +164,19 @@ class HhTerm:
     """Base of every target term node.  As with LF expressions, each class
     has one hand-written constructor that assigns its slots, `scope` and
     `lam_free` included, its own `__eq__` and `__hash__`, and a `repr` of
-    the fields in `__match_args__`.  Terms are immutable by contract: no
-    code writes a field after the constructor returns, and no `__setattr__`
-    guard slows construction down to enforce it."""
+    the fields in `__match_args__`; every term prints with `print_term`.
+    Terms are immutable by contract: no code writes a field after the
+    constructor returns, and no `__setattr__` guard slows construction down
+    to enforce it."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def __repr__(self) -> str:
         return fields_repr(self, self.__match_args__)
+
+    def __str__(self) -> str:
+        return print_term(self)
 
 
 class HConst(HhTerm):
@@ -193,9 +196,6 @@ class HConst(HhTerm):
     def __hash__(self) -> int:
         return hash((self.name,))
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 class HBound(HhTerm):
     __slots__ = ("index", "scope")
@@ -213,9 +213,6 @@ class HBound(HhTerm):
 
     def __hash__(self) -> int:
         return hash((self.index,))
-
-    def __str__(self) -> str:
-        return print_term(self)
 
 
 class HLam(HhTerm):
@@ -236,9 +233,6 @@ class HLam(HhTerm):
 
     def __hash__(self) -> int:
         return hash((self.body,))
-
-    def __str__(self) -> str:
-        return print_term(self)
 
 
 class HApp(HhTerm):
@@ -263,9 +257,6 @@ class HApp(HhTerm):
     def __hash__(self) -> int:
         return hash((self.fn, self.arg))
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 class HMeta(HhTerm):
     """Unification variable.  Identity is the numeric id; the name is for
@@ -288,9 +279,6 @@ class HMeta(HhTerm):
     def __hash__(self) -> int:
         return hash((self.id,))
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 class HEigen(HhTerm):
     """Scoped constant introduced by a universal goal."""
@@ -311,9 +299,6 @@ class HEigen(HhTerm):
 
     def __hash__(self) -> int:
         return hash((self.id, self.level))
-
-    def __str__(self) -> str:
-        return print_term(self)
 
 
 def is_closed(t: HhTerm) -> bool:
@@ -838,7 +823,8 @@ _SIMPLE_TYPES = {"tm": TM, "ty": TY, "o": PROP}
 
 
 class _HhParser(_Cursor):
-    pattern = _token_pattern(("(", ")", ".", ":", "->", "=>", "\\"))
+    punct = frozenset(("(", ")", ".", ":", "->", "=>", "\\"))
+    pattern = _token_pattern(punct)
 
     def stype(self) -> SimpleType:
         left = self.satom()
@@ -849,21 +835,21 @@ class _HhParser(_Cursor):
 
     def satom(self) -> SimpleType:
         t = self.next()
-        if t.text == "(":
+        if t == "(":
             st = self.stype()
-            self.expect("punct", ")")
+            self.expect(")")
             return st
-        if t.kind == "ident" and t.text in _SIMPLE_TYPES:
-            return _SIMPLE_TYPES[t.text]
-        raise _error(f"bad simple type token {t.text!r}", t)
+        if t in _SIMPLE_TYPES:
+            return _SIMPLE_TYPES[t]
+        raise self.error(f"bad simple type token {t!r}", self.pos - 1)
 
     def formula(self) -> HhFormula:
         if self.at("forall"):
             self.next()
-            name = self.expect("ident").text
-            self.expect("punct", ":")
+            name = self.expect()
+            self.expect(":")
             st = self.stype()
-            self.expect("punct", ".")
+            self.expect(".")
             self.binders.append(name)
             body = self.formula()
             self.binders.pop()
@@ -880,45 +866,44 @@ class _HhParser(_Cursor):
 
     def funit(self) -> HhFormula:
         t = self.next()
-        if t.text == "top":
+        if t == "top":
             return FTop()
-        if t.text == "hastype":
+        if t == "hastype":
             return FAtom(self.tatom(), self.tatom())
-        if t.text == "(":
+        if t == "(":
             f = self.formula()
-            self.expect("punct", ")")
+            self.expect(")")
             return f
-        raise _error(f"unexpected {t.text or t.kind!r} in formula", t)
+        raise self.error(f"unexpected {t or 'eof'!r} in formula", self.pos - 1)
 
     def term(self) -> HhTerm:
         t = self.tatom()
         while True:
             nxt = self.peek()
-            if nxt.kind == "ident" or nxt.text == "(" or nxt.text == "\\":
+            if nxt == "(" or nxt == "\\" or self.is_ident(nxt):
                 t = HApp(t, self.tatom())
             else:
                 return t
 
     def tatom(self) -> HhTerm:
-        t = self.next()
-        kind, text = t.kind, t.text
+        text = self.next()
         if text == "(":
             inner = self.term()
-            self.expect("punct", ")")
+            self.expect(")")
             return inner
         if text == "\\":
-            name = self.expect("ident").text
-            self.expect("punct", ".")
+            name = self.expect()
+            self.expect(".")
             self.binders.append(name)
             body = self.term()
             self.binders.pop()
             return HLam(name, body)
-        if kind == "ident":
+        if self.is_ident(text):
             for depth, b in enumerate(reversed(self.binders)):
                 if b == text:
                     return HBound(depth)
             return HConst(text)
-        raise _error(f"unexpected {text or kind!r} in term", t)
+        raise self.error(f"unexpected {text or 'eof'!r} in term", self.pos - 1)
 
 
 def parse_clauses(text: str) -> list[HhFormula]:
@@ -926,8 +911,8 @@ def parse_clauses(text: str) -> list[HhFormula]:
     of the format)."""
     p = _HhParser(text)
     out: list[HhFormula] = []
-    while p.peek().kind != "eof":
+    while p.peek():
         f = p.formula()
-        p.expect("punct", ".")
+        p.expect(".")
         out.append(f)
     return out

@@ -35,7 +35,6 @@ from .lf_syntax import (
     TypeKind,
     classifier_sort,
     codomain,
-    contains_meta,
     fields_repr,
     free_names,
     fresh_name,
@@ -205,7 +204,7 @@ def to_sexpr(d: Derivation) -> str:
 
 
 def _reject_metas(e: LfExpr, rule: str, judgment: Judgment) -> None:
-    if contains_meta(e):
+    if e.has_meta:
         raise KernelError("meta-variables are not permitted in the kernel", rule, judgment)
 
 

@@ -46,7 +46,7 @@ from .lf_syntax import (
     Signature,
     classifier_sort,
     codomain,
-    contains_meta,
+    beta_normalize,
     head_classifier,
     make_app,
     pretty_print,
@@ -169,7 +169,7 @@ class _Decoder:
                 pending = self.pending
                 if pending is None:
                     raise ReconstructError(f"not an encoding: unresolved variable ?{m.name}")
-                known = not args and cls is not None and not contains_meta(cls)
+                known = not args and cls is not None and not cls.has_meta
                 if known and all(p.id != m.id for p, _ in pending):
                     pending.append((m, cls))
                 return Meta(f"?{m.id}")
@@ -204,13 +204,16 @@ def finalize_metavars(
     goal_metas: Mapping[str, HMeta],
     proof_meta: HMeta,
     limits: Limits | None = None,
+    classifiers: Mapping[str, LfExpr] | None = None,
 ) -> tuple[LfExpr, LfExpr, dict[int, HhTerm]]:
     """Close every residual meta-variable in the instantiated query type and
     proof term by searching for an inhabitant of its classifier, then re-check
-    the closed type.  Returns the closed type, the decoded closed proof, and
-    the extended binding store.  Idempotent when the solution is already
-    closed."""
-    run = _Closing(sig, program, goal_metas, dict(solution.bindings), limits)
+    the closed type.  `classifiers` holds the classifiers of query variables
+    that `normalize` recorded; with it, a function-typed variable, which the
+    query type only applies, is decoded at its own classifier.  Returns the
+    closed type, the decoded closed proof, and the extended binding store.
+    Idempotent when the solution is already closed."""
+    run = _Closing(sig, program, goal_metas, classifiers or {}, dict(solution.bindings), limits)
     closed_type = run.close(lambda pending: run.close_query(query_type, None, pending))
     try:
         check_type(sig, closed_type)
@@ -227,19 +230,21 @@ class _Closing:
     each auxiliary search extends, and the classifiers of the binders that
     `close_query` has crossed, innermost last."""
 
-    __slots__ = ("sig", "program", "goal_metas", "store", "limits", "stack")
+    __slots__ = ("sig", "program", "goal_metas", "classifiers", "store", "limits", "stack")
 
     def __init__(
         self,
         sig: Signature,
         program: ClauseSet,
         goal_metas: Mapping[str, HMeta],
+        classifiers: Mapping[str, LfExpr],
         store: dict[int, HhTerm],
         limits: Limits | None,
     ):
         self.sig = sig
         self.program = program
         self.goal_metas = goal_metas
+        self.classifiers = classifiers
         self.store = store
         self.limits = limits
         self.stack: list[LfExpr] = []
@@ -261,13 +266,20 @@ class _Closing:
                 return type(e)(h, annot2, inner)
             case _:
                 head, args = spine(e)
-                cls = head_classifier(head, self.sig, self.stack)
+                if isinstance(head, Meta):
+                    # an applied query variable: decoded at its own classifier
+                    # and applied to the closed arguments
+                    cls = self.classifiers.get(head.name)
+                    fn = self.close_query(head, cls, pending) if cls is not None else head
+                else:
+                    cls = head_classifier(head, self.sig, self.stack)
+                    fn = head
                 out: list[LfExpr] = []
                 for arg in args:
                     arg2 = self.close_query(arg, cls.annot if isinstance(cls, Pi) else None, pending)
                     out.append(arg2)
                     cls = codomain(cls, arg2) if isinstance(cls, Pi) else None
-                return make_app(head, out)
+                return make_app(fn, out) if fn is head else beta_normalize(make_app(fn, out))
 
     def aux_solve(self, m: HMeta, cls: LfExpr) -> None:
         goal = inhabitation_goal(self.sig, cls, m, self.program.mode)
@@ -281,7 +293,7 @@ class _Closing:
         for _ in range(1 + len(self.goal_metas) + 16):
             pending: list[tuple[HMeta, LfExpr]] = []
             result = decode(pending)
-            if not contains_meta(result):
+            if not result.has_meta:
                 return result
             if not pending:
                 raise ReconstructError(
@@ -305,11 +317,12 @@ def certify(
     goal_metas: Mapping[str, HMeta],
     proof_meta: HMeta,
     limits: Limits | None = None,
+    classifiers: Mapping[str, LfExpr] | None = None,
 ) -> CertifiedAnswer:
     """Close and decode one solver answer, then re-check it with the kernel."""
     try:
         closed_type, lf_proof, store = finalize_metavars(
-            sig, query_type, solution, program, goal_metas, proof_meta, limits
+            sig, query_type, solution, program, goal_metas, proof_meta, limits, classifiers
         )
         derivation = check_object(sig, lf_proof, closed_type)
         return CertifiedAnswer(lf_proof, closed_type, derivation, solution.counters, "certified", store=store)
@@ -333,9 +346,11 @@ class QuerySession:
         limits: Limits | None = None,
         trace: bool = False,
         program: ClauseSet | None = None,
+        classifiers: Mapping[str, LfExpr] | None = None,
     ):
         self.sig = sig
         self.query_type = query_type
+        self.classifiers = classifiers or {}
         self.mode = mode
         self.limits = limits
         self.program = program if program is not None else translate(sig, mode)
@@ -354,6 +369,7 @@ class QuerySession:
                 self.metas,
                 self.proof_meta,
                 self.limits,
+                self.classifiers,
             )
 
     def first_answer(self, iterative: bool = False) -> tuple[Solution, CertifiedAnswer] | None:
@@ -364,5 +380,5 @@ class QuerySession:
         the store that certification closed."""
         if not answer.certified:
             return {}
-        store = answer.store
-        return {name: decode_term(self.sig, resolve_term(store, m), None) for name, m in self.metas.items()}
+        store, classifiers = answer.store, self.classifiers
+        return {n: decode_term(self.sig, resolve_term(store, m), classifiers.get(n)) for n, m in self.metas.items()}

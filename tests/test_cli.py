@@ -298,20 +298,25 @@ def test_compare_both_fail(append_lf):
 # substitutes a query variable that appears applied (`[x:tm] M x` after
 # eta-expansion), so the answer is not certified.  The message must not blame
 # the kernel, which never ran.
-def test_uncertified_answer_exits_3_without_naming_the_kernel(tmp_path):
+def test_function_typed_query_variable_certifies(tmp_path):
+    # `normalize` eta-expands M to `[x:tm] M x` and records M's classifier;
+    # closing decodes the applied occurrence at it, and `binding_report`
+    # prints M at it
     f = tmp_path / "stlc.lf"
     f.write_text(STLC_TEXT)
     query = "of (lam base M) (arr base base)"
     code, out, err = run_cli("solve", str(f), query)
-    assert code == 3 and out == ""
-    assert err == (
-        "internal error: a solver answer was not certified: residual meta-variables with"
-        " undetermined classifiers in of (lam base ([x:tm] M x)) (arr base base)\n"
-    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[:4] == [
+        "M = [x:tm] x",
+        "proof = ofLam base base ([x:tm] x) ([x:tm] [x1:of x base] x1)",
+        "type = of (lam base ([x:tm] x)) (arr base base)",
+        "certified (kernel derivation size 8)",
+    ]
     code, out, err = run_cli("compare", str(f), query)
-    assert code == 3
-    assert err.startswith("internal error: the naive answer was not certified: residual meta-variables")
-    assert "kernel" not in err
+    assert code == 0 and err == ""
+    assert "certified: both | type agreement: True | proof agreement: True" in out
+    assert "type = of (lam base ([x:tm] x)) (arr base base)" in out
 
 
 # -- determinism --------------------------------------------------------------------

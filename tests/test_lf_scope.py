@@ -1,11 +1,14 @@
-"""The `scope` field of LF expressions: agreement with a plain recursive
-reference, substitution and beta normalization against versions with no
-shortcut, closed and normal subterms returned as the same object, and
-`fresh_name` over separate containers against the old set union.  Also the
+"""The `scope` and `has_meta` fields of LF expressions: agreement with a
+plain recursive reference on every node the front end, the kernel's helpers
+and the decoder build, substitution and beta normalization against versions
+with no shortcut, closed and normal subterms returned as the same object, and
+`fresh_name` over separate containers against the old set union, and
+signatures that share storage with their extensions.  Also the
 node classes' equality and hashing, which ignore binder hints, and their
 `repr` text, and those of signature entries and kernel derivations."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +19,7 @@ from lfhh.lf_syntax import (
     Bound,
     Const,
     Lam,
+    LfSyntaxError,
     Meta,
     NormalizeError,
     Pi,
@@ -26,9 +30,18 @@ from lfhh.lf_syntax import (
     fresh_name,
     instantiate,
     make_app,
+    normalize,
+    parse_query,
     parse_signature,
+    spine,
+    substitute,
 )
+from lfhh.hhf_logic import HApp, HConst, HLam, HMeta, encode_term
+from lfhh.hhf_prover import Limits
 from lfhh.lf_typecheck import Derivation, Judgment, checked_signature
+from lfhh.reconstruct import QuerySession, _Closing, decode_term
+
+from corpus import STLC_TEXT
 
 
 def ref_scope(e):
@@ -321,6 +334,62 @@ def test_fresh_name_agrees_with_the_set_union():
             assert fresh_name(base, sig, env, local) == ref_fresh_name(base, union)
 
 
+def test_an_older_signature_never_sees_later_names():
+    base = Signature()
+    for name in ("nat", "z"):
+        base = base.extend(name, TYPE, "kind")
+    older = base.extend("s", TYPE, "kind")
+    newer = older.extend("t", TYPE, "kind").extend("u", TYPE, "kind")
+    for sig, names in ((base, ["nat", "z"]), (older, ["nat", "z", "s"]), (newer, ["nat", "z", "s", "t", "u"])):
+        assert [e.name for e in sig] == names and len(sig) == len(names)
+        assert sig.fingerprint() == ",".join(names)
+        assert sig.entries == tuple(newer.lookup(n) for n in names)
+        for name in ("nat", "z", "s", "t", "u", "v"):
+            assert (name in sig) == (name in names)
+            assert (sig.lookup(name) is not None) == (name in names)
+    with pytest.raises(LfSyntaxError, match="duplicate"):
+        older.extend("z", TYPE, "kind")
+    # a name already taken by a longer signature is still free for the older one
+    assert "t" in base.extend("t", Const("nat"), "type")
+
+
+def test_extending_one_parent_twice_gives_independent_signatures():
+    parent = Signature(parse_signature("nat : type. z : nat.").entries)
+    left = parent.extend("a", TYPE, "kind")
+    right = parent.extend("b", Const("nat"), "type")
+    left2 = left.extend("c", TYPE, "kind")
+    right2 = right.extend("a", Const("nat"), "type")  # the name `left` took
+    assert [e.name for e in left2] == ["nat", "z", "a", "c"]
+    assert [e.name for e in right2] == ["nat", "z", "b", "a"]
+    assert left2.lookup("a").sort == "kind" and right2.lookup("a").sort == "type"
+    assert "b" not in left2 and "c" not in right2 and "a" not in right
+    assert [e.name for e in parent] == ["nat", "z"] and parent.fingerprint() == "nat,z"
+    assert left != right and left2 != right2 and parent == Signature(parent.entries)
+
+
+def test_extend_does_not_grow_with_the_signature():
+    # extending copied the whole entry tuple and name index, so the memory
+    # that 200 extensions hold was proportional to the signature: about 8
+    # times more at 6000 declarations than at 750; now they hold the same
+    def held_by_extensions(n):
+        sig = Signature()
+        for i in range(n):
+            sig = sig.extend(f"c{i}", TYPE, "kind")
+        kept = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200):
+                sig = sig.extend(f"d{i}", TYPE, "kind")
+                kept.append(sig)
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = held_by_extensions(750), held_by_extensions(6000)
+    assert large < 2 * small, (small, large)
+
+
 def test_extend_keeps_index_and_fingerprint():
     sig = Signature()
     assert sig.fingerprint() == "."
@@ -332,3 +401,92 @@ def test_extend_keeps_index_and_fingerprint():
     assert Signature(sig.entries).fingerprint() == sig.fingerprint()
     wider = sig.extend("x", Const("nat"), "type")
     assert "x" in wider and "x" not in sig and sig.lookup("x") is None
+
+
+def ref_has_meta(e):
+    match e:
+        case Meta():
+            return True
+        case App(f, a) | Pi(_, f, a) | Lam(_, f, a):
+            return ref_has_meta(f) or ref_has_meta(a)
+        case _:
+            return False
+
+
+def assert_meta_flags(e):
+    for u in subterms(e):
+        assert u.has_meta == ref_has_meta(u), u
+
+
+def test_meta_flag_agrees_with_reference_after_substitution(exprs):
+    rng = random.Random(20108)
+    assert sum(e.has_meta for e in exprs) >= 100 and sum(not e.has_meta for e in exprs) >= 100
+    for e in exprs:
+        assert_meta_flags(e)
+        for v in VALUES:
+            assert_meta_flags(instantiate(e, v, rng.randrange(3)))
+        assert_meta_flags(_shift(e, rng.randint(1, 2), rng.randrange(2)))
+        assert_meta_flags(substitute(e, {"X": Const("c"), "z": Meta("Z")}))
+        assert_meta_flags(substitute(e, {"Y": Lam("w", Const("tm"), Meta("W")), "F": Const("s")}))
+
+
+def random_stlc_query(rng):
+    """`of M A` over the STLC signature with query variables in term and
+    type positions, function-typed ones (the argument of `lam`) included."""
+
+    def tp(size):
+        r = rng.random()
+        if size <= 1 or r < 0.4:
+            return rng.choice(["base", "A", "B"])
+        return f"(arr {tp(size - 1)} {tp(size - 1)})"
+
+    def term(binders, size):
+        r = rng.random()
+        if size <= 1 or r < 0.3:
+            return rng.choice(binders + ["M", "N"])
+        if r < 0.55:
+            x = f"x{len(binders)}"
+            return f"(lam {tp(2)} ([{x}:tm] {term(binders + [x], size - 1)}))"
+        if r < 0.7:
+            return f"(lam {tp(2)} {rng.choice(['F', 'G'])})"
+        return f"(app {term(binders, size // 2)} {term(binders, size // 2)})"
+
+    return f"of {term([], rng.randint(1, 6))} {tp(3)}"
+
+
+def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
+    # parse, normalize, close with every variable still unbound (each decodes
+    # to a `?id` placeholder), decode the encoded subject, and certify
+    sig, _ = checked_signature(parse_signature(STLC_TEXT))
+    rng = random.Random(20109)
+    closed = function_typed = placeholders = 0
+    for i in range(150):
+        q, _ = parse_query(random_stlc_query(rng), sig)
+        assert_meta_flags(q)
+        classifiers = {}
+        qn = normalize(q, TYPE, sig, metas=classifiers)
+        assert_meta_flags(qn)
+        assert all(c.scope == 0 and not c.has_meta for c in classifiers.values())
+        sess = QuerySession(sig, qn, "optimized", Limits(depth=4, budget=5000), classifiers=classifiers)
+        pending = []
+        out = _Closing(sig, sess.program, sess.metas, classifiers, {}, None).close_query(qn, None, pending)
+        assert_meta_flags(out)
+        placeholders += out.has_meta
+        subject = spine(qn)[1][0]
+        metas = {n: HMeta(n, k + 1) for k, n in enumerate(sess.metas)}
+        assert_meta_flags(decode_term(sig, encode_term(subject, metas), Const("tm"), pending=[]))
+        applied = any(isinstance(c, Pi) for c in classifiers.values())
+        if i < 40 or applied:
+            found = sess.first_answer(iterative=True)
+            if found is not None and found[1].certified:
+                closed += 1
+                function_typed += applied
+                assert_meta_flags(found[1].lf_proof)
+                assert_meta_flags(found[1].lf_type)
+                assert not found[1].lf_proof.has_meta and not found[1].lf_type.has_meta
+    assert placeholders >= 100 and closed >= 20 and function_typed >= 5
+    # a placeholder under a binder and an abstraction decoded around one
+    t = HLam("x", HApp(HApp(HConst("app"), HMeta("P", 1)), HMeta("Q", 2)))
+    out = decode_term(sig, t, Pi("x", Const("tm"), Const("tm")), pending=[])
+    assert_meta_flags(out)
+    assert out.has_meta and not out.annot.has_meta

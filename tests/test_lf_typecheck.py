@@ -29,7 +29,7 @@ from lfhh.lf_typecheck import (
     to_sexpr,
 )
 
-from corpus import STLC_BLOCK, append_proof, list_elems, substitution_instance
+from corpus import STLC_BLOCK, append_proof, list_elems, list_term, substitution_instance
 
 
 def recount(d: Derivation) -> int:
@@ -173,6 +173,25 @@ def test_kernel_rejects_metas(append_sig):
         check_object(append_sig, Meta("M"), Const("nat"))
     with pytest.raises(KernelError, match="meta-variables"):
         check_type(append_sig, make_app(Const("append"), [Const("nil"), Meta("K"), Meta("K")]))
+
+
+def test_kernel_rejects_a_meta_deep_inside_a_closed_term(append_sig):
+    # the check reads the meta flag at the root, so a variable 250 list cells
+    # down, or under a binder, is rejected before any rule runs
+    elems = [Const("z")] * 300
+    holed = elems[:250] + [Meta("X")] + elems[251:]
+    ty = make_app(Const("append"), [list_term(elems), Const("nil"), list_term(elems)])
+    holed_ty = make_app(Const("append"), [list_term(holed), Const("nil"), list_term(elems)])
+    with pytest.raises(KernelError, match="meta-variables") as e:
+        check_type(append_sig, holed_ty)
+    assert e.value.rule == "BackchainFam"
+    with pytest.raises(KernelError, match="meta-variables") as e:
+        check_object(append_sig, append_proof(holed, []), ty)
+    assert e.value.rule == "BackchainObj"
+    under = Pi("x", Const("nat"), make_app(Const("append"), [list_term(holed), Const("nil"), Bound(0)]))
+    with pytest.raises(KernelError, match="meta-variables"):
+        check_type(append_sig, under)
+    check_object(append_sig, append_proof(elems, []), ty)  # the closed one is accepted
 
 
 def test_loose_index_is_a_kernel_error(append_sig):

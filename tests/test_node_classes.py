@@ -50,24 +50,24 @@ CASES = [
     (
         Pi,
         ("x", Const("a"), Bound(0)),
-        {"hint": "y", "annot": Const("b"), "body": Bound(1), "scope": 9},
-        {"hint", "scope"},
+        {"hint": "y", "annot": Const("b"), "body": Bound(1), "scope": 9, "has_meta": True},
+        {"hint", "scope", "has_meta"},
         ("hint", "annot", "body"),
         "Pi(hint='x', annot=Const(name='a'), body=Bound(index=0))",
     ),
     (
         Lam,
         ("x", Const("a"), Bound(0)),
-        {"hint": "y", "annot": Const("b"), "body": Bound(1), "scope": 9},
-        {"hint", "scope"},
+        {"hint": "y", "annot": Const("b"), "body": Bound(1), "scope": 9, "has_meta": True},
+        {"hint", "scope", "has_meta"},
         ("hint", "annot", "body"),
         "Lam(hint='x', annot=Const(name='a'), body=Bound(index=0))",
     ),
     (
         App,
         (Const("f"), Bound(0)),
-        {"fn": Const("g"), "arg": Bound(1), "scope": 9},
-        {"scope"},
+        {"fn": Const("g"), "arg": Bound(1), "scope": 9, "has_meta": True},
+        {"scope", "has_meta"},
         ("fn", "arg"),
         "App(fn=Const(name='f'), arg=Bound(index=0))",
     ),
@@ -287,6 +287,15 @@ def test_equality_hash_repr_and_match_args(cls, args, others, ignored, match_arg
             assert cls in UNHASHABLE or hash(c) == hash(a), field
         else:
             assert c != a and a != c, field
+
+
+def test_meta_flag_takes_no_part_in_matching():
+    # `has_meta` is in no `__match_args__`: positional patterns bind fields
+    match Lam("x", Meta("A"), App(Meta("F"), Bound(0))):
+        case Lam(h, annot, App(fn, arg)):
+            assert (h, annot, fn, arg) == ("x", Meta("A"), Meta("F"), Bound(0))
+    for leaf, flag in ((TYPE, False), (Bound(0), False), (Const("a"), False), (Meta("M"), True)):
+        assert leaf.has_meta is flag and "has_meta" not in type(leaf).__slots__
 
 
 def test_classes_of_different_kinds_are_never_equal():
