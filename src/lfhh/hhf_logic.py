@@ -75,6 +75,7 @@ __all__ = [
     "translate_query",
     "inhabitation_goal",
     "collect_metas",
+    "open_leaves",
     "print_simple_type",
     "print_term",
     "print_formula",
@@ -324,8 +325,9 @@ def happs(head: HhTerm, args: Iterable[HhTerm]) -> HhTerm:
 
 def h_instantiate(body: HhTerm, values: Sequence[HhTerm], depth: int = 0) -> HhTerm:
     """Replace the `len(values)` innermost loose bound variables of `body`
-    with the locally closed `values`, outermost binder first, in one pass:
-    HBound(depth) becomes `values[-1]`."""
+    with `values`, outermost binder first, in one pass: HBound(depth)
+    becomes `values[-1]`, shifted by `depth` so that its own loose bound
+    variables still point past the binders it is put under."""
     if 0 <= body.scope <= depth:
         return body
     if isinstance(body, HBound):
@@ -333,7 +335,9 @@ def h_instantiate(body: HhTerm, values: Sequence[HhTerm], depth: int = 0) -> HhT
         if k < depth:
             return body
         i = len(values) - 1 - (k - depth)
-        return values[i] if i >= 0 else HBound(k - len(values))
+        if i < 0:
+            return HBound(k - len(values))
+        return h_shift(values[i], depth) if depth else values[i]
     if isinstance(body, HApp):
         return HApp(h_instantiate(body.fn, values, depth), h_instantiate(body.arg, values, depth))
     if isinstance(body, HLam):
@@ -341,18 +345,18 @@ def h_instantiate(body: HhTerm, values: Sequence[HhTerm], depth: int = 0) -> HhT
     return body
 
 
-def h_shift(t: HhTerm, depth: int = 0) -> HhTerm:
-    """`t` under one more binder: its loose bound variables at or above
-    `depth` are raised by one."""
+def h_shift(t: HhTerm, by: int = 1, depth: int = 0) -> HhTerm:
+    """`t` under `by` more binders: its loose bound variables at or above
+    `depth` are raised by `by`.  A term with none is returned as is."""
     if 0 <= t.scope <= depth:
         return t
     match t:
         case HBound(k):
-            return HBound(k + 1) if k >= depth else t
+            return HBound(k + by) if k >= depth else t
         case HApp(f, a):
-            return HApp(h_shift(f, depth), h_shift(a, depth))
+            return HApp(h_shift(f, by, depth), h_shift(a, by, depth))
         case HLam(h, b):
-            return HLam(h, h_shift(b, depth + 1))
+            return HLam(h, h_shift(b, by, depth + 1))
         case _:
             return t
 
@@ -512,39 +516,28 @@ def f_instantiate(f: HhFormula, values: Sequence[HhTerm], depth: int = 0) -> HhF
 
 def collect_metas(f: HhFormula) -> dict[str, HMeta]:
     """Metas occurring in a formula, keyed by display name, first occurrence
-    wins.  A term whose scope is not `OPEN` has none and is not entered."""
+    wins."""
     out: dict[str, HMeta] = {}
-    _add_formula_metas(f, out)
+    for m in open_leaves(f, HMeta, []):
+        out.setdefault(m.name, m)
     return out
 
 
-def _add_formula_metas(g: HhFormula, out: dict[str, HMeta]) -> None:
-    match g:
-        case FAtom(s, c):
-            _add_term_metas(s, out)
-            _add_term_metas(c, out)
-        case FImplies(a, b):
-            _add_formula_metas(a, out)
-            _add_formula_metas(b, out)
-        case FForall(_, _, b):
-            _add_formula_metas(b, out)
-        case _:
-            pass
-
-
-def _add_term_metas(t: HhTerm, out: dict[str, HMeta]) -> None:
-    if t.scope >= 0:
-        return
+def open_leaves(t: HhTerm | HhFormula, kind: type, out: list) -> list:
+    """`out` extended with the leaves of class `kind` of the term or formula
+    `t`, left to right.  A term whose scope is not `OPEN` has none and is not
+    entered."""
+    if isinstance(t, HhTerm) and t.scope >= 0:
+        return out
     match t:
-        case HMeta() as m:
-            out.setdefault(m.name, m)
-        case HApp(fn, a):
-            _add_term_metas(fn, out)
-            _add_term_metas(a, out)
-        case HLam(_, b):
-            _add_term_metas(b, out)
-        case _:
-            pass
+        case HApp(a, b) | FAtom(a, b) | FImplies(a, b):
+            open_leaves(a, kind, out)
+            open_leaves(b, kind, out)
+        case HLam(_, b) | FForall(_, _, b):
+            open_leaves(b, kind, out)
+        case _ if isinstance(t, kind):
+            out.append(t)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,14 @@ only be applied to distinct eigenvariables or locally bound variables.
 Problems outside the fragment fail the branch and raise a diagnostic flag on
 the state; they are never silently mis-solved and never suspended.  Scope is
 enforced by levels: no variable is ever bound to a term containing an
-eigenvariable introduced after it (out-of-scope occurrences under other
-variables are pruned away).
+eigenvariable introduced after it.  Binding a variable `m` applied to its
+spine variables inverts the other side over one table, which maps each
+spine variable to its position.  Another variable `g` met there that `m`
+cannot keep as it is gets narrowed to a fresh variable at `m`'s level: the
+positions of `g`'s spine out of `m`'s scope are pruned, and the fresh
+variable is raised over the eigenvariables of `m`'s spine that `g` could
+see but is not applied to, so that its value may still use them (on-the-fly
+raising: Miller, J. Logic Comput. 1991; Nadathur & Linnell, ICLP 2005).
 
 Counters: `backchain_steps` counts committed backchain applications only;
 truth discharges are counted separately; `unify_calls` counts top-level
@@ -72,7 +78,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 from .hhf_logic import (
     Clause,
@@ -90,12 +96,12 @@ from .hhf_logic import (
     HhFormula,
     HhTerm,
     SimpleType,
-    collect_metas,
     f_instantiate,
     h_apply,
     h_instantiate,
     happs,
     hspine,
+    open_leaves,
     print_formula,
     print_term,
 )
@@ -189,30 +195,15 @@ def _walk(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
 
 
 def term_metas(t: HhTerm) -> list[HMeta]:
-    out: list[HMeta] = []
-    for m in _open_leaves(t, HMeta, []):
-        if all(m.id != x.id for x in out):
-            out.append(m)
-    return out
+    """The distinct unification variables of `t`, in order of first occurrence."""
+    return list(dict.fromkeys(open_leaves(t, HMeta, [])))
 
 
-def _term_eigens(t: HhTerm) -> list[HEigen]:
-    return _open_leaves(t, HEigen, [])
-
-
-def _open_leaves(u: HhTerm, kind: type, out: list) -> list:
-    """`out` extended with the leaves of `u` of class `kind`, left to right."""
-    if u.scope >= 0:
-        return out
-    match u:
-        case HApp(f, a):
-            _open_leaves(f, kind, out)
-            _open_leaves(a, kind, out)
-        case HLam(_, b):
-            _open_leaves(b, kind, out)
-        case _ if isinstance(u, kind):
-            out.append(u)
-    return out
+def _lams(n: int, body: HhTerm) -> HhTerm:
+    """`body` under `n` abstractions."""
+    for _ in range(n):
+        body = HLam("w", body)
+    return body
 
 
 def _meta(hint: str, i: int, level: int) -> HMeta:
@@ -428,12 +419,12 @@ class Solver:
     # -- bookkeeping -----------------------------------------------------------
 
     def _seed_ids(self, goal: HhFormula) -> None:
-        taken = [m.id for m in collect_metas(goal).values()]
+        taken = [m.id for m in open_leaves(goal, HMeta, [])]
         taken.extend(self.bindings.keys())
         eigens = [0]
         for t in self.bindings.values():
-            taken.extend(m.id for m in term_metas(t))
-            eigens.extend(e.id for e in _term_eigens(t))
+            taken.extend(m.id for m in open_leaves(t, HMeta, []))
+            eigens.extend(e.id for e in open_leaves(t, HEigen, []))
         if taken:
             self._next_meta = max(taken) + 1
         if max(eigens):
@@ -722,19 +713,24 @@ class Solver:
             return head
         return None
 
-    def _pattern(self, args: list[HhTerm]) -> list[HEigen | HBound] | None:
-        out: list[HEigen | HBound] = []
-        seen: set = set()
+    def _pattern(self, args: list[HhTerm]) -> dict[HEigen | HBound, int] | None:
+        """The distinct spine variables of `args`, each mapped to its
+        position, in spine order; None when `args` is not such a spine."""
+        out: dict[HEigen | HBound, int] = {}
         for a in args:
             v = self._as_var(a)
-            if v is None:
+            if v is None or v in out:
                 return None
-            key = ("e", v.id) if isinstance(v, HEigen) else ("b", v.index)
-            if key in seen:
-                return None
-            seen.add(key)
-            out.append(v)
+            out[v] = len(out)
         return out
+
+    def _narrow(self, g: HMeta, n: int, keep: list[int], level: int, raised: Sequence[HEigen] = ()) -> HMeta:
+        """Bind `g`, a variable of `n` spine positions, to a fresh variable
+        `g′` at `level` applied to the kept positions and then to the
+        eigenvariables `raised`; return `g′`."""
+        g2 = self._fresh_meta(g.name, level)
+        self._set(g, _lams(n, happs(happs(g2, [HBound(n - 1 - i) for i in keep]), raised)))
+        return g2
 
     def _flex_same(self, m: HMeta, aa: list[HhTerm], ab: list[HhTerm]) -> bool:
         if len(aa) != len(ab):
@@ -746,89 +742,71 @@ class Solver:
         if pa is None or pb is None:
             self.non_pattern_seen = True
             return False
-        n = len(pa)
-        keep = [i for i in range(n) if pa[i] == pb[i]]
-        inner = self._fresh_meta(m.name, m.level)
-        body: HhTerm = happs(inner, [HBound(n - 1 - i) for i in keep])
-        for _ in range(n):
-            body = HLam("w", body)
-        self._set(m, body)
+        self._narrow(m, len(pa), [i for i, (x, y) in enumerate(zip(pa, pb)) if x == y], m.level)
         return True
 
     def _bind(self, m: HMeta, args: list[HhTerm], rhs: HhTerm) -> bool:
-        spine_vars = self._pattern(args)
-        if spine_vars is None:
+        posmap = self._pattern(args)
+        if posmap is None:
             self.non_pattern_seen = True
             return False
-        posmap: dict = {}
-        for k, v in enumerate(spine_vars):
-            key = ("e", v.id) if isinstance(v, HEigen) else ("b", v.index)
-            posmap[key] = k
-        n = len(spine_vars)
         try:
-            body = self._invert(rhs, m, posmap, n, 0)
+            body = self._invert(rhs, m, posmap, len(posmap), 0)
         except _UnifyFail:
             return False
-        for _ in range(n):
-            body = HLam("w", body)
-        self._set(m, body)
+        self._set(m, _lams(len(posmap), body))
         return True
 
+    def _image(self, v: HEigen | HBound, m: HMeta, posmap: dict, nargs: int, depth: int) -> HhTerm | None:
+        """The variable `v`, met `depth` binders inside the body being built
+        for `m`, in that body: a variable bound inside it stays, a spine
+        variable becomes its binder's index, an eigenvariable in `m`'s scope
+        stays; None for any other."""
+        if isinstance(v, HBound):
+            if v.index < depth:
+                return v
+            k = posmap.get(HBound(v.index - depth))
+        else:
+            k = posmap.get(v)
+            if k is None and v.level <= m.level:
+                return v
+        return None if k is None else HBound(depth + nargs - 1 - k)
+
     def _invert(self, t: HhTerm, m: HMeta, posmap: dict, nargs: int, depth: int) -> HhTerm:
-        """Rewrite `t` as a body for `m`'s binder prefix: spine variables map
-        to their binder indices, older variables stay, newer ones must be
-        pruned or fail.  Raises _UnifyFail on occurs/scope violations.  A
-        term that is closed, or whose loose variables are all bound inside
-        the body being built, is already such a body and is returned as is,
-        so binding a variable to a ground term costs O(1)."""
+        """Rewrite `t` as a body for `m`'s binder prefix, whose variables are
+        the keys of `posmap`: spine variables map to their binder indices,
+        older variables stay, newer ones must be pruned or fail.  Raises
+        _UnifyFail on occurs/scope violations.  A term that is closed, or
+        whose loose variables are all bound inside the body being built, is
+        already such a body and is returned as is, so binding a variable to
+        a ground term costs O(1)."""
         if 0 <= t.scope <= depth:
             return t
         t = _walk(self.bindings, t)
-        match t:
-            case HLam(h, b):
-                return HLam(h, self._invert(b, m, posmap, nargs, depth + 1))
-            case _:
-                pass
+        if isinstance(t, HLam):
+            return HLam(t.hint, self._invert(t.body, m, posmap, nargs, depth + 1))
         head, args = hspine(t)
         if isinstance(head, HMeta):
             if head.id == m.id:
                 raise _UnifyFail("occurs")
             return self._invert_under_meta(head, args, m, posmap, nargs, depth)
-        new_head: HhTerm
-        match head:
-            case HConst():
-                new_head = head
-            case HBound(k):
-                if k >= depth:
-                    key = ("b", k - depth)
-                    if key in posmap:
-                        new_head = HBound(depth + nargs - 1 - posmap[key])
-                    else:
-                        raise _UnifyFail("scope (loose local variable)")
-                else:
-                    new_head = head
-            case HEigen() as e:
-                key = ("e", e.id)
-                if key in posmap:
-                    new_head = HBound(depth + nargs - 1 - posmap[key])
-                elif e.level <= m.level:
-                    new_head = e
-                else:
-                    raise _UnifyFail("scope")
-            case _:
-                raise _UnifyFail(f"cannot invert head {head!r}")
-        return happs(new_head, [self._invert(a, m, posmap, nargs, depth) for a in args])
+        if not isinstance(head, HConst):
+            head = self._image(head, m, posmap, nargs, depth)
+            if head is None:
+                raise _UnifyFail("scope")
+        return happs(head, [self._invert(a, m, posmap, nargs, depth) for a in args])
 
     def _invert_under_meta(
         self, g: HMeta, args: list[HhTerm], m: HMeta, posmap: dict, nargs: int, depth: int
     ) -> HhTerm:
         """Occurrence of another variable `g` inside the binding for `m`.
-        Keep it when everything stays in scope; otherwise prune the offending
-        spine positions by instantiating `g` with a narrower variable."""
+        Keep it when everything stays in scope.  Otherwise narrow `g`: prune
+        the spine positions out of `m`'s scope, and raise the narrowed
+        variable over the eigenvariables of `m`'s spine that `g` may use but
+        is not applied to, so that it can still depend on them."""
         if g.level <= m.level:
             try:
-                inv = [self._invert(a, m, posmap, nargs, depth) for a in args]
-                return happs(g, inv)
+                return happs(g, [self._invert(a, m, posmap, nargs, depth) for a in args])
             except _UnifyFail:
                 pass  # fall through to pruning
         gvars = self._pattern(args)
@@ -836,26 +814,17 @@ class Solver:
             self.non_pattern_seen = True
             raise _UnifyFail("non-pattern under variable")
         keep: list[int] = []
-        inv_args: list[HhTerm] = []
+        images: list[HhTerm] = []
         for i, v in enumerate(gvars):
-            if isinstance(v, HBound) and v.index < depth:
+            w = self._image(v, m, posmap, nargs, depth)
+            if w is not None:
                 keep.append(i)
-                inv_args.append(v)
-                continue
-            key = ("b", v.index - depth) if isinstance(v, HBound) else ("e", v.id)
-            if key in posmap:
-                keep.append(i)
-                inv_args.append(HBound(depth + nargs - 1 - posmap[key]))
-            elif isinstance(v, HEigen) and v.level <= m.level:
-                keep.append(i)
-                inv_args.append(v)
-            # anything else is out of scope for m: pruned
-        g2 = self._fresh_meta(g.name, min(g.level, m.level))
-        narrowed: HhTerm = happs(g2, [HBound(len(gvars) - 1 - i) for i in keep])
-        for _ in range(len(gvars)):
-            narrowed = HLam("w", narrowed)
-        self._set(g, narrowed)
-        return happs(g2, inv_args)
+                images.append(w)
+        raised = [
+            e for e in posmap if isinstance(e, HEigen) and m.level < e.level <= g.level and e not in gvars
+        ]
+        g2 = self._narrow(g, len(gvars), keep, min(g.level, m.level), raised)
+        return happs(g2, images + [self._image(e, m, posmap, nargs, depth) for e in raised])
 
 
 # ---------------------------------------------------------------------------

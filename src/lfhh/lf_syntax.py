@@ -915,10 +915,11 @@ def normalize(
     The result is idempotent: normalizing it again is the identity.
 
     A given `metas` receives the classifier of each meta-variable met
-    unapplied at a classifier that is free of binders and meta-variables,
-    first meeting first.  For a function-typed variable this is the only
-    record of its classifier, since the result applies it to the variables
-    of its eta-expansion.
+    unapplied, or applied to the variables of the binders just crossed, at a
+    classifier that gives it a type free of binders and meta-variables (see
+    `_Expander.note_meta`), first meeting first.  For a function-typed
+    variable this is the only record of its classifier, since the result
+    applies it to the variables of its eta-expansion.
     """
     b = _Budget(budget)
     e = beta_normalize(e, b)
@@ -972,6 +973,22 @@ class _Expander:
             return t
         return type(t)(t.hint, annot_n, body_n)
 
+    def note_meta(self, t: LfExpr, cls: LfExpr) -> None:
+        """Record the classifier of a meta-variable met at `cls` as `M #n-1 …
+        #0` over the innermost n binders, n = 0 included: the product of
+        those binders' classifiers over `cls`, if it is closed and free of
+        meta-variables."""
+        head, args = spine(t)
+        n = len(args)
+        if head.__class__ is not Meta or n > len(self.stack):
+            return
+        if any(not (isinstance(a, Bound) and a.index == n - 1 - i) for i, a in enumerate(args)):
+            return
+        for annot in reversed(self.stack[len(self.stack) - n :]):
+            cls = Pi("_", annot, cls)
+        if cls.scope == 0 and not cls.has_meta:
+            self.metas.setdefault(head.name, cls)
+
     def eta(self, t: LfExpr, cls: LfExpr | str) -> LfExpr:
         if cls == KIND:
             match t:
@@ -991,8 +1008,8 @@ class _Expander:
                     raise NormalizeError("cannot eta-expand: 'type' is not a type")
                 case _:
                     return self.eta_spine(t)
-        if t.__class__ is Meta and self.metas is not None and cls.scope == 0 and not cls.has_meta:
-            self.metas.setdefault(t.name, cls)
+        if self.metas is not None and t.has_meta:
+            self.note_meta(t, cls)
         if isinstance(cls, Pi):
             if isinstance(t, Lam):
                 return self.binder(t, beta_normalize(cls.body, self.budget))

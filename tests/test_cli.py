@@ -294,10 +294,6 @@ def test_compare_both_fail(append_lf):
     assert "both modes fail (finitely)" in out
 
 
-# Pins a known defect: the search binds `M := \x. x`, but residual closing never
-# substitutes a query variable that appears applied (`[x:tm] M x` after
-# eta-expansion), so the answer is not certified.  The message must not blame
-# the kernel, which never ran.
 def test_function_typed_query_variable_certifies(tmp_path):
     # `normalize` eta-expands M to `[x:tm] M x` and records M's classifier;
     # closing decodes the applied occurrence at it, and `binding_report`
@@ -317,6 +313,64 @@ def test_function_typed_query_variable_certifies(tmp_path):
     assert code == 0 and err == ""
     assert "certified: both | type agreement: True | proof agreement: True" in out
     assert "type = of (lam base ([x:tm] x)) (arr base base)" in out
+
+
+def test_applied_query_variable_certifies(tmp_path):
+    # `normalize` meets M applied to the variable of the binder around it and
+    # records `tm -> tm`, that binder's classifier over `tm`
+    f = tmp_path / "stlc.lf"
+    f.write_text(STLC_TEXT)
+    query = "of (lam base ([x:tm] M x)) (arr base base)"
+    code, out, err = run_cli("solve", str(f), query)
+    assert code == 0 and err == ""
+    assert out.splitlines()[:4] == [
+        "M = [x:tm] x",
+        "proof = ofLam base base ([x:tm] x) ([x:tm] [x1:of x base] x1)",
+        "type = of (lam base ([x:tm] x)) (arr base base)",
+        "certified (kernel derivation size 8)",
+    ]
+    code, out, err = run_cli("compare", str(f), query)
+    assert code == 0 and err == ""
+    assert "certified: both | type agreement: True | proof agreement: True" in out
+
+
+# Type inference in the simply typed lambda calculus: bodies that use an outer
+# bound variable need on-the-fly raising when a guard's proof variable, made
+# under the inner binder, is bound from under the outer one.
+STLC_INFERENCE = [
+    ("lam base ([x:tm] lam base ([y:tm] x))", "arr base (arr base base)"),
+    ("lam (arr base base) ([f:tm] lam base ([x:tm] app f x))", "arr (arr base base) (arr base base)"),
+    ("lam base ([y:tm] ([x:tm] lam (arr base base) ([z:tm] x)) y)", "arr base (arr (arr base base) base)"),
+    # K, S and B at base types
+    ("lam base ([x:tm] lam (arr base base) ([y:tm] x))", "arr base (arr (arr base base) base)"),
+    (
+        "lam (arr base (arr base base)) ([x:tm] lam (arr base base) ([y:tm] lam base ([z:tm] app (app x z) (app y z))))",
+        "arr (arr base (arr base base)) (arr (arr base base) (arr base base))",
+    ),
+    (
+        "lam (arr base base) ([f:tm] lam (arr base base) ([g:tm] lam base ([x:tm] app f (app g x))))",
+        "arr (arr base base) (arr (arr base base) (arr base base))",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def stlc_lf(tmp_path_factory):
+    f = tmp_path_factory.mktemp("stlc") / "stlc.lf"
+    f.write_text(STLC_TEXT)
+    return str(f)
+
+
+@pytest.mark.parametrize(
+    "flags", [("--mode", "optimized"), ("--mode", "naive", "--iterdeep")], ids=["optimized", "naive"]
+)
+@pytest.mark.parametrize("term, ty", STLC_INFERENCE, ids=["outer", "apply", "redex", "K", "S", "B"])
+def test_stlc_inference_certifies(stlc_lf, flags, term, ty):
+    code, out, err = run_cli("solve", stlc_lf, f"of ({term}) T", *flags)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"T = {ty}"
+    assert lines[3].startswith("certified (kernel derivation size ")
 
 
 # -- determinism --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from lfhh.hhf_logic import (
     HApp,
     HBound,
     HConst,
+    HEigen,
     HLam,
     HMeta,
     PROP,
@@ -21,6 +23,8 @@ from lfhh.hhf_logic import (
     encode_term,
     erase_type,
     erased_signature,
+    h_apply,
+    h_instantiate,
     parse_clauses,
     print_clauses,
     print_simple_type,
@@ -114,6 +118,97 @@ def test_encode_commutes_with_substitution(append_sig):
         lhs = encode_term(substitute(m, {"xv": n}))
         rhs = h_subst(encode_term(m), "xv", encode_term(n))
         assert lhs == rhs
+
+
+# -- substitution against a named reference ------------------------------------------
+
+
+def random_hterm(rng, scope, size):
+    """A random term whose loose indices are below `scope`, over two
+    constants, a unification variable and an eigenvariable."""
+    if size <= 1 or rng.random() < 0.2:
+        r = rng.random()
+        if scope and r < 0.6:
+            return HBound(rng.randrange(scope))
+        if r < 0.7:
+            return HMeta("V", 7)
+        if r < 0.8:
+            return HEigen("e", 3, 1)
+        return HConst(rng.choice("cd"))
+    if rng.random() < 0.4:
+        return HLam("x", random_hterm(rng, scope + 1, size - 1))
+    k = rng.randrange(1, size)
+    return HApp(random_hterm(rng, scope, k), random_hterm(rng, scope, size - k))
+
+
+def named(t, env, fresh):
+    """`t` with every variable written as a name: `env` names the loose
+    indices, innermost last, and each abstraction binds a fresh name."""
+    match t:
+        case HBound(k):
+            return ("var", env[-1 - k])
+        case HLam(_, b):
+            x = f"n{next(fresh)}"
+            return ("lam", x, named(b, env + [x], fresh))
+        case HApp(f, a):
+            return ("app", named(f, env, fresh), named(a, env, fresh))
+        case _:
+            return ("leaf", t)
+
+
+def subst(t, sub):
+    """Named substitution; no binder name is free in a value, so nothing is
+    captured and nothing is renamed."""
+    match t:
+        case ("var", x):
+            return sub.get(x, t)
+        case ("lam", x, b):
+            return ("lam", x, subst(b, sub))
+        case ("app", f, a):
+            return ("app", subst(f, sub), subst(a, sub))
+        case _:
+            return t
+
+
+def unnamed(t, env):
+    """The de Bruijn term of the named term `t` over the names `env`."""
+    match t:
+        case ("var", x):
+            return HBound(env[::-1].index(x))
+        case ("lam", x, b):
+            return HLam("x", unnamed(b, env + [x]))
+        case ("app", f, a):
+            return HApp(unnamed(f, env), unnamed(a, env))
+        case ("leaf", leaf):
+            return leaf
+
+
+def test_instantiate_and_apply_agree_with_named_substitution():
+    # a body over outer variables, the n variables being replaced and `depth`
+    # local ones, innermost last; values over the outer variables only
+    rng = random.Random(20111)
+    fresh = itertools.count()
+    open_values = 0
+    for _ in range(500):
+        outer = [f"o{i}" for i in range(rng.randrange(3))]
+        replaced = [f"v{i}" for i in range(rng.randint(1, 2))]
+        local = [f"l{i}" for i in range(rng.randrange(3))]
+        body = random_hterm(rng, len(outer) + len(replaced) + len(local), rng.randint(1, 9))
+        values = [random_hterm(rng, len(outer), rng.randint(1, 5)) for _ in replaced]
+        open_values += any(v.scope != 0 for v in values)
+        sub = {x: named(v, outer, fresh) for x, v in zip(replaced, values)}
+        want = unnamed(subst(named(body, outer + replaced + local, fresh), sub), outer + local)
+        assert h_instantiate(body, values, len(local)) == want, (body, values, len(local))
+        v = values[-1]
+        lam = HLam("y", random_hterm(rng, len(outer) + 1, rng.randint(1, 9)))
+        want = unnamed(subst(named(lam.body, outer + ["y"], fresh), {"y": named(v, outer, fresh)}), outer)
+        assert h_apply(lam, v) == want
+        if not isinstance(body, HLam):
+            assert h_apply(body, v) == HApp(body, v)
+        if v.scope == 0:
+            # a closed value is put in place as it is
+            assert h_instantiate(HBound(len(local)), [v], len(local)) is v
+    assert open_values > 250
 
 
 # -- clause translation -------------------------------------------------------------

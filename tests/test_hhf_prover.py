@@ -22,19 +22,19 @@ from lfhh.hhf_logic import (
     encode_term,
     happs,
     inhabitation_goal,
+    open_leaves,
     translate,
     translate_query,
 )
 from lfhh.hhf_prover import (
     Limits,
     Solver,
-    _term_eigens,
     solve,
 )
 from lfhh.lf_syntax import Const, make_app, parse_expr_text, parse_query, parse_signature
 from lfhh.lf_typecheck import checked_signature
 
-from corpus import STLC_TEXT, append_proof, append_query_corpus, list_elems, list_term
+from corpus import APPEND_TEXT, STLC_TEXT, append_proof, append_query_corpus, list_elems, list_term
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +201,7 @@ def test_hypothetical_goal(append_sig, programs):
 def test_solution_bindings_are_eigen_free(append_sig, programs):
     goal, proof = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
     for sol in Solver(programs["optimized"]).solve(goal):
-        assert _term_eigens(sol.value(proof)) == []
+        assert open_leaves(sol.value(proof), HEigen, []) == []
         break
 
 
@@ -258,6 +258,43 @@ def test_occurs_check(programs):
 def test_eta_respecting_rigid_compare(programs):
     solver = Solver(programs["optimized"])
     assert solver.unify(HLam("x", HApp(HConst("s"), HBound(0))), HConst("s"))
+
+
+def test_flex_flex_narrowing(programs):
+    # F x y = F x z keeps only the first position: F := \w1 \w2. G w1
+    solver = Solver(programs["optimized"])
+    f = HMeta("F", 608, 1)
+    x, y, z = (HEigen(n, 910 + i, 0) for i, n in enumerate("xyz"))
+    assert solver.unify(happs(f, [x, y]), happs(f, [x, z]))
+    g = solver.resolve(f).body.body.fn
+    assert isinstance(g, HMeta) and g.level == 1
+    assert solver.resolve(f) == HLam("w", HLam("w", HApp(g, HBound(1))))
+    assert solver.unify(happs(f, [x, y]), x)
+    assert solver.resolve(happs(f, [y, z])) == y
+
+
+def test_pruning_drops_an_eigenvariable_out_of_scope(programs):
+    # M = c (G e) with e newer than M: G may not use e, so G := \w. G'
+    solver = Solver(programs["optimized"])
+    m = HMeta("M", 609, 0)
+    g = HMeta("G", 610, 1)
+    e = HEigen("e", 913, 1)
+    assert solver.unify(m, HApp(HConst("c"), HApp(g, e)))
+    narrowed = solver.resolve(HApp(g, e))
+    assert isinstance(narrowed, HMeta) and narrowed.level == 0
+    assert solver.resolve(m) == HApp(HConst("c"), narrowed)
+    assert not solver.unify(HApp(g, e), e)
+
+
+def test_raising_keeps_a_spine_eigenvariable_usable(programs):
+    # M e = c G with G as new as e: G := G' e, so G may still be e
+    solver = Solver(programs["optimized"])
+    m = HMeta("M", 611, 0)
+    g = HMeta("G", 612, 1)
+    e = HEigen("e", 914, 1)
+    assert solver.unify(HApp(m, e), HApp(HConst("c"), g))
+    assert solver.unify(g, e)
+    assert solver.resolve(m) == HLam("w", HApp(HConst("c"), HBound(0)))
 
 
 def test_transactional_rollback(programs):
@@ -348,9 +385,9 @@ def test_assumption_trace_event(append_sig, programs):
 # -- compiled clauses and head indexing ---------------------------------------------------
 
 # Naive output search `append (cons z (cons z nil)) (cons z nil) Out` with
-# iterative deepening, as measured before clauses were compiled and indexed:
-# the index must leave the committed steps and the trace, variable names
-# included, as they were, and only save unification attempts.
+# iterative deepening: the index leaves the committed steps and the trace,
+# variable names included, as an unindexed search has them (see
+# `test_index_is_transparent`), and only saves unification attempts.
 NAIVE_OUT_STEPS = 101
 NAIVE_OUT_UNIFY_UNINDEXED = 739
 NAIVE_OUT_TRACE = (
@@ -396,26 +433,26 @@ def test_index_keeps_steps_and_trace_naive_output_search(append_sig, programs):
 # In the simply typed lambda calculus of `STLC_TEXT`, inferring the type of
 # `lam base ([x] lam base ([y] y))` proves guards under eigenvariables,
 # where the goal's subject is a variable older than the clauses' fresh ones:
-# a skipped clause must also use up the ids that pruning them would have
-# taken (`?B107111` below).  Trace as measured before indexing.
+# a skipped clause must also use up the ids that narrowing them would have
+# taken (`?B108112115` below).
 HOAS_UNIFY_UNINDEXED = 70
 HOAS_TRACE = (
-    "bc ofLam base ?B79 (\\x1. lam base (\\x2. x2)) ?x81",
+    "bc ofLam base ?B80 (\\x1. lam base (\\x2. x2)) ?x82",
     "top",
     "top",
     "top",
     "all x!11",
     "imp+ hastype x!11 tm",
     "all x2!12",
-    "imp+ hastype x2!12 (of x!11 ?A78)",
-    "bc ofLam base ?B107111 (\\x1. x1) ?x109113",
+    "imp+ hastype x2!12 (of x!11 ?A79)",
+    "bc ofLam base ?B108112115 (\\x1. x1) (?x110114 x!11 x2!12)",
     "top",
     "top",
     "top",
     "all x!14",
     "imp+ hastype x!14 tm",
     "all x2!15",
-    "imp+ hastype x2!15 (of x!14 ?A106)",
+    "imp+ hastype x2!15 (of x!14 ?A107)",
     "bc assumption",
 )
 
@@ -429,6 +466,37 @@ def test_index_keeps_variable_names_under_binders():
     assert sol.counters.backchain_steps == 6
     assert sol.counters.unify_calls < HOAS_UNIFY_UNINDEXED
     assert sol.trace == HOAS_TRACE
+
+
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+@pytest.mark.parametrize(
+    "text, query",
+    [
+        (APPEND_TEXT, "append (cons z (cons z nil)) (cons z nil) Out"),
+        (STLC_TEXT, "of (lam base ([x:tm] lam base ([y:tm] y))) T"),
+        (STLC_TEXT, "of (lam base ([x:tm] lam base ([y:tm] x))) T"),
+        (STLC_TEXT, "of (lam (arr base base) ([f:tm] lam base ([x:tm] app f x))) T"),
+        (STLC_TEXT, "of (lam base ([y:tm] ([x:tm] lam (arr base base) ([z:tm] x)) y)) T"),
+    ],
+    ids=["append", "inner", "outer", "apply", "redex"],
+)
+def test_index_is_transparent(mode, text, query):
+    # with every clause tried, the first answer has the same trace, names
+    # included, and the same steps as with the index; only unification
+    # attempts are saved
+    sig, _ = checked_signature(parse_signature(text))
+    q, _ = parse_query(query, sig)
+    runs = []
+    for indexed in (True, False):
+        goal, _ = translate_query(sig, q, mode)
+        solver = Solver(translate(sig, mode), trace=True)
+        if not indexed:
+            solver._index = lambda goal, level: (None, None, 0, False)
+        sol = next(solver.solve(goal, iterative=True))
+        runs.append((sol.trace, sol.counters.backchain_steps, sol.counters.unify_calls))
+    (trace, steps, calls), (trace_all, steps_all, calls_all) = runs
+    assert trace == trace_all and steps == steps_all
+    assert calls < calls_all
 
 
 @pytest.mark.parametrize("mode", ["naive", "optimized"])
