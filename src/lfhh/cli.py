@@ -45,7 +45,7 @@ appCons : {X:nat} {L:list} {K:list} {M:list} (append L K M) -> (append (cons X L
 """
 
 
-def _load_signature(path: str):
+def _load_signature(path: str) -> Signature:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     raw = parse_signature(text)
@@ -56,28 +56,34 @@ def _load_query(args) -> tuple[Signature, LfExpr, dict[str, LfExpr]]:
     """The checked signature of `args.file`, `args.query` parsed against it
     and normalized at kind `type`, and the classifiers of its variables that
     normalizing recorded."""
-    sig, _ = _load_signature(args.file)
+    sig = _load_signature(args.file)
     goal_type, _ = parse_query(args.query, sig)
     classifiers: dict[str, LfExpr] = {}
     return sig, lf_syntax.normalize(goal_type, lf_syntax.TYPE, sig, metas=classifiers), classifiers
 
 
 def _limits(args) -> Limits:
+    """The search limits of `args`.  Commands call this once their input is
+    parsed, and it raises the recursion limit with the depth: search keeps
+    its goals on lists, but encoding, resolving, decoding and kernel-checking
+    an answer recurse on term depth, which grows with the search depth.
+    `main` puts back the limit it found."""
     if args.depth < 1:
         raise LfError("--depth must be at least 1")
     if args.budget < 1:
         raise LfError("--budget must be at least 1")
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 1000 + 16 * args.depth))
     return Limits(depth=args.depth, budget=args.budget)
 
 
 def cmd_check(args) -> int:
-    sig, _ = _load_signature(args.file)
+    sig = _load_signature(args.file)
     print(f"ok ({len(sig)} declarations)")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    sig, _ = _load_signature(args.file)
+    sig = _load_signature(args.file)
     for entry in sig:
         if entry.sort != "type":
             continue
@@ -88,7 +94,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    sig, _ = _load_signature(args.file)
+    sig = _load_signature(args.file)
     sys.stdout.write(print_clauses(translate(sig, args.mode)))
     return EXIT_OK
 
@@ -150,10 +156,12 @@ def _append_check(elems: list[LfExpr]) -> tuple[LfExpr, LfExpr]:
 def cmd_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
+        if any(n < 0 for n in sizes):
+            raise ValueError
     except ValueError:
         print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
         return EXIT_INPUT
-    sig, _ = checked_signature(parse_signature(APPEND_SIGNATURE))
+    sig = checked_signature(parse_signature(APPEND_SIGNATURE))
     modes = ["naive", "optimized"] if args.mode == "both" else [args.mode]
     programs = {m: translate(sig, m) for m in modes}
     rows: list[tuple[int, str, int, int, int]] = []
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # a `Solver` raises the recursion limit for the whole process; putting
+    # `_limits` raises the recursion limit for the whole process; putting
     # back the one found here keeps a call's verdict on deep input from
     # depending on the calls made before it in the same process
     limit = sys.getrecursionlimit()

@@ -1,11 +1,11 @@
 """Simply typed target terms, hereditary Harrop formulas, and the two clause
 translations (plain and redundancy-eliminating).
 
-Dependently typed declarations are erased to simply typed constants over two
-base sorts: `tm` for encoded objects, `ty` for encoded base types.  A single
-predicate relates the two.  Each object-level declaration becomes one closed
-clause: a quantifier prefix with one guard per binder and a head atom for the
-target type.  The optimized translation replaces the guard of every rigid
+Dependent types are erased to simple types over two base sorts: `tm` for
+encoded objects, `ty` for encoded base types.  A single predicate relates
+the two.  Each object-level declaration becomes one closed clause: a
+quantifier prefix with one guard per binder and a head atom for the target
+type.  The optimized translation replaces the guard of every rigid
 binder with truth; guards in negative positions restart the analysis with an
 empty candidate set.
 
@@ -140,6 +140,7 @@ def erase_type(classifier: LfExpr) -> SimpleType:
 
 
 def erased_signature(sig: Signature) -> dict[str, SimpleType]:
+    """The simple type that erasure gives each declaration of `sig`."""
     return {e.name: erase_type(e.classifier) for e in sig}
 
 
@@ -555,19 +556,12 @@ class Clause(Record):
 
 
 class ClauseSet(Record):
-    __slots__ = ("clauses", "mode", "constants", "compiled")
-    __match_args__ = ("clauses", "mode", "constants")
-    _compared = ("clauses", "mode")
+    __slots__ = ("clauses", "mode", "compiled")
+    __match_args__ = ("clauses", "mode")
 
-    def __init__(
-        self,
-        clauses: tuple[Clause, ...],
-        mode: str,
-        constants: Mapping[str, SimpleType] | None = None,
-    ):
+    def __init__(self, clauses: tuple[Clause, ...], mode: str):
         self.clauses = clauses
         self.mode = mode  # "naive" | "optimized"
-        self.constants = {} if constants is None else constants
         # the prover's compiled form of `clauses`, built by its first Solver
         # and kept here so that it lives exactly as long as the set
         self.compiled: tuple | None = None
@@ -634,13 +628,13 @@ def _clause(
 
 def translate_simple(sig: Signature) -> ClauseSet:
     """One clause per object-level declaration, in signature order.  Family
-    declarations contribute constants to the erased signature only."""
+    declarations make no clause."""
     clauses = tuple(
         Clause(e.name, _clause(sig, e.classifier, HConst(e.name), "naive", ()))
         for e in sig
         if e.sort == "type"
     )
-    return ClauseSet(clauses, "naive", erased_signature(sig))
+    return ClauseSet(clauses, "naive")
 
 
 def translate_optimized_decl(sig: Signature, decl_name: str) -> HhFormula:
@@ -655,7 +649,7 @@ def translate_optimized(sig: Signature) -> ClauseSet:
     clauses = tuple(
         Clause(e.name, translate_optimized_decl(sig, e.name)) for e in sig if e.sort == "type"
     )
-    return ClauseSet(clauses, "optimized", erased_signature(sig))
+    return ClauseSet(clauses, "optimized")
 
 
 def translate(sig: Signature, mode: str) -> ClauseSet:

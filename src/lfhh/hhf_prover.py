@@ -77,7 +77,6 @@ index are not counted.
 from __future__ import annotations
 
 import itertools
-import sys
 from typing import Iterator, Literal, Sequence
 
 from .hhf_logic import (
@@ -192,11 +191,6 @@ def _walk(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
         else:
             break
     return t
-
-
-def term_metas(t: HhTerm) -> list[HMeta]:
-    """The distinct unification variables of `t`, in order of first occurrence."""
-    return list(dict.fromkeys(open_leaves(t, HMeta, [])))
 
 
 def _lams(n: int, body: HhTerm) -> HhTerm:
@@ -328,10 +322,6 @@ class Solution(Record):
     def value(self, m: HhTerm) -> HhTerm:
         return resolve_term(self.bindings, m)
 
-    def open_metas(self, t: HhTerm) -> list[HMeta]:
-        """Unification variables left uninstantiated in the resolved term."""
-        return term_metas(self.value(t))
-
 
 class Solver:
     """One search state; not shared between threads.  Distinct solves may run
@@ -347,12 +337,6 @@ class Solver:
         self.program = program
         self.static = compiled_program(program)
         self.limits = limits or Limits()
-        # search keeps its goals on lists, but encoding, resolving, decoding
-        # and kernel-checking an answer recurse on term depth, which grows
-        # with the search depth
-        need = 1000 + 16 * self.limits.depth
-        if sys.getrecursionlimit() < need:
-            sys.setrecursionlimit(need)
         self.bindings: dict[int, HhTerm] = dict(bindings) if bindings else {}
         self.trail: list[int] = []
         self.counters = Counters()

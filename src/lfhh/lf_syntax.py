@@ -30,7 +30,6 @@ __all__ = [
     "SigEntry",
     "Fingerprint",
     "Signature",
-    "Subst",
     "LfError",
     "LfSyntaxError",
     "NormalizeError",
@@ -278,11 +277,6 @@ TYPE = TypeKind()
 # (kinds have no classifier of their own).
 KIND = "kind"
 
-# `collections.abc.Mapping`, not `typing.Mapping`: typing caches its aliases
-# process-wide, and the cached alias would keep every class of a re-imported
-# copy of this module alive through `LfExpr`.
-Subst = Mapping[str, LfExpr]
-
 
 # ---------------------------------------------------------------------------
 # Structural helpers
@@ -354,7 +348,7 @@ def free_names(e: LfExpr) -> set[str]:
     return out
 
 
-def substitute(e: LfExpr, s: Subst) -> LfExpr:
+def substitute(e: LfExpr, s: Mapping[str, LfExpr]) -> LfExpr:
     """Simultaneous substitution for free variables (constants and metas) by
     name.  Replacement terms must be locally closed; bound occurrences are
     indices, so no capture can occur and the result is not renormalized."""

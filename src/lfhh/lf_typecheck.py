@@ -52,7 +52,6 @@ __all__ = [
     "checked_signature",
     "check_kind",
     "check_type",
-    "check_family",
     "check_object",
     "to_sexpr",
 ]
@@ -96,8 +95,8 @@ class Judgment:
         self,
         context: Fingerprint,
         binders: Hints,
-        subject: LfExpr | str | None,
-        classifier: LfExpr | str | None,
+        subject: LfExpr | str,
+        classifier: LfExpr | str,
     ):
         self.context = context
         self.binders = binders
@@ -142,10 +141,6 @@ class Judgment:
 
     def __str__(self) -> str:
         context = ",".join([*self.context, *self.names()]) or "."
-        if self.subject is None:
-            return f"{context} ctx"
-        if self.classifier is None:
-            return f"{context} |- {self.show(self.subject)}"
         return f"{context} |- {self.show(self.subject)} : {self.show(self.classifier)}"
 
 
@@ -209,29 +204,28 @@ def _reject_metas(e: LfExpr, rule: str, judgment: Judgment) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Context formation
+# Signature formation
 # ---------------------------------------------------------------------------
 
 
-def checked_signature(sig: Signature) -> tuple[Signature, Derivation]:
-    """Normalize every classifier against its sort, check the whole context,
-    and return the normalized signature together with its derivation.
+def checked_signature(sig: Signature) -> Signature:
+    """Normalize every classifier against its sort, check it, and return the
+    normalized signature.
 
     Each entry is processed under the (already normalized and checked) prefix,
-    so declarations may only reference earlier names.
+    so declarations may only reference earlier names.  Each declaration's
+    derivation is dropped once its check returns: no caller reads a proof of
+    signature formation, only whether it holds.
     """
     checked = Signature()
-    d = Derivation("NullCtx", Judgment(checked.names, (), None, None))
     for entry in sig:
         kind = entry.sort == "kind"
-        rule = "KindCtx" if kind else "TypeCtx"
         if entry.name in checked:
-            raise KernelError(f"duplicate declaration of {entry.name!r}", rule)
+            raise KernelError(f"duplicate declaration of {entry.name!r}", "KindCtx" if kind else "TypeCtx")
         classifier = normalize(entry.classifier, KIND if kind else TYPE, checked)
-        cd = check_kind(checked, classifier) if kind else check_type(checked, classifier)
+        (check_kind if kind else check_type)(checked, classifier)
         checked = checked.extend(entry.name, classifier, entry.sort)
-        d = Derivation(rule, Judgment(checked.names, (), None, None), (cd, d))
-    return checked, d
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +258,8 @@ def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr, memo: Mem
 
 def check_type(sig: Signature, a: LfExpr) -> Derivation:
     """Derivation of `sig |- a : type` for canonical `a`."""
-    return check_family(sig, a, TYPE)
-
-
-def check_family(sig: Signature, a: LfExpr, k: LfExpr) -> Derivation:
-    """Derivation of `sig |- a : k` with `k` a canonical kind."""
-    _reject_metas(a, "BackchainFam", Judgment(sig.names, (), a, k))
-    return _check_family(sig, (), (), a, k, {})
+    _reject_metas(a, "BackchainFam", Judgment(sig.names, (), a, TYPE))
+    return _check_family(sig, (), (), a, TYPE, {})
 
 
 def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, k: LfExpr, memo: Memo) -> Derivation:

@@ -9,16 +9,18 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from corpus import APPEND_TEXT, REMARK_TEXT, append_signature, remark_signature  # noqa: E402
 
+from lfhh.cli import _limits, build_parser  # noqa: E402
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.fixture(autouse=True)
-def recursion_limit():
-    """Restore the recursion limit after each test.  A `Solver` raises it for
-    the whole process, so without this a test's verdict on deep input could
-    depend on which search ran before it."""
+@pytest.fixture
+def cli_limits():
+    """`depth -> Limits` for a search of that depth, made as a command with
+    `--depth` makes them, which raises the recursion limit for it; the limit
+    found is put back after the test."""
     limit = sys.getrecursionlimit()
-    yield
+    yield lambda depth: _limits(build_parser().parse_args(["bench", f"--depth={depth}"]))
     sys.setrecursionlimit(limit)
 
 

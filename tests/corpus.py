@@ -66,11 +66,11 @@ vcons{t} : {N:nat{t}} tp{t} -> vec{t} N -> vec{t} (s{t} N).
 
 
 def append_signature() -> Signature:
-    return checked_signature(parse_signature(APPEND_TEXT))[0]
+    return checked_signature(parse_signature(APPEND_TEXT))
 
 
 def remark_signature() -> Signature:
-    return checked_signature(parse_signature(REMARK_TEXT))[0]
+    return checked_signature(parse_signature(REMARK_TEXT))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def random_signature_case(rng: random.Random) -> tuple[Signature, list[tuple[LfE
         lines.append(f"tag : {fam_sort} -> type.")
         lines.append(f"tag_of : {{n:{fam_sort}}} tag n.")
 
-    sig = checked_signature(parse_signature("\n".join(lines)))[0]
+    sig = checked_signature(parse_signature("\n".join(lines)))
 
     def ground(srt: str, depth: int) -> tuple[LfExpr, bool]:
         """Random ground term and whether `good` holds on it (for fam_sort)."""

@@ -218,6 +218,11 @@ def test_bench_naive_strictly_exceeds_optimized():
         assert table[(n, "naive")] > table[(n, "optimized")]
 
 
+@pytest.mark.parametrize("sizes", ["-3,2", "2,-1", "4,x"])
+def test_bench_bad_sizes_are_an_input_error(sizes):
+    assert run_cli("bench", f"--sizes={sizes}") == (1, "", f"error: bad --sizes {sizes!r}\n")
+
+
 def test_bench_text_format():
     code, out, _ = run_cli("bench", "--sizes", "2", "--format", "text", "--mode", "optimized")
     assert code == 0 and "optimized" in out and "backchain" in out
@@ -475,7 +480,7 @@ def test_deep_search_runs_off_the_interpreter_stack():
 
 
 def test_deep_input_verdict_does_not_depend_on_an_earlier_search(append_lf, tmp_path):
-    # a `Solver` raises the recursion limit for the whole process; before
+    # a command raises the recursion limit for the whole process; before
     # `main` put back the limit it found, this `check` printed `ok` after the
     # `solve` although it exits 2 in a fresh process
     deep = tmp_path / "deep.lf"
@@ -488,7 +493,7 @@ def test_deep_input_verdict_does_not_depend_on_an_earlier_search(append_lf, tmp_
 
 def run_fresh(*argv):
     """`lfhh` in a fresh interpreter, so that the recursion limit is the
-    default one and not whatever an earlier `Solver` in this process raised
+    default one and not whatever an earlier command in this process raised
     it to."""
     src = str(pathlib.Path(lfhh.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -213,7 +213,7 @@ def test_repr_of_every_node_class():
     assert repr(Clause("z", FAtom(HConst("z"), HConst("nat")))) == (
         "Clause(origin='z', formula=FAtom(subject=HConst(name='z'), classifier=HConst(name='nat')))"
     )
-    assert repr(ClauseSet((), "naive")) == "ClauseSet(clauses=(), mode='naive', constants={})"
+    assert repr(ClauseSet((), "naive")) == "ClauseSet(clauses=(), mode='naive')"
     assert repr(Limits()) == "Limits(depth=512, budget=10000000)"
     assert repr(Counters()) == "Counters(backchain_steps=0, top_steps=0, unify_calls=0)"
 

@@ -172,13 +172,13 @@ def test_enumerates_every_split_resuming_after_each_answer(append_sig, programs,
     assert steps == counters
 
 
-def test_dropping_a_deep_search_is_cheap(append_sig, programs):
+def test_dropping_a_deep_search_is_cheap(append_sig, programs, cli_limits):
     # closing the search after its first answer frees a list of choice
     # points; with one suspended generator chain per backchain step it took
     # 0.33 s at n = 3000 on a 2-vCPU host, longer than the search itself.
     # The bound is relative to the search, timed in the same process, so a
     # loaded host slows both sides alike.
-    solver = Solver(programs["optimized"], Limits(depth=10000))  # deep enough for the goal's terms too
+    solver = Solver(programs["optimized"], cli_limits(10000))  # deep enough for the goal's terms too
     ty, proof = _append_check([Const("z")] * 3000)
     search = solver.solve(inhabitation_goal(append_sig, ty, encode_term(proof), "optimized"))
     t0 = time.perf_counter()
@@ -458,7 +458,7 @@ HOAS_TRACE = (
 
 
 def test_index_keeps_variable_names_under_binders():
-    sig, _ = checked_signature(parse_signature(STLC_TEXT))
+    sig = checked_signature(parse_signature(STLC_TEXT))
     q, _ = parse_query("of (lam base ([x:tm] lam base ([y:tm] y))) T", sig)
     goal, _ = translate_query(sig, q, "optimized")
     solver = Solver(translate(sig, "optimized"), trace=True)
@@ -484,7 +484,7 @@ def test_index_is_transparent(mode, text, query):
     # with every clause tried, the first answer has the same trace, names
     # included, and the same steps as with the index; only unification
     # attempts are saved
-    sig, _ = checked_signature(parse_signature(text))
+    sig = checked_signature(parse_signature(text))
     q, _ = parse_query(query, sig)
     runs = []
     for indexed in (True, False):
@@ -504,7 +504,7 @@ def test_sibling_guard_does_not_see_earlier_guard_assumptions(mode):
     # mk's first guard assumes `hastype x r` for a fresh x; its second guard,
     # `hastype M r`, is proved after the first succeeds and must not try that
     # assumption: 6 unifications, where trying it made 7
-    sig, _ = checked_signature(parse_signature("q : type. r : type. s : type. mk : (r -> q) -> r -> s. g : q."))
+    sig = checked_signature(parse_signature("q : type. r : type. s : type. mk : (r -> q) -> r -> s. g : q."))
     goal, _ = translate_query(sig, Const("s"), mode)
     solver = Solver(translate(sig, mode))
     assert list(solver.solve(goal)) == []

@@ -1,5 +1,5 @@
-"""Pinned kernel output: the derivations of whole signatures, and the verdict
-on seeded mutants of their declarations.
+"""Pinned kernel output: the derivations of the declarations of whole
+signatures, and the verdict on seeded mutants of their declarations.
 
 A mutant replaces one subterm of one normalized declaration's classifier by
 another declared constant, an index bound at that position, the subterm
@@ -43,10 +43,24 @@ def signature_texts(golden_dir) -> dict[str, str]:
     }
 
 
+def signature_sexpr(sig: Signature) -> str:
+    """The derivation of `sig ctx` in `to_sexpr` form: a `KindCtx` or
+    `TypeCtx` node per declaration, the last one outermost, whose premises
+    are the declaration's kernel derivation under the declarations before
+    it and the node of that prefix, down to `NullCtx`."""
+    entries, text = sig.entries, '(NullCtx ". ctx" ())'
+    for i, e in enumerate(entries):
+        kind = e.sort == "kind"
+        d = (check_kind if kind else check_type)(Signature(entries[:i]), e.classifier)
+        names = ",".join(x.name for x in entries[: i + 1])
+        text = f'({"KindCtx" if kind else "TypeCtx"} "{names} ctx" ({to_sexpr(d)} {text}))'
+    return text
+
+
 @pytest.mark.parametrize("name", ["vec", "remark", "stlc"])
 def test_signature_derivation_pinned(golden_dir, name):
-    d = checked_signature(parse_signature(signature_texts(golden_dir)[name]))[1]
-    assert to_sexpr(d) + "\n" == (golden_dir / f"{name}_check.sexpr").read_text()
+    sig = checked_signature(parse_signature(signature_texts(golden_dir)[name]))
+    assert signature_sexpr(sig) + "\n" == (golden_dir / f"{name}_check.sexpr").read_text()
 
 
 def test_mutant_verdicts_pinned(golden_dir):
@@ -125,7 +139,7 @@ def mutant_verdicts(texts: dict[str, str]) -> list[str]:
     rng = random.Random(97)
     lines: list[str] = []
     for name, text in texts.items():
-        entries = checked_signature(parse_signature(text))[0].entries
+        entries = checked_signature(parse_signature(text)).entries
         for n in range(MUTANTS_PER_SIGNATURE):
             i, mutant = _mutant(rng, entries)
             check = check_kind if classifier_sort(mutant) == "kind" else check_type

@@ -38,7 +38,7 @@ from lfhh.lf_syntax import (
 )
 from lfhh.hhf_logic import HApp, HConst, HLam, HMeta, encode_term
 from lfhh.hhf_prover import Limits
-from lfhh.lf_typecheck import Derivation, Judgment, checked_signature
+from lfhh.lf_typecheck import Derivation, Judgment, check_type, checked_signature
 from lfhh.reconstruct import QuerySession, _Closing, decode_term
 
 from corpus import STLC_TEXT
@@ -242,10 +242,11 @@ def test_repr_of_every_node_class():
     assert repr(sig.entries[1]) == (
         "SigEntry(name='f', classifier=Pi(hint='x', annot=Const(name='a'), body=Const(name='a')), sort='type')"
     )
-    _, d = checked_signature(sig)
+    f = sig.entries[1].classifier
+    d = check_type(Signature(sig.entries[:1]), f)
     fp = d.conclusion.context
-    assert repr(d.conclusion) == f"Judgment(context={fp!r}, binders=(), subject=None, classifier=None)"
-    assert repr(d).startswith(f"Derivation(rule='TypeCtx', conclusion={d.conclusion!r}, premises=(Derivation(")
+    assert repr(d.conclusion) == f"Judgment(context={fp!r}, binders=(), subject={f!r}, classifier=TypeKind())"
+    assert repr(d).startswith(f"Derivation(rule='PiFam', conclusion={d.conclusion!r}, premises=(Derivation(")
     assert repr(d).endswith(f"size={d.size}, head=None, instantiation=())")
 
 
@@ -262,14 +263,14 @@ def copy_derivation(d):
 
 
 def test_kernel_derivations_compare_every_field():
-    sig = parse_signature("a : type. b : a -> type. f : {x:a} b x -> a.")
-    _, d = checked_signature(sig)
+    *prefix, f = checked_signature(parse_signature("a : type. b : a -> type. f : {x:a} b x -> a.")).entries
+    d = check_type(Signature(prefix), f.classifier)
     copy = copy_derivation(d)
     assert copy is not d and copy == d and hash(copy) == hash(d) and repr(copy) == repr(d)
     assert d.size > 1
-    # binder hints are part of a judgment; separate checks have separate
+    # binder hints are part of a judgment; separate signatures have separate
     # fingerprints, which compare by identity
-    _, again = checked_signature(sig)
+    again = check_type(Signature(prefix), f.classifier)
     assert again != d
     leaf = d
     while leaf.premises:
@@ -457,7 +458,7 @@ def random_stlc_query(rng):
 def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
     # parse, normalize, close with every variable still unbound (each decodes
     # to a `?id` placeholder), decode the encoded subject, and certify
-    sig, _ = checked_signature(parse_signature(STLC_TEXT))
+    sig = checked_signature(parse_signature(STLC_TEXT))
     rng = random.Random(20109)
     closed = function_typed = placeholders = 0
     for i in range(150):

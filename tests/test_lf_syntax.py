@@ -187,7 +187,7 @@ def test_normalize_returns_canonical_classifiers_themselves(name, golden_dir):
         "vec": (golden_dir / "vec.lf").read_text(),
         "remark": REMARK_TEXT,
     }[name]
-    sig = checked_signature(parse_signature(text))[0]
+    sig = checked_signature(parse_signature(text))
     prefix = Signature()
     for entry in sig:
         c = entry.classifier
@@ -204,7 +204,7 @@ def test_normalize_returns_canonical_classifiers_themselves(name, golden_dir):
     ids=["append", "stlc"],
 )
 def test_normalize_returns_a_decoded_proof_itself(text, query):
-    sig = checked_signature(parse_signature(text))[0]
+    sig = checked_signature(parse_signature(text))
     q, _ = parse_query(query, sig)
     _, ans = QuerySession(sig, q, "optimized").first_answer(iterative=True)
     assert ans.certified
@@ -215,7 +215,7 @@ def test_normalize_returns_a_decoded_proof_itself(text, query):
 def test_normalize_still_eta_expands_inside_a_classifier():
     # `M : tm -> tm` occurs unapplied in the raw declaration of `ofLam`
     raw = parse_signature(STLC_TEXT)
-    sig = checked_signature(raw)[0]
+    sig = checked_signature(raw)
     c = raw.lookup("ofLam").classifier
     got = normalize(c, TYPE, sig)
     assert got is not c and got == sig.lookup("ofLam").classifier
@@ -261,7 +261,7 @@ def test_normalize_shape_mismatch(append_sig):
 def test_normalize_substitutes_without_capture():
     # the argument `y` of the inner redex lands under the binder `z`; it
     # used to be captured by it, giving `[z:tm] z`
-    sig = checked_signature(parse_signature(STLC_TEXT))[0]
+    sig = checked_signature(parse_signature(STLC_TEXT))
     q, _ = parse_query("of (lam base ([y:tm] ([x:tm] lam (arr base base) ([z:tm] x)) y)) T", sig)
     got = pretty_print(normalize(q, TYPE, sig))
     assert got == "of (lam base ([y:tm] lam (arr base base) ([z:tm] y))) T"

@@ -40,7 +40,7 @@ ATOM = FAtom(HConst("z"), HConst("nat"))
 CLAUSE = Clause("c", ATOM)
 FP = Fingerprint(Fingerprint(), "a")
 JUDGMENT = Judgment(FP, ("x",), Bound(0), Const("a"))
-LEAF = Derivation("Type", Judgment(FP, (), TYPE, None))
+LEAF = Derivation("Type", Judgment(FP, (), TYPE, "kind"))
 
 # class, constructor arguments, a different value for each field (fields the
 # constructor does not take are written after construction), the fields that
@@ -185,11 +185,11 @@ CASES = [
     ),
     (
         ClauseSet,
-        ((CLAUSE,), "naive", {"z": TM}),
-        {"clauses": (), "mode": "optimized", "constants": {}, "compiled": ()},
-        {"constants", "compiled"},
-        ("clauses", "mode", "constants"),
-        f"ClauseSet(clauses=({CLAUSE!r},), mode='naive', constants={{'z': SBase(name='tm')}})",
+        ((CLAUSE,), "naive"),
+        {"clauses": (), "mode": "optimized", "compiled": ()},
+        {"compiled"},
+        ("clauses", "mode"),
+        f"ClauseSet(clauses=({CLAUSE!r},), mode='naive')",
     ),
     (Limits, (16, 100), {"depth": 17, "budget": 101}, set(), ("depth", "budget"), "Limits(depth=16, budget=100)"),
     (

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from lfhh.hhf_logic import (
     HMeta,
     encode_term,
     happs,
+    open_leaves,
 )
 from lfhh.hhf_prover import Limits, Solution, Solver, resolve_term
 from lfhh.lf_syntax import Const, LfExpr, Meta, parse_expr_text, parse_query, pretty_print
@@ -104,6 +106,17 @@ def test_finalize_pass_through_when_closed(append_sig):
     assert ty2 == ty and proof2 == proof
 
 
+def test_a_session_leaves_the_recursion_limit_alone(append_sig):
+    # only the command line raises the limit for the whole process; a
+    # library caller keeps the one it set, whatever the depth bound
+    limit = sys.getrecursionlimit()
+    q, _ = parse_query("append (cons z nil) K L", append_sig)
+    sess = QuerySession(append_sig, q, "optimized", Limits(depth=5000))
+    _, ans = sess.first_answer()
+    assert ans.certified and sess.binding_report(ans)
+    assert sys.getrecursionlimit() == limit
+
+
 def test_finalize_nothing_residual_for_first_inhabitant(append_sig):
     sess = QuerySession(append_sig, Const("nat"), "optimized")
     sol, ans = sess.first_answer()
@@ -116,7 +129,7 @@ def test_finalize_residual_binds_first_inhabitant(append_sig):
     q, _ = parse_query("append nil K K", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     raw = next(Solver(sess.program).solve(sess.goal))
-    assert raw.open_metas(sess.proof_meta) != []  # flagged open before closing
+    assert open_leaves(raw.value(sess.proof_meta), HMeta, []) != []  # flagged open before closing
     sol, ans = sess.first_answer()
     assert ans.certified
     assert pretty_print(ans.lf_type) == "append nil nil nil"
@@ -140,7 +153,7 @@ def test_finalize_uninhabited_residual(append_sig):
     from lfhh.lf_syntax import parse_signature
     from lfhh.lf_typecheck import checked_signature
 
-    sig, _ = checked_signature(
+    sig = checked_signature(
         parse_signature(
             "nat : type. z : nat. s : nat -> nat. empty : type."
             " f : empty -> type. w : {e:empty} f e."

@@ -296,8 +296,8 @@ def corpus_cases(golden_dir):
     dependent classifiers, and every guard domain of each."""
     texts = [APPEND_TEXT, REMARK_TEXT, STLC_TEXT, CAPTURE_TEXT, STLC_BLOCK.replace("{t}", "")]
     texts += [(golden_dir / f).read_text() for f in ("append.lf", "remark.lf", "vec.lf")]
-    hoas = checked_signature(parse_signature(HOAS_TEXT))[0]
-    sigs = [hoas] + [checked_signature(parse_signature(t))[0] for t in texts]
+    hoas = checked_signature(parse_signature(HOAS_TEXT))
+    sigs = [hoas] + [checked_signature(parse_signature(t)) for t in texts]
     rng = random.Random(20190)
     sigs += [random_signature_case(rng)[0] for _ in range(200)]
     cases = [(sig, e.classifier) for sig in sigs for e in sig if e.sort == "type"]

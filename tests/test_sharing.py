@@ -19,7 +19,7 @@ from lfhh.hhf_logic import (
     parse_clauses,
     translate,
 )
-from lfhh.hhf_prover import Limits, Solver
+from lfhh.hhf_prover import Solver
 from lfhh.lf_syntax import App, Const, Lam, Meta, Pi
 from lfhh.lf_typecheck import KernelError, check_object, to_sexpr
 from lfhh.reconstruct import QuerySession
@@ -91,7 +91,7 @@ def test_closed_lambda_unified_with_itself_uses_the_same_eigenvariables():
     assert "all x2!2" in traces[0]
 
 
-def test_unify_calls_per_step_of_the_ground_check_do_not_grow(append_sig):
+def test_unify_calls_per_step_of_the_ground_check_do_not_grow(append_sig, cli_limits):
     program = translate(append_sig, "optimized")
 
     class Counting(Solver):
@@ -103,14 +103,14 @@ def test_unify_calls_per_step_of_the_ground_check_do_not_grow(append_sig):
 
     for n in (64, 512):
         ty, proof = _append_check([Const("z")] * n)
-        solver = Counting(program, Limits(depth=2 * n))
+        solver = Counting(program, cli_limits(2 * n))
         goal = inhabitation_goal(append_sig, ty, encode_term(proof), "optimized")
         assert next(solver.solve(goal), None) is not None
         assert solver.counters.backchain_steps == n + 1
         assert solver.calls <= 20 * (n + 1)
 
 
-def test_certifying_the_output_search_grows_with_distinct_nodes(append_sig, monkeypatch):
+def test_certifying_the_output_search_grows_with_distinct_nodes(append_sig, monkeypatch, cli_limits):
     counts = {"backchain": 0, "decode": 0}
 
     def counting(name, fn):
@@ -127,7 +127,7 @@ def test_certifying_the_output_search_grows_with_distinct_nodes(append_sig, monk
     for n in (256, 512):
         ty, _ = _append_check([Const("z")] * n)
         counts.update(backchain=0, decode=0)
-        sess = QuerySession(append_sig, App(ty.fn, Meta("Out")), "optimized", Limits(depth=2 * n))
+        sess = QuerySession(append_sig, App(ty.fn, Meta("Out")), "optimized", cli_limits(2 * n))
         _, answer = sess.first_answer()
         assert answer.certified
         seen[n] = dict(counts)

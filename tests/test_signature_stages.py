@@ -203,10 +203,10 @@ def test_normalize_agrees_on_the_corpus(golden_dir):
             agrees(q, TYPE, sig)
     for text in texts:
         raw = parse_signature(text)
-        checked = checked_signature(raw)[0]
+        checked = checked_signature(raw)
         for entry in raw:
             agrees(entry.classifier, KIND if entry.sort == "kind" else TYPE, checked)
-    append = checked_signature(parse_signature(APPEND_TEXT))[0]
+    append = checked_signature(parse_signature(APPEND_TEXT))
     for q, _ in append_query_corpus(random.Random(20109), 50):
         agrees(q, TYPE, append)
 
@@ -313,7 +313,7 @@ class Gen:
 
 
 def test_normalize_agrees_on_random_hoas_and_dependent_classifiers():
-    sig = checked_signature(parse_signature(HOAS_TEXT))[0]
+    sig = checked_signature(parse_signature(HOAS_TEXT))
     gen = Gen(random.Random(20110))
     results = [agrees(gen.classifier([], gen.rng.randint(0, 4), gen.rng.randint(1, 6)), TYPE, sig) for _ in range(400)]
     changed = 0
@@ -333,6 +333,6 @@ def test_normalize_agrees_on_random_hoas_and_dependent_classifiers():
 
 
 def test_normalize_leaves_loose_and_meta_heads_alone():
-    sig = checked_signature(parse_signature(HOAS_TEXT))[0]
+    sig = checked_signature(parse_signature(HOAS_TEXT))
     for e in (App(Bound(3), Const("z")), App(Meta("F"), Const("s"))):
         assert normalize(e, TM, sig) == named_normalize(e, TM, sig) == e
