@@ -161,6 +161,7 @@ def cmd_bench(args) -> int:
     except ValueError:
         print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
         return EXIT_INPUT
+    limits = _limits(args)
     sig = checked_signature(parse_signature(APPEND_SIGNATURE))
     modes = ["naive", "optimized"] if args.mode == "both" else [args.mode]
     programs = {m: translate(sig, m) for m in modes}
@@ -170,10 +171,10 @@ def cmd_bench(args) -> int:
         for mode in modes:
             if args.search:
                 open_ty = App(ty.fn, Meta("Out"))  # append L nil Out
-                sess = QuerySession(sig, open_ty, mode, _limits(args), program=programs[mode])
+                sess = QuerySession(sig, open_ty, mode, limits, program=programs[mode])
                 solver, goal = sess.solver, sess.goal
             else:
-                solver = Solver(programs[mode], _limits(args))
+                solver = Solver(programs[mode], limits)
                 goal = inhabitation_goal(sig, ty, encode_term(proof), mode)
             t0 = time.perf_counter_ns()
             ok = next(solver.solve(goal), None) is not None

@@ -6,9 +6,15 @@ level; an implication assumes its antecedent as a program clause for the
 subgoal; an atom backchains: clauses are tried in order (dynamic assumptions
 newest first, then the static program), heads are unified with the
 quantifier prefix read as fresh unification variables, and guards are proved
-left to right one level deeper.  Every goal carries its own level and
-assumptions, so a guard never sees those of a sibling guard proved before
-it.
+one level deeper, in the order `compile_clause` fixes once per clause: left
+to right, except that a guard on its own binder, such as ofApp's `hastype A
+tp`, runs after the last later guard that mentions that binder, such as
+`of M (arr A B)`.  So the guard checks a value the premise found instead of
+enumerating candidates while the binder is unbound (mode-directed goal
+ordering, as in Elf's mode analysis: Rohwedder & Pfenning, ESOP 1996).
+Every guard still runs, and the printed translation is unchanged.  Every
+goal carries its own level and assumptions, so a guard never sees those of
+a sibling guard proved before it.
 
 Search is one loop, not a recursion: the goals still to prove are a linked
 list, and a stack holds a choice point per committed backchain.  Backtracking
@@ -215,13 +221,15 @@ class CompiledClause(Record):
     """A clause split once into the parts that backchaining uses.
 
     Templates refer to the quantifier prefix by de Bruijn index: a guard
-    sees the `scope` outermost binders, the head sees all of them.  `head`
-    holds the code that `Solver._uni_head` runs for the head's subject and
-    classifier (see `_head_code`).  The head constants index the clause:
-    `subject_head` is the constant at the head of the head's subject, and
-    `family_head` the one at the head of its classifier, recorded only when
-    the subject is that constant applied to distinct prefix binders
-    (`subject_vars` of them), the shape every translated declaration has."""
+    sees the `scope` outermost binders, the head sees all of them.  `guards`
+    are `(scope, guard)` pairs in the order they are proved, which
+    `_schedule` sets.  `head` holds the code that `Solver._uni_head` runs
+    for the head's subject and classifier (see `_head_code`).  The head
+    constants index the clause: `subject_head` is the constant at the head
+    of the head's subject, and `family_head` the one at the head of its
+    classifier, recorded only when the subject is that constant applied to
+    distinct prefix binders (`subject_vars` of them), the shape every
+    translated declaration has."""
 
     __slots__ = ("origin", "prefix", "guards", "head", "subject_head", "family_head", "subject_vars")
     __match_args__ = __slots__
@@ -275,8 +283,50 @@ def compile_clause(clause: Clause) -> CompiledClause:
     if head is not None:
         code = _head_code(head.subject, len(prefix)), _head_code(head.classifier, len(prefix))
     return CompiledClause(
-        clause.origin, tuple(prefix), tuple(guards), code, subject_head, family_head, subject_vars
+        clause.origin, tuple(prefix), _schedule(guards), code, subject_head, family_head, subject_vars
     )
+
+
+def _schedule(guards: list[tuple[int, HhFormula]]) -> tuple[tuple[int, HhFormula], ...]:
+    """`guards` in the order they are proved: a guard that mentions its own
+    binder (the last one in its scope) goes just after the last later guard
+    that mentions that binder, the premise that fixes it, so that it checks
+    a value instead of enumerating one.  Every other guard keeps its place
+    relative to the rest.  Guards are placed from the last one back, so a
+    guard's anchor is already where it ends up."""
+    if len(guards) < 2:
+        return tuple(guards)
+    order = list(range(len(guards)))
+    for i in range(len(guards) - 2, -1, -1):
+        scope, g = guards[i]
+        if not _mentions(g, 0):
+            continue
+        for j in range(len(guards) - 1, i, -1):
+            if _mentions(guards[j][1], guards[j][0] - scope):
+                order.remove(i)
+                order.insert(order.index(j) + 1, i)
+                break
+    return tuple(guards[i] for i in order)
+
+
+def _mentions(t: HhTerm | HhFormula, k: int) -> bool:
+    """Whether the term or formula `t` has the loose bound variable `k`,
+    nested premises and abstractions included.  Tested by class, not by
+    `match`, which costs twice as much on a call that every compiled clause
+    makes."""
+    if isinstance(t, HhTerm):
+        if 0 <= t.scope <= k:
+            return False
+        if isinstance(t, HBound):
+            return t.index == k
+        if isinstance(t, HApp):
+            return _mentions(t.fn, k) or _mentions(t.arg, k)
+        return isinstance(t, HLam) and _mentions(t.body, k + 1)
+    if isinstance(t, FAtom):
+        return _mentions(t.subject, k) or _mentions(t.classifier, k)
+    if isinstance(t, FImplies):
+        return _mentions(t.antecedent, k) or _mentions(t.consequent, k)
+    return isinstance(t, FForall) and _mentions(t.body, k + 1)
 
 
 _HeadCode = HhTerm | int | tuple  # see `_head_code`

@@ -223,6 +223,14 @@ def test_bench_bad_sizes_are_an_input_error(sizes):
     assert run_cli("bench", f"--sizes={sizes}") == (1, "", f"error: bad --sizes {sizes!r}\n")
 
 
+@pytest.mark.parametrize("sizes", ["", "2"])
+@pytest.mark.parametrize("flag", ["--depth", "--budget"])
+def test_bench_bad_limits_are_an_input_error(sizes, flag):
+    # the limits are checked before the first row, so an empty size list
+    # does not turn a bad limit into a header-only success
+    assert run_cli("bench", f"--sizes={sizes}", flag, "0") == (1, "", f"error: {flag} must be at least 1\n")
+
+
 def test_bench_text_format():
     code, out, _ = run_cli("bench", "--sizes", "2", "--format", "text", "--mode", "optimized")
     assert code == 0 and "optimized" in out and "backchain" in out
@@ -376,6 +384,53 @@ def test_stlc_inference_certifies(stlc_lf, flags, term, ty):
     lines = out.splitlines()
     assert lines[0] == f"T = {ty}"
     assert lines[3].startswith("certified (kernel derivation size ")
+
+
+def church_numeral(n):
+    body = "x"
+    for _ in range(n):
+        body = f"app f ({body})"
+    return f"lam (arr base base) ([f:tm] lam base ([x:tm] {body}))"
+
+
+@pytest.mark.parametrize("mode, sizes", [("optimized", (8, 16, 32)), ("naive", (4, 6, 8))])
+def test_church_numeral_ladder_grows_polynomially(stlc_lf, mode, sizes):
+    # ofApp's guard `hastype A tp` runs after `of M (arr A B)` has fixed A,
+    # so a failed deepening round no longer enumerates types: optimized n=6
+    # took 3706 steps and n=8 did not end in 100 s, naive n=4 took 9848.
+    # The budget turns a return of that blow-up into a quick exit 2.
+    steps = {}
+    for n in sizes:
+        code, out, err = run_cli(
+            "solve", stlc_lf, f"of ({church_numeral(n)}) T", "--mode", mode, "--iterdeep", "--budget", "100000"
+        )
+        assert code == 0 and err == ""
+        assert "T = arr (arr base base) (arr base base)\n" in out and "\ncertified (kernel" in out
+        steps[n] = int(out.split("counters: backchain_steps=")[1].split()[0])
+    for n in sizes:
+        if 2 * n in steps:
+            assert steps[2 * n] <= 4.5 * steps[n], steps
+
+
+def test_stlc_all_answers_end(stlc_lf):
+    # after its one answer, `--all` backtracks into ofApp's guard on A;
+    # proved before the premise that fixes A, that guard enumerated types
+    # without end
+    proc = run_fresh("solve", stlc_lf, f"of ({STLC_INFERENCE[1][0]}) T", "--all", "--depth", "40")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("\ncertified (kernel") == 1
+
+
+def test_naive_output_search_ends_without_iterdeep(append_lf):
+    # naive appCons's list guards run after its `append` premise, so the
+    # search enumerates the splits, not the lists, and ends
+    query = "append L K (cons z (cons (s z) (cons (s (s z)) nil)))"
+    splits = {}
+    for mode in ("naive", "optimized"):
+        proc = run_fresh("solve", append_lf, query, "--all", "--mode", mode)
+        assert proc.returncode == 0 and proc.stderr == ""
+        splits[mode] = [line for line in proc.stdout.splitlines() if line.startswith(("L = ", "K = "))]
+    assert len(splits["naive"]) == 8 and splits["naive"] == splits["optimized"]
 
 
 # -- determinism --------------------------------------------------------------------

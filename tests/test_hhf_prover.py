@@ -23,12 +23,14 @@ from lfhh.hhf_logic import (
     happs,
     inhabitation_goal,
     open_leaves,
+    print_formula,
     translate,
     translate_query,
 )
 from lfhh.hhf_prover import (
     Limits,
     Solver,
+    compile_clause,
     solve,
 )
 from lfhh.lf_syntax import Const, make_app, parse_expr_text, parse_query, parse_signature
@@ -155,7 +157,7 @@ SPLITS = [("nil", Z3), ("cons z nil", "cons z (cons z nil)"), ("cons z (cons z n
 @pytest.mark.parametrize(
     "mode, iterative, counters",
     [
-        ("naive", True, [(386, 0, 862), (417, 0, 932), (574, 0, 1308), (837, 0, 1880)]),
+        ("naive", True, [(47, 0, 96), (66, 0, 134), (90, 0, 182), (115, 0, 232)]),
         ("optimized", False, [(1, 1, 2), (3, 6, 6), (5, 11, 10), (7, 16, 14)]),
     ],
 )
@@ -384,36 +386,89 @@ def test_assumption_trace_event(append_sig, programs):
 
 # -- compiled clauses and head indexing ---------------------------------------------------
 
+
+# Each guard that mentions its own binder is proved just after the last later
+# guard that mentions that binder, nested premises included; the others keep
+# their order.  Pairs are (scope, printed guard); `#0` is the guard's own
+# binder and `#k` the one k places before it.
+GUARD_ORDER = {
+    ("stlc", "naive", "ofApp"): [
+        (5, "hastype #0 (of #4 (arr #2 #1))"),
+        (1, "hastype #0 tm"),
+        (4, "hastype #0 tp"),
+        (6, "hastype #0 (of #4 #3)"),
+        (2, "hastype #0 tm"),
+        (3, "hastype #0 tp"),
+    ],
+    ("stlc", "optimized", "ofApp"): [
+        (1, "top"),
+        (2, "top"),
+        (4, "top"),
+        (5, "hastype #0 (of #4 (arr #2 #1))"),
+        (6, "hastype #0 (of #4 #3)"),
+        (3, "hastype #0 tp"),
+    ],
+    ("stlc", "naive", "ofLam"): [
+        (4, "forall x1:tm. hastype x1 tm => (forall x2:tm. hastype x2 (of x1 #5) => hastype (#2 x1 x2) (of (#3 x1) #4))"),
+        (1, "hastype #0 tp"),
+        (2, "hastype #0 tp"),
+        (3, "forall x1:tm. hastype x1 tm => hastype (#1 x1) tm"),
+    ],
+    ("stlc", "optimized", "ofLam"): [
+        (1, "top"),
+        (2, "top"),
+        (3, "top"),
+        (4, "forall x1:tm. hastype x1 tm => (forall x2:tm. hastype x2 (of x1 #5) => hastype (#2 x1 x2) (of (#3 x1) #4))"),
+    ],
+    ("append", "naive", "appCons"): [
+        (1, "hastype #0 nat"),
+        (5, "hastype #0 (append #3 #2 #1)"),
+        (2, "hastype #0 list"),
+        (3, "hastype #0 list"),
+        (4, "hastype #0 list"),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", GUARD_ORDER, ids=lambda k: "-".join(k))
+def test_guards_follow_the_premises_that_fix_their_binders(key):
+    text, mode, origin = key
+    sig = checked_signature(parse_signature(STLC_TEXT if text == "stlc" else APPEND_TEXT))
+    (clause,) = [c for c in translate(sig, mode).clauses if c.origin == origin]
+    guards = [(scope, print_formula(g)) for scope, g in compile_clause(clause).guards]
+    assert guards == GUARD_ORDER[key]
+
+
 # Naive output search `append (cons z (cons z nil)) (cons z nil) Out` with
 # iterative deepening: the index leaves the committed steps and the trace,
 # variable names included, as an unindexed search has them (see
 # `test_index_is_transparent`), and only saves unification attempts.
-NAIVE_OUT_STEPS = 101
-NAIVE_OUT_UNIFY_UNINDEXED = 739
+NAIVE_OUT_STEPS = 41
+NAIVE_OUT_UNIFY_UNINDEXED = 265
 NAIVE_OUT_TRACE = (
-    "bc appCons z (cons z nil) (cons z nil) ?M540 ?x541",
+    "bc appCons z (cons z nil) (cons z nil) ?M144 ?x145",
     "bc z",
-    "bc cons z nil",
+    "bc appCons z nil (cons z nil) ?M153 ?x154",
     "bc z",
-    "bc nil",
-    "bc cons z nil",
-    "bc z",
-    "bc nil",
-    "bc cons ?x560 ?x1561",
-    "bc z",
-    "bc cons ?x635 ?x1636",
-    "bc z",
-    "bc nil",
-    "bc appCons z nil (cons z nil) (cons z nil) ?x646",
-    "bc z",
-    "bc nil",
-    "bc cons z nil",
-    "bc z",
-    "bc nil",
-    "bc cons z nil",
-    "bc z",
-    "bc nil",
     "bc appNil (cons z nil)",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+    "bc nil",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+    "bc cons z nil",
+    "bc z",
+    "bc nil",
+    "bc cons z (cons z nil)",
+    "bc z",
     "bc cons z nil",
     "bc z",
     "bc nil",
