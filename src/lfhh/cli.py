@@ -17,8 +17,8 @@ import io
 import sys
 import time
 
-from . import hhf_prover, lf_syntax
-from .hhf_logic import collect_metas, encode_term, inhabitation_goal, print_clauses, translate
+from . import hhf_prover
+from .hhf_logic import encode_term, inhabitation_goal, print_clauses, translate
 from .hhf_prover import Limits, Solver
 from .lf_syntax import App, Const, LfError, LfExpr, Meta, Signature, make_app, parse_query, parse_signature, pretty_print
 from .lf_typecheck import KernelError, checked_signature
@@ -52,14 +52,12 @@ def _load_signature(path: str) -> Signature:
     return checked_signature(raw)
 
 
-def _load_query(args) -> tuple[Signature, LfExpr, dict[str, LfExpr]]:
-    """The checked signature of `args.file`, `args.query` parsed against it
-    and normalized at kind `type`, and the classifiers of its variables that
-    normalizing recorded."""
+def _load_query(args) -> tuple[Signature, LfExpr]:
+    """The checked signature of `args.file` and `args.query` parsed against
+    it; the `QuerySession` normalizes the query."""
     sig = _load_signature(args.file)
     goal_type, _ = parse_query(args.query, sig)
-    classifiers: dict[str, LfExpr] = {}
-    return sig, lf_syntax.normalize(goal_type, lf_syntax.TYPE, sig, metas=classifiers), classifiers
+    return sig, goal_type
 
 
 def _limits(args) -> Limits:
@@ -110,8 +108,8 @@ def _print_answer(sess: QuerySession, sol, answer) -> None:
 
 
 def cmd_solve(args) -> int:
-    sig, goal_type, classifiers = _load_query(args)
-    sess = QuerySession(sig, goal_type, args.mode, _limits(args), trace=args.trace, classifiers=classifiers)
+    sig, goal_type = _load_query(args)
+    sess = QuerySession(sig, goal_type, args.mode, _limits(args), trace=args.trace)
     found = False
     for sol, answer in sess.answers(iterative=args.iterdeep):
         if not answer.certified:
@@ -203,10 +201,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sig, goal_type, classifiers = _load_query(args)
+    sig, goal_type = _load_query(args)
     limits = _limits(args)
-    sess_n = QuerySession(sig, goal_type, "naive", limits, classifiers=classifiers)
-    sess_o = QuerySession(sig, goal_type, "optimized", limits, classifiers=classifiers)
+    sess_n = QuerySession(sig, goal_type, "naive", limits)
+    sess_o = QuerySession(sig, goal_type, "optimized", limits)
     res_n = sess_n.first_answer(iterative=True)
     res_o = sess_o.first_answer(iterative=True)
     ok_n = res_n is not None
@@ -230,7 +228,7 @@ def cmd_compare(args) -> int:
     same_proof = ans_n.lf_proof == ans_o.lf_proof
     print(f"certified: both | type agreement: {same_type} | proof agreement: {same_proof}")
     if sess_n.goal == sess_o.goal:
-        agree = all(sol_n.value(m) == sol_o.value(m) for m in collect_metas(sess_o.goal).values())
+        agree = all(sol_n.value(m) == sol_o.value(m) for m in (*sess_o.metas.values(), sess_o.proof_meta))
         print(
             f"shared-goal run: naive steps={sol_n.counters.backchain_steps}"
             f" optimized steps={sol_o.counters.backchain_steps}"

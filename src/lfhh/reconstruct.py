@@ -9,16 +9,21 @@ classifier is known and closed, is collected.  An auxiliary inhabitation
 search (same program, same clause order) binds each collected variable to its
 first inhabitant, and decoding repeats until no placeholder is left.  The
 query type is closed first, by a walk that keeps the user's binder names and
-decodes each query variable it meets, and is re-checked; the proof's last
-closing round is its decoded LF term, so each answer is decoded once.
-Certification then runs the kernel on the closed type and proof; a rejection
-here on solver output would falsify the translation-correctness property and
-is reported, never swallowed.
+decodes each query variable it meets, and is re-checked.  The values of the
+query variables in its last closing round are the answer's bindings, and the
+proof's last closing round is its decoded LF term, so each answer is decoded
+once.  Certification then runs the kernel on the closed type and proof; a
+rejection here on solver output would falsify the translation-correctness
+property and is reported, never swallowed.
+
+`QuerySession` owns the query: it normalizes the query type, records the
+classifiers of its variables and kernel-checks a query type without
+variables, for the command line and library callers alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .hhf_logic import (
     ClauseSet,
@@ -44,11 +49,13 @@ from .lf_syntax import (
     Pi,
     Record,
     Signature,
+    TYPE,
     classifier_sort,
     codomain,
     beta_normalize,
     head_classifier,
     make_app,
+    normalize,
     pretty_print,
     spine,
 )
@@ -71,9 +78,9 @@ class ReconstructError(LfError):
 class CertifiedAnswer(Record):
     """Kernel verdict on one decoded answer."""
 
-    __slots__ = ("lf_proof", "lf_type", "kernel_derivation", "counters", "status", "reason", "store")
+    __slots__ = ("lf_proof", "lf_type", "kernel_derivation", "counters", "status", "reason", "bindings")
     __match_args__ = __slots__
-    _compared = _shown = __slots__[:-1]  # all but the store
+    _compared = _shown = __slots__[:-1]  # all but the bindings, which lf_type holds
 
     def __init__(
         self,
@@ -83,7 +90,7 @@ class CertifiedAnswer(Record):
         counters: Counters,
         status: str,
         reason: str | None = None,
-        store: dict[int, HhTerm] | None = None,
+        bindings: dict[str, LfExpr] | None = None,
     ):
         self.lf_proof = lf_proof
         self.lf_type = lf_type
@@ -91,9 +98,8 @@ class CertifiedAnswer(Record):
         self.counters = counters
         self.status = status  # "certified" | "rejected"
         self.reason = reason
-        # the binding store after residual closing, kept for decoding the
-        # query variables of a certified answer
-        self.store = store
+        # query variable name -> the value that closed the query type
+        self.bindings = bindings
 
     @property
     def certified(self) -> bool:
@@ -196,68 +202,51 @@ class _Decoder:
 # ---------------------------------------------------------------------------
 
 
-def finalize_metavars(
-    sig: Signature,
-    query_type: LfExpr,
-    solution: Solution,
-    program: ClauseSet,
-    goal_metas: Mapping[str, HMeta],
-    proof_meta: HMeta,
-    limits: Limits | None = None,
-    classifiers: Mapping[str, LfExpr] | None = None,
-) -> tuple[LfExpr, LfExpr, dict[int, HhTerm]]:
+def finalize_metavars(sess: QuerySession, solution: Solution) -> tuple[LfExpr, LfExpr, dict[str, LfExpr]]:
     """Close every residual meta-variable in the instantiated query type and
-    proof term by searching for an inhabitant of its classifier, then re-check
-    the closed type.  `classifiers` holds the classifiers of query variables
-    that `normalize` recorded; with it, a function-typed variable, which the
-    query type only applies, is decoded at its own classifier.  Returns the
-    closed type, the decoded closed proof, and the extended binding store.
+    proof term of `sess` by searching for an inhabitant of its classifier,
+    then re-check the closed type.  Returns the closed type, the decoded
+    closed proof, and the value of each query variable that closed the type.
     Idempotent when the solution is already closed."""
-    run = _Closing(sig, program, goal_metas, classifiers or {}, dict(solution.bindings), limits)
-    closed_type = run.close(lambda pending: run.close_query(query_type, None, pending))
-    try:
-        check_type(sig, closed_type)
-    except KernelError as e:
-        raise ReconstructError(f"ill-typed binding: {e}") from None
+    run = _Closing(sess, dict(solution.bindings))
+    closed_type = run.close(lambda pending: run.close_query(sess.query_type, None, pending))
+    if sess.query_type.has_meta:  # a closed query type was checked by the session
+        try:
+            check_type(sess.sig, closed_type)
+        except KernelError as e:
+            raise ReconstructError(f"ill-typed binding: {e}") from None
     lf_proof = run.close(
-        lambda pending: decode_term(sig, resolve_term(run.store, proof_meta), closed_type, pending=pending)
+        lambda pending: decode_term(sess.sig, resolve_term(run.store, sess.proof_meta), closed_type, pending=pending)
     )
-    return closed_type, lf_proof, run.store
+    return closed_type, lf_proof, run.values
 
 
 class _Closing:
     """The state of one `finalize_metavars` call: the binding store, which
-    each auxiliary search extends, and the classifiers of the binders that
-    `close_query` has crossed, innermost last."""
+    each auxiliary search extends, the classifiers of the binders that
+    `close_query` has crossed, innermost last, and the value of each query
+    variable as it last decoded it.  Each closing round meets every query
+    variable, so after the last round `values` holds that round's values."""
 
-    __slots__ = ("sig", "program", "goal_metas", "classifiers", "store", "limits", "stack")
+    __slots__ = ("sess", "store", "stack", "values")
 
-    def __init__(
-        self,
-        sig: Signature,
-        program: ClauseSet,
-        goal_metas: Mapping[str, HMeta],
-        classifiers: Mapping[str, LfExpr],
-        store: dict[int, HhTerm],
-        limits: Limits | None,
-    ):
-        self.sig = sig
-        self.program = program
-        self.goal_metas = goal_metas
-        self.classifiers = classifiers
+    def __init__(self, sess: QuerySession, store: dict[int, HhTerm]):
+        self.sess = sess
         self.store = store
-        self.limits = limits
         self.stack: list[LfExpr] = []
+        self.values: dict[str, LfExpr] = {}
 
     def close_query(self, e: LfExpr, expected: LfExpr | None, pending: list[tuple[HMeta, LfExpr]]) -> LfExpr:
-        """`e` with each query variable decoded from the store; the user's
-        binder names are kept."""
+        """`e` with each query variable decoded from the store and recorded
+        in `values`; the user's binder names are kept."""
+        sess = self.sess
         match e:
             case Meta(n):
-                if n not in self.goal_metas:
+                if n not in sess.metas:
                     raise ReconstructError(f"unknown meta-variable {n!r}")
-                value = resolve_term(self.store, self.goal_metas[n])
-                return decode_term(self.sig, value, expected, self.stack, pending)
+                value = decode_term(sess.sig, resolve_term(self.store, sess.metas[n]), expected, self.stack, pending)
+                self.values[n] = value
+                return value
             case Pi(h, annot, body) | Lam(h, annot, body):
                 annot2 = self.close_query(annot, None, pending)
                 self.stack.append(annot2)
@@ -269,10 +258,10 @@ class _Closing:
                 if isinstance(head, Meta):
                     # an applied query variable: decoded at its own classifier
                     # and applied to the closed arguments
-                    cls = self.classifiers.get(head.name)
+                    cls = sess.classifiers.get(head.name)
                     fn = self.close_query(head, cls, pending) if cls is not None else head
                 else:
-                    cls = head_classifier(head, self.sig, self.stack)
+                    cls = head_classifier(head, sess.sig, self.stack)
                     fn = head
                 out: list[LfExpr] = []
                 for arg in args:
@@ -282,15 +271,16 @@ class _Closing:
                 return make_app(fn, out) if fn is head else beta_normalize(make_app(fn, out))
 
     def aux_solve(self, m: HMeta, cls: LfExpr) -> None:
-        goal = inhabitation_goal(self.sig, cls, m, self.program.mode)
-        solver = Solver(self.program, self.limits, bindings=self.store)
+        sess = self.sess
+        goal = inhabitation_goal(sess.sig, cls, m, sess.program.mode)
+        solver = Solver(sess.program, sess.limits, bindings=self.store)
         sol = next(solver.solve(goal, iterative=True), None)
         if sol is None:
             raise ReconstructError(f"uninhabited residual type: {pretty_print(cls)}")
         self.store = dict(sol.bindings)
 
     def close(self, decode: Callable[[list[tuple[HMeta, LfExpr]]], LfExpr]) -> LfExpr:
-        for _ in range(1 + len(self.goal_metas) + 16):
+        for _ in range(1 + len(self.sess.metas) + 16):
             pending: list[tuple[HMeta, LfExpr]] = []
             result = decode(pending)
             if not result.has_meta:
@@ -309,23 +299,13 @@ class _Closing:
 # ---------------------------------------------------------------------------
 
 
-def certify(
-    sig: Signature,
-    query_type: LfExpr,
-    solution: Solution,
-    program: ClauseSet,
-    goal_metas: Mapping[str, HMeta],
-    proof_meta: HMeta,
-    limits: Limits | None = None,
-    classifiers: Mapping[str, LfExpr] | None = None,
-) -> CertifiedAnswer:
-    """Close and decode one solver answer, then re-check it with the kernel."""
+def certify(sess: QuerySession, solution: Solution) -> CertifiedAnswer:
+    """Close and decode one solver answer of `sess`, then re-check it with
+    the kernel."""
     try:
-        closed_type, lf_proof, store = finalize_metavars(
-            sig, query_type, solution, program, goal_metas, proof_meta, limits, classifiers
-        )
-        derivation = check_object(sig, lf_proof, closed_type)
-        return CertifiedAnswer(lf_proof, closed_type, derivation, solution.counters, "certified", store=store)
+        closed_type, lf_proof, bindings = finalize_metavars(sess, solution)
+        derivation = check_object(sess.sig, lf_proof, closed_type)
+        return CertifiedAnswer(lf_proof, closed_type, derivation, solution.counters, "certified", bindings=bindings)
     except (ReconstructError, KernelError) as e:
         return CertifiedAnswer(None, None, None, solution.counters, "rejected", str(e))
 
@@ -336,7 +316,12 @@ def certify(
 
 
 class QuerySession:
-    """Wire one query through translation, search, and certification."""
+    """Wire one query through translation, search, and certification.
+
+    The session owns its query's variables: it normalizes the query type at
+    `type`, recording in `classifiers` the classifier of each variable that
+    normalizing meets (see `normalize`), and kernel-checks a query type that
+    has no variable before any search."""
 
     def __init__(
         self,
@@ -346,39 +331,31 @@ class QuerySession:
         limits: Limits | None = None,
         trace: bool = False,
         program: ClauseSet | None = None,
-        classifiers: Mapping[str, LfExpr] | None = None,
     ):
         self.sig = sig
-        self.query_type = query_type
-        self.classifiers = classifiers or {}
+        self.classifiers: dict[str, LfExpr] = {}
+        self.query_type = normalize(query_type, TYPE, sig, metas=self.classifiers)
+        if not self.query_type.has_meta:
+            check_type(sig, self.query_type)
         self.mode = mode
         self.limits = limits
         self.program = program if program is not None else translate(sig, mode)
-        self.goal, self.proof_meta = translate_query(sig, query_type, mode)
+        self.goal, self.proof_meta = translate_query(sig, self.query_type, mode)
         metas = collect_metas(self.goal)
         self.metas = {n: m for n, m in metas.items() if m.id != self.proof_meta.id}
         self.solver = Solver(self.program, limits, trace)
 
     def answers(self, iterative: bool = False) -> Iterator[tuple[Solution, CertifiedAnswer]]:
         for sol in self.solver.solve(self.goal, iterative=iterative):
-            yield sol, certify(
-                self.sig,
-                self.query_type,
-                sol,
-                self.program,
-                self.metas,
-                self.proof_meta,
-                self.limits,
-                self.classifiers,
-            )
+            yield sol, certify(self, sol)
 
     def first_answer(self, iterative: bool = False) -> tuple[Solution, CertifiedAnswer] | None:
         return next(self.answers(iterative=iterative), None)
 
     def binding_report(self, answer: CertifiedAnswer) -> dict[str, LfExpr]:
-        """Query-meta instantiations of a certified answer, decoded to LF from
-        the store that certification closed."""
+        """The value of each query variable in a certified answer, in the
+        order of `metas`: the terms that closing substituted into the query
+        type, decoded once, by certification."""
         if not answer.certified:
             return {}
-        store, classifiers = answer.store, self.classifiers
-        return {n: decode_term(self.sig, resolve_term(store, m), classifiers.get(n)) for n, m in self.metas.items()}
+        return {n: answer.bindings[n] for n in self.metas}

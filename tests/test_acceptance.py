@@ -24,7 +24,7 @@ from lfhh.hhf_logic import (
     translate_simple,
 )
 from lfhh.hhf_prover import Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import Const, make_app, parse_expr_text, parse_query, pretty_print
+from lfhh.lf_syntax import TYPE, Const, make_app, normalize, parse_expr_text, parse_query, pretty_print, substitute
 from lfhh.lf_typecheck import KernelError, check_object
 from lfhh.reconstruct import QuerySession, certify
 from lfhh.rigidity import guard_plan
@@ -182,7 +182,10 @@ def test_criterion_4_equivalence_suite(append_sig):
             if ans_n.lf_type != ans_o.lf_type or ans_n.lf_proof != ans_o.lf_proof:
                 disagreements.append(("first answer", pretty_print(q)))
                 return
-            certified_pool.append((both["optimized"][0], sol_o, ans_o))
+            sess_o = both["optimized"][0]
+            # the reported bindings are exactly what closed the query type
+            assert normalize(substitute(sess_o.query_type, ans_o.bindings), TYPE, sig) == ans_o.lf_type
+            certified_pool.append((sess_o, sol_o, ans_o))
 
         for q, expect in append_query_corpus(rng, 200):
             run_case(append_sig, q, expect, depth=28)
@@ -236,14 +239,7 @@ def test_criterion_5_soundness_oracle(append_sig):
                 if corrupted != term:
                     bad = dict(sol.bindings)
                     bad[sess.proof_meta.id] = corrupted
-                    verdict = certify(
-                        sess.sig,
-                        sess.query_type,
-                        Solution(bad, sol.counters, ()),
-                        sess.program,
-                        sess.metas,
-                        sess.proof_meta,
-                    )
+                    verdict = certify(sess, Solution(bad, sol.counters, ()))
                     assert verdict.status == "rejected", (
                         f"corruption {a}->{b} on {pretty_print(sess.query_type)} slipped through"
                     )

@@ -307,6 +307,28 @@ def test_compare_both_fail(append_lf):
     assert "both modes fail (finitely)" in out
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize(
+    "query",
+    [
+        "{x:s z} nat",
+        "s z -> nat",
+        "append nil nil -> nat",
+        "s z",
+        "append nil nil",
+        "nat -> append nil nil",
+        "{x:nat} s x",
+    ],
+)
+def test_ill_formed_closed_query_is_an_input_error(append_lf, command, query):
+    # the session kernel-checks a query type without variables before any
+    # search: it is neither an uncertified answer (exit 3) nor an exhausted
+    # search (exit 1 with `no solution`, or `both modes fail` and exit 0)
+    code, out, err = run_cli(command, append_lf, query)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and ("type family" in err or "not fully applied" in err)
+
+
 def test_function_typed_query_variable_certifies(tmp_path):
     # `normalize` eta-expands M to `[x:tm] M x` and records M's classifier;
     # closing decodes the applied occurrence at it, and `binding_report`

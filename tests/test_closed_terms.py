@@ -282,8 +282,6 @@ def test_certify_rejects_closed_proof_with_undeclared_head(append_sig):
     bad = dict(sol.bindings)
     bad[sess.proof_meta.id] = HApp(HConst("appMissing"), HConst("nil"))
     assert is_closed(resolve_term(bad, sess.proof_meta))
-    verdict = certify(
-        append_sig, q, Solution(bad, sol.counters, ()), sess.program, sess.metas, sess.proof_meta
-    )
+    verdict = certify(sess, Solution(bad, sol.counters, ()))
     assert verdict.status == "rejected"
     assert "appMissing" in verdict.reason

@@ -464,13 +464,12 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
     for i in range(150):
         q, _ = parse_query(random_stlc_query(rng), sig)
         assert_meta_flags(q)
-        classifiers = {}
-        qn = normalize(q, TYPE, sig, metas=classifiers)
+        sess = QuerySession(sig, q, "optimized", Limits(depth=4, budget=5000))
+        qn, classifiers = sess.query_type, sess.classifiers
         assert_meta_flags(qn)
         assert all(c.scope == 0 and not c.has_meta for c in classifiers.values())
-        sess = QuerySession(sig, qn, "optimized", Limits(depth=4, budget=5000), classifiers=classifiers)
         pending = []
-        out = _Closing(sig, sess.program, sess.metas, classifiers, {}, None).close_query(qn, None, pending)
+        out = _Closing(sess, {}).close_query(qn, None, pending)
         assert_meta_flags(out)
         placeholders += out.has_meta
         subject = spine(qn)[1][0]
@@ -485,6 +484,8 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
                 assert_meta_flags(found[1].lf_proof)
                 assert_meta_flags(found[1].lf_type)
                 assert not found[1].lf_proof.has_meta and not found[1].lf_type.has_meta
+                # the reported bindings are exactly what closed the query type
+                assert normalize(substitute(qn, found[1].bindings), TYPE, sig) == found[1].lf_type
     assert placeholders >= 100 and closed >= 20 and function_typed >= 5
     # a placeholder under a binder and an abstraction decoded around one
     t = HLam("x", HApp(HApp(HConst("app"), HMeta("P", 1)), HMeta("Q", 2)))

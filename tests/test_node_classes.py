@@ -228,7 +228,7 @@ CASES = [
     ),
     (
         CertifiedAnswer,
-        (Const("p"), Const("t"), LEAF, Counters(), "certified", None, {1: HConst("z")}),
+        (Const("p"), Const("t"), LEAF, Counters(), "certified", None, {"M": Const("z")}),
         {
             "lf_proof": Const("q"),
             "lf_type": Const("u"),
@@ -236,10 +236,10 @@ CASES = [
             "counters": Counters(1),
             "status": "rejected",
             "reason": "no",
-            "store": {},
+            "bindings": {},
         },
-        {"store"},
-        ("lf_proof", "lf_type", "kernel_derivation", "counters", "status", "reason", "store"),
+        {"bindings"},
+        ("lf_proof", "lf_type", "kernel_derivation", "counters", "status", "reason", "bindings"),
         f"CertifiedAnswer(lf_proof=Const(name='p'), lf_type=Const(name='t'), kernel_derivation={LEAF!r}, "
         "counters=Counters(backchain_steps=0, top_steps=0, unify_calls=0), status='certified', reason=None)",
     ),

@@ -14,8 +14,8 @@ from lfhh.hhf_logic import (
     open_leaves,
 )
 from lfhh.hhf_prover import Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import Const, LfExpr, Meta, parse_expr_text, parse_query, pretty_print
-from lfhh.lf_typecheck import check_object
+from lfhh.lf_syntax import Const, LfExpr, Meta, parse_expr_text, parse_query, parse_signature, pretty_print
+from lfhh.lf_typecheck import check_object, checked_signature
 from lfhh.reconstruct import (
     QuerySession,
     ReconstructError,
@@ -24,7 +24,7 @@ from lfhh.reconstruct import (
     finalize_metavars,
 )
 
-from corpus import append_query_corpus
+from corpus import STLC_TEXT, append_query_corpus
 
 
 # -- decoding --------------------------------------------------------------------
@@ -94,16 +94,11 @@ def test_finalize_pass_through_when_closed(append_sig):
     q, _ = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     sol = next(sess.solver.solve(sess.goal))
-    ty, proof, store = finalize_metavars(
-        append_sig, q, sol, sess.program, sess.metas, sess.proof_meta
-    )
+    ty, proof, bindings = finalize_metavars(sess, sol)
     assert pretty_print(ty) == "append (cons z nil) (cons (s z) nil) (cons z (cons (s z) nil))"
-    # idempotence on the closed store
-    sol2 = Solution(store, sol.counters, ())
-    ty2, proof2, _ = finalize_metavars(
-        append_sig, q, sol2, sess.program, sess.metas, sess.proof_meta
-    )
-    assert ty2 == ty and proof2 == proof
+    # idempotence on the closed solution
+    ty2, proof2, bindings2 = finalize_metavars(sess, sol)
+    assert ty2 == ty and proof2 == proof and bindings2 == bindings
 
 
 def test_a_session_leaves_the_recursion_limit_alone(append_sig):
@@ -142,17 +137,14 @@ def test_finalize_returns_the_certified_proof(append_sig):
     q, _ = parse_query("append nil K K", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     sol = next(sess.solver.solve(sess.goal))
-    ty, proof, _ = finalize_metavars(append_sig, q, sol, sess.program, sess.metas, sess.proof_meta)
-    ans = certify(append_sig, q, sol, sess.program, sess.metas, sess.proof_meta)
+    ty, proof, _ = finalize_metavars(sess, sol)
+    ans = certify(sess, sol)
     assert isinstance(proof, LfExpr)
     assert ans.certified and proof == ans.lf_proof and ty == ans.lf_type
 
 
 def test_finalize_uninhabited_residual(append_sig):
     # an empty family: no clauses can close the residual variable
-    from lfhh.lf_syntax import parse_signature
-    from lfhh.lf_typecheck import checked_signature
-
     sig = checked_signature(
         parse_signature(
             "nat : type. z : nat. s : nat -> nat. empty : type."
@@ -163,7 +155,7 @@ def test_finalize_uninhabited_residual(append_sig):
     sess = QuerySession(sig, q, "optimized", Limits(depth=24))
     sol = next(sess.solver.solve(sess.goal))
     with pytest.raises(ReconstructError, match="uninhabited residual type"):
-        finalize_metavars(sig, q, sol, sess.program, sess.metas, sess.proof_meta, Limits(depth=24))
+        finalize_metavars(sess, sol)
 
 
 # -- certification -----------------------------------------------------------------
@@ -203,9 +195,7 @@ def test_certify_rejects_corrupted_binding(append_sig):
     assert ans.certified
     bad = dict(sol.bindings)
     bad[sess.proof_meta.id] = _swap_const(resolve_term(bad, sess.proof_meta), "z", "nil")
-    verdict = certify(
-        append_sig, q, Solution(bad, sol.counters, ()), sess.program, sess.metas, sess.proof_meta
-    )
+    verdict = certify(sess, Solution(bad, sol.counters, ()))
     assert verdict.status == "rejected"
     assert "nat" in verdict.reason and "list" in verdict.reason
 
@@ -231,3 +221,16 @@ def test_higher_order_guard_search(remark_sig):
     assert ans.certified
     assert pretty_print(ans.lf_proof) == "num_n z"
     assert pretty_print(ans.lf_type) == "num z"
+
+
+@pytest.mark.parametrize("query", ["of (lam base M) (arr base base)", "of (lam base ([x:tm] M x)) (arr base base)"])
+def test_session_normalizes_a_parsed_query_itself(query):
+    # a library caller passes the parsed, unnormalized query; the session
+    # records M's classifier `tm -> tm` while normalizing it
+    sig = checked_signature(parse_signature(STLC_TEXT))
+    q, _ = parse_query(query, sig)
+    sess = QuerySession(sig, q, "optimized")
+    _, ans = sess.first_answer()
+    assert ans.certified, ans.reason
+    assert pretty_print(ans.lf_type) == "of (lam base ([x:tm] x)) (arr base base)"
+    assert {n: pretty_print(v) for n, v in sess.binding_report(ans).items()} == {"M": "[x:tm] x"}
