@@ -527,17 +527,26 @@ def collect_metas(f: HhFormula) -> dict[str, HMeta]:
 def open_leaves(t: HhTerm | HhFormula, kind: type, out: list) -> list:
     """`out` extended with the leaves of class `kind` of the term or formula
     `t`, left to right.  A term whose scope is not `OPEN` has none and is not
-    entered."""
-    if isinstance(t, HhTerm) and t.scope >= 0:
-        return out
-    match t:
-        case HApp(a, b) | FAtom(a, b) | FImplies(a, b):
-            open_leaves(a, kind, out)
-            open_leaves(b, kind, out)
-        case HLam(_, b) | FForall(_, _, b):
-            open_leaves(b, kind, out)
-        case _ if isinstance(t, kind):
-            out.append(t)
+    entered.  Tested by class, not by `match`, which costs twice as much on
+    a call that every solve makes."""
+    cls = t.__class__
+    if cls is HApp:
+        if t.scope < 0:
+            open_leaves(t.fn, kind, out)
+            open_leaves(t.arg, kind, out)
+    elif cls is HLam:
+        if t.scope < 0:
+            open_leaves(t.body, kind, out)
+    elif cls is FAtom:
+        open_leaves(t.subject, kind, out)
+        open_leaves(t.classifier, kind, out)
+    elif cls is FImplies:
+        open_leaves(t.antecedent, kind, out)
+        open_leaves(t.consequent, kind, out)
+    elif cls is FForall:
+        open_leaves(t.body, kind, out)
+    elif isinstance(t, kind):
+        out.append(t)
     return out
 
 

@@ -41,12 +41,23 @@ binding store stays empty.  The head template is compiled too: its prefix
 binders to register indices and each constant applied to open parts to the
 constant and the parts' code, so unifying it walks no template spine.
 
+A head's subject and classifier are unified in an order fixed once per
+atom goal from the goal's shape, the type being the input and the proof
+term the output (Pfenning & Schürmann, CADE 1999).  When the goal's subject
+is flexible, its head an unbound variable, the classifier goes first: it
+fills the registers the proof term is then built from, and a clause that
+does not fit fails on it before the subject's variable is bound and the
+clause's variables are raised over its spine.  Any other subject goes
+first, since it may fix a binder that makes the classifier a pattern, as
+in `mk : {t:nat -> num z} chk (t z)`.
+
 Before an attempt, a clause is skipped when its head constant cannot match
 the goal (first-argument indexing): the subject's head constant against a
 rigid goal subject, or the classifier's family constant when the goal
-subject is an unbound variable.  A skipped clause still uses up the
-variable ids that its binders and the failed unification would have taken,
-so names such as `?M9` in traces and answers do not depend on the index.
+subject is flexible.  Either way the attempt would have failed on that
+constant before anything was bound, so a skipped clause uses up only the
+ids of its binders' variables, and names such as `?M9` in traces and
+answers do not depend on the index.
 
 Every term node records its `scope` when it is built (see `hhf_logic`): a
 closed term, one with no unification variable, no eigenvariable, no loose
@@ -187,15 +198,32 @@ def _resolve(t: HhTerm, bindings: dict[int, HhTerm], memo: dict[int, tuple[HhTer
 
 
 def _walk(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
-    """Head-dereference and head-beta-reduce."""
+    """Head-dereference and head-beta-reduce.  The spine is taken apart only
+    for a bound variable or an abstraction at its head, and the leading
+    abstractions are reduced in one instantiation."""
     while t.scope < 0:
-        head, args = hspine(t)
-        if isinstance(head, HMeta) and (b := bindings.get(head.id)) is not None:
-            t = happs(b, args)
-        elif isinstance(head, HLam) and args:
-            t = happs(h_instantiate(head.body, (args[0],)), args[1:])
+        head = t
+        while head.__class__ is HApp:
+            head = head.fn
+        if head.__class__ is HMeta and (b := bindings.get(head.id)) is not None:
+            t = b if head is t else happs(b, hspine(t)[1])
+        elif head.__class__ is HLam and head is not t:
+            _, args = hspine(t)
+            k = 0
+            while k < len(args) and head.__class__ is HLam:
+                head, k = head.body, k + 1
+            t = happs(h_instantiate(head, args[:k]), args[k:])
         else:
             break
+    return t
+
+
+def _head(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
+    """The head of `t`'s spine once `t` is walked."""
+    if t.scope < 0:
+        t = _walk(bindings, t)
+    while t.__class__ is HApp:
+        t = t.fn
     return t
 
 
@@ -228,10 +256,9 @@ class CompiledClause(Record):
     constants index the clause: `subject_head` is the constant at the head
     of the head's subject, and `family_head` the one at the head of its
     classifier, recorded only when the subject is that constant applied to
-    distinct prefix binders (`subject_vars` of them), the shape every
-    translated declaration has."""
+    distinct prefix binders, the shape every translated declaration has."""
 
-    __slots__ = ("origin", "prefix", "guards", "head", "subject_head", "family_head", "subject_vars")
+    __slots__ = ("origin", "prefix", "guards", "head", "subject_head", "family_head")
     __match_args__ = __slots__
 
     def __init__(
@@ -242,7 +269,6 @@ class CompiledClause(Record):
         head: tuple[_HeadCode, _HeadCode] | None,
         subject_head: str | None,
         family_head: str | None,
-        subject_vars: int,
     ):
         self.origin = origin
         self.prefix = prefix
@@ -250,7 +276,6 @@ class CompiledClause(Record):
         self.head = head
         self.subject_head = subject_head
         self.family_head = family_head
-        self.subject_vars = subject_vars
 
 
 def compile_clause(clause: Clause) -> CompiledClause:
@@ -269,7 +294,6 @@ def compile_clause(clause: Clause) -> CompiledClause:
                 break
     head = f if isinstance(f, FAtom) else None
     subject_head = family_head = None
-    subject_vars = 0
     if head is not None:
         sh, sargs = hspine(head.subject)
         if isinstance(sh, HConst):
@@ -278,13 +302,10 @@ def compile_clause(clause: Clause) -> CompiledClause:
             binders = {a.index for a in sargs if isinstance(a, HBound) and a.index < len(prefix)}
             if isinstance(fh, HConst) and len(binders) == len(sargs):
                 family_head = fh.name
-                subject_vars = len(sargs)
     code = None
     if head is not None:
         code = _head_code(head.subject, len(prefix)), _head_code(head.classifier, len(prefix))
-    return CompiledClause(
-        clause.origin, tuple(prefix), _schedule(guards), code, subject_head, family_head, subject_vars
-    )
+    return CompiledClause(clause.origin, tuple(prefix), _schedule(guards), code, subject_head, family_head)
 
 
 def _schedule(guards: list[tuple[int, HhFormula]]) -> tuple[tuple[int, HhFormula], ...]:
@@ -518,9 +539,10 @@ class Solver:
     def _search(self, goal: HhFormula) -> Iterator[None]:
         """Yield once per proof of `goal`, with its bindings in place.  A goal
         record is `(goal, depth, level, assumptions, rest)`, assumptions
-        oldest first; a choice point is `(record, next clause, mark, index)`."""
+        oldest first; a choice point is `(record, next clause, mark, index,
+        order)`."""
         goals: _Goals = (goal, 0, 0, (), None)
-        stack: list[tuple[_Goals, int, tuple[int, int], tuple]] = []
+        stack: list[tuple[_Goals, int, tuple[int, int], tuple, tuple[int, int]]] = []
         while True:
             if goals is None:
                 yield
@@ -532,7 +554,7 @@ class Solver:
                         self.depth_hit = True
                         goals = False
                     else:
-                        goals = self._backchain(goals, 0, self._index(g, level), stack)
+                        goals = self._backchain(goals, 0, self._index(g), self._head_order(g), stack)
                 elif isinstance(g, FTop):
                     self.counters.top_steps += 1
                     self._note("top")
@@ -551,18 +573,21 @@ class Solver:
             while goals is False:
                 if not stack:
                     return
-                record, pos, mark, index = stack.pop()
+                record, pos, mark, index, order = stack.pop()
                 self._undo(mark)
-                goals = self._backchain(record, pos, index, stack)
+                goals = self._backchain(record, pos, index, order, stack)
 
     def _backchain(
-        self, record: _Goals, pos: int, index: tuple, stack: list
+        self, record: _Goals, pos: int, index: tuple, order: tuple[int, int], stack: list
     ) -> _Goals | Literal[False]:
-        """Try the atom's clauses from position `pos` on.  On the first that
-        unifies, push a choice point and return its guards followed by the
-        rest; return False when none is left."""
+        """Try the atom's clauses from position `pos` on, unifying the parts
+        of each head in `order`.  On the first that unifies, push a choice
+        point and return its guards followed by the rest; return False when
+        none is left."""
         atom, depth, level, assumptions, rest = record
-        key, want, pruned, non_pattern = index
+        key, want = index
+        first, second = order
+        parts = atom.subject, atom.classifier
         dynamic = len(assumptions)
         static = self.static
         end = dynamic + len(static)
@@ -572,8 +597,7 @@ class Solver:
             if key is not None:
                 have = getattr(clause, key)
                 if have is not None and have != want:
-                    self._next_meta += len(clause.prefix) + pruned * clause.subject_vars
-                    self.non_pattern_seen |= non_pattern
+                    self._next_meta += len(clause.prefix)
                     continue
             self.level = level
             mark = self._mark()
@@ -581,15 +605,15 @@ class Solver:
             head = clause.head
             if (
                 head is not None
-                and self._unify_head(head[0], atom.subject, regs)
-                and self._unify_head(head[1], atom.classifier, regs)
+                and self._unify_head(head[first], parts[first], regs)
+                and self._unify_head(head[second], parts[second], regs)
             ):
                 self._filled(regs)
                 self.counters.backchain_steps += 1
                 if self.trace_on:
                     inst = " ".join(print_term(self.resolve(r), 2) for r in regs)
                     self._note(f"bc {clause.origin}{' ' + inst if inst else ''}")
-                stack.append((record, pos, mark, index))
+                stack.append((record, pos, mark, index, order))
                 goals = rest
                 for scope, g in reversed(clause.guards):
                     goals = (f_instantiate(g, regs[:scope]), depth + 1, level, assumptions, goals)
@@ -597,41 +621,27 @@ class Solver:
             self._undo(mark)
         return False
 
-    def _index(self, goal: FAtom, level: int) -> tuple[str | None, str | None, int, bool]:
+    def _index(self, goal: FAtom) -> tuple[str | None, str | None]:
         """Which clauses cannot match `goal`, decided before renaming: those
-        whose `key` head constant is set and differs from `want`.
+        whose `key` head constant is set and differs from `want`, the head
+        constant of a rigid goal subject or else of the goal's classifier."""
+        key, head = "subject_head", _head(self.bindings, goal.subject)
+        if head.__class__ is HMeta:
+            key, head = "family_head", _head(self.bindings, goal.classifier)
+        if head.__class__ is HConst:
+            return key, head.name
+        if head.__class__ is HEigen or head.__class__ is HBound:
+            return key, None
+        return None, None
 
-        A rigid goal subject is compared on its head.  A flexible one would be
-        bound to any clause's subject, so the classifier's head decides, and
-        the caller replays the side effects of that skipped binding: it
-        leaves the pattern fragment (`non_pattern`, which raises the flag)
-        or, when the goal's variable is older than `level`, prunes
-        one fresh variable per subject argument (`pruned` is then 1).  A
-        skipped clause thus uses up exactly the variable ids a failed attempt
-        would have."""
-        head = subject = _walk(self.bindings, goal.subject)
-        while isinstance(head, HApp):
-            head = head.fn
-        if isinstance(head, HConst):
-            return "subject_head", head.name, 0, False
-        match head:
-            case HEigen() | HBound():
-                return "subject_head", None, 0, False
-            case HMeta():
-                _, args = hspine(subject)
-                family, _ = hspine(_walk(self.bindings, goal.classifier))
-                match family:
-                    case HConst(name):
-                        want = name
-                    case HEigen() | HBound():
-                        want = None
-                    case _:
-                        return None, None, 0, False
-                if self._pattern(args) is None:
-                    return "family_head", want, 0, True
-                return "family_head", want, int(level > head.level), False
-            case _:
-                return None, None, 0, False
+    def _head_order(self, goal: FAtom) -> tuple[int, int]:
+        """The order in which a clause head's parts, 0 the subject and 1 the
+        classifier, are unified with `goal`'s: the classifier first when the
+        goal's subject is flexible, the subject first otherwise (see the
+        module docstring)."""
+        if goal.subject.scope < 0 and _head(self.bindings, goal.subject).__class__ is HMeta:
+            return 1, 0
+        return 0, 1
 
     # -- pattern unification -----------------------------------------------------
 
@@ -707,19 +717,16 @@ class Solver:
             return self._bind(ha, aa, b)
         if isinstance(hb, HMeta):
             return self._bind(hb, ab, a)
-        match ha, hb:
-            case (HConst(n1), HConst(n2)):
-                if n1 != n2:
-                    return False
-            case (HEigen(), HEigen()):
-                if ha.id != hb.id:
-                    return False
-            case (HBound(k1), HBound(k2)):
-                if k1 != k2:
-                    return False
-            case _:
+        cls = ha.__class__
+        if cls is not hb.__class__ or len(aa) != len(ab):
+            return False
+        if cls is HConst:
+            if ha.name != hb.name:
                 return False
-        if len(aa) != len(ab):
+        elif cls is HEigen:
+            if ha.id != hb.id:
+                return False
+        elif cls is not HBound or ha.index != hb.index:
             return False
         for x, y in zip(aa, ab):
             if not self._uni(x, y):

@@ -44,6 +44,14 @@ ofLam : {A:tp} {B:tp} {M:tm -> tm} ({x:tm} of x A -> of (M x) B) -> of (lam A M)
 """
 
 
+def church_numeral(n: int) -> str:
+    """The Church numeral `n` as an STLC term of `STLC_TEXT`."""
+    body = "x"
+    for _ in range(n):
+        body = f"app f ({body})"
+    return f"lam (arr base base) ([f:tm] lam base ([x:tm] {body}))"
+
+
 # STLC typing and a dependent `vec`; `{t}` is replaced by a suffix, so
 # that renamed copies can be concatenated into large signatures.
 STLC_BLOCK = """\

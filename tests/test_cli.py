@@ -13,7 +13,7 @@ import pytest
 import lfhh
 from lfhh.cli import build_parser, main
 
-from corpus import STLC_BLOCK, STLC_TEXT
+from corpus import STLC_BLOCK, STLC_TEXT, church_numeral
 
 
 def run_cli(*argv):
@@ -185,7 +185,7 @@ def test_iterdeep_trace_keeps_only_the_answer_round(append_lf):
     assert code == 0
     trace = [line for line in out.splitlines() if line.startswith("# ")]
     assert trace == ["# all x!2", "# imp+ hastype x!2 nat", "# bc appNil nil", "# bc nil"]
-    assert "counters: backchain_steps=3 top_steps=0 unify_calls=13" in out
+    assert "counters: backchain_steps=3 top_steps=0 unify_calls=10" in out
 
 
 def test_solve_bad_depth(append_lf):
@@ -406,13 +406,6 @@ def test_stlc_inference_certifies(stlc_lf, flags, term, ty):
     lines = out.splitlines()
     assert lines[0] == f"T = {ty}"
     assert lines[3].startswith("certified (kernel derivation size ")
-
-
-def church_numeral(n):
-    body = "x"
-    for _ in range(n):
-        body = f"app f ({body})"
-    return f"lam (arr base base) ([f:tm] lam base ([x:tm] {body}))"
 
 
 @pytest.mark.parametrize("mode, sizes", [("optimized", (8, 16, 32)), ("naive", (4, 6, 8))])

@@ -157,7 +157,7 @@ SPLITS = [("nil", Z3), ("cons z nil", "cons z (cons z nil)"), ("cons z (cons z n
 @pytest.mark.parametrize(
     "mode, iterative, counters",
     [
-        ("naive", True, [(47, 0, 96), (66, 0, 134), (90, 0, 182), (115, 0, 232)]),
+        ("naive", True, [(47, 0, 95), (66, 0, 133), (90, 0, 181), (115, 0, 231)]),
         ("optimized", False, [(1, 1, 2), (3, 6, 6), (5, 11, 10), (7, 16, 14)]),
     ],
 )
@@ -487,27 +487,28 @@ def test_index_keeps_steps_and_trace_naive_output_search(append_sig, programs):
 
 # In the simply typed lambda calculus of `STLC_TEXT`, inferring the type of
 # `lam base ([x] lam base ([y] y))` proves guards under eigenvariables,
-# where the goal's subject is a variable older than the clauses' fresh ones:
-# a skipped clause must also use up the ids that narrowing them would have
-# taken (`?B108112115` below).
-HOAS_UNIFY_UNINDEXED = 70
+# where the goal's subject is a variable older than the clauses' fresh ones.
+# Its classifier is unified first, so a clause skipped on its family would
+# have failed before anything was narrowed, and uses up only its binders'
+# ids: `?B8184` below is `?B81` narrowed once.
+HOAS_UNIFY_UNINDEXED = 41
 HOAS_TRACE = (
-    "bc ofLam base ?B80 (\\x1. lam base (\\x2. x2)) ?x82",
+    "bc ofLam base ?B65 (\\x1. lam base (\\x2. x2)) ?x67",
     "top",
     "top",
     "top",
     "all x!11",
     "imp+ hastype x!11 tm",
     "all x2!12",
-    "imp+ hastype x2!12 (of x!11 ?A79)",
-    "bc ofLam base ?B108112115 (\\x1. x1) (?x110114 x!11 x2!12)",
+    "imp+ hastype x2!12 (of x!11 base)",
+    "bc ofLam base ?B8184 (\\x1. x1) (?x8385 x!11 x2!12)",
     "top",
     "top",
     "top",
     "all x!14",
     "imp+ hastype x!14 tm",
     "all x2!15",
-    "imp+ hastype x2!15 (of x!14 ?A107)",
+    "imp+ hastype x2!15 (of x!14 base)",
     "bc assumption",
 )
 
@@ -546,7 +547,7 @@ def test_index_is_transparent(mode, text, query):
         goal, _ = translate_query(sig, q, mode)
         solver = Solver(translate(sig, mode), trace=True)
         if not indexed:
-            solver._index = lambda goal, level: (None, None, 0, False)
+            solver._index = lambda goal: (None, None)
         sol = next(solver.solve(goal, iterative=True))
         runs.append((sol.trace, sol.counters.backchain_steps, sol.counters.unify_calls))
     (trace, steps, calls), (trace_all, steps_all, calls_all) = runs
@@ -558,12 +559,13 @@ def test_index_is_transparent(mode, text, query):
 def test_sibling_guard_does_not_see_earlier_guard_assumptions(mode):
     # mk's first guard assumes `hastype x r` for a fresh x; its second guard,
     # `hastype M r`, is proved after the first succeeds and must not try that
-    # assumption: 6 unifications, where trying it made 7
+    # assumption: 5 unifications, where trying it made 7 (its classifier
+    # unifies, then its subject `x` is out of M's scope)
     sig = checked_signature(parse_signature("q : type. r : type. s : type. mk : (r -> q) -> r -> s. g : q."))
     goal, _ = translate_query(sig, Const("s"), mode)
     solver = Solver(translate(sig, mode))
     assert list(solver.solve(goal)) == []
-    assert solver.counters.unify_calls == 6
+    assert solver.counters.unify_calls == 5
 
 
 def test_eigenvariable_subject_tries_no_static_clause(programs):
@@ -573,15 +575,25 @@ def test_eigenvariable_subject_tries_no_static_clause(programs):
     assert solver.counters.unify_calls == 0
 
 
-def test_skipped_clauses_still_raise_non_pattern_flag(programs):
-    # no clause has family `vec`, but binding `F (s z)` to any clause's
-    # subject would have left the pattern fragment
+def test_index_keeps_non_pattern_flag_and_variable_ids(programs):
+    # the subject `F (s z)` is not a pattern, and the classifier is unified
+    # first: a clause of another family fails on it before the subject is
+    # met, so skipping the clause changes neither the flag nor the ids used
+    # up; a clause of the goal's family meets the subject and raises the
+    # flag either way.  No clause has family `vec`.
     f = HMeta("F", 701, 0)
-    goal = FAtom(HApp(f, HApp(HConst("s"), HConst("z"))), HConst("vec"))
-    solver = Solver(programs["naive"])
-    assert list(solver.solve(goal)) == []
-    assert solver.counters.unify_calls == 0
-    assert solver.non_pattern_seen
+    for family, flagged in (("vec", False), ("nat", True)):
+        runs = []
+        for indexed in (True, False):
+            goal = FAtom(HApp(f, HApp(HConst("s"), HConst("z"))), HConst(family))
+            solver = Solver(programs["naive"])
+            if not indexed:
+                solver._index = lambda goal: (None, None)
+            assert list(solver.solve(goal)) == []
+            runs.append((solver.non_pattern_seen, solver._next_meta, solver.counters.unify_calls))
+        (flag, ids, calls), (flag_all, ids_all, calls_all) = runs
+        assert flag == flag_all == flagged and ids == ids_all
+        assert calls < calls_all
 
 
 def test_solvers_share_one_compiled_program(append_sig):

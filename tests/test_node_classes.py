@@ -202,7 +202,7 @@ CASES = [
     ),
     (
         CompiledClause,
-        ("c", (("x", TM),), ((0, FTop()),), None, "z", "nat", 0),
+        ("c", (("x", TM),), ((0, FTop()),), None, "z", "nat"),
         {
             "origin": "d",
             "prefix": (),
@@ -210,12 +210,11 @@ CASES = [
             "head": (0, 0),
             "subject_head": None,
             "family_head": None,
-            "subject_vars": 1,
         },
         set(),
-        ("origin", "prefix", "guards", "head", "subject_head", "family_head", "subject_vars"),
+        ("origin", "prefix", "guards", "head", "subject_head", "family_head"),
         "CompiledClause(origin='c', prefix=(('x', SBase(name='tm')),), guards=((0, FTop()),), head=None, "
-        "subject_head='z', family_head='nat', subject_vars=0)",
+        "subject_head='z', family_head='nat')",
     ),
     (
         Solution,
