@@ -126,16 +126,24 @@ def cmd_solve(args) -> int:
             break
     if found:
         return EXIT_OK
-    if sess.solver.budget_hit:
-        print(f"no solution: unification budget ({args.budget}) exceeded")
-        return EXIT_RESOURCE
-    if sess.solver.depth_hit:
-        print(f"no solution within depth {args.depth}")
-        return EXIT_RESOURCE
+    if (code := _exhausted(sess.solver, args)) is not None:
+        return code
     print(f"no solution within depth {args.depth} (search space exhausted)")
     if sess.solver.non_pattern_seen:
         print("note: a unification problem left the pattern fragment on a failed branch", file=sys.stderr)
     return EXIT_INPUT
+
+
+def _exhausted(solver: Solver, args) -> int | None:
+    """When a search that found nothing hit the budget or the depth bound,
+    say which and return the resource exit code; otherwise None."""
+    if solver.budget_hit:
+        print(f"no solution: unification budget ({args.budget}) exceeded")
+        return EXIT_RESOURCE
+    if solver.depth_hit:
+        print(f"no solution within depth {args.depth}")
+        return EXIT_RESOURCE
+    return None
 
 
 def _append_check(elems: list[LfExpr]) -> tuple[LfExpr, LfExpr]:
@@ -178,12 +186,8 @@ def cmd_bench(args) -> int:
             ok = next(solver.solve(goal), None) is not None
             wall = time.perf_counter_ns() - t0
             if not ok:
-                if solver.budget_hit:
-                    print(f"no solution: unification budget ({args.budget}) exceeded")
-                    return EXIT_RESOURCE
-                if solver.depth_hit:
-                    print(f"no solution within depth {args.depth}")
-                    return EXIT_RESOURCE
+                if (code := _exhausted(solver, args)) is not None:
+                    return code
                 print(f"error: bench query n={n} mode={mode} failed", file=sys.stderr)
                 return EXIT_INTERNAL
             rows.append((n, mode, solver.counters.backchain_steps, solver.counters.unify_calls, wall))

@@ -351,15 +351,14 @@ def h_shift(t: HhTerm, by: int = 1, depth: int = 0) -> HhTerm:
     `depth` are raised by `by`.  A term with none is returned as is."""
     if 0 <= t.scope <= depth:
         return t
-    match t:
-        case HBound(k):
-            return HBound(k + by) if k >= depth else t
-        case HApp(f, a):
-            return HApp(h_shift(f, by, depth), h_shift(a, by, depth))
-        case HLam(h, b):
-            return HLam(h, h_shift(b, by, depth + 1))
-        case _:
-            return t
+    cls = t.__class__
+    if cls is HApp:
+        return HApp(h_shift(t.fn, by, depth), h_shift(t.arg, by, depth))
+    if cls is HLam:
+        return HLam(t.hint, h_shift(t.body, by, depth + 1))
+    if cls is HBound:  # its index is at least `depth`, by its scope
+        return HBound(t.index + by)
+    return t
 
 
 def h_apply(t: HhTerm, v: HhTerm) -> HhTerm:

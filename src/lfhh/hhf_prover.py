@@ -187,12 +187,11 @@ def _resolve(t: HhTerm, bindings: dict[int, HhTerm], memo: dict[int, tuple[HhTer
     u = _walk(bindings, t)
     out = u
     if u.scope < 0:
-        match u:
-            case HLam(h, b):
-                out = HLam(h, _resolve(b, bindings, memo))
-            case HApp():
-                head, args = hspine(u)  # `_walk` left no abstraction at the head
-                out = happs(head, [_resolve(a, bindings, memo) for a in args])
+        if u.__class__ is HLam:
+            out = HLam(u.hint, _resolve(u.body, bindings, memo))
+        elif u.__class__ is HApp:
+            head, args = hspine(u)  # `_walk` left no abstraction at the head
+            out = happs(head, [_resolve(a, bindings, memo) for a in args])
     memo[id(t)] = (t, out)
     return out
 

@@ -244,7 +244,7 @@ def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr, memo: Mem
         case TypeKind():
             return Derivation("TypeKind", Judgment(sig.names, hints, "type", "kind"))
         case Pi(hint, annot, body):
-            da = _check_family(sig, hints, stack, annot, TYPE, memo)
+            da = _check_family(sig, hints, stack, annot, memo)
             db = _check_kind(sig, hints + (hint,), stack + (annot,), body, memo)
             return Derivation("PiKind", Judgment(sig.names, hints, k, "kind"), (da, db))
         case _:
@@ -259,34 +259,24 @@ def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr, memo: Mem
 def check_type(sig: Signature, a: LfExpr) -> Derivation:
     """Derivation of `sig |- a : type` for canonical `a`."""
     _reject_metas(a, "BackchainFam", Judgment(sig.names, (), a, TYPE))
-    return _check_family(sig, (), (), a, TYPE, {})
+    return _check_family(sig, (), (), a, {})
 
 
-def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, k: LfExpr, memo: Memo) -> Derivation:
-    j = Judgment(sig.names, hints, a, k)
-    match k:
-        case Pi(_, dom, krest):
-            # Canonical families of product kind are abstractions.
-            if not isinstance(a, Lam):
-                raise KernelError("family of product kind must be an abstraction", "AbsFam", j)
-            if a.annot != dom:
-                raise KernelError("abstraction annotation differs from kind domain", "AbsFam", j)
-            db = _check_family(sig, hints + (a.hint,), stack + (dom,), a.body, krest, memo)
-            return Derivation("AbsFam", j, (db,))
+def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, memo: Memo) -> Derivation:
+    """Derivation of `a : type`.  A kind's domains are types, so no family
+    takes a family argument and every family is checked at kind `type`."""
+    j = Judgment(sig.names, hints, a, TYPE)
+    match a:
+        case Pi(hint, annot, body):
+            da = _check_family(sig, hints, stack, annot, memo)
+            db = _check_family(sig, hints + (hint,), stack + (annot,), body, memo)
+            return Derivation("PiFam", j, (da, db))
+        case Lam():
+            raise KernelError("abstraction cannot have kind 'type'", "PiFam", j)
         case TypeKind():
-            match a:
-                case Pi(hint, annot, body):
-                    da = _check_family(sig, hints, stack, annot, TYPE, memo)
-                    db = _check_family(sig, hints + (hint,), stack + (annot,), body, TYPE, memo)
-                    return Derivation("PiFam", j, (da, db))
-                case Lam():
-                    raise KernelError("abstraction cannot have kind 'type'", "PiFam", j)
-                case TypeKind():
-                    raise KernelError("'type' is not a type", "PiFam", j)
-                case _:
-                    return _backchain(sig, stack, a, k, j, memo)
+            raise KernelError("'type' is not a type", "PiFam", j)
         case _:
-            raise KernelError("classifier is not a kind", "AbsFam", j)
+            return _backchain(sig, stack, a, TYPE, j, memo)
 
 
 # ---------------------------------------------------------------------------

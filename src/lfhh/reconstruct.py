@@ -3,18 +3,18 @@ answer with the trusted kernel.
 
 One decoder, `decode_term`, re-inserts the binder annotations that erasure
 dropped, reading them off the expected classifier (and, under applications,
-off the head's declaration).  Residual closing uses it too: a meta-variable
-left unbound after search decodes to a `?id` placeholder and, when its
-classifier is known and closed, is collected.  An auxiliary inhabitation
-search (same program, same clause order) binds each collected variable to its
-first inhabitant, and decoding repeats until no placeholder is left.  The
-query type is closed first, by a walk that keeps the user's binder names and
-decodes each query variable it meets, and is re-checked.  The values of the
-query variables in its last closing round are the answer's bindings, and the
-proof's last closing round is its decoded LF term, so each answer is decoded
-once.  Certification then runs the kernel on the closed type and proof; a
-rejection here on solver output would falsify the translation-correctness
-property and is reported, never swallowed.
+off the head's declaration).  Residual closing happens inside it: a
+meta-variable left unbound after search is closed where the decoder meets
+it, by an auxiliary inhabitation search (same program, same clause order)
+that binds it to its first inhabitant in the binding store, and its value is
+decoded in its place.  The store is the only record of residual variables,
+so a variable met again is not searched for again.  The query type is closed
+first, by a walk that keeps the user's binder names and decodes each query
+variable it meets, and is re-checked; the values it decodes are the
+answer's bindings.  The proof is then decoded once against the closed type.
+Certification runs the kernel on the closed type and proof; a rejection
+here on solver output would falsify the translation-correctness property and
+is reported, never swallowed.
 
 `QuerySession` owns the query: it normalizes the query type, records the
 classifiers of its variables and kernel-checks a query type without
@@ -116,7 +116,7 @@ def decode_term(
     t: HhTerm,
     expected: LfExpr | None,
     stack: Sequence[LfExpr] = (),
-    pending: list[tuple[HMeta, LfExpr]] | None = None,
+    close: Callable[[HMeta, LfExpr], HhTerm] | None = None,
 ) -> LfExpr:
     """Invert the erasure: rebuild the object whose encoding is `t` at the
     canonical classifier `expected`, or at the classifier of its head when
@@ -129,27 +129,28 @@ def decode_term(
     abstraction's body is decoded in place, and an eta-short term is shifted
     by one and applied to the new binder.
 
-    An unbound variable is an error unless `pending` is given.  Then it
-    decodes to the placeholder `?id`, and if it is unapplied at a known
-    classifier free of meta-variables, it is added to `pending` once.
-    Raises on anything that is not an encoding; by the correctness property
-    this never fires on solver output over translated programs.
+    An unbound variable is an error unless `close` is given.  Then, if it is
+    unapplied at a known classifier free of meta-variables, `close(m, cls)`
+    returns its value, which is decoded in its place; an applied one, or one
+    at an unknown classifier, is an error that names it.  Raises on anything
+    that is not an encoding; by the correctness property this never fires on
+    solver output over translated programs.
 
     A closed node decodes the same wherever it occurs, so each distinct
     closed node is decoded once at each classifier object it meets, and a
     node shared in `t` decodes to a node shared in the result."""
-    return _Decoder(sig, list(stack), pending).go(t, expected)
+    return _Decoder(sig, list(stack), close).go(t, expected)
 
 
 class _Decoder:
     """The walk of one `decode_term` call."""
 
-    __slots__ = ("sig", "stack", "pending", "decoded")
+    __slots__ = ("sig", "stack", "close", "decoded")
 
-    def __init__(self, sig: Signature, stack: list[LfExpr], pending: list[tuple[HMeta, LfExpr]] | None):
+    def __init__(self, sig: Signature, stack: list[LfExpr], close: Callable[[HMeta, LfExpr], HhTerm] | None):
         self.sig = sig
         self.stack = stack
-        self.pending = pending
+        self.close = close
         # (id of a closed node, id of its classifier) -> (node, classifier, result)
         self.decoded: dict[tuple[int, int], tuple[HhTerm, LfExpr | None, LfExpr]] = {}
 
@@ -172,13 +173,13 @@ class _Decoder:
         head, args = hspine(u)
         match head:
             case HMeta() as m:
-                pending = self.pending
-                if pending is None:
+                if self.close is None:
                     raise ReconstructError(f"not an encoding: unresolved variable ?{m.name}")
-                known = not args and cls is not None and not cls.has_meta
-                if known and all(p.id != m.id for p, _ in pending):
-                    pending.append((m, cls))
-                return Meta(f"?{m.id}")
+                if args:
+                    raise ReconstructError(f"residual variable ?{m.name} is applied")
+                if cls is None or cls.has_meta:
+                    raise ReconstructError(f"residual variable ?{m.name} has no known classifier")
+                return self.go(self.close(m, cls), cls)
             case HLam():
                 raise ReconstructError("not an encoding: abstraction without product classifier")
         lf = lf_head(head)
@@ -203,21 +204,19 @@ class _Decoder:
 
 
 def finalize_metavars(sess: QuerySession, solution: Solution) -> tuple[LfExpr, LfExpr, dict[str, LfExpr]]:
-    """Close every residual meta-variable in the instantiated query type and
-    proof term of `sess` by searching for an inhabitant of its classifier,
-    then re-check the closed type.  Returns the closed type, the decoded
-    closed proof, and the value of each query variable that closed the type.
-    Idempotent when the solution is already closed."""
+    """Close the query type of `sess` under `solution`, re-check it, and
+    decode the proof against it; each residual meta-variable is closed where
+    decoding meets it.  Returns the closed type, the decoded closed proof,
+    and the value of each query variable that closed the type.  Idempotent
+    when the solution is already closed."""
     run = _Closing(sess, dict(solution.bindings))
-    closed_type = run.close(lambda pending: run.close_query(sess.query_type, None, pending))
+    closed_type = run.close_query(sess.query_type, None)
     if sess.query_type.has_meta:  # a closed query type was checked by the session
         try:
             check_type(sess.sig, closed_type)
         except KernelError as e:
             raise ReconstructError(f"ill-typed binding: {e}") from None
-    lf_proof = run.close(
-        lambda pending: decode_term(sess.sig, resolve_term(run.store, sess.proof_meta), closed_type, pending=pending)
-    )
+    lf_proof = decode_term(sess.sig, resolve_term(run.store, sess.proof_meta), closed_type, close=run.residual)
     return closed_type, lf_proof, run.values
 
 
@@ -225,8 +224,7 @@ class _Closing:
     """The state of one `finalize_metavars` call: the binding store, which
     each auxiliary search extends, the classifiers of the binders that
     `close_query` has crossed, innermost last, and the value of each query
-    variable as it last decoded it.  Each closing round meets every query
-    variable, so after the last round `values` holds that round's values."""
+    variable as `close_query` decoded it."""
 
     __slots__ = ("sess", "store", "stack", "values")
 
@@ -236,7 +234,7 @@ class _Closing:
         self.stack: list[LfExpr] = []
         self.values: dict[str, LfExpr] = {}
 
-    def close_query(self, e: LfExpr, expected: LfExpr | None, pending: list[tuple[HMeta, LfExpr]]) -> LfExpr:
+    def close_query(self, e: LfExpr, expected: LfExpr | None) -> LfExpr:
         """`e` with each query variable decoded from the store and recorded
         in `values`; the user's binder names are kept."""
         sess = self.sess
@@ -244,13 +242,13 @@ class _Closing:
             case Meta(n):
                 if n not in sess.metas:
                     raise ReconstructError(f"unknown meta-variable {n!r}")
-                value = decode_term(sess.sig, resolve_term(self.store, sess.metas[n]), expected, self.stack, pending)
+                value = decode_term(sess.sig, resolve_term(self.store, sess.metas[n]), expected, self.stack, self.residual)
                 self.values[n] = value
                 return value
             case Pi(h, annot, body) | Lam(h, annot, body):
-                annot2 = self.close_query(annot, None, pending)
+                annot2 = self.close_query(annot, None)
                 self.stack.append(annot2)
-                inner = self.close_query(body, expected.body if isinstance(expected, Pi) else None, pending)
+                inner = self.close_query(body, expected.body if isinstance(expected, Pi) else None)
                 self.stack.pop()
                 return type(e)(h, annot2, inner)
             case _:
@@ -259,39 +257,31 @@ class _Closing:
                     # an applied query variable: decoded at its own classifier
                     # and applied to the closed arguments
                     cls = sess.classifiers.get(head.name)
-                    fn = self.close_query(head, cls, pending) if cls is not None else head
+                    if cls is None:
+                        raise ReconstructError(f"applied query variable {head.name} has no recorded classifier")
+                    fn = self.close_query(head, cls)
                 else:
                     cls = head_classifier(head, sess.sig, self.stack)
                     fn = head
                 out: list[LfExpr] = []
                 for arg in args:
-                    arg2 = self.close_query(arg, cls.annot if isinstance(cls, Pi) else None, pending)
+                    arg2 = self.close_query(arg, cls.annot if isinstance(cls, Pi) else None)
                     out.append(arg2)
                     cls = codomain(cls, arg2) if isinstance(cls, Pi) else None
                 return make_app(fn, out) if fn is head else beta_normalize(make_app(fn, out))
 
-    def aux_solve(self, m: HMeta, cls: LfExpr) -> None:
-        sess = self.sess
-        goal = inhabitation_goal(sess.sig, cls, m, sess.program.mode)
-        solver = Solver(sess.program, sess.limits, bindings=self.store)
-        sol = next(solver.solve(goal, iterative=True), None)
-        if sol is None:
-            raise ReconstructError(f"uninhabited residual type: {pretty_print(cls)}")
-        self.store = dict(sol.bindings)
-
-    def close(self, decode: Callable[[list[tuple[HMeta, LfExpr]]], LfExpr]) -> LfExpr:
-        for _ in range(1 + len(self.sess.metas) + 16):
-            pending: list[tuple[HMeta, LfExpr]] = []
-            result = decode(pending)
-            if not result.has_meta:
-                return result
-            if not pending:
-                raise ReconstructError(
-                    f"residual meta-variables with undetermined classifiers in {pretty_print(result)}"
-                )
-            for m, cls in pending:
-                self.aux_solve(m, cls)
-        raise ReconstructError("residual closing did not converge")
+    def residual(self, m: HMeta, cls: LfExpr) -> HhTerm:
+        """The value of the residual variable `m` at the closed classifier
+        `cls`: an auxiliary search binds it to its first inhabitant, unless
+        an earlier occurrence already did."""
+        if m.id not in self.store:
+            sess = self.sess
+            goal = inhabitation_goal(sess.sig, cls, m, sess.program.mode)
+            sol = next(Solver(sess.program, sess.limits, bindings=self.store).solve(goal, iterative=True), None)
+            if sol is None:
+                raise ReconstructError(f"uninhabited residual type: {pretty_print(cls)}")
+            self.store = dict(sol.bindings)
+        return resolve_term(self.store, m)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ from lfhh.cli import build_parser, main
 from corpus import STLC_BLOCK, STLC_TEXT, church_numeral
 
 
+APPEND_LF = str(pathlib.Path(__file__).parent / "golden" / "append.lf")
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -24,8 +27,8 @@ def run_cli(*argv):
 
 
 @pytest.fixture(scope="module")
-def append_lf(golden_dir):
-    return str(golden_dir / "append.lf")
+def append_lf():
+    return APPEND_LF
 
 
 @pytest.fixture(scope="module")
@@ -256,12 +259,16 @@ def test_bench_optimized_ground_check_scales(n):
     [
         (("--mode", "optimized", "--depth", "10"), "no solution within depth 10\n"),
         (("--mode", "naive", "--budget", "50"), "no solution: unification budget (50) exceeded\n"),
+        (("solve", APPEND_LF, "append L nil (cons z (cons z nil))", "--depth", "2"), "no solution within depth 2\n"),
+        (("solve", APPEND_LF, "append L K (cons z nil)", "--mode", "naive", "--budget", "3"),
+         "no solution: unification budget (3) exceeded\n"),
     ],
 )
 def test_bench_resource_limit_exits_2(limit, message):
-    # a row that hits the depth or budget limit is resource exhaustion, as
-    # in `solve`, not an internal error
-    code, out, err = run_cli("bench", "--sizes", "16", *limit)
+    # a search that hits the depth or budget limit is resource exhaustion,
+    # in `bench` (a row of 16 elements) as in `solve`, not an internal error
+    argv = limit if limit[0] == "solve" else ("bench", "--sizes", "16", *limit)
+    code, out, err = run_cli(*argv)
     assert code == 2
     assert out == message
     assert err == ""
@@ -367,6 +374,35 @@ def test_applied_query_variable_certifies(tmp_path):
     code, out, err = run_cli("compare", str(f), query)
     assert code == 0 and err == ""
     assert "certified: both | type agreement: True | proof agreement: True" in out
+
+
+# Optimized-mode queries with a variable that occurs only in rigid positions,
+# so search leaves it unbound and certification closes it by an auxiliary
+# inhabitation search.  `residual_closing.txt` pins their `solve` output.
+RESIDUAL_QUERIES = [
+    ("append.lf", "append nil K K"),
+    ("append.lf", "append L K L"),
+    ("append.lf", "append (cons X nil) K (cons X K)"),
+    ("append.lf", "{x:nat} append (cons x nil) K (cons x K)"),
+    ("append.lf", "append (cons X (cons Y nil)) nil L"),
+    ("append.lf", "append X Y Z"),
+    ("stlc.lf", "of (lam T ([x:tm] x)) U"),
+    ("stlc.lf", "of (lam T ([x:tm] lam S ([y:tm] x))) U"),
+    ("stlc.lf", "of (lam T ([x:tm] lam S ([y:tm] y))) U"),
+]
+
+
+def test_residual_closing_output_is_pinned(golden_dir, tmp_path):
+    # each query solved plain, with `--all --depth 5` and with `--iterdeep
+    # --depth 20`: the command, its output and its exit code
+    files = {"append.lf": golden_dir / "append.lf", "stlc.lf": tmp_path / "stlc.lf"}
+    files["stlc.lf"].write_text(STLC_TEXT)
+    runs = []
+    for name, query in RESIDUAL_QUERIES:
+        for flags in ((), ("--all", "--depth", "5"), ("--iterdeep", "--depth", "20")):
+            code, out, err = run_cli("solve", str(files[name]), query, "--mode", "optimized", *flags)
+            runs.append(f"$ solve {name} '{query}' {' '.join(flags)}".rstrip() + f"\n{out}{err}exit {code}\n")
+    assert "".join(runs) == (golden_dir / "residual_closing.txt").read_text()
 
 
 # Type inference in the simply typed lambda calculus: bodies that use an outer
@@ -503,6 +539,7 @@ def test_calls_leave_no_cyclic_garbage(append_lf, golden_dir, tmp_path):
         ("solve", str(sig), "of_0 (lam_0 base_0 ([x:tm_0] x)) T", "--mode", "naive", "--iterdeep", "--trace"),
         ("solve", str(sig), "of_1 (lam_1 base_1 ([x:tm_1] lam_1 base_1 ([y:tm_1] x))) T", "--depth", "6"),
         ("solve", str(golden_dir / "vec.lf"), "vec (s z)", "--depth", "4"),
+        ("solve", append_lf, "append nil K K"),
         ("bench", "--sizes", "4,8"),
         ("bench", "--sizes", "4", "--search"),
     ]

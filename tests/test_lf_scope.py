@@ -36,10 +36,10 @@ from lfhh.lf_syntax import (
     spine,
     substitute,
 )
-from lfhh.hhf_logic import HApp, HConst, HLam, HMeta, encode_term
+from lfhh.hhf_logic import HApp, HBound, HConst, HLam, HMeta, encode_term
 from lfhh.hhf_prover import Limits
 from lfhh.lf_typecheck import Derivation, Judgment, check_type, checked_signature
-from lfhh.reconstruct import QuerySession, _Closing, decode_term
+from lfhh.reconstruct import QuerySession, ReconstructError, _Closing, decode_term
 
 from corpus import STLC_TEXT
 
@@ -455,12 +455,20 @@ def random_stlc_query(rng):
     return f"of {term([], rng.randint(1, 6))} {tp(3)}"
 
 
+# a closed value for each residual classifier of the STLC queries
+STLC_VALUES = {
+    Const("tm"): HApp(HApp(HConst("lam"), HConst("base")), HLam("x", HBound(0))),
+    Const("tp"): HConst("base"),
+}
+
+
 def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
-    # parse, normalize, close with every variable still unbound (each decodes
-    # to a `?id` placeholder), decode the encoded subject, and certify
+    # parse, normalize, close with every variable still unbound (each is
+    # closed by an auxiliary search where the decoder meets it, or raises
+    # when it is applied), decode the encoded subject, and certify
     sig = checked_signature(parse_signature(STLC_TEXT))
     rng = random.Random(20109)
-    closed = function_typed = placeholders = 0
+    closed = function_typed = searched = applied_raised = 0
     for i in range(150):
         q, _ = parse_query(random_stlc_query(rng), sig)
         assert_meta_flags(q)
@@ -468,13 +476,24 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
         qn, classifiers = sess.query_type, sess.classifiers
         assert_meta_flags(qn)
         assert all(c.scope == 0 and not c.has_meta for c in classifiers.values())
-        pending = []
-        out = _Closing(sess, {}).close_query(qn, None, pending)
-        assert_meta_flags(out)
-        placeholders += out.has_meta
+        try:
+            out = _Closing(sess, {}).close_query(qn, None)
+        except ReconstructError as e:
+            assert "is applied" in str(e) or "uninhabited" in str(e), e
+        else:
+            assert_meta_flags(out)
+            assert not out.has_meta
+            searched += qn.has_meta
         subject = spine(qn)[1][0]
         metas = {n: HMeta(n, k + 1) for k, n in enumerate(sess.metas)}
-        assert_meta_flags(decode_term(sig, encode_term(subject, metas), Const("tm"), pending=[]))
+        try:
+            out = decode_term(sig, encode_term(subject, metas), Const("tm"), close=lambda m, cls: STLC_VALUES[cls])
+        except ReconstructError as e:
+            assert "is applied" in str(e), e
+            applied_raised += 1
+        else:
+            assert_meta_flags(out)
+            assert not out.has_meta
         applied = any(isinstance(c, Pi) for c in classifiers.values())
         if i < 40 or applied:
             found = sess.first_answer(iterative=True)
@@ -486,9 +505,13 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
                 assert not found[1].lf_proof.has_meta and not found[1].lf_type.has_meta
                 # the reported bindings are exactly what closed the query type
                 assert normalize(substitute(qn, found[1].bindings), TYPE, sig) == found[1].lf_type
-    assert placeholders >= 100 and closed >= 20 and function_typed >= 5
-    # a placeholder under a binder and an abstraction decoded around one
+    assert searched >= 100 and applied_raised >= 20 and closed >= 20 and function_typed >= 5
+    # a residual under a binder is closed at its classifier, and the
+    # abstraction is decoded around its value
     t = HLam("x", HApp(HApp(HConst("app"), HMeta("P", 1)), HMeta("Q", 2)))
-    out = decode_term(sig, t, Pi("x", Const("tm"), Const("tm")), pending=[])
+    met = []
+    out = decode_term(
+        sig, t, Pi("x", Const("tm"), Const("tm")), close=lambda m, cls: met.append((m.name, cls)) or STLC_VALUES[cls]
+    )
     assert_meta_flags(out)
-    assert out.has_meta and not out.annot.has_meta
+    assert not out.has_meta and met == [("P", Const("tm")), ("Q", Const("tm"))]

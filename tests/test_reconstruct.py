@@ -14,8 +14,9 @@ from lfhh.hhf_logic import (
     open_leaves,
 )
 from lfhh.hhf_prover import Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import Const, LfExpr, Meta, parse_expr_text, parse_query, parse_signature, pretty_print
+from lfhh.lf_syntax import Const, LfExpr, parse_expr_text, parse_query, parse_signature, pretty_print
 from lfhh.lf_typecheck import check_object, checked_signature
+from lfhh import reconstruct
 from lfhh.reconstruct import (
     QuerySession,
     ReconstructError,
@@ -24,7 +25,7 @@ from lfhh.reconstruct import (
     finalize_metavars,
 )
 
-from corpus import STLC_TEXT, append_query_corpus
+from corpus import APPEND_TEXT, STLC_TEXT, append_query_corpus
 
 
 # -- decoding --------------------------------------------------------------------
@@ -55,24 +56,24 @@ def test_decode_rejects_junk(append_sig):
         decode_term(append_sig, HApp(HConst("z"), HConst("z")), Const("nat"))
 
 
-def test_decode_pending_collects_unbound_variable_once(append_sig):
+def test_decode_closes_unbound_variable_where_met(append_sig):
+    # each occurrence is handed to `close` at its classifier, and the value
+    # it returns is decoded in its place
     x = HMeta("X", 901, 0)
-    pending = []
+    met = []
     t = happs(HConst("cons"), [x, happs(HConst("cons"), [x, HConst("nil")])])
-    d = decode_term(append_sig, t, Const("list"), pending=pending)
-    assert pretty_print(d) == "cons ?901 (cons ?901 nil)"
-    assert pending == [(x, Const("nat"))]
+    d = decode_term(append_sig, t, Const("list"), close=lambda m, cls: met.append((m, cls)) or HConst("z"))
+    assert pretty_print(d) == "cons z (cons z nil)"
+    assert met == [(x, Const("nat")), (x, Const("nat"))]
 
 
-def test_decode_pending_skips_applied_variable(append_sig):
+def test_decode_rejects_applied_residual(append_sig):
     f = HMeta("F", 902, 0)
-    pending = []
-    d = decode_term(append_sig, HApp(f, HConst("z")), Const("nat"), pending=pending)
-    assert d == Meta("?902")
-    assert pending == []
+    with pytest.raises(ReconstructError, match=r"residual variable \?F is applied"):
+        decode_term(append_sig, HApp(f, HConst("z")), Const("nat"), close=lambda m, cls: HConst("z"))
 
 
-def test_decode_without_pending_rejects_unbound_variable(append_sig):
+def test_decode_without_close_rejects_unbound_variable(append_sig):
     with pytest.raises(ReconstructError, match="unresolved variable"):
         decode_term(append_sig, HMeta("X", 903, 0), Const("nat"))
 
@@ -132,8 +133,39 @@ def test_finalize_residual_binds_first_inhabitant(append_sig):
     assert pretty_print(sess.binding_report(ans)["K"]) == "nil"
 
 
+@pytest.mark.parametrize(
+    "text, query, walks, searches",
+    [
+        ("append", "append nil K K", 3, 1),
+        ("append", "append (cons X (cons Y nil)) nil L", 4, 2),
+        ("append", "append (cons z nil) nil L", 2, 0),
+        ("stlc", "of (lam T ([x:tm] lam S ([y:tm] x))) U", 4, 2),
+    ],
+)
+def test_certify_decodes_each_occurrence_once(monkeypatch, text, query, walks, searches):
+    # one decoder walk per query-variable occurrence and one for the proof,
+    # and one auxiliary search per residual variable, however often it occurs
+    sig = checked_signature(parse_signature({"append": APPEND_TEXT, "stlc": STLC_TEXT}[text]))
+    q, _ = parse_query(query, sig)
+    sess = QuerySession(sig, q, "optimized")
+    sol = next(sess.solver.solve(sess.goal))
+    counts = {"walks": 0, "searches": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(reconstruct, "decode_term", counted("walks", reconstruct.decode_term))
+    monkeypatch.setattr(reconstruct, "inhabitation_goal", counted("searches", reconstruct.inhabitation_goal))
+    assert certify(sess, sol).certified
+    assert counts == {"walks": walks, "searches": searches}
+
+
 def test_finalize_returns_the_certified_proof(append_sig):
-    # the proof's last closing round is the decoded proof certification checks
+    # the proof decoded while closing is the one certification checks
     q, _ = parse_query("append nil K K", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     sol = next(sess.solver.solve(sess.goal))
