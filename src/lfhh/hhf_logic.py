@@ -33,9 +33,7 @@ from .lf_syntax import (
     Record,
     Signature,
     TypeKind,
-    _Cursor,
     _shift,
-    _token_pattern,
     fields_repr,
     fresh_name,
     spine,
@@ -48,7 +46,6 @@ __all__ = [
     "SArrow",
     "TM",
     "TY",
-    "PROP",
     "HhTerm",
     "HConst",
     "HBound",
@@ -57,7 +54,6 @@ __all__ = [
     "HMeta",
     "HEigen",
     "OPEN",
-    "is_closed",
     "HhFormula",
     "FTop",
     "FAtom",
@@ -66,12 +62,9 @@ __all__ = [
     "Clause",
     "ClauseSet",
     "erase_type",
-    "erased_signature",
     "encode_term",
     "lf_head",
-    "translate_simple",
-    "translate_optimized",
-    "translate_optimized_decl",
+    "translate",
     "translate_query",
     "inhabitation_goal",
     "collect_metas",
@@ -80,7 +73,6 @@ __all__ = [
     "print_term",
     "print_formula",
     "print_clauses",
-    "parse_clauses",
     "hspine",
     "happs",
     "h_instantiate",
@@ -124,7 +116,6 @@ class SArrow(SimpleType):
 
 TM = SBase("tm")
 TY = SBase("ty")
-PROP = SBase("o")
 
 
 def erase_type(classifier: LfExpr) -> SimpleType:
@@ -137,11 +128,6 @@ def erase_type(classifier: LfExpr) -> SimpleType:
             return SArrow(erase_type(annot), erase_type(body))
         case _:
             return TM
-
-
-def erased_signature(sig: Signature) -> dict[str, SimpleType]:
-    """The simple type that erasure gives each declaration of `sig`."""
-    return {e.name: erase_type(e.classifier) for e in sig}
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +287,6 @@ class HEigen(HhTerm):
 
     def __hash__(self) -> int:
         return hash((self.id, self.level))
-
-
-def is_closed(t: HhTerm) -> bool:
-    """No meta-variable, no eigenvariable, no loose bound variable and no
-    beta-redex at a spine head: every traversal returns `t` itself."""
-    return t.scope == 0
 
 
 def hspine(t: HhTerm) -> tuple[HhTerm, list[HhTerm]]:
@@ -634,38 +614,20 @@ def _clause(
     return f
 
 
-def translate_simple(sig: Signature) -> ClauseSet:
-    """One clause per object-level declaration, in signature order.  Family
-    declarations make no clause."""
-    clauses = tuple(
-        Clause(e.name, _clause(sig, e.classifier, HConst(e.name), "naive", ()))
-        for e in sig
-        if e.sort == "type"
-    )
-    return ClauseSet(clauses, "naive")
-
-
-def translate_optimized_decl(sig: Signature, decl_name: str) -> HhFormula:
-    entry = sig.lookup(decl_name)
-    if entry is None:
-        raise KeyError(decl_name)
-    flags = tuple(r for _, r in plan_for_type(entry.classifier))
-    return _clause(sig, entry.classifier, HConst(entry.name), "pos", (), flags=flags)
-
-
-def translate_optimized(sig: Signature) -> ClauseSet:
-    clauses = tuple(
-        Clause(e.name, translate_optimized_decl(sig, e.name)) for e in sig if e.sort == "type"
-    )
-    return ClauseSet(clauses, "optimized")
-
-
 def translate(sig: Signature, mode: str) -> ClauseSet:
-    if mode == "naive":
-        return translate_simple(sig)
-    if mode == "optimized":
-        return translate_optimized(sig)
-    raise ValueError(f"unknown mode {mode!r}")
+    """One clause per object-level declaration, in signature order; family
+    declarations make no clause.  "naive" keeps every typing guard;
+    "optimized" replaces with truth the guard of each binder that rigidity
+    analysis finds rigid."""
+    if mode not in ("naive", "optimized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    polarity = "naive" if mode == "naive" else "pos"
+    clauses = []
+    for e in sig:
+        if e.sort == "type":
+            flags = () if mode == "naive" else tuple(r for _, r in plan_for_type(e.classifier))
+            clauses.append(Clause(e.name, _clause(sig, e.classifier, HConst(e.name), polarity, (), flags=flags)))
+    return ClauseSet(tuple(clauses), mode)
 
 
 # -- queries -----------------------------------------------------------------
@@ -735,12 +697,9 @@ def inhabitation_goal(
 #   tatom    :=  IDENT | "(" term ")" | "\" IDENT "." term
 #   term     :=  tatom+
 #   stype    :=  satom ("->" stype)?
-#   satom    :=  "tm" | "ty" | "o" | "(" stype ")"
+#   satom    :=  "tm" | "ty" | "(" stype ")"
 #
-# Bound variables print as x1, x2, ... in binder order.  The text is read by
-# `lf_syntax`'s scanner and parser cursor, with the punctuation above: so
-# comments, identifiers and `line:col` in errors are those of LF text, and an
-# identifier cannot start with a digit.
+# Bound variables print as x1, x2, ... in binder order.
 
 
 def print_simple_type(t: SimpleType, prec: int = 0) -> str:
@@ -810,104 +769,3 @@ def _show_formula(g: HhFormula, prec: int, names: tuple[str, ...], gen: _NameGen
 def print_clauses(cs: ClauseSet) -> str:
     """Deterministic textual form, one clause per line, terminated by '.'."""
     return "".join(f"{print_formula(c.formula)}.\n" for c in cs)
-
-
-# -- parsing of the clause format (used by golden tests and interop) ---------
-
-_SIMPLE_TYPES = {"tm": TM, "ty": TY, "o": PROP}
-
-
-class _HhParser(_Cursor):
-    punct = frozenset(("(", ")", ".", ":", "->", "=>", "\\"))
-    pattern = _token_pattern(punct)
-
-    def stype(self) -> SimpleType:
-        left = self.satom()
-        if self.at("->"):
-            self.next()
-            return SArrow(left, self.stype())
-        return left
-
-    def satom(self) -> SimpleType:
-        t = self.next()
-        if t == "(":
-            st = self.stype()
-            self.expect(")")
-            return st
-        if t in _SIMPLE_TYPES:
-            return _SIMPLE_TYPES[t]
-        raise self.error(f"bad simple type token {t!r}", self.pos - 1)
-
-    def formula(self) -> HhFormula:
-        if self.at("forall"):
-            self.next()
-            name = self.expect()
-            self.expect(":")
-            st = self.stype()
-            self.expect(".")
-            self.binders.append(name)
-            body = self.formula()
-            self.binders.pop()
-            # occurrences were emitted as indices against the binder stack
-            return FForall(name, st, body)
-        return self.implies()
-
-    def implies(self) -> HhFormula:
-        left = self.funit()
-        if self.at("=>"):
-            self.next()
-            return FImplies(left, self.implies())
-        return left
-
-    def funit(self) -> HhFormula:
-        t = self.next()
-        if t == "top":
-            return FTop()
-        if t == "hastype":
-            return FAtom(self.tatom(), self.tatom())
-        if t == "(":
-            f = self.formula()
-            self.expect(")")
-            return f
-        raise self.error(f"unexpected {t or 'eof'!r} in formula", self.pos - 1)
-
-    def term(self) -> HhTerm:
-        t = self.tatom()
-        while True:
-            nxt = self.peek()
-            if nxt == "(" or nxt == "\\" or self.is_ident(nxt):
-                t = HApp(t, self.tatom())
-            else:
-                return t
-
-    def tatom(self) -> HhTerm:
-        text = self.next()
-        if text == "(":
-            inner = self.term()
-            self.expect(")")
-            return inner
-        if text == "\\":
-            name = self.expect()
-            self.expect(".")
-            self.binders.append(name)
-            body = self.term()
-            self.binders.pop()
-            return HLam(name, body)
-        if self.is_ident(text):
-            for depth, b in enumerate(reversed(self.binders)):
-                if b == text:
-                    return HBound(depth)
-            return HConst(text)
-        raise self.error(f"unexpected {text or 'eof'!r} in term", self.pos - 1)
-
-
-def parse_clauses(text: str) -> list[HhFormula]:
-    """Parse the clause text format back into formulas (origins are not part
-    of the format)."""
-    p = _HhParser(text)
-    out: list[HhFormula] = []
-    while p.peek():
-        f = p.formula()
-        p.expect(".")
-        out.append(f)
-    return out

@@ -538,10 +538,9 @@ class Solver:
     def _search(self, goal: HhFormula) -> Iterator[None]:
         """Yield once per proof of `goal`, with its bindings in place.  A goal
         record is `(goal, depth, level, assumptions, rest)`, assumptions
-        oldest first; a choice point is `(record, next clause, mark, index,
-        order)`."""
+        oldest first; a choice point is `(record, next clause, mark, plan)`."""
         goals: _Goals = (goal, 0, 0, (), None)
-        stack: list[tuple[_Goals, int, tuple[int, int], tuple, tuple[int, int]]] = []
+        stack: list[tuple[_Goals, int, tuple[int, int], tuple]] = []
         while True:
             if goals is None:
                 yield
@@ -553,7 +552,7 @@ class Solver:
                         self.depth_hit = True
                         goals = False
                     else:
-                        goals = self._backchain(goals, 0, self._index(g), self._head_order(g), stack)
+                        goals = self._backchain(goals, 0, self._plan(g), stack)
                 elif isinstance(g, FTop):
                     self.counters.top_steps += 1
                     self._note("top")
@@ -572,20 +571,16 @@ class Solver:
             while goals is False:
                 if not stack:
                     return
-                record, pos, mark, index, order = stack.pop()
+                record, pos, mark, plan = stack.pop()
                 self._undo(mark)
-                goals = self._backchain(record, pos, index, order, stack)
+                goals = self._backchain(record, pos, plan, stack)
 
-    def _backchain(
-        self, record: _Goals, pos: int, index: tuple, order: tuple[int, int], stack: list
-    ) -> _Goals | Literal[False]:
-        """Try the atom's clauses from position `pos` on, unifying the parts
-        of each head in `order`.  On the first that unifies, push a choice
-        point and return its guards followed by the rest; return False when
-        none is left."""
+    def _backchain(self, record: _Goals, pos: int, plan: tuple, stack: list) -> _Goals | Literal[False]:
+        """Try the atom's clauses from position `pos` on, as its `plan`
+        says.  On the first that unifies, push a choice point and return its
+        guards followed by the rest; return False when none is left."""
         atom, depth, level, assumptions, rest = record
-        key, want = index
-        first, second = order
+        key, want, (first, second) = plan
         parts = atom.subject, atom.classifier
         dynamic = len(assumptions)
         static = self.static
@@ -612,7 +607,7 @@ class Solver:
                 if self.trace_on:
                     inst = " ".join(print_term(self.resolve(r), 2) for r in regs)
                     self._note(f"bc {clause.origin}{' ' + inst if inst else ''}")
-                stack.append((record, pos, mark, index, order))
+                stack.append((record, pos, mark, plan))
                 goals = rest
                 for scope, g in reversed(clause.guards):
                     goals = (f_instantiate(g, regs[:scope]), depth + 1, level, assumptions, goals)
@@ -620,27 +615,23 @@ class Solver:
             self._undo(mark)
         return False
 
-    def _index(self, goal: FAtom) -> tuple[str | None, str | None]:
-        """Which clauses cannot match `goal`, decided before renaming: those
-        whose `key` head constant is set and differs from `want`, the head
-        constant of a rigid goal subject or else of the goal's classifier."""
-        key, head = "subject_head", _head(self.bindings, goal.subject)
+    def _plan(self, goal: FAtom) -> tuple[str | None, str | None, tuple[int, int]]:
+        """How `goal` backchains, as `(key, want, order)`, fixed once per
+        goal.  The clauses that cannot match are those whose `key` head
+        constant is set and differs from `want`, the head constant of a rigid
+        goal subject or else of the goal's classifier; they are skipped
+        before renaming.  `order` is the order in which a clause head's
+        parts, 0 the subject and 1 the classifier, are unified with the
+        goal's: the classifier first when the goal's subject is flexible, the
+        subject first otherwise (see the module docstring)."""
+        key, order, head = "subject_head", (0, 1), _head(self.bindings, goal.subject)
         if head.__class__ is HMeta:
-            key, head = "family_head", _head(self.bindings, goal.classifier)
+            key, order, head = "family_head", (1, 0), _head(self.bindings, goal.classifier)
         if head.__class__ is HConst:
-            return key, head.name
+            return key, head.name, order
         if head.__class__ is HEigen or head.__class__ is HBound:
-            return key, None
-        return None, None
-
-    def _head_order(self, goal: FAtom) -> tuple[int, int]:
-        """The order in which a clause head's parts, 0 the subject and 1 the
-        classifier, are unified with `goal`'s: the classifier first when the
-        goal's subject is flexible, the subject first otherwise (see the
-        module docstring)."""
-        if goal.subject.scope < 0 and _head(self.bindings, goal.subject).__class__ is HMeta:
-            return 1, 0
-        return 0, 1
+            return key, None, order
+        return None, None, order
 
     # -- pattern unification -----------------------------------------------------
 

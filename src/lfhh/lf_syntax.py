@@ -11,7 +11,6 @@ exactly alpha-equality.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
 from itertools import islice
 from typing import Container, Iterator, Sequence
 
@@ -39,13 +38,11 @@ __all__ = [
     "codomain",
     "head_classifier",
     "free_names",
-    "substitute",
     "fresh_name",
     "parse_signature",
     "parse_query",
     "parse_expr_text",
     "pretty_print",
-    "print_signature",
     "beta_normalize",
     "normalize",
 ]
@@ -348,27 +345,6 @@ def free_names(e: LfExpr) -> set[str]:
     return out
 
 
-def substitute(e: LfExpr, s: Mapping[str, LfExpr]) -> LfExpr:
-    """Simultaneous substitution for free variables (constants and metas) by
-    name.  Replacement terms must be locally closed; bound occurrences are
-    indices, so no capture can occur and the result is not renormalized."""
-    if not s:
-        return e
-    match e:
-        case Const(n) if n in s:
-            return s[n]
-        case Meta(n) if n in s:
-            return s[n]
-        case App(f, a):
-            return App(substitute(f, s), substitute(a, s))
-        case Pi(h, annot, body):
-            return Pi(h, substitute(annot, s), substitute(body, s))
-        case Lam(h, annot, body):
-            return Lam(h, substitute(annot, s), substitute(body, s))
-        case _:
-            return e
-
-
 def fresh_name(base: str, *avoid: Container[str]) -> str:
     """Pick a name based on `base` that is in none of the `avoid` containers
     (a signature, a context, a set of names...); none of them is copied."""
@@ -547,57 +523,56 @@ class Signature:
 #   atom  :=  IDENT | "(" expr ")"
 #   comments run from "%" to end of line.
 #
-# Both text formats, this one and the clause text of `hhf_logic`, share one
-# scanner and differ only in their punctuation.  An identifier starts with a
-# letter (`str.isalpha`) or "_" and goes on with letters, digits (`isalnum`),
-# "_" and "'".
+# An identifier starts with a letter (`str.isalpha`) or "_" and goes on with
+# letters, digits (`isalnum`), "_" and "'".
+
+_PUNCT = frozenset(("{", "}", "[", "]", "(", ")", ":", ".", "->"))
+
+# A match is the whitespace and comments before a token, then the token: an
+# identifier (`\w` is `isalnum` or "_"), punctuation, longest first, or any
+# other character.  The end of the input matches as the empty token, which
+# ends every token list; without it a trailing comment would be scanned again
+# from each of its characters, as tokens.  Some token always follows the
+# longest skip, so a match never backtracks.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|%[^\n]*)*(\w[\w']*|"
+    + "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True))
+    + r"|.|\Z)"
+)
 
 
-def _token_pattern(punct: Sequence[str]) -> re.Pattern[str]:
-    """The scanner of a format whose punctuation is `punct`.  A match is the
-    whitespace and comments before a token, then the token: an identifier
-    (`\\w` is `isalnum` or "_"), punctuation, longest first, or any other
-    character.  The end of the input matches as the empty token, which ends
-    every token list; without it a trailing comment would be scanned again
-    from each of its characters, as tokens.  Some token always follows the
-    longest skip, so a match never backtracks."""
-    alts = "|".join(re.escape(p) for p in sorted(punct, key=len, reverse=True))
-    return re.compile(rf"(?:[ \t\r\n]+|%[^\n]*)*(\w[\w']*|{alts}|.|\Z)")
-
-
-class _Cursor:
-    """A position in the tokens of a text; the parsers of both formats read
-    through it, each scanning with its format's `pattern`.
+class _Parser:
+    """A position in the tokens of a text, and the grammar above.
 
     Tokens are plain strings, the texts that one `findall` over the whole
-    text returns: an identifier, a mark in `punct`, or "" past the end of the
-    input; any other token is rejected before parsing starts.  A token's line
-    and column are worked out from match offsets only for an error.  Against
-    named tuples built line by line, this halved the time and the tracemalloc
-    peak (1.55 to 0.82 MB) of parsing 750 declarations, and lowered the peak
-    RSS of repeated loads of them in one process (20.5 to 20.1 MB)."""
+    text returns: an identifier, a mark in `_PUNCT`, or "" past the end of
+    the input; any other token is rejected before parsing starts.  A token's
+    line and column are worked out from match offsets only for an error.
+    Against named tuples built line by line, this halved the time and the
+    tracemalloc peak (1.55 to 0.82 MB) of parsing 750 declarations, and
+    lowered the peak RSS of repeated loads of them in one process (20.5 to
+    20.1 MB)."""
 
-    punct = frozenset(("{", "}", "[", "]", "(", ")", ":", ".", "->"))
-    pattern = _token_pattern(punct)
-
-    def __init__(self, text: str):
+    def __init__(self, text: str, query_sig: Signature | None = None):
         self.text = text
-        self.toks = toks = self.pattern.findall(text)
+        self.toks = toks = _TOKEN.findall(text)
         self.pos = 0
         self.binders: list[str] = []
+        self.query_sig = query_sig
+        self.metas: list[str] = []
         # each distinct token is validated once
-        bad = [t for t in set(toks).difference(self.punct) if t and not (t[0].isalpha() or t[0] == "_")]
+        bad = [t for t in set(toks).difference(_PUNCT) if t and not (t[0].isalpha() or t[0] == "_")]
         if bad:
             i = min(map(toks.index, bad))
             raise self.error(f"unexpected character {toks[i][0]!r}", i)
 
     def error(self, message: str, i: int) -> LfSyntaxError:
         """An error at the line and column of token `i`."""
-        at = next(islice(self.pattern.finditer(self.text), i, None)).start(1)
+        at = next(islice(_TOKEN.finditer(self.text), i, None)).start(1)
         return LfSyntaxError(message, self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at))
 
     def is_ident(self, t: str) -> bool:
-        return t != "" and t not in self.punct
+        return t != "" and t not in _PUNCT
 
     def peek(self) -> str:
         return self.toks[self.pos]
@@ -617,13 +592,6 @@ class _Cursor:
     def at(self, text: str) -> bool:
         """Whether the next token is the punctuation or identifier `text`."""
         return self.toks[self.pos] == text
-
-
-class _Parser(_Cursor):
-    def __init__(self, text: str, query_sig: Signature | None = None):
-        super().__init__(text)
-        self.query_sig = query_sig
-        self.metas: list[str] = []
 
     # -- expressions --------------------------------------------------------
 
@@ -746,11 +714,6 @@ def parse_expr_text(text: str) -> LfExpr:
     if p.peek():
         raise p.error(f"trailing input {p.peek()!r}", p.pos)
     return e
-
-
-def print_signature(sig: Signature) -> str:
-    """Render a signature as declaration lines; reparses to an alpha-equal one."""
-    return "".join(f"{e.name} : {pretty_print(e.classifier)}.\n" for e in sig)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ __all__ = [
     "check_kind",
     "check_type",
     "check_object",
-    "to_sexpr",
 ]
 
 
@@ -190,12 +189,6 @@ class Derivation:
 
     def __repr__(self) -> str:
         return fields_repr(self, self.__slots__)
-
-
-def to_sexpr(d: Derivation) -> str:
-    """`(rule conclusion (premises...))` trace form for golden tests."""
-    inner = " ".join(to_sexpr(p) for p in d.premises)
-    return f'({d.rule} "{d.conclusion}" ({inner}))'
 
 
 def _reject_metas(e: LfExpr, rule: str, judgment: Judgment) -> None:

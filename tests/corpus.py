@@ -1,24 +1,29 @@
-"""Seeded corpora: ground terms, query batteries, random signatures, and
-substitution-lemma instances.  Everything is driven by an explicit
-random.Random so runs are reproducible."""
+"""Seeded corpora: ground terms, query batteries, random signatures,
+substitution-lemma instances and malformed text, and the reference oracles
+that tests compare with (named substitution, derivation s-expressions).
+Everything is driven by an explicit random.Random so runs are
+reproducible."""
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 from lfhh.cli import APPEND_SIGNATURE as APPEND_TEXT  # the signature `bench` runs
 from lfhh.lf_syntax import (
     App,
     Const,
+    Lam,
     LfExpr,
     Meta,
+    Pi,
     Signature,
     make_app,
     parse_expr_text,
     parse_query,
     parse_signature,
 )
-from lfhh.lf_typecheck import checked_signature
+from lfhh.lf_typecheck import Derivation, checked_signature
 
 REMARK_TEXT = """\
 nat : type.
@@ -312,36 +317,44 @@ def substitution_instance(
     return extended, "xv", Const(b_name), n_val, m, a
 
 
-# Clause texts of the two translations of the append signature; compare them
-# with `parse_clauses`, so bound names do not matter.
-REFERENCE_SIMPLE = """
-hastype z nat.
-forall n:tm. hastype n nat => hastype (s n) nat.
-hastype nil list.
-forall n:tm. hastype n nat => (forall l:tm. hastype l list => hastype (cons n l) list).
-forall l:tm. hastype l list => hastype (appNil l) (append nil l l).
-forall x:tm. hastype x nat => (forall l:tm. hastype l list => (forall k:tm. hastype k list =>
-  (forall m:tm. hastype m list => (forall a:tm. hastype a (append l k m) =>
-    hastype (appCons x l k m a) (append (cons x l) k (cons x m)))))).
-"""
+# ---------------------------------------------------------------------------
+# Reference oracles
+# ---------------------------------------------------------------------------
 
-REFERENCE_OPTIMIZED = """
-hastype z nat.
-forall n:tm. hastype n nat => hastype (s n) nat.
-hastype nil list.
-forall n:tm. hastype n nat => (forall l:tm. hastype l list => hastype (cons n l) list).
-forall l:tm. top => hastype (appNil l) (append nil l l).
-forall x:tm. top => (forall l:tm. top => (forall k:tm. top =>
-  (forall m:tm. top => (forall a:tm. hastype a (append l k m) =>
-    hastype (appCons x l k m a) (append (cons x l) k (cons x m)))))).
-"""
+
+def substitute(e: LfExpr, s: Mapping[str, LfExpr]) -> LfExpr:
+    """Simultaneous substitution for free variables (constants and metas) by
+    name.  Replacement terms must be locally closed; bound occurrences are
+    indices, so no capture can occur and the result is not renormalized."""
+    if not s:
+        return e
+    match e:
+        case Const(n) if n in s:
+            return s[n]
+        case Meta(n) if n in s:
+            return s[n]
+        case App(f, a):
+            return App(substitute(f, s), substitute(a, s))
+        case Pi(h, annot, body):
+            return Pi(h, substitute(annot, s), substitute(body, s))
+        case Lam(h, annot, body):
+            return Lam(h, substitute(annot, s), substitute(body, s))
+        case _:
+            return e
+
+
+def to_sexpr(d: Derivation) -> str:
+    """`(rule conclusion (premises...))` trace form of a kernel derivation."""
+    inner = " ".join(to_sexpr(p) for p in d.premises)
+    return f'({d.rule} "{d.conclusion}" ({inner}))'
 
 
 # -- malformed text ------------------------------------------------------------
 
-# Pieces that malformed inputs are drawn from: LF and clause-text punctuation,
-# characters neither format accepts, identifiers (including `type`, an
-# uppercase query variable and a primed name), comments and line breaks.
+# Pieces that malformed inputs are drawn from: LF punctuation, marks LF
+# lacks (`=>`, `\`, `=`, `-`), characters it rejects, identifiers
+# (including `type`, an uppercase query variable and a primed name),
+# comments and line breaks.
 _TEXT_PIECES = (
     "{", "}", "[", "]", "(", ")", ":", ".", "->", "=>", "\\", "=", "-",
     "0", "7", "42", "é", "½", "x½", "%", "% note", "\t", "\n", " ", "\r",

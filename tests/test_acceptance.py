@@ -2,6 +2,7 @@
 line (run with `pytest tests/test_acceptance.py -v -s`)."""
 
 import random
+import re
 import time
 from contextlib import contextmanager
 
@@ -17,25 +18,21 @@ from lfhh.hhf_logic import (
     HLam,
     encode_term,
     inhabitation_goal,
-    parse_clauses,
+    print_clauses,
     translate,
-    translate_optimized,
-    translate_optimized_decl,
-    translate_simple,
 )
 from lfhh.hhf_prover import Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import TYPE, Const, make_app, normalize, parse_expr_text, parse_query, pretty_print, substitute
+from lfhh.lf_syntax import TYPE, Const, make_app, normalize, parse_expr_text, parse_query, pretty_print
 from lfhh.lf_typecheck import KernelError, check_object
 from lfhh.reconstruct import QuerySession, certify
 from lfhh.rigidity import guard_plan
 
 from corpus import (
-    REFERENCE_OPTIMIZED,
-    REFERENCE_SIMPLE,
     append_proof,
     append_query_corpus,
     list_term,
     random_signature_case,
+    substitute,
     substitution_instance,
 )
 
@@ -52,16 +49,19 @@ def criterion(n: int, name: str):
     print(f"\nACCEPTANCE {n} ({name}): PASS")
 
 
-def test_criterion_1_golden_translation(append_sig):
+def test_criterion_1_golden_translation(append_sig, golden_dir):
     with criterion(1, "golden translation fidelity"):
         t0 = time.perf_counter()
-        naive = [c.formula for c in translate_simple(append_sig)]
-        opt = [c.formula for c in translate_optimized(append_sig)]
-        assert naive == parse_clauses(REFERENCE_SIMPLE), "simple translation deviates"
-        assert opt == parse_clauses(REFERENCE_OPTIMIZED), "optimized translation deviates"
+        naive = translate(append_sig, "naive")
+        opt = translate(append_sig, "optimized")
+        # bound variables print as x1, x2, ...; with no constant named so,
+        # equal texts are equal formulas
+        assert not [e.name for e in append_sig if re.fullmatch(r"x\d+", e.name)]
+        assert print_clauses(naive) == (golden_dir / "append_naive.hh").read_text(), "simple translation deviates"
+        assert print_clauses(opt) == (golden_dir / "append_optimized.hh").read_text(), "optimized translation deviates"
         # guard placement: one truth guard on the base clause, four on the
         # step clause with the recursive premise retained
-        tops_per_clause = [_count_top_guards(f) for f in opt]
+        tops_per_clause = [_count_top_guards(c.formula) for c in opt]
         assert tops_per_clause == [0, 0, 0, 0, 1, 4]
         assert time.perf_counter() - t0 < 1.0
 
@@ -263,7 +263,7 @@ def test_criterion_6_rigidity_negative_control(remark_sig):
         assert "mk: t=guarded" in buf.getvalue()
 
         # the optimized clause keeps a real guard (no truth replacement)
-        clause = translate_optimized_decl(remark_sig, "mk")
+        (clause,) = [c.formula for c in translate(remark_sig, "optimized") if c.origin == "mk"]
         match clause:
             case FForall(_, _, FImplies(guard, _)):
                 assert not isinstance(guard, FTop)
@@ -291,7 +291,7 @@ def test_criterion_6_rigidity_negative_control(remark_sig):
 
 def test_criterion_7_substitution_lemma(append_sig):
     with criterion(7, "kernel substitution lemma"):
-        from lfhh.lf_syntax import beta_normalize, substitute
+        from lfhh.lf_syntax import beta_normalize
 
         t0 = time.perf_counter()
         rng = random.Random(500)

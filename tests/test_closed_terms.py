@@ -1,8 +1,8 @@
-"""The closed flag on target terms: `scope`, `lam_free` and `is_closed`
-against plain recursive reference definitions, and the traversals that
-return closed subterms unchanged.  Also the term and formula classes'
-equality and hashing, which ignore binder hints, and their `repr` text, and
-those of clauses and the prover's records."""
+"""The closed flag on target terms: `scope`, `lam_free` and closedness
+(`scope == 0`) against plain recursive reference definitions, and the
+traversals that return closed subterms unchanged.  Also the term and
+formula classes' equality and hashing, which ignore binder hints, and their
+`repr` text, and those of clauses and the prover's records."""
 
 import random
 from collections import Counter
@@ -26,7 +26,6 @@ from lfhh.hhf_logic import (
     HMeta,
     h_instantiate,
     happs,
-    is_closed,
     translate,
 )
 from lfhh.hhf_prover import Counters, Limits, Solution, Solver, resolve_term
@@ -141,8 +140,8 @@ def terms():
 def test_generated_terms_cover_every_shape(terms):
     nodes = [u for t in terms for u in subterms(t)]
     assert len(terms) >= 500
-    assert sum(map(is_closed, terms)) >= 100
-    assert sum(not is_closed(t) for t in terms) >= 100
+    assert sum(t.scope == 0 for t in terms) >= 100
+    assert sum(t.scope != 0 for t in terms) >= 100
     for kind in (HLam, HMeta, HEigen):
         assert any(isinstance(u, kind) for u in nodes)
     assert any(isinstance(u, HApp) and isinstance(u.fn, HLam) for u in nodes)
@@ -152,7 +151,7 @@ def test_generated_terms_cover_every_shape(terms):
 def test_is_closed_and_scope_agree_with_reference(terms):
     for t in terms:
         for u in subterms(t):
-            assert is_closed(u) == ref_closed(u), u
+            assert (u.scope == 0) == ref_closed(u), u
             assert u.scope == ref_scope(u), u
 
 
@@ -226,7 +225,7 @@ def test_closed_terms_come_back_unchanged(append_sig, terms):
     seen = 0
     for t in terms:
         for u in subterms(t):
-            if not is_closed(u):
+            if u.scope != 0:
                 continue
             seen += 1
             assert solver._invert(u, m, {}, 0, 0) is u
@@ -245,7 +244,7 @@ def test_instantiate_agrees_with_reference(terms):
 def test_closed_lambda_free_terms_unify_exactly_when_equal(append_sig, terms):
     # unification compares two closed λ-free terms by equality: it binds
     # nothing and uses up no eigenvariable id, whatever the verdict
-    pool = [u for t in terms for u in subterms(t) if is_closed(u) and u.lam_free]
+    pool = [u for t in terms for u in subterms(t) if u.scope == 0 and u.lam_free]
     rng = random.Random(20261019)
     pairs = [(a, a) for a in pool] + [(a, rehint(a, "copy")) for a in pool]
     pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(3000)]
@@ -265,7 +264,7 @@ def test_binding_to_a_long_ground_list_stores_the_list_itself(append_sig):
     t = HConst("nil")
     for _ in range(1000):
         t = happs(HConst("cons"), [HConst("z"), t])
-    assert is_closed(t)
+    assert t.scope == 0
     solver = Solver(translate(append_sig, "optimized"))
     m = HMeta("M", 1, 0)
     assert solver.unify(m, t)
@@ -281,7 +280,7 @@ def test_certify_rejects_closed_proof_with_undeclared_head(append_sig):
     assert ans.certified
     bad = dict(sol.bindings)
     bad[sess.proof_meta.id] = HApp(HConst("appMissing"), HConst("nil"))
-    assert is_closed(resolve_term(bad, sess.proof_meta))
+    assert resolve_term(bad, sess.proof_meta).scope == 0
     verdict = certify(sess, Solution(bad, sol.counters, ()))
     assert verdict.status == "rejected"
     assert "appMissing" in verdict.reason

@@ -1,11 +1,11 @@
 """The order of head unification changes no answer.
 
-`Solver._head_order` unifies a clause head's classifier before its subject
-when the goal's subject is flexible, and the subject first otherwise.  Each
-case here runs the search once with that order and once with a solver that
-always takes the subject first, and requires the same success, the same
-certified answers in the same order and the same committed steps; the real
-order may only save unifications.
+The plan `Solver._plan` makes for an atom goal unifies a clause head's
+classifier before its subject when the goal's subject is flexible, and the
+subject first otherwise.  Each case here runs the search once with that
+order and once with a solver that always takes the subject first, and
+requires the same success, the same certified answers in the same order and
+the same committed steps; the real order may only save unifications.
 """
 
 import itertools
@@ -28,15 +28,15 @@ VEC_TEXT = (pathlib.Path(__file__).parent / "golden" / "vec.lf").read_text()
 class SubjectFirst(Solver):
     """Unifies every head's subject first, whatever the goal's shape."""
 
-    def _head_order(self, goal):
-        return 0, 1
+    def _plan(self, goal):
+        return super()._plan(goal)[:2] + ((0, 1),)
 
 
 class ClassifierFirst(Solver):
     """Unifies every head's classifier first, whatever the goal's shape."""
 
-    def _head_order(self, goal):
-        return 1, 0
+    def _plan(self, goal):
+        return super()._plan(goal)[:2] + ((1, 0),)
 
 
 def _run(solver_class, sig, query, mode, limits, iterative, cap):

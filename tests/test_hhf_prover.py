@@ -547,7 +547,7 @@ def test_index_is_transparent(mode, text, query):
         goal, _ = translate_query(sig, q, mode)
         solver = Solver(translate(sig, mode), trace=True)
         if not indexed:
-            solver._index = lambda goal: (None, None)
+            solver._plan = lambda goal, plan=solver._plan: (None, None, plan(goal)[2])
         sol = next(solver.solve(goal, iterative=True))
         runs.append((sol.trace, sol.counters.backchain_steps, sol.counters.unify_calls))
     (trace, steps, calls), (trace_all, steps_all, calls_all) = runs
@@ -588,7 +588,7 @@ def test_index_keeps_non_pattern_flag_and_variable_ids(programs):
             goal = FAtom(HApp(f, HApp(HConst("s"), HConst("z"))), HConst(family))
             solver = Solver(programs["naive"])
             if not indexed:
-                solver._index = lambda goal: (None, None)
+                solver._plan = lambda goal, plan=solver._plan: (None, None, plan(goal)[2])
             assert list(solver.solve(goal)) == []
             runs.append((solver.non_pattern_seen, solver._next_meta, solver.counters.unify_calls))
         (flag, ids, calls), (flag_all, ids_all, calls_all) = runs

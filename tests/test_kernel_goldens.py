@@ -28,9 +28,9 @@ from lfhh.lf_syntax import (
     classifier_sort,
     parse_signature,
 )
-from lfhh.lf_typecheck import KernelError, check_kind, check_type, checked_signature, to_sexpr
+from lfhh.lf_typecheck import KernelError, check_kind, check_type, checked_signature
 
-from corpus import REMARK_TEXT, STLC_TEXT
+from corpus import REMARK_TEXT, STLC_TEXT, to_sexpr
 
 MUTANTS_PER_SIGNATURE = 150
 

@@ -34,14 +34,13 @@ from lfhh.lf_syntax import (
     parse_query,
     parse_signature,
     spine,
-    substitute,
 )
 from lfhh.hhf_logic import HApp, HBound, HConst, HLam, HMeta, encode_term
 from lfhh.hhf_prover import Limits
 from lfhh.lf_typecheck import Derivation, Judgment, check_type, checked_signature
 from lfhh.reconstruct import QuerySession, ReconstructError, _Closing, decode_term
 
-from corpus import STLC_TEXT
+from corpus import STLC_TEXT, substitute
 
 
 def ref_scope(e):

@@ -17,7 +17,6 @@ from lfhh.lf_syntax import (
     normalize,
     parse_expr_text,
     parse_signature,
-    substitute,
 )
 from lfhh.lf_typecheck import (
     Derivation,
@@ -26,10 +25,9 @@ from lfhh.lf_typecheck import (
     check_object,
     check_type,
     checked_signature,
-    to_sexpr,
 )
 
-from corpus import STLC_BLOCK, append_proof, list_elems, list_term, substitution_instance
+from corpus import STLC_BLOCK, append_proof, list_elems, list_term, substitute, substitution_instance, to_sexpr
 
 
 def recount(d: Derivation) -> int:

@@ -1,19 +1,16 @@
 """The scanner against a reference that splits the text into lines and scans
 each line with its own regular expression, as the scanner did before it
-scanned the whole text in one pass.  Both formats' punctuation is covered;
-the token texts, the line and column of every token and of the end of the
-input, and the first error must agree."""
+scanned the whole text in one pass.  The token texts, the line and column of
+every token and of the end of the input, and the first error must agree."""
 
 import random
 import re
 
 import pytest
 
-from lfhh.hhf_logic import _HhParser
-from lfhh.lf_syntax import LfSyntaxError, _Cursor
+from lfhh.lf_syntax import _PUNCT, LfSyntaxError, _Parser
 
 LF_PUNCT = ("{", "}", "[", "]", "(", ")", ":", ".", "->")
-HH_PUNCT = ("(", ")", ".", ":", "->", "=>", "\\")
 
 
 def reference_scan(text, punct):
@@ -39,10 +36,10 @@ def reference_scan(text, punct):
     return toks
 
 
-def scan(text, cursor_class):
+def scan(text):
     """What the scanner makes of `text`, in the reference's form."""
     try:
-        c = cursor_class(text)
+        c = _Parser(text)
     except LfSyntaxError as e:
         return ("error", e.message, e.line, e.col)
     n = c.toks.index("") + 1  # the end of the input may match twice
@@ -56,7 +53,7 @@ def scan(text, cursor_class):
 
 # identifiers (with primes, non-ASCII letters and digits), tokens starting
 # with a digit (ASCII, Arabic-Indic, superscript, Roman numeral), every mark
-# of both formats and parts of them, characters neither format accepts
+# and parts of them, marks LF lacks (`=>`, `\`), characters it rejects
 # (`\x0b` and `\xa0` are not whitespace here), line breaks, tabs and comments
 PIECES = (
     "a", "nat", "x'", "a'b", "_", "_y", "é", "ßx", "αβ", "Ω1", "éa", "x٣", "type", "X",
@@ -84,9 +81,9 @@ def random_texts(rng, count):
     return out
 
 
-@pytest.mark.parametrize("cursor_class, punct", [(_Cursor, LF_PUNCT), (_HhParser, HH_PUNCT)], ids=["lf", "clauses"])
-def test_scanner_agrees_with_the_per_line_reference(cursor_class, punct):
-    assert cursor_class.punct == frozenset(punct)
+@pytest.mark.parametrize("punct", [LF_PUNCT], ids=["lf"])
+def test_scanner_agrees_with_the_per_line_reference(punct):
+    assert _PUNCT == frozenset(punct)
     rng = random.Random(17017)
     texts = random_texts(rng, 3000) + [
         "",
@@ -105,7 +102,7 @@ def test_scanner_agrees_with_the_per_line_reference(cursor_class, punct):
     errors = ok = 0
     for text in texts:
         want = reference_scan(text, punct)
-        assert scan(text, cursor_class) == want, repr(text)
+        assert scan(text) == want, repr(text)
         errors += want[0] == "error"
         ok += want[0] != "error" and len(want) > 3
     assert errors >= 500 and ok >= 400
@@ -114,5 +111,5 @@ def test_scanner_agrees_with_the_per_line_reference(cursor_class, punct):
 def test_trailing_comment_is_not_scanned_as_tokens():
     # a scanner that must find a token after every skip would restart inside
     # the comment and return its words
-    assert _Cursor("a : type. % b c -> d").toks[:5] == ["a", ":", "type", ".", ""]
-    assert _HhParser("top.\n% forall x:tm. top\n").toks[:3] == ["top", ".", ""]
+    assert _Parser("a : type. % b c -> d").toks[:5] == ["a", ":", "type", ".", ""]
+    assert _Parser("a.\n% {x:a} b\n").toks[:3] == ["a", ".", ""]

@@ -7,22 +7,27 @@ import pytest
 from lfhh import lf_typecheck, reconstruct
 from lfhh.cli import _append_check
 from lfhh.hhf_logic import (
+    TM,
     Clause,
     ClauseSet,
     FAtom,
+    FForall,
+    FImplies,
+    FTop,
     HApp,
     HBound,
     HConst,
     HLam,
     encode_term,
     inhabitation_goal,
-    parse_clauses,
     translate,
 )
 from lfhh.hhf_prover import Solver
 from lfhh.lf_syntax import App, Const, Lam, Meta, Pi
-from lfhh.lf_typecheck import KernelError, check_object, to_sexpr
+from lfhh.lf_typecheck import KernelError, check_object
 from lfhh.reconstruct import QuerySession
+
+from corpus import to_sexpr
 
 
 def unshare(e):
@@ -78,7 +83,8 @@ def test_closed_lambda_unified_with_itself_uses_the_same_eigenvariables():
     # comparing a term with an abstraction inside uses up eigenvariable ids
     # whether or not the two sides are one object; the guard's universal
     # shows the next id in the trace
-    (f,) = parse_clauses("forall x1:tm. (forall x2:tm. top) => hastype (k x1) x1.")
+    # forall x1:tm. (forall x2:tm. top) => hastype (k x1) x1
+    f = FForall("x1", TM, FImplies(FForall("x2", TM, FTop()), FAtom(HApp(HConst("k"), HBound(0)), HBound(0))))
     program = ClauseSet((Clause("k", f),), "optimized")
     term = HApp(HConst("c"), HLam("y", HApp(HConst("s"), HBound(0))))
     traces = []
