@@ -56,8 +56,7 @@ def _load_query(args) -> tuple[Signature, LfExpr]:
     """The checked signature of `args.file` and `args.query` parsed against
     it; the `QuerySession` normalizes the query."""
     sig = _load_signature(args.file)
-    goal_type, _ = parse_query(args.query, sig)
-    return sig, goal_type
+    return sig, parse_query(args.query, sig)
 
 
 def _limits(args) -> Limits:

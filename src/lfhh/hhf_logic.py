@@ -67,7 +67,6 @@ __all__ = [
     "translate",
     "translate_query",
     "inhabitation_goal",
-    "collect_metas",
     "open_leaves",
     "print_simple_type",
     "print_term",
@@ -494,15 +493,6 @@ def f_instantiate(f: HhFormula, values: Sequence[HhTerm], depth: int = 0) -> HhF
     return f
 
 
-def collect_metas(f: HhFormula) -> dict[str, HMeta]:
-    """Metas occurring in a formula, keyed by display name, first occurrence
-    wins."""
-    out: dict[str, HMeta] = {}
-    for m in open_leaves(f, HMeta, []):
-        out.setdefault(m.name, m)
-    return out
-
-
 def open_leaves(t: HhTerm | HhFormula, kind: type, out: list) -> list:
     """`out` extended with the leaves of class `kind` of the term or formula
     `t`, left to right.  A term whose scope is not `OPEN` has none and is not
@@ -633,24 +623,22 @@ def translate(sig: Signature, mode: str) -> ClauseSet:
 # -- queries -----------------------------------------------------------------
 
 
-def _query_metas(a: LfExpr) -> dict[str, HMeta]:
-    """A target-level variable for each meta of query type `a` that occurs
-    as an argument, inside an abstraction that is one, or as the head of an
-    applied argument, numbered from 1 in order of first occurrence."""
-    out: dict[str, HMeta] = {}
-    _add_query_metas(a, False, out)
-    return out
-
-
 def _add_query_metas(e: LfExpr, is_arg: bool, out: dict[str, HMeta]) -> None:
+    """Add to `out` a target-level variable for each new meta of `e`,
+    numbered on from `len(out) + 1` in order of first occurrence:
+    annotations before bodies, spine arguments left to right, the order in
+    which the goal mentions them.  A meta that is not an argument, inside an
+    abstraction that is one, or the head of an applied argument has no
+    target: an input error in both modes, whether or not the mode's goal
+    keeps its position."""
     head, args = spine(e)
     match head:
-        case Pi(_, annot, body) if not is_arg and not args:
+        case Pi(_, annot, body) | Lam(_, annot, body):
             _add_query_metas(annot, False, out)
-            _add_query_metas(body, False, out)
-        case Lam(_, _, body) if is_arg and not args:
-            _add_query_metas(body, True, out)
-        case Meta(n) if is_arg and n not in out:
+            _add_query_metas(body, is_arg, out)
+        case Meta(n) if not is_arg:
+            raise LfError(f"meta-variable {n!r} has no target assignment")
+        case Meta(n) if n not in out:
             out[n] = HMeta(n, len(out) + 1)
     for arg in args:
         _add_query_metas(arg, True, out)
@@ -658,15 +646,16 @@ def _add_query_metas(e: LfExpr, is_arg: bool, out: dict[str, HMeta]) -> None:
 
 def translate_query(
     sig: Signature, a: LfExpr, mode: str = "optimized"
-) -> tuple[HhFormula, HMeta]:
+) -> tuple[HhFormula, HMeta, dict[str, HMeta]]:
     """Goal for an inhabitation query: the (mode-appropriate) translation of
-    the canonical type `a`, applied to a fresh proof variable.  Metas of `a`
-    are carried through and can be recovered from the goal with
-    `collect_metas`."""
-    metas = _query_metas(a)
+    the canonical type `a`, applied to a fresh proof variable; with that
+    variable and the table of the query's variables, which does not depend
+    on the mode and may hold variables the goal does not mention."""
+    metas: dict[str, HMeta] = {}
+    _add_query_metas(a, False, metas)
     proof = HMeta(fresh_name("M", metas), 0)
     goal = inhabitation_goal(sig, a, proof, mode, metas)
-    return goal, proof
+    return goal, proof, metas
 
 
 def inhabitation_goal(
@@ -724,7 +713,11 @@ def print_term(t: HhTerm, prec: int = 0, names: tuple[str, ...] = ()) -> str:
         case HBound(k):
             return names[-1 - k] if k < len(names) else f"#{k}"
         case HLam() as l:
-            name = f"x{len(names) + 1}"
+            # skip a name that would capture an outer binder the body refers to
+            k = len(names) + 1
+            while f"x{k}" in names and any(n == f"x{k}" and _refers(l.body, len(names) - j) for j, n in enumerate(names)):
+                k += 1
+            name = f"x{k}"
             s = f"\\{name}. {print_term(l.body, 0, names + (name,))}"
             return f"({s})" if prec > 0 else s
         case HApp():
@@ -734,6 +727,17 @@ def print_term(t: HhTerm, prec: int = 0, names: tuple[str, ...] = ()) -> str:
             return f"({s})" if prec > 1 else s
         case _:
             raise LfError(f"bad term {t!r}")
+
+
+def _refers(t: HhTerm, k: int) -> bool:
+    """Whether `t` has the loose bound variable `k`."""
+    if 0 <= t.scope <= k:
+        return False
+    if isinstance(t, HApp):
+        return _refers(t.fn, k) or _refers(t.arg, k)
+    if isinstance(t, HLam):
+        return _refers(t.body, k + 1)
+    return isinstance(t, HBound) and t.index == k
 
 
 class _NameGen:

@@ -94,7 +94,7 @@ index are not counted.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .hhf_logic import (
     Clause,
@@ -425,39 +425,37 @@ class Solver:
 
     # -- public entry points --------------------------------------------------
 
-    def solve(self, goal: HhFormula, iterative: bool = False) -> Iterator[Solution]:
+    def solve(self, goal: HhFormula, iterative: bool = False, metas: Iterable[HMeta] = ()) -> Iterator[Solution]:
         """Lazily enumerate solutions in clause order with chronological
         backtracking.  The stream ends on exhaustion; `depth_hit` and
         `budget_hit` distinguish resource cutoffs from finite failure.
+        Fresh variables are numbered past the query variables `metas` too.
 
         With `iterative` the depth bound grows from 1 up to the configured
         limit and all solutions of the first successful bound are streamed;
         search stops early when a bound is exhausted without being hit, since
         deeper bounds cannot change a finite failure.  The trace of a failed
         bound is dropped; variable and eigenvariable ids keep counting.
+        Once the stream ends or is closed, the store is as it was before.
         """
-        self._seed_ids(goal)
+        self._seed_ids(goal, metas)
+        mark = self._mark()
+        depth = self.limits.depth
         try:
-            if not iterative:
-                for _ in self._search(goal):
-                    yield Solution(dict(self.bindings), self.counters.copy(), tuple(self.trace))
-                return
-            full = self.limits
-            for d in range(1, full.depth + 1):
-                self.limits = Limits(d, full.budget)
+            for d in range(1, depth + 1) if iterative else (depth,):
                 self.depth_hit = False
                 found = False
-                for _ in self._search(goal):
+                for _ in self._search(goal, d):
                     found = True
                     yield Solution(dict(self.bindings), self.counters.copy(), tuple(self.trace))
                 if found or not self.depth_hit:
-                    self.limits = full
                     return
                 self.trace.clear()
-            self.limits = full
             self.depth_hit = True
         except BudgetExceeded:
             self.budget_hit = True
+        finally:
+            self._undo(mark)
 
     def unify(self, a: HhTerm, b: HhTerm) -> bool:
         """Public unification entry: transactional (rolls back on failure)."""
@@ -472,8 +470,8 @@ class Solver:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _seed_ids(self, goal: HhFormula) -> None:
-        taken = [m.id for m in open_leaves(goal, HMeta, [])]
+    def _seed_ids(self, goal: HhFormula, metas: Iterable[HMeta]) -> None:
+        taken = [m.id for m in open_leaves(goal, HMeta, list(metas))]
         taken.extend(self.bindings.keys())
         eigens = [0]
         for t in self.bindings.values():
@@ -535,10 +533,11 @@ class Solver:
 
     # -- search ----------------------------------------------------------------
 
-    def _search(self, goal: HhFormula) -> Iterator[None]:
-        """Yield once per proof of `goal`, with its bindings in place.  A goal
-        record is `(goal, depth, level, assumptions, rest)`, assumptions
-        oldest first; a choice point is `(record, next clause, mark, plan)`."""
+    def _search(self, goal: HhFormula, max_depth: int) -> Iterator[None]:
+        """Yield once per proof of `goal` of depth below `max_depth`, with its
+        bindings in place.  A goal record is `(goal, depth, level,
+        assumptions, rest)`, assumptions oldest first; a choice point is
+        `(record, next clause, mark, plan)`."""
         goals: _Goals = (goal, 0, 0, (), None)
         stack: list[tuple[_Goals, int, tuple[int, int], tuple]] = []
         while True:
@@ -548,7 +547,7 @@ class Solver:
             else:
                 g, depth, level, assumptions, rest = goals
                 if isinstance(g, FAtom):
-                    if depth >= self.limits.depth:
+                    if depth >= max_depth:
                         self.depth_hit = True
                         goals = False
                     else:

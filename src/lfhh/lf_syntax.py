@@ -559,7 +559,6 @@ class _Parser:
         self.pos = 0
         self.binders: list[str] = []
         self.query_sig = query_sig
-        self.metas: list[str] = []
         # each distinct token is validated once
         bad = [t for t in set(toks).difference(_PUNCT) if t and not (t[0].isalpha() or t[0] == "_")]
         if bad:
@@ -654,8 +653,6 @@ class _Parser:
                 if b == name:
                     return Bound(depth)
             if self.query_sig is not None and name not in self.query_sig and name[:1].isupper():
-                if name not in self.metas:
-                    self.metas.append(name)
                 return Meta(name)
             return Const(name)
         raise self.error(f"unexpected token {name or 'eof'!r}", self.pos - 1)
@@ -697,14 +694,14 @@ def parse_signature(text: str) -> Signature:
     return Signature(tuple(entries))
 
 
-def parse_query(text: str, sig: Signature) -> tuple[LfExpr, list[str]]:
+def parse_query(text: str, sig: Signature) -> LfExpr:
     """Parse a goal type.  Free uppercase-initial identifiers that are not
-    declared in `sig` become meta-variables, listed in first-occurrence order."""
+    declared in `sig` become meta-variables."""
     p = _Parser(text, query_sig=sig)
     e = p.parse_expr()
     if p.peek():
         raise p.error(f"trailing input {p.peek()!r}", p.pos)
-    return e, p.metas
+    return e
 
 
 def parse_expr_text(text: str) -> LfExpr:

@@ -16,9 +16,9 @@ Certification runs the kernel on the closed type and proof; a rejection
 here on solver output would falsify the translation-correctness property and
 is reported, never swallowed.
 
-`QuerySession` owns the query: it normalizes the query type, records the
-classifiers of its variables and kernel-checks a query type without
-variables, for the command line and library callers alike.
+`QuerySession` owns the query: it normalizes the query type, keeps the one
+table of its variables and their classifiers, and kernel-checks a query
+type without variables, for the command line and library callers alike.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .hhf_logic import (
     HLam,
     HMeta,
     HhTerm,
-    collect_metas,
     h_shift,
     hspine,
     inhabitation_goal,
@@ -240,8 +239,6 @@ class _Closing:
         sess = self.sess
         match e:
             case Meta(n):
-                if n not in sess.metas:
-                    raise ReconstructError(f"unknown meta-variable {n!r}")
                 value = decode_term(sess.sig, resolve_term(self.store, sess.metas[n]), expected, self.stack, self.residual)
                 self.values[n] = value
                 return value
@@ -277,7 +274,8 @@ class _Closing:
         if m.id not in self.store:
             sess = self.sess
             goal = inhabitation_goal(sess.sig, cls, m, sess.program.mode)
-            sol = next(Solver(sess.program, sess.limits, bindings=self.store).solve(goal, iterative=True), None)
+            solver = Solver(sess.program, sess.limits, bindings=self.store)
+            sol = next(solver.solve(goal, iterative=True, metas=sess.metas.values()), None)
             if sol is None:
                 raise ReconstructError(f"uninhabited residual type: {pretty_print(cls)}")
             self.store = dict(sol.bindings)
@@ -310,8 +308,9 @@ class QuerySession:
 
     The session owns its query's variables: it normalizes the query type at
     `type`, recording in `classifiers` the classifier of each variable that
-    normalizing meets (see `normalize`), and kernel-checks a query type that
-    has no variable before any search."""
+    normalizing meets (see `normalize`), keeps in `metas` the one table of
+    them for search, closing and reports, whatever the mode, and
+    kernel-checks a query type that has no variable before any search."""
 
     def __init__(
         self,
@@ -330,13 +329,11 @@ class QuerySession:
         self.mode = mode
         self.limits = limits
         self.program = program if program is not None else translate(sig, mode)
-        self.goal, self.proof_meta = translate_query(sig, self.query_type, mode)
-        metas = collect_metas(self.goal)
-        self.metas = {n: m for n, m in metas.items() if m.id != self.proof_meta.id}
+        self.goal, self.proof_meta, self.metas = translate_query(sig, self.query_type, mode)
         self.solver = Solver(self.program, limits, trace)
 
     def answers(self, iterative: bool = False) -> Iterator[tuple[Solution, CertifiedAnswer]]:
-        for sol in self.solver.solve(self.goal, iterative=iterative):
+        for sol in self.solver.solve(self.goal, iterative=iterative, metas=self.metas.values()):
             yield sol, certify(self, sol)
 
     def first_answer(self, iterative: bool = False) -> tuple[Solution, CertifiedAnswer] | None:

@@ -279,6 +279,57 @@ def random_signature_case(rng: random.Random) -> tuple[Signature, list[tuple[LfE
 
 
 # ---------------------------------------------------------------------------
+# Query variables under rigid guards
+# ---------------------------------------------------------------------------
+
+# In a negative position `{v: vec N} ok v` binds v rigidly, so the optimized
+# goal drops v's guard `vec N` and with it every mention of N; naive mode
+# keeps it.  `{u: pf P} q` binds u without rigidity, and the first
+# inhabitant of P's sort `r` binds a guard variable in an auxiliary search.
+RIGID_GUARD_TEXT = """\
+nat : type.
+z : nat.
+r : type.
+mk : {n:nat} r.
+pf : r -> type.
+q : type.
+cq : q.
+vec : nat -> type.
+vnil : vec z.
+ok : vec z -> type.
+okv : ok vnil.
+b : type.
+bb : b.
+lv : b -> type.
+lnil : lv bb.
+okl : lv bb -> type.
+both : vec z -> lv bb -> type.
+bothv : both vnil lnil.
+"""
+
+# (hypothesis, a target that it proves); `n` is a variable of sort nat and
+# `b` one of sort b, each in the hypothesis's rigid guards only
+_RIGID_HYPOTHESES = (
+    ("({v: vec %(n)s} ok v)", "{w: vec z} ok w"),
+    ("({v: lv %(b)s} okl v)", "{w: lv bb} okl w"),
+    ("({v: vec %(n)s} {w: lv %(b)s} both v w)", "{v: vec z} {w: lv bb} both v w"),
+)
+
+
+def rigid_guard_query(rng: random.Random) -> str:
+    """A query over `RIGID_GUARD_TEXT`: one to three hypotheses of
+    `_RIGID_HYPOTHESES`, each with a variable that the optimized goal does
+    not mention, and up to two `({u: pf P} q)`, leading to `q` or to what
+    one of the rigid hypotheses proves.  Both modes find the same first
+    answer."""
+    picks = [rng.choice(_RIGID_HYPOTHESES) for _ in range(rng.randint(1, 3))]
+    hyps = [h % {"n": rng.choice("NM"), "b": rng.choice("XY")} for h, _ in picks]
+    for _ in range(rng.randint(0, 2)):
+        hyps.insert(rng.randint(0, len(hyps)), f"({{u: pf {rng.choice('PR')}}} q)")
+    return " -> ".join(hyps + [rng.choice(["q"] + [t for _, t in picks])])
+
+
+# ---------------------------------------------------------------------------
 # Substitution-lemma instances
 # ---------------------------------------------------------------------------
 

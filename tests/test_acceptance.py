@@ -82,9 +82,9 @@ def test_criterion_2_query_reproduction(append_sig):
         expected_l = parse_expr_text("cons z (cons (s z) nil)")
         answers = {}
         for mode, iterative in (("optimized", False), ("naive", True)):
-            q, metas = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
-            assert metas == ["L"]
+            q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
             sess = QuerySession(append_sig, q, mode)
+            assert list(sess.metas) == ["L"]
             got = sess.first_answer(iterative=iterative)
             assert got is not None, f"{mode}: no solution"
             sol, ans = got

@@ -13,7 +13,7 @@ import pytest
 import lfhh
 from lfhh.cli import build_parser, main
 
-from corpus import STLC_BLOCK, STLC_TEXT, church_numeral
+from corpus import RIGID_GUARD_TEXT, STLC_BLOCK, STLC_TEXT, church_numeral
 
 
 APPEND_LF = str(pathlib.Path(__file__).parent / "golden" / "append.lf")
@@ -374,6 +374,56 @@ def test_applied_query_variable_certifies(tmp_path):
     code, out, err = run_cli("compare", str(f), query)
     assert code == 0 and err == ""
     assert "certified: both | type agreement: True | proof agreement: True" in out
+
+
+@pytest.fixture(scope="module")
+def rigid_guard_lf(tmp_path_factory):
+    f = tmp_path_factory.mktemp("rigid") / "rigid.lf"
+    f.write_text(RIGID_GUARD_TEXT)
+    return str(f)
+
+
+# N occurs only in the guard of the rigid binder v, which the optimized goal
+# drops.  In the last query naive search leaves X and Y unbound, and closing
+# P binds a guard variable of `mk` in an auxiliary search, which must not
+# take the id of either.
+RIGID_GUARD_ANSWERS = [
+    ("({v: vec N} ok v) -> q", ["N = z", "proof = [x:{v:vec z} ok v] cq", "type = ({v:vec z} ok v) -> q"]),
+    (
+        "({v: vec N} ok v) -> {w: vec z} ok w",
+        ["N = z", "proof = [x:{v:vec z} ok v] [w:vec z] x w", "type = ({v:vec z} ok v) -> {w:vec z} ok w"],
+    ),
+    (
+        "({u: pf P} q) -> ({w: lv X} okl w) -> ({v: lv Y} okl v) -> q",
+        [
+            "P = mk z",
+            "X = bb",
+            "Y = bb",
+            "proof = [x:pf (mk z) -> q] [x1:{w:lv bb} okl w] [x2:{v:lv bb} okl v] cq",
+            "type = (pf (mk z) -> q) -> ({w:lv bb} okl w) -> ({v:lv bb} okl v) -> q",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("query, answer", RIGID_GUARD_ANSWERS)
+def test_variable_under_a_rigid_guard_certifies(rigid_guard_lf, query, answer):
+    for mode in ("naive", "optimized"):
+        code, out, err = run_cli("solve", rigid_guard_lf, query, "--mode", mode)
+        assert code == 0 and err == ""
+        assert out.splitlines()[: len(answer)] == answer
+    code, out, err = run_cli("compare", rigid_guard_lf, query)
+    assert code == 0 and err == ""
+    assert "certified: both | type agreement: True | proof agreement: True" in out
+
+
+@pytest.mark.parametrize("argv", [("solve", "--mode", "naive"), ("solve", "--mode", "optimized"), ("compare",)])
+def test_variable_with_no_target_is_an_input_error(rigid_guard_lf, stlc_lf, argv):
+    # X stands for a type, not for an argument of one, so it has no target
+    # variable, in either mode and whether or not the goal keeps its position
+    for f, query in ((rigid_guard_lf, "({v: X} ok v) -> q"), (stlc_lf, "of (lam base ([x:X] x)) T")):
+        code, out, err = run_cli(argv[0], f, query, *argv[1:])
+        assert (code, out, err) == (1, "", "error: meta-variable 'X' has no target assignment\n")
 
 
 # Optimized-mode queries with a variable that occurs only in rigid positions,

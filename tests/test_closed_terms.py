@@ -274,7 +274,7 @@ def test_binding_to_a_long_ground_list_stores_the_list_itself(append_sig):
 
 def test_certify_rejects_closed_proof_with_undeclared_head(append_sig):
     # a closed proof is still decoded, so its undeclared head is rejected
-    q, _ = parse_query("append nil nil nil", append_sig)
+    q = parse_query("append nil nil nil", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     sol, ans = sess.first_answer()
     assert ans.certified

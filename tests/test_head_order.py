@@ -72,7 +72,7 @@ def test_append_corpus_answers_do_not_depend_on_the_order(append_sig):
 
 def test_every_split_in_the_same_order(append_sig):
     # `solve --all` of the splits of a three-element list, without deepening
-    q, _ = parse_query("append L K (cons z (cons (s z) (cons (s (s z)) nil)))", append_sig)
+    q = parse_query("append L K (cons z (cons (s z) (cons (s (s z)) nil)))", append_sig)
     for mode in ("naive", "optimized"):
         assert len(_same_answers(append_sig, q, mode, Limits(depth=512), iterative=False, cap=10)) == 4
 
@@ -98,7 +98,7 @@ def test_stlc_inference_does_not_depend_on_the_order(mode):
     sig = checked_signature(parse_signature(STLC_TEXT))
     solved = 0
     for text in STLC_QUERIES:
-        q, _ = parse_query(text, sig)
+        q = parse_query(text, sig)
         answers = _same_answers(sig, q, mode, Limits(depth=64, budget=200000), cap=1)
         assert all(a[0] for a in answers)
         solved += bool(answers)
@@ -109,7 +109,7 @@ def test_stlc_inference_does_not_depend_on_the_order(mode):
 @pytest.mark.parametrize("query", ["vec z", "vec (s z)", "{t:tp} vec (s (s z))", "{t:tp} tp"])
 def test_vec_search_does_not_depend_on_the_order(mode, query):
     sig = checked_signature(parse_signature(VEC_TEXT))
-    q, _ = parse_query(query, sig)
+    q = parse_query(query, sig)
     _same_answers(sig, q, mode, Limits(depth=6, budget=200000), cap=4)
 
 

@@ -20,11 +20,11 @@ from lfhh.hhf_logic import (
     SBase,
     TM,
     TY,
-    collect_metas,
     encode_term,
     erase_type,
     h_apply,
     h_instantiate,
+    open_leaves,
     print_clauses,
     print_formula,
     print_simple_type,
@@ -40,7 +40,9 @@ from lfhh.lf_syntax import (
     TYPE,
     make_app,
     parse_expr_text,
+    parse_signature,
 )
+from lfhh.lf_typecheck import checked_signature
 from corpus import (
     list_elems,
     list_term,
@@ -282,21 +284,21 @@ def test_query_base(append_sig):
     q = parse_expr_text("append (cons z nil) (cons (s z) nil) K")
     from lfhh.lf_syntax import parse_query
 
-    q, metas = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
-    goal, proof = translate_query(append_sig, q, "optimized")
+    q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
+    goal, proof, metas = translate_query(append_sig, q, "optimized")
     assert isinstance(goal, FAtom)
-    assert goal.subject == proof
-    got = collect_metas(goal)
-    assert set(got) == {"L", "M"}
+    assert goal.subject == proof and proof.name == "M"
+    assert metas == {"L": HMeta("L", 1)}
+    assert open_leaves(goal, HMeta, []) == [proof, metas["L"]]
 
 
 def test_query_trivial_base(append_sig):
-    goal, proof = translate_query(append_sig, Const("nat"), "naive")
+    goal, proof, _ = translate_query(append_sig, Const("nat"), "naive")
     assert goal == FAtom(proof, HConst("nat"))
 
 
 def test_query_pi_case(append_sig):
-    goal, proof = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
+    goal, proof, _ = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
     match goal:
         case FForall(_, st, FImplies(FAtom(gs, gc), FAtom(s2, c2))):
             assert st == TM
@@ -308,7 +310,7 @@ def test_query_pi_case(append_sig):
 
 def test_query_proof_meta_name_avoids_collision(append_sig):
     q = make_app(Const("append"), [Meta("M"), Meta("M"), Const("nil")])
-    goal, proof = translate_query(append_sig, q, "optimized")
+    goal, proof, _ = translate_query(append_sig, q, "optimized")
     assert proof.name != "M"
 
 
@@ -323,6 +325,24 @@ def test_print_deterministic_bound_names(append_sig):
     text = print_clauses(translate(append_sig, "naive"))
     assert "forall x1:tm." in text
     assert text.splitlines()[1] == "forall x1:tm. hastype x1 nat => hastype (s x1) nat."
+
+
+def test_print_abstraction_does_not_capture_a_quantifier():
+    # quantifiers are numbered across the clause, so the name `x3` that an
+    # abstraction under two quantifiers takes can be one of them: it is
+    # renamed when its body refers to that quantifier (c), and kept when it
+    # does not (d), so the two clauses print apart
+    sig = checked_signature(
+        parse_signature(
+            "nat : type. z : nat. p : (nat -> nat) -> type."
+            " c : {f:nat -> nat} {n:nat} p ([x:nat] f n)."
+            " d : {f:nat -> nat} {n:nat} p ([x:nat] f x)."
+        )
+    )
+    guard = "(forall x2:tm. hastype x2 nat => hastype (x1 x2) nat)"
+    c, d = (print_formula(cl.formula) for cl in translate(sig, "naive").clauses[1:])
+    assert c == f"forall x1:tm -> tm. {guard} => (forall x3:tm. hastype x3 nat => hastype (c x1 x3) (p (\\x4. x1 x3)))"
+    assert d == f"forall x1:tm -> tm. {guard} => (forall x3:tm. hastype x3 nat => hastype (d x1 x3) (p (\\x3. x1 x3)))"
 
 
 def test_golden_clause_files(append_sig, golden_dir):
@@ -399,4 +419,4 @@ def test_all_clauses_well_sorted_and_closed(append_sig, remark_sig):
             for c in cs:
                 # the sort walk also catches loose indices (env underflow)
                 assert formula_sort(c.formula, consts) == PROP
-                assert collect_metas(c.formula) == {}
+                assert open_leaves(c.formula, HMeta, []) == []

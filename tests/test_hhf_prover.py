@@ -18,7 +18,6 @@ from lfhh.hhf_logic import (
     HLam,
     HMeta,
     TM,
-    collect_metas,
     encode_term,
     happs,
     inhabitation_goal,
@@ -62,9 +61,8 @@ def test_top_goal(programs):
 
 
 def test_example_query_optimized(append_sig, programs):
-    q, _ = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
-    goal, proof = translate_query(append_sig, q, "optimized")
-    metas = collect_metas(goal)
+    q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
+    goal, proof, metas = translate_query(append_sig, q, "optimized")
     solver = Solver(programs["optimized"])
     sol = next(solver.solve(goal))
     assert sol.value(metas["L"]) == encode_term(parse_expr_text("cons z (cons (s z) nil)"))
@@ -74,16 +72,15 @@ def test_example_query_optimized(append_sig, programs):
 
 
 def test_example_query_naive_iterative(append_sig, programs):
-    q, _ = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
-    goal, proof = translate_query(append_sig, q, "naive")
-    metas = collect_metas(goal)
+    q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
+    goal, proof, metas = translate_query(append_sig, q, "naive")
     sol = next(Solver(programs["naive"]).solve(goal, iterative=True))
     assert sol.value(metas["L"]) == encode_term(parse_expr_text("cons z (cons (s z) nil)"))
 
 
 def test_finite_failure_vs_resource(append_sig, programs):
-    q, _ = parse_query("append nil nil (cons z nil)", append_sig)
-    goal, _ = translate_query(append_sig, q, "optimized")
+    q = parse_query("append nil nil (cons z nil)", append_sig)
+    goal, _, _ = translate_query(append_sig, q, "optimized")
     solver = Solver(programs["optimized"], Limits(depth=16))
     assert list(solver.solve(goal)) == []
     assert not solver.depth_hit and not solver.budget_hit
@@ -97,8 +94,8 @@ def test_depth_exhaustion_flag(append_sig, programs):
 
 
 def test_budget_exhaustion_flag(append_sig, programs):
-    q, _ = parse_query("append (cons z nil) nil Out", append_sig)
-    goal, _ = translate_query(append_sig, q, "naive")
+    q = parse_query("append (cons z nil) nil Out", append_sig)
+    goal, _, _ = translate_query(append_sig, q, "naive")
     solver = Solver(programs["naive"], Limits(budget=5))
     assert list(solver.solve(goal)) == []
     assert solver.budget_hit
@@ -142,7 +139,7 @@ def test_ground_check_binds_no_variable(append_sig, programs, mode, steps, unify
 
 
 def test_enumerates_inhabitants_in_clause_order(append_sig, programs):
-    goal, proof = translate_query(append_sig, Const("nat"), "optimized")
+    goal, proof, _ = translate_query(append_sig, Const("nat"), "optimized")
     solver = Solver(programs["optimized"], Limits(depth=3))
     got = [sol.value(proof) for sol in solver.solve(goal)]
     assert got[0] == HConst("z")
@@ -163,9 +160,8 @@ SPLITS = [("nil", Z3), ("cons z nil", "cons z (cons z nil)"), ("cons z (cons z n
 )
 def test_enumerates_every_split_resuming_after_each_answer(append_sig, programs, mode, iterative, counters):
     # each answer after the first resumes the search from its choice points
-    q, _ = parse_query(f"append L K ({Z3})", append_sig)
-    goal, _ = translate_query(append_sig, q, mode)
-    metas = collect_metas(goal)
+    q = parse_query(f"append L K ({Z3})", append_sig)
+    goal, _, metas = translate_query(append_sig, q, mode)
     solver = Solver(programs[mode])
     sols = list(solver.solve(goal, iterative=iterative))
     want = [tuple(encode_term(parse_expr_text(t)) for t in split) for split in SPLITS]
@@ -195,13 +191,13 @@ def test_dropping_a_deep_search_is_cheap(append_sig, programs, cli_limits):
 
 
 def test_hypothetical_goal(append_sig, programs):
-    goal, proof = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
+    goal, proof, _ = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
     sol = next(Solver(programs["optimized"]).solve(goal))
     assert sol.value(proof) == HLam("x", HBound(0))
 
 
 def test_solution_bindings_are_eigen_free(append_sig, programs):
-    goal, proof = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
+    goal, proof, _ = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
     for sol in Solver(programs["optimized"]).solve(goal):
         assert open_leaves(sol.value(proof), HEigen, []) == []
         break
@@ -332,16 +328,15 @@ def test_optimization_completeness_on_ground_checks(append_sig, programs):
 def test_check_depth_equivalence_shared_goal(append_sig, programs):
     rng = random.Random(53)
     for q, expect in append_query_corpus(rng, 40):
-        goal, _ = translate_query(append_sig, q, "optimized")
-        naive_goal, _ = translate_query(append_sig, q, "naive")
+        goal, proof, metas = translate_query(append_sig, q, "optimized")
+        naive_goal, _, _ = translate_query(append_sig, q, "naive")
         if goal != naive_goal:
             continue  # only base-type queries share the formula
         first_n = next(Solver(programs["naive"], Limits(depth=48)).solve(goal, iterative=True), None)
         first_o = next(Solver(programs["optimized"], Limits(depth=48)).solve(goal, iterative=True), None)
         assert (first_n is None) == (first_o is None), f"disagreement on {q}"
         if first_n is not None:
-            metas = collect_metas(goal).values()
-            assert all(first_n.value(m) == first_o.value(m) for m in metas), f"disagreement on {q}"
+            assert all(first_n.value(m) == first_o.value(m) for m in (*metas.values(), proof)), f"disagreement on {q}"
         if expect is not None:
             assert (first_o is not None) == expect
 
@@ -357,8 +352,8 @@ def test_trace_golden_ground_check(append_sig, programs, golden_dir):
 
 
 def test_trace_golden_example_query(append_sig, programs, golden_dir):
-    q, _ = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
-    goal, _ = translate_query(append_sig, q, "optimized")
+    q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
+    goal, _, _ = translate_query(append_sig, q, "optimized")
     solver = Solver(programs["optimized"], trace=True)
     sol = next(solver.solve(goal))
     assert "\n".join(sol.trace) + "\n" == (golden_dir / "example_query_optimized.trace").read_text()
@@ -377,7 +372,7 @@ def test_trace_alignment_top_events(append_sig, programs):
 
 
 def test_assumption_trace_event(append_sig, programs):
-    goal, _ = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
+    goal, _, _ = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
     solver = Solver(programs["optimized"], trace=True)
     sol = next(solver.solve(goal))
     assert any(t.startswith("all ") for t in sol.trace)
@@ -476,8 +471,8 @@ NAIVE_OUT_TRACE = (
 
 
 def test_index_keeps_steps_and_trace_naive_output_search(append_sig, programs):
-    q, _ = parse_query("append (cons z (cons z nil)) (cons z nil) Out", append_sig)
-    goal, _ = translate_query(append_sig, q, "naive")
+    q = parse_query("append (cons z (cons z nil)) (cons z nil) Out", append_sig)
+    goal, _, _ = translate_query(append_sig, q, "naive")
     solver = Solver(programs["naive"], trace=True)
     sol = next(solver.solve(goal, iterative=True))
     assert sol.counters.backchain_steps == NAIVE_OUT_STEPS
@@ -515,8 +510,8 @@ HOAS_TRACE = (
 
 def test_index_keeps_variable_names_under_binders():
     sig = checked_signature(parse_signature(STLC_TEXT))
-    q, _ = parse_query("of (lam base ([x:tm] lam base ([y:tm] y))) T", sig)
-    goal, _ = translate_query(sig, q, "optimized")
+    q = parse_query("of (lam base ([x:tm] lam base ([y:tm] y))) T", sig)
+    goal, _, _ = translate_query(sig, q, "optimized")
     solver = Solver(translate(sig, "optimized"), trace=True)
     sol = next(solver.solve(goal, iterative=True))
     assert sol.counters.backchain_steps == 6
@@ -541,10 +536,10 @@ def test_index_is_transparent(mode, text, query):
     # included, and the same steps as with the index; only unification
     # attempts are saved
     sig = checked_signature(parse_signature(text))
-    q, _ = parse_query(query, sig)
+    q = parse_query(query, sig)
     runs = []
     for indexed in (True, False):
-        goal, _ = translate_query(sig, q, mode)
+        goal, _, _ = translate_query(sig, q, mode)
         solver = Solver(translate(sig, mode), trace=True)
         if not indexed:
             solver._plan = lambda goal, plan=solver._plan: (None, None, plan(goal)[2])
@@ -562,7 +557,7 @@ def test_sibling_guard_does_not_see_earlier_guard_assumptions(mode):
     # assumption: 5 unifications, where trying it made 7 (its classifier
     # unifies, then its subject `x` is out of M's scope)
     sig = checked_signature(parse_signature("q : type. r : type. s : type. mk : (r -> q) -> r -> s. g : q."))
-    goal, _ = translate_query(sig, Const("s"), mode)
+    goal, _, _ = translate_query(sig, Const("s"), mode)
     solver = Solver(translate(sig, mode))
     assert list(solver.solve(goal)) == []
     assert solver.counters.unify_calls == 5

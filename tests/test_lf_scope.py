@@ -469,7 +469,7 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
     rng = random.Random(20109)
     closed = function_typed = searched = applied_raised = 0
     for i in range(150):
-        q, _ = parse_query(random_stlc_query(rng), sig)
+        q = parse_query(random_stlc_query(rng), sig)
         assert_meta_flags(q)
         sess = QuerySession(sig, q, "optimized", Limits(depth=4, budget=5000))
         qn, classifiers = sess.query_type, sess.classifiers
@@ -484,9 +484,8 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
             assert not out.has_meta
             searched += qn.has_meta
         subject = spine(qn)[1][0]
-        metas = {n: HMeta(n, k + 1) for k, n in enumerate(sess.metas)}
         try:
-            out = decode_term(sig, encode_term(subject, metas), Const("tm"), close=lambda m, cls: STLC_VALUES[cls])
+            out = decode_term(sig, encode_term(subject, sess.metas), Const("tm"), close=lambda m, cls: STLC_VALUES[cls])
         except ReconstructError as e:
             assert "is applied" in str(e), e
             applied_raised += 1

@@ -89,20 +89,20 @@ def test_end_of_input_after_a_trailing_comment():
 
 
 def test_parse_query_metavars(append_sig):
-    q, metas = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
-    assert metas == ["L"]
+    q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
+    assert list(QuerySession(append_sig, q, "optimized").metas) == ["L"]
     head_args = pretty_print(q)
     assert head_args == "append (cons z nil) (cons (s z) nil) L"
 
 
 def test_parse_query_closed(append_sig):
-    q, metas = parse_query("nat", append_sig)
-    assert q == Const("nat") and metas == []
+    q = parse_query("nat", append_sig)
+    assert q == Const("nat") and QuerySession(append_sig, q, "optimized").metas == {}
 
 
 def test_parse_query_shared_meta(append_sig):
-    q, metas = parse_query("append L L nil", append_sig)
-    assert metas == ["L"]
+    q = parse_query("append L L nil", append_sig)
+    assert list(QuerySession(append_sig, q, "optimized").metas) == ["L"]
     assert q == make_app(Const("append"), [Meta("L"), Meta("L"), Const("nil")])
 
 
@@ -112,8 +112,8 @@ def test_parse_query_meta_at_binder(append_sig):
 
 
 def test_lowercase_binders_allowed_in_query(append_sig):
-    q, metas = parse_query("{x:nat} nat", append_sig)
-    assert metas == [] and isinstance(q, Pi)
+    q = parse_query("{x:nat} nat", append_sig)
+    assert isinstance(q, Pi) and QuerySession(append_sig, q, "optimized").metas == {}
 
 
 def test_uppercase_binders_allowed_in_signatures():
@@ -204,7 +204,7 @@ def test_normalize_returns_canonical_classifiers_themselves(name, golden_dir):
 )
 def test_normalize_returns_a_decoded_proof_itself(text, query):
     sig = checked_signature(parse_signature(text))
-    q, _ = parse_query(query, sig)
+    q = parse_query(query, sig)
     _, ans = QuerySession(sig, q, "optimized").first_answer(iterative=True)
     assert ans.certified
     assert normalize(ans.lf_type, TYPE, sig) is ans.lf_type
@@ -261,7 +261,7 @@ def test_normalize_substitutes_without_capture():
     # the argument `y` of the inner redex lands under the binder `z`; it
     # used to be captured by it, giving `[z:tm] z`
     sig = checked_signature(parse_signature(STLC_TEXT))
-    q, _ = parse_query("of (lam base ([y:tm] ([x:tm] lam (arr base base) ([z:tm] x)) y)) T", sig)
+    q = parse_query("of (lam base ([y:tm] ([x:tm] lam (arr base base) ([z:tm] x)) y)) T", sig)
     got = pretty_print(normalize(q, TYPE, sig))
     assert got == "of (lam base ([y:tm] lam (arr base base) ([z:tm] y))) T"
     redex = parse_expr_text("[y:tm] ([x:tm] [z:tm] x) y")

@@ -25,7 +25,7 @@ from lfhh.reconstruct import (
     finalize_metavars,
 )
 
-from corpus import APPEND_TEXT, STLC_TEXT, append_query_corpus
+from corpus import APPEND_TEXT, RIGID_GUARD_TEXT, STLC_TEXT, append_query_corpus, rigid_guard_query
 
 
 # -- decoding --------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_decode_without_close_rejects_unbound_variable(append_sig):
 
 
 def test_decode_example_proof_round_trip(append_sig):
-    q, _ = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
+    q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     sol, ans = sess.first_answer()
     assert ans.certified
@@ -92,7 +92,7 @@ def test_decode_example_proof_round_trip(append_sig):
 
 
 def test_finalize_pass_through_when_closed(append_sig):
-    q, _ = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
+    q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     sol = next(sess.solver.solve(sess.goal))
     ty, proof, bindings = finalize_metavars(sess, sol)
@@ -106,7 +106,7 @@ def test_a_session_leaves_the_recursion_limit_alone(append_sig):
     # only the command line raises the limit for the whole process; a
     # library caller keeps the one it set, whatever the depth bound
     limit = sys.getrecursionlimit()
-    q, _ = parse_query("append (cons z nil) K L", append_sig)
+    q = parse_query("append (cons z nil) K L", append_sig)
     sess = QuerySession(append_sig, q, "optimized", Limits(depth=5000))
     _, ans = sess.first_answer()
     assert ans.certified and sess.binding_report(ans)
@@ -122,7 +122,7 @@ def test_finalize_nothing_residual_for_first_inhabitant(append_sig):
 def test_finalize_residual_binds_first_inhabitant(append_sig):
     # the head instantiation leaves the shared variable open; closing picks
     # the first inhabitant in clause order
-    q, _ = parse_query("append nil K K", append_sig)
+    q = parse_query("append nil K K", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     raw = next(Solver(sess.program).solve(sess.goal))
     assert open_leaves(raw.value(sess.proof_meta), HMeta, []) != []  # flagged open before closing
@@ -146,7 +146,7 @@ def test_certify_decodes_each_occurrence_once(monkeypatch, text, query, walks, s
     # one decoder walk per query-variable occurrence and one for the proof,
     # and one auxiliary search per residual variable, however often it occurs
     sig = checked_signature(parse_signature({"append": APPEND_TEXT, "stlc": STLC_TEXT}[text]))
-    q, _ = parse_query(query, sig)
+    q = parse_query(query, sig)
     sess = QuerySession(sig, q, "optimized")
     sol = next(sess.solver.solve(sess.goal))
     counts = {"walks": 0, "searches": 0}
@@ -166,7 +166,7 @@ def test_certify_decodes_each_occurrence_once(monkeypatch, text, query, walks, s
 
 def test_finalize_returns_the_certified_proof(append_sig):
     # the proof decoded while closing is the one certification checks
-    q, _ = parse_query("append nil K K", append_sig)
+    q = parse_query("append nil K K", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     sol = next(sess.solver.solve(sess.goal))
     ty, proof, _ = finalize_metavars(sess, sol)
@@ -183,7 +183,7 @@ def test_finalize_uninhabited_residual(append_sig):
             " f : empty -> type. w : {e:empty} f e."
         )
     )
-    q, _ = parse_query("f E", sig)
+    q = parse_query("f E", sig)
     sess = QuerySession(sig, q, "optimized", Limits(depth=24))
     sol = next(sess.solver.solve(sess.goal))
     with pytest.raises(ReconstructError, match="uninhabited residual type"):
@@ -195,7 +195,7 @@ def test_finalize_uninhabited_residual(append_sig):
 
 def test_certify_example_answer_both_modes(append_sig):
     for mode, iterative in (("optimized", False), ("naive", True)):
-        q, _ = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
+        q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
         sess = QuerySession(append_sig, q, mode)
         sol, ans = sess.first_answer(iterative=iterative)
         assert ans.certified
@@ -221,7 +221,7 @@ def _swap_const(t, a, b):
 
 
 def test_certify_rejects_corrupted_binding(append_sig):
-    q, _ = parse_query("append (cons z nil) nil L", append_sig)
+    q = parse_query("append (cons z nil) nil L", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
     sol, ans = sess.first_answer()
     assert ans.certified
@@ -247,7 +247,7 @@ def test_certify_never_rejects_solver_output(append_sig):
 def test_higher_order_guard_search(remark_sig):
     # assumption-scoped search instantiates a function-typed binder and the
     # decoded answer re-checks
-    q, _ = parse_query("num N", remark_sig)
+    q = parse_query("num N", remark_sig)
     sess = QuerySession(remark_sig, q, "optimized")
     sol, ans = sess.first_answer()
     assert ans.certified
@@ -260,9 +260,43 @@ def test_session_normalizes_a_parsed_query_itself(query):
     # a library caller passes the parsed, unnormalized query; the session
     # records M's classifier `tm -> tm` while normalizing it
     sig = checked_signature(parse_signature(STLC_TEXT))
-    q, _ = parse_query(query, sig)
+    q = parse_query(query, sig)
     sess = QuerySession(sig, q, "optimized")
     _, ans = sess.first_answer()
     assert ans.certified, ans.reason
     assert pretty_print(ans.lf_type) == "of (lam base ([x:tm] x)) (arr base base)"
     assert {n: pretty_print(v) for n, v in sess.binding_report(ans).items()} == {"M": "[x:tm] x"}
+
+
+def test_variables_under_rigid_guards_agree_across_modes():
+    # each query has a variable that the optimized goal does not mention;
+    # the session's table still holds it, search numbers its own variables
+    # past it, and closing gives it the value that naive search finds
+    sig = checked_signature(parse_signature(RIGID_GUARD_TEXT))
+    rng = random.Random(29)
+    for _ in range(12):
+        text = rigid_guard_query(rng)
+        q = parse_query(text, sig)
+        answers = {}
+        for mode in ("naive", "optimized"):
+            sess = QuerySession(sig, q, mode)
+            in_goal = {m.name for m in open_leaves(sess.goal, HMeta, [])}
+            assert (set(sess.metas) <= in_goal) == (mode == "naive"), text
+            found = sess.first_answer(iterative=True)
+            assert found is not None, (mode, text)
+            _, ans = found
+            assert ans.certified, (mode, text, ans.reason)
+            answers[mode] = ans.lf_type, ans.lf_proof, sess.binding_report(ans)
+        assert answers["naive"] == answers["optimized"], text
+
+
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+def test_a_search_leaves_the_session_as_it_was(append_sig, mode):
+    # iterative deepening runs each round at its own bound, and a stream that
+    # is closed after its first answer undoes its bindings, so the session's
+    # next search finds every split, as a fresh session does
+    q = parse_query("append L K (cons z (cons z (cons z nil)))", append_sig)
+    sess = QuerySession(append_sig, q, mode)
+    assert sess.first_answer(iterative=True) is not None
+    assert sess.solver.limits == Limits() and sess.solver.bindings == {}
+    assert len(list(sess.answers())) == len(list(QuerySession(append_sig, q, mode).answers())) == 4
