@@ -109,8 +109,9 @@ def _print_answer(sess: QuerySession, sol, answer) -> None:
 def cmd_solve(args) -> int:
     sig, goal_type = _load_query(args)
     sess = QuerySession(sig, goal_type, args.mode, _limits(args), trace=args.trace)
+    search = sess.search()
     found = False
-    for sol, answer in sess.answers(iterative=args.iterdeep):
+    for sol, answer in sess.answers(args.iterdeep, search):
         if not answer.certified:
             print(f"internal error: a solver answer was not certified: {answer.reason}", file=sys.stderr)
             return EXIT_INTERNAL
@@ -125,17 +126,18 @@ def cmd_solve(args) -> int:
             break
     if found:
         return EXIT_OK
-    if (code := _exhausted(sess.solver, args)) is not None:
+    if (code := _exhausted(search, args)) is not None:
         return code
     print(f"no solution within depth {args.depth} (search space exhausted)")
-    if sess.solver.non_pattern_seen:
+    if search.non_pattern_seen:
         print("note: a unification problem left the pattern fragment on a failed branch", file=sys.stderr)
     return EXIT_INPUT
 
 
 def _exhausted(solver: Solver, args) -> int | None:
-    """When a search that found nothing hit the budget or the depth bound,
-    say which and return the resource exit code; otherwise None."""
+    """When the search of `solver`, ended without an answer, hit the budget
+    or the depth bound, say which and return the resource exit code;
+    otherwise None."""
     if solver.budget_hit:
         print(f"no solution: unification budget ({args.budget}) exceeded")
         return EXIT_RESOURCE
@@ -177,12 +179,14 @@ def cmd_bench(args) -> int:
             if args.search:
                 open_ty = App(ty.fn, Meta("Out"))  # append L nil Out
                 sess = QuerySession(sig, open_ty, mode, limits, program=programs[mode])
-                solver, goal = sess.solver, sess.goal
+                solver = sess.search()
+                stream = sess.solutions(solver)
             else:
                 solver = Solver(programs[mode], limits)
-                goal = inhabitation_goal(sig, ty, encode_term(proof), mode)
+                stream = solver.solve(inhabitation_goal(sig, ty, encode_term(proof), mode))
             t0 = time.perf_counter_ns()
-            ok = next(solver.solve(goal), None) is not None
+            ok = next(stream, None) is not None
+            stream.close()
             wall = time.perf_counter_ns() - t0
             if not ok:
                 if (code := _exhausted(solver, args)) is not None:
@@ -208,8 +212,9 @@ def cmd_compare(args) -> int:
     limits = _limits(args)
     sess_n = QuerySession(sig, goal_type, "naive", limits)
     sess_o = QuerySession(sig, goal_type, "optimized", limits)
-    res_n = sess_n.first_answer(iterative=True)
-    res_o = sess_o.first_answer(iterative=True)
+    searches = sess_n.search(), sess_o.search()
+    res_n = sess_n.first_answer(True, searches[0])
+    res_o = sess_o.first_answer(True, searches[1])
     ok_n = res_n is not None
     ok_o = res_o is not None
     print(f"naive: {'solution' if ok_n else 'no solution'}")
@@ -218,7 +223,7 @@ def cmd_compare(args) -> int:
         print("DISAGREEMENT: success differs between modes")
         return EXIT_INTERNAL
     if not ok_n:
-        exhausted = sess_n.solver.depth_hit or sess_n.solver.budget_hit or sess_o.solver.depth_hit or sess_o.solver.budget_hit
+        exhausted = any(s.depth_hit or s.budget_hit for s in searches)
         print("agreement: both modes fail" + (" (resource limited)" if exhausted else " (finitely)"))
         return EXIT_RESOURCE if exhausted else EXIT_OK
     sol_n, ans_n = res_n

@@ -88,13 +88,12 @@ raising: Miller, J. Logic Comput. 1991; Nadathur & Linnell, ICLP 2005).
 Counters: `backchain_steps` counts committed backchain applications only;
 truth discharges are counted separately; `unify_calls` counts top-level
 unification invocations and is the resource budget; clauses skipped by the
-index are not counted.
+index are not counted.  Each search counts from zero.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .hhf_logic import (
     Clause,
@@ -379,66 +378,94 @@ def compiled_program(program: ClauseSet) -> tuple[CompiledClause, ...]:
 
 
 class Solution(Record):
-    """One answer: a snapshot of the binding store plus bookkeeping."""
+    """One answer: a snapshot of the binding store, the next free variable
+    and eigenvariable ids past every one the search made, and bookkeeping.
+    A `Solver` built over a solution continues from those ids, so it needs
+    no walk over the store to avoid them."""
 
-    __slots__ = ("bindings", "counters", "trace")
-    __match_args__ = ("bindings", "counters", "trace")
+    __slots__ = ("bindings", "counters", "trace", "next_meta", "next_eigen")
+    __match_args__ = __slots__
 
-    def __init__(self, bindings: dict[int, HhTerm], counters: Counters, trace: tuple[str, ...] = ()):
+    def __init__(
+        self,
+        bindings: dict[int, HhTerm],
+        counters: Counters,
+        trace: tuple[str, ...] = (),
+        next_meta: int = 1,
+        next_eigen: int = 1,
+    ):
         self.bindings = bindings
         self.counters = counters
         self.trace = trace
+        self.next_meta = next_meta
+        self.next_eigen = next_eigen
 
     def value(self, m: HhTerm) -> HhTerm:
         return resolve_term(self.bindings, m)
 
 
 class Solver:
-    """One search state; not shared between threads.  Distinct solves may run
-    concurrently, each owning its own Solver."""
+    """One search of `program` within `limits`, with all of its state: a
+    binding store and its trail, the counters, the trace, the next variable
+    and eigenvariable ids, and the `depth_hit`, `budget_hit` and
+    `non_pattern_seen` flags.  The store and the ids begin as those of
+    `store`, an earlier answer, or as an empty store numbered from 1.  Each
+    `solve` starts afresh, with its own counters and its whole budget.  Not
+    shared between threads; distinct searches may run concurrently, each
+    owning its own Solver."""
 
     def __init__(
         self,
         program: ClauseSet,
         limits: Limits | None = None,
         trace: bool = False,
-        bindings: dict[int, HhTerm] | None = None,
+        store: Solution | None = None,
     ):
         self.program = program
         self.static = compiled_program(program)
         self.limits = limits or Limits()
-        self.bindings: dict[int, HhTerm] = dict(bindings) if bindings else {}
+        self.trace_on = trace
+        self.store = store or Solution({}, Counters())
+        self.bindings: dict[int, HhTerm] = dict(self.store.bindings)
         self.trail: list[int] = []
-        self.counters = Counters()
         # the running clause attempt, which head unification reads: its
         # eigenvariable level, quantifier prefix and first variable id
         self.level = 0
         self._prefix: tuple[tuple[str, SimpleType], ...] = ()
         self._base = 0
+        self._fresh()
+
+    def _fresh(self) -> None:
+        """The counters, flags, trace and ids of a search that has not begun."""
+        self.counters = Counters()
         self.depth_hit = False
         self.budget_hit = False
         self.non_pattern_seen = False
-        self.trace_on = trace
         self.trace: list[str] = []
-        self._next_meta = 1
-        self._eigen_ids = itertools.count(1)
+        self._next_meta = self.store.next_meta
+        self._next_eigen = self.store.next_eigen
 
     # -- public entry points --------------------------------------------------
 
-    def solve(self, goal: HhFormula, iterative: bool = False, metas: Iterable[HMeta] = ()) -> Iterator[Solution]:
+    def solve(self, goal: HhFormula, iterative: bool = False) -> Iterator[Solution]:
         """Lazily enumerate solutions in clause order with chronological
         backtracking.  The stream ends on exhaustion; `depth_hit` and
         `budget_hit` distinguish resource cutoffs from finite failure.
-        Fresh variables are numbered past the query variables `metas` too.
 
         With `iterative` the depth bound grows from 1 up to the configured
         limit and all solutions of the first successful bound are streamed;
         search stops early when a bound is exhausted without being hit, since
         deeper bounds cannot change a finite failure.  The trace of a failed
         bound is dropped; variable and eigenvariable ids keep counting.
-        Once the stream ends or is closed, the store is as it was before.
+
+        The search starts afresh: zero counters, cleared flags and trace,
+        the whole budget, and ids from the store's next ones, or past the
+        variables of `goal` where those are higher.  When the stream ends or
+        is closed, the store is as it was when it began.
         """
-        self._seed_ids(goal, metas)
+        self._fresh()
+        for m in open_leaves(goal, HMeta, []):
+            self._next_meta = max(self._next_meta, m.id + 1)
         mark = self._mark()
         depth = self.limits.depth
         try:
@@ -447,7 +474,9 @@ class Solver:
                 found = False
                 for _ in self._search(goal, d):
                     found = True
-                    yield Solution(dict(self.bindings), self.counters.copy(), tuple(self.trace))
+                    yield Solution(
+                        dict(self.bindings), self.counters.copy(), tuple(self.trace), self._next_meta, self._next_eigen
+                    )
                 if found or not self.depth_hit:
                     return
                 self.trace.clear()
@@ -469,18 +498,6 @@ class Solver:
         return resolve_term(self.bindings, t)
 
     # -- bookkeeping -----------------------------------------------------------
-
-    def _seed_ids(self, goal: HhFormula, metas: Iterable[HMeta]) -> None:
-        taken = [m.id for m in open_leaves(goal, HMeta, list(metas))]
-        taken.extend(self.bindings.keys())
-        eigens = [0]
-        for t in self.bindings.values():
-            taken.extend(m.id for m in open_leaves(t, HMeta, []))
-            eigens.extend(e.id for e in open_leaves(t, HEigen, []))
-        if taken:
-            self._next_meta = max(taken) + 1
-        if max(eigens):
-            self._eigen_ids = itertools.count(max(eigens) + 1)
 
     def _fresh_meta(self, hint: str, level: int) -> HMeta:
         i = self._next_meta
@@ -509,7 +526,8 @@ class Solver:
         return regs
 
     def _fresh_eigen(self, hint: str, level: int) -> HEigen:
-        i = next(self._eigen_ids)
+        i = self._next_eigen
+        self._next_eigen += 1
         base = hint if hint and hint != "_" else "c"
         return HEigen(f"{base}!{i}", i, level)
 
@@ -695,8 +713,7 @@ class Solver:
         if a.scope == 0 and b.scope == 0 and a.lam_free and b.lam_free:
             return a == b
         if isinstance(a, HLam) or isinstance(b, HLam):
-            i = next(self._eigen_ids)
-            e = HEigen(f"u!{i}", i, self.level + 1)
+            e = self._fresh_eigen("u", self.level + 1)
             return self._uni(h_apply(a, e), h_apply(b, e))
         ha, aa = hspine(a)
         hb, ab = hspine(b)

@@ -7,18 +7,20 @@ off the head's declaration).  Residual closing happens inside it: a
 meta-variable left unbound after search is closed where the decoder meets
 it, by an auxiliary inhabitation search (same program, same clause order)
 that binds it to its first inhabitant in the binding store, and its value is
-decoded in its place.  The store is the only record of residual variables,
-so a variable met again is not searched for again.  The query type is closed
-first, by a walk that keeps the user's binder names and decodes each query
-variable it meets, and is re-checked; the values it decodes are the
-answer's bindings.  The proof is then decoded once against the closed type.
-Certification runs the kernel on the closed type and proof; a rejection
-here on solver output would falsify the translation-correctness property and
-is reported, never swallowed.
+decoded in its place.  Each auxiliary search runs over the last solution and
+continues from its next ids, so it never walks the store.  The store is the
+only record of residual variables, so a variable met again is not searched
+for again.  The query type is closed first, by a walk that keeps the user's
+binder names and decodes each query variable it meets, and is re-checked;
+the values it decodes are the answer's bindings.  The proof is then decoded
+once against the closed type.  Certification runs the kernel on the closed
+type and proof; a rejection here on solver output would falsify the
+translation-correctness property and is reported, never swallowed.
 
 `QuerySession` owns the query: it normalizes the query type, keeps the one
 table of its variables and their classifiers, and kernel-checks a query
 type without variables, for the command line and library callers alike.
+It keeps no search: each one runs on a new `Solver`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .hhf_logic import (
     translate,
     translate_query,
 )
-from .hhf_prover import Counters, Limits, Solution, Solver, resolve_term
+from .hhf_prover import Counters, Limits, Solution, Solver
 from .lf_syntax import (
     LfError,
     LfExpr,
@@ -208,28 +210,29 @@ def finalize_metavars(sess: QuerySession, solution: Solution) -> tuple[LfExpr, L
     decoding meets it.  Returns the closed type, the decoded closed proof,
     and the value of each query variable that closed the type.  Idempotent
     when the solution is already closed."""
-    run = _Closing(sess, dict(solution.bindings))
+    run = _Closing(sess, solution)
     closed_type = run.close_query(sess.query_type, None)
     if sess.query_type.has_meta:  # a closed query type was checked by the session
         try:
             check_type(sess.sig, closed_type)
         except KernelError as e:
             raise ReconstructError(f"ill-typed binding: {e}") from None
-    lf_proof = decode_term(sess.sig, resolve_term(run.store, sess.proof_meta), closed_type, close=run.residual)
+    lf_proof = decode_term(sess.sig, run.last.value(sess.proof_meta), closed_type, close=run.residual)
     return closed_type, lf_proof, run.values
 
 
 class _Closing:
-    """The state of one `finalize_metavars` call: the binding store, which
-    each auxiliary search extends, the classifiers of the binders that
-    `close_query` has crossed, innermost last, and the value of each query
-    variable as `close_query` decoded it."""
+    """The state of one `finalize_metavars` call: the last solution, the
+    answer or the latest auxiliary search's, whose store each auxiliary
+    search extends, the classifiers of the binders that `close_query` has
+    crossed, innermost last, and the value of each query variable as
+    `close_query` decoded it."""
 
-    __slots__ = ("sess", "store", "stack", "values")
+    __slots__ = ("sess", "last", "stack", "values")
 
-    def __init__(self, sess: QuerySession, store: dict[int, HhTerm]):
+    def __init__(self, sess: QuerySession, last: Solution):
         self.sess = sess
-        self.store = store
+        self.last = last
         self.stack: list[LfExpr] = []
         self.values: dict[str, LfExpr] = {}
 
@@ -239,7 +242,7 @@ class _Closing:
         sess = self.sess
         match e:
             case Meta(n):
-                value = decode_term(sess.sig, resolve_term(self.store, sess.metas[n]), expected, self.stack, self.residual)
+                value = decode_term(sess.sig, self.last.value(sess.metas[n]), expected, self.stack, self.residual)
                 self.values[n] = value
                 return value
             case Pi(h, annot, body) | Lam(h, annot, body):
@@ -270,16 +273,16 @@ class _Closing:
     def residual(self, m: HMeta, cls: LfExpr) -> HhTerm:
         """The value of the residual variable `m` at the closed classifier
         `cls`: an auxiliary search binds it to its first inhabitant, unless
-        an earlier occurrence already did."""
-        if m.id not in self.store:
+        an earlier occurrence already did.  The search runs over the last
+        solution and numbers its variables past that solution's."""
+        if m.id not in self.last.bindings:
             sess = self.sess
             goal = inhabitation_goal(sess.sig, cls, m, sess.program.mode)
-            solver = Solver(sess.program, sess.limits, bindings=self.store)
-            sol = next(solver.solve(goal, iterative=True, metas=sess.metas.values()), None)
+            sol = next(Solver(sess.program, sess.limits, store=self.last).solve(goal, iterative=True), None)
             if sol is None:
                 raise ReconstructError(f"uninhabited residual type: {pretty_print(cls)}")
-            self.store = dict(sol.bindings)
-        return resolve_term(self.store, m)
+            self.last = sol
+        return self.last.value(m)
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +331,36 @@ class QuerySession:
             check_type(sig, self.query_type)
         self.mode = mode
         self.limits = limits
+        self.trace = trace
         self.program = program if program is not None else translate(sig, mode)
         self.goal, self.proof_meta, self.metas = translate_query(sig, self.query_type, mode)
-        self.solver = Solver(self.program, limits, trace)
+        # the store before search: empty, and numbered past every variable
+        # of the table, so search never reuses the id of one the goal drops
+        self.start = Solution({}, Counters(), (), 1 + max(m.id for m in (self.proof_meta, *self.metas.values())))
 
-    def answers(self, iterative: bool = False) -> Iterator[tuple[Solution, CertifiedAnswer]]:
-        for sol in self.solver.solve(self.goal, iterative=iterative, metas=self.metas.values()):
+    def search(self) -> Solver:
+        """A new `Solver` for one search of the query: the session's program,
+        limits and trace setting over `start`.  A caller that reads the
+        search's flags or counters once its stream ends passes it to
+        `solutions` or `answers`."""
+        return Solver(self.program, self.limits, self.trace, self.start)
+
+    def solutions(self, solver: Solver, iterative: bool = False) -> Iterator[Solution]:
+        """The answers of `solver`'s search of the query, uncertified."""
+        return solver.solve(self.goal, iterative=iterative)
+
+    def answers(
+        self, iterative: bool = False, solver: Solver | None = None
+    ) -> Iterator[tuple[Solution, CertifiedAnswer]]:
+        """Each answer of a search of the query with its certificate.  The
+        search is `solver`'s, or a new one's; every call searches afresh."""
+        for sol in self.solutions(solver or self.search(), iterative):
             yield sol, certify(self, sol)
 
-    def first_answer(self, iterative: bool = False) -> tuple[Solution, CertifiedAnswer] | None:
-        return next(self.answers(iterative=iterative), None)
+    def first_answer(
+        self, iterative: bool = False, solver: Solver | None = None
+    ) -> tuple[Solution, CertifiedAnswer] | None:
+        return next(self.answers(iterative, solver), None)
 
     def binding_report(self, answer: CertifiedAnswer) -> dict[str, LfExpr]:
         """The value of each query variable in a certified answer, in the

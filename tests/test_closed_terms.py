@@ -249,14 +249,14 @@ def test_closed_lambda_free_terms_unify_exactly_when_equal(append_sig, terms):
     pairs = [(a, a) for a in pool] + [(a, rehint(a, "copy")) for a in pool]
     pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(3000)]
     solver = Solver(translate(append_sig, "optimized"))
-    eigen = next(solver._eigen_ids)
+    eigen = solver._next_eigen
     verdicts = Counter()
     for a, b in pairs:
         verdict = solver.unify(a, b)
         assert verdict == (a == b), (a, b)
         verdicts[verdict] += 1
     assert solver.bindings == {} and solver.trail == []
-    assert next(solver._eigen_ids) == eigen + 1
+    assert solver._next_eigen == eigen
     assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
 
 

@@ -43,12 +43,12 @@ def _run(solver_class, sig, query, mode, limits, iterative, cap):
     """The first `cap` answers, each as (certified, type, proof, steps,
     unifications so far), and the unifications of the whole run."""
     sess = QuerySession(sig, query, mode, limits)
-    sess.solver = solver_class(sess.program, limits)
+    solver = solver_class(sess.program, limits, store=sess.start)
     got = []
-    for sol, ans in itertools.islice(sess.answers(iterative=iterative), cap):
+    for sol, ans in itertools.islice(sess.answers(iterative, solver), cap):
         steps, calls = sol.counters.backchain_steps, sol.counters.unify_calls
         got.append((ans.certified, pretty_print(ans.lf_type), pretty_print(ans.lf_proof), steps, calls))
-    return got, sess.solver.counters.unify_calls
+    return got, solver.counters.unify_calls
 
 
 def _same_answers(sig, query, mode, limits, iterative=True, cap=8):

@@ -12,14 +12,13 @@ value against its resolved variable, every other variable through its store
 entry.
 """
 
-import itertools
 import random
 
 import pytest
 
 from lfhh.hhf_logic import ClauseSet, HApp, HBound, HConst, HEigen, HLam, HMeta, h_instantiate, happs
 from lfhh.hhf_logic import TM
-from lfhh.hhf_prover import Solver, _head_code, _meta, resolve_term
+from lfhh.hhf_prover import Counters, Solution, Solver, _head_code, _meta, resolve_term
 
 PROGRAM = ClauseSet((), "optimized")
 ARITY = {"c": 0, "d": 0, "f": 1, "g": 2, "k": 2, "h": 3}
@@ -87,10 +86,10 @@ def goal_term(rng, depth, size):
 
 
 def solver_state():
-    s = Solver(PROGRAM, bindings=BINDINGS)
+    # a solver over a store whose next ids are NEXT_META and NEXT_EIGEN, in
+    # a clause attempt at the goal's level
+    s = Solver(PROGRAM, store=Solution(BINDINGS, Counters(), (), NEXT_META, NEXT_EIGEN))
     s.level = LEVEL
-    s._next_meta = NEXT_META
-    s._eigen_ids = itertools.count(NEXT_EIGEN)
     return s
 
 
@@ -105,7 +104,7 @@ def observe(s, verdict, binders):
         "trail": [k for k in s.trail if k not in ids],
         "counters": s.counters,
         "next_meta": s._next_meta,
-        "next_eigen": next(s._eigen_ids),
+        "next_eigen": s._next_eigen,
         "non_pattern_seen": s.non_pattern_seen,
     }
 

@@ -101,6 +101,20 @@ def test_budget_exhaustion_flag(append_sig, programs):
     assert solver.budget_hit
 
 
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+def test_each_solve_has_its_whole_budget(append_sig, programs, mode):
+    # a search starts from zero counters: repeated on one Solver whose
+    # budget one search just fits, each finds the answer, with the same
+    # counters
+    ty, proof = _append_check([Const("z")] * 4)
+    goal = inhabitation_goal(append_sig, ty, encode_term(proof), mode)
+    need = next(Solver(programs[mode]).solve(goal)).counters.unify_calls
+    solver = Solver(programs[mode], Limits(budget=need))
+    runs = [next(solver.solve(goal), None) for _ in range(2)]
+    assert None not in runs and not solver.budget_hit
+    assert runs[0].counters == runs[1].counters == solver.counters
+
+
 def test_counters_accessor(programs):
     solver = Solver(programs["optimized"])
     next(solver.solve(FAtom(HConst("z"), HConst("nat"))))

@@ -476,7 +476,7 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
         assert_meta_flags(qn)
         assert all(c.scope == 0 and not c.has_meta for c in classifiers.values())
         try:
-            out = _Closing(sess, {}).close_query(qn, None)
+            out = _Closing(sess, sess.start).close_query(qn, None)
         except ReconstructError as e:
             assert "is applied" in str(e) or "uninhabited" in str(e), e
         else:

@@ -218,12 +218,12 @@ CASES = [
     ),
     (
         Solution,
-        ({1: HConst("z")}, Counters(1, 2, 3), ("bc z",)),
-        {"bindings": {}, "counters": Counters(), "trace": ()},
+        ({1: HConst("z")}, Counters(1, 2, 3), ("bc z",), 2, 4),
+        {"bindings": {}, "counters": Counters(), "trace": (), "next_meta": 3, "next_eigen": 5},
         set(),
-        ("bindings", "counters", "trace"),
+        ("bindings", "counters", "trace", "next_meta", "next_eigen"),
         "Solution(bindings={1: HConst(name='z')}, counters=Counters(backchain_steps=1, top_steps=2, "
-        "unify_calls=3), trace=('bc z',))",
+        "unify_calls=3), trace=('bc z',), next_meta=2, next_eigen=4)",
     ),
     (
         CertifiedAnswer,

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from lfhh import hhf_logic, hhf_prover
 from lfhh.hhf_logic import (
     HApp,
     HBound,
@@ -94,7 +95,7 @@ def test_decode_example_proof_round_trip(append_sig):
 def test_finalize_pass_through_when_closed(append_sig):
     q = parse_query("append (cons z nil) (cons (s z) nil) L", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
-    sol = next(sess.solver.solve(sess.goal))
+    sol = next(sess.solutions(sess.search()))
     ty, proof, bindings = finalize_metavars(sess, sol)
     assert pretty_print(ty) == "append (cons z nil) (cons (s z) nil) (cons z (cons (s z) nil))"
     # idempotence on the closed solution
@@ -148,7 +149,7 @@ def test_certify_decodes_each_occurrence_once(monkeypatch, text, query, walks, s
     sig = checked_signature(parse_signature({"append": APPEND_TEXT, "stlc": STLC_TEXT}[text]))
     q = parse_query(query, sig)
     sess = QuerySession(sig, q, "optimized")
-    sol = next(sess.solver.solve(sess.goal))
+    sol = next(sess.solutions(sess.search()))
     counts = {"walks": 0, "searches": 0}
 
     def counted(name, fn):
@@ -168,7 +169,7 @@ def test_finalize_returns_the_certified_proof(append_sig):
     # the proof decoded while closing is the one certification checks
     q = parse_query("append nil K K", append_sig)
     sess = QuerySession(append_sig, q, "optimized")
-    sol = next(sess.solver.solve(sess.goal))
+    sol = next(sess.solutions(sess.search()))
     ty, proof, _ = finalize_metavars(sess, sol)
     ans = certify(sess, sol)
     assert isinstance(proof, LfExpr)
@@ -185,7 +186,7 @@ def test_finalize_uninhabited_residual(append_sig):
     )
     q = parse_query("f E", sig)
     sess = QuerySession(sig, q, "optimized", Limits(depth=24))
-    sol = next(sess.solver.solve(sess.goal))
+    sol = next(sess.solutions(sess.search()))
     with pytest.raises(ReconstructError, match="uninhabited residual type"):
         finalize_metavars(sess, sol)
 
@@ -290,6 +291,50 @@ def test_variables_under_rigid_guards_agree_across_modes():
         assert answers["naive"] == answers["optimized"], text
 
 
+def test_each_search_of_a_session_starts_afresh(append_sig):
+    # every `answers()` call runs a new search, so iterating twice gives the
+    # same answers with the same counters and traces
+    q = parse_query("append L K (cons z nil)", append_sig)
+    sess = QuerySession(append_sig, q, "optimized", trace=True)
+    runs = [[(sol.counters, sol.trace, ans.lf_proof) for sol, ans in sess.answers()] for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert [(c.backchain_steps, c.top_steps, c.unify_calls) for c, _, _ in runs[0]] == [(1, 1, 2), (3, 6, 6)]
+    assert all(trace for _, trace, _ in runs[0])
+
+
+def test_closing_walks_no_store(append_sig, monkeypatch):
+    # `{u1: append nil K1 K1} … {uk: …} append L nil Out` for a list L of n
+    # elements: the answer's store grows with n, and each Ki is closed by an
+    # auxiliary search over the last solution that numbers its variables
+    # past that solution's.  So closing walks the auxiliary goals only: the
+    # same nodes whatever n, and a number linear in k
+    def walked(n, k):
+        hyps = "".join(f"{{u{i}: append nil K{i} K{i}}} " for i in range(k))
+        lst = "nil"
+        for _ in range(n):
+            lst = f"(cons z {lst})"
+        sess = QuerySession(append_sig, parse_query(f"{hyps}append {lst} nil Out", append_sig), "optimized")
+        sol = next(sess.solutions(sess.search()))
+        count = 0
+        real = hhf_logic.open_leaves
+
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(hhf_logic, "open_leaves", counted)
+            m.setattr(hhf_prover, "open_leaves", counted)
+            finalize_metavars(sess, sol)
+        return count
+
+    few, some, many = (walked(50, k) for k in (10, 40, 160))
+    assert some >= 40 and some == walked(200, 40) and many == walked(200, 160)
+    # from k = 40 to 160 each residual costs at most what one did from 10 to 40
+    assert many - some <= 4 * (some - few)
+
+
 @pytest.mark.parametrize("mode", ["naive", "optimized"])
 def test_a_search_leaves_the_session_as_it_was(append_sig, mode):
     # iterative deepening runs each round at its own bound, and a stream that
@@ -297,6 +342,7 @@ def test_a_search_leaves_the_session_as_it_was(append_sig, mode):
     # next search finds every split, as a fresh session does
     q = parse_query("append L K (cons z (cons z (cons z nil)))", append_sig)
     sess = QuerySession(append_sig, q, mode)
-    assert sess.first_answer(iterative=True) is not None
-    assert sess.solver.limits == Limits() and sess.solver.bindings == {}
+    solver = sess.search()
+    assert sess.first_answer(True, solver) is not None
+    assert solver.limits == Limits() and solver.bindings == {}
     assert len(list(sess.answers())) == len(list(QuerySession(append_sig, q, mode).answers())) == 4
