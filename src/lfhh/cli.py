@@ -134,15 +134,15 @@ def cmd_solve(args) -> int:
     return EXIT_INPUT
 
 
-def _exhausted(solver: Solver, args) -> int | None:
+def _exhausted(solver: Solver, args, mode: str = "") -> int | None:
     """When the search of `solver`, ended without an answer, hit the budget
-    or the depth bound, say which and return the resource exit code;
-    otherwise None."""
+    or the depth bound, say which, after `mode`, and return the resource
+    exit code; otherwise None."""
     if solver.budget_hit:
-        print(f"no solution: unification budget ({args.budget}) exceeded")
+        print(f"{mode}no solution: unification budget ({args.budget}) exceeded")
         return EXIT_RESOURCE
     if solver.depth_hit:
-        print(f"no solution within depth {args.depth}")
+        print(f"{mode}no solution within depth {args.depth}")
         return EXIT_RESOURCE
     return None
 
@@ -220,6 +220,10 @@ def cmd_compare(args) -> int:
     print(f"naive: {'solution' if ok_n else 'no solution'}")
     print(f"optimized: {'solution' if ok_o else 'no solution'}")
     if ok_n != ok_o:
+        # a mode that ran out of depth or budget has not shown there is none
+        failed, search = ("optimized", searches[1]) if ok_n else ("naive", searches[0])
+        if (code := _exhausted(search, args, f"{failed}: ")) is not None:
+            return code
         print("DISAGREEMENT: success differs between modes")
         return EXIT_INTERNAL
     if not ok_n:

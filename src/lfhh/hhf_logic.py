@@ -120,13 +120,10 @@ TY = SBase("ty")
 def erase_type(classifier: LfExpr) -> SimpleType:
     """Erase an LF classifier: products to arrows, base types to `tm`,
     the kind `type` to `ty`.  Dependencies vanish."""
-    match classifier:
-        case TypeKind():
-            return TY
-        case Pi(_, annot, body):
-            return SArrow(erase_type(annot), erase_type(body))
-        case _:
-            return TM
+    cls = classifier.__class__
+    if cls is Pi:
+        return SArrow(erase_type(classifier.annot), erase_type(classifier.body))
+    return TY if cls is TypeKind else TM
 
 
 # ---------------------------------------------------------------------------
@@ -358,36 +355,34 @@ def encode_term(e: LfExpr, metas: Mapping[str, HMeta] | None = None) -> HhTerm:
 def _encode(t: LfExpr, metas: Mapping[str, HMeta] | None, shared: dict[int, HhTerm]) -> HhTerm:
     """`encode_term`'s walk; `shared` maps the id of an App node of the
     input to its encoding."""
-    match t:
-        case Const(n):
-            return HConst(n)
-        case Bound(k):
-            return HBound(k)
-        case Meta(n):
-            if metas is None or n not in metas:
-                raise LfError(f"meta-variable {n!r} has no target assignment")
-            return metas[n]
-        case App(f, a):
-            out = shared.get(id(t))
-            if out is None:
-                out = shared[id(t)] = HApp(_encode(f, metas, shared), _encode(a, metas, shared))
-            return out
-        case Lam(h, _, body):
-            return HLam(h, _encode(body, metas, shared))
-        case _:
-            raise LfError(f"expression has no term encoding: {t!r}")
+    cls = t.__class__
+    if cls is App:
+        out = shared.get(id(t))
+        if out is None:
+            out = shared[id(t)] = HApp(_encode(t.fn, metas, shared), _encode(t.arg, metas, shared))
+        return out
+    if cls is Const:
+        return HConst(t.name)
+    if cls is Bound:
+        return HBound(t.index)
+    if cls is Meta:
+        if metas is None or t.name not in metas:
+            raise LfError(f"meta-variable {t.name!r} has no target assignment")
+        return metas[t.name]
+    if cls is Lam:
+        return HLam(t.hint, _encode(t.body, metas, shared))
+    raise LfError(f"expression has no term encoding: {t!r}")
 
 
 def lf_head(h: HhTerm) -> LfExpr | None:
     """The LF head that `encode_term` maps to the head `h`: a constant or a
     bound variable; None for any other term."""
-    match h:
-        case HConst(n):
-            return Const(n)
-        case HBound(k):
-            return Bound(k)
-        case _:
-            return None
+    cls = h.__class__
+    if cls is HConst:
+        return Const(h.name)
+    if cls is HBound:
+        return Bound(h.index)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +627,15 @@ def _add_query_metas(e: LfExpr, is_arg: bool, out: dict[str, HMeta]) -> None:
     target: an input error in both modes, whether or not the mode's goal
     keeps its position."""
     head, args = spine(e)
-    match head:
-        case Pi(_, annot, body) | Lam(_, annot, body):
-            _add_query_metas(annot, False, out)
-            _add_query_metas(body, is_arg, out)
-        case Meta(n) if not is_arg:
-            raise LfError(f"meta-variable {n!r} has no target assignment")
-        case Meta(n) if n not in out:
-            out[n] = HMeta(n, len(out) + 1)
+    cls = head.__class__
+    if cls is Pi or cls is Lam:
+        _add_query_metas(head.annot, False, out)
+        _add_query_metas(head.body, is_arg, out)
+    elif cls is Meta:
+        if not is_arg:
+            raise LfError(f"meta-variable {head.name!r} has no target assignment")
+        if head.name not in out:
+            out[head.name] = HMeta(head.name, len(out) + 1)
     for arg in args:
         _add_query_metas(arg, True, out)
 
@@ -692,41 +688,38 @@ def inhabitation_goal(
 
 
 def print_simple_type(t: SimpleType, prec: int = 0) -> str:
-    match t:
-        case SBase(n):
-            return n
-        case SArrow(d, c):
-            s = f"{print_simple_type(d, 1)} -> {print_simple_type(c, 0)}"
-            return f"({s})" if prec > 0 else s
-        case _:
-            raise LfError(f"bad simple type {t!r}")
+    cls = t.__class__
+    if cls is SBase:
+        return t.name
+    if cls is SArrow:
+        s = f"{print_simple_type(t.dom, 1)} -> {print_simple_type(t.cod, 0)}"
+        return f"({s})" if prec > 0 else s
+    raise LfError(f"bad simple type {t!r}")
 
 
 def print_term(t: HhTerm, prec: int = 0, names: tuple[str, ...] = ()) -> str:
-    match t:
-        case HConst(n):
-            return n
-        case HEigen() as e:
-            return e.name
-        case HMeta() as m:
-            return f"?{m.name}"
-        case HBound(k):
-            return names[-1 - k] if k < len(names) else f"#{k}"
-        case HLam() as l:
-            # skip a name that would capture an outer binder the body refers to
-            k = len(names) + 1
-            while f"x{k}" in names and any(n == f"x{k}" and _refers(l.body, len(names) - j) for j, n in enumerate(names)):
-                k += 1
-            name = f"x{k}"
-            s = f"\\{name}. {print_term(l.body, 0, names + (name,))}"
-            return f"({s})" if prec > 0 else s
-        case HApp():
-            head, args = hspine(t)
-            parts = [print_term(head, 1, names)] + [print_term(a, 2, names) for a in args]
-            s = " ".join(parts)
-            return f"({s})" if prec > 1 else s
-        case _:
-            raise LfError(f"bad term {t!r}")
+    cls = t.__class__
+    if cls is HApp:
+        head, args = hspine(t)
+        parts = [print_term(head, 1, names)] + [print_term(a, 2, names) for a in args]
+        s = " ".join(parts)
+        return f"({s})" if prec > 1 else s
+    if cls is HBound:
+        k = t.index
+        return names[-1 - k] if k < len(names) else f"#{k}"
+    if cls is HConst or cls is HEigen:
+        return t.name
+    if cls is HMeta:
+        return f"?{t.name}"
+    if cls is HLam:
+        # skip a name that would capture an outer binder the body refers to
+        k = len(names) + 1
+        while f"x{k}" in names and any(n == f"x{k}" and _refers(t.body, len(names) - j) for j, n in enumerate(names)):
+            k += 1
+        name = f"x{k}"
+        s = f"\\{name}. {print_term(t.body, 0, names + (name,))}"
+        return f"({s})" if prec > 0 else s
+    raise LfError(f"bad term {t!r}")
 
 
 def _refers(t: HhTerm, k: int) -> bool:
@@ -754,20 +747,19 @@ def print_formula(f: HhFormula) -> str:
 
 
 def _show_formula(g: HhFormula, prec: int, names: tuple[str, ...], gen: _NameGen) -> str:
-    match g:
-        case FTop():
-            return "top"
-        case FAtom(s, c):
-            return f"hastype {print_term(s, 2, names)} {print_term(c, 2, names)}"
-        case FImplies(a, b):
-            s = f"{_show_formula(a, 2, names, gen)} => {_show_formula(b, 1, names, gen)}"
-            return f"({s})" if prec > 1 else s
-        case FForall(_, st, body):
-            name = gen.next()
-            s = f"forall {name}:{print_simple_type(st)}. {_show_formula(body, 0, names + (name,), gen)}"
-            return f"({s})" if prec > 0 else s
-        case _:
-            raise LfError(f"bad formula {g!r}")
+    cls = g.__class__
+    if cls is FAtom:
+        return f"hastype {print_term(g.subject, 2, names)} {print_term(g.classifier, 2, names)}"
+    if cls is FImplies:
+        s = f"{_show_formula(g.antecedent, 2, names, gen)} => {_show_formula(g.consequent, 1, names, gen)}"
+        return f"({s})" if prec > 1 else s
+    if cls is FForall:
+        name = gen.next()
+        s = f"forall {name}:{print_simple_type(g.stype)}. {_show_formula(g.body, 0, names + (name,), gen)}"
+        return f"({s})" if prec > 0 else s
+    if cls is FTop:
+        return "top"
+    raise LfError(f"bad formula {g!r}")
 
 
 def print_clauses(cs: ClauseSet) -> str:

@@ -281,15 +281,14 @@ def compile_clause(clause: Clause) -> CompiledClause:
     guards: list[tuple[int, HhFormula]] = []
     f = clause.formula
     while True:
-        match f:
-            case FForall(hint, st, body):
-                prefix.append((hint, st))
-                f = body
-            case FImplies(ant, cons):
-                guards.append((len(prefix), ant))
-                f = cons
-            case _:
-                break
+        if f.__class__ is FForall:
+            prefix.append((f.hint, f.stype))
+            f = f.body
+        elif f.__class__ is FImplies:
+            guards.append((len(prefix), f.antecedent))
+            f = f.consequent
+        else:
+            break
     head = f if isinstance(f, FAtom) else None
     subject_head = family_head = None
     if head is not None:

@@ -6,6 +6,11 @@ objects).  Binders are locally nameless: bound occurrences are de Bruijn
 indices, free occurrences are named nodes, and the name stored on a binder is
 only a printing hint.  Structural equality of two expressions is therefore
 exactly alpha-equality.
+
+Every walk over expressions, target terms or formulas in this package
+dispatches on the node's class (`t.__class__ is App`), never with `match`,
+whose class patterns cost about twice as much per node; no node class is
+subclassed, so the two tests agree.
 """
 
 from __future__ import annotations
@@ -308,21 +313,16 @@ def instantiate(body: LfExpr, value: LfExpr, depth: int = 0) -> LfExpr:
     """
     if 0 <= body.scope <= depth:
         return body
-    match body:
-        case Bound(k):
-            if k == depth:
-                return _shift(value, depth, 0) if depth and value.scope else value
-            if k > depth:
-                return Bound(k - 1)
-            return body
-        case App(f, a):
-            return App(instantiate(f, value, depth), instantiate(a, value, depth))
-        case Pi(h, annot, inner):
-            return Pi(h, instantiate(annot, value, depth), instantiate(inner, value, depth + 1))
-        case Lam(h, annot, inner):
-            return Lam(h, instantiate(annot, value, depth), instantiate(inner, value, depth + 1))
-        case _:
-            return body
+    cls = body.__class__
+    if cls is App:
+        return App(instantiate(body.fn, value, depth), instantiate(body.arg, value, depth))
+    if cls is Bound:  # its index is at least `depth`, by its scope
+        if body.index == depth:
+            return _shift(value, depth, 0) if depth and value.scope else value
+        return Bound(body.index - 1)
+    if cls is Pi or cls is Lam:
+        return cls(body.hint, instantiate(body.annot, value, depth), instantiate(body.body, value, depth + 1))
+    return body
 
 
 def free_names(e: LfExpr) -> set[str]:
@@ -331,17 +331,15 @@ def free_names(e: LfExpr) -> set[str]:
     stack = [e]
     while stack:
         t = stack.pop()
-        match t:
-            case Const(n):
-                out.add(n)
-            case App(f, a):
-                stack.append(f)
-                stack.append(a)
-            case Pi(_, annot, body) | Lam(_, annot, body):
-                stack.append(annot)
-                stack.append(body)
-            case _:
-                pass
+        cls = t.__class__
+        if cls is Const:
+            out.add(t.name)
+        elif cls is App:
+            stack.append(t.fn)
+            stack.append(t.arg)
+        elif cls is Pi or cls is Lam:
+            stack.append(t.annot)
+            stack.append(t.body)
     return out
 
 
@@ -570,52 +568,39 @@ class _Parser:
         at = next(islice(_TOKEN.finditer(self.text), i, None)).start(1)
         return LfSyntaxError(message, self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at))
 
-    def is_ident(self, t: str) -> bool:
-        return t != "" and t not in _PUNCT
-
-    def peek(self) -> str:
-        return self.toks[self.pos]
-
-    def next(self) -> str:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
     def expect(self, text: str | None = None) -> str:
         """The next token, which must be `text`, or an identifier if None."""
-        t = self.next()
-        if not (self.is_ident(t) if text is None else t == text):
+        t = self.toks[self.pos]
+        self.pos += 1
+        if not ((t != "" and t not in _PUNCT) if text is None else t == text):
             raise self.error(f"expected {text or 'ident'!r}, found {t or 'eof'!r}", self.pos - 1)
         return t
-
-    def at(self, text: str) -> bool:
-        """Whether the next token is the punctuation or identifier `text`."""
-        return self.toks[self.pos] == text
 
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> LfExpr:
-        if self.at("type"):
-            self.next()
-            return self._maybe_arrow(TYPE)
-        if self.at("{"):
-            return self._binder("{", "}", Pi)
-        if self.at("["):
-            return self._binder("[", "]", Lam)
-        head = self.parse_app()
-        return self._maybe_arrow(head)
+        t = self.toks[self.pos]
+        if t == "{":
+            return self._binder("}", Pi)
+        if t == "[":
+            return self._binder("]", Lam)
+        if t == "type":
+            self.pos += 1
+            left: LfExpr = TYPE
+        else:
+            left = self.parse_app()
+        if self.toks[self.pos] != "->":
+            return left
+        # Non-dependent product: the right side is parsed under an anonymous
+        # binder, "", which no identifier names, so its indices count it.
+        self.pos += 1
+        self.binders.append("")
+        right = self.parse_expr()
+        self.binders.pop()
+        return Pi("_", left, right)
 
-    def _maybe_arrow(self, left: LfExpr) -> LfExpr:
-        if self.at("->"):
-            self.next()
-            right = self.parse_expr()
-            # Non-dependent product: the binder is anonymous and the body does
-            # not reference it, so indices in `right` are unaffected.
-            return Pi("_", left, _shift(right, 1, 0))
-        return left
-
-    def _binder(self, open_: str, close: str, node) -> LfExpr:
-        self.expect(open_)
+    def _binder(self, close: str, node) -> LfExpr:
+        self.pos += 1  # the opening bracket
         name = self.expect()
         if name == "type":
             raise self.error("'type' cannot be a binder name", self.pos - 1)
@@ -633,45 +618,44 @@ class _Parser:
 
     def parse_app(self) -> LfExpr:
         e = self.parse_atom()
+        toks = self.toks
         while True:
-            t = self.toks[self.pos]
+            t = toks[self.pos]
             if t == "type":
                 raise self.error("'type' cannot be applied", self.pos)
-            if t == "(" or self.is_ident(t):
+            if t == "(" or (t != "" and t not in _PUNCT):
                 e = App(e, self.parse_atom())
             else:
                 return e
 
     def parse_atom(self) -> LfExpr:
-        name = self.next()
+        name = self.toks[self.pos]
+        self.pos += 1
         if name == "(":
             e = self.parse_expr()
             self.expect(")")
             return e
-        if self.is_ident(name):
-            for depth, b in enumerate(reversed(self.binders)):
-                if b == name:
-                    return Bound(depth)
-            if self.query_sig is not None and name not in self.query_sig and name[:1].isupper():
-                return Meta(name)
-            return Const(name)
-        raise self.error(f"unexpected token {name or 'eof'!r}", self.pos - 1)
+        if name == "" or name in _PUNCT:
+            raise self.error(f"unexpected token {name or 'eof'!r}", self.pos - 1)
+        binders = self.binders
+        if name in binders:
+            return Bound(binders[::-1].index(name))
+        if self.query_sig is not None and name not in self.query_sig and name[:1].isupper():
+            return Meta(name)
+        return Const(name)
 
 
 def _shift(e: LfExpr, by: int, cutoff: int) -> LfExpr:
     if 0 <= e.scope <= cutoff:
         return e
-    match e:
-        case Bound(k):
-            return Bound(k + by) if k >= cutoff else e
-        case App(f, a):
-            return App(_shift(f, by, cutoff), _shift(a, by, cutoff))
-        case Pi(h, annot, body):
-            return Pi(h, _shift(annot, by, cutoff), _shift(body, by, cutoff + 1))
-        case Lam(h, annot, body):
-            return Lam(h, _shift(annot, by, cutoff), _shift(body, by, cutoff + 1))
-        case _:
-            return e
+    cls = e.__class__
+    if cls is App:
+        return App(_shift(e.fn, by, cutoff), _shift(e.arg, by, cutoff))
+    if cls is Bound:  # its index is at least `cutoff`, by its scope
+        return Bound(e.index + by)
+    if cls is Pi or cls is Lam:
+        return cls(e.hint, _shift(e.annot, by, cutoff), _shift(e.body, by, cutoff + 1))
+    return e
 
 
 def parse_signature(text: str) -> Signature:
@@ -680,7 +664,7 @@ def parse_signature(text: str) -> Signature:
     p = _Parser(text)
     entries: list[SigEntry] = []
     seen: set[str] = set()
-    while p.peek():
+    while p.toks[p.pos]:
         name = p.expect()
         if name == "type":
             raise p.error("'type' cannot be declared", p.pos - 1)
@@ -699,8 +683,8 @@ def parse_query(text: str, sig: Signature) -> LfExpr:
     declared in `sig` become meta-variables."""
     p = _Parser(text, query_sig=sig)
     e = p.parse_expr()
-    if p.peek():
-        raise p.error(f"trailing input {p.peek()!r}", p.pos)
+    if p.toks[p.pos]:
+        raise p.error(f"trailing input {p.toks[p.pos]!r}", p.pos)
     return e
 
 
@@ -708,8 +692,8 @@ def parse_expr_text(text: str) -> LfExpr:
     """Parse a single expression in signature mode (no meta-variables)."""
     p = _Parser(text)
     e = p.parse_expr()
-    if p.peek():
-        raise p.error(f"trailing input {p.peek()!r}", p.pos)
+    if p.toks[p.pos]:
+        raise p.error(f"trailing input {p.toks[p.pos]!r}", p.pos)
     return e
 
 
@@ -723,15 +707,17 @@ _PREC_ATOM = 2
 
 
 def _uses_bound(e: LfExpr, depth: int) -> bool:
-    match e:
-        case Bound(k):
-            return k == depth
-        case App(f, a):
-            return _uses_bound(f, depth) or _uses_bound(a, depth)
-        case Pi(_, annot, body) | Lam(_, annot, body):
-            return _uses_bound(annot, depth) or _uses_bound(body, depth + 1)
-        case _:
-            return False
+    """Whether `e` has the loose index `depth`."""
+    if 0 <= e.scope <= depth:
+        return False
+    cls = e.__class__
+    if cls is Bound:
+        return e.index == depth
+    if cls is App:
+        return _uses_bound(e.fn, depth) or _uses_bound(e.arg, depth)
+    if cls is Pi or cls is Lam:
+        return _uses_bound(e.annot, depth) or _uses_bound(e.body, depth + 1)
+    return False
 
 
 def pretty_print(e: LfExpr) -> str:
@@ -746,42 +732,50 @@ def _wrap(s: str, have: int, want: int) -> str:
     return f"({s})" if have < want else s
 
 
+# The name of an arrow's binder while its body is printed: the body never
+# mentions it, and `fresh_name` never picks it.
+_ARROW = ""
+
+
 def _show(t: LfExpr, prec: int, names: list[str], shown: dict[tuple[int, int], tuple[LfExpr, str | None]]) -> str:
-    """`pretty_print`'s walk.  `shown` maps (id of an App node, precedence)
-    to (the node, its text once met twice, None before), at binder depth 0."""
-    match t:
-        case TypeKind():
-            return "type"
-        case Const(n) | Meta(n):
-            return n
-        case Bound(k):
-            return names[-1 - k] if k < len(names) else f"#{k}"
-        case App():
-            key = (id(t), prec)
-            met = not names and key in shown
-            if met and shown[key][1] is not None:
-                return shown[key][1]
-            head, args = spine(t)
-            parts = [_show(head, _PREC_APP, names, shown)] + [_show(a, _PREC_ATOM, names, shown) for a in args]
-            text = _wrap(" ".join(parts), _PREC_APP, prec)
-            if not names:
-                shown[key] = (t, text if met else None)
-            return text
-        case Pi(hint, annot, body):
-            if not _uses_bound(body, 0):
-                left = _show(annot, _PREC_APP, names, shown)
-                # the arrow body skips the unused binder slot
-                right = _show(instantiate(body, Const("_")), _PREC_EXPR, names, shown)
-                return _wrap(f"{left} -> {right}", _PREC_EXPR, prec)
-            name = fresh_name(hint, free_names(body), names)
-            inner = _show(body, _PREC_EXPR, names + [name], shown)
-            return _wrap(f"{{{name}:{_show(annot, _PREC_EXPR, names, shown)}}} {inner}", _PREC_EXPR, prec)
-        case Lam(hint, annot, body):
-            name = fresh_name(hint, free_names(body), names)
-            inner = _show(body, _PREC_EXPR, names + [name], shown)
-            return _wrap(f"[{name}:{_show(annot, _PREC_EXPR, names, shown)}] {inner}", _PREC_EXPR, prec)
-        case _:
-            raise LfError(f"cannot print {t!r}")
+    """`pretty_print`'s walk.  `names` names the binders crossed, innermost
+    last.  `shown` maps (id of an App node, precedence) to (the node, its
+    text once met twice, None before), at binder depth 0."""
+    cls = t.__class__
+    if cls is App:
+        key = (id(t), prec)
+        met = not names and key in shown
+        if met and shown[key][1] is not None:
+            return shown[key][1]
+        head, args = spine(t)
+        parts = [_show(head, _PREC_APP, names, shown)] + [_show(a, _PREC_ATOM, names, shown) for a in args]
+        text = _wrap(" ".join(parts), _PREC_APP, prec)
+        if not names:
+            shown[key] = (t, text if met else None)
+        return text
+    if cls is Const or cls is Meta:
+        return t.name
+    if cls is Bound:
+        k = t.index
+        # a loose index is counted past the named binders only
+        return names[-1 - k] if k < len(names) else f"#{k - names.count(_ARROW)}"
+    if cls is Pi or cls is Lam:
+        body = t.body
+        if cls is Pi and not _uses_bound(body, 0):
+            left = _show(t.annot, _PREC_APP, names, shown)
+            names.append(_ARROW)
+            right = _show(body, _PREC_EXPR, names, shown)
+            names.pop()
+            return _wrap(f"{left} -> {right}", _PREC_EXPR, prec)
+        name = fresh_name(t.hint, free_names(body), names)
+        names.append(name)
+        inner = _show(body, _PREC_EXPR, names, shown)
+        names.pop()
+        opening, closing = ("{", "}") if cls is Pi else ("[", "]")
+        return _wrap(f"{opening}{name}:{_show(t.annot, _PREC_EXPR, names, shown)}{closing} {inner}", _PREC_EXPR, prec)
+    if cls is TypeKind:
+        return "type"
+    raise LfError(f"cannot print {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -815,19 +809,16 @@ def beta_normalize(e: LfExpr, budget: int | _Budget = DEFAULT_STEP_BUDGET) -> Lf
 def _beta(t: LfExpr, b: _Budget) -> LfExpr:
     if t.scope >= 0:
         return t  # no redex inside
-    match t:
-        case App(f, a):
-            fn = _beta(f, b)
-            if isinstance(fn, Lam):
-                b.spend()
-                return _beta(instantiate(fn.body, a), b)
-            return App(fn, _beta(a, b))
-        case Pi(h, annot, body):
-            return Pi(h, _beta(annot, b), _beta(body, b))
-        case Lam(h, annot, body):
-            return Lam(h, _beta(annot, b), _beta(body, b))
-        case _:
-            return t
+    cls = t.__class__
+    if cls is App:
+        fn = _beta(t.fn, b)
+        if fn.__class__ is Lam:
+            b.spend()
+            return _beta(instantiate(fn.body, t.arg), b)
+        return App(fn, _beta(t.arg, b))
+    if cls is Pi or cls is Lam:
+        return cls(t.hint, _beta(t.annot, b), _beta(t.body, b))
+    return t
 
 
 def codomain(cls: Pi, arg: LfExpr, budget: int | _Budget = DEFAULT_STEP_BUDGET) -> LfExpr:
@@ -908,7 +899,7 @@ class _Expander:
             a_n = self.eta(a, cls.annot)
             same = same and a_n is a
             out.append(a_n)
-            cls = codomain(cls, a, self.budget)
+            cls = cls.body if cls.body.scope == 0 else codomain(cls, a, self.budget)
         return t if same else make_app(head, out)
 
     def under(self, annot: LfExpr, t: LfExpr, cls: LfExpr | str) -> LfExpr:
@@ -944,35 +935,32 @@ class _Expander:
             self.metas.setdefault(head.name, cls)
 
     def eta(self, t: LfExpr, cls: LfExpr | str) -> LfExpr:
-        if cls == KIND:
-            match t:
-                case TypeKind():
-                    return t
-                case Pi():
-                    return self.binder(t, KIND)
-                case _:
-                    raise NormalizeError("cannot eta-expand: kind expected")
-        if isinstance(cls, TypeKind):
-            match t:
-                case Pi():
-                    return self.binder(t, TYPE)
-                case Lam():
-                    raise NormalizeError("cannot eta-expand: abstraction at kind 'type'")
-                case TypeKind():
-                    raise NormalizeError("cannot eta-expand: 'type' is not a type")
-                case _:
-                    return self.eta_spine(t)
+        tc = t.__class__
+        if cls.__class__ is TypeKind:
+            if tc is Pi:
+                return self.binder(t, TYPE)
+            if tc is Lam:
+                raise NormalizeError("cannot eta-expand: abstraction at kind 'type'")
+            if tc is TypeKind:
+                raise NormalizeError("cannot eta-expand: 'type' is not a type")
+            return self.eta_spine(t)
+        if cls.__class__ is str and cls == KIND:
+            if tc is TypeKind:
+                return t
+            if tc is Pi:
+                return self.binder(t, KIND)
+            raise NormalizeError("cannot eta-expand: kind expected")
         if self.metas is not None and t.has_meta:
             self.note_meta(t, cls)
-        if isinstance(cls, Pi):
-            if isinstance(t, Lam):
+        if cls.__class__ is Pi:
+            if tc is Lam:
                 return self.binder(t, beta_normalize(cls.body, self.budget))
-            if isinstance(t, (Pi, TypeKind)):
+            if tc is Pi or tc is TypeKind:
                 raise NormalizeError("cannot eta-expand: head shape does not match classifier")
             annot_n = self.eta(cls.annot, TYPE)
             body = App(_shift(t, 1, 0), Bound(0))
             return Lam(cls.hint, annot_n, self.under(annot_n, body, beta_normalize(cls.body, self.budget)))
         # base-type classifier
-        if isinstance(t, (Lam, Pi, TypeKind)):
+        if tc is Lam or tc is Pi or tc is TypeKind:
             raise NormalizeError("cannot eta-expand: head shape does not match classifier")
         return self.eta_spine(t)

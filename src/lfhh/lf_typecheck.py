@@ -25,6 +25,8 @@ from __future__ import annotations
 from .lf_syntax import (
     KIND,
     TYPE,
+    App,
+    Bound,
     Const,
     Fingerprint,
     LfError,
@@ -33,16 +35,14 @@ from .lf_syntax import (
     Pi,
     Signature,
     TypeKind,
-    classifier_sort,
+    _shift,
     codomain,
     fields_repr,
     free_names,
     fresh_name,
-    head_classifier,
     instantiate,
     normalize,
     pretty_print,
-    spine,
 )
 
 __all__ = [
@@ -121,7 +121,10 @@ class Judgment:
     def names(self) -> list[str]:
         """A name for each binder: its hint, made fresh against the
         declarations, the constants of the subject and the classifier, and
-        the names of the binders outside it."""
+        the names of the binders outside it.  Under no binder there are
+        none, and neither term is walked."""
+        if not self.binders:
+            return []
         declared, names = set(self.context), []
         for e in (self.subject, self.classifier):
             if isinstance(e, LfExpr):
@@ -130,17 +133,19 @@ class Judgment:
             names.append(fresh_name(hint, declared, names))
         return names
 
-    def show(self, e: LfExpr | str) -> str:
-        """`e`, open over the binders, as text with the binders named."""
+    def show(self, e: LfExpr | str, names: list[str]) -> str:
+        """`e`, open over the binders, as text with the binders named by
+        `names`, which `names()` computes once per message."""
         if isinstance(e, str):
             return e
-        for name in reversed(self.names()):
+        for name in reversed(names):
             e = instantiate(e, Const(name))
         return pretty_print(e)
 
     def __str__(self) -> str:
-        context = ",".join([*self.context, *self.names()]) or "."
-        return f"{context} |- {self.show(self.subject)} : {self.show(self.classifier)}"
+        names = self.names()
+        context = ",".join([*self.context, *names]) or "."
+        return f"{context} |- {self.show(self.subject, names)} : {self.show(self.classifier, names)}"
 
 
 class Derivation:
@@ -233,15 +238,14 @@ def check_kind(sig: Signature, k: LfExpr) -> Derivation:
 
 
 def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr, memo: Memo) -> Derivation:
-    match k:
-        case TypeKind():
-            return Derivation("TypeKind", Judgment(sig.names, hints, "type", "kind"))
-        case Pi(hint, annot, body):
-            da = _check_family(sig, hints, stack, annot, memo)
-            db = _check_kind(sig, hints + (hint,), stack + (annot,), body, memo)
-            return Derivation("PiKind", Judgment(sig.names, hints, k, "kind"), (da, db))
-        case _:
-            raise KernelError("kind expected", "PiKind", Judgment(sig.names, hints, k, "kind"))
+    cls = k.__class__
+    if cls is TypeKind:
+        return Derivation("TypeKind", Judgment(sig.names, hints, "type", "kind"))
+    if cls is Pi:
+        da = _check_family(sig, hints, stack, k.annot, memo)
+        db = _check_kind(sig, hints + (k.hint,), stack + (k.annot,), k.body, memo)
+        return Derivation("PiKind", Judgment(sig.names, hints, k, "kind"), (da, db))
+    raise KernelError("kind expected", "PiKind", Judgment(sig.names, hints, k, "kind"))
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +263,16 @@ def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, memo: M
     """Derivation of `a : type`.  A kind's domains are types, so no family
     takes a family argument and every family is checked at kind `type`."""
     j = Judgment(sig.names, hints, a, TYPE)
-    match a:
-        case Pi(hint, annot, body):
-            da = _check_family(sig, hints, stack, annot, memo)
-            db = _check_family(sig, hints + (hint,), stack + (annot,), body, memo)
-            return Derivation("PiFam", j, (da, db))
-        case Lam():
-            raise KernelError("abstraction cannot have kind 'type'", "PiFam", j)
-        case TypeKind():
-            raise KernelError("'type' is not a type", "PiFam", j)
-        case _:
-            return _backchain(sig, stack, a, TYPE, j, memo)
+    cls = a.__class__
+    if cls is Pi:
+        da = _check_family(sig, hints, stack, a.annot, memo)
+        db = _check_family(sig, hints + (a.hint,), stack + (a.annot,), a.body, memo)
+        return Derivation("PiFam", j, (da, db))
+    if cls is Lam:
+        raise KernelError("abstraction cannot have kind 'type'", "PiFam", j)
+    if cls is TypeKind:
+        raise KernelError("'type' is not a type", "PiFam", j)
+    return _backchain(sig, stack, a, TYPE, j, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +294,17 @@ def check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
 
 def _check_object(sig: Signature, hints: Hints, stack: Stack, m: LfExpr, a: LfExpr, memo: Memo) -> Derivation:
     j = Judgment(sig.names, hints, m, a)
-    match a:
-        case Pi(_, dom, rest):
-            if not isinstance(m, Lam):
-                raise KernelError("object of product type must be an abstraction", "AbsObj", j)
-            if m.annot != dom:
-                raise KernelError("abstraction annotation differs from product domain", "AbsObj", j)
-            db = _check_object(sig, hints + (m.hint,), stack + (dom,), m.body, rest, memo)
-            return Derivation("AbsObj", j, (db,))
-        case TypeKind():
-            raise KernelError("objects cannot have kind classifiers", "BackchainObj", j)
-        case _:
-            return _backchain(sig, stack, m, a, j, memo)
+    cls = a.__class__
+    if cls is Pi:
+        if m.__class__ is not Lam:
+            raise KernelError("object of product type must be an abstraction", "AbsObj", j)
+        if m.annot != a.annot:
+            raise KernelError("abstraction annotation differs from product domain", "AbsObj", j)
+        db = _check_object(sig, hints + (m.hint,), stack + (a.annot,), m.body, a.body, memo)
+        return Derivation("AbsObj", j, (db,))
+    if cls is TypeKind:
+        raise KernelError("objects cannot have kind classifiers", "BackchainObj", j)
+    return _backchain(sig, stack, m, a, j, memo)
 
 
 def _backchain(
@@ -313,7 +315,9 @@ def _backchain(
     a binder `#k`, check the i-th argument against the i-th binder domain
     instantiated with the arguments before it, and match the instantiated
     target against `expected`.  The arguments are checked under the
-    binders of `j`.
+    binders of `j`.  A declared constant's sort is read off its entry,
+    which `checked_signature` made agree with its classifier; a binder's
+    classifier is a type.
 
     Under no binder, a judgment about the very subject object at the very
     classifier object that this top-level check has already derived gets
@@ -322,37 +326,48 @@ def _backchain(
     key = None if stack else (id(subject), id(expected))
     if key is not None and (hit := memo.get(key)) is not None:
         return hit[2]
-    family = isinstance(expected, TypeKind)
+    family = expected.__class__ is TypeKind
     rule = "BackchainFam" if family else "BackchainObj"
-    if isinstance(subject, Lam):
+    if subject.__class__ is Lam:
         raise KernelError("abstraction against a base type", rule, j)
-    head, args = spine(subject)
-    cls = head_classifier(head, sig, stack)
-    if cls is None:
-        if isinstance(head, Const):
+    head, args = subject, []
+    while head.__class__ is App:
+        args.append(head.arg)
+        head = head.fn
+    args.reverse()
+    if head.__class__ is Const:
+        entry = sig.lookup(head.name)
+        if entry is None:
             raise KernelError(f"unbound constant {head.name!r}", rule, j)
-        if family:
-            raise KernelError("base type must be headed by a declared family", rule, j)
+        cls, is_family = entry.classifier, entry.sort == "kind"
+    elif head.__class__ is Bound and head.index < len(stack):
+        cls, is_family = _shift(stack[-1 - head.index], head.index + 1, 0), False
+    elif family:
+        raise KernelError("base type must be headed by a declared family", rule, j)
+    else:
         raise KernelError("object head must be a declared constant or context variable", rule, j)
-    if family != (classifier_sort(cls) == "kind"):
+    if family != is_family:
         what = "is not a type family" if family else "is a type family, not an object"
-        raise KernelError(f"{j.show(head)!r} {what}", rule, j)
+        raise KernelError(f"{j.show(head, j.names())!r} {what}", rule, j)
     premises: list[Derivation] = []
     for i, n in enumerate(args):
-        if not isinstance(cls, Pi):
-            raise KernelError(f"{j.show(head)!r} applied to too many arguments", "BackchainObj", j)
+        if cls.__class__ is not Pi:
+            raise KernelError(f"{j.show(head, j.names())!r} applied to too many arguments", "BackchainObj", j)
         try:
             premises.append(_check_object(sig, j.binders, stack, n, cls.annot, memo))
         except KernelError as err:
-            raise KernelError(f"argument {i + 1} of {j.show(head)!r}: {err.message}", err.rule, err.judgment) from None
-        cls = codomain(cls, n)
-    if cls != expected:
+            message = f"argument {i + 1} of {j.show(head, j.names())!r}: {err.message}"
+            raise KernelError(message, err.rule, err.judgment) from None
+        cls = cls.body if cls.body.scope == 0 else codomain(cls, n)
+    if cls is not expected and cls != expected:
+        names = j.names()
+        shown = repr(j.show(head, names))
         if family:
-            raise KernelError(f"family {j.show(head)!r} is not fully applied", rule, j)
-        if isinstance(cls, Pi):
-            raise KernelError(f"{j.show(head)!r} is under-applied (subject not eta-long)", rule, j)
-        raise KernelError(f"head {j.show(head)!r} constructs {j.show(cls)}, expected {j.show(expected)}", rule, j)
-    d = Derivation(rule, j, tuple(premises), str(head), args)
+            raise KernelError(f"family {shown} is not fully applied", rule, j)
+        if cls.__class__ is Pi:
+            raise KernelError(f"{shown} is under-applied (subject not eta-long)", rule, j)
+        raise KernelError(f"head {shown} constructs {j.show(cls, names)}, expected {j.show(expected, names)}", rule, j)
+    d = Derivation(rule, j, tuple(premises), str(head), tuple(args))
     if key is not None:
         memo[key] = (subject, expected, d)
     return d

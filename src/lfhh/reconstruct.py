@@ -172,17 +172,16 @@ class _Decoder:
             self.stack.pop()
             return Lam(cls.hint, cls.annot, inner)
         head, args = hspine(u)
-        match head:
-            case HMeta() as m:
-                if self.close is None:
-                    raise ReconstructError(f"not an encoding: unresolved variable ?{m.name}")
-                if args:
-                    raise ReconstructError(f"residual variable ?{m.name} is applied")
-                if cls is None or cls.has_meta:
-                    raise ReconstructError(f"residual variable ?{m.name} has no known classifier")
-                return self.go(self.close(m, cls), cls)
-            case HLam():
-                raise ReconstructError("not an encoding: abstraction without product classifier")
+        if head.__class__ is HMeta:
+            if self.close is None:
+                raise ReconstructError(f"not an encoding: unresolved variable ?{head.name}")
+            if args:
+                raise ReconstructError(f"residual variable ?{head.name} is applied")
+            if cls is None or cls.has_meta:
+                raise ReconstructError(f"residual variable ?{head.name} has no known classifier")
+            return self.go(self.close(head, cls), cls)
+        if head.__class__ is HLam:
+            raise ReconstructError("not an encoding: abstraction without product classifier")
         lf = lf_head(head)
         cur = head_classifier(lf, self.sig, self.stack)
         if cur is None or classifier_sort(cur) == "kind":
@@ -240,35 +239,34 @@ class _Closing:
         """`e` with each query variable decoded from the store and recorded
         in `values`; the user's binder names are kept."""
         sess = self.sess
-        match e:
-            case Meta(n):
-                value = decode_term(sess.sig, self.last.value(sess.metas[n]), expected, self.stack, self.residual)
-                self.values[n] = value
-                return value
-            case Pi(h, annot, body) | Lam(h, annot, body):
-                annot2 = self.close_query(annot, None)
-                self.stack.append(annot2)
-                inner = self.close_query(body, expected.body if isinstance(expected, Pi) else None)
-                self.stack.pop()
-                return type(e)(h, annot2, inner)
-            case _:
-                head, args = spine(e)
-                if isinstance(head, Meta):
-                    # an applied query variable: decoded at its own classifier
-                    # and applied to the closed arguments
-                    cls = sess.classifiers.get(head.name)
-                    if cls is None:
-                        raise ReconstructError(f"applied query variable {head.name} has no recorded classifier")
-                    fn = self.close_query(head, cls)
-                else:
-                    cls = head_classifier(head, sess.sig, self.stack)
-                    fn = head
-                out: list[LfExpr] = []
-                for arg in args:
-                    arg2 = self.close_query(arg, cls.annot if isinstance(cls, Pi) else None)
-                    out.append(arg2)
-                    cls = codomain(cls, arg2) if isinstance(cls, Pi) else None
-                return make_app(fn, out) if fn is head else beta_normalize(make_app(fn, out))
+        node = e.__class__
+        if node is Meta:
+            value = decode_term(sess.sig, self.last.value(sess.metas[e.name]), expected, self.stack, self.residual)
+            self.values[e.name] = value
+            return value
+        if node is Pi or node is Lam:
+            annot2 = self.close_query(e.annot, None)
+            self.stack.append(annot2)
+            inner = self.close_query(e.body, expected.body if isinstance(expected, Pi) else None)
+            self.stack.pop()
+            return node(e.hint, annot2, inner)
+        head, args = spine(e)
+        if isinstance(head, Meta):
+            # an applied query variable: decoded at its own classifier
+            # and applied to the closed arguments
+            cls = sess.classifiers.get(head.name)
+            if cls is None:
+                raise ReconstructError(f"applied query variable {head.name} has no recorded classifier")
+            fn = self.close_query(head, cls)
+        else:
+            cls = head_classifier(head, sess.sig, self.stack)
+            fn = head
+        out: list[LfExpr] = []
+        for arg in args:
+            arg2 = self.close_query(arg, cls.annot if isinstance(cls, Pi) else None)
+            out.append(arg2)
+            cls = codomain(cls, arg2) if isinstance(cls, Pi) else None
+        return make_app(fn, out) if fn is head else beta_normalize(make_app(fn, out))
 
     def residual(self, m: HMeta, cls: LfExpr) -> HhTerm:
         """The value of the residual variable `m` at the closed classifier

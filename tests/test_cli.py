@@ -12,6 +12,7 @@ import pytest
 
 import lfhh
 from lfhh.cli import build_parser, main
+from lfhh.reconstruct import QuerySession
 
 from corpus import RIGID_GUARD_TEXT, STLC_BLOCK, STLC_TEXT, church_numeral
 
@@ -312,6 +313,29 @@ def test_compare_both_fail(append_lf):
     code, out, _ = run_cli("compare", append_lf, "append nil nil (cons z nil)")
     assert code == 0
     assert "both modes fail (finitely)" in out
+
+
+def test_compare_one_mode_out_of_depth_is_a_resource_verdict(append_lf):
+    # a naive proof is deeper because of its guards, so depth 3 cuts naive
+    # mode only: that is the same resource verdict `solve` gives, not a
+    # disagreement
+    query = "append nil (cons (s z) nil) Out"
+    code, out, _ = run_cli("compare", append_lf, query, "--depth", "3")
+    assert code == 2
+    assert out == "naive: no solution\noptimized: solution\nnaive: no solution within depth 3\n"
+    assert run_cli("solve", append_lf, query, "--mode", "naive", "--iterdeep", "--depth", "3")[0] == 2
+
+
+def test_compare_one_mode_exhausted_is_a_disagreement(append_lf, monkeypatch):
+    # a mode whose search ended within its bounds while the other answered
+    # is a bug, whatever the other mode's limits
+    real = QuerySession.first_answer
+    monkeypatch.setattr(
+        QuerySession, "first_answer", lambda self, *a: None if self.mode == "naive" else real(self, *a)
+    )
+    code, out, _ = run_cli("compare", append_lf, "append nil (cons (s z) nil) Out")
+    assert code == 3
+    assert out.endswith("DISAGREEMENT: success differs between modes\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])

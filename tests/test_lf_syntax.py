@@ -323,6 +323,44 @@ def test_expression_round_trip_seeded(append_sig):
         assert parse_expr_text(pretty_print(e)) == e
     ac = append_sig.lookup("appCons").classifier
     assert parse_expr_text(pretty_print(ac)) == ac
+    # long arrow chains under binders, their parts naming the binders
+    parts = ["nat", "x", "y", "(list x)", "(nat -> y)", "({z:nat} list z)", "list"]
+    for k in (1, 7, 60):
+        text = "{x:nat} {y:nat} " + " -> ".join(rng.choice(parts) for _ in range(k + 1))
+        e = parse_expr_text(text)
+        assert parse_expr_text(pretty_print(e)) == e
+
+
+def _arrow_chain(k):
+    return "{x:a} " + "a -> " * k + "x"
+
+
+def test_arrow_chain_parses_in_linear_work(monkeypatch):
+    # each arrow adds one product and one left side; the right side is not
+    # rebuilt for every arrow to its left
+    built = [0]
+    for node in (Pi, Lam, App, Bound, Const):
+        def counted(self, *args, _init=node.__init__):
+            built[0] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(node, "__init__", counted)
+    counts = {}
+    for k in (50, 100, 200):
+        built[0] = 0
+        parse_expr_text(_arrow_chain(k))
+        counts[k] = built[0]
+    assert counts[200] - counts[100] == 2 * (counts[100] - counts[50])
+    assert counts[200] <= 3 * 200
+
+
+def test_arrow_chain_indices_count_the_anonymous_binders():
+    k = 30
+    e = parse_expr_text(_arrow_chain(k)).body
+    for _ in range(k):
+        assert isinstance(e, Pi) and e.annot == Const("a")
+        e = e.body
+    assert e == Bound(k)
 
 
 def test_print_avoids_shadowing_free_constants():
@@ -337,3 +375,5 @@ def test_print_renders_loose_index_as_hash():
     # an index beyond its binders prints as `#k`, the raw index where it stands
     assert pretty_print(Bound(0)) == "#0"
     assert pretty_print(Lam("x", Const("nat"), App(App(Const("f"), Bound(0)), Bound(2)))) == "[x:nat] f x #2"
+    # an arrow's binder has no name, and a loose index under it does not count it
+    assert pretty_print(Pi("x", Const("nat"), Pi("_", Const("nat"), App(Bound(1), Bound(3))))) == "{x:nat} nat -> x #2"

@@ -3,6 +3,7 @@ class.  The classes are plain slotted classes with hand-written methods; the
 table pins what each method reads, field by field, so that a field added to
 a class or to its comparison shows up here."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -24,6 +25,8 @@ from lfhh.hhf_logic import (
     HBound,
     HConst,
     HEigen,
+    HhFormula,
+    HhTerm,
     HLam,
     HMeta,
     SArrow,
@@ -31,7 +34,7 @@ from lfhh.hhf_logic import (
     SimpleType,
 )
 from lfhh.hhf_prover import CompiledClause, Counters, Limits, Solution
-from lfhh.lf_syntax import TYPE, App, Bound, Const, Fingerprint, Lam, Meta, Pi, SigEntry, TypeKind
+from lfhh.lf_syntax import TYPE, App, Bound, Const, Fingerprint, Lam, LfExpr, Meta, Pi, SigEntry, TypeKind
 from lfhh.lf_typecheck import Derivation, Judgment
 from lfhh.reconstruct import CertifiedAnswer
 from lfhh.rigidity import GuardPlan
@@ -310,3 +313,21 @@ def test_import_uses_no_dataclass_machinery():
     code = "import sys, lfhh.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_walks_dispatch_by_class_not_match():
+    # every walk over nodes tests `t.__class__ is C`: a `match` with class
+    # patterns costs about twice as much per node.  The two tests agree only
+    # while no node class is subclassed.
+    found = []
+    for path in sorted(pathlib.Path(lfhh.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost one owns a node
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        matches = [n for n in ast.walk(tree) if isinstance(n, ast.Match)]
+        found += [f"{path.name}:{n.lineno} in {owner.get(n, '<module>')}" for n in matches]
+    assert not found, f"`match` statements: {found}"
+    bases = (LfExpr, HhTerm, HhFormula, SimpleType)
+    assert not [c for base in bases for c in base.__subclasses__() if c.__subclasses__()]
