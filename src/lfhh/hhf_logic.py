@@ -561,7 +561,6 @@ def _clause(
     polarity: str,
     local: tuple[str, ...],
     metas: Mapping[str, HMeta] | None = None,
-    flags: tuple[bool, ...] = (),
 ) -> HhFormula:
     """Translation of the type `a` for `head`: the quantifier prefix of `a`
     with one guard per binder, closed by the atom whose subject is `head`
@@ -570,14 +569,15 @@ def _clause(
 
     `polarity` picks the guards.  "naive": every binder keeps its typing
     guard, positive and negative positions coinciding when nothing is
-    elided.  "pos": guards of the binders rigid by `flags` become truth, the
-    others are negative translations of the domains.  "neg": guards are
-    positive translations of the domains, analyzed afresh with no ambient
-    candidates.  A guard's domain is shifted by one, as the guard sits under
+    elided.  "pos": guards of the binders that rigidity analysis of `a`
+    finds rigid become truth, the others are negative translations of the
+    domains.  "neg": guards are positive translations of the domains,
+    analyzed afresh with no ambient candidates.  A guard's domain is shifted by one, as the guard sits under
     its own quantifier.  `_` binders are named to avoid the signature and
     `local`: the query's meta-variables and the names of the enclosing
     binders."""
     prefix: list[tuple[str, SimpleType, HhFormula]] = []
+    flags = [r for _, r in plan_for_type(a)] if polarity == "pos" else ()
     while isinstance(a, Pi):
         x = fresh_name(a.hint, sig, local)
         local += (x,)
@@ -585,7 +585,7 @@ def _clause(
         if polarity == "naive":
             guard = _clause(sig, dom, _VAR, "naive", local, metas)
         elif polarity == "neg":
-            guard = _clause(sig, dom, _VAR, "pos", local, metas, tuple(r for _, r in plan_for_type(dom)))
+            guard = _clause(sig, dom, _VAR, "pos", local, metas)
         else:
             guard = FTop() if flags[len(prefix)] else _clause(sig, dom, _VAR, "neg", local, metas)
         prefix.append((a.hint if a.hint != "_" else x, erase_type(a.annot), guard))
@@ -610,34 +610,36 @@ def translate(sig: Signature, mode: str) -> ClauseSet:
     clauses = []
     for e in sig:
         if e.sort == "type":
-            flags = () if mode == "naive" else tuple(r for _, r in plan_for_type(e.classifier))
-            clauses.append(Clause(e.name, _clause(sig, e.classifier, HConst(e.name), polarity, (), flags=flags)))
+            clauses.append(Clause(e.name, _clause(sig, e.classifier, HConst(e.name), polarity, ())))
     return ClauseSet(tuple(clauses), mode)
 
 
 # -- queries -----------------------------------------------------------------
 
 
-def _add_query_metas(e: LfExpr, is_arg: bool, out: dict[str, HMeta]) -> None:
+def _add_query_metas(sig: Signature, e: LfExpr, is_arg: bool, out: dict[str, HMeta]) -> None:
     """Add to `out` a target-level variable for each new meta of `e`,
     numbered on from `len(out) + 1` in order of first occurrence:
     annotations before bodies, spine arguments left to right, the order in
     which the goal mentions them.  A meta that is not an argument, inside an
     abstraction that is one, or the head of an applied argument has no
-    target: an input error in both modes, whether or not the mode's goal
-    keeps its position."""
+    target, and a constant that `sig` does not declare is unbound: input
+    errors in both modes, whether or not the mode's goal keeps its
+    position."""
     head, args = spine(e)
     cls = head.__class__
     if cls is Pi or cls is Lam:
-        _add_query_metas(head.annot, False, out)
-        _add_query_metas(head.body, is_arg, out)
+        _add_query_metas(sig, head.annot, False, out)
+        _add_query_metas(sig, head.body, is_arg, out)
     elif cls is Meta:
         if not is_arg:
             raise LfError(f"meta-variable {head.name!r} has no target assignment")
         if head.name not in out:
             out[head.name] = HMeta(head.name, len(out) + 1)
+    elif cls is Const and head.name not in sig:
+        raise LfError(f"unbound constant {head.name!r}")
     for arg in args:
-        _add_query_metas(arg, True, out)
+        _add_query_metas(sig, arg, True, out)
 
 
 def translate_query(
@@ -648,7 +650,7 @@ def translate_query(
     variable and the table of the query's variables, which does not depend
     on the mode and may hold variables the goal does not mention."""
     metas: dict[str, HMeta] = {}
-    _add_query_metas(a, False, metas)
+    _add_query_metas(sig, a, False, metas)
     proof = HMeta(fresh_name("M", metas), 0)
     goal = inhabitation_goal(sig, a, proof, mode, metas)
     return goal, proof, metas
@@ -714,7 +716,7 @@ def print_term(t: HhTerm, prec: int = 0, names: tuple[str, ...] = ()) -> str:
     if cls is HLam:
         # skip a name that would capture an outer binder the body refers to
         k = len(names) + 1
-        while f"x{k}" in names and any(n == f"x{k}" and _refers(t.body, len(names) - j) for j, n in enumerate(names)):
+        while f"x{k}" in names and any(n == f"x{k}" and _mentions(t.body, len(names) - j) for j, n in enumerate(names)):
             k += 1
         name = f"x{k}"
         s = f"\\{name}. {print_term(t.body, 0, names + (name,))}"
@@ -722,15 +724,22 @@ def print_term(t: HhTerm, prec: int = 0, names: tuple[str, ...] = ()) -> str:
     raise LfError(f"bad term {t!r}")
 
 
-def _refers(t: HhTerm, k: int) -> bool:
-    """Whether `t` has the loose bound variable `k`."""
-    if 0 <= t.scope <= k:
-        return False
-    if isinstance(t, HApp):
-        return _refers(t.fn, k) or _refers(t.arg, k)
-    if isinstance(t, HLam):
-        return _refers(t.body, k + 1)
-    return isinstance(t, HBound) and t.index == k
+def _mentions(t: HhTerm | HhFormula, k: int) -> bool:
+    """Whether the term or formula `t` has the loose bound variable `k`,
+    nested premises and abstractions included."""
+    if isinstance(t, HhTerm):
+        if 0 <= t.scope <= k:
+            return False
+        if isinstance(t, HBound):
+            return t.index == k
+        if isinstance(t, HApp):
+            return _mentions(t.fn, k) or _mentions(t.arg, k)
+        return isinstance(t, HLam) and _mentions(t.body, k + 1)
+    if isinstance(t, FAtom):
+        return _mentions(t.subject, k) or _mentions(t.classifier, k)
+    if isinstance(t, FImplies):
+        return _mentions(t.antecedent, k) or _mentions(t.consequent, k)
+    return isinstance(t, FForall) and _mentions(t.body, k + 1)
 
 
 class _NameGen:

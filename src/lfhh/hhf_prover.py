@@ -111,6 +111,7 @@ from .hhf_logic import (
     HhFormula,
     HhTerm,
     SimpleType,
+    _mentions,
     f_instantiate,
     h_apply,
     h_instantiate,
@@ -325,26 +326,6 @@ def _schedule(guards: list[tuple[int, HhFormula]]) -> tuple[tuple[int, HhFormula
                 order.insert(order.index(j) + 1, i)
                 break
     return tuple(guards[i] for i in order)
-
-
-def _mentions(t: HhTerm | HhFormula, k: int) -> bool:
-    """Whether the term or formula `t` has the loose bound variable `k`,
-    nested premises and abstractions included.  Tested by class, not by
-    `match`, which costs twice as much on a call that every compiled clause
-    makes."""
-    if isinstance(t, HhTerm):
-        if 0 <= t.scope <= k:
-            return False
-        if isinstance(t, HBound):
-            return t.index == k
-        if isinstance(t, HApp):
-            return _mentions(t.fn, k) or _mentions(t.arg, k)
-        return isinstance(t, HLam) and _mentions(t.body, k + 1)
-    if isinstance(t, FAtom):
-        return _mentions(t.subject, k) or _mentions(t.classifier, k)
-    if isinstance(t, FImplies):
-        return _mentions(t.antecedent, k) or _mentions(t.consequent, k)
-    return isinstance(t, FForall) and _mentions(t.body, k + 1)
 
 
 _HeadCode = HhTerm | int | tuple  # see `_head_code`

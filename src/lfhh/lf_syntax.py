@@ -724,8 +724,10 @@ def pretty_print(e: LfExpr) -> str:
     """Render in the concrete syntax; reparsing yields an alpha-equal tree.
     Outside every binder, an application node met again at the same
     precedence reuses its text, which is kept from the second meeting on:
-    the nodes of a term without sharing keep no text."""
-    return _show(e, _PREC_EXPR, [], {})
+    the nodes of a term without sharing keep no text.  A binder is named
+    apart from the constants of its body, collected once per outermost
+    named binder."""
+    return _show(e, _PREC_EXPR, [], {}, None)
 
 
 def _wrap(s: str, have: int, want: int) -> str:
@@ -737,10 +739,12 @@ def _wrap(s: str, have: int, want: int) -> str:
 _ARROW = ""
 
 
-def _show(t: LfExpr, prec: int, names: list[str], shown: dict[tuple[int, int], tuple[LfExpr, str | None]]) -> str:
+def _show(t: LfExpr, prec: int, names: list[str], shown: dict, consts: set[str] | None) -> str:
     """`pretty_print`'s walk.  `names` names the binders crossed, innermost
     last.  `shown` maps (id of an App node, precedence) to (the node, its
-    text once met twice, None before), at binder depth 0."""
+    text once met twice, None before), at binder depth 0.  `consts` holds
+    the constants of the body of the outermost named binder crossed, None
+    outside every one."""
     cls = t.__class__
     if cls is App:
         key = (id(t), prec)
@@ -748,7 +752,7 @@ def _show(t: LfExpr, prec: int, names: list[str], shown: dict[tuple[int, int], t
         if met and shown[key][1] is not None:
             return shown[key][1]
         head, args = spine(t)
-        parts = [_show(head, _PREC_APP, names, shown)] + [_show(a, _PREC_ATOM, names, shown) for a in args]
+        parts = [_show(head, _PREC_APP, names, shown, consts)] + [_show(a, _PREC_ATOM, names, shown, consts) for a in args]
         text = _wrap(" ".join(parts), _PREC_APP, prec)
         if not names:
             shown[key] = (t, text if met else None)
@@ -762,17 +766,22 @@ def _show(t: LfExpr, prec: int, names: list[str], shown: dict[tuple[int, int], t
     if cls is Pi or cls is Lam:
         body = t.body
         if cls is Pi and not _uses_bound(body, 0):
-            left = _show(t.annot, _PREC_APP, names, shown)
+            left = _show(t.annot, _PREC_APP, names, shown, consts)
             names.append(_ARROW)
-            right = _show(body, _PREC_EXPR, names, shown)
+            right = _show(body, _PREC_EXPR, names, shown, consts)
             names.pop()
             return _wrap(f"{left} -> {right}", _PREC_EXPR, prec)
-        name = fresh_name(t.hint, free_names(body), names)
+        # as `fresh_name(t.hint, free_names(body), names)`, walking the body
+        # only when a candidate is among `consts`, which hold its constants
+        name = fresh_name(t.hint, names)
+        below = free_names(body) if consts is None else consts
+        if name in below:
+            name = fresh_name(t.hint, below if consts is None else free_names(body), names)
         names.append(name)
-        inner = _show(body, _PREC_EXPR, names, shown)
+        inner = _show(body, _PREC_EXPR, names, shown, below)
         names.pop()
         opening, closing = ("{", "}") if cls is Pi else ("[", "]")
-        return _wrap(f"{opening}{name}:{_show(t.annot, _PREC_EXPR, names, shown)}{closing} {inner}", _PREC_EXPR, prec)
+        return _wrap(f"{opening}{name}:{_show(t.annot, _PREC_EXPR, names, shown, consts)}{closing} {inner}", _PREC_EXPR, prec)
     if cls is TypeKind:
         return "type"
     raise LfError(f"cannot print {t!r}")
@@ -840,49 +849,40 @@ def head_classifier(h: LfExpr | None, sig: Signature | None, stack: Sequence[LfE
     return None
 
 
-def normalize(
-    e: LfExpr,
-    classifier: LfExpr | str,
-    sig: Signature | None = None,
-    budget: int = DEFAULT_STEP_BUDGET,
-    metas: dict[str, LfExpr] | None = None,
-) -> LfExpr:
+def normalize(e: LfExpr, classifier: LfExpr | str, sig: Signature | None = None, budget: int = DEFAULT_STEP_BUDGET) -> LfExpr:
     """Beta-normalize, then eta-expand `e` against its classifier.
 
     `classifier` is a type (for objects), a kind (for type families), or the
     sentinel KIND when `e` itself is a kind.  The signature supplies the
-    classifiers of application heads so arguments can be expanded too; heads
-    that cannot be resolved (meta-variables, loose indices of `e`) keep their
-    arguments as-is.  Binders are walked by de Bruijn index, never opened by
-    name: a stack holds the normalized classifier of every binder crossed,
-    innermost last, and the classifier of a head `Bound(k)` is its entry
-    shifted by k+1.  An eta-expansion shifts the expanded term by one.
-    The result is idempotent: normalizing it again is the identity.
-
-    A given `metas` receives the classifier of each meta-variable met
-    unapplied, or applied to the variables of the binders just crossed, at a
-    classifier that gives it a type free of binders and meta-variables (see
-    `_Expander.note_meta`), first meeting first.  For a function-typed
-    variable this is the only record of its classifier, since the result
-    applies it to the variables of its eta-expansion.
+    classifiers of application heads so arguments can be expanded too; it
+    must be checked, so that every classifier the expansion reads is
+    redex-free.  Heads that cannot be resolved (meta-variables, loose
+    indices of `e`) keep their arguments as-is.  Binders are walked by de
+    Bruijn index, never opened by name: a stack holds the normalized
+    classifier of every binder crossed, innermost last, and the classifier
+    of a head `Bound(k)` is its entry shifted by k+1.  An eta-expansion
+    shifts the expanded term by one.  The result is idempotent: normalizing
+    it again is the identity.
     """
     b = _Budget(budget)
     e = beta_normalize(e, b)
     if isinstance(classifier, LfExpr):
         classifier = beta_normalize(classifier, b)
-    return _Expander(sig, b, metas).eta(e, classifier)
+    return _Expander(sig, b).eta(e, classifier)
 
 
 class _Expander:
-    """The eta-expansion walk of one `normalize` call."""
+    """The eta-expansion walk of one `normalize` call.  Every classifier it
+    expands against is redex-free: `normalize` normalizes the first, the
+    others are read off it, off a checked signature or off the stack, or
+    made by `codomain`."""
 
-    __slots__ = ("sig", "budget", "stack", "metas")
+    __slots__ = ("sig", "budget", "stack")
 
-    def __init__(self, sig: Signature | None, budget: _Budget, metas: dict[str, LfExpr] | None):
+    def __init__(self, sig: Signature | None, budget: _Budget):
         self.sig = sig
         self.budget = budget
         self.stack: list[LfExpr] = []  # classifiers of the binders crossed, innermost last
-        self.metas = metas
 
     def eta_spine(self, t: LfExpr) -> LfExpr:
         head, args = spine(t)
@@ -918,22 +918,6 @@ class _Expander:
             return t
         return type(t)(t.hint, annot_n, body_n)
 
-    def note_meta(self, t: LfExpr, cls: LfExpr) -> None:
-        """Record the classifier of a meta-variable met at `cls` as `M #n-1 …
-        #0` over the innermost n binders, n = 0 included: the product of
-        those binders' classifiers over `cls`, if it is closed and free of
-        meta-variables."""
-        head, args = spine(t)
-        n = len(args)
-        if head.__class__ is not Meta or n > len(self.stack):
-            return
-        if any(not (isinstance(a, Bound) and a.index == n - 1 - i) for i, a in enumerate(args)):
-            return
-        for annot in reversed(self.stack[len(self.stack) - n :]):
-            cls = Pi("_", annot, cls)
-        if cls.scope == 0 and not cls.has_meta:
-            self.metas.setdefault(head.name, cls)
-
     def eta(self, t: LfExpr, cls: LfExpr | str) -> LfExpr:
         tc = t.__class__
         if cls.__class__ is TypeKind:
@@ -950,16 +934,14 @@ class _Expander:
             if tc is Pi:
                 return self.binder(t, KIND)
             raise NormalizeError("cannot eta-expand: kind expected")
-        if self.metas is not None and t.has_meta:
-            self.note_meta(t, cls)
         if cls.__class__ is Pi:
             if tc is Lam:
-                return self.binder(t, beta_normalize(cls.body, self.budget))
+                return self.binder(t, cls.body)
             if tc is Pi or tc is TypeKind:
                 raise NormalizeError("cannot eta-expand: head shape does not match classifier")
             annot_n = self.eta(cls.annot, TYPE)
             body = App(_shift(t, 1, 0), Bound(0))
-            return Lam(cls.hint, annot_n, self.under(annot_n, body, beta_normalize(cls.body, self.budget)))
+            return Lam(cls.hint, annot_n, self.under(annot_n, body, cls.body))
         # base-type classifier
         if tc is Lam or tc is Pi or tc is TypeKind:
             raise NormalizeError("cannot eta-expand: head shape does not match classifier")

@@ -18,8 +18,11 @@ type and proof; a rejection here on solver output would falsify the
 translation-correctness property and is reported, never swallowed.
 
 `QuerySession` owns the query: it normalizes the query type, keeps the one
-table of its variables and their classifiers, and kernel-checks a query
-type without variables, for the command line and library callers alike.
+table of its variables, and kernel-checks a query type without variables,
+for the command line and library callers alike.  A query variable's
+classifier is read off its position when closing meets it: at an
+applied occurrence `M x1 … xn`, the product of the classifiers of the
+binders `x1 … xn` over the classifier expected there.
 It keeps no search: each one runs on a new `Solver`.
 """
 
@@ -43,6 +46,7 @@ from .hhf_logic import (
 )
 from .hhf_prover import Counters, Limits, Solution, Solver
 from .lf_syntax import (
+    Bound,
     LfError,
     LfExpr,
     Lam,
@@ -252,11 +256,9 @@ class _Closing:
             return node(e.hint, annot2, inner)
         head, args = spine(e)
         if isinstance(head, Meta):
-            # an applied query variable: decoded at its own classifier
-            # and applied to the closed arguments
-            cls = sess.classifiers.get(head.name)
-            if cls is None:
-                raise ReconstructError(f"applied query variable {head.name} has no recorded classifier")
+            # an applied query variable: decoded at the classifier its
+            # position fixes and applied to the closed arguments
+            cls = self.applied_classifier(head, args, expected)
             fn = self.close_query(head, cls)
         else:
             cls = head_classifier(head, sess.sig, self.stack)
@@ -267,6 +269,25 @@ class _Closing:
             out.append(arg2)
             cls = codomain(cls, arg2) if isinstance(cls, Pi) else None
         return make_app(fn, out) if fn is head else beta_normalize(make_app(fn, out))
+
+    def applied_classifier(self, m: Meta, args: list[LfExpr], expected: LfExpr | None) -> LfExpr:
+        """The classifier of the query variable `m` applied to `args` at
+        `expected`: the product of the classifiers of the binders that
+        `args` name, over `expected`.  The arguments must be distinct bound
+        variables, and either the innermost ones in order or at closed
+        classifiers with `expected` closed too; the product must be closed."""
+        stack = self.stack
+        n = len(args)
+        indices = [a.index for a in args if a.__class__ is Bound]
+        if expected is not None and len(set(indices)) == n and max(indices) < len(stack):
+            annots = [stack[-1 - i] for i in indices]
+            if indices == list(range(n - 1, -1, -1)) or expected.scope == 0 and all(a.scope == 0 for a in annots):
+                cls = expected
+                for annot in reversed(annots):
+                    cls = Pi("_", annot, cls)
+                if cls.scope == 0:
+                    return cls
+        raise ReconstructError(f"applied query variable {m.name} has no classifier fixed by its position")
 
     def residual(self, m: HMeta, cls: LfExpr) -> HhTerm:
         """The value of the residual variable `m` at the closed classifier
@@ -308,10 +329,10 @@ class QuerySession:
     """Wire one query through translation, search, and certification.
 
     The session owns its query's variables: it normalizes the query type at
-    `type`, recording in `classifiers` the classifier of each variable that
-    normalizing meets (see `normalize`), keeps in `metas` the one table of
-    them for search, closing and reports, whatever the mode, and
-    kernel-checks a query type that has no variable before any search."""
+    `type`, keeps in `metas` the one table of its variables for search,
+    closing and reports, whatever the mode, and kernel-checks a query type
+    that has no variable before any search.  Closing reads a variable's
+    classifier off each position it occurs at."""
 
     def __init__(
         self,
@@ -323,8 +344,7 @@ class QuerySession:
         program: ClauseSet | None = None,
     ):
         self.sig = sig
-        self.classifiers: dict[str, LfExpr] = {}
-        self.query_type = normalize(query_type, TYPE, sig, metas=self.classifiers)
+        self.query_type = normalize(query_type, TYPE, sig)
         if not self.query_type.has_meta:
             check_type(sig, self.query_type)
         self.mode = mode

@@ -57,6 +57,30 @@ def church_numeral(n: int) -> str:
     return f"lam (arr base base) ([f:tm] lam base ([x:tm] {body}))"
 
 
+def random_stlc_query(rng: random.Random) -> str:
+    """`of M A` over the STLC signature with query variables in term and
+    type positions, function-typed ones (the argument of `lam`) included."""
+
+    def tp(size):
+        r = rng.random()
+        if size <= 1 or r < 0.4:
+            return rng.choice(["base", "A", "B"])
+        return f"(arr {tp(size - 1)} {tp(size - 1)})"
+
+    def term(binders, size):
+        r = rng.random()
+        if size <= 1 or r < 0.3:
+            return rng.choice(binders + ["M", "N"])
+        if r < 0.55:
+            x = f"x{len(binders)}"
+            return f"(lam {tp(2)} ([{x}:tm] {term(binders + [x], size - 1)}))"
+        if r < 0.7:
+            return f"(lam {tp(2)} {rng.choice(['F', 'G'])})"
+        return f"(app {term(binders, size // 2)} {term(binders, size // 2)})"
+
+    return f"of {term([], rng.randint(1, 6))} {tp(3)}"
+
+
 # STLC typing and a dependent `vec`; `{t}` is replaced by a suffix, so
 # that renamed copies can be concatenated into large signatures.
 STLC_BLOCK = """\

@@ -3,6 +3,8 @@ import gc
 import io
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 import time
@@ -12,9 +14,19 @@ import pytest
 
 import lfhh
 from lfhh.cli import build_parser, main
+from lfhh.lf_syntax import parse_signature, pretty_print
+from lfhh.lf_typecheck import checked_signature
 from lfhh.reconstruct import QuerySession
 
-from corpus import RIGID_GUARD_TEXT, STLC_BLOCK, STLC_TEXT, church_numeral
+from corpus import (
+    RIGID_GUARD_TEXT,
+    STLC_BLOCK,
+    STLC_TEXT,
+    append_query_corpus,
+    append_signature,
+    church_numeral,
+    random_stlc_query,
+)
 
 
 APPEND_LF = str(pathlib.Path(__file__).parent / "golden" / "append.lf")
@@ -361,9 +373,9 @@ def test_ill_formed_closed_query_is_an_input_error(append_lf, command, query):
 
 
 def test_function_typed_query_variable_certifies(tmp_path):
-    # `normalize` eta-expands M to `[x:tm] M x` and records M's classifier;
-    # closing decodes the applied occurrence at it, and `binding_report`
-    # prints M at it
+    # `normalize` eta-expands M to `[x:tm] M x`; closing decodes the applied
+    # occurrence at `tm -> tm`, the classifier its position fixes, and
+    # `binding_report` prints M at it
     f = tmp_path / "stlc.lf"
     f.write_text(STLC_TEXT)
     query = "of (lam base M) (arr base base)"
@@ -382,8 +394,8 @@ def test_function_typed_query_variable_certifies(tmp_path):
 
 
 def test_applied_query_variable_certifies(tmp_path):
-    # `normalize` meets M applied to the variable of the binder around it and
-    # records `tm -> tm`, that binder's classifier over `tm`
+    # M is applied to the variable of the binder around it: closing decodes
+    # it at `tm -> tm`, that binder's classifier over `tm`
     f = tmp_path / "stlc.lf"
     f.write_text(STLC_TEXT)
     query = "of (lam base ([x:tm] M x)) (arr base base)"
@@ -398,6 +410,59 @@ def test_applied_query_variable_certifies(tmp_path):
     code, out, err = run_cli("compare", str(f), query)
     assert code == 0 and err == ""
     assert "certified: both | type agreement: True | proof agreement: True" in out
+
+
+@pytest.mark.parametrize(
+    "query, binding",
+    [
+        ("of (lam base ([x:tm] lam base ([y:tm] F y x))) T", "F = [x:tm] [x1:tm] x"),
+        ("of (lam base ([x:tm] lam base ([y:tm] F x))) T", "F = [x:tm] x"),
+    ],
+)
+def test_variable_applied_to_any_distinct_binders_certifies(tmp_path, query, binding):
+    # F is applied to binders out of order, or to an outer one only; their
+    # classifiers and `tm` are closed, so F's position fixes its classifier
+    f = tmp_path / "stlc.lf"
+    f.write_text(STLC_TEXT)
+    for mode in ("naive", "optimized"):
+        code, out, err = run_cli("solve", str(f), query, "--mode", mode)
+        assert code == 0 and err == "", (mode, err)
+        lines = out.splitlines()
+        assert lines[0] == binding and lines[1] == "T = arr base (arr base base)"
+        assert lines[4] == "certified (kernel derivation size 20)"
+    code, out, err = run_cli("compare", str(f), query)
+    assert code == 0 and err == ""
+    assert "certified: both | type agreement: True | proof agreement: True" in out
+
+
+@pytest.mark.parametrize(
+    "query, name",
+    [("{nat : x} append nil nil X", "x"), ("append nil (cons bogus nil) X", "bogus"), ("append nil nil X -> foo", "foo")],
+)
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_unbound_constant_in_a_query_with_variables_is_an_input_error(append_lf, command, query, name):
+    # read off the walk that numbers the query's variables, before search
+    code, out, err = run_cli(command, append_lf, query)
+    assert (code, out, err) == (1, "", f"error: unbound constant {name!r}\n")
+
+
+def test_an_undeclared_constant_in_a_corpus_query_is_an_input_error(tmp_path):
+    # one constant of each seeded append and STLC query is renamed to an
+    # undeclared one; neither command searches, and neither ends in exit 3
+    # or a traceback
+    f = tmp_path / "stlc.lf"
+    f.write_text(STLC_TEXT)
+    rng = random.Random(33)
+    append_sig, stlc_sig = append_signature(), checked_signature(parse_signature(STLC_TEXT))
+    cases = [(APPEND_LF, append_sig, pretty_print(q)) for q, _ in append_query_corpus(rng, 50)]
+    cases += [(str(f), stlc_sig, random_stlc_query(rng)) for _ in range(50)]
+    for path, sig, text in cases:
+        spots = [m for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_']*", text) if m.group() in sig]
+        spot = rng.choice(spots)
+        mutated = text[: spot.start()] + "undeclared" + text[spot.end() :]
+        for command in ("solve", "compare"):
+            code, _, err = run_cli(command, path, mutated, "--depth", "6", "--budget", "20000")
+            assert code == 1 and "unbound constant 'undeclared'" in err, (command, mutated, code, err)
 
 
 @pytest.fixture(scope="module")

@@ -40,7 +40,7 @@ from lfhh.hhf_prover import Limits
 from lfhh.lf_typecheck import Derivation, Judgment, check_type, checked_signature
 from lfhh.reconstruct import QuerySession, ReconstructError, _Closing, decode_term
 
-from corpus import STLC_TEXT, substitute
+from corpus import STLC_TEXT, random_stlc_query, substitute
 
 
 def ref_scope(e):
@@ -430,35 +430,27 @@ def test_meta_flag_agrees_with_reference_after_substitution(exprs):
         assert_meta_flags(substitute(e, {"Y": Lam("w", Const("tm"), Meta("W")), "F": Const("s")}))
 
 
-def random_stlc_query(rng):
-    """`of M A` over the STLC signature with query variables in term and
-    type positions, function-typed ones (the argument of `lam`) included."""
-
-    def tp(size):
-        r = rng.random()
-        if size <= 1 or r < 0.4:
-            return rng.choice(["base", "A", "B"])
-        return f"(arr {tp(size - 1)} {tp(size - 1)})"
-
-    def term(binders, size):
-        r = rng.random()
-        if size <= 1 or r < 0.3:
-            return rng.choice(binders + ["M", "N"])
-        if r < 0.55:
-            x = f"x{len(binders)}"
-            return f"(lam {tp(2)} ([{x}:tm] {term(binders + [x], size - 1)}))"
-        if r < 0.7:
-            return f"(lam {tp(2)} {rng.choice(['F', 'G'])})"
-        return f"(app {term(binders, size // 2)} {term(binders, size // 2)})"
-
-    return f"of {term([], rng.randint(1, 6))} {tp(3)}"
-
-
 # a closed value for each residual classifier of the STLC queries
 STLC_VALUES = {
     Const("tm"): HApp(HApp(HConst("lam"), HConst("base")), HLam("x", HBound(0))),
     Const("tp"): HConst("base"),
 }
+
+
+class _RecordingClosing(_Closing):
+    """A closing that records the classifier at which it decodes each
+    occurrence of a query variable, in the order it meets them."""
+
+    __slots__ = ("met",)
+
+    def __init__(self, sess, last):
+        super().__init__(sess, last)
+        self.met = []
+
+    def close_query(self, e, expected):
+        if e.__class__ is Meta:
+            self.met.append(expected)
+        return super().close_query(e, expected)
 
 
 def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
@@ -472,17 +464,21 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
         q = parse_query(random_stlc_query(rng), sig)
         assert_meta_flags(q)
         sess = QuerySession(sig, q, "optimized", Limits(depth=4, budget=5000))
-        qn, classifiers = sess.query_type, sess.classifiers
+        qn = sess.query_type
         assert_meta_flags(qn)
-        assert all(c.scope == 0 and not c.has_meta for c in classifiers.values())
+        run = _RecordingClosing(sess, sess.start)
         try:
-            out = _Closing(sess, sess.start).close_query(qn, None)
+            out = run.close_query(qn, None)
         except ReconstructError as e:
             assert "is applied" in str(e) or "uninhabited" in str(e), e
         else:
             assert_meta_flags(out)
             assert not out.has_meta
             searched += qn.has_meta
+        # closing read a closed, variable-free classifier off every
+        # occurrence it met, applied ones included
+        assert bool(run.met) == qn.has_meta
+        assert all(c is not None and c.scope == 0 and not c.has_meta for c in run.met)
         subject = spine(qn)[1][0]
         try:
             out = decode_term(sig, encode_term(subject, sess.metas), Const("tm"), close=lambda m, cls: STLC_VALUES[cls])
@@ -492,7 +488,7 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
         else:
             assert_meta_flags(out)
             assert not out.has_meta
-        applied = any(isinstance(c, Pi) for c in classifiers.values())
+        applied = any(isinstance(c, Pi) for c in run.met)
         if i < 40 or applied:
             found = sess.first_answer(iterative=True)
             if found is not None and found[1].certified:

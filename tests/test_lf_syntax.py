@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lfhh import lf_syntax
 from lfhh.lf_syntax import (
     KIND,
     App,
@@ -369,6 +370,54 @@ def test_print_avoids_shadowing_free_constants():
     printed = pretty_print(e)
     reparsed = parse_expr_text(printed)
     assert reparsed == e
+
+
+def _nested_lams(k):
+    """`[x:a] … [x:a] c #k-1 … #0` with k binders, each named by the printer."""
+    e = make_app(Const("c"), [Bound(i) for i in range(k - 1, -1, -1)])
+    for _ in range(k):
+        e = Lam("x", Const("a"), e)
+    return e
+
+
+def test_printing_nested_binders_walks_bodies_in_linear_work(monkeypatch):
+    # the constants of the outermost named binder's body are collected once;
+    # an inner binder walks its own body only when its name is among them
+    walked = [0]  # nodes that `free_names` visits
+
+    def counted(e, _real=lf_syntax.free_names):
+        walked[0] += _size(e)
+        return _real(e)
+
+    monkeypatch.setattr(lf_syntax, "free_names", counted)
+    counts = {}
+    for k in (50, 100, 200):
+        walked[0] = 0
+        text = pretty_print(_nested_lams(k))
+        counts[k] = walked[0]
+        names = ["x"] + [f"x{i}" for i in range(1, k)]
+        assert text == " ".join(f"[{n}:a]" for n in names) + " c " + " ".join(names)
+    assert counts[200] - counts[100] == 2 * (counts[100] - counts[50])
+
+
+def _size(e):
+    """The number of nodes of `e` as a tree."""
+    if isinstance(e, App):
+        return 1 + _size(e.fn) + _size(e.arg)
+    if isinstance(e, (Pi, Lam)):
+        return 1 + _size(e.annot) + _size(e.body)
+    return 1
+
+
+def test_print_names_binders_apart_from_their_own_constants():
+    # the inner binder's first candidate `x1` is a constant of its body
+    e = Lam("x", Const("a"), Lam("x", Const("a"), App(App(Const("x1"), Bound(0)), Bound(1))))
+    assert pretty_print(e) == "[x:a] [x2:a] x1 x2 x"
+    # a binder inside an annotation avoids the annotation's constants, which
+    # the body of the binder it annotates does not have
+    e = Lam("z", Pi("x", Const("a"), App(Const("x"), Bound(0))), Bound(0))
+    assert pretty_print(e) == "[z:{x1:a} x x1] z"
+    assert parse_expr_text(pretty_print(e)) == e
 
 
 def test_print_renders_loose_index_as_hash():

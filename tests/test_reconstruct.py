@@ -259,7 +259,8 @@ def test_higher_order_guard_search(remark_sig):
 @pytest.mark.parametrize("query", ["of (lam base M) (arr base base)", "of (lam base ([x:tm] M x)) (arr base base)"])
 def test_session_normalizes_a_parsed_query_itself(query):
     # a library caller passes the parsed, unnormalized query; the session
-    # records M's classifier `tm -> tm` while normalizing it
+    # normalizes it, and closing decodes M at `tm -> tm`, the classifier
+    # its position fixes
     sig = checked_signature(parse_signature(STLC_TEXT))
     q = parse_query(query, sig)
     sess = QuerySession(sig, q, "optimized")
@@ -267,6 +268,22 @@ def test_session_normalizes_a_parsed_query_itself(query):
     assert ans.certified, ans.reason
     assert pretty_print(ans.lf_type) == "of (lam base ([x:tm] x)) (arr base base)"
     assert {n: pretty_print(v) for n, v in sess.binding_report(ans).items()} == {"M": "[x:tm] x"}
+
+
+def test_applied_variable_at_open_classifiers_is_named(golden_dir):
+    # `M v n` applies M to distinct binders out of order, and v's classifier
+    # `vec n` depends on n: no classifier of M is fixed by the position, and
+    # certification rejects the answer with an error that names M
+    sig = checked_signature(parse_signature((golden_dir / "vec.lf").read_text()))
+    sess = QuerySession(sig, parse_query("{n:nat} {v:vec n} vec (M v n)", sig), "optimized")
+    _, ans = sess.first_answer()
+    assert not ans.certified
+    assert ans.reason == "applied query variable M has no classifier fixed by its position"
+    # in order, the same binders give M the classifier `{x:nat} vec x -> nat`
+    sess = QuerySession(sig, parse_query("{n:nat} {v:vec n} vec (M n v)", sig), "optimized")
+    _, ans = sess.first_answer()
+    assert ans.certified, ans.reason
+    assert {n: pretty_print(v) for n, v in sess.binding_report(ans).items()} == {"M": "[x:nat] [x1:vec x] x"}
 
 
 def test_variables_under_rigid_guards_agree_across_modes():
