@@ -247,8 +247,17 @@ def cmd_compare(args) -> int:
             f" bindings agree: {agree}"
         )
     if not (same_type and same_proof):
-        print("DISAGREEMENT: first answers differ")
-        return EXIT_INTERNAL
+        # each mode's first answer is its shallowest proof, and the two may
+        # differ: then each mode must prove the other's answer
+        for mode, sess, ans in (("naive", sess_n, ans_o), ("optimized", sess_o, ans_n)):
+            solver = Solver(sess.program, limits)
+            goal = inhabitation_goal(sig, ans.lf_type, encode_term(ans.lf_proof), mode)
+            if next(solver.solve(goal, iterative=True), None) is None:
+                if (code := _exhausted(solver, args, f"{mode} check of the other answer: ")) is not None:
+                    return code
+                print(f"DISAGREEMENT: {mode} mode cannot prove the other mode's answer")
+                return EXIT_INTERNAL
+        print("first answers differ: each mode proves the other's answer")
     print(f"type = {pretty_print(ans_o.lf_type)}")
     print(f"proof = {pretty_print(ans_o.lf_proof)}")
     return EXIT_OK

@@ -623,9 +623,10 @@ def _add_query_metas(sig: Signature, e: LfExpr, is_arg: bool, out: dict[str, HMe
     annotations before bodies, spine arguments left to right, the order in
     which the goal mentions them.  A meta that is not an argument, inside an
     abstraction that is one, or the head of an applied argument has no
-    target, and a constant that `sig` does not declare is unbound: input
-    errors in both modes, whether or not the mode's goal keeps its
-    position."""
+    target, a constant that `sig` does not declare is unbound, and one
+    with fewer arguments than binders in its classifier, which only an
+    ill-typed query has once normalized, is under-applied: input errors in
+    both modes, whether or not the mode's goal keeps its position."""
     head, args = spine(e)
     cls = head.__class__
     if cls is Pi or cls is Lam:
@@ -636,8 +637,15 @@ def _add_query_metas(sig: Signature, e: LfExpr, is_arg: bool, out: dict[str, HMe
             raise LfError(f"meta-variable {head.name!r} has no target assignment")
         if head.name not in out:
             out[head.name] = HMeta(head.name, len(out) + 1)
-    elif cls is Const and head.name not in sig:
-        raise LfError(f"unbound constant {head.name!r}")
+    elif cls is Const:
+        entry = sig.lookup(head.name)
+        if entry is None:
+            raise LfError(f"unbound constant {head.name!r}")
+        t, binders = entry.classifier, 0
+        while t.__class__ is Pi:
+            t, binders = t.body, binders + 1
+        if len(args) < binders:
+            raise LfError(f"constant {head.name!r} is under-applied")
     for arg in args:
         _add_query_metas(sig, arg, True, out)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Container, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 __all__ = [
     "LfExpr",
@@ -32,7 +32,6 @@ __all__ = [
     "TYPE",
     "KIND",
     "SigEntry",
-    "Fingerprint",
     "Signature",
     "LfError",
     "LfSyntaxError",
@@ -363,24 +362,17 @@ class Record:
     """Base of the plain value records (signature entries, clauses, search
     limits and results, ...).  Each record class lists its fields in
     `__slots__` and `__match_args__`, in constructor order, and its
-    constructor assigns them.  Equality and hashing read the fields named in
-    `_compared`, and `repr` those in `_shown`; both default to
-    `__match_args__`.  Records of different classes are never equal.  Like
-    nodes, records are immutable by contract (search counters excepted)."""
+    constructor assigns them.  Equality, hashing and `repr` read the fields
+    in `__match_args__`; a last field left out of it takes part in none.
+    Records of different classes are never equal.  Like nodes, records are
+    immutable by contract (search counters excepted)."""
 
     # a record can be weakly referenced, as a dataclass instance could
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
-    _compared: tuple[str, ...] = ()
-    _shown: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        cls._compared = cls.__dict__.get("_compared", cls.__match_args__)
-        cls._shown = cls.__dict__.get("_shown", cls.__match_args__)
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._compared])
+        return tuple([getattr(self, f) for f in self.__match_args__])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -391,7 +383,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return fields_repr(self, self._shown)
+        return fields_repr(self, self.__match_args__)
 
 
 # ---------------------------------------------------------------------------
@@ -417,89 +409,48 @@ def classifier_sort(classifier: LfExpr) -> str:
     return "kind" if isinstance(t, TypeKind) else "type"
 
 
-class Fingerprint:
-    """The declaration names of a signature in order, rendered as text only
-    when printed: comma-separated, or "." when there are none.  A signature
-    extended by one name shares the fingerprint of its prefix, so keeping
-    the fingerprints of many nested contexts costs one node each."""
-
-    __slots__ = ("prev", "name")
-
-    def __init__(self, prev: "Fingerprint | None" = None, name: str | None = None):
-        self.prev = prev
-        self.name = name
-
-    def __iter__(self) -> Iterator[str]:
-        names: list[str] = []
-        node = self
-        while node.prev is not None:
-            names.append(node.name)
-            node = node.prev
-        return reversed(names)
-
-    def __str__(self) -> str:
-        return ",".join(self) or "."
-
-
 class Signature:
-    """Ordered list of declarations; also serves as the typing context.
+    """The declarations as one table from name to entry, in declaration
+    order; also the typing context.  A classifier may reference only earlier
+    entries: `checked_signature` checks each entry before it `add`s it."""
 
-    Immutable: `extend` returns a new signature.  Entry order is meaningful,
-    every classifier may reference only earlier entries.
+    __slots__ = ("_index",)
 
-    A signature is a prefix of an entry list and a name index that it may
-    share with longer signatures; names past its length are invisible to
-    it.  Extending the longest signature on a list appends to the shared
-    list and index, one entry and one fingerprint node in O(1); extending a
-    shorter one, which already has a child, first copies its own entries.
-    """
-
-    __slots__ = ("_entries", "_index", "_size", "names")
-
-    def __init__(self, entries: Sequence[SigEntry] = ()):
-        self._entries = list(entries)
-        self._index = {e.name: i for i, e in enumerate(entries)}
-        if len(self._index) != len(entries):
-            raise LfSyntaxError("duplicate name in signature")
-        self._size = len(entries)
-        self.names = Fingerprint()
+    def __init__(self, entries: Iterable[SigEntry] = ()):
+        self._index: dict[str, SigEntry] = {}
         for e in entries:
-            self.names = Fingerprint(self.names, e.name)
+            self.add(e)
+
+    def add(self, entry: SigEntry) -> None:
+        if entry.name in self._index:
+            raise LfSyntaxError(f"duplicate name {entry.name!r}")
+        self._index[entry.name] = entry
+
+    def extend(self, name: str, classifier: LfExpr, sort: str) -> "Signature":
+        """A copy with one more entry."""
+        out = Signature(self)
+        out.add(SigEntry(name, classifier, sort))
+        return out
 
     @property
     def entries(self) -> tuple[SigEntry, ...]:
-        return tuple(self._entries[: self._size])
+        return tuple(self._index.values())
 
     def lookup(self, name: str) -> SigEntry | None:
-        i = self._index.get(name, self._size)
-        return self._entries[i] if i < self._size else None
-
-    def extend(self, name: str, classifier: LfExpr, sort: str) -> "Signature":
-        if name in self:
-            raise LfSyntaxError(f"duplicate name {name!r}")
-        out = Signature.__new__(Signature)
-        entries, index, n = self._entries, self._index, self._size
-        if len(entries) > n:  # a child took the slot past this signature
-            entries = entries[:n]
-            index = {e.name: i for i, e in enumerate(entries)}
-        entries.append(SigEntry(name, classifier, sort))
-        index[name] = n
-        out._entries, out._index, out._size = entries, index, n + 1
-        out.names = Fingerprint(self.names, name)
-        return out
+        return self._index.get(name)
 
     def fingerprint(self) -> str:
-        """Declaration names in order, as text."""
-        return str(self.names)
+        """Declaration names in order, comma-separated, or "." for none."""
+        return ",".join(self._index) or "."
 
     def __contains__(self, name: str) -> bool:
-        return self._index.get(name, self._size) < self._size
+        return name in self._index
 
     def __iter__(self) -> Iterator[SigEntry]:
-        return islice(self._entries, self._size)
+        return iter(self._index.values())
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._index)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Signature) and self.entries == other.entries
@@ -662,20 +613,18 @@ def parse_signature(text: str) -> Signature:
     """Parse a sequence of declarations.  Classifiers come back raw: neither
     checked nor normalized."""
     p = _Parser(text)
-    entries: list[SigEntry] = []
-    seen: set[str] = set()
+    sig = Signature()
     while p.toks[p.pos]:
         name = p.expect()
         if name == "type":
             raise p.error("'type' cannot be declared", p.pos - 1)
-        if name in seen:
+        if name in sig:
             raise p.error(f"duplicate declaration of {name!r}", p.pos - 1)
         p.expect(":")
         classifier = p.parse_expr()
         p.expect(".")
-        seen.add(name)
-        entries.append(SigEntry(name, classifier, classifier_sort(classifier)))
-    return Signature(tuple(entries))
+        sig.add(SigEntry(name, classifier, classifier_sort(classifier)))
+    return sig
 
 
 def parse_query(text: str, sig: Signature) -> LfExpr:

@@ -28,11 +28,11 @@ from .lf_syntax import (
     App,
     Bound,
     Const,
-    Fingerprint,
     LfError,
     LfExpr,
     Lam,
     Pi,
+    SigEntry,
     Signature,
     TypeKind,
     _shift,
@@ -80,19 +80,21 @@ Memo = dict[tuple[int, int], tuple[LfExpr, LfExpr, "Derivation"]]
 
 
 class Judgment:
-    """Conclusion record: the declarations' fingerprint, the hints of the
-    binders crossed (innermost last), and a subject and classifier open over
-    those binders (expressions or literal text).  All are kept as they are,
-    so a judgment costs O(1), and binders are named only when printed.
+    """Conclusion record: the signature it was made against, the hints of
+    the binders crossed (innermost last), and a subject and classifier open
+    over those binders (expressions or literal text).  All are kept as they
+    are, so a judgment costs O(1), and binders are named only when printed.
     Like expression nodes, a judgment is immutable by contract, and all its
-    fields take part in equality."""
+    fields take part in equality; the signature compares by identity.  A
+    `KernelError` prints its judgment when raised, before `checked_signature`
+    adds another declaration to that signature."""
 
     __slots__ = ("context", "binders", "subject", "classifier")
     __match_args__ = __slots__
 
     def __init__(
         self,
-        context: Fingerprint,
+        context: Signature,
         binders: Hints,
         subject: LfExpr | str,
         classifier: LfExpr | str,
@@ -106,14 +108,14 @@ class Judgment:
         if other.__class__ is not Judgment:
             return NotImplemented
         return self is other or (
-            self.context == other.context
+            self.context is other.context
             and self.binders == other.binders
             and self.subject == other.subject
             and self.classifier == other.classifier
         )
 
     def __hash__(self) -> int:
-        return hash((self.context, self.binders, self.subject, self.classifier))
+        return hash((id(self.context), self.binders, self.subject, self.classifier))
 
     def __repr__(self) -> str:
         return fields_repr(self, self.__match_args__)
@@ -125,12 +127,12 @@ class Judgment:
         none, and neither term is walked."""
         if not self.binders:
             return []
-        declared, names = set(self.context), []
+        free, names = set(), []
         for e in (self.subject, self.classifier):
             if isinstance(e, LfExpr):
-                declared |= free_names(e)
+                free |= free_names(e)
         for hint in self.binders:
-            names.append(fresh_name(hint, declared, names))
+            names.append(fresh_name(hint, self.context, free, names))
         return names
 
     def show(self, e: LfExpr | str, names: list[str]) -> str:
@@ -144,7 +146,7 @@ class Judgment:
 
     def __str__(self) -> str:
         names = self.names()
-        context = ",".join([*self.context, *names]) or "."
+        context = ",".join([*(e.name for e in self.context), *names]) or "."
         return f"{context} |- {self.show(self.subject, names)} : {self.show(self.classifier, names)}"
 
 
@@ -210,19 +212,18 @@ def checked_signature(sig: Signature) -> Signature:
     """Normalize every classifier against its sort, check it, and return the
     normalized signature.
 
-    Each entry is processed under the (already normalized and checked) prefix,
-    so declarations may only reference earlier names.  Each declaration's
-    derivation is dropped once its check returns: no caller reads a proof of
-    signature formation, only whether it holds.
+    Each entry is normalized and checked against the entries added before
+    it, then added: a declaration may reference only earlier names, and an
+    error's judgment names only those.  Each declaration's derivation is
+    dropped once its check returns: no caller reads a proof of signature
+    formation, only whether it holds.
     """
     checked = Signature()
     for entry in sig:
         kind = entry.sort == "kind"
-        if entry.name in checked:
-            raise KernelError(f"duplicate declaration of {entry.name!r}", "KindCtx" if kind else "TypeCtx")
         classifier = normalize(entry.classifier, KIND if kind else TYPE, checked)
         (check_kind if kind else check_type)(checked, classifier)
-        checked = checked.extend(entry.name, classifier, entry.sort)
+        checked.add(SigEntry(entry.name, classifier, entry.sort))
     return checked
 
 
@@ -233,19 +234,19 @@ def checked_signature(sig: Signature) -> Signature:
 
 def check_kind(sig: Signature, k: LfExpr) -> Derivation:
     """Derivation of `sig |- k kind` for canonical `k`."""
-    _reject_metas(k, "PiKind", Judgment(sig.names, (), k, "kind"))
+    _reject_metas(k, "PiKind", Judgment(sig, (), k, "kind"))
     return _check_kind(sig, (), (), k, {})
 
 
 def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr, memo: Memo) -> Derivation:
     cls = k.__class__
     if cls is TypeKind:
-        return Derivation("TypeKind", Judgment(sig.names, hints, "type", "kind"))
+        return Derivation("TypeKind", Judgment(sig, hints, "type", "kind"))
     if cls is Pi:
         da = _check_family(sig, hints, stack, k.annot, memo)
         db = _check_kind(sig, hints + (k.hint,), stack + (k.annot,), k.body, memo)
-        return Derivation("PiKind", Judgment(sig.names, hints, k, "kind"), (da, db))
-    raise KernelError("kind expected", "PiKind", Judgment(sig.names, hints, k, "kind"))
+        return Derivation("PiKind", Judgment(sig, hints, k, "kind"), (da, db))
+    raise KernelError("kind expected", "PiKind", Judgment(sig, hints, k, "kind"))
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +256,14 @@ def _check_kind(sig: Signature, hints: Hints, stack: Stack, k: LfExpr, memo: Mem
 
 def check_type(sig: Signature, a: LfExpr) -> Derivation:
     """Derivation of `sig |- a : type` for canonical `a`."""
-    _reject_metas(a, "BackchainFam", Judgment(sig.names, (), a, TYPE))
+    _reject_metas(a, "BackchainFam", Judgment(sig, (), a, TYPE))
     return _check_family(sig, (), (), a, {})
 
 
 def _check_family(sig: Signature, hints: Hints, stack: Stack, a: LfExpr, memo: Memo) -> Derivation:
     """Derivation of `a : type`.  A kind's domains are types, so no family
     takes a family argument and every family is checked at kind `type`."""
-    j = Judgment(sig.names, hints, a, TYPE)
+    j = Judgment(sig, hints, a, TYPE)
     cls = a.__class__
     if cls is Pi:
         da = _check_family(sig, hints, stack, a.annot, memo)
@@ -286,14 +287,14 @@ def check_object(sig: Signature, m: LfExpr, a: LfExpr) -> Derivation:
     `a` must be canonical and already accepted by `check_type`; the subject is
     expected in beta-eta-long form (normalize at the boundary first).
     """
-    j = Judgment(sig.names, (), m, a)
+    j = Judgment(sig, (), m, a)
     _reject_metas(m, "BackchainObj", j)
     _reject_metas(a, "BackchainObj", j)
     return _check_object(sig, (), (), m, a, {})
 
 
 def _check_object(sig: Signature, hints: Hints, stack: Stack, m: LfExpr, a: LfExpr, memo: Memo) -> Derivation:
-    j = Judgment(sig.names, hints, m, a)
+    j = Judgment(sig, hints, m, a)
     cls = a.__class__
     if cls is Pi:
         if m.__class__ is not Lam:

@@ -84,8 +84,7 @@ class CertifiedAnswer(Record):
     """Kernel verdict on one decoded answer."""
 
     __slots__ = ("lf_proof", "lf_type", "kernel_derivation", "counters", "status", "reason", "bindings")
-    __match_args__ = __slots__
-    _compared = _shown = __slots__[:-1]  # all but the bindings, which lf_type holds
+    __match_args__ = __slots__[:-1]  # all but the bindings, which lf_type holds
 
     def __init__(
         self,

@@ -13,7 +13,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import lfhh
+from lfhh import cli
 from lfhh.cli import build_parser, main
+from lfhh.hhf_logic import HConst
 from lfhh.lf_syntax import parse_signature, pretty_print
 from lfhh.lf_typecheck import checked_signature
 from lfhh.reconstruct import QuerySession
@@ -348,6 +350,34 @@ def test_compare_one_mode_exhausted_is_a_disagreement(append_lf, monkeypatch):
     code, out, _ = run_cli("compare", append_lf, "append nil (cons (s z) nil) Out")
     assert code == 3
     assert out.endswith("DISAGREEMENT: success differs between modes\n")
+
+
+def test_compare_first_answers_that_differ_are_each_proved_by_the_other_mode(append_lf):
+    # iterative deepening finds each mode's shallowest proof: optimized mode
+    # puts the whole list in K, and naive mode, whose guard on K makes a long
+    # K deep to prove, puts it in L; each mode proves the other's answer too
+    query = "append L K (cons z (cons (s z) (cons (s (s z)) nil)))"
+    code, out, _ = run_cli("compare", append_lf, query)
+    assert code == 0
+    assert "type agreement: False | proof agreement: False" in out
+    assert "first answers differ: each mode proves the other's answer\n" in out
+
+
+def test_compare_mode_that_cannot_prove_the_other_answer_is_a_disagreement(append_lf, monkeypatch):
+    # a proof term that inhabits nothing stands for an answer the other mode
+    # cannot prove
+    monkeypatch.setattr(cli, "encode_term", lambda proof: HConst("nil"))
+    code, out, _ = run_cli("compare", append_lf, "append L K (cons z (cons (s z) (cons (s (s z)) nil)))")
+    assert code == 3
+    assert out.endswith("DISAGREEMENT: naive mode cannot prove the other mode's answer\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("query, name", [("append L K (cons nil)", "cons"), ("append L K", "append")])
+def test_under_applied_constant_in_a_query_with_variables_is_an_input_error(append_lf, command, query, name):
+    # neither an uncertified answer nor a search that finds no inhabitant
+    code, out, err = run_cli(command, append_lf, query)
+    assert (code, out, err) == (1, "", f"error: constant {name!r} is under-applied\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])

@@ -3,12 +3,11 @@ plain recursive reference on every node the front end, the kernel's helpers
 and the decoder build, substitution and beta normalization against versions
 with no shortcut, closed and normal subterms returned as the same object, and
 `fresh_name` over separate containers against the old set union, and
-signatures that share storage with their extensions.  Also the
+signatures and the copies that extend them.  Also the
 node classes' equality and hashing, which ignore binder hints, and their
 `repr` text, and those of signature entries and kernel derivations."""
 
 import random
-import tracemalloc
 
 import pytest
 
@@ -250,7 +249,7 @@ def test_repr_of_every_node_class():
 
 
 def copy_derivation(d):
-    """`d` rebuilt from new nodes that share only its fingerprints."""
+    """`d` rebuilt from new nodes that share only its signature."""
     c = d.conclusion
     return Derivation(
         d.rule,
@@ -267,8 +266,8 @@ def test_kernel_derivations_compare_every_field():
     copy = copy_derivation(d)
     assert copy is not d and copy == d and hash(copy) == hash(d) and repr(copy) == repr(d)
     assert d.size > 1
-    # binder hints are part of a judgment; separate signatures have separate
-    # fingerprints, which compare by identity
+    # binder hints are part of a judgment; the signature compares by
+    # identity, so a check against an equal copy gives an unequal judgment
     again = check_type(Signature(prefix), f.classifier)
     assert again != d
     leaf = d
@@ -365,29 +364,6 @@ def test_extending_one_parent_twice_gives_independent_signatures():
     assert "b" not in left2 and "c" not in right2 and "a" not in right
     assert [e.name for e in parent] == ["nat", "z"] and parent.fingerprint() == "nat,z"
     assert left != right and left2 != right2 and parent == Signature(parent.entries)
-
-
-def test_extend_does_not_grow_with_the_signature():
-    # extending copied the whole entry tuple and name index, so the memory
-    # that 200 extensions hold was proportional to the signature: about 8
-    # times more at 6000 declarations than at 750; now they hold the same
-    def held_by_extensions(n):
-        sig = Signature()
-        for i in range(n):
-            sig = sig.extend(f"c{i}", TYPE, "kind")
-        kept = []
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for i in range(200):
-                sig = sig.extend(f"d{i}", TYPE, "kind")
-                kept.append(sig)
-            return tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-
-    small, large = held_by_extensions(750), held_by_extensions(6000)
-    assert large < 2 * small, (small, large)
 
 
 def test_extend_keeps_index_and_fingerprint():

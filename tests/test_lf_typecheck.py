@@ -61,10 +61,26 @@ def test_undeclared_constant_named_like_a_binder_is_unbound():
         checked_signature(parse_signature("a : type. y : a. f : (a -> a) -> type. d : f ([y:a] y1)."))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a : type. b : c. c : type.", "unbound constant 'c' [BackchainFam] at a |- c : type"),
+        ("a : type. b : a -> a. f : b -> type. c : type.", "'b' is not a type family [BackchainFam] at a,b |- b : type"),
+        ("nat : type. f : {x:nat} x. g : type.", "'x' is not a type family [BackchainFam] at nat,x |- x : type"),
+    ],
+)
+def test_a_declaration_is_checked_against_the_earlier_ones_only(text, message):
+    # a declaration is added once its check returns, so a judgment in its
+    # error names the declarations before it and none after
+    with pytest.raises(KernelError) as info:
+        checked_signature(parse_signature(text))
+    assert str(info.value) == message
+
+
 def test_checked_signature_memory_is_linear():
     # each declaration's derivation is dropped once it is checked, and the
-    # signature's fingerprint is one node per name: 3000 declarations peak
-    # at about 0.7 MiB
+    # signature is one table entry per name: 3000 declarations peak at about
+    # 0.7 MiB
     raw = parse_signature("".join(STLC_BLOCK.replace("{t}", f"_{i}") for i in range(200)))
     tracemalloc.start()
     try:

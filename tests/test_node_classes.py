@@ -34,16 +34,16 @@ from lfhh.hhf_logic import (
     SimpleType,
 )
 from lfhh.hhf_prover import CompiledClause, Counters, Limits, Solution
-from lfhh.lf_syntax import TYPE, App, Bound, Const, Fingerprint, Lam, LfExpr, Meta, Pi, SigEntry, TypeKind
+from lfhh.lf_syntax import TYPE, App, Bound, Const, Lam, LfExpr, Meta, Pi, SigEntry, Signature, TypeKind
 from lfhh.lf_typecheck import Derivation, Judgment
 from lfhh.reconstruct import CertifiedAnswer
 from lfhh.rigidity import GuardPlan
 
 ATOM = FAtom(HConst("z"), HConst("nat"))
 CLAUSE = Clause("c", ATOM)
-FP = Fingerprint(Fingerprint(), "a")
-JUDGMENT = Judgment(FP, ("x",), Bound(0), Const("a"))
-LEAF = Derivation("Type", Judgment(FP, (), TYPE, "kind"))
+SIG = Signature([SigEntry("a", TYPE, "kind")])
+JUDGMENT = Judgment(SIG, ("x",), Bound(0), Const("a"))
+LEAF = Derivation("Type", Judgment(SIG, (), TYPE, "kind"))
 
 # class, constructor arguments, a different value for each field (fields the
 # constructor does not take are written after construction), the fields that
@@ -87,18 +87,18 @@ CASES = [
     ),
     (
         Judgment,
-        (FP, ("x",), Bound(0), Const("a")),
-        {"context": Fingerprint(), "binders": ("y",), "subject": Bound(1), "classifier": "text"},
+        (SIG, ("x",), Bound(0), Const("a")),
+        {"context": Signature(), "binders": ("y",), "subject": Bound(1), "classifier": "text"},
         set(),
         ("context", "binders", "subject", "classifier"),
-        f"Judgment(context={FP!r}, binders=('x',), subject=Bound(index=0), classifier=Const(name='a'))",
+        f"Judgment(context={SIG!r}, binders=('x',), subject=Bound(index=0), classifier=Const(name='a'))",
     ),
     (
         Derivation,
         ("Const", JUDGMENT, (), "a", (Const("b"),)),
         {
             "rule": "Var",
-            "conclusion": Judgment(FP, ("x",), Bound(0), Const("b")),
+            "conclusion": Judgment(SIG, ("x",), Bound(0), Const("b")),
             "premises": (LEAF,),
             "size": 5,
             "head": "#0",
@@ -241,7 +241,7 @@ CASES = [
             "bindings": {},
         },
         {"bindings"},
-        ("lf_proof", "lf_type", "kernel_derivation", "counters", "status", "reason", "bindings"),
+        ("lf_proof", "lf_type", "kernel_derivation", "counters", "status", "reason"),
         f"CertifiedAnswer(lf_proof=Const(name='p'), lf_type=Const(name='t'), kernel_derivation={LEAF!r}, "
         "counters=Counters(backchain_steps=0, top_steps=0, unify_calls=0), status='certified', reason=None)",
     ),
