@@ -1,6 +1,12 @@
 """Simply typed target terms, hereditary Harrop formulas, and the two clause
 translations (plain and redundancy-eliminating).
 
+A target term's constants, bound variables and applications are the LF
+nodes `Const`, `Bound` and `App`; only its abstractions (`HLam`, which carry
+no annotation), unification variables and eigenvariables are classes of
+their own.  So the encoding of a canonical object without abstractions or
+meta-variables is that object itself.
+
 Dependent types are erased to simple types over two base sorts: `tm` for
 encoded objects, `ty` for encoded base types.  A single predicate relates
 the two.  Each object-level declaration becomes one closed clause: a
@@ -18,7 +24,7 @@ the binders crossed.  No binder is opened by name and abstracted back.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .lf_syntax import (
     OPEN,
@@ -36,6 +42,7 @@ from .lf_syntax import (
     _shift,
     fields_repr,
     fresh_name,
+    make_app,
     spine,
 )
 from .rigidity import plan_for_type
@@ -47,10 +54,8 @@ __all__ = [
     "TM",
     "TY",
     "HhTerm",
-    "HConst",
-    "HBound",
+    "Term",
     "HLam",
-    "HApp",
     "HMeta",
     "HEigen",
     "OPEN",
@@ -63,7 +68,6 @@ __all__ = [
     "ClauseSet",
     "erase_type",
     "encode_term",
-    "lf_head",
     "translate",
     "translate_query",
     "inhabitation_goal",
@@ -72,8 +76,6 @@ __all__ = [
     "print_term",
     "print_formula",
     "print_clauses",
-    "hspine",
-    "happs",
     "h_instantiate",
     "h_shift",
     "h_apply",
@@ -131,30 +133,34 @@ def erase_type(classifier: LfExpr) -> SimpleType:
 # ---------------------------------------------------------------------------
 
 
-# Every term has a `scope`, read in O(1), as LF expressions do: the number of
-# enclosing binders it needs, that is one more than its highest loose de
-# Bruijn index (0 when it has none), or `OPEN` when it contains a
-# meta-variable, an eigenvariable or a beta-redex at a spine head.  Leaves
-# carry it as a class attribute or compute it from their index; `HApp` and
-# `HLam` compute it once from their children in their constructor.  A term
-# is closed when its scope is 0: then dereferencing, normalizing,
-# instantiating or inverting it returns the term itself.  A term whose scope
-# is not `OPEN` also has `lam_free`, true when it has no abstraction anywhere
-# inside: a class attribute on `HConst`, `HBound` and `HLam`, a slot that
-# `HApp`'s constructor sets, and leaves unset when its scope is `OPEN`.
+# A target term is made of the LF nodes `Const`, `Bound` and `App` and of the
+# classes below.  Every term has a `scope`, read in O(1), as LF expressions
+# do: the number of enclosing binders it needs, that is one more than its
+# highest loose de Bruijn index (0 when it has none), or `OPEN` when it
+# contains a unification variable, an eigenvariable or a beta-redex at a
+# spine head.  `HMeta` and `HEigen` carry it as a class attribute, and `HLam`
+# computes it from its body.  A term is closed when its scope is 0: then
+# dereferencing, normalizing, instantiating or inverting it returns the term
+# itself.  A term whose scope is not `OPEN` also has `lam_free`, true when it
+# has no abstraction anywhere inside: false on `HLam`, and set by `App`'s
+# constructor.  `has_meta` and `abstraction`, which `App`'s constructor reads
+# off its children, are kept here as on LF expressions.
 
 
 class HhTerm:
-    """Base of every target term node.  As with LF expressions, each class
-    has one hand-written constructor that assigns its slots, `scope` and
-    `lam_free` included, its own `__eq__` and `__hash__`, and a `repr` of
-    the fields in `__match_args__`; every term prints with `print_term`.
-    Terms are immutable by contract: no code writes a field after the
-    constructor returns, and no `__setattr__` guard slows construction down
-    to enforce it."""
+    """Base of the target term classes that are not LF nodes.  As with LF
+    expressions, each class has one hand-written constructor that assigns
+    its slots, `scope` included, its own `__eq__` and `__hash__`, and a
+    `repr` of the fields in `__match_args__`.  Every target term prints
+    with `print_term`, which gives a term of LF nodes alone the text of its
+    `pretty_print`.  Terms are immutable by contract: no code writes a field
+    after the constructor returns, and no `__setattr__` guard slows
+    construction down to enforce it."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    abstraction = False
+    has_meta = False
 
     def __repr__(self) -> str:
         return fields_repr(self, self.__match_args__)
@@ -163,52 +169,18 @@ class HhTerm:
         return print_term(self)
 
 
-class HConst(HhTerm):
-    __slots__ = ("name",)
-    __match_args__ = ("name",)
-    scope = 0
-    lam_free = True
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HConst:
-            return NotImplemented
-        return self is other or self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
-
-class HBound(HhTerm):
-    __slots__ = ("index", "scope")
-    __match_args__ = ("index",)
-    lam_free = True
-
-    def __init__(self, index: int):
-        self.index = index
-        self.scope = index + 1
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HBound:
-            return NotImplemented
-        return self is other or self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash((self.index,))
-
-
 class HLam(HhTerm):
-    __slots__ = ("hint", "body", "scope")
+    __slots__ = ("hint", "body", "scope", "has_meta")
     __match_args__ = ("hint", "body")
+    abstraction = True
     lam_free = False
 
-    def __init__(self, hint: str, body: HhTerm):
+    def __init__(self, hint: str, body: Term):
         self.hint = hint
         self.body = body
         b = body.scope
         self.scope = b - 1 if b > 0 else b
+        self.has_meta = body.has_meta
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not HLam:
@@ -219,29 +191,6 @@ class HLam(HhTerm):
         return hash((self.body,))
 
 
-class HApp(HhTerm):
-    __slots__ = ("fn", "arg", "scope", "lam_free")
-    __match_args__ = ("fn", "arg")
-
-    def __init__(self, fn: HhTerm, arg: HhTerm):
-        self.fn = fn
-        self.arg = arg
-        f, a = fn.scope, arg.scope
-        if f < 0 or a < 0 or isinstance(fn, HLam):
-            self.scope = OPEN
-        else:
-            self.scope = f if f >= a else a
-            self.lam_free = fn.lam_free and arg.lam_free
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HApp:
-            return NotImplemented
-        return self is other or (self.fn == other.fn and self.arg == other.arg)
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.arg))
-
-
 class HMeta(HhTerm):
     """Unification variable.  Identity is the numeric id; the name is for
     display, the scope level is bookkeeping."""
@@ -249,6 +198,7 @@ class HMeta(HhTerm):
     __slots__ = ("name", "id", "level")
     __match_args__ = ("name", "id", "level")
     scope = OPEN
+    has_meta = True
 
     def __init__(self, name: str, id: int = 0, level: int = 0):
         self.name = name
@@ -285,86 +235,73 @@ class HEigen(HhTerm):
         return hash((self.id, self.level))
 
 
-def hspine(t: HhTerm) -> tuple[HhTerm, list[HhTerm]]:
-    args: list[HhTerm] = []
-    while isinstance(t, HApp):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
+Term = LfExpr | HhTerm  # a target term
 
 
-def happs(head: HhTerm, args: Iterable[HhTerm]) -> HhTerm:
-    for a in args:
-        head = HApp(head, a)
-    return head
-
-
-def h_instantiate(body: HhTerm, values: Sequence[HhTerm], depth: int = 0) -> HhTerm:
-    """Replace the `len(values)` innermost loose bound variables of `body`
-    with `values`, outermost binder first, in one pass: HBound(depth)
-    becomes `values[-1]`, shifted by `depth` so that its own loose bound
-    variables still point past the binders it is put under."""
+def h_instantiate(body: Term, values: Sequence[Term], depth: int = 0) -> Term:
+    """`lf_syntax.instantiate` on a target term: replace the `len(values)`
+    innermost loose bound variables of `body` with `values`, outermost
+    binder first, in one pass: Bound(depth) becomes `values[-1]`, shifted by
+    `depth` so that its own loose bound variables still point past the
+    binders it is put under."""
     if 0 <= body.scope <= depth:
         return body
-    if isinstance(body, HBound):
-        k = body.index
-        if k < depth:
-            return body
-        i = len(values) - 1 - (k - depth)
+    cls = body.__class__
+    if cls is Bound:  # its index is at least `depth`, by its scope
+        i = len(values) - 1 - (body.index - depth)
         if i < 0:
-            return HBound(k - len(values))
+            return Bound(body.index - len(values))
         return h_shift(values[i], depth) if depth else values[i]
-    if isinstance(body, HApp):
-        return HApp(h_instantiate(body.fn, values, depth), h_instantiate(body.arg, values, depth))
-    if isinstance(body, HLam):
+    if cls is App:
+        return App(h_instantiate(body.fn, values, depth), h_instantiate(body.arg, values, depth))
+    if cls is HLam:
         return HLam(body.hint, h_instantiate(body.body, values, depth + 1))
     return body
 
 
-def h_shift(t: HhTerm, by: int = 1, depth: int = 0) -> HhTerm:
+def h_shift(t: Term, by: int = 1, depth: int = 0) -> Term:
     """`t` under `by` more binders: its loose bound variables at or above
     `depth` are raised by `by`.  A term with none is returned as is."""
     if 0 <= t.scope <= depth:
         return t
     cls = t.__class__
-    if cls is HApp:
-        return HApp(h_shift(t.fn, by, depth), h_shift(t.arg, by, depth))
+    if cls is App:
+        return App(h_shift(t.fn, by, depth), h_shift(t.arg, by, depth))
     if cls is HLam:
         return HLam(t.hint, h_shift(t.body, by, depth + 1))
-    if cls is HBound:  # its index is at least `depth`, by its scope
-        return HBound(t.index + by)
+    if cls is Bound:  # its index is at least `depth`, by its scope
+        return Bound(t.index + by)
     return t
 
 
-def h_apply(t: HhTerm, v: HhTerm) -> HhTerm:
+def h_apply(t: Term, v: Term) -> Term:
     """`t v`, with the redex reduced when `t` is an abstraction."""
-    if isinstance(t, HLam):
+    if t.__class__ is HLam:
         return h_instantiate(t.body, (v,))
-    return HApp(t, v)
+    return App(t, v)
 
 
-def encode_term(e: LfExpr, metas: Mapping[str, HMeta] | None = None) -> HhTerm:
+def encode_term(e: LfExpr, metas: Mapping[str, HMeta] | None = None) -> Term:
     """Encode a canonical object or base type: annotations are dropped,
-    structure is preserved, meta-variables map through `metas`.  An
-    application node that occurs several times in `e` is encoded once, and
-    its occurrences share the encoding."""
+    structure is preserved, meta-variables map through `metas`.  Only
+    abstractions and meta-variables are copied: a subterm made of
+    constants, bound variables and applications alone is its own encoding.
+    An application node above a copied node that occurs several times in
+    `e` is encoded once, and its occurrences share the encoding."""
     return _encode(e, metas, {})
 
 
-def _encode(t: LfExpr, metas: Mapping[str, HMeta] | None, shared: dict[int, HhTerm]) -> HhTerm:
+def _encode(t: LfExpr, metas: Mapping[str, HMeta] | None, shared: dict[int, Term]) -> Term:
     """`encode_term`'s walk; `shared` maps the id of an App node of the
     input to its encoding."""
+    if t.scope >= 0 and t.lam_free:
+        return t
     cls = t.__class__
     if cls is App:
         out = shared.get(id(t))
         if out is None:
-            out = shared[id(t)] = HApp(_encode(t.fn, metas, shared), _encode(t.arg, metas, shared))
+            out = shared[id(t)] = App(_encode(t.fn, metas, shared), _encode(t.arg, metas, shared))
         return out
-    if cls is Const:
-        return HConst(t.name)
-    if cls is Bound:
-        return HBound(t.index)
     if cls is Meta:
         if metas is None or t.name not in metas:
             raise LfError(f"meta-variable {t.name!r} has no target assignment")
@@ -372,17 +309,6 @@ def _encode(t: LfExpr, metas: Mapping[str, HMeta] | None, shared: dict[int, HhTe
     if cls is Lam:
         return HLam(t.hint, _encode(t.body, metas, shared))
     raise LfError(f"expression has no term encoding: {t!r}")
-
-
-def lf_head(h: HhTerm) -> LfExpr | None:
-    """The LF head that `encode_term` maps to the head `h`: a constant or a
-    bound variable; None for any other term."""
-    cls = h.__class__
-    if cls is HConst:
-        return Const(h.name)
-    if cls is HBound:
-        return Bound(h.index)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +346,7 @@ class FAtom(HhFormula):
     __slots__ = ("subject", "classifier")
     __match_args__ = ("subject", "classifier")
 
-    def __init__(self, subject: HhTerm, classifier: HhTerm):
+    def __init__(self, subject: Term, classifier: Term):
         self.subject = subject
         self.classifier = classifier
 
@@ -477,7 +403,7 @@ class FForall(HhFormula):
         return print_formula(self)
 
 
-def f_instantiate(f: HhFormula, values: Sequence[HhTerm], depth: int = 0) -> HhFormula:
+def f_instantiate(f: HhFormula, values: Sequence[Term], depth: int = 0) -> HhFormula:
     """`h_instantiate` on every term of a formula."""
     if isinstance(f, FAtom):
         return FAtom(h_instantiate(f.subject, values, depth), h_instantiate(f.classifier, values, depth))
@@ -488,13 +414,13 @@ def f_instantiate(f: HhFormula, values: Sequence[HhTerm], depth: int = 0) -> HhF
     return f
 
 
-def open_leaves(t: HhTerm | HhFormula, kind: type, out: list) -> list:
+def open_leaves(t: Term | HhFormula, kind: type, out: list) -> list:
     """`out` extended with the leaves of class `kind` of the term or formula
     `t`, left to right.  A term whose scope is not `OPEN` has none and is not
     entered.  Tested by class, not by `match`, which costs twice as much on
     a call that every solve makes."""
     cls = t.__class__
-    if cls is HApp:
+    if cls is App:
         if t.scope < 0:
             open_leaves(t.fn, kind, out)
             open_leaves(t.arg, kind, out)
@@ -551,13 +477,13 @@ class ClauseSet(Record):
 # ---------------------------------------------------------------------------
 
 
-_VAR = HBound(0)  # the subject of a guard: the variable its quantifier binds
+_VAR = Bound(0)  # the subject of a guard: the variable its quantifier binds
 
 
 def _clause(
     sig: Signature,
     a: LfExpr,
-    head: HhTerm,
+    head: Term,
     polarity: str,
     local: tuple[str, ...],
     metas: Mapping[str, HMeta] | None = None,
@@ -591,9 +517,9 @@ def _clause(
         prefix.append((a.hint if a.hint != "_" else x, erase_type(a.annot), guard))
         a = a.body
     n = len(prefix)
-    if isinstance(head, HBound):
-        head = HBound(head.index + n)
-    f: HhFormula = FAtom(happs(head, [HBound(i) for i in range(n - 1, -1, -1)]), encode_term(a, metas))
+    if head.__class__ is Bound:
+        head = Bound(head.index + n)
+    f: HhFormula = FAtom(make_app(head, [Bound(i) for i in range(n - 1, -1, -1)]), encode_term(a, metas))
     for hint, stype, guard in reversed(prefix):
         f = FForall(hint, stype, FImplies(guard, f))
     return f
@@ -610,7 +536,7 @@ def translate(sig: Signature, mode: str) -> ClauseSet:
     clauses = []
     for e in sig:
         if e.sort == "type":
-            clauses.append(Clause(e.name, _clause(sig, e.classifier, HConst(e.name), polarity, ())))
+            clauses.append(Clause(e.name, _clause(sig, e.classifier, Const(e.name), polarity, ())))
     return ClauseSet(tuple(clauses), mode)
 
 
@@ -667,7 +593,7 @@ def translate_query(
 def inhabitation_goal(
     sig: Signature,
     a: LfExpr,
-    subject: HhTerm,
+    subject: Term,
     mode: str,
     metas: Mapping[str, HMeta] | None = None,
 ) -> HhFormula:
@@ -707,17 +633,17 @@ def print_simple_type(t: SimpleType, prec: int = 0) -> str:
     raise LfError(f"bad simple type {t!r}")
 
 
-def print_term(t: HhTerm, prec: int = 0, names: tuple[str, ...] = ()) -> str:
+def print_term(t: Term, prec: int = 0, names: tuple[str, ...] = ()) -> str:
     cls = t.__class__
-    if cls is HApp:
-        head, args = hspine(t)
+    if cls is App:
+        head, args = spine(t)
         parts = [print_term(head, 1, names)] + [print_term(a, 2, names) for a in args]
         s = " ".join(parts)
         return f"({s})" if prec > 1 else s
-    if cls is HBound:
+    if cls is Bound:
         k = t.index
         return names[-1 - k] if k < len(names) else f"#{k}"
-    if cls is HConst or cls is HEigen:
+    if cls is Const or cls is HEigen:
         return t.name
     if cls is HMeta:
         return f"?{t.name}"
@@ -732,22 +658,23 @@ def print_term(t: HhTerm, prec: int = 0, names: tuple[str, ...] = ()) -> str:
     raise LfError(f"bad term {t!r}")
 
 
-def _mentions(t: HhTerm | HhFormula, k: int) -> bool:
+def _mentions(t: Term | HhFormula, k: int) -> bool:
     """Whether the term or formula `t` has the loose bound variable `k`,
     nested premises and abstractions included."""
-    if isinstance(t, HhTerm):
-        if 0 <= t.scope <= k:
-            return False
-        if isinstance(t, HBound):
-            return t.index == k
-        if isinstance(t, HApp):
-            return _mentions(t.fn, k) or _mentions(t.arg, k)
-        return isinstance(t, HLam) and _mentions(t.body, k + 1)
-    if isinstance(t, FAtom):
+    cls = t.__class__
+    if cls is FAtom:
         return _mentions(t.subject, k) or _mentions(t.classifier, k)
-    if isinstance(t, FImplies):
+    if cls is FImplies:
         return _mentions(t.antecedent, k) or _mentions(t.consequent, k)
-    return isinstance(t, FForall) and _mentions(t.body, k + 1)
+    if cls is FForall:
+        return _mentions(t.body, k + 1)
+    if cls is FTop or 0 <= t.scope <= k:  # a term from here on
+        return False
+    if cls is Bound:
+        return t.index == k
+    if cls is App:
+        return _mentions(t.fn, k) or _mentions(t.arg, k)
+    return cls is HLam and _mentions(t.body, k + 1)
 
 
 class _NameGen:

@@ -102,26 +102,21 @@ from .hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HApp,
-    HBound,
-    HConst,
     HEigen,
     HLam,
     HMeta,
     HhFormula,
-    HhTerm,
     SimpleType,
+    Term,
     _mentions,
     f_instantiate,
     h_apply,
     h_instantiate,
-    happs,
-    hspine,
     open_leaves,
     print_formula,
     print_term,
 )
-from .lf_syntax import Record
+from .lf_syntax import App, Bound, Const, Record, make_app, spine
 
 __all__ = [
     "Limits",
@@ -170,14 +165,14 @@ class _UnifyFail(Exception):
     """Internal, caught inside unification: occurs/scope violation."""
 
 
-def resolve_term(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
+def resolve_term(bindings: dict[int, Term], t: Term) -> Term:
     """Fully dereference and beta-normalize `t` under `bindings`.  Each
     distinct node of `t` is resolved once, so a node that occurs several
     times, such as a variable bound once, resolves to one shared term."""
     return _resolve(t, bindings, {})
 
 
-def _resolve(t: HhTerm, bindings: dict[int, HhTerm], memo: dict[int, tuple[HhTerm, HhTerm]]) -> HhTerm:
+def _resolve(t: Term, bindings: dict[int, Term], memo: dict[int, tuple[Term, Term]]) -> Term:
     """`resolve_term`'s walk; `memo` maps the id of a node to (node, result)."""
     if t.scope >= 0:
         return t
@@ -189,44 +184,44 @@ def _resolve(t: HhTerm, bindings: dict[int, HhTerm], memo: dict[int, tuple[HhTer
     if u.scope < 0:
         if u.__class__ is HLam:
             out = HLam(u.hint, _resolve(u.body, bindings, memo))
-        elif u.__class__ is HApp:
-            head, args = hspine(u)  # `_walk` left no abstraction at the head
-            out = happs(head, [_resolve(a, bindings, memo) for a in args])
+        elif u.__class__ is App:
+            head, args = spine(u)  # `_walk` left no abstraction at the head
+            out = make_app(head, [_resolve(a, bindings, memo) for a in args])
     memo[id(t)] = (t, out)
     return out
 
 
-def _walk(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
+def _walk(bindings: dict[int, Term], t: Term) -> Term:
     """Head-dereference and head-beta-reduce.  The spine is taken apart only
     for a bound variable or an abstraction at its head, and the leading
     abstractions are reduced in one instantiation."""
     while t.scope < 0:
         head = t
-        while head.__class__ is HApp:
+        while head.__class__ is App:
             head = head.fn
         if head.__class__ is HMeta and (b := bindings.get(head.id)) is not None:
-            t = b if head is t else happs(b, hspine(t)[1])
+            t = b if head is t else make_app(b, spine(t)[1])
         elif head.__class__ is HLam and head is not t:
-            _, args = hspine(t)
+            _, args = spine(t)
             k = 0
             while k < len(args) and head.__class__ is HLam:
                 head, k = head.body, k + 1
-            t = happs(h_instantiate(head, args[:k]), args[k:])
+            t = make_app(h_instantiate(head, args[:k]), args[k:])
         else:
             break
     return t
 
 
-def _head(bindings: dict[int, HhTerm], t: HhTerm) -> HhTerm:
+def _head(bindings: dict[int, Term], t: Term) -> Term:
     """The head of `t`'s spine once `t` is walked."""
     if t.scope < 0:
         t = _walk(bindings, t)
-    while t.__class__ is HApp:
+    while t.__class__ is App:
         t = t.fn
     return t
 
 
-def _lams(n: int, body: HhTerm) -> HhTerm:
+def _lams(n: int, body: Term) -> Term:
     """`body` under `n` abstractions."""
     for _ in range(n):
         body = HLam("w", body)
@@ -293,12 +288,12 @@ def compile_clause(clause: Clause) -> CompiledClause:
     head = f if isinstance(f, FAtom) else None
     subject_head = family_head = None
     if head is not None:
-        sh, sargs = hspine(head.subject)
-        if isinstance(sh, HConst):
+        sh, sargs = spine(head.subject)
+        if isinstance(sh, Const):
             subject_head = sh.name
-            fh, _ = hspine(head.classifier)
-            binders = {a.index for a in sargs if isinstance(a, HBound) and a.index < len(prefix)}
-            if isinstance(fh, HConst) and len(binders) == len(sargs):
+            fh, _ = spine(head.classifier)
+            binders = {a.index for a in sargs if isinstance(a, Bound) and a.index < len(prefix)}
+            if isinstance(fh, Const) and len(binders) == len(sargs):
                 family_head = fh.name
     code = None
     if head is not None:
@@ -328,20 +323,20 @@ def _schedule(guards: list[tuple[int, HhFormula]]) -> tuple[tuple[int, HhFormula
     return tuple(guards[i] for i in order)
 
 
-_HeadCode = HhTerm | int | tuple  # see `_head_code`
+_HeadCode = Term | int | tuple  # see `_head_code`
 
 
-def _head_code(tmpl: HhTerm, nprefix: int) -> _HeadCode:
+def _head_code(tmpl: Term, nprefix: int) -> _HeadCode:
     """The code of the head template part `tmpl` over a prefix of `nprefix`
     binders: a prefix binder is the index of its register; a constant
     applied to parts not all closed is (the constant's name, the parts'
     code, `tmpl`); any other part, closed or to be instantiated, is `tmpl`
     itself."""
-    if isinstance(tmpl, HBound):
+    if isinstance(tmpl, Bound):
         return nprefix - 1 - tmpl.index
     if tmpl.scope != 0:
-        head, args = hspine(tmpl)
-        if isinstance(head, HConst):
+        head, args = spine(tmpl)
+        if isinstance(head, Const):
             return head.name, tuple(_head_code(a, nprefix) for a in args), tmpl
     return tmpl
 
@@ -368,7 +363,7 @@ class Solution(Record):
 
     def __init__(
         self,
-        bindings: dict[int, HhTerm],
+        bindings: dict[int, Term],
         counters: Counters,
         trace: tuple[str, ...] = (),
         next_meta: int = 1,
@@ -380,7 +375,7 @@ class Solution(Record):
         self.next_meta = next_meta
         self.next_eigen = next_eigen
 
-    def value(self, m: HhTerm) -> HhTerm:
+    def value(self, m: Term) -> Term:
         return resolve_term(self.bindings, m)
 
 
@@ -406,7 +401,7 @@ class Solver:
         self.limits = limits or Limits()
         self.trace_on = trace
         self.store = store or Solution({}, Counters())
-        self.bindings: dict[int, HhTerm] = dict(self.store.bindings)
+        self.bindings: dict[int, Term] = dict(self.store.bindings)
         self.trail: list[int] = []
         # the running clause attempt, which head unification reads: its
         # eigenvariable level, quantifier prefix and first variable id
@@ -466,7 +461,7 @@ class Solver:
         finally:
             self._undo(mark)
 
-    def unify(self, a: HhTerm, b: HhTerm) -> bool:
+    def unify(self, a: Term, b: Term) -> bool:
         """Public unification entry: transactional (rolls back on failure)."""
         mark = self._mark()
         ok = self._unify(a, b)
@@ -474,7 +469,7 @@ class Solver:
             self._undo(mark)
         return ok
 
-    def resolve(self, t: HhTerm) -> HhTerm:
+    def resolve(self, t: Term) -> Term:
         return resolve_term(self.bindings, t)
 
     # -- bookkeeping -----------------------------------------------------------
@@ -521,7 +516,7 @@ class Solver:
         if self.trace_on and len(self.trace) > tn:
             del self.trace[tn:]
 
-    def _set(self, m: HMeta, value: HhTerm) -> None:
+    def _set(self, m: HMeta, value: Term) -> None:
         self.bindings[m.id] = value
         self.trail.append(m.id)
 
@@ -624,21 +619,21 @@ class Solver:
         key, order, head = "subject_head", (0, 1), _head(self.bindings, goal.subject)
         if head.__class__ is HMeta:
             key, order, head = "family_head", (1, 0), _head(self.bindings, goal.classifier)
-        if head.__class__ is HConst:
+        if head.__class__ is Const:
             return key, head.name, order
-        if head.__class__ is HEigen or head.__class__ is HBound:
+        if head.__class__ is HEigen or head.__class__ is Bound:
             return key, None, order
         return None, None, order
 
     # -- pattern unification -----------------------------------------------------
 
-    def _unify(self, a: HhTerm, b: HhTerm) -> bool:
+    def _unify(self, a: Term, b: Term) -> bool:
         self.counters.unify_calls += 1
         if self.counters.unify_calls > self.limits.budget:
             raise BudgetExceeded()
         return self._uni(a, b)
 
-    def _unify_head(self, code: _HeadCode, t: HhTerm, regs: list) -> bool:
+    def _unify_head(self, code: _HeadCode, t: Term, regs: list) -> bool:
         """`_unify(h_instantiate(tmpl, values), t)` for the head template
         part `tmpl` of `code` and the binders' variables `values`, over the
         registers `regs` of the running clause attempt: the same verdict and
@@ -649,7 +644,7 @@ class Solver:
             raise BudgetExceeded()
         return self._uni_head(code, t, regs)
 
-    def _uni_head(self, code: _HeadCode, t: HhTerm, regs: list) -> bool:
+    def _uni_head(self, code: _HeadCode, t: Term, regs: list) -> bool:
         """`_uni(h_instantiate(tmpl, values), t)` without building the
         instance where the template part is first order.  A binder whose
         register is empty and meets a closed term other than an abstraction
@@ -671,9 +666,9 @@ class Solver:
             name, parts, tmpl = code
             b = t if t.scope >= 0 else _walk(self.bindings, t)
             if not isinstance(b, HLam):
-                hb, bargs = hspine(b)
+                hb, bargs = spine(b)
                 if not isinstance(hb, HMeta):
-                    if not (isinstance(hb, HConst) and hb.name == name and len(bargs) == len(parts)):
+                    if not (isinstance(hb, Const) and hb.name == name and len(bargs) == len(parts)):
                         return False
                     for x, y in zip(parts, bargs):
                         if not self._uni_head(x, y, regs):
@@ -685,7 +680,7 @@ class Solver:
                 return self._uni(tmpl, t)
         return self._uni(h_instantiate(tmpl, self._filled(regs)), t)
 
-    def _uni(self, a: HhTerm, b: HhTerm) -> bool:
+    def _uni(self, a: Term, b: Term) -> bool:
         if a.scope < 0:
             a = _walk(self.bindings, a)
         if b.scope < 0:
@@ -695,8 +690,8 @@ class Solver:
         if isinstance(a, HLam) or isinstance(b, HLam):
             e = self._fresh_eigen("u", self.level + 1)
             return self._uni(h_apply(a, e), h_apply(b, e))
-        ha, aa = hspine(a)
-        hb, ab = hspine(b)
+        ha, aa = spine(a)
+        hb, ab = spine(b)
         if isinstance(ha, HMeta) and isinstance(hb, HMeta) and ha.id == hb.id:
             return self._flex_same(ha, aa, ab)
         if isinstance(ha, HMeta):
@@ -706,44 +701,44 @@ class Solver:
         cls = ha.__class__
         if cls is not hb.__class__ or len(aa) != len(ab):
             return False
-        if cls is HConst:
+        if cls is Const:
             if ha.name != hb.name:
                 return False
         elif cls is HEigen:
             if ha.id != hb.id:
                 return False
-        elif cls is not HBound or ha.index != hb.index:
+        elif cls is not Bound or ha.index != hb.index:
             return False
         for x, y in zip(aa, ab):
             if not self._uni(x, y):
                 return False
         return True
 
-    def _as_var(self, t: HhTerm) -> HEigen | HBound | None:
+    def _as_var(self, t: Term) -> HEigen | Bound | None:
         """Recognize an eigenvariable or local variable, possibly eta-expanded."""
         t = _walk(self.bindings, t)
         depth = 0
         while isinstance(t, HLam):
             t = _walk(self.bindings, t.body)
             depth += 1
-        head, args = hspine(t)
+        head, args = spine(t)
         if len(args) != depth:
             return None
         for i, a in enumerate(args):
             aw = _walk(self.bindings, a)
-            if not (isinstance(aw, HBound) and aw.index == depth - 1 - i):
+            if not (isinstance(aw, Bound) and aw.index == depth - 1 - i):
                 return None
-        if isinstance(head, (HEigen, HBound)):
-            if isinstance(head, HBound):
+        if isinstance(head, (HEigen, Bound)):
+            if isinstance(head, Bound):
                 # adjust for the lambdas stripped above
-                return HBound(head.index - depth) if head.index >= depth else None
+                return Bound(head.index - depth) if head.index >= depth else None
             return head
         return None
 
-    def _pattern(self, args: list[HhTerm]) -> dict[HEigen | HBound, int] | None:
+    def _pattern(self, args: Sequence[Term]) -> dict[HEigen | Bound, int] | None:
         """The distinct spine variables of `args`, each mapped to its
         position, in spine order; None when `args` is not such a spine."""
-        out: dict[HEigen | HBound, int] = {}
+        out: dict[HEigen | Bound, int] = {}
         for a in args:
             v = self._as_var(a)
             if v is None or v in out:
@@ -756,10 +751,10 @@ class Solver:
         `g′` at `level` applied to the kept positions and then to the
         eigenvariables `raised`; return `g′`."""
         g2 = self._fresh_meta(g.name, level)
-        self._set(g, _lams(n, happs(happs(g2, [HBound(n - 1 - i) for i in keep]), raised)))
+        self._set(g, _lams(n, make_app(make_app(g2, [Bound(n - 1 - i) for i in keep]), raised)))
         return g2
 
-    def _flex_same(self, m: HMeta, aa: list[HhTerm], ab: list[HhTerm]) -> bool:
+    def _flex_same(self, m: HMeta, aa: Sequence[Term], ab: Sequence[Term]) -> bool:
         if len(aa) != len(ab):
             return False
         if all(resolve_term(self.bindings, x) == resolve_term(self.bindings, y) for x, y in zip(aa, ab)):
@@ -772,7 +767,7 @@ class Solver:
         self._narrow(m, len(pa), [i for i, (x, y) in enumerate(zip(pa, pb)) if x == y], m.level)
         return True
 
-    def _bind(self, m: HMeta, args: list[HhTerm], rhs: HhTerm) -> bool:
+    def _bind(self, m: HMeta, args: Sequence[Term], rhs: Term) -> bool:
         posmap = self._pattern(args)
         if posmap is None:
             self.non_pattern_seen = True
@@ -784,22 +779,22 @@ class Solver:
         self._set(m, _lams(len(posmap), body))
         return True
 
-    def _image(self, v: HEigen | HBound, m: HMeta, posmap: dict, nargs: int, depth: int) -> HhTerm | None:
+    def _image(self, v: HEigen | Bound, m: HMeta, posmap: dict, nargs: int, depth: int) -> Term | None:
         """The variable `v`, met `depth` binders inside the body being built
         for `m`, in that body: a variable bound inside it stays, a spine
         variable becomes its binder's index, an eigenvariable in `m`'s scope
         stays; None for any other."""
-        if isinstance(v, HBound):
+        if isinstance(v, Bound):
             if v.index < depth:
                 return v
-            k = posmap.get(HBound(v.index - depth))
+            k = posmap.get(Bound(v.index - depth))
         else:
             k = posmap.get(v)
             if k is None and v.level <= m.level:
                 return v
-        return None if k is None else HBound(depth + nargs - 1 - k)
+        return None if k is None else Bound(depth + nargs - 1 - k)
 
-    def _invert(self, t: HhTerm, m: HMeta, posmap: dict, nargs: int, depth: int) -> HhTerm:
+    def _invert(self, t: Term, m: HMeta, posmap: dict, nargs: int, depth: int) -> Term:
         """Rewrite `t` as a body for `m`'s binder prefix, whose variables are
         the keys of `posmap`: spine variables map to their binder indices,
         older variables stay, newer ones must be pruned or fail.  Raises
@@ -812,20 +807,20 @@ class Solver:
         t = _walk(self.bindings, t)
         if isinstance(t, HLam):
             return HLam(t.hint, self._invert(t.body, m, posmap, nargs, depth + 1))
-        head, args = hspine(t)
+        head, args = spine(t)
         if isinstance(head, HMeta):
             if head.id == m.id:
                 raise _UnifyFail("occurs")
             return self._invert_under_meta(head, args, m, posmap, nargs, depth)
-        if not isinstance(head, HConst):
+        if not isinstance(head, Const):
             head = self._image(head, m, posmap, nargs, depth)
             if head is None:
                 raise _UnifyFail("scope")
-        return happs(head, [self._invert(a, m, posmap, nargs, depth) for a in args])
+        return make_app(head, [self._invert(a, m, posmap, nargs, depth) for a in args])
 
     def _invert_under_meta(
-        self, g: HMeta, args: list[HhTerm], m: HMeta, posmap: dict, nargs: int, depth: int
-    ) -> HhTerm:
+        self, g: HMeta, args: Sequence[Term], m: HMeta, posmap: dict, nargs: int, depth: int
+    ) -> Term:
         """Occurrence of another variable `g` inside the binding for `m`.
         Keep it when everything stays in scope.  Otherwise narrow `g`: prune
         the spine positions out of `m`'s scope, and raise the narrowed
@@ -833,7 +828,7 @@ class Solver:
         is not applied to, so that it can still depend on them."""
         if g.level <= m.level:
             try:
-                return happs(g, [self._invert(a, m, posmap, nargs, depth) for a in args])
+                return make_app(g, [self._invert(a, m, posmap, nargs, depth) for a in args])
             except _UnifyFail:
                 pass  # fall through to pruning
         gvars = self._pattern(args)
@@ -841,7 +836,7 @@ class Solver:
             self.non_pattern_seen = True
             raise _UnifyFail("non-pattern under variable")
         keep: list[int] = []
-        images: list[HhTerm] = []
+        images: list[Term] = []
         for i, v in enumerate(gvars):
             w = self._image(v, m, posmap, nargs, depth)
             if w is not None:
@@ -851,7 +846,7 @@ class Solver:
             e for e in posmap if isinstance(e, HEigen) and m.level < e.level <= g.level and e not in gvars
         ]
         g2 = self._narrow(g, len(gvars), keep, min(g.level, m.level), raised)
-        return happs(g2, images + [self._image(e, m, posmap, nargs, depth) for e in raised])
+        return make_app(g2, images + [self._image(e, m, posmap, nargs, depth) for e in raised])
 
 
 # ---------------------------------------------------------------------------

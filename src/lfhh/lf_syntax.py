@@ -5,7 +5,10 @@ One expression tree covers all three syntactic levels (kinds, type families,
 objects).  Binders are locally nameless: bound occurrences are de Bruijn
 indices, free occurrences are named nodes, and the name stored on a binder is
 only a printing hint.  Structural equality of two expressions is therefore
-exactly alpha-equality.
+exactly alpha-equality.  `Const`, `Bound` and `App` are also the prover's
+constants, bound variables and applications (see `hhf_logic`), so a term
+made of them alone is one object in a query, the search's store, a decoded
+proof and the kernel's memo.
 
 Every walk over expressions, target terms or formulas in this package
 dispatches on the node's class (`t.__class__ is App`), never with `match`,
@@ -39,7 +42,7 @@ __all__ = [
     "spine",
     "make_app",
     "instantiate",
-    "codomain",
+    "instance",
     "head_classifier",
     "free_names",
     "fresh_name",
@@ -75,16 +78,20 @@ class NormalizeError(LfError):
 
 # Every expression has a `scope`, read in O(1): the number of enclosing
 # binders it needs, that is one more than its highest loose de Bruijn index
-# (0 when it has none), or `OPEN` when it contains a beta-redex.  Leaves carry
-# it as a class attribute or compute it from their index; `Pi`, `Lam` and
-# `App` compute it once from their children in their constructor.  The field
-# takes no part in equality, hashing, `repr` or pattern matching; nodes keep
-# their fields in slots, so it adds no per-node dictionary entry.
-# `instantiate` returns a subterm whose scope is at most the substitution
-# depth, and `beta_normalize` one whose scope is not `OPEN`, as that very
-# object.  Next to it, `has_meta` says in O(1) whether a meta-variable occurs
-# in the expression; it is kept the same way and also takes no part in
-# equality, hashing, `repr` or matching.
+# (0 when it has none), or `OPEN` when it contains a beta-redex (an `App`
+# whose function has `abstraction` set: a `Lam`, or the prover's `HLam`) or
+# one of the prover's variables.  Leaves carry it as a class attribute or
+# compute it from their index; `Pi`, `Lam` and `App` compute it once from
+# their children in their constructor.  The field takes no part in equality,
+# hashing, `repr` or pattern matching; nodes keep their fields in slots, so it
+# adds no per-node dictionary entry.  `instantiate` returns a subterm whose
+# scope is at most the substitution depth, and `beta_normalize` one whose
+# scope is not `OPEN`, as that very object.  Next to it, `has_meta` says in
+# O(1) whether a meta-variable (a query's `Meta` or the prover's `HMeta`)
+# occurs in the expression, and `lam_free`, set when the scope is not
+# `OPEN`, whether it is made of constants, bound variables and applications
+# alone; both are kept the same way and also take no part in equality,
+# hashing, `repr` or matching.
 OPEN = -1
 
 
@@ -95,17 +102,22 @@ def fields_repr(obj: object, fields: Sequence[str]) -> str:
 
 
 class LfExpr:
-    """Base of every expression node.
+    """Base of every expression node; `Const`, `Bound` and `App` are target
+    term nodes too, and `App` is also the application of a target term.
 
     Each node class lists its fields in `__slots__`, has one hand-written
-    constructor that assigns them, its `scope` and its `has_meta`, and its
-    own `__eq__` and `__hash__`, which skip binder hints and both flags.
-    `repr` shows the fields in `__match_args__`.  Nodes are immutable by contract: no code writes a
-    field after the constructor returns.  Nothing enforces that at run time,
-    since a `__setattr__` guard would slow every construction."""
+    constructor that assigns them and the summaries it does not carry as
+    class attributes (`scope`, `has_meta`, `lam_free`), and its own `__eq__`
+    and `__hash__`, which skip binder hints and the summaries.  `repr` shows
+    the fields in `__match_args__`.  Nodes are immutable by contract: no
+    code writes a field after the constructor returns.  Nothing enforces
+    that at run time, since a `__setattr__` guard would slow every
+    construction."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    abstraction = False
+    lam_free = False
 
     def __repr__(self) -> str:
         return fields_repr(self, self.__match_args__)
@@ -159,6 +171,7 @@ class Lam(LfExpr):
 
     __slots__ = ("hint", "annot", "body", "scope", "has_meta")
     __match_args__ = ("hint", "annot", "body")
+    abstraction = True
 
     def __init__(self, hint: str, annot: LfExpr, body: LfExpr):
         self.hint = hint
@@ -181,14 +194,20 @@ class Lam(LfExpr):
 
 
 class App(LfExpr):
-    __slots__ = ("fn", "arg", "scope", "has_meta")
+    """Application, of an expression or of a prover term."""
+
+    __slots__ = ("fn", "arg", "scope", "has_meta", "lam_free")
     __match_args__ = ("fn", "arg")
 
     def __init__(self, fn: LfExpr, arg: LfExpr):
         self.fn = fn
         self.arg = arg
         f, a = fn.scope, arg.scope
-        self.scope = OPEN if f < 0 or a < 0 or isinstance(fn, Lam) else (f if f >= a else a)
+        if f < 0 or a < 0 or fn.abstraction:
+            self.scope = OPEN
+        else:
+            self.scope = f if f >= a else a
+            self.lam_free = fn.lam_free and arg.lam_free
         self.has_meta = fn.has_meta or arg.has_meta
 
     def __eq__(self, other: object) -> bool:
@@ -209,6 +228,7 @@ class Bound(LfExpr):
     __slots__ = ("index", "scope")
     __match_args__ = ("index",)
     has_meta = False
+    lam_free = True
 
     def __init__(self, index: int):
         self.index = index
@@ -233,6 +253,7 @@ class Const(LfExpr):
     __match_args__ = ("name",)
     scope = 0
     has_meta = False
+    lam_free = True
 
     def __init__(self, name: str):
         self.name = name
@@ -301,10 +322,12 @@ def make_app(head: LfExpr, args: Iterator[LfExpr] | tuple[LfExpr, ...] | list[Lf
     return e
 
 
-def instantiate(body: LfExpr, value: LfExpr, depth: int = 0) -> LfExpr:
-    """Replace Bound(depth) by `value` in `body`, closing one binder.
+def instantiate(body: LfExpr, values: Sequence[LfExpr], depth: int = 0) -> LfExpr:
+    """Replace the `len(values)` innermost loose indices of `body` with
+    `values`, outermost binder first, in one pass, closing that many
+    binders: Bound(depth) becomes `values[-1]`.
 
-    `value` lives outside the binder: where it lands under the `depth`
+    The values live outside the binders: where one lands under the `depth`
     binders crossed on the way, its loose indices are shifted by `depth`, so
     the substitution is capture-free.  A value with no loose index is placed
     as is, and a subterm with no loose index at or above `depth` comes back
@@ -314,13 +337,15 @@ def instantiate(body: LfExpr, value: LfExpr, depth: int = 0) -> LfExpr:
         return body
     cls = body.__class__
     if cls is App:
-        return App(instantiate(body.fn, value, depth), instantiate(body.arg, value, depth))
+        return App(instantiate(body.fn, values, depth), instantiate(body.arg, values, depth))
     if cls is Bound:  # its index is at least `depth`, by its scope
-        if body.index == depth:
-            return _shift(value, depth, 0) if depth and value.scope else value
-        return Bound(body.index - 1)
+        i = len(values) - 1 - (body.index - depth)
+        if i < 0:
+            return Bound(body.index - len(values))
+        value = values[i]
+        return _shift(value, depth, 0) if depth and value.scope else value
     if cls is Pi or cls is Lam:
-        return cls(body.hint, instantiate(body.annot, value, depth), instantiate(body.body, value, depth + 1))
+        return cls(body.hint, instantiate(body.annot, values, depth), instantiate(body.body, values, depth + 1))
     return body
 
 
@@ -772,20 +797,22 @@ def _beta(t: LfExpr, b: _Budget) -> LfExpr:
         fn = _beta(t.fn, b)
         if fn.__class__ is Lam:
             b.spend()
-            return _beta(instantiate(fn.body, t.arg), b)
+            return _beta(instantiate(fn.body, (t.arg,)), b)
         return App(fn, _beta(t.arg, b))
     if cls is Pi or cls is Lam:
         return cls(t.hint, _beta(t.annot, b), _beta(t.body, b))
     return t
 
 
-def codomain(cls: Pi, arg: LfExpr, budget: int | _Budget = DEFAULT_STEP_BUDGET) -> LfExpr:
-    """The classifier of `h arg` for a head `h` of product classifier `cls`:
-    its body instantiated with `arg`, beta-normalized."""
-    return beta_normalize(instantiate(cls.body, arg), budget)
+def instance(t: LfExpr, values: Sequence[LfExpr], budget: int | _Budget = DEFAULT_STEP_BUDGET) -> LfExpr:
+    """The part `t` of a head's classifier, a binder's domain or the
+    target, at an application whose arguments before it are `values`: the
+    prefix binders that those arguments fill are replaced by them in one
+    pass, and the result is beta-normalized.  With no values, `t` itself."""
+    return beta_normalize(instantiate(t, values), budget) if values else t
 
 
-def head_classifier(h: LfExpr | None, sig: Signature | None, stack: Sequence[LfExpr]) -> LfExpr | None:
+def head_classifier(h: LfExpr, sig: Signature | None, stack: Sequence[LfExpr]) -> LfExpr | None:
     """The classifier of an application head: a declared constant's from
     `sig`, or a bound variable `#k`'s from `stack`, the classifiers of the
     binders crossed, innermost last, as its entry shifted by k+1.  None for
@@ -824,7 +851,7 @@ class _Expander:
     """The eta-expansion walk of one `normalize` call.  Every classifier it
     expands against is redex-free: `normalize` normalizes the first, the
     others are read off it, off a checked signature or off the stack, or
-    made by `codomain`."""
+    made by `instance`."""
 
     __slots__ = ("sig", "budget", "stack")
 
@@ -842,13 +869,13 @@ class _Expander:
             return t  # unknown head: leave arguments untouched
         out: list[LfExpr] = []
         same = True
-        for a in args:
+        for i, a in enumerate(args):
             if not isinstance(cls, Pi):
                 raise NormalizeError("cannot eta-expand: head applied beyond its arity")
-            a_n = self.eta(a, cls.annot)
+            a_n = self.eta(a, instance(cls.annot, args[:i], self.budget))
             same = same and a_n is a
             out.append(a_n)
-            cls = cls.body if cls.body.scope == 0 else codomain(cls, a, self.budget)
+            cls = cls.body
         return t if same else make_app(head, out)
 
     def under(self, annot: LfExpr, t: LfExpr, cls: LfExpr | str) -> LfExpr:

@@ -36,10 +36,10 @@ from .lf_syntax import (
     Signature,
     TypeKind,
     _shift,
-    codomain,
     fields_repr,
     free_names,
     fresh_name,
+    instance,
     instantiate,
     normalize,
     pretty_print,
@@ -73,10 +73,12 @@ class KernelError(LfError):
 # their hints, and their classifiers, each open over the binders before it.
 Hints = tuple[str, ...]
 Stack = tuple[LfExpr, ...]
-# The derivations of one top-level check that were made under no binder, by
-# the ids of their subject and classifier: (subject, classifier, derivation).
-# Keeping the two objects keeps their ids from being reused while it lives.
-Memo = dict[tuple[int, int], tuple[LfExpr, LfExpr, "Derivation"]]
+# The backchaining derivations of one top-level check, by the ids of their
+# subject, classifier and stack: (subject, classifier, stack, derivation).
+# Each stack tuple is made together with its hints tuple, so its identity
+# fixes the binders of the judgment.  Keeping the three objects keeps their
+# ids from being reused while the memo lives.
+Memo = dict[tuple[int, int, int], tuple[LfExpr, LfExpr, Stack, "Derivation"]]
 
 
 class Judgment:
@@ -140,9 +142,7 @@ class Judgment:
         `names`, which `names()` computes once per message."""
         if isinstance(e, str):
             return e
-        for name in reversed(names):
-            e = instantiate(e, Const(name))
-        return pretty_print(e)
+        return pretty_print(instantiate(e, [Const(name) for name in names]))
 
     def __str__(self) -> str:
         names = self.names()
@@ -314,19 +314,19 @@ def _backchain(
     """One rule for families (`expected` is `type`) and objects at a base
     type: take the classifier of the subject's head, a declared constant or
     a binder `#k`, check the i-th argument against the i-th binder domain
-    instantiated with the arguments before it, and match the instantiated
-    target against `expected`.  The arguments are checked under the
-    binders of `j`.  A declared constant's sort is read off its entry,
-    which `checked_signature` made agree with its classifier; a binder's
-    classifier is a type.
+    instantiated with the arguments before it, and match the target
+    instantiated with all of them against `expected`.  The arguments are
+    checked under the binders of `j`.  A declared constant's sort is read
+    off its entry, which `checked_signature` made agree with its classifier;
+    a binder's classifier is a type.
 
-    Under no binder, a judgment about the very subject object at the very
-    classifier object that this top-level check has already derived gets
-    that derivation again: it is the same rule applied to the same input.
-    A failure raises and is never kept."""
-    key = None if stack else (id(subject), id(expected))
-    if key is not None and (hit := memo.get(key)) is not None:
-        return hit[2]
+    A judgment about the very subject object at the very classifier object
+    under the very stack object that this top-level check has already
+    derived gets that derivation again: it is the same rule applied to the
+    same input.  A failure raises and is never kept."""
+    key = (id(subject), id(expected), id(stack))
+    if (hit := memo.get(key)) is not None:
+        return hit[3]
     family = expected.__class__ is TypeKind
     rule = "BackchainFam" if family else "BackchainObj"
     if subject.__class__ is Lam:
@@ -355,11 +355,12 @@ def _backchain(
         if cls.__class__ is not Pi:
             raise KernelError(f"{j.show(head, j.names())!r} applied to too many arguments", "BackchainObj", j)
         try:
-            premises.append(_check_object(sig, j.binders, stack, n, cls.annot, memo))
+            premises.append(_check_object(sig, j.binders, stack, n, instance(cls.annot, args[:i]), memo))
         except KernelError as err:
             message = f"argument {i + 1} of {j.show(head, j.names())!r}: {err.message}"
             raise KernelError(message, err.rule, err.judgment) from None
-        cls = cls.body if cls.body.scope == 0 else codomain(cls, n)
+        cls = cls.body
+    cls = instance(cls, args)
     if cls is not expected and cls != expected:
         names = j.names()
         shown = repr(j.show(head, names))
@@ -369,6 +370,5 @@ def _backchain(
             raise KernelError(f"{shown} is under-applied (subject not eta-long)", rule, j)
         raise KernelError(f"head {shown} constructs {j.show(cls, names)}, expected {j.show(expected, names)}", rule, j)
     d = Derivation(rule, j, tuple(premises), str(head), tuple(args))
-    if key is not None:
-        memo[key] = (subject, expected, d)
+    memo[key] = (subject, expected, stack, d)
     return d

@@ -32,20 +32,17 @@ from typing import Callable, Iterator, Sequence
 
 from .hhf_logic import (
     ClauseSet,
-    HApp,
-    HBound,
     HLam,
     HMeta,
-    HhTerm,
+    Term,
     h_shift,
-    hspine,
     inhabitation_goal,
-    lf_head,
     translate,
     translate_query,
 )
 from .hhf_prover import Counters, Limits, Solution, Solver
 from .lf_syntax import (
+    App,
     Bound,
     LfError,
     LfExpr,
@@ -56,9 +53,9 @@ from .lf_syntax import (
     Signature,
     TYPE,
     classifier_sort,
-    codomain,
     beta_normalize,
     head_classifier,
+    instance,
     make_app,
     normalize,
     pretty_print,
@@ -117,10 +114,10 @@ class CertifiedAnswer(Record):
 
 def decode_term(
     sig: Signature,
-    t: HhTerm,
+    t: Term,
     expected: LfExpr | None,
     stack: Sequence[LfExpr] = (),
-    close: Callable[[HMeta, LfExpr], HhTerm] | None = None,
+    close: Callable[[HMeta, LfExpr], Term] | None = None,
 ) -> LfExpr:
     """Invert the erasure: rebuild the object whose encoding is `t` at the
     canonical classifier `expected`, or at the classifier of its head when
@@ -140,9 +137,14 @@ def decode_term(
     that is not an encoding; by the correctness property this never fires on
     solver output over translated programs.
 
-    A closed node decodes the same wherever it occurs, so each distinct
-    closed node is decoded once at each classifier object it meets, and a
-    node shared in `t` decodes to a node shared in the result."""
+    The classifier of an argument is the head's binder domain instantiated
+    with the decoded arguments before it, once per application.  A subterm
+    whose arguments all decode to themselves, one made of constants, bound
+    variables and applications alone at a base classifier, comes back as
+    the same object.  A closed node decodes the same wherever it occurs, so
+    each distinct closed node is decoded once at each classifier object it
+    meets, and a node shared in `t` decodes to a node shared in the
+    result."""
     return _Decoder(sig, list(stack), close).go(t, expected)
 
 
@@ -151,14 +153,14 @@ class _Decoder:
 
     __slots__ = ("sig", "stack", "close", "decoded")
 
-    def __init__(self, sig: Signature, stack: list[LfExpr], close: Callable[[HMeta, LfExpr], HhTerm] | None):
+    def __init__(self, sig: Signature, stack: list[LfExpr], close: Callable[[HMeta, LfExpr], Term] | None):
         self.sig = sig
         self.stack = stack
         self.close = close
         # (id of a closed node, id of its classifier) -> (node, classifier, result)
-        self.decoded: dict[tuple[int, int], tuple[HhTerm, LfExpr | None, LfExpr]] = {}
+        self.decoded: dict[tuple[int, int], tuple[Term, LfExpr | None, LfExpr]] = {}
 
-    def go(self, u: HhTerm, cls: LfExpr | None) -> LfExpr:
+    def go(self, u: Term, cls: LfExpr | None) -> LfExpr:
         if u.scope != 0:
             return self.decode(u, cls)
         key = (id(u), id(cls))
@@ -167,14 +169,14 @@ class _Decoder:
             hit = self.decoded[key] = (u, cls, self.decode(u, cls))
         return hit[2]
 
-    def decode(self, u: HhTerm, cls: LfExpr | None) -> LfExpr:
+    def decode(self, u: Term, cls: LfExpr | None) -> LfExpr:
         if isinstance(cls, Pi):
-            body = u.body if isinstance(u, HLam) else HApp(h_shift(u), HBound(0))
+            body = u.body if isinstance(u, HLam) else App(h_shift(u), Bound(0))
             self.stack.append(cls.annot)
             inner = self.go(body, cls.body)
             self.stack.pop()
             return Lam(cls.hint, cls.annot, inner)
-        head, args = hspine(u)
+        head, args = spine(u)
         if head.__class__ is HMeta:
             if self.close is None:
                 raise ReconstructError(f"not an encoding: unresolved variable ?{head.name}")
@@ -185,20 +187,18 @@ class _Decoder:
             return self.go(self.close(head, cls), cls)
         if head.__class__ is HLam:
             raise ReconstructError("not an encoding: abstraction without product classifier")
-        lf = lf_head(head)
-        cur = head_classifier(lf, self.sig, self.stack)
+        cur = head_classifier(head, self.sig, self.stack)
         if cur is None or classifier_sort(cur) == "kind":
             raise ReconstructError(f"not an encoding: unknown head {head}")
         out: list[LfExpr] = []
         for a in args:
             if not isinstance(cur, Pi):
-                raise ReconstructError(f"not an encoding: {lf} applied too far")
-            arg_lf = self.go(a, cur.annot)
-            out.append(arg_lf)
-            cur = codomain(cur, arg_lf)
+                raise ReconstructError(f"not an encoding: {head} applied too far")
+            out.append(self.go(a, instance(cur.annot, out)))
+            cur = cur.body
         if isinstance(cur, Pi) and cls is not None:
-            raise ReconstructError(f"not an encoding: {lf} under-applied")
-        return make_app(lf, out)
+            raise ReconstructError(f"not an encoding: {head} under-applied")
+        return u if all(a is b for a, b in zip(out, args)) else make_app(head, out)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +264,8 @@ class _Closing:
             fn = head
         out: list[LfExpr] = []
         for arg in args:
-            arg2 = self.close_query(arg, cls.annot if isinstance(cls, Pi) else None)
-            out.append(arg2)
-            cls = codomain(cls, arg2) if isinstance(cls, Pi) else None
+            out.append(self.close_query(arg, instance(cls.annot, out) if isinstance(cls, Pi) else None))
+            cls = cls.body if isinstance(cls, Pi) else None
         return make_app(fn, out) if fn is head else beta_normalize(make_app(fn, out))
 
     def applied_classifier(self, m: Meta, args: list[LfExpr], expected: LfExpr | None) -> LfExpr:
@@ -288,7 +287,7 @@ class _Closing:
                     return cls
         raise ReconstructError(f"applied query variable {m.name} has no classifier fixed by its position")
 
-    def residual(self, m: HMeta, cls: LfExpr) -> HhTerm:
+    def residual(self, m: HMeta, cls: LfExpr) -> Term:
         """The value of the residual variable `m` at the closed classifier
         `cls`: an auxiliary search binds it to its first inhabitant, unless
         an earlier occurrence already did.  The search runs over the last

@@ -13,8 +13,6 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HApp,
-    HConst,
     HLam,
     encode_term,
     inhabitation_goal,
@@ -22,7 +20,7 @@ from lfhh.hhf_logic import (
     translate,
 )
 from lfhh.hhf_prover import Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import TYPE, Const, make_app, normalize, parse_expr_text, parse_query, pretty_print
+from lfhh.lf_syntax import TYPE, App, Const, make_app, normalize, parse_expr_text, parse_query, pretty_print
 from lfhh.lf_typecheck import KernelError, check_object
 from lfhh.reconstruct import QuerySession, certify
 from lfhh.rigidity import guard_plan
@@ -208,10 +206,10 @@ def test_criterion_4_equivalence_suite(append_sig):
 
 def _swap_const(t, a, b):
     match t:
-        case HConst(n) if n == a:
-            return HConst(b)
-        case HApp(f, x):
-            return HApp(_swap_const(f, a, b), _swap_const(x, a, b))
+        case Const(n) if n == a:
+            return Const(b)
+        case App(f, x):
+            return App(_swap_const(f, a, b), _swap_const(x, a, b))
         case HLam(h, body):
             return HLam(h, _swap_const(body, a, b))
         case _:

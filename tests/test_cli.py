@@ -15,8 +15,7 @@ import pytest
 import lfhh
 from lfhh import cli
 from lfhh.cli import build_parser, main
-from lfhh.hhf_logic import HConst
-from lfhh.lf_syntax import parse_signature, pretty_print
+from lfhh.lf_syntax import Const, parse_signature, pretty_print
 from lfhh.lf_typecheck import checked_signature
 from lfhh.reconstruct import QuerySession
 
@@ -366,7 +365,7 @@ def test_compare_first_answers_that_differ_are_each_proved_by_the_other_mode(app
 def test_compare_mode_that_cannot_prove_the_other_answer_is_a_disagreement(append_lf, monkeypatch):
     # a proof term that inhabits nothing stands for an answer the other mode
     # cannot prove
-    monkeypatch.setattr(cli, "encode_term", lambda proof: HConst("nil"))
+    monkeypatch.setattr(cli, "encode_term", lambda proof: Const("nil"))
     code, out, _ = run_cli("compare", append_lf, "append L K (cons z (cons (s z) (cons (s (s z)) nil)))")
     assert code == 3
     assert out.endswith("DISAGREEMENT: naive mode cannot prove the other mode's answer\n")

@@ -18,30 +18,26 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HApp,
-    HBound,
-    HConst,
     HEigen,
     HLam,
     HMeta,
     h_instantiate,
-    happs,
     translate,
 )
 from lfhh.hhf_prover import Counters, Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import parse_query
+from lfhh.lf_syntax import App, Bound, Const, make_app, parse_query
 from lfhh.reconstruct import QuerySession, certify
 
 
 def ref_closed(t, depth=0):
     match t:
-        case HConst():
+        case Const():
             return True
-        case HBound(k):
+        case Bound(k):
             return k < depth
         case HLam(_, b):
             return ref_closed(b, depth + 1)
-        case HApp(f, a):
+        case App(f, a):
             return not isinstance(f, HLam) and ref_closed(f, depth) and ref_closed(a, depth)
         case _:
             return False
@@ -51,14 +47,14 @@ def ref_scope(t):
     """1 + highest loose index (0 if none), or OPEN with a meta-variable, an
     eigenvariable or a redex at a spine head anywhere in `t`."""
     match t:
-        case HConst():
+        case Const():
             return 0
-        case HBound(k):
+        case Bound(k):
             return k + 1
         case HLam(_, b):
             s = ref_scope(b)
             return OPEN if s == OPEN else max(s - 1, 0)
-        case HApp(f, a):
+        case App(f, a):
             sf, sa = ref_scope(f), ref_scope(a)
             if isinstance(f, HLam) or OPEN in (sf, sa):
                 return OPEN
@@ -72,7 +68,7 @@ def ref_lam_free(t):
     match t:
         case HLam():
             return False
-        case HApp(f, a):
+        case App(f, a):
             return ref_lam_free(f) and ref_lam_free(a)
         case _:
             return True
@@ -80,13 +76,13 @@ def ref_lam_free(t):
 
 def ref_h_instantiate(body, values, depth=0):
     match body:
-        case HBound(k):
+        case Bound(k):
             if k < depth:
                 return body
             i = len(values) - 1 - (k - depth)
-            return values[i] if i >= 0 else HBound(k - len(values))
-        case HApp(f, a):
-            return HApp(ref_h_instantiate(f, values, depth), ref_h_instantiate(a, values, depth))
+            return values[i] if i >= 0 else Bound(k - len(values))
+        case App(f, a):
+            return App(ref_h_instantiate(f, values, depth), ref_h_instantiate(a, values, depth))
         case HLam(h, b):
             return HLam(h, ref_h_instantiate(b, values, depth + 1))
         case _:
@@ -104,10 +100,10 @@ def random_term(rng, binders=0, size=6):
     if size <= 1 or r < 0.3:
         leaf = rng.random()
         if leaf < 0.55:
-            return HConst(rng.choice(["z", "nil", "s", "cons", "c"]))
+            return Const(rng.choice(["z", "nil", "s", "cons", "c"]))
         if leaf < 0.85:
             # mostly bound by an enclosing λ, sometimes loose
-            return HBound(rng.randrange(binders + 2))
+            return Bound(rng.randrange(binders + 2))
         if leaf < 0.93:
             return rng.choice(METAS)
         return rng.choice(EIGENS)
@@ -115,16 +111,16 @@ def random_term(rng, binders=0, size=6):
         return HLam("x", random_term(rng, binders + 1, size - 1))
     if r < 0.55:
         fn = HLam("x", random_term(rng, binders + 1, size // 2))
-        return HApp(fn, random_term(rng, binders, size // 2))
-    head = HConst(rng.choice(["s", "cons", "c", "app"]))
+        return App(fn, random_term(rng, binders, size // 2))
+    head = Const(rng.choice(["s", "cons", "c", "app"]))
     n = rng.randint(1, 3)
-    return happs(head, [random_term(rng, binders, size // n) for _ in range(n)])
+    return make_app(head, [random_term(rng, binders, size // n) for _ in range(n)])
 
 
 def subterms(t):
     yield t
     match t:
-        case HApp(f, a):
+        case App(f, a):
             yield from subterms(f)
             yield from subterms(a)
         case HLam(_, b):
@@ -144,8 +140,8 @@ def test_generated_terms_cover_every_shape(terms):
     assert sum(t.scope != 0 for t in terms) >= 100
     for kind in (HLam, HMeta, HEigen):
         assert any(isinstance(u, kind) for u in nodes)
-    assert any(isinstance(u, HApp) and isinstance(u.fn, HLam) for u in nodes)
-    assert any(u.scope > 0 for u in nodes if isinstance(u, HApp))  # loose index
+    assert any(isinstance(u, App) and isinstance(u.fn, HLam) for u in nodes)
+    assert any(u.scope > 0 for u in nodes if isinstance(u, App))  # loose index
 
 
 def test_is_closed_and_scope_agree_with_reference(terms):
@@ -162,14 +158,14 @@ def test_lam_free_agrees_with_reference(terms):
             if u.scope != OPEN:
                 assert u.lam_free == ref_lam_free(u), u
                 seen[u.lam_free, type(u)] += 1
-    assert seen[True, HApp] >= 100 and seen[False, HApp] >= 30
+    assert seen[True, App] >= 100 and seen[False, App] >= 30
 
 
 def rehint(x, hint):
     """A term or formula with the hint of every binder replaced by `hint`."""
     match x:
-        case HApp(f, a):
-            return HApp(rehint(f, hint), rehint(a, hint))
+        case App(f, a):
+            return App(rehint(f, hint), rehint(a, hint))
         case HLam(_, b):
             return HLam(hint, rehint(b, hint))
         case FAtom(s, c):
@@ -193,24 +189,24 @@ def test_equality_and_hash_ignore_binder_hints(append_sig, terms):
         renamed = ClauseSet(tuple(Clause(c.origin, rehint(c.formula, "renamed")) for c in program), mode)
         assert renamed == program and hash(renamed) == hash(program)
         assert renamed.clauses != program.clauses[::-1]
-    assert HLam("x", HBound(0)) != HLam("x", HBound(1))
-    assert FForall("x", TM, FTop()) != FForall("x", TM, FAtom(HBound(0), HConst("tm")))
+    assert HLam("x", Bound(0)) != HLam("x", Bound(1))
+    assert FForall("x", TM, FTop()) != FForall("x", TM, FAtom(Bound(0), Const("tm")))
 
 
 def test_repr_of_every_node_class():
     # `repr` reaches error messages, so its text is pinned
-    assert repr(HApp(HLam("x", HBound(0)), HConst("z"))) == (
-        "HApp(fn=HLam(hint='x', body=HBound(index=0)), arg=HConst(name='z'))"
+    assert repr(App(HLam("x", Bound(0)), Const("z"))) == (
+        "App(fn=HLam(hint='x', body=Bound(index=0)), arg=Const(name='z'))"
     )
     assert repr(HMeta("X", 3, 1)) == "HMeta(name='X', id=3, level=1)"
     assert repr(HEigen("e!4", 4, 2)) == "HEigen(name='e!4', id=4, level=2)"
-    f = FForall("x", TM, FImplies(FTop(), FAtom(HBound(0), HConst("tm"))))
+    f = FForall("x", TM, FImplies(FTop(), FAtom(Bound(0), Const("tm"))))
     assert repr(f) == (
         "FForall(hint='x', stype=SBase(name='tm'), body=FImplies(antecedent=FTop(), "
-        "consequent=FAtom(subject=HBound(index=0), classifier=HConst(name='tm'))))"
+        "consequent=FAtom(subject=Bound(index=0), classifier=Const(name='tm'))))"
     )
-    assert repr(Clause("z", FAtom(HConst("z"), HConst("nat")))) == (
-        "Clause(origin='z', formula=FAtom(subject=HConst(name='z'), classifier=HConst(name='nat')))"
+    assert repr(Clause("z", FAtom(Const("z"), Const("nat")))) == (
+        "Clause(origin='z', formula=FAtom(subject=Const(name='z'), classifier=Const(name='nat')))"
     )
     assert repr(ClauseSet((), "naive")) == "ClauseSet(clauses=(), mode='naive')"
     assert repr(Limits()) == "Limits(depth=512, budget=10000000)"
@@ -219,9 +215,9 @@ def test_repr_of_every_node_class():
 
 def test_closed_terms_come_back_unchanged(append_sig, terms):
     solver = Solver(translate(append_sig, "optimized"))
-    bindings = {m.id: HConst("z") for m in METAS}
+    bindings = {m.id: Const("z") for m in METAS}
     m = HMeta("M", 1, 0)
-    values = (HConst("nil"), HMeta("V", 7, 0))
+    values = (Const("nil"), HMeta("V", 7, 0))
     seen = 0
     for t in terms:
         for u in subterms(t):
@@ -235,7 +231,7 @@ def test_closed_terms_come_back_unchanged(append_sig, terms):
 
 
 def test_instantiate_agrees_with_reference(terms):
-    values = (HConst("nil"), HMeta("V", 7, 0), HEigen("e!9", 9, 1))
+    values = (Const("nil"), HMeta("V", 7, 0), HEigen("e!9", 9, 1))
     for t in terms:
         for depth in (0, 1, 2):
             assert h_instantiate(t, values, depth) == ref_h_instantiate(t, values, depth)
@@ -261,9 +257,9 @@ def test_closed_lambda_free_terms_unify_exactly_when_equal(append_sig, terms):
 
 
 def test_binding_to_a_long_ground_list_stores_the_list_itself(append_sig):
-    t = HConst("nil")
+    t = Const("nil")
     for _ in range(1000):
-        t = happs(HConst("cons"), [HConst("z"), t])
+        t = make_app(Const("cons"), [Const("z"), t])
     assert t.scope == 0
     solver = Solver(translate(append_sig, "optimized"))
     m = HMeta("M", 1, 0)
@@ -279,7 +275,7 @@ def test_certify_rejects_closed_proof_with_undeclared_head(append_sig):
     sol, ans = sess.first_answer()
     assert ans.certified
     bad = dict(sol.bindings)
-    bad[sess.proof_meta.id] = HApp(HConst("appMissing"), HConst("nil"))
+    bad[sess.proof_meta.id] = App(Const("appMissing"), Const("nil"))
     assert resolve_term(bad, sess.proof_meta).scope == 0
     verdict = certify(sess, Solution(bad, sol.counters, ()))
     assert verdict.status == "rejected"

@@ -16,7 +16,8 @@ import random
 
 import pytest
 
-from lfhh.hhf_logic import ClauseSet, HApp, HBound, HConst, HEigen, HLam, HMeta, h_instantiate, happs
+from lfhh.hhf_logic import ClauseSet, HEigen, HLam, HMeta, h_instantiate
+from lfhh.lf_syntax import App, Bound, Const, make_app
 from lfhh.hhf_logic import TM
 from lfhh.hhf_prover import Counters, Solution, Solver, _head_code, _meta, resolve_term
 
@@ -32,14 +33,14 @@ OLD, SAME, NEW, OLD1 = HMeta("P", 1, 0), HMeta("Q", 2, LEVEL), HMeta("R", 3, 3),
 GROUND, OPEN_BOUND, FN_BOUND = HMeta("T", 4, 0), HMeta("U", 5, 1), HMeta("W", 6, 0)
 UNBOUND = [OLD, SAME, NEW, OLD1]
 BINDINGS = {
-    GROUND.id: HApp(HConst("f"), HConst("c")),
-    OPEN_BOUND.id: happs(HConst("g"), [E[0], OLD]),
-    FN_BOUND.id: HLam("w", happs(HConst("g"), [HBound(0), SAME])),
+    GROUND.id: App(Const("f"), Const("c")),
+    OPEN_BOUND.id: make_app(Const("g"), [E[0], OLD]),
+    FN_BOUND.id: HLam("w", make_app(Const("g"), [Bound(0), SAME])),
 }
 
 
 def c(name, *args):
-    return happs(HConst(name), args)
+    return make_app(Const(name), args)
 
 
 def closed(rng, size):
@@ -49,19 +50,19 @@ def closed(rng, size):
 
 def template(rng, nprefix, depth, size):
     """A head template over `nprefix` prefix binders under `depth` local ones."""
-    prefix = lambda: HBound(depth + rng.randrange(nprefix))
+    prefix = lambda: Bound(depth + rng.randrange(nprefix))
     roll = rng.random()
     if size <= 0 or roll < 0.3:
         if depth and rng.random() < 0.3:
-            return HBound(rng.randrange(depth))
+            return Bound(rng.randrange(depth))
         return prefix() if rng.random() < 0.8 else closed(rng, 1)
     if roll < 0.4:
         return closed(rng, 2)
     if roll < 0.5:
         return HLam("x", template(rng, nprefix, depth + 1, size - 1))
     if roll < 0.6:
-        local = [HBound(k) for k in range(depth)]
-        return happs(prefix(), rng.sample(local, rng.randint(0, depth)) or [template(rng, nprefix, depth, size - 1)])
+        local = [Bound(k) for k in range(depth)]
+        return make_app(prefix(), rng.sample(local, rng.randint(0, depth)) or [template(rng, nprefix, depth, size - 1)])
     name = rng.choice(["f", "g", "k", "h"])
     return c(name, *(template(rng, nprefix, depth, size - 1) for _ in range(ARITY[name])))
 
@@ -69,18 +70,18 @@ def template(rng, nprefix, depth, size):
 def goal_term(rng, depth, size):
     roll = rng.random()
     if size <= 0 or roll < 0.25:
-        leaves = [*E, *UNBOUND, GROUND, OPEN_BOUND, closed(rng, 1)] + [HBound(k) for k in range(depth)]
+        leaves = [*E, *UNBOUND, GROUND, OPEN_BOUND, closed(rng, 1)] + [Bound(k) for k in range(depth)]
         return rng.choice(leaves)
     if roll < 0.35:
         return HLam("y", goal_term(rng, depth + 1, size - 1))
     if roll < 0.45:
         # a flexible term: a pattern over eigenvariables and local variables,
         # or outside the fragment
-        vars_ = E + [HBound(k) for k in range(depth)]
+        vars_ = E + [Bound(k) for k in range(depth)]
         args = rng.sample(vars_, rng.randint(1, 2)) if rng.random() < 0.7 else [closed(rng, 1)]
-        return happs(rng.choice(UNBOUND), args)
+        return make_app(rng.choice(UNBOUND), args)
     if roll < 0.5:
-        return HApp(FN_BOUND, goal_term(rng, depth, size - 1))
+        return App(FN_BOUND, goal_term(rng, depth, size - 1))
     name = rng.choice(["f", "g", "k", "h"])
     return c(name, *(goal_term(rng, depth, size - 1) for _ in range(ARITY[name])))
 
@@ -123,20 +124,20 @@ def compare(tmpl, t, nprefix):
 
 
 # append (cons X L) K (cons X M) over the prefix X, L, K, M (M innermost)
-X, L, K, M = HBound(3), HBound(2), HBound(1), HBound(0)
+X, L, K, M = Bound(3), Bound(2), Bound(1), Bound(0)
 APPEND_HEAD = c("append", c("cons", X, L), K, c("cons", X, M))
-ONE = c("s", HConst("z"))
+ONE = c("s", Const("z"))
 
 
 @pytest.mark.parametrize(
     "goal",
     [
-        c("append", c("cons", ONE, HConst("nil")), HConst("nil"), c("cons", ONE, HConst("nil"))),
-        c("append", c("cons", ONE, HConst("nil")), HConst("nil"), c("cons", HConst("z"), HConst("nil"))),
-        c("append", c("cons", ONE, HConst("nil")), OLD, NEW),
-        c("append", c("cons", OLD, HConst("nil")), HConst("nil"), c("cons", ONE, NEW)),
-        c("append", SAME, HConst("nil"), c("cons", E[0], HConst("nil"))),
-        c("append", c("cons", E[2], HConst("nil")), OLD, c("cons", E[2], NEW)),
+        c("append", c("cons", ONE, Const("nil")), Const("nil"), c("cons", ONE, Const("nil"))),
+        c("append", c("cons", ONE, Const("nil")), Const("nil"), c("cons", Const("z"), Const("nil"))),
+        c("append", c("cons", ONE, Const("nil")), OLD, NEW),
+        c("append", c("cons", OLD, Const("nil")), Const("nil"), c("cons", ONE, NEW)),
+        c("append", SAME, Const("nil"), c("cons", E[0], Const("nil"))),
+        c("append", c("cons", E[2], Const("nil")), OLD, c("cons", E[2], NEW)),
     ],
 )
 def test_repeated_head_variable(goal):
@@ -144,7 +145,7 @@ def test_repeated_head_variable(goal):
 
 
 def test_head_constant_applied_to_fewer_arguments():
-    assert not compare(c("g", HBound(1), HBound(0)), c("g", HConst("c")), 2)["verdict"]
+    assert not compare(c("g", Bound(1), Bound(0)), c("g", Const("c")), 2)["verdict"]
 
 
 def test_random_templates_and_goals():
@@ -153,7 +154,7 @@ def test_random_templates_and_goals():
     for _ in range(3000):
         nprefix = rng.randint(1, 4)
         tmpl = template(rng, nprefix, 0, rng.randint(1, 4))
-        if rng.random() < 0.5 and isinstance(tmpl, HApp):
+        if rng.random() < 0.5 and isinstance(tmpl, App):
             # a goal of the template's shape, so that unification goes deep
             t = h_instantiate(tmpl, [goal_term(rng, 0, 2) for _ in range(nprefix)])
         else:

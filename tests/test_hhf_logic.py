@@ -10,9 +10,6 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HApp,
-    HBound,
-    HConst,
     HEigen,
     HLam,
     HMeta,
@@ -78,29 +75,29 @@ def test_simple_type_printing():
 
 def test_encode_first_order():
     e = parse_expr_text("cons z nil")
-    assert encode_term(e) == HApp(HApp(HConst("cons"), HConst("z")), HConst("nil"))
+    assert encode_term(e) == App(App(Const("cons"), Const("z")), Const("nil"))
 
 
 def test_encode_with_metas():
     m = HMeta("K", 1, 0)
     e = make_app(Const("append"), [Const("nil"), Meta("K"), Meta("K")])
     t = encode_term(e, {"K": m})
-    assert t == HApp(HApp(HApp(HConst("append"), HConst("nil")), m), m)
+    assert t == App(App(App(Const("append"), Const("nil")), m), m)
 
 
 def test_encode_drops_annotations():
     e = Lam("x", Const("nat"), App(Const("s"), Bound(0)))
-    assert encode_term(e) == HLam("x", HApp(HConst("s"), HBound(0)))
+    assert encode_term(e) == HLam("x", App(Const("s"), Bound(0)))
 
 
 def test_encode_commutes_with_substitution(append_sig):
     # target-side substitution oracle: replace a constant by a term
     def h_subst(t, name, v):
         match t:
-            case HConst(n) if n == name:
+            case Const(n) if n == name:
                 return v
-            case HApp(f, a):
-                return HApp(h_subst(f, name, v), h_subst(a, name, v))
+            case App(f, a):
+                return App(h_subst(f, name, v), h_subst(a, name, v))
             case HLam(h, b):
                 return HLam(h, h_subst(b, name, v))
             case _:
@@ -125,28 +122,28 @@ def random_hterm(rng, scope, size):
     if size <= 1 or rng.random() < 0.2:
         r = rng.random()
         if scope and r < 0.6:
-            return HBound(rng.randrange(scope))
+            return Bound(rng.randrange(scope))
         if r < 0.7:
             return HMeta("V", 7)
         if r < 0.8:
             return HEigen("e", 3, 1)
-        return HConst(rng.choice("cd"))
+        return Const(rng.choice("cd"))
     if rng.random() < 0.4:
         return HLam("x", random_hterm(rng, scope + 1, size - 1))
     k = rng.randrange(1, size)
-    return HApp(random_hterm(rng, scope, k), random_hterm(rng, scope, size - k))
+    return App(random_hterm(rng, scope, k), random_hterm(rng, scope, size - k))
 
 
 def named(t, env, fresh):
     """`t` with every variable written as a name: `env` names the loose
     indices, innermost last, and each abstraction binds a fresh name."""
     match t:
-        case HBound(k):
+        case Bound(k):
             return ("var", env[-1 - k])
         case HLam(_, b):
             x = f"n{next(fresh)}"
             return ("lam", x, named(b, env + [x], fresh))
-        case HApp(f, a):
+        case App(f, a):
             return ("app", named(f, env, fresh), named(a, env, fresh))
         case _:
             return ("leaf", t)
@@ -170,11 +167,11 @@ def unnamed(t, env):
     """The de Bruijn term of the named term `t` over the names `env`."""
     match t:
         case ("var", x):
-            return HBound(env[::-1].index(x))
+            return Bound(env[::-1].index(x))
         case ("lam", x, b):
             return HLam("x", unnamed(b, env + [x]))
         case ("app", f, a):
-            return HApp(unnamed(f, env), unnamed(a, env))
+            return App(unnamed(f, env), unnamed(a, env))
         case ("leaf", leaf):
             return leaf
 
@@ -200,10 +197,10 @@ def test_instantiate_and_apply_agree_with_named_substitution():
         want = unnamed(subst(named(lam.body, outer + ["y"], fresh), {"y": named(v, outer, fresh)}), outer)
         assert h_apply(lam, v) == want
         if not isinstance(body, HLam):
-            assert h_apply(body, v) == HApp(body, v)
+            assert h_apply(body, v) == App(body, v)
         if v.scope == 0:
             # a closed value is put in place as it is
-            assert h_instantiate(HBound(len(local)), [v], len(local)) is v
+            assert h_instantiate(Bound(len(local)), [v], len(local)) is v
     assert open_values > 250
 
 
@@ -294,7 +291,7 @@ def test_query_base(append_sig):
 
 def test_query_trivial_base(append_sig):
     goal, proof, _ = translate_query(append_sig, Const("nat"), "naive")
-    assert goal == FAtom(proof, HConst("nat"))
+    assert goal == FAtom(proof, Const("nat"))
 
 
 def test_query_pi_case(append_sig):
@@ -302,8 +299,8 @@ def test_query_pi_case(append_sig):
     match goal:
         case FForall(_, st, FImplies(FAtom(gs, gc), FAtom(s2, c2))):
             assert st == TM
-            assert gs == HBound(0) and gc == HConst("nat")
-            assert s2 == HApp(proof, HBound(0)) and c2 == HConst("nat")
+            assert gs == Bound(0) and gc == Const("nat")
+            assert s2 == App(proof, Bound(0)) and c2 == Const("nat")
         case _:
             pytest.fail(f"unexpected goal shape {goal}")
 
@@ -363,15 +360,15 @@ def formula_sort(f, consts, env=()):
 
     def term_sort(t, env):
         match t:
-            case HConst(n):
+            case Const(n):
                 return consts[n]
-            case HBound(k):
+            case Bound(k):
                 return env[-1 - k]
             case HMeta() as m:
                 return m.stype
             case HLam(_, b):
                 raise AssertionError("bare lambda needs an expected type")
-            case HApp(fn, a):
+            case App(fn, a):
                 ft = term_sort(fn, env)
                 assert isinstance(ft, SArrow), f"over-application: {t}"
                 check_term(a, ft.dom, env)

@@ -11,15 +11,11 @@ from lfhh.hhf_logic import (
     FAtom,
     FForall,
     FTop,
-    HApp,
-    HBound,
-    HConst,
     HEigen,
     HLam,
     HMeta,
     TM,
     encode_term,
-    happs,
     inhabitation_goal,
     open_leaves,
     print_formula,
@@ -32,7 +28,7 @@ from lfhh.hhf_prover import (
     compile_clause,
     solve,
 )
-from lfhh.lf_syntax import Const, make_app, parse_expr_text, parse_query, parse_signature
+from lfhh.lf_syntax import App, Bound, Const, make_app, parse_expr_text, parse_query, parse_signature
 from lfhh.lf_typecheck import checked_signature
 
 from corpus import APPEND_TEXT, STLC_TEXT, append_proof, append_query_corpus, list_elems, list_term
@@ -47,7 +43,7 @@ def programs(append_sig):
 
 
 def test_ground_membership_naive(append_sig, programs):
-    goal = FAtom(encode_term(parse_expr_text("cons (s z) nil")), HConst("list"))
+    goal = FAtom(encode_term(parse_expr_text("cons (s z) nil")), Const("list"))
     sols = list(solve(programs["naive"], goal))
     assert len(sols) == 1
     assert sols[0].counters.backchain_steps == 4
@@ -87,7 +83,7 @@ def test_finite_failure_vs_resource(append_sig, programs):
 
 
 def test_depth_exhaustion_flag(append_sig, programs):
-    goal = FAtom(encode_term(parse_expr_text("s (s (s (s z)))")), HConst("nat"))
+    goal = FAtom(encode_term(parse_expr_text("s (s (s (s z)))")), Const("nat"))
     solver = Solver(programs["optimized"], Limits(depth=3))
     assert list(solver.solve(goal)) == []
     assert solver.depth_hit
@@ -117,7 +113,7 @@ def test_each_solve_has_its_whole_budget(append_sig, programs, mode):
 
 def test_counters_accessor(programs):
     solver = Solver(programs["optimized"])
-    next(solver.solve(FAtom(HConst("z"), HConst("nat"))))
+    next(solver.solve(FAtom(Const("z"), Const("nat"))))
     snap = solver.counters.copy()
     assert snap.backchain_steps == 1
     assert snap is not solver.counters
@@ -156,8 +152,8 @@ def test_enumerates_inhabitants_in_clause_order(append_sig, programs):
     goal, proof, _ = translate_query(append_sig, Const("nat"), "optimized")
     solver = Solver(programs["optimized"], Limits(depth=3))
     got = [sol.value(proof) for sol in solver.solve(goal)]
-    assert got[0] == HConst("z")
-    assert got[1] == HApp(HConst("s"), HConst("z"))
+    assert got[0] == Const("z")
+    assert got[1] == App(Const("s"), Const("z"))
     assert len(got) == 3  # one backchain per depth level: z, s z, s (s z)
 
 
@@ -207,7 +203,7 @@ def test_dropping_a_deep_search_is_cheap(append_sig, programs, cli_limits):
 def test_hypothetical_goal(append_sig, programs):
     goal, proof, _ = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
     sol = next(Solver(programs["optimized"]).solve(goal))
-    assert sol.value(proof) == HLam("x", HBound(0))
+    assert sol.value(proof) == HLam("x", Bound(0))
 
 
 def test_solution_bindings_are_eigen_free(append_sig, programs):
@@ -231,8 +227,8 @@ def test_first_order_head_unification(programs):
     solver = Solver(programs["optimized"])
     l = HMeta("l", 601, 0)
     k = HMeta("K", 602, 0)
-    a = happs(HConst("append"), [HConst("nil"), l, l])
-    b = happs(HConst("append"), [HConst("nil"), encode_term(parse_expr_text("cons z nil")), k])
+    a = make_app(Const("append"), [Const("nil"), l, l])
+    b = make_app(Const("append"), [Const("nil"), encode_term(parse_expr_text("cons z nil")), k])
     assert solver.unify(a, b)
     assert solver.resolve(k) == encode_term(parse_expr_text("cons z nil"))
     assert solver.resolve(l) == solver.resolve(k)
@@ -250,26 +246,26 @@ def test_pattern_inversion(programs):
     f = HMeta("F", 604, 0)
     x = HEigen("x", 901, 0)
     y = HEigen("y", 902, 0)
-    assert solver.unify(happs(f, [x, y]), happs(HConst("cons"), [x, y]))
-    assert solver.resolve(f) == HLam("w", HLam("w", happs(HConst("cons"), [HBound(1), HBound(0)])))
+    assert solver.unify(make_app(f, [x, y]), make_app(Const("cons"), [x, y]))
+    assert solver.resolve(f) == HLam("w", HLam("w", make_app(Const("cons"), [Bound(1), Bound(0)])))
 
 
 def test_non_pattern_diagnostic(programs):
     solver = Solver(programs["optimized"])
     f = HMeta("F", 605, 0)
-    assert not solver.unify(HApp(f, HApp(HConst("s"), HConst("z"))), HConst("z"))
+    assert not solver.unify(App(f, App(Const("s"), Const("z"))), Const("z"))
     assert solver.non_pattern_seen
 
 
 def test_occurs_check(programs):
     solver = Solver(programs["optimized"])
     f = HMeta("F", 606, 0)
-    assert not solver.unify(f, HApp(HConst("s"), f))
+    assert not solver.unify(f, App(Const("s"), f))
 
 
 def test_eta_respecting_rigid_compare(programs):
     solver = Solver(programs["optimized"])
-    assert solver.unify(HLam("x", HApp(HConst("s"), HBound(0))), HConst("s"))
+    assert solver.unify(HLam("x", App(Const("s"), Bound(0))), Const("s"))
 
 
 def test_flex_flex_narrowing(programs):
@@ -277,12 +273,12 @@ def test_flex_flex_narrowing(programs):
     solver = Solver(programs["optimized"])
     f = HMeta("F", 608, 1)
     x, y, z = (HEigen(n, 910 + i, 0) for i, n in enumerate("xyz"))
-    assert solver.unify(happs(f, [x, y]), happs(f, [x, z]))
+    assert solver.unify(make_app(f, [x, y]), make_app(f, [x, z]))
     g = solver.resolve(f).body.body.fn
     assert isinstance(g, HMeta) and g.level == 1
-    assert solver.resolve(f) == HLam("w", HLam("w", HApp(g, HBound(1))))
-    assert solver.unify(happs(f, [x, y]), x)
-    assert solver.resolve(happs(f, [y, z])) == y
+    assert solver.resolve(f) == HLam("w", HLam("w", App(g, Bound(1))))
+    assert solver.unify(make_app(f, [x, y]), x)
+    assert solver.resolve(make_app(f, [y, z])) == y
 
 
 def test_pruning_drops_an_eigenvariable_out_of_scope(programs):
@@ -291,11 +287,11 @@ def test_pruning_drops_an_eigenvariable_out_of_scope(programs):
     m = HMeta("M", 609, 0)
     g = HMeta("G", 610, 1)
     e = HEigen("e", 913, 1)
-    assert solver.unify(m, HApp(HConst("c"), HApp(g, e)))
-    narrowed = solver.resolve(HApp(g, e))
+    assert solver.unify(m, App(Const("c"), App(g, e)))
+    narrowed = solver.resolve(App(g, e))
     assert isinstance(narrowed, HMeta) and narrowed.level == 0
-    assert solver.resolve(m) == HApp(HConst("c"), narrowed)
-    assert not solver.unify(HApp(g, e), e)
+    assert solver.resolve(m) == App(Const("c"), narrowed)
+    assert not solver.unify(App(g, e), e)
 
 
 def test_raising_keeps_a_spine_eigenvariable_usable(programs):
@@ -304,16 +300,16 @@ def test_raising_keeps_a_spine_eigenvariable_usable(programs):
     m = HMeta("M", 611, 0)
     g = HMeta("G", 612, 1)
     e = HEigen("e", 914, 1)
-    assert solver.unify(HApp(m, e), HApp(HConst("c"), g))
+    assert solver.unify(App(m, e), App(Const("c"), g))
     assert solver.unify(g, e)
-    assert solver.resolve(m) == HLam("w", HApp(HConst("c"), HBound(0)))
+    assert solver.resolve(m) == HLam("w", App(Const("c"), Bound(0)))
 
 
 def test_transactional_rollback(programs):
     solver = Solver(programs["optimized"])
     k = HMeta("K", 607, 0)
-    bad = happs(HConst("append"), [HConst("nil"), k, HConst("nil")])
-    worse = happs(HConst("append"), [HConst("z"), HConst("z"), HConst("z")])
+    bad = make_app(Const("append"), [Const("nil"), k, Const("nil")])
+    worse = make_app(Const("append"), [Const("z"), Const("z"), Const("z")])
     before = dict(solver.bindings)
     assert not solver.unify(bad, worse)
     assert solver.bindings == before
@@ -359,7 +355,7 @@ def test_check_depth_equivalence_shared_goal(append_sig, programs):
 
 
 def test_trace_golden_ground_check(append_sig, programs, golden_dir):
-    goal = FAtom(encode_term(parse_expr_text("cons (s z) nil")), HConst("list"))
+    goal = FAtom(encode_term(parse_expr_text("cons (s z) nil")), Const("list"))
     solver = Solver(programs["naive"], trace=True)
     sol = next(solver.solve(goal))
     assert "\n".join(sol.trace) + "\n" == (golden_dir / "cons_list_naive.trace").read_text()
@@ -578,7 +574,7 @@ def test_sibling_guard_does_not_see_earlier_guard_assumptions(mode):
 
 
 def test_eigenvariable_subject_tries_no_static_clause(programs):
-    goal = FForall("x", TM, FAtom(HBound(0), HConst("nat")))
+    goal = FForall("x", TM, FAtom(Bound(0), Const("nat")))
     solver = Solver(programs["naive"])
     assert list(solver.solve(goal)) == []
     assert solver.counters.unify_calls == 0
@@ -594,7 +590,7 @@ def test_index_keeps_non_pattern_flag_and_variable_ids(programs):
     for family, flagged in (("vec", False), ("nat", True)):
         runs = []
         for indexed in (True, False):
-            goal = FAtom(HApp(f, HApp(HConst("s"), HConst("z"))), HConst(family))
+            goal = FAtom(App(f, App(Const("s"), Const("z"))), Const(family))
             solver = Solver(programs["naive"])
             if not indexed:
                 solver._plan = lambda goal, plan=solver._plan: (None, None, plan(goal)[2])

@@ -34,7 +34,7 @@ from lfhh.lf_syntax import (
     parse_signature,
     spine,
 )
-from lfhh.hhf_logic import HApp, HBound, HConst, HLam, HMeta, encode_term
+from lfhh.hhf_logic import HLam, HMeta, encode_term
 from lfhh.hhf_prover import Limits
 from lfhh.lf_typecheck import Derivation, Judgment, check_type, checked_signature
 from lfhh.reconstruct import QuerySession, ReconstructError, _Closing, decode_term
@@ -281,7 +281,17 @@ def test_instantiate_agrees_with_reference(exprs):
     for e in exprs:
         for depth in (0, 1, 2):
             for v in VALUES:
-                assert instantiate(e, v, depth) == ref_instantiate(e, v, depth)
+                assert instantiate(e, (v,), depth) == ref_instantiate(e, v, depth)
+
+
+def test_instantiating_several_values_is_instantiating_one_at_a_time(exprs):
+    # values fill the innermost binders, outermost first: the outer binder
+    # sits one deeper than the inner one, and both values live outside
+    for e in exprs:
+        for depth in (0, 1, 2):
+            for v in VALUES:
+                for w in VALUES:
+                    assert instantiate(e, (v, w), depth) == instantiate(instantiate(e, (v,), depth + 1), (w,), depth)
 
 
 def test_shift_agrees_with_reference(exprs):
@@ -313,7 +323,7 @@ def test_closed_and_normal_subterms_come_back_unchanged(exprs):
             assert beta_normalize(u) is u
             for depth in range(u.scope, u.scope + 2):
                 for v in VALUES:
-                    assert instantiate(u, v, depth) is u
+                    assert instantiate(u, (v,), depth) is u
             assert _shift(u, 1, u.scope) is u
             seen += u.scope == 0
     assert seen >= 500
@@ -400,7 +410,7 @@ def test_meta_flag_agrees_with_reference_after_substitution(exprs):
     for e in exprs:
         assert_meta_flags(e)
         for v in VALUES:
-            assert_meta_flags(instantiate(e, v, rng.randrange(3)))
+            assert_meta_flags(instantiate(e, (v,), rng.randrange(3)))
         assert_meta_flags(_shift(e, rng.randint(1, 2), rng.randrange(2)))
         assert_meta_flags(substitute(e, {"X": Const("c"), "z": Meta("Z")}))
         assert_meta_flags(substitute(e, {"Y": Lam("w", Const("tm"), Meta("W")), "F": Const("s")}))
@@ -408,8 +418,8 @@ def test_meta_flag_agrees_with_reference_after_substitution(exprs):
 
 # a closed value for each residual classifier of the STLC queries
 STLC_VALUES = {
-    Const("tm"): HApp(HApp(HConst("lam"), HConst("base")), HLam("x", HBound(0))),
-    Const("tp"): HConst("base"),
+    Const("tm"): App(App(Const("lam"), Const("base")), HLam("x", Bound(0))),
+    Const("tp"): Const("base"),
 }
 
 
@@ -478,7 +488,7 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
     assert searched >= 100 and applied_raised >= 20 and closed >= 20 and function_typed >= 5
     # a residual under a binder is closed at its classifier, and the
     # abstraction is decoded around its value
-    t = HLam("x", HApp(HApp(HConst("app"), HMeta("P", 1)), HMeta("Q", 2)))
+    t = HLam("x", App(App(Const("app"), HMeta("P", 1)), HMeta("Q", 2)))
     met = []
     out = decode_term(
         sig, t, Pi("x", Const("tm"), Const("tm")), close=lambda m, cls: met.append((m.name, cls)) or STLC_VALUES[cls]

@@ -21,9 +21,6 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HApp,
-    HBound,
-    HConst,
     HEigen,
     HhFormula,
     HhTerm,
@@ -39,7 +36,7 @@ from lfhh.lf_typecheck import Derivation, Judgment
 from lfhh.reconstruct import CertifiedAnswer
 from lfhh.rigidity import GuardPlan
 
-ATOM = FAtom(HConst("z"), HConst("nat"))
+ATOM = FAtom(Const("z"), Const("nat"))
 CLAUSE = Clause("c", ATOM)
 SIG = Signature([SigEntry("a", TYPE, "kind")])
 JUDGMENT = Judgment(SIG, ("x",), Bound(0), Const("a"))
@@ -69,8 +66,8 @@ CASES = [
     (
         App,
         (Const("f"), Bound(0)),
-        {"fn": Const("g"), "arg": Bound(1), "scope": 9, "has_meta": True},
-        {"scope", "has_meta"},
+        {"fn": Const("g"), "arg": Bound(1), "scope": 9, "has_meta": True, "lam_free": False},
+        {"scope", "has_meta", "lam_free"},
         ("fn", "arg"),
         "App(fn=Const(name='f'), arg=Bound(index=0))",
     ),
@@ -119,23 +116,13 @@ CASES = [
         ("dom", "cod"),
         "SArrow(dom=SBase(name='tm'), cod=SBase(name='ty'))",
     ),
-    (HConst, ("z",), {"name": "s"}, set(), ("name",), "HConst(name='z')"),
-    (HBound, (0,), {"index": 1, "scope": 9}, {"scope"}, ("index",), "HBound(index=0)"),
     (
         HLam,
-        ("x", HBound(0)),
-        {"hint": "y", "body": HBound(1), "scope": 9},
-        {"hint", "scope"},
+        ("x", Bound(0)),
+        {"hint": "y", "body": Bound(1), "scope": 9, "has_meta": True},
+        {"hint", "scope", "has_meta"},
         ("hint", "body"),
-        "HLam(hint='x', body=HBound(index=0))",
-    ),
-    (
-        HApp,
-        (HConst("s"), HConst("z")),
-        {"fn": HConst("t"), "arg": HConst("y"), "scope": 9, "lam_free": False},
-        {"scope", "lam_free"},
-        ("fn", "arg"),
-        "HApp(fn=HConst(name='s'), arg=HConst(name='z'))",
+        "HLam(hint='x', body=Bound(index=0))",
     ),
     (
         HMeta,
@@ -156,11 +143,11 @@ CASES = [
     (FTop, (), {}, set(), (), "FTop()"),
     (
         FAtom,
-        (HConst("z"), HConst("nat")),
-        {"subject": HConst("s"), "classifier": HConst("tm")},
+        (Const("z"), Const("nat")),
+        {"subject": Const("s"), "classifier": Const("tm")},
         set(),
         ("subject", "classifier"),
-        "FAtom(subject=HConst(name='z'), classifier=HConst(name='nat'))",
+        "FAtom(subject=Const(name='z'), classifier=Const(name='nat'))",
     ),
     (
         FImplies,
@@ -168,7 +155,7 @@ CASES = [
         {"antecedent": ATOM, "consequent": FTop()},
         set(),
         ("antecedent", "consequent"),
-        "FImplies(antecedent=FTop(), consequent=FAtom(subject=HConst(name='z'), classifier=HConst(name='nat')))",
+        "FImplies(antecedent=FTop(), consequent=FAtom(subject=Const(name='z'), classifier=Const(name='nat')))",
     ),
     (
         FForall,
@@ -184,7 +171,7 @@ CASES = [
         {"origin": "d", "formula": FTop()},
         set(),
         ("origin", "formula"),
-        "Clause(origin='c', formula=FAtom(subject=HConst(name='z'), classifier=HConst(name='nat')))",
+        "Clause(origin='c', formula=FAtom(subject=Const(name='z'), classifier=Const(name='nat')))",
     ),
     (
         ClauseSet,
@@ -221,11 +208,11 @@ CASES = [
     ),
     (
         Solution,
-        ({1: HConst("z")}, Counters(1, 2, 3), ("bc z",), 2, 4),
+        ({1: Const("z")}, Counters(1, 2, 3), ("bc z",), 2, 4),
         {"bindings": {}, "counters": Counters(), "trace": (), "next_meta": 3, "next_eigen": 5},
         set(),
         ("bindings", "counters", "trace", "next_meta", "next_eigen"),
-        "Solution(bindings={1: HConst(name='z')}, counters=Counters(backchain_steps=1, top_steps=2, "
+        "Solution(bindings={1: Const(name='z')}, counters=Counters(backchain_steps=1, top_steps=2, "
         "unify_calls=3), trace=('bc z',), next_meta=2, next_eigen=4)",
     ),
     (
@@ -301,7 +288,7 @@ def test_meta_flag_takes_no_part_in_matching():
 
 
 def test_classes_of_different_kinds_are_never_equal():
-    assert Const("a") != HConst("a") and Bound(0) != HBound(0)
+    assert Const("M") != Meta("M") and Meta("M") != HMeta("M")
     assert TypeKind() != FTop() and SimpleType() != TypeKind()
     assert SBase("tm") != SimpleType()
 

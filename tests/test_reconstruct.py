@@ -5,17 +5,23 @@ import pytest
 
 from lfhh import hhf_logic, hhf_prover
 from lfhh.hhf_logic import (
-    HApp,
-    HBound,
-    HConst,
     HLam,
     HMeta,
     encode_term,
-    happs,
     open_leaves,
 )
 from lfhh.hhf_prover import Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import Const, LfExpr, parse_expr_text, parse_query, parse_signature, pretty_print
+from lfhh.lf_syntax import (
+    App,
+    Bound,
+    Const,
+    LfExpr,
+    make_app,
+    parse_expr_text,
+    parse_query,
+    parse_signature,
+    pretty_print,
+)
 from lfhh.lf_typecheck import check_object, checked_signature
 from lfhh import reconstruct
 from lfhh.reconstruct import (
@@ -33,28 +39,28 @@ from corpus import APPEND_TEXT, RIGID_GUARD_TEXT, STLC_TEXT, append_query_corpus
 
 
 def test_decode_lambda_with_annotations(append_sig):
-    t = HLam("x", HApp(HConst("s"), HBound(0)))
+    t = HLam("x", App(Const("s"), Bound(0)))
     d = decode_term(append_sig, t, parse_expr_text("{x:nat} nat"))
     assert d == parse_expr_text("[x:nat] s x")
     assert encode_term(d) == t
 
 
 def test_decode_constant(append_sig):
-    assert decode_term(append_sig, HConst("z"), Const("nat")) == Const("z")
+    assert decode_term(append_sig, Const("z"), Const("nat")) == Const("z")
 
 
 def test_decode_eta_expands(append_sig):
-    d = decode_term(append_sig, HConst("s"), parse_expr_text("{x:nat} nat"))
+    d = decode_term(append_sig, Const("s"), parse_expr_text("{x:nat} nat"))
     assert d == parse_expr_text("[x:nat] s x")
 
 
 def test_decode_rejects_junk(append_sig):
     with pytest.raises(ReconstructError, match="not an encoding"):
-        decode_term(append_sig, HConst("bogus"), Const("nat"))
+        decode_term(append_sig, Const("bogus"), Const("nat"))
     with pytest.raises(ReconstructError, match="under-applied"):
-        decode_term(append_sig, HConst("cons"), Const("list"))
+        decode_term(append_sig, Const("cons"), Const("list"))
     with pytest.raises(ReconstructError, match="applied too far"):
-        decode_term(append_sig, HApp(HConst("z"), HConst("z")), Const("nat"))
+        decode_term(append_sig, App(Const("z"), Const("z")), Const("nat"))
 
 
 def test_decode_closes_unbound_variable_where_met(append_sig):
@@ -62,8 +68,8 @@ def test_decode_closes_unbound_variable_where_met(append_sig):
     # it returns is decoded in its place
     x = HMeta("X", 901, 0)
     met = []
-    t = happs(HConst("cons"), [x, happs(HConst("cons"), [x, HConst("nil")])])
-    d = decode_term(append_sig, t, Const("list"), close=lambda m, cls: met.append((m, cls)) or HConst("z"))
+    t = make_app(Const("cons"), [x, make_app(Const("cons"), [x, Const("nil")])])
+    d = decode_term(append_sig, t, Const("list"), close=lambda m, cls: met.append((m, cls)) or Const("z"))
     assert pretty_print(d) == "cons z (cons z nil)"
     assert met == [(x, Const("nat")), (x, Const("nat"))]
 
@@ -71,7 +77,7 @@ def test_decode_closes_unbound_variable_where_met(append_sig):
 def test_decode_rejects_applied_residual(append_sig):
     f = HMeta("F", 902, 0)
     with pytest.raises(ReconstructError, match=r"residual variable \?F is applied"):
-        decode_term(append_sig, HApp(f, HConst("z")), Const("nat"), close=lambda m, cls: HConst("z"))
+        decode_term(append_sig, App(f, Const("z")), Const("nat"), close=lambda m, cls: Const("z"))
 
 
 def test_decode_without_close_rejects_unbound_variable(append_sig):
@@ -211,10 +217,10 @@ def test_certify_trivial_query(append_sig):
 
 def _swap_const(t, a, b):
     match t:
-        case HConst(n) if n == a:
-            return HConst(b)
-        case HApp(f, x):
-            return HApp(_swap_const(f, a, b), _swap_const(x, a, b))
+        case Const(n) if n == a:
+            return Const(b)
+        case App(f, x):
+            return App(_swap_const(f, a, b), _swap_const(x, a, b))
         case HLam(h, body):
             return HLam(h, _swap_const(body, a, b))
         case _:

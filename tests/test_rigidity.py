@@ -146,7 +146,7 @@ def test_skipped_guard_instantiations_recheck(append_sig):
             for n_i in derivation.instantiation:
                 assert isinstance(cls, Pi)
                 check_object(sig, n_i, cls.annot)
-                cls = beta_normalize(instantiate(cls.body, n_i))
+                cls = beta_normalize(instantiate(cls.body, (n_i,)))
         for p in derivation.premises:
             recheck(p, sig)
 
@@ -231,7 +231,7 @@ def rigid_in_object(ctx: RigidCtx, x: str, m: LfExpr) -> bool:
     while isinstance(m, Lam):
         y = fresh_name(m.hint, ctx.gamma, ctx.delta, ctx.declared)
         ctx = ctx.push(y)
-        m = instantiate(m.body, Const(y))
+        m = instantiate(m.body, (Const(y),))
     head, args = spine(m)
     if isinstance(head, Const):
         if head.name == x:
@@ -256,7 +256,7 @@ def rigid_in_type(candidates, x: str, a: LfExpr, declared: Container[str] = ()) 
     while isinstance(a, Pi):
         y = fresh_name(a.hint, cands, (x,), declared)
         cands |= {y}
-        a = instantiate(a.body, Const(y))
+        a = instantiate(a.body, (Const(y),))
     _, args = spine(a)
     ctx = RigidCtx(cands | {x}, (), declared)
     return any(rigid_in_object(ctx, x, m) for m in args)
@@ -270,7 +270,7 @@ def named_plan(sig, classifier: LfExpr) -> tuple[tuple[str, bool], ...]:
     a = classifier
     while isinstance(a, Pi):
         c = fresh_name(a.hint, sig, seen)
-        body = instantiate(a.body, Const(c))
+        body = instantiate(a.body, (Const(c),))
         display = a.hint if a.hint != "_" else f"arg{len(out) + 1}"
         out.append((display, rigid_in_type(frozenset(seen) | {c}, c, body, sig)))
         seen.append(c)

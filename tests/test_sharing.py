@@ -1,6 +1,8 @@
 """Shared proofs: a term whose subterms are shared gets the same verdict, the
 same derivation text, the same error text and the same trace as an unshared
-copy of it, and the work of checking one grows with its distinct nodes."""
+copy of it, and the work of checking one grows with its distinct nodes.  A
+term made of constants, bound variables and applications is one object from
+the query through the search's store and the decoded proof to the kernel."""
 
 import pytest
 
@@ -14,20 +16,18 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HApp,
-    HBound,
-    HConst,
     HLam,
+    HMeta,
     encode_term,
     inhabitation_goal,
     translate,
 )
 from lfhh.hhf_prover import Solver
-from lfhh.lf_syntax import App, Const, Lam, Meta, Pi
-from lfhh.lf_typecheck import KernelError, check_object
-from lfhh.reconstruct import QuerySession
+from lfhh.lf_syntax import TYPE, App, Bound, Const, Lam, Meta, Pi, SigEntry, Signature, make_app, parse_expr_text, spine
+from lfhh.lf_typecheck import KernelError, check_object, checked_signature
+from lfhh.reconstruct import QuerySession, decode_term
 
-from corpus import to_sexpr
+from corpus import list_term, to_sexpr
 
 
 def unshare(e):
@@ -41,6 +41,8 @@ def unshare(e):
             return Lam(h, unshare(annot), unshare(body))
         case Const(n):
             return Const(n)
+        case Bound(k):
+            return Bound(k)
         case _:
             return e
 
@@ -84,14 +86,14 @@ def test_closed_lambda_unified_with_itself_uses_the_same_eigenvariables():
     # whether or not the two sides are one object; the guard's universal
     # shows the next id in the trace
     # forall x1:tm. (forall x2:tm. top) => hastype (k x1) x1
-    f = FForall("x1", TM, FImplies(FForall("x2", TM, FTop()), FAtom(HApp(HConst("k"), HBound(0)), HBound(0))))
+    f = FForall("x1", TM, FImplies(FForall("x2", TM, FTop()), FAtom(App(Const("k"), Bound(0)), Bound(0))))
     program = ClauseSet((Clause("k", f),), "optimized")
-    term = HApp(HConst("c"), HLam("y", HApp(HConst("s"), HBound(0))))
+    term = App(Const("c"), HLam("y", App(Const("s"), Bound(0))))
     traces = []
-    for other in (term, HApp(HConst("c"), HLam("y", HApp(HConst("s"), HBound(0))))):
+    for other in (term, App(Const("c"), HLam("y", App(Const("s"), Bound(0))))):
         assert other == term
         solver = Solver(program, trace=True)
-        sol = next(solver.solve(FAtom(HApp(HConst("k"), term), other)))
+        sol = next(solver.solve(FAtom(App(Const("k"), term), other)))
         traces.append(sol.trace)
     assert traces[0] == traces[1]
     assert "all x2!2" in traces[0]
@@ -139,3 +141,84 @@ def test_certifying_the_output_search_grows_with_distinct_nodes(append_sig, monk
         seen[n] = dict(counts)
     for name in counts:
         assert seen[512][name] <= 2.2 * seen[256][name], (name, seen)
+
+
+def test_a_term_of_constants_variables_and_applications_is_its_own_encoding():
+    e = parse_expr_text("append (cons z nil) nil (cons z nil)")
+    assert encode_term(e) is e
+    under = App(Const("s"), Bound(2))
+    assert encode_term(under) is under
+    # only the query variable and the abstraction are copied
+    query = make_app(Const("append"), [e.fn.fn.arg, Const("nil"), Meta("Out")])
+    metas = {"Out": HMeta("Out", 1)}
+    encoded = encode_term(query, metas)
+    assert encoded.arg is metas["Out"] and encoded.fn is query.fn
+    lam = App(Const("lam"), Lam("x", Const("tm"), App(Const("s"), Bound(0))))
+    body = encode_term(lam).arg
+    assert isinstance(body, HLam) and body.body is lam.arg.body
+
+
+def test_decoding_a_term_without_abstractions_gives_it_back(append_sig):
+    t = list_term([Const("z"), App(Const("s"), Const("z"))])
+    assert decode_term(append_sig, t, Const("list")) is t
+    under = App(Const("s"), Bound(0))
+    assert decode_term(append_sig, under, Const("nat"), [Const("nat")]) is under
+    # at a product classifier the term is eta-expanded, so it is rebuilt
+    assert decode_term(append_sig, Const("s"), Pi("x", Const("nat"), Const("nat"))) == Lam(
+        "x", Const("nat"), App(Const("s"), Bound(0))
+    )
+
+
+def test_an_answers_lists_are_one_object_from_query_to_kernel(append_sig, cli_limits):
+    n = 12
+    query = make_app(Const("append"), [list_term([Const("z")] * n), Const("nil"), Meta("Out")])
+    sess = QuerySession(append_sig, query, "optimized", cli_limits(2 * n))
+    sol, answer = sess.first_answer()
+    assert answer.certified
+    stored = sol.value(sess.proof_meta)
+    proof = decode_term(append_sig, stored, answer.lf_type)
+    assert proof is stored  # decoding copies nothing
+    derivation = check_object(append_sig, proof, answer.lf_type)
+    suffixes = [sess.query_type.fn.fn.arg]
+    for _ in range(n):
+        suffixes.append(suffixes[-1].arg)
+    assert spine(answer.lf_proof)[1][1] is suffixes[1]
+    for suffix in suffixes[1:]:
+        head, args = spine(proof)
+        # the input suffix is the query's, held in a register, never bound,
+        # and the kernel's derivation holds the arguments as they are
+        assert head == Const("appCons") and args[1] is suffix
+        assert all(a is b for a, b in zip(args[:4], derivation.instantiation[:4]))
+        proof, derivation = args[4], derivation.premises[4]
+    assert proof.fn == Const("appNil")
+
+
+def test_a_shared_open_subterm_under_a_binder_is_derived_once(monkeypatch):
+    nat = Const("nat")
+    sig = checked_signature(
+        Signature(
+            [
+                SigEntry("nat", TYPE, "kind"),
+                SigEntry("s", Pi("_", nat, nat), "type"),
+                SigEntry("p", Pi("_", nat, Pi("_", nat, nat)), "type"),
+            ]
+        )
+    )
+    p = sig.lookup("p").classifier
+    assert p.annot is p.body.annot  # both arguments are checked at one object
+    sx = App(Const("s"), Bound(0))
+    proof = Lam("x", nat, make_app(Const("p"), [sx, sx]))
+    built = []
+    real = lf_typecheck.Derivation
+    monkeypatch.setattr(lf_typecheck, "Derivation", lambda *args: built.append(args[0]) or real(*args))
+    d = check_object(sig, proof, Pi("x", nat, nat))
+    # `x`, `s x` and `p` bottom up, then AbsObj: the second `s x` reuses the
+    # first's derivation
+    assert built == ["BackchainObj", "BackchainObj", "BackchainObj", "AbsObj"]
+    pair = d.premises[0]
+    assert pair.premises[0] is pair.premises[1]
+    assert d.size == 6
+    # an unshared copy gets an equal derivation, built node by node
+    built.clear()
+    copy = check_object(sig, unshare(proof), Pi("x", nat, nat))
+    assert len(built) == 6 and to_sexpr(copy) == to_sexpr(d)

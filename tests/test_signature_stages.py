@@ -123,13 +123,13 @@ def named_normalize(e, classifier, sig=None, budget=10**6):
             if not isinstance(cls, Pi):
                 raise NormalizeError("cannot eta-expand: head applied beyond its arity")
             out.append(eta(a, cls.annot))
-            cls = beta_normalize(instantiate(cls.body, a), b)
+            cls = beta_normalize(instantiate(cls.body, (a,)), b)
         return make_app(head, out)
 
     def opened(h, annot, body, cls):
         x = fresh_name(h, env, sig or (), free_names(body))
         env[x] = annot_n = eta(annot, TYPE)
-        inner = eta(instantiate(body, Const(x)), cls)
+        inner = eta(instantiate(body, (Const(x),)), cls)
         del env[x]
         return annot_n, abstract(inner, x)
 
@@ -157,8 +157,8 @@ def named_normalize(e, classifier, sig=None, budget=10**6):
                 x = fresh_name(t.hint, env, sig or (), free_names(t.body))
                 env[x] = annot_n = eta(t.annot, TYPE)
                 inner = eta(
-                    beta_normalize(instantiate(t.body, Const(x)), b),
-                    beta_normalize(instantiate(cls.body, Const(x)), b),
+                    beta_normalize(instantiate(t.body, (Const(x),)), b),
+                    beta_normalize(instantiate(cls.body, (Const(x),)), b),
                 )
                 del env[x]
                 return Lam(t.hint, annot_n, abstract(inner, x))
@@ -166,7 +166,7 @@ def named_normalize(e, classifier, sig=None, budget=10**6):
                 raise NormalizeError("cannot eta-expand: head shape does not match classifier")
             x = fresh_name(cls.hint, env, sig or (), free_names(t))
             env[x] = annot_n = eta(cls.annot, TYPE)
-            inner = eta(App(t, Const(x)), beta_normalize(instantiate(cls.body, Const(x)), b))
+            inner = eta(App(t, Const(x)), beta_normalize(instantiate(cls.body, (Const(x),)), b))
             del env[x]
             return Lam(cls.hint, annot_n, abstract(inner, x))
         if isinstance(t, (Lam, Pi, TypeKind)):
