@@ -455,15 +455,16 @@ class Clause(Record):
 
 
 class ClauseSet(Record):
-    __slots__ = ("clauses", "mode", "compiled")
+    __slots__ = ("clauses", "mode", "compiled", "index")
     __match_args__ = ("clauses", "mode")
 
     def __init__(self, clauses: tuple[Clause, ...], mode: str):
         self.clauses = clauses
         self.mode = mode  # "naive" | "optimized"
-        # the prover's compiled form of `clauses`, built by its first Solver
-        # and kept here so that it lives exactly as long as the set
+        # the prover's compiled form of `clauses` and index tables, built by
+        # its first Solver and kept here to live exactly as long as the set
         self.compiled: tuple | None = None
+        self.index: tuple | None = None
 
     def __iter__(self):
         return iter(self.clauses)

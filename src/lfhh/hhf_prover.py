@@ -17,10 +17,11 @@ goal carries its own level and assumptions, so a guard never sees those of
 a sibling guard proved before it.
 
 Search is one loop, not a recursion: the goals still to prove are a linked
-list, and a stack holds a choice point per committed backchain.  Backtracking
-pops the newest one, undoes the trail and the trace to its mark and tries the
-atom's remaining clauses, so the depth of a proof costs list entries, not
-interpreter frames.
+list, and a stack holds a choice point per committed backchain that has a
+clause left to try.  Backtracking pops the newest one, undoes the trail and
+the trace to its mark and tries the atom's remaining clauses, so the depth
+of a proof costs list entries, not interpreter frames, and a deterministic
+step keeps no search state.
 
 Clauses are compiled once into a quantifier prefix, guard templates and a
 head template (static clauses on first use, kept on the `ClauseSet`;
@@ -57,7 +58,11 @@ rigid goal subject, or the classifier's family constant when the goal
 subject is flexible.  Either way the attempt would have failed on that
 constant before anything was bound, so a skipped clause uses up only the
 ids of its binders' variables, and names such as `?M9` in traces and
-answers do not depend on the index.
+answers do not depend on the index.  A committed step is deterministic
+when no later clause passes the index, which the program's index tables
+tell in O(1) for the static clauses: such a step pushes no choice point,
+and the ids of the clauses it skips are used up when backtracking passes
+it, as if it had one.
 
 Every term node records its `scope` when it is built (see `hhf_logic`): a
 closed term, one with no unification variable, no eigenvariable, no loose
@@ -346,9 +351,20 @@ _Goals = tuple | None  # (goal, depth, level, assumptions, rest), or None when e
 
 def compiled_program(program: ClauseSet) -> tuple[CompiledClause, ...]:
     """The compiled static clauses of `program`, built on first use and kept
-    on the set itself, so every Solver over one set shares them."""
+    on the set itself, so every Solver over one set shares them, with the
+    set's index tables `(ids, last)`: `ids[i]` is the number of binders of
+    the clauses from position i on, and `last[key, have]` the position of
+    the last clause whose `key` head constant is `have`."""
     if program.compiled is None:
-        program.compiled = tuple(compile_clause(c) for c in program.clauses)
+        static = tuple(compile_clause(c) for c in program.clauses)
+        ids = [0] * (len(static) + 1)
+        last: dict[tuple[str, str | None], int] = {}
+        for i in range(len(static) - 1, -1, -1):
+            ids[i] = ids[i + 1] + len(static[i].prefix)
+            last.setdefault(("subject_head", static[i].subject_head), i)
+            last.setdefault(("family_head", static[i].family_head), i)
+        program.index = ids, last
+        program.compiled = static
     return program.compiled
 
 
@@ -398,6 +414,7 @@ class Solver:
     ):
         self.program = program
         self.static = compiled_program(program)
+        self._skip_ids, self._last = program.index
         self.limits = limits or Limits()
         self.trace_on = trace
         self.store = store or Solution({}, Counters())
@@ -430,8 +447,9 @@ class Solver:
         With `iterative` the depth bound grows from 1 up to the configured
         limit and all solutions of the first successful bound are streamed;
         search stops early when a bound is exhausted without being hit, since
-        deeper bounds cannot change a finite failure.  The trace of a failed
-        bound is dropped; variable and eigenvariable ids keep counting.
+        deeper bounds cannot change a finite failure.  The bindings and the
+        trace of a failed bound are undone; variable and eigenvariable ids
+        keep counting.
 
         The search starts afresh: zero counters, cleared flags and trace,
         the whole budget, and ids from the store's next ones, or past the
@@ -454,7 +472,7 @@ class Solver:
                     )
                 if found or not self.depth_hit:
                     return
-                self.trace.clear()
+                self._undo(mark)
             self.depth_hit = True
         except BudgetExceeded:
             self.budget_hit = True
@@ -530,9 +548,13 @@ class Solver:
         """Yield once per proof of `goal` of depth below `max_depth`, with its
         bindings in place.  A goal record is `(goal, depth, level,
         assumptions, rest)`, assumptions oldest first; a choice point is
-        `(record, next clause, mark, plan)`."""
+        `(record, next clause, mark, plan)`.  `skipped` has an entry per
+        choice point and a first one: the ids that the deterministic steps
+        committed since that choice point, or before any, leave for
+        backtracking to use up."""
         goals: _Goals = (goal, 0, 0, (), None)
         stack: list[tuple[_Goals, int, tuple[int, int], tuple]] = []
+        skipped = [0]
         while True:
             if goals is None:
                 yield
@@ -544,7 +566,7 @@ class Solver:
                         self.depth_hit = True
                         goals = False
                     else:
-                        goals = self._backchain(goals, 0, self._plan(g), stack)
+                        goals = self._backchain(goals, 0, self._plan(g), stack, skipped)
                 elif isinstance(g, FTop):
                     self.counters.top_steps += 1
                     self._note("top")
@@ -561,16 +583,20 @@ class Solver:
                 else:
                     raise TypeError(f"not a goal: {g!r}")
             while goals is False:
+                self._next_meta += skipped.pop()
                 if not stack:
                     return
                 record, pos, mark, plan = stack.pop()
                 self._undo(mark)
-                goals = self._backchain(record, pos, plan, stack)
+                goals = self._backchain(record, pos, plan, stack, skipped)
 
-    def _backchain(self, record: _Goals, pos: int, plan: tuple, stack: list) -> _Goals | Literal[False]:
+    def _backchain(
+        self, record: _Goals, pos: int, plan: tuple, stack: list, skipped: list[int]
+    ) -> _Goals | Literal[False]:
         """Try the atom's clauses from position `pos` on, as its `plan`
-        says.  On the first that unifies, push a choice point and return its
-        guards followed by the rest; return False when none is left."""
+        says.  On the first that unifies, push a choice point unless it is
+        deterministic, and return its guards followed by the rest; return
+        False when none is left."""
         atom, depth, level, assumptions, rest = record
         key, want, (first, second) = plan
         parts = atom.subject, atom.classifier
@@ -599,13 +625,36 @@ class Solver:
                 if self.trace_on:
                     inst = " ".join(print_term(self.resolve(r), 2) for r in regs)
                     self._note(f"bc {clause.origin}{' ' + inst if inst else ''}")
-                stack.append((record, pos, mark, plan))
+                ids = self._skipped(key, want, pos, assumptions)
+                if ids is None:
+                    stack.append((record, pos, mark, plan))
+                    skipped.append(0)
+                else:
+                    skipped[-1] += ids
                 goals = rest
                 for scope, g in reversed(clause.guards):
                     goals = (f_instantiate(g, regs[:scope]), depth + 1, level, assumptions, goals)
                 return goals
             self._undo(mark)
         return False
+
+    def _skipped(self, key: str | None, want: str | None, pos: int, assumptions: tuple) -> int | None:
+        """None when a clause from position `pos` on passes the index, else
+        the ids that backtracking would use up skipping them."""
+        dynamic = len(assumptions)
+        first = max(pos - dynamic, 0)
+        if key is None:
+            last = len(self.static) - 1
+        else:
+            last = max(self._last.get((key, want), -1), self._last.get((key, None), -1))
+        if last >= first:
+            return None
+        ids = self._skip_ids[first]
+        for clause in assumptions[: max(dynamic - pos, 0)]:
+            if key is None or getattr(clause, key) in (None, want):
+                return None
+            ids += len(clause.prefix)
+        return ids
 
     def _plan(self, goal: FAtom) -> tuple[str | None, str | None, tuple[int, int]]:
         """How `goal` backchains, as `(key, want, order)`, fixed once per

@@ -40,7 +40,7 @@ from .hhf_logic import (
     translate,
     translate_query,
 )
-from .hhf_prover import Counters, Limits, Solution, Solver
+from .hhf_prover import Counters, Limits, Solution, Solver, _resolve
 from .lf_syntax import (
     App,
     Bound,
@@ -219,24 +219,29 @@ def finalize_metavars(sess: QuerySession, solution: Solution) -> tuple[LfExpr, L
             check_type(sess.sig, closed_type)
         except KernelError as e:
             raise ReconstructError(f"ill-typed binding: {e}") from None
-    lf_proof = decode_term(sess.sig, run.last.value(sess.proof_meta), closed_type, close=run.residual)
+    lf_proof = decode_term(sess.sig, run.value(sess.proof_meta), closed_type, close=run.residual)
     return closed_type, lf_proof, run.values
 
 
 class _Closing:
     """The state of one `finalize_metavars` call: the last solution, the
     answer or the latest auxiliary search's, whose store each auxiliary
-    search extends, the classifiers of the binders that `close_query` has
-    crossed, innermost last, and the value of each query variable as
-    `close_query` decoded it."""
+    search extends; `resolved`, the one memo of resolving under that store;
+    the classifiers of the binders that `close_query` has crossed, innermost
+    last; and the value of each query variable as `close_query` decoded it."""
 
-    __slots__ = ("sess", "last", "stack", "values")
+    __slots__ = ("sess", "last", "resolved", "stack", "values")
 
     def __init__(self, sess: QuerySession, last: Solution):
         self.sess = sess
         self.last = last
+        self.resolved: dict[int, tuple[Term, Term]] = {}
         self.stack: list[LfExpr] = []
         self.values: dict[str, LfExpr] = {}
+
+    def value(self, m: HMeta) -> Term:
+        """`m` resolved under the last solution's store."""
+        return _resolve(m, self.last.bindings, self.resolved)
 
     def close_query(self, e: LfExpr, expected: LfExpr | None) -> LfExpr:
         """`e` with each query variable decoded from the store and recorded
@@ -244,7 +249,7 @@ class _Closing:
         sess = self.sess
         node = e.__class__
         if node is Meta:
-            value = decode_term(sess.sig, self.last.value(sess.metas[e.name]), expected, self.stack, self.residual)
+            value = decode_term(sess.sig, self.value(sess.metas[e.name]), expected, self.stack, self.residual)
             self.values[e.name] = value
             return value
         if node is Pi or node is Lam:
@@ -299,7 +304,8 @@ class _Closing:
             if sol is None:
                 raise ReconstructError(f"uninhabited residual type: {pretty_print(cls)}")
             self.last = sol
-        return self.last.value(m)
+            self.resolved = {}
+        return self.value(m)
 
 
 # ---------------------------------------------------------------------------

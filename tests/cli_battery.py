@@ -7,12 +7,15 @@ one file, so two checkouts can be compared byte for byte:
 The battery covers `check`, `analyze` and both `translate` modes on the
 append, vec, remark and STLC signatures and on 150 seeded token-mutated
 copies of them; `solve` (default, `--mode naive`, `--all`, `--trace
---iterdeep`) and `compare` on append queries; `solve` and `compare` on 60
-seeded STLC queries; and `bench --format text`, with its wall-time column
-dropped.  Every search runs at a depth of 6 to 8 and a budget of 20000.
-Signature files are written to a temporary directory that the runs use as
-their working directory, so file names in OUT do not depend on where it
-runs.  The file is not named `test_*` and pytest does not collect it.
+--iterdeep`, and `--mode naive --all --trace` with and without
+`--iterdeep`, which pin the variable names printed after backtracking)
+and `compare` on append queries, output and middle searches among them;
+`solve` and `compare` on 60 seeded STLC queries; and `bench --format
+text`, with its wall-time column dropped.  Every search runs at a depth
+of 6 to 8 and a budget of 20000.  Signature files are written to a
+temporary directory that the runs use as their working directory, so file
+names in OUT do not depend on where it runs.  The file is not named
+`test_*` and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -46,8 +49,16 @@ APPEND_QUERIES = [
     "append L (cons z nil) (cons (s z) (cons z nil))",
     "append nil nil (cons z nil)",
     "append (cons X nil) K (cons (s z) (cons z nil))",
+    "append L Mid (cons z (cons (s z) nil))",
 ]
-SOLVE_FLAGS = [[], ["--mode", "naive"], ["--all"], ["--trace", "--iterdeep"]]
+SOLVE_FLAGS = [
+    [],
+    ["--mode", "naive"],
+    ["--all"],
+    ["--trace", "--iterdeep"],
+    ["--mode", "naive", "--all", "--trace"],
+    ["--mode", "naive", "--all", "--trace", "--iterdeep"],
+]
 
 # whitespace and comments, an identifier, the arrow, or one other character
 _PIECE = re.compile(r"\s+|%[^\n]*|\w[\w']*|->|.", re.S)

@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -143,6 +144,30 @@ def test_ground_check_binds_no_variable(append_sig, programs, mode, steps, unify
     assert next(solver.solve(inhabitation_goal(append_sig, ty, encode_term(proof), mode)), None) is not None
     assert solver.bindings == {} and solver.trail == []
     assert (solver.counters.backchain_steps, solver.counters.unify_calls) == (steps, unify_calls)
+
+
+@pytest.mark.parametrize(
+    "mode, steps, growth",
+    [("naive", lambda n: 2 * n * n + 3 * n + 2, 8), ("optimized", lambda n: n + 1, 2)],
+)
+def test_ground_check_memory_does_not_grow_with_its_steps(append_sig, programs, cli_limits, mode, steps, growth):
+    # the index leaves one clause for every step of the ground check, so no
+    # step pushes a choice point and the search keeps no state per step: the
+    # peak grows with the goals still open, not with the steps taken (it
+    # grew 19x and 3.7x from n = 64 to 256 when every step kept one)
+    peaks = []
+    for n in (64, 256):
+        ty, proof = _append_check([Const("z")] * n)
+        goal = inhabitation_goal(append_sig, ty, encode_term(proof), mode)
+        solver = Solver(programs[mode], cli_limits(2 * n))
+        tracemalloc.start()
+        try:
+            assert next(solver.solve(goal), None) is not None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert solver.counters.backchain_steps == steps(n)
+    assert peaks[1] < growth * peaks[0], peaks
 
 
 # -- all-solutions enumeration -------------------------------------------------------

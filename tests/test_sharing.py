@@ -23,7 +23,21 @@ from lfhh.hhf_logic import (
     translate,
 )
 from lfhh.hhf_prover import Solver
-from lfhh.lf_syntax import TYPE, App, Bound, Const, Lam, Meta, Pi, SigEntry, Signature, make_app, parse_expr_text, spine
+from lfhh.lf_syntax import (
+    TYPE,
+    App,
+    Bound,
+    Const,
+    Lam,
+    Meta,
+    Pi,
+    SigEntry,
+    Signature,
+    make_app,
+    parse_expr_text,
+    parse_query,
+    spine,
+)
 from lfhh.lf_typecheck import KernelError, check_object, checked_signature
 from lfhh.reconstruct import QuerySession, decode_term
 
@@ -191,6 +205,20 @@ def test_an_answers_lists_are_one_object_from_query_to_kernel(append_sig, cli_li
         assert all(a is b for a, b in zip(args[:4], derivation.instantiation[:4]))
         proof, derivation = args[4], derivation.premises[4]
     assert proof.fn == Const("appNil")
+
+
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+def test_an_answers_type_and_proof_share_the_lists_built_in_the_store(append_sig, mode):
+    # the output list is built by the search; the query variable and the
+    # proof are resolved through one memo, so the proof's output argument
+    # is the tail of the closed type's Out, not an equal copy
+    query = parse_query("append (cons z (cons z nil)) nil Out", append_sig)
+    sess = QuerySession(append_sig, query, mode)
+    _, ans = sess.first_answer(iterative=True)
+    assert ans.certified
+    out = spine(ans.lf_type)[1][2]
+    assert spine(ans.lf_proof)[1][3] is out.arg
+    assert ans.bindings["Out"] is out
 
 
 def test_a_shared_open_subterm_under_a_binder_is_derived_once(monkeypatch):
