@@ -6,24 +6,24 @@ failure (no inhabitant), 2 resource exhaustion (depth or budget, in `solve`,
 stack), 3 internal invariant violation (a solver answer was not certified:
 residual closing, decoding or the kernel rejected it; or a `bench` query
 failed within its limits).
+
+Each command imports the pipeline stages it runs when it runs, so a process
+compiles no stage it does not use: `check` runs the parser and the kernel
+only, `analyze` adds the rigidity analysis, `translate` the clause
+translation, and `solve`, `compare` and `bench` the prover and the answer
+pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import sys
 import time
 
-from . import hhf_prover
-from .hhf_logic import encode_term, inhabitation_goal, print_clauses, translate
-from .hhf_prover import Limits, Solver
 from .lf_syntax import App, Const, LfError, LfExpr, Meta, Signature, make_app, parse_query, parse_signature, pretty_print
 from .lf_typecheck import KernelError, checked_signature
-from .reconstruct import QuerySession
-from .rigidity import guard_plan
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,7 +64,15 @@ def _limits(args) -> Limits:
     parsed, and it raises the recursion limit with the depth: search keeps
     its goals on lists, but encoding, resolving, decoding and kernel-checking
     an answer recurse on term depth, which grows with the search depth.
-    `main` puts back the limit it found."""
+    `main` puts back the limit it found.  A `--depth` or `--budget` not given
+    becomes the default of `Limits`, so messages print the value in force."""
+    from .hhf_prover import Limits
+
+    default = Limits()
+    if args.depth is None:
+        args.depth = default.depth
+    if args.budget is None:
+        args.budget = default.budget
     if args.depth < 1:
         raise LfError("--depth must be at least 1")
     if args.budget < 1:
@@ -80,6 +88,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .rigidity import guard_plan
+
     sig = _load_signature(args.file)
     for entry in sig:
         if entry.sort != "type":
@@ -91,6 +101,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .hhf_logic import print_clauses, translate
+
     sig = _load_signature(args.file)
     sys.stdout.write(print_clauses(translate(sig, args.mode)))
     return EXIT_OK
@@ -107,6 +119,8 @@ def _print_answer(sess: QuerySession, sol, answer) -> None:
 
 
 def cmd_solve(args) -> int:
+    from .reconstruct import QuerySession
+
     sig, goal_type = _load_query(args)
     sess = QuerySession(sig, goal_type, args.mode, _limits(args), trace=args.trace)
     search = sess.search()
@@ -161,6 +175,12 @@ def _append_check(elems: list[LfExpr]) -> tuple[LfExpr, LfExpr]:
 
 
 def cmd_bench(args) -> int:
+    import csv
+
+    from .hhf_logic import encode_term, inhabitation_goal, translate
+    from .hhf_prover import Solver
+    from .reconstruct import QuerySession
+
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
         if any(n < 0 for n in sizes):
@@ -208,6 +228,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .hhf_logic import encode_term, inhabitation_goal
+    from .hhf_prover import Solver
+    from .reconstruct import QuerySession
+
     sig, goal_type = _load_query(args)
     limits = _limits(args)
     sess_n = QuerySession(sig, goal_type, "naive", limits)
@@ -267,12 +291,14 @@ def cmd_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
     was, and each call gets a fresh namespace."""
-    p = argparse.ArgumentParser(prog="lfhh", description=__doc__)
+    # `--help` shows the docstring without its last paragraph, which is for
+    # readers of the code
+    p = argparse.ArgumentParser(prog="lfhh", description=__doc__.rpartition("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_limits(sp):
-        sp.add_argument("--depth", type=int, default=hhf_prover.DEFAULT_DEPTH, help="backchain depth limit")
-        sp.add_argument("--budget", type=int, default=hhf_prover.DEFAULT_BUDGET, help="unification call budget")
+        sp.add_argument("--depth", type=int, help="backchain depth limit")
+        sp.add_argument("--budget", type=int, help="unification call budget")
 
     sp = sub.add_parser("check", help="type-check a signature file")
     sp.add_argument("file")

@@ -354,15 +354,19 @@ def compiled_program(program: ClauseSet) -> tuple[CompiledClause, ...]:
     on the set itself, so every Solver over one set shares them, with the
     set's index tables `(ids, last)`: `ids[i]` is the number of binders of
     the clauses from position i on, and `last[key, have]` the position of
-    the last clause whose `key` head constant is `have`."""
+    the last clause that the index admits for a goal whose `key` head
+    constant is `have`: the last one whose `key` head constant is `have` or
+    unset.  A `have` with no entry admits only the clauses whose constant is
+    unset, the last of them at `last[key, None]`."""
     if program.compiled is None:
         static = tuple(compile_clause(c) for c in program.clauses)
         ids = [0] * (len(static) + 1)
-        last: dict[tuple[str, str | None], int] = {}
+        own: dict[tuple[str, str | None], int] = {}  # the last clause whose constant is `have`
         for i in range(len(static) - 1, -1, -1):
             ids[i] = ids[i + 1] + len(static[i].prefix)
-            last.setdefault(("subject_head", static[i].subject_head), i)
-            last.setdefault(("family_head", static[i].family_head), i)
+            own.setdefault(("subject_head", static[i].subject_head), i)
+            own.setdefault(("family_head", static[i].family_head), i)
+        last = {(key, have): max(i, own.get((key, None), -1)) for (key, have), i in own.items()}
         program.index = ids, last
         program.compiled = static
     return program.compiled
@@ -646,7 +650,9 @@ class Solver:
         if key is None:
             last = len(self.static) - 1
         else:
-            last = max(self._last.get((key, want), -1), self._last.get((key, None), -1))
+            last = self._last.get((key, want))
+            if last is None:
+                last = self._last.get((key, None), -1)
         if last >= first:
             return None
         ids = self._skip_ids[first]

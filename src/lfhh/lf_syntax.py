@@ -451,12 +451,6 @@ class Signature:
             raise LfSyntaxError(f"duplicate name {entry.name!r}")
         self._index[entry.name] = entry
 
-    def extend(self, name: str, classifier: LfExpr, sort: str) -> "Signature":
-        """A copy with one more entry."""
-        out = Signature(self)
-        out.add(SigEntry(name, classifier, sort))
-        return out
-
     @property
     def entries(self) -> tuple[SigEntry, ...]:
         return tuple(self._index.values())

@@ -18,6 +18,7 @@ from lfhh.lf_syntax import (
     Meta,
     Pi,
     Signature,
+    SigEntry,
     make_app,
     parse_expr_text,
     parse_query,
@@ -108,6 +109,13 @@ def append_signature() -> Signature:
 
 def remark_signature() -> Signature:
     return checked_signature(parse_signature(REMARK_TEXT))
+
+
+def extend(sig: Signature, name: str, classifier: LfExpr, sort: str) -> Signature:
+    """A copy of `sig` with one more entry."""
+    out = Signature(sig)
+    out.add(SigEntry(name, classifier, sort))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +396,7 @@ def substitution_instance(
         else:
             a = Const("list")
             m = list_term(list_elems(rng, 2), Const("xv"))
-    extended = sig.extend("xv", Const(b_name), "type")
+    extended = extend(sig, "xv", Const(b_name), "type")
     return extended, "xv", Const(b_name), n_val, m, a
 
 

@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import json
 import os
 import pathlib
 import random
@@ -13,7 +14,6 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import lfhh
-from lfhh import cli
 from lfhh.cli import build_parser, main
 from lfhh.lf_syntax import Const, parse_signature, pretty_print
 from lfhh.lf_typecheck import checked_signature
@@ -363,9 +363,17 @@ def test_compare_first_answers_that_differ_are_each_proved_by_the_other_mode(app
 
 
 def test_compare_mode_that_cannot_prove_the_other_answer_is_a_disagreement(append_lf, monkeypatch):
-    # a proof term that inhabits nothing stands for an answer the other mode
-    # cannot prove
-    monkeypatch.setattr(cli, "encode_term", lambda proof: Const("nil"))
+    # a proof term that inhabits nothing, in place of the optimized answer's
+    # proof, stands for an answer the other mode cannot prove
+    real = QuerySession.first_answer
+
+    def first_answer(self, *a):
+        found = real(self, *a)
+        if found is not None and self.mode == "optimized":
+            found[1].lf_proof = Const("nil")
+        return found
+
+    monkeypatch.setattr(QuerySession, "first_answer", first_answer)
     code, out, _ = run_cli("compare", append_lf, "append L K (cons z (cons (s z) (cons (s (s z)) nil)))")
     assert code == 3
     assert out.endswith("DISAGREEMENT: naive mode cannot prove the other mode's answer\n")
@@ -766,10 +774,43 @@ def test_deep_input_verdict_does_not_depend_on_an_earlier_search(append_lf, tmp_
     assert run_cli("check", str(deep)) == (2, "", "error: input nested too deeply\n")
 
 
+def run_python(*args):
+    """A fresh interpreter run with `args`, importing this checkout's lfhh."""
+    src = str(pathlib.Path(lfhh.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 def run_fresh(*argv):
     """`lfhh` in a fresh interpreter, so that the recursion limit is the
     default one and not whatever an earlier command in this process raised
     it to."""
-    src = str(pathlib.Path(lfhh.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "lfhh.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+    return run_python("-m", "lfhh.cli", *argv)
+
+
+STAGES_LOADED = """\
+import contextlib, io, json, sys
+from lfhh.cli import main
+stages = ("rigidity", "hhf_logic", "hhf_prover", "reconstruct")
+loaded = {}
+for command, *flags in (["check"], ["analyze"], ["translate", "--mode", "optimized"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([command, sys.argv[1], *flags])
+    loaded[command] = [s for s in stages if "lfhh." + s in sys.modules]
+print(json.dumps(loaded))
+sys.exit(main(["solve", sys.argv[1], sys.argv[2]]))
+"""
+
+
+def test_a_command_loads_only_the_stages_it_runs(append_lf):
+    # `check` needs the parser and the kernel only, `analyze` adds the
+    # rigidity analysis and `translate` the translation; a `solve` after
+    # them in the same interpreter loads the rest and answers as it does
+    # in a fresh one
+    query = "append (cons z nil) L (cons z (cons (s z) nil))"
+    after = run_python("-c", STAGES_LOADED, append_lf, query)
+    loaded, _, out = after.stdout.partition("\n")
+    assert json.loads(loaded) == {"check": [], "analyze": ["rigidity"], "translate": ["rigidity", "hhf_logic"]}
+    fresh = run_fresh("solve", append_lf, query)
+    assert (after.returncode, out, after.stderr) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 0 and "L = cons (s z) nil\n" in out

@@ -39,7 +39,7 @@ from lfhh.hhf_prover import Limits
 from lfhh.lf_typecheck import Derivation, Judgment, check_type, checked_signature
 from lfhh.reconstruct import QuerySession, ReconstructError, _Closing, decode_term
 
-from corpus import STLC_TEXT, random_stlc_query, substitute
+from corpus import STLC_TEXT, extend, random_stlc_query, substitute
 
 
 def ref_scope(e):
@@ -335,7 +335,7 @@ def test_fresh_name_agrees_with_the_set_union():
     for _ in range(400):
         sig = Signature()
         for name in rng.sample(pool, rng.randint(0, 5)):
-            sig = sig.extend(name, TYPE, "kind")
+            sig = extend(sig, name, TYPE, "kind")
         env = {n: Const("tm") for n in rng.sample(pool, rng.randint(0, 3))}
         local = tuple(rng.sample(pool, rng.randint(0, 3)))
         for base in ("", "_", "x", "y", "M", "type", "a"):
@@ -346,9 +346,9 @@ def test_fresh_name_agrees_with_the_set_union():
 def test_an_older_signature_never_sees_later_names():
     base = Signature()
     for name in ("nat", "z"):
-        base = base.extend(name, TYPE, "kind")
-    older = base.extend("s", TYPE, "kind")
-    newer = older.extend("t", TYPE, "kind").extend("u", TYPE, "kind")
+        base = extend(base, name, TYPE, "kind")
+    older = extend(base, "s", TYPE, "kind")
+    newer = extend(extend(older, "t", TYPE, "kind"), "u", TYPE, "kind")
     for sig, names in ((base, ["nat", "z"]), (older, ["nat", "z", "s"]), (newer, ["nat", "z", "s", "t", "u"])):
         assert [e.name for e in sig] == names and len(sig) == len(names)
         assert sig.fingerprint() == ",".join(names)
@@ -357,17 +357,17 @@ def test_an_older_signature_never_sees_later_names():
             assert (name in sig) == (name in names)
             assert (sig.lookup(name) is not None) == (name in names)
     with pytest.raises(LfSyntaxError, match="duplicate"):
-        older.extend("z", TYPE, "kind")
+        extend(older, "z", TYPE, "kind")
     # a name already taken by a longer signature is still free for the older one
-    assert "t" in base.extend("t", Const("nat"), "type")
+    assert "t" in extend(base, "t", Const("nat"), "type")
 
 
 def test_extending_one_parent_twice_gives_independent_signatures():
     parent = Signature(parse_signature("nat : type. z : nat.").entries)
-    left = parent.extend("a", TYPE, "kind")
-    right = parent.extend("b", Const("nat"), "type")
-    left2 = left.extend("c", TYPE, "kind")
-    right2 = right.extend("a", Const("nat"), "type")  # the name `left` took
+    left = extend(parent, "a", TYPE, "kind")
+    right = extend(parent, "b", Const("nat"), "type")
+    left2 = extend(left, "c", TYPE, "kind")
+    right2 = extend(right, "a", Const("nat"), "type")  # the name `left` took
     assert [e.name for e in left2] == ["nat", "z", "a", "c"]
     assert [e.name for e in right2] == ["nat", "z", "b", "a"]
     assert left2.lookup("a").sort == "kind" and right2.lookup("a").sort == "type"
@@ -380,12 +380,12 @@ def test_extend_keeps_index_and_fingerprint():
     sig = Signature()
     assert sig.fingerprint() == "."
     for i, name in enumerate(["nat", "z", "s"]):
-        sig = sig.extend(name, TYPE, "kind")
+        sig = extend(sig, name, TYPE, "kind")
         assert sig.lookup(name).name == name and len(sig) == i + 1
     assert sig.fingerprint() == "nat,z,s"
     assert sig == Signature(sig.entries)
     assert Signature(sig.entries).fingerprint() == sig.fingerprint()
-    wider = sig.extend("x", Const("nat"), "type")
+    wider = extend(sig, "x", Const("nat"), "type")
     assert "x" in wider and "x" not in sig and sig.lookup("x") is None
 
 

@@ -32,6 +32,7 @@ from corpus import (
     APPEND_TEXT,
     REMARK_TEXT,
     STLC_TEXT,
+    extend,
     list_term,
     malformed_texts,
     nat_term,
@@ -192,7 +193,7 @@ def test_normalize_returns_canonical_classifiers_themselves(name, golden_dir):
     for entry in sig:
         c = entry.classifier
         assert normalize(c, KIND if entry.sort == "kind" else TYPE, prefix) is c, entry.name
-        prefix = prefix.extend(entry.name, c, entry.sort)
+        prefix = extend(prefix, entry.name, c, entry.sort)
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from lfhh.lf_typecheck import (
     checked_signature,
 )
 
-from corpus import STLC_BLOCK, append_proof, list_elems, list_term, substitute, substitution_instance, to_sexpr
+from corpus import STLC_BLOCK, append_proof, extend, list_elems, list_term, substitute, substitution_instance, to_sexpr
 
 
 def recount(d: Derivation) -> int:
@@ -247,9 +247,7 @@ def test_weakening(append_sig):
     proof = parse_expr_text("appNil nil")
     ty = parse_expr_text("append nil nil nil")
     base = check_object(append_sig, proof, ty)
-    wider = append_sig.extend("extra", Const("nat"), "type").extend(
-        "wider", parse_expr_text("nat -> type"), "kind"
-    )
+    wider = extend(extend(append_sig, "extra", Const("nat"), "type"), "wider", parse_expr_text("nat -> type"), "kind")
     again = check_object(wider, proof, ty)
     assert again.rule == base.rule and again.size == base.size
 
