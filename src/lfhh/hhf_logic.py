@@ -461,8 +461,8 @@ class ClauseSet(Record):
     def __init__(self, clauses: tuple[Clause, ...], mode: str):
         self.clauses = clauses
         self.mode = mode  # "naive" | "optimized"
-        # the prover's compiled form of `clauses` and index tables, built by
-        # its first Solver and kept here to live exactly as long as the set
+        # the prover's compiled form of `clauses` and its clause index, built
+        # by the first Solver and kept here to live exactly as long as the set
         self.compiled: tuple | None = None
         self.index: tuple | None = None
 

@@ -23,24 +23,28 @@ the trace to its mark and tries the atom's remaining clauses, so the depth
 of a proof costs list entries, not interpreter frames, and a deterministic
 step keeps no search state.
 
-Clauses are compiled once into a quantifier prefix, guard templates and a
-head template (static clauses on first use, kept on the `ClauseSet`;
-assumptions when they are pushed).  The head template is unified with the
-goal in place, and the prefix binders are registers, not variables: an
-attempt reserves the ids of the binders' variables (binder i gets the i-th
-of them) and starts with every register empty.  A binder that first meets a
-closed term other than an abstraction holds that term, so it is never bound,
-trailed or undone; its variable is made, with its reserved id and name, only
-when the binder meets any other term, when a template part has to be
-instantiated (an abstraction or a variable head, or a goal part that is an
-abstraction or flexible), or when the register is still empty after the head
-unified.  Guards are instantiated with the registers once the head has
-unified, so a guard shows a held binder's value where it would show the
-binder's variable (a traced `imp+` line prints it so).  In the ground
-checks of the append ladder every binder ends in a register, and the
-binding store stays empty.  The head template is compiled too: its prefix
-binders to register indices and each constant applied to open parts to the
-constant and the parts' code, so unifying it walks no template spine.
+Clauses are compiled once into a quantifier prefix, guard code and head
+code (static clauses on first use, kept on the `ClauseSet`; assumptions
+when they are pushed).  The head is unified with the goal in place, and the
+prefix binders are registers, not variables: an attempt reserves the ids of
+the binders' variables (binder i gets the i-th of them) and starts with
+every register empty.  A binder that first meets a closed term other than
+an abstraction holds that term, so it is never bound, trailed or undone;
+its variable is made, with its reserved id and name, only when the binder
+meets any other term, when a template part has to be instantiated (an
+abstraction or a variable head, or a goal part that is an abstraction or
+flexible), or when the register is still empty after the head unified.
+The head code maps its prefix binders to register indices and each
+constant applied to open parts to the constant and the parts' code, so
+unifying it walks no template spine.  Once the head has unified, each
+guard is built from the registers by code compiled the other way round, a
+register index, a closed term or a closed head applied to such parts, so a
+committed step is straight-line work on the registers; a guard under a
+universal or an implication, or with an open abstraction or a variable head
+inside, is instantiated with `f_instantiate` instead.  Either way a guard
+shows a held binder's value where it would show the binder's variable (a
+traced `imp+` line prints it so).  In the ground checks of the append
+ladder every binder ends in a register, and the binding store stays empty.
 
 A head's subject and classifier are unified in an order fixed once per
 atom goal from the goal's shape, the type being the input and the proof
@@ -52,17 +56,20 @@ clause's variables are raised over its spine.  Any other subject goes
 first, since it may fix a binder that makes the classifier a pattern, as
 in `mk : {t:nat -> num z} chk (t z)`.
 
-Before an attempt, a clause is skipped when its head constant cannot match
-the goal (first-argument indexing): the subject's head constant against a
-rigid goal subject, or the classifier's family constant when the goal
-subject is flexible.  Either way the attempt would have failed on that
-constant before anything was bound, so a skipped clause uses up only the
-ids of its binders' variables, and names such as `?M9` in traces and
-answers do not depend on the index.  A committed step is deterministic
-when no later clause passes the index, which the program's index tables
-tell in O(1) for the static clauses: such a step pushes no choice point,
-and the ids of the clauses it skips are used up when backtracking passes
-it, as if it had one.
+Only the clauses whose head constant can match the goal are tried
+(first-argument indexing, as Teyjus compiles clause code: Nadathur &
+Mitchell, CADE 1999): the subject's head constant against a rigid goal
+subject, or the classifier's family constant when the goal subject is
+flexible.  A skipped attempt would have failed on that constant before
+anything was bound.  For each goal constant the index keeps the list of
+static positions it admits, built by one scan the first time a goal asks
+for it, and a search jumps from one admitted position to the next.  A jump
+uses up the ids of the binders' variables of the clauses it passes, so
+names such as `?M9` in traces and answers do not depend on the index.  A
+commit at the last admitted position, with no assumption left that the
+index admits, is deterministic: it pushes no choice point, and the ids of
+the clauses after it are used up when backtracking passes it, as if it had
+one.  Assumptions are tested one by one, newest first.
 
 Every term node records its `scope` when it is built (see `hhf_logic`): a
 closed term, one with no unification variable, no eigenvariable, no loose
@@ -249,13 +256,15 @@ class CompiledClause(Record):
 
     Templates refer to the quantifier prefix by de Bruijn index: a guard
     sees the `scope` outermost binders, the head sees all of them.  `guards`
-    are `(scope, guard)` pairs in the order they are proved, which
-    `_schedule` sets.  `head` holds the code that `Solver._uni_head` runs
-    for the head's subject and classifier (see `_head_code`).  The head
-    constants index the clause: `subject_head` is the constant at the head
-    of the head's subject, and `family_head` the one at the head of its
-    classifier, recorded only when the subject is that constant applied to
-    distinct prefix binders, the shape every translated declaration has."""
+    are `(scope, guard, code)` triples in the order they are proved, which
+    `_schedule` sets; `code` builds the guard from the registers (see
+    `_guard_code`), and is None for a guard that `f_instantiate` builds.
+    `head` holds the code that `Solver._uni_head` runs for the head's
+    subject and classifier (see `_head_code`).  The head constants index
+    the clause: `subject_head` is the constant at the head of the head's
+    subject, and `family_head` the one at the head of its classifier,
+    recorded only when the subject is that constant applied to distinct
+    prefix binders, the shape every translated declaration has."""
 
     __slots__ = ("origin", "prefix", "guards", "head", "subject_head", "family_head")
     __match_args__ = __slots__
@@ -264,7 +273,7 @@ class CompiledClause(Record):
         self,
         origin: str,
         prefix: tuple[tuple[str, SimpleType], ...],
-        guards: tuple[tuple[int, HhFormula], ...],
+        guards: tuple[tuple[int, HhFormula, tuple | None], ...],
         head: tuple[_HeadCode, _HeadCode] | None,
         subject_head: str | None,
         family_head: str | None,
@@ -303,7 +312,8 @@ def compile_clause(clause: Clause) -> CompiledClause:
     code = None
     if head is not None:
         code = _head_code(head.subject, len(prefix)), _head_code(head.classifier, len(prefix))
-    return CompiledClause(clause.origin, tuple(prefix), _schedule(guards), code, subject_head, family_head)
+    scheduled = tuple((scope, g, _guard_code(g, scope)) for scope, g in _schedule(guards))
+    return CompiledClause(clause.origin, tuple(prefix), scheduled, code, subject_head, family_head)
 
 
 def _schedule(guards: list[tuple[int, HhFormula]]) -> tuple[tuple[int, HhFormula], ...]:
@@ -346,28 +356,66 @@ def _head_code(tmpl: Term, nprefix: int) -> _HeadCode:
     return tmpl
 
 
+def _guard_code(g: HhFormula, scope: int) -> tuple | None:
+    """The code that builds the atom guard `g` over the `scope` outermost
+    binders from the registers, a pair for its subject and classifier, or
+    None when `f_instantiate` builds it: `g` is not an atom, or a part has
+    an open abstraction or a variable head inside (see `_part_code`)."""
+    if g.__class__ is not FAtom:
+        return None
+    subject, classifier = _part_code(g.subject, scope), _part_code(g.classifier, scope)
+    return None if subject is None or classifier is None else (subject, classifier)
+
+
+def _part_code(t: Term, scope: int):
+    """The code of the guard part `t`: a binder is the index of its
+    register; a closed term is itself; an application with a closed head is
+    (its longest closed head, the code of the arguments after it), which
+    builds the nodes `h_instantiate` builds; None for any other."""
+    if t.scope == 0:
+        return t
+    if t.__class__ is Bound:
+        return scope - 1 - t.index if t.index < scope else None
+    args = []
+    while t.__class__ is App and t.scope != 0:
+        args.append(t.arg)
+        t = t.fn
+    if t.scope != 0:
+        return None
+    parts = tuple(_part_code(a, scope) for a in reversed(args))
+    return None if any(p is None for p in parts) else (t, parts)
+
+
+def _built(code, regs: list) -> Term:
+    """The guard part that `code` builds from the registers `regs`."""
+    if code.__class__ is int:
+        return regs[code]
+    if code.__class__ is not tuple:
+        return code
+    t, parts = code
+    for p in parts:
+        t = App(t, _built(p, regs))
+    return t
+
+
 _Goals = tuple | None  # (goal, depth, level, assumptions, rest), or None when empty
 
 
 def compiled_program(program: ClauseSet) -> tuple[CompiledClause, ...]:
     """The compiled static clauses of `program`, built on first use and kept
     on the set itself, so every Solver over one set shares them, with the
-    set's index tables `(ids, last)`: `ids[i]` is the number of binders of
-    the clauses from position i on, and `last[key, have]` the position of
-    the last clause that the index admits for a goal whose `key` head
-    constant is `have`: the last one whose `key` head constant is `have` or
-    unset.  A `have` with no entry admits only the clauses whose constant is
-    unset, the last of them at `last[key, None]`."""
+    set's index `(ids, admitted)`: `ids[i]` is the number of binders of the
+    clauses from position i on, and `admitted` maps a goal's `(key, want)`
+    to the positions of the clauses that the index admits, those whose
+    `key` head constant is `want` or unset, or all of them when `key` is
+    None.  `Solver._backchain` adds each list the first time a goal asks
+    for it."""
     if program.compiled is None:
         static = tuple(compile_clause(c) for c in program.clauses)
         ids = [0] * (len(static) + 1)
-        own: dict[tuple[str, str | None], int] = {}  # the last clause whose constant is `have`
         for i in range(len(static) - 1, -1, -1):
             ids[i] = ids[i + 1] + len(static[i].prefix)
-            own.setdefault(("subject_head", static[i].subject_head), i)
-            own.setdefault(("family_head", static[i].family_head), i)
-        last = {(key, have): max(i, own.get((key, None), -1)) for (key, have), i in own.items()}
-        program.index = ids, last
+        program.index = ids, {}
         program.compiled = static
     return program.compiled
 
@@ -418,7 +466,6 @@ class Solver:
     ):
         self.program = program
         self.static = compiled_program(program)
-        self._skip_ids, self._last = program.index
         self.limits = limits or Limits()
         self.trace_on = trace
         self.store = store or Solution({}, Counters())
@@ -501,15 +548,6 @@ class Solver:
         self._next_meta += 1
         return _meta(hint, i, level)
 
-    def _registers(self, prefix: tuple[tuple[str, SimpleType], ...]) -> list:
-        """Empty registers for a clause attempt over `prefix`, one per binder;
-        the ids of the binders' variables are reserved, binder i's being
-        `base + i`, so they are the same whether or not a variable is made."""
-        self._prefix = prefix
-        self._base = self._next_meta
-        self._next_meta += len(prefix)
-        return [None] * len(prefix)
-
     def _binder_var(self, regs: list, i: int) -> HMeta:
         """Binder i's variable, made and put in its empty register."""
         m = regs[i] = _meta(self._prefix[i][0], self._base + i, self.level)
@@ -565,7 +603,7 @@ class Solver:
                 goals = False
             else:
                 g, depth, level, assumptions, rest = goals
-                if isinstance(g, FAtom):
+                if g.__class__ is FAtom:
                     if depth >= max_depth:
                         self.depth_hit = True
                         goals = False
@@ -598,69 +636,90 @@ class Solver:
         self, record: _Goals, pos: int, plan: tuple, stack: list, skipped: list[int]
     ) -> _Goals | Literal[False]:
         """Try the atom's clauses from position `pos` on, as its `plan`
-        says.  On the first that unifies, push a choice point unless it is
+        says: the assumptions newest first, then the static clauses that the
+        index admits, from entry `pos - len(assumptions)` of their list on.
+        On the first that unifies, push a choice point unless it is
         deterministic, and return its guards followed by the rest; return
-        False when none is left."""
+        False when none is left.  Every clause passed, tried or not, uses up
+        the ids of its binders' variables."""
         atom, depth, level, assumptions, rest = record
         key, want, (first, second) = plan
-        parts = atom.subject, atom.classifier
-        dynamic = len(assumptions)
         static = self.static
-        end = dynamic + len(static)
-        while pos < end:
-            clause = assumptions[dynamic - 1 - pos] if pos < dynamic else static[pos - dynamic]
-            pos += 1
-            if key is not None:
-                have = getattr(clause, key)
-                if have is not None and have != want:
+        ids, index = self.program.index
+        admitted = index.get((key, want))
+        if admitted is None:
+            admitted = index[key, want] = tuple(
+                i for i, c in enumerate(static) if key is None or getattr(c, key) in (None, want)
+            )
+        parts = atom.subject, atom.classifier
+        dynamic, end = len(assumptions), len(admitted)
+        counters, budget, trail = self.counters, self.limits.budget, self.trail
+        while True:
+            if pos < dynamic:
+                clause = assumptions[dynamic - 1 - pos]
+                pos += 1
+                if key is not None and getattr(clause, key) not in (None, want):
                     self._next_meta += len(clause.prefix)
                     continue
-            self.level = level
-            mark = self._mark()
-            regs = self._registers(clause.prefix)
+                base = self._next_meta
+            else:
+                k = pos - dynamic
+                passed = ids[admitted[k - 1] + 1] if k else ids[0]  # the ids not yet used up
+                if k == end:
+                    self._next_meta += passed
+                    return False
+                j = admitted[k]
+                clause = static[j]
+                base = self._next_meta + passed - ids[j]
+                pos += 1
+            prefix = clause.prefix
+            n = len(prefix)
+            self._next_meta = base + n
+            self.level, self._prefix, self._base = level, prefix, base
+            mark = len(trail)
+            regs = [None] * n
             head = clause.head
-            if (
-                head is not None
-                and self._unify_head(head[first], parts[first], regs)
-                and self._unify_head(head[second], parts[second], regs)
-            ):
-                self._filled(regs)
-                self.counters.backchain_steps += 1
-                if self.trace_on:
-                    inst = " ".join(print_term(self.resolve(r), 2) for r in regs)
-                    self._note(f"bc {clause.origin}{' ' + inst if inst else ''}")
-                ids = self._skipped(key, want, pos, assumptions)
-                if ids is None:
-                    stack.append((record, pos, mark, plan))
-                    skipped.append(0)
-                else:
-                    skipped[-1] += ids
-                goals = rest
-                for scope, g in reversed(clause.guards):
-                    goals = (f_instantiate(g, regs[:scope]), depth + 1, level, assumptions, goals)
-                return goals
-            self._undo(mark)
-        return False
-
-    def _skipped(self, key: str | None, want: str | None, pos: int, assumptions: tuple) -> int | None:
-        """None when a clause from position `pos` on passes the index, else
-        the ids that backtracking would use up skipping them."""
-        dynamic = len(assumptions)
-        first = max(pos - dynamic, 0)
-        if key is None:
-            last = len(self.static) - 1
+            if head is not None:
+                counters.unify_calls += 1
+                if counters.unify_calls > budget:
+                    raise BudgetExceeded()
+                if self._uni_head(head[first], parts[first], regs):
+                    counters.unify_calls += 1
+                    if counters.unify_calls > budget:
+                        raise BudgetExceeded()
+                    if self._uni_head(head[second], parts[second], regs):
+                        break
+                if len(trail) > mark:
+                    self._undo((mark, len(self.trace)))
+        if n:
+            self._filled(regs)
+        counters.backchain_steps += 1
+        if pos > dynamic:  # deterministic at the last admitted clause
+            left = ids[j + 1] if pos - dynamic == end else None
+        else:  # or with no static clause and no later assumption admitted
+            later = assumptions[: dynamic - pos]
+            if admitted or any(key is None or getattr(c, key) in (None, want) for c in later):
+                left = None
+            else:
+                left = ids[0] + sum(len(c.prefix) for c in later)
+        if left is None:
+            stack.append((record, pos, (mark, len(self.trace)), plan))
+            skipped.append(0)
         else:
-            last = self._last.get((key, want))
-            if last is None:
-                last = self._last.get((key, None), -1)
-        if last >= first:
-            return None
-        ids = self._skip_ids[first]
-        for clause in assumptions[: max(dynamic - pos, 0)]:
-            if key is None or getattr(clause, key) in (None, want):
-                return None
-            ids += len(clause.prefix)
-        return ids
+            skipped[-1] += left
+        if self.trace_on:
+            inst = " ".join(print_term(self.resolve(r), 2) for r in regs)
+            self._note(f"bc {clause.origin}{' ' + inst if inst else ''}")
+        goals = rest
+        depth += 1
+        for scope, g, code in reversed(clause.guards):
+            if code is None:
+                g = f_instantiate(g, regs[:scope])
+            else:
+                s, c = code
+                g = FAtom(regs[s] if s.__class__ is int else _built(s, regs), _built(c, regs))
+            goals = (g, depth, level, assumptions, goals)
+        return goals
 
     def _plan(self, goal: FAtom) -> tuple[str | None, str | None, tuple[int, int]]:
         """How `goal` backchains, as `(key, want, order)`, fixed once per
@@ -688,50 +747,49 @@ class Solver:
             raise BudgetExceeded()
         return self._uni(a, b)
 
-    def _unify_head(self, code: _HeadCode, t: Term, regs: list) -> bool:
-        """`_unify(h_instantiate(tmpl, values), t)` for the head template
-        part `tmpl` of `code` and the binders' variables `values`, over the
-        registers `regs` of the running clause attempt: the same verdict and
-        effects, except that a binder held in its register has no binding
-        (see `_uni_head`)."""
-        self.counters.unify_calls += 1
-        if self.counters.unify_calls > self.limits.budget:
-            raise BudgetExceeded()
-        return self._uni_head(code, t, regs)
-
     def _uni_head(self, code: _HeadCode, t: Term, regs: list) -> bool:
         """`_uni(h_instantiate(tmpl, values), t)` without building the
         instance where the template part is first order.  A binder whose
         register is empty and meets a closed term other than an abstraction
         takes that term into its register, where `_bind` would have bound
         its variable to it: no binding, trail entry or undo.  Otherwise the
-        binder's variable is made when first needed and unified.  A part
-        with an abstraction or a variable head, or meeting an abstraction or
-        a flexible term, is instantiated with the registers, every empty one
-        given its variable."""
-        if code.__class__ is int:
+        binder's variable is made when first needed and unified.  A closed
+        template part without an abstraction meeting such a term is
+        compared with `==`, as `_uni` compares them.  A part with an abstraction or a variable head, or meeting an
+        abstraction or a flexible term, is instantiated with the registers,
+        every empty one given its variable."""
+        if code.__class__ is tuple:
+            name, parts, tmpl = code
+            b = t if t.scope >= 0 else _walk(self.bindings, t)
+            args = []
+            while b.__class__ is App:
+                args.append(b.arg)
+                b = b.fn
+            if b.__class__ is Const:  # its arguments, left to right, are popped
+                if b.name != name or len(args) != len(parts):
+                    return False
+                for x in parts:
+                    y = args.pop()
+                    if x.__class__ is int and regs[x] is None and y.scope == 0 and y.__class__ is not HLam:
+                        regs[x] = y  # as `_uni_head(x, y, regs)` would
+                    elif not self._uni_head(x, y, regs):
+                        return False
+                return True
+            if b.__class__ is not HMeta and b.__class__ is not HLam:
+                return False
+        elif code.__class__ is int:
             r = regs[code]
             if r is None:
-                if t.scope == 0 and not isinstance(t, HLam):
+                if t.scope == 0 and t.__class__ is not HLam:
                     regs[code] = t
                     return True
                 r = self._binder_var(regs, code)
             return self._uni(r, t)
-        if code.__class__ is tuple:
-            name, parts, tmpl = code
-            b = t if t.scope >= 0 else _walk(self.bindings, t)
-            if not isinstance(b, HLam):
-                hb, bargs = spine(b)
-                if not isinstance(hb, HMeta):
-                    if not (isinstance(hb, Const) and hb.name == name and len(bargs) == len(parts)):
-                        return False
-                    for x, y in zip(parts, bargs):
-                        if not self._uni_head(x, y, regs):
-                            return False
-                    return True
         else:
             tmpl = code
             if tmpl.scope == 0:
+                if t.scope == 0 and tmpl.lam_free and t.lam_free:
+                    return tmpl is t or tmpl == t
                 return self._uni(tmpl, t)
         return self._uni(h_instantiate(tmpl, self._filled(regs)), t)
 

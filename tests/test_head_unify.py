@@ -1,11 +1,11 @@
-"""`Solver._unify_head` against unifying the built instance of the template.
+"""`Solver._uni_head` against unifying the built instance of the template.
 
 Backchaining unifies a clause head template with the goal in place, without
 building the template's instance, and keeps the values of the clause's
 binders in registers: a binder that meets a closed term takes it into its
 register, and its variable is made only when it is needed.  Each case runs
-`_unify_head(_head_code(tmpl, nprefix), t, regs)` on one solver and
-`_unify(h_instantiate(tmpl, metas), t)` on a second solver in the same
+`_uni_head(_head_code(tmpl, nprefix), t, regs)` on one solver and
+`_uni(h_instantiate(tmpl, metas), t)` on a second solver in the same
 state, where `metas` are the binders' variables with the ids the registers
 reserved; everything a caller can observe must agree.  A binder is compared through its resolved register
 value against its resolved variable, every other variable through its store
@@ -110,15 +110,24 @@ def observe(s, verdict, binders):
     }
 
 
+def registers(s, nprefix):
+    """Empty registers for a clause attempt over `nprefix` binders, set up
+    as backchaining sets them: the ids of the binders' variables are
+    reserved, binder i's being the i-th next free one."""
+    s._prefix, s._base = (("X", TM),) * nprefix, s._next_meta
+    s._next_meta += nprefix
+    return [None] * nprefix
+
+
 def compare(tmpl, t, nprefix):
     in_place, built = solver_state(), solver_state()
-    regs = in_place._registers((("X", TM),) * nprefix)
+    regs = registers(in_place, nprefix)
     metas = [_meta("X", NEXT_META + i, LEVEL) for i in range(nprefix)]
     built._next_meta = in_place._next_meta
-    verdict = in_place._unify_head(_head_code(tmpl, nprefix), t, regs)
+    verdict = in_place._uni_head(_head_code(tmpl, nprefix), t, regs)
     held = sum(r is not None and not isinstance(r, HMeta) for r in regs)
     got = observe(in_place, verdict, in_place._filled(regs))
-    want = observe(built, built._unify(h_instantiate(tmpl, metas), t), metas)
+    want = observe(built, built._uni(h_instantiate(tmpl, metas), t), metas)
     assert got == want, (tmpl, t)
     return {**want, "held": held}
 
