@@ -1,11 +1,12 @@
 """Simply typed target terms, hereditary Harrop formulas, and the two clause
 translations (plain and redundancy-eliminating).
 
-A target term's constants, bound variables and applications are the LF
-nodes `Const`, `Bound` and `App`; only its abstractions (`HLam`, which carry
-no annotation), unification variables and eigenvariables are classes of
-their own.  So the encoding of a canonical object without abstractions or
-meta-variables is that object itself.
+A target term is an LF expression: its constants, bound variables and
+applications are `Const`, `Bound` and `App`, its abstractions are `Lam`
+nodes whose annotation is `NO_ANNOT`, and its unification variables and
+eigenvariables are the leaves `HMeta` and `HEigen`.  So the encoding of a
+canonical object without abstractions or meta-variables is that object
+itself, and one `instantiate`, `_shift` and `_uses_bound` serve both sides.
 
 Dependent types are erased to simple types over two base sorts: `tm` for
 encoded objects, `ty` for encoded base types.  A single predicate relates
@@ -27,10 +28,12 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .lf_syntax import (
-    OPEN,
+    NO_ANNOT,
     App,
     Bound,
     Const,
+    HEigen,
+    HMeta,
     Lam,
     LfError,
     LfExpr,
@@ -40,8 +43,10 @@ from .lf_syntax import (
     Signature,
     TypeKind,
     _shift,
+    _uses_bound,
     fields_repr,
     fresh_name,
+    instantiate,
     make_app,
     spine,
 )
@@ -53,12 +58,6 @@ __all__ = [
     "SArrow",
     "TM",
     "TY",
-    "HhTerm",
-    "Term",
-    "HLam",
-    "HMeta",
-    "HEigen",
-    "OPEN",
     "HhFormula",
     "FTop",
     "FAtom",
@@ -76,9 +75,6 @@ __all__ = [
     "print_term",
     "print_formula",
     "print_clauses",
-    "h_instantiate",
-    "h_shift",
-    "h_apply",
     "f_instantiate",
 ]
 
@@ -133,165 +129,28 @@ def erase_type(classifier: LfExpr) -> SimpleType:
 # ---------------------------------------------------------------------------
 
 
-# A target term is made of the LF nodes `Const`, `Bound` and `App` and of the
-# classes below.  Every term has a `scope`, read in O(1), as LF expressions
-# do: the number of enclosing binders it needs, that is one more than its
-# highest loose de Bruijn index (0 when it has none), or `OPEN` when it
-# contains a unification variable, an eigenvariable or a beta-redex at a
-# spine head.  `HMeta` and `HEigen` carry it as a class attribute, and `HLam`
-# computes it from its body.  A term is closed when its scope is 0: then
-# dereferencing, normalizing, instantiating or inverting it returns the term
-# itself.  A term whose scope is not `OPEN` also has `lam_free`, true when it
-# has no abstraction anywhere inside: false on `HLam`, and set by `App`'s
-# constructor.  `has_meta` and `abstraction`, which `App`'s constructor reads
-# off its children, are kept here as on LF expressions.
+# A target term is an LF expression, and keeps its summaries (see
+# `lf_syntax`): its `scope` is `OPEN` when it contains a unification
+# variable, an eigenvariable or a beta-redex at a spine head, and a term is
+# closed when its scope is 0: then dereferencing, normalizing, instantiating
+# or inverting it returns the term itself.  A term whose scope is not `OPEN`
+# also has `lam_free`, true when it has no abstraction anywhere inside.  The
+# prover's abstraction carries `NO_ANNOT`, a closed leaf, so it is equal to
+# another exactly when their bodies are, and never to an annotated one.
 
 
-class HhTerm:
-    """Base of the target term classes that are not LF nodes.  As with LF
-    expressions, each class has one hand-written constructor that assigns
-    its slots, `scope` included, its own `__eq__` and `__hash__`, and a
-    `repr` of the fields in `__match_args__`.  Every target term prints
-    with `print_term`, which gives a term of LF nodes alone the text of its
-    `pretty_print`.  Terms are immutable by contract: no code writes a field
-    after the constructor returns, and no `__setattr__` guard slows
-    construction down to enforce it."""
-
-    __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
-    abstraction = False
-    has_meta = False
-
-    def __repr__(self) -> str:
-        return fields_repr(self, self.__match_args__)
-
-    def __str__(self) -> str:
-        return print_term(self)
-
-
-class HLam(HhTerm):
-    __slots__ = ("hint", "body", "scope", "has_meta")
-    __match_args__ = ("hint", "body")
-    abstraction = True
-    lam_free = False
-
-    def __init__(self, hint: str, body: Term):
-        self.hint = hint
-        self.body = body
-        b = body.scope
-        self.scope = b - 1 if b > 0 else b
-        self.has_meta = body.has_meta
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HLam:
-            return NotImplemented
-        return self is other or self.body == other.body
-
-    def __hash__(self) -> int:
-        return hash((self.body,))
-
-
-class HMeta(HhTerm):
-    """Unification variable.  Identity is the numeric id; the name is for
-    display, the scope level is bookkeeping."""
-
-    __slots__ = ("name", "id", "level")
-    __match_args__ = ("name", "id", "level")
-    scope = OPEN
-    has_meta = True
-
-    def __init__(self, name: str, id: int = 0, level: int = 0):
-        self.name = name
-        self.id = id
-        self.level = level
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HMeta:
-            return NotImplemented
-        return self is other or self.id == other.id
-
-    def __hash__(self) -> int:
-        return hash((self.id,))
-
-
-class HEigen(HhTerm):
-    """Scoped constant introduced by a universal goal."""
-
-    __slots__ = ("name", "id", "level")
-    __match_args__ = ("name", "id", "level")
-    scope = OPEN
-
-    def __init__(self, name: str, id: int = 0, level: int = 0):
-        self.name = name
-        self.id = id
-        self.level = level
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HEigen:
-            return NotImplemented
-        return self is other or (self.id == other.id and self.level == other.level)
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.level))
-
-
-Term = LfExpr | HhTerm  # a target term
-
-
-def h_instantiate(body: Term, values: Sequence[Term], depth: int = 0) -> Term:
-    """`lf_syntax.instantiate` on a target term: replace the `len(values)`
-    innermost loose bound variables of `body` with `values`, outermost
-    binder first, in one pass: Bound(depth) becomes `values[-1]`, shifted by
-    `depth` so that its own loose bound variables still point past the
-    binders it is put under."""
-    if 0 <= body.scope <= depth:
-        return body
-    cls = body.__class__
-    if cls is Bound:  # its index is at least `depth`, by its scope
-        i = len(values) - 1 - (body.index - depth)
-        if i < 0:
-            return Bound(body.index - len(values))
-        return h_shift(values[i], depth) if depth else values[i]
-    if cls is App:
-        return App(h_instantiate(body.fn, values, depth), h_instantiate(body.arg, values, depth))
-    if cls is HLam:
-        return HLam(body.hint, h_instantiate(body.body, values, depth + 1))
-    return body
-
-
-def h_shift(t: Term, by: int = 1, depth: int = 0) -> Term:
-    """`t` under `by` more binders: its loose bound variables at or above
-    `depth` are raised by `by`.  A term with none is returned as is."""
-    if 0 <= t.scope <= depth:
-        return t
-    cls = t.__class__
-    if cls is App:
-        return App(h_shift(t.fn, by, depth), h_shift(t.arg, by, depth))
-    if cls is HLam:
-        return HLam(t.hint, h_shift(t.body, by, depth + 1))
-    if cls is Bound:  # its index is at least `depth`, by its scope
-        return Bound(t.index + by)
-    return t
-
-
-def h_apply(t: Term, v: Term) -> Term:
-    """`t v`, with the redex reduced when `t` is an abstraction."""
-    if t.__class__ is HLam:
-        return h_instantiate(t.body, (v,))
-    return App(t, v)
-
-
-def encode_term(e: LfExpr, metas: Mapping[str, HMeta] | None = None) -> Term:
-    """Encode a canonical object or base type: annotations are dropped,
-    structure is preserved, meta-variables map through `metas`.  Only
-    abstractions and meta-variables are copied: a subterm made of
-    constants, bound variables and applications alone is its own encoding.
+def encode_term(e: LfExpr, metas: Mapping[str, HMeta] | None = None) -> LfExpr:
+    """Encode a canonical object or base type: each abstraction's annotation
+    becomes `NO_ANNOT`, structure is preserved, meta-variables map through
+    `metas`.  Only abstractions and meta-variables are copied: a subterm
+    made of constants, bound variables and applications alone is its own
+    encoding.
     An application node above a copied node that occurs several times in
     `e` is encoded once, and its occurrences share the encoding."""
     return _encode(e, metas, {})
 
 
-def _encode(t: LfExpr, metas: Mapping[str, HMeta] | None, shared: dict[int, Term]) -> Term:
+def _encode(t: LfExpr, metas: Mapping[str, HMeta] | None, shared: dict[int, LfExpr]) -> LfExpr:
     """`encode_term`'s walk; `shared` maps the id of an App node of the
     input to its encoding."""
     if t.scope >= 0 and t.lam_free:
@@ -307,7 +166,7 @@ def _encode(t: LfExpr, metas: Mapping[str, HMeta] | None, shared: dict[int, Term
             raise LfError(f"meta-variable {t.name!r} has no target assignment")
         return metas[t.name]
     if cls is Lam:
-        return HLam(t.hint, _encode(t.body, metas, shared))
+        return Lam(t.hint, NO_ANNOT, _encode(t.body, metas, shared))
     raise LfError(f"expression has no term encoding: {t!r}")
 
 
@@ -346,7 +205,7 @@ class FAtom(HhFormula):
     __slots__ = ("subject", "classifier")
     __match_args__ = ("subject", "classifier")
 
-    def __init__(self, subject: Term, classifier: Term):
+    def __init__(self, subject: LfExpr, classifier: LfExpr):
         self.subject = subject
         self.classifier = classifier
 
@@ -403,10 +262,10 @@ class FForall(HhFormula):
         return print_formula(self)
 
 
-def f_instantiate(f: HhFormula, values: Sequence[Term], depth: int = 0) -> HhFormula:
-    """`h_instantiate` on every term of a formula."""
+def f_instantiate(f: HhFormula, values: Sequence[LfExpr], depth: int = 0) -> HhFormula:
+    """`instantiate` on every term of a formula."""
     if isinstance(f, FAtom):
-        return FAtom(h_instantiate(f.subject, values, depth), h_instantiate(f.classifier, values, depth))
+        return FAtom(instantiate(f.subject, values, depth), instantiate(f.classifier, values, depth))
     if isinstance(f, FImplies):
         return FImplies(f_instantiate(f.antecedent, values, depth), f_instantiate(f.consequent, values, depth))
     if isinstance(f, FForall):
@@ -414,7 +273,7 @@ def f_instantiate(f: HhFormula, values: Sequence[Term], depth: int = 0) -> HhFor
     return f
 
 
-def open_leaves(t: Term | HhFormula, kind: type, out: list) -> list:
+def open_leaves(t: LfExpr | HhFormula, kind: type, out: list) -> list:
     """`out` extended with the leaves of class `kind` of the term or formula
     `t`, left to right.  A term whose scope is not `OPEN` has none and is not
     entered.  Tested by class, not by `match`, which costs twice as much on
@@ -424,7 +283,7 @@ def open_leaves(t: Term | HhFormula, kind: type, out: list) -> list:
         if t.scope < 0:
             open_leaves(t.fn, kind, out)
             open_leaves(t.arg, kind, out)
-    elif cls is HLam:
+    elif cls is Lam:
         if t.scope < 0:
             open_leaves(t.body, kind, out)
     elif cls is FAtom:
@@ -484,7 +343,7 @@ _VAR = Bound(0)  # the subject of a guard: the variable its quantifier binds
 def _clause(
     sig: Signature,
     a: LfExpr,
-    head: Term,
+    head: LfExpr,
     polarity: str,
     local: tuple[str, ...],
     metas: Mapping[str, HMeta] | None = None,
@@ -594,7 +453,7 @@ def translate_query(
 def inhabitation_goal(
     sig: Signature,
     a: LfExpr,
-    subject: Term,
+    subject: LfExpr,
     mode: str,
     metas: Mapping[str, HMeta] | None = None,
 ) -> HhFormula:
@@ -634,7 +493,7 @@ def print_simple_type(t: SimpleType, prec: int = 0) -> str:
     raise LfError(f"bad simple type {t!r}")
 
 
-def print_term(t: Term, prec: int = 0, names: tuple[str, ...] = ()) -> str:
+def print_term(t: LfExpr, prec: int = 0, names: tuple[str, ...] = ()) -> str:
     cls = t.__class__
     if cls is App:
         head, args = spine(t)
@@ -648,10 +507,10 @@ def print_term(t: Term, prec: int = 0, names: tuple[str, ...] = ()) -> str:
         return t.name
     if cls is HMeta:
         return f"?{t.name}"
-    if cls is HLam:
+    if cls is Lam:
         # skip a name that would capture an outer binder the body refers to
         k = len(names) + 1
-        while f"x{k}" in names and any(n == f"x{k}" and _mentions(t.body, len(names) - j) for j, n in enumerate(names)):
+        while f"x{k}" in names and any(n == f"x{k}" and _uses_bound(t.body, len(names) - j) for j, n in enumerate(names)):
             k += 1
         name = f"x{k}"
         s = f"\\{name}. {print_term(t.body, 0, names + (name,))}"
@@ -659,23 +518,17 @@ def print_term(t: Term, prec: int = 0, names: tuple[str, ...] = ()) -> str:
     raise LfError(f"bad term {t!r}")
 
 
-def _mentions(t: Term | HhFormula, k: int) -> bool:
-    """Whether the term or formula `t` has the loose bound variable `k`,
-    nested premises and abstractions included."""
-    cls = t.__class__
+def _mentions(f: HhFormula, k: int) -> bool:
+    """Whether the formula `f` has the loose bound variable `k`, nested
+    premises included."""
+    cls = f.__class__
     if cls is FAtom:
-        return _mentions(t.subject, k) or _mentions(t.classifier, k)
+        return _uses_bound(f.subject, k) or _uses_bound(f.classifier, k)
     if cls is FImplies:
-        return _mentions(t.antecedent, k) or _mentions(t.consequent, k)
+        return _mentions(f.antecedent, k) or _mentions(f.consequent, k)
     if cls is FForall:
-        return _mentions(t.body, k + 1)
-    if cls is FTop or 0 <= t.scope <= k:  # a term from here on
-        return False
-    if cls is Bound:
-        return t.index == k
-    if cls is App:
-        return _mentions(t.fn, k) or _mentions(t.arg, k)
-    return cls is HLam and _mentions(t.body, k + 1)
+        return _mentions(f.body, k + 1)
+    return False
 
 
 class _NameGen:

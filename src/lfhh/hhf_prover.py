@@ -114,21 +114,15 @@ from .hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HEigen,
-    HLam,
-    HMeta,
     HhFormula,
     SimpleType,
-    Term,
     _mentions,
     f_instantiate,
-    h_apply,
-    h_instantiate,
     open_leaves,
     print_formula,
     print_term,
 )
-from .lf_syntax import App, Bound, Const, Record, make_app, spine
+from .lf_syntax import NO_ANNOT, App, Bound, Const, HEigen, HMeta, Lam, LfExpr, Record, instantiate, make_app, spine
 
 __all__ = [
     "Limits",
@@ -177,14 +171,14 @@ class _UnifyFail(Exception):
     """Internal, caught inside unification: occurs/scope violation."""
 
 
-def resolve_term(bindings: dict[int, Term], t: Term) -> Term:
+def resolve_term(bindings: dict[int, LfExpr], t: LfExpr) -> LfExpr:
     """Fully dereference and beta-normalize `t` under `bindings`.  Each
     distinct node of `t` is resolved once, so a node that occurs several
     times, such as a variable bound once, resolves to one shared term."""
     return _resolve(t, bindings, {})
 
 
-def _resolve(t: Term, bindings: dict[int, Term], memo: dict[int, tuple[Term, Term]]) -> Term:
+def _resolve(t: LfExpr, bindings: dict[int, LfExpr], memo: dict[int, tuple[LfExpr, LfExpr]]) -> LfExpr:
     """`resolve_term`'s walk; `memo` maps the id of a node to (node, result)."""
     if t.scope >= 0:
         return t
@@ -194,8 +188,8 @@ def _resolve(t: Term, bindings: dict[int, Term], memo: dict[int, tuple[Term, Ter
     u = _walk(bindings, t)
     out = u
     if u.scope < 0:
-        if u.__class__ is HLam:
-            out = HLam(u.hint, _resolve(u.body, bindings, memo))
+        if u.__class__ is Lam:
+            out = Lam(u.hint, NO_ANNOT, _resolve(u.body, bindings, memo))
         elif u.__class__ is App:
             head, args = spine(u)  # `_walk` left no abstraction at the head
             out = make_app(head, [_resolve(a, bindings, memo) for a in args])
@@ -203,7 +197,7 @@ def _resolve(t: Term, bindings: dict[int, Term], memo: dict[int, tuple[Term, Ter
     return out
 
 
-def _walk(bindings: dict[int, Term], t: Term) -> Term:
+def _walk(bindings: dict[int, LfExpr], t: LfExpr) -> LfExpr:
     """Head-dereference and head-beta-reduce.  The spine is taken apart only
     for a bound variable or an abstraction at its head, and the leading
     abstractions are reduced in one instantiation."""
@@ -213,18 +207,18 @@ def _walk(bindings: dict[int, Term], t: Term) -> Term:
             head = head.fn
         if head.__class__ is HMeta and (b := bindings.get(head.id)) is not None:
             t = b if head is t else make_app(b, spine(t)[1])
-        elif head.__class__ is HLam and head is not t:
+        elif head.__class__ is Lam and head is not t:
             _, args = spine(t)
             k = 0
-            while k < len(args) and head.__class__ is HLam:
+            while k < len(args) and head.__class__ is Lam:
                 head, k = head.body, k + 1
-            t = make_app(h_instantiate(head, args[:k]), args[k:])
+            t = make_app(instantiate(head, args[:k]), args[k:])
         else:
             break
     return t
 
 
-def _head(bindings: dict[int, Term], t: Term) -> Term:
+def _head(bindings: dict[int, LfExpr], t: LfExpr) -> LfExpr:
     """The head of `t`'s spine once `t` is walked."""
     if t.scope < 0:
         t = _walk(bindings, t)
@@ -233,10 +227,10 @@ def _head(bindings: dict[int, Term], t: Term) -> Term:
     return t
 
 
-def _lams(n: int, body: Term) -> Term:
+def _lams(n: int, body: LfExpr) -> LfExpr:
     """`body` under `n` abstractions."""
     for _ in range(n):
-        body = HLam("w", body)
+        body = Lam("w", NO_ANNOT, body)
     return body
 
 
@@ -338,10 +332,10 @@ def _schedule(guards: list[tuple[int, HhFormula]]) -> tuple[tuple[int, HhFormula
     return tuple(guards[i] for i in order)
 
 
-_HeadCode = Term | int | tuple  # see `_head_code`
+_HeadCode = LfExpr | int | tuple  # see `_head_code`
 
 
-def _head_code(tmpl: Term, nprefix: int) -> _HeadCode:
+def _head_code(tmpl: LfExpr, nprefix: int) -> _HeadCode:
     """The code of the head template part `tmpl` over a prefix of `nprefix`
     binders: a prefix binder is the index of its register; a constant
     applied to parts not all closed is (the constant's name, the parts'
@@ -367,11 +361,11 @@ def _guard_code(g: HhFormula, scope: int) -> tuple | None:
     return None if subject is None or classifier is None else (subject, classifier)
 
 
-def _part_code(t: Term, scope: int):
+def _part_code(t: LfExpr, scope: int):
     """The code of the guard part `t`: a binder is the index of its
     register; a closed term is itself; an application with a closed head is
     (its longest closed head, the code of the arguments after it), which
-    builds the nodes `h_instantiate` builds; None for any other."""
+    builds the nodes `instantiate` builds; None for any other."""
     if t.scope == 0:
         return t
     if t.__class__ is Bound:
@@ -386,7 +380,7 @@ def _part_code(t: Term, scope: int):
     return None if any(p is None for p in parts) else (t, parts)
 
 
-def _built(code, regs: list) -> Term:
+def _built(code, regs: list) -> LfExpr:
     """The guard part that `code` builds from the registers `regs`."""
     if code.__class__ is int:
         return regs[code]
@@ -431,7 +425,7 @@ class Solution(Record):
 
     def __init__(
         self,
-        bindings: dict[int, Term],
+        bindings: dict[int, LfExpr],
         counters: Counters,
         trace: tuple[str, ...] = (),
         next_meta: int = 1,
@@ -443,7 +437,7 @@ class Solution(Record):
         self.next_meta = next_meta
         self.next_eigen = next_eigen
 
-    def value(self, m: Term) -> Term:
+    def value(self, m: LfExpr) -> LfExpr:
         return resolve_term(self.bindings, m)
 
 
@@ -469,7 +463,7 @@ class Solver:
         self.limits = limits or Limits()
         self.trace_on = trace
         self.store = store or Solution({}, Counters())
-        self.bindings: dict[int, Term] = dict(self.store.bindings)
+        self.bindings: dict[int, LfExpr] = dict(self.store.bindings)
         self.trail: list[int] = []
         # the running clause attempt, which head unification reads: its
         # eigenvariable level, quantifier prefix and first variable id
@@ -530,7 +524,7 @@ class Solver:
         finally:
             self._undo(mark)
 
-    def unify(self, a: Term, b: Term) -> bool:
+    def unify(self, a: LfExpr, b: LfExpr) -> bool:
         """Public unification entry: transactional (rolls back on failure)."""
         mark = self._mark()
         ok = self._unify(a, b)
@@ -538,7 +532,7 @@ class Solver:
             self._undo(mark)
         return ok
 
-    def resolve(self, t: Term) -> Term:
+    def resolve(self, t: LfExpr) -> LfExpr:
         return resolve_term(self.bindings, t)
 
     # -- bookkeeping -----------------------------------------------------------
@@ -576,7 +570,7 @@ class Solver:
         if self.trace_on and len(self.trace) > tn:
             del self.trace[tn:]
 
-    def _set(self, m: HMeta, value: Term) -> None:
+    def _set(self, m: HMeta, value: LfExpr) -> None:
         self.bindings[m.id] = value
         self.trail.append(m.id)
 
@@ -741,14 +735,14 @@ class Solver:
 
     # -- pattern unification -----------------------------------------------------
 
-    def _unify(self, a: Term, b: Term) -> bool:
+    def _unify(self, a: LfExpr, b: LfExpr) -> bool:
         self.counters.unify_calls += 1
         if self.counters.unify_calls > self.limits.budget:
             raise BudgetExceeded()
         return self._uni(a, b)
 
-    def _uni_head(self, code: _HeadCode, t: Term, regs: list) -> bool:
-        """`_uni(h_instantiate(tmpl, values), t)` without building the
+    def _uni_head(self, code: _HeadCode, t: LfExpr, regs: list) -> bool:
+        """`_uni(instantiate(tmpl, values), t)` without building the
         instance where the template part is first order.  A binder whose
         register is empty and meets a closed term other than an abstraction
         takes that term into its register, where `_bind` would have bound
@@ -770,17 +764,17 @@ class Solver:
                     return False
                 for x in parts:
                     y = args.pop()
-                    if x.__class__ is int and regs[x] is None and y.scope == 0 and y.__class__ is not HLam:
+                    if x.__class__ is int and regs[x] is None and y.scope == 0 and y.__class__ is not Lam:
                         regs[x] = y  # as `_uni_head(x, y, regs)` would
                     elif not self._uni_head(x, y, regs):
                         return False
                 return True
-            if b.__class__ is not HMeta and b.__class__ is not HLam:
+            if b.__class__ is not HMeta and b.__class__ is not Lam:
                 return False
         elif code.__class__ is int:
             r = regs[code]
             if r is None:
-                if t.scope == 0 and t.__class__ is not HLam:
+                if t.scope == 0 and t.__class__ is not Lam:
                     regs[code] = t
                     return True
                 r = self._binder_var(regs, code)
@@ -791,18 +785,22 @@ class Solver:
                 if t.scope == 0 and tmpl.lam_free and t.lam_free:
                     return tmpl is t or tmpl == t
                 return self._uni(tmpl, t)
-        return self._uni(h_instantiate(tmpl, self._filled(regs)), t)
+        return self._uni(instantiate(tmpl, self._filled(regs)), t)
 
-    def _uni(self, a: Term, b: Term) -> bool:
+    def _uni(self, a: LfExpr, b: LfExpr) -> bool:
         if a.scope < 0:
             a = _walk(self.bindings, a)
         if b.scope < 0:
             b = _walk(self.bindings, b)
         if a.scope == 0 and b.scope == 0 and a.lam_free and b.lam_free:
             return a == b
-        if isinstance(a, HLam) or isinstance(b, HLam):
+        if a.__class__ is Lam or b.__class__ is Lam:
+            # eta: both sides applied to a fresh eigenvariable, an
+            # abstraction's application reduced
             e = self._fresh_eigen("u", self.level + 1)
-            return self._uni(h_apply(a, e), h_apply(b, e))
+            a = instantiate(a.body, (e,)) if a.__class__ is Lam else App(a, e)
+            b = instantiate(b.body, (e,)) if b.__class__ is Lam else App(b, e)
+            return self._uni(a, b)
         ha, aa = spine(a)
         hb, ab = spine(b)
         if isinstance(ha, HMeta) and isinstance(hb, HMeta) and ha.id == hb.id:
@@ -827,11 +825,11 @@ class Solver:
                 return False
         return True
 
-    def _as_var(self, t: Term) -> HEigen | Bound | None:
+    def _as_var(self, t: LfExpr) -> HEigen | Bound | None:
         """Recognize an eigenvariable or local variable, possibly eta-expanded."""
         t = _walk(self.bindings, t)
         depth = 0
-        while isinstance(t, HLam):
+        while isinstance(t, Lam):
             t = _walk(self.bindings, t.body)
             depth += 1
         head, args = spine(t)
@@ -848,7 +846,7 @@ class Solver:
             return head
         return None
 
-    def _pattern(self, args: Sequence[Term]) -> dict[HEigen | Bound, int] | None:
+    def _pattern(self, args: Sequence[LfExpr]) -> dict[HEigen | Bound, int] | None:
         """The distinct spine variables of `args`, each mapped to its
         position, in spine order; None when `args` is not such a spine."""
         out: dict[HEigen | Bound, int] = {}
@@ -867,7 +865,7 @@ class Solver:
         self._set(g, _lams(n, make_app(make_app(g2, [Bound(n - 1 - i) for i in keep]), raised)))
         return g2
 
-    def _flex_same(self, m: HMeta, aa: Sequence[Term], ab: Sequence[Term]) -> bool:
+    def _flex_same(self, m: HMeta, aa: Sequence[LfExpr], ab: Sequence[LfExpr]) -> bool:
         if len(aa) != len(ab):
             return False
         if all(resolve_term(self.bindings, x) == resolve_term(self.bindings, y) for x, y in zip(aa, ab)):
@@ -880,7 +878,7 @@ class Solver:
         self._narrow(m, len(pa), [i for i, (x, y) in enumerate(zip(pa, pb)) if x == y], m.level)
         return True
 
-    def _bind(self, m: HMeta, args: Sequence[Term], rhs: Term) -> bool:
+    def _bind(self, m: HMeta, args: Sequence[LfExpr], rhs: LfExpr) -> bool:
         posmap = self._pattern(args)
         if posmap is None:
             self.non_pattern_seen = True
@@ -892,7 +890,7 @@ class Solver:
         self._set(m, _lams(len(posmap), body))
         return True
 
-    def _image(self, v: HEigen | Bound, m: HMeta, posmap: dict, nargs: int, depth: int) -> Term | None:
+    def _image(self, v: HEigen | Bound, m: HMeta, posmap: dict, nargs: int, depth: int) -> LfExpr | None:
         """The variable `v`, met `depth` binders inside the body being built
         for `m`, in that body: a variable bound inside it stays, a spine
         variable becomes its binder's index, an eigenvariable in `m`'s scope
@@ -907,7 +905,7 @@ class Solver:
                 return v
         return None if k is None else Bound(depth + nargs - 1 - k)
 
-    def _invert(self, t: Term, m: HMeta, posmap: dict, nargs: int, depth: int) -> Term:
+    def _invert(self, t: LfExpr, m: HMeta, posmap: dict, nargs: int, depth: int) -> LfExpr:
         """Rewrite `t` as a body for `m`'s binder prefix, whose variables are
         the keys of `posmap`: spine variables map to their binder indices,
         older variables stay, newer ones must be pruned or fail.  Raises
@@ -918,8 +916,8 @@ class Solver:
         if 0 <= t.scope <= depth:
             return t
         t = _walk(self.bindings, t)
-        if isinstance(t, HLam):
-            return HLam(t.hint, self._invert(t.body, m, posmap, nargs, depth + 1))
+        if isinstance(t, Lam):
+            return Lam(t.hint, NO_ANNOT, self._invert(t.body, m, posmap, nargs, depth + 1))
         head, args = spine(t)
         if isinstance(head, HMeta):
             if head.id == m.id:
@@ -932,8 +930,8 @@ class Solver:
         return make_app(head, [self._invert(a, m, posmap, nargs, depth) for a in args])
 
     def _invert_under_meta(
-        self, g: HMeta, args: Sequence[Term], m: HMeta, posmap: dict, nargs: int, depth: int
-    ) -> Term:
+        self, g: HMeta, args: Sequence[LfExpr], m: HMeta, posmap: dict, nargs: int, depth: int
+    ) -> LfExpr:
         """Occurrence of another variable `g` inside the binding for `m`.
         Keep it when everything stays in scope.  Otherwise narrow `g`: prune
         the spine positions out of `m`'s scope, and raise the narrowed
@@ -949,7 +947,7 @@ class Solver:
             self.non_pattern_seen = True
             raise _UnifyFail("non-pattern under variable")
         keep: list[int] = []
-        images: list[Term] = []
+        images: list[LfExpr] = []
         for i, v in enumerate(gvars):
             w = self._image(v, m, posmap, nargs, depth)
             if w is not None:

@@ -5,10 +5,14 @@ One expression tree covers all three syntactic levels (kinds, type families,
 objects).  Binders are locally nameless: bound occurrences are de Bruijn
 indices, free occurrences are named nodes, and the name stored on a binder is
 only a printing hint.  Structural equality of two expressions is therefore
-exactly alpha-equality.  `Const`, `Bound` and `App` are also the prover's
-constants, bound variables and applications (see `hhf_logic`), so a term
-made of them alone is one object in a query, the search's store, a decoded
-proof and the kernel's memo.
+exactly alpha-equality.  The prover's terms are expressions too (see
+`hhf_logic`): its constants, bound variables and applications are `Const`,
+`Bound` and `App`, so a term made of them alone is one object in a query,
+the search's store, a decoded proof and the kernel's memo; its abstractions
+are `Lam` nodes with the annotation `NO_ANNOT`, which erasure leaves in
+place of the binder's domain; and its unification variables and
+eigenvariables are the leaves `HMeta` and `HEigen`, which the kernel
+rejects as it rejects `Meta`.
 
 Every walk over expressions, target terms or formulas in this package
 dispatches on the node's class (`t.__class__ is App`), never with `match`,
@@ -31,6 +35,9 @@ __all__ = [
     "Bound",
     "Const",
     "Meta",
+    "HMeta",
+    "HEigen",
+    "NO_ANNOT",
     "OPEN",
     "TYPE",
     "KIND",
@@ -79,8 +86,8 @@ class NormalizeError(LfError):
 # Every expression has a `scope`, read in O(1): the number of enclosing
 # binders it needs, that is one more than its highest loose de Bruijn index
 # (0 when it has none), or `OPEN` when it contains a beta-redex (an `App`
-# whose function has `abstraction` set: a `Lam`, or the prover's `HLam`) or
-# one of the prover's variables.  Leaves carry it as a class attribute or
+# whose function has `abstraction` set, a `Lam`) or one of the prover's
+# variables, `HMeta` and `HEigen`.  Leaves carry it as a class attribute or
 # compute it from their index; `Pi`, `Lam` and `App` compute it once from
 # their children in their constructor.  The field takes no part in equality,
 # hashing, `repr` or pattern matching; nodes keep their fields in slots, so it
@@ -91,7 +98,8 @@ class NormalizeError(LfError):
 # occurs in the expression, and `lam_free`, set when the scope is not
 # `OPEN`, whether it is made of constants, bound variables and applications
 # alone; both are kept the same way and also take no part in equality,
-# hashing, `repr` or matching.
+# hashing, `repr` or matching.  The prover's abstractions carry the closed
+# leaf `NO_ANNOT` as their annotation, which every walk returns as it is.
 OPEN = -1
 
 
@@ -102,8 +110,8 @@ def fields_repr(obj: object, fields: Sequence[str]) -> str:
 
 
 class LfExpr:
-    """Base of every expression node; `Const`, `Bound` and `App` are target
-    term nodes too, and `App` is also the application of a target term.
+    """Base of every expression node, and of every node of the prover's
+    terms.
 
     Each node class lists its fields in `__slots__`, has one hand-written
     constructor that assigns them and the summaries it does not carry as
@@ -167,7 +175,8 @@ class Pi(LfExpr):
 
 
 class Lam(LfExpr):
-    """Abstraction [x:A] M."""
+    """Abstraction [x:A] M, or the prover's [x:_] M, whose annotation is
+    `NO_ANNOT`."""
 
     __slots__ = ("hint", "annot", "body", "scope", "has_meta")
     __match_args__ = ("hint", "annot", "body")
@@ -194,7 +203,7 @@ class Lam(LfExpr):
 
 
 class App(LfExpr):
-    """Application, of an expression or of a prover term."""
+    """Application."""
 
     __slots__ = ("fn", "arg", "scope", "has_meta", "lam_free")
     __match_args__ = ("fn", "arg")
@@ -293,7 +302,80 @@ class Meta(LfExpr):
         return self.name
 
 
+class HMeta(LfExpr):
+    """The prover's unification variable.  Identity is the numeric id; the
+    name is for display, the scope level is bookkeeping."""
+
+    __slots__ = ("name", "id", "level")
+    __match_args__ = ("name", "id", "level")
+    scope = OPEN
+    has_meta = True
+
+    def __init__(self, name: str, id: int = 0, level: int = 0):
+        self.name = name
+        self.id = id
+        self.level = level
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HMeta:
+            return NotImplemented
+        return self is other or self.id == other.id
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
+
+    def __str__(self) -> str:
+        return f"?{self.name}"
+
+
+class HEigen(LfExpr):
+    """The prover's scoped constant, introduced by a universal goal."""
+
+    __slots__ = ("name", "id", "level")
+    __match_args__ = ("name", "id", "level")
+    scope = OPEN
+    has_meta = False
+
+    def __init__(self, name: str, id: int = 0, level: int = 0):
+        self.name = name
+        self.id = id
+        self.level = level
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HEigen:
+            return NotImplemented
+        return self is other or (self.id == other.id and self.level == other.level)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.level))
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class NoAnnot(LfExpr):
+    """The annotation of an abstraction that has none, which erasure
+    leaves in place of the binder's domain; `NO_ANNOT` is the one instance.
+    It has no loose index and no meta-variable, so every walk returns it as
+    it is.  The kernel compares it with a product's domain, which it never
+    equals, and prints it as `_`."""
+
+    __slots__ = ()
+    scope = 0
+    has_meta = False
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is NoAnnot else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __str__(self) -> str:
+        return "_"
+
+
 TYPE = TypeKind()
+NO_ANNOT = NoAnnot()
 
 # Classifier sentinel passed to `normalize` when the expression is a kind
 # (kinds have no classifier of their own).
@@ -690,9 +772,12 @@ def _uses_bound(e: LfExpr, depth: int) -> bool:
 
 def pretty_print(e: LfExpr) -> str:
     """Render in the concrete syntax; reparsing yields an alpha-equal tree.
-    Outside every binder, an application node met again at the same
-    precedence reuses its text, which is kept from the second meeting on:
-    the nodes of a term without sharing keep no text.  A binder is named
+    The prover's nodes, which the syntax has no form for, print as a
+    variable `?X`, an eigenvariable's name and a missing annotation `_`, so
+    that a kernel error on one can show its judgment.  Outside every
+    binder, an application node met again at the same precedence reuses its
+    text, which is kept from the second meeting on: the nodes of a term
+    without sharing keep no text.  A binder is named
     apart from the constants of its body, collected once per outermost
     named binder."""
     return _show(e, _PREC_EXPR, [], {}, None)
@@ -725,8 +810,12 @@ def _show(t: LfExpr, prec: int, names: list[str], shown: dict, consts: set[str] 
         if not names:
             shown[key] = (t, text if met else None)
         return text
-    if cls is Const or cls is Meta:
+    if cls is Const or cls is Meta or cls is HEigen:
         return t.name
+    if cls is HMeta:
+        return f"?{t.name}"
+    if cls is NoAnnot:
+        return "_"
     if cls is Bound:
         k = t.index
         # a loose index is counted past the named binders only

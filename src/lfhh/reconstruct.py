@@ -1,21 +1,23 @@
 """Decode solver bindings back into dependently typed terms and certify every
 answer with the trusted kernel.
 
-One decoder, `decode_term`, re-inserts the binder annotations that erasure
-dropped, reading them off the expected classifier (and, under applications,
-off the head's declaration).  Residual closing happens inside it: a
-meta-variable left unbound after search is closed where the decoder meets
-it, by an auxiliary inhabitation search (same program, same clause order)
-that binds it to its first inhabitant in the binding store, and its value is
-decoded in its place.  Each auxiliary search runs over the last solution and
-continues from its next ids, so it never walks the store.  The store is the
-only record of residual variables, so a variable met again is not searched
-for again.  The query type is closed first, by a walk that keeps the user's
-binder names and decodes each query variable it meets, and is re-checked;
-the values it decodes are the answer's bindings.  The proof is then decoded
-once against the closed type.  Certification runs the kernel on the closed
-type and proof; a rejection here on solver output would falsify the
-translation-correctness property and is reported, never swallowed.
+Solver terms are LF expressions whose abstractions carry `NO_ANNOT` in place
+of the binder's domain, which the kernel never accepts.  One decoder,
+`decode_term`, puts the annotations back, reading them off the expected
+classifier (and, under applications, off the head's declaration).  Residual
+closing happens inside it: a meta-variable left unbound after search is
+closed where the decoder meets it, by an auxiliary inhabitation search (same
+program, same clause order) that binds it to its first inhabitant in the
+binding store, and its value is decoded in its place.  Each auxiliary search
+runs over the last solution and continues from its next ids, so it never
+walks the store.  The store is the only record of residual variables, so a
+variable met again is not searched for again.  The query type is closed
+first, by a walk that keeps the user's binder names and decodes each query
+variable it meets, and is re-checked; the values it decodes are the answer's
+bindings.  The proof is then decoded once against the closed type.
+Certification runs the kernel on the closed type and proof; a rejection here
+on solver output would falsify the translation-correctness property and is
+reported, never swallowed.
 
 `QuerySession` owns the query: it normalizes the query type, keeps the one
 table of its variables, and kernel-checks a query type without variables,
@@ -30,20 +32,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-from .hhf_logic import (
-    ClauseSet,
-    HLam,
-    HMeta,
-    Term,
-    h_shift,
-    inhabitation_goal,
-    translate,
-    translate_query,
-)
+from .hhf_logic import ClauseSet, inhabitation_goal, translate, translate_query
 from .hhf_prover import Counters, Limits, Solution, Solver, _resolve
 from .lf_syntax import (
     App,
     Bound,
+    HMeta,
     LfError,
     LfExpr,
     Lam,
@@ -52,6 +46,7 @@ from .lf_syntax import (
     Record,
     Signature,
     TYPE,
+    _shift,
     classifier_sort,
     beta_normalize,
     head_classifier,
@@ -114,10 +109,10 @@ class CertifiedAnswer(Record):
 
 def decode_term(
     sig: Signature,
-    t: Term,
+    t: LfExpr,
     expected: LfExpr | None,
     stack: Sequence[LfExpr] = (),
-    close: Callable[[HMeta, LfExpr], Term] | None = None,
+    close: Callable[[HMeta, LfExpr], LfExpr] | None = None,
 ) -> LfExpr:
     """Invert the erasure: rebuild the object whose encoding is `t` at the
     canonical classifier `expected`, or at the classifier of its head when
@@ -153,14 +148,14 @@ class _Decoder:
 
     __slots__ = ("sig", "stack", "close", "decoded")
 
-    def __init__(self, sig: Signature, stack: list[LfExpr], close: Callable[[HMeta, LfExpr], Term] | None):
+    def __init__(self, sig: Signature, stack: list[LfExpr], close: Callable[[HMeta, LfExpr], LfExpr] | None):
         self.sig = sig
         self.stack = stack
         self.close = close
         # (id of a closed node, id of its classifier) -> (node, classifier, result)
-        self.decoded: dict[tuple[int, int], tuple[Term, LfExpr | None, LfExpr]] = {}
+        self.decoded: dict[tuple[int, int], tuple[LfExpr, LfExpr | None, LfExpr]] = {}
 
-    def go(self, u: Term, cls: LfExpr | None) -> LfExpr:
+    def go(self, u: LfExpr, cls: LfExpr | None) -> LfExpr:
         if u.scope != 0:
             return self.decode(u, cls)
         key = (id(u), id(cls))
@@ -169,9 +164,9 @@ class _Decoder:
             hit = self.decoded[key] = (u, cls, self.decode(u, cls))
         return hit[2]
 
-    def decode(self, u: Term, cls: LfExpr | None) -> LfExpr:
+    def decode(self, u: LfExpr, cls: LfExpr | None) -> LfExpr:
         if isinstance(cls, Pi):
-            body = u.body if isinstance(u, HLam) else App(h_shift(u), Bound(0))
+            body = u.body if u.__class__ is Lam else App(_shift(u, 1, 0), Bound(0))
             self.stack.append(cls.annot)
             inner = self.go(body, cls.body)
             self.stack.pop()
@@ -185,7 +180,7 @@ class _Decoder:
             if cls is None or cls.has_meta:
                 raise ReconstructError(f"residual variable ?{head.name} has no known classifier")
             return self.go(self.close(head, cls), cls)
-        if head.__class__ is HLam:
+        if head.__class__ is Lam:
             raise ReconstructError("not an encoding: abstraction without product classifier")
         cur = head_classifier(head, self.sig, self.stack)
         if cur is None or classifier_sort(cur) == "kind":
@@ -235,11 +230,11 @@ class _Closing:
     def __init__(self, sess: QuerySession, last: Solution):
         self.sess = sess
         self.last = last
-        self.resolved: dict[int, tuple[Term, Term]] = {}
+        self.resolved: dict[int, tuple[LfExpr, LfExpr]] = {}
         self.stack: list[LfExpr] = []
         self.values: dict[str, LfExpr] = {}
 
-    def value(self, m: HMeta) -> Term:
+    def value(self, m: HMeta) -> LfExpr:
         """`m` resolved under the last solution's store."""
         return _resolve(m, self.last.bindings, self.resolved)
 
@@ -292,7 +287,7 @@ class _Closing:
                     return cls
         raise ReconstructError(f"applied query variable {m.name} has no classifier fixed by its position")
 
-    def residual(self, m: HMeta, cls: LfExpr) -> Term:
+    def residual(self, m: HMeta, cls: LfExpr) -> LfExpr:
         """The value of the residual variable `m` at the closed classifier
         `cls`: an auxiliary search binds it to its first inhabitant, unless
         an earlier occurrence already did.  The search runs over the last

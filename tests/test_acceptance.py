@@ -13,14 +13,13 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HLam,
     encode_term,
     inhabitation_goal,
     print_clauses,
     translate,
 )
 from lfhh.hhf_prover import Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import TYPE, App, Const, make_app, normalize, parse_expr_text, parse_query, pretty_print
+from lfhh.lf_syntax import TYPE, App, Const, Lam, make_app, normalize, parse_expr_text, parse_query, pretty_print
 from lfhh.lf_typecheck import KernelError, check_object
 from lfhh.reconstruct import QuerySession, certify
 from lfhh.rigidity import guard_plan
@@ -210,8 +209,8 @@ def _swap_const(t, a, b):
             return Const(b)
         case App(f, x):
             return App(_swap_const(f, a, b), _swap_const(x, a, b))
-        case HLam(h, body):
-            return HLam(h, _swap_const(body, a, b))
+        case Lam(h, annot, body):
+            return Lam(h, annot, _swap_const(body, a, b))
         case _:
             return t
 

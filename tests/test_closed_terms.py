@@ -1,6 +1,7 @@
 """The closed flag on target terms: `scope`, `lam_free` and closedness
-(`scope == 0`) against plain recursive reference definitions, and the
-traversals that return closed subterms unchanged.  Also the term and
+(`scope == 0`) against plain recursive reference definitions, the one
+`instantiate`, `_shift` and `_uses_bound` on target terms against
+references, and the traversals that return closed subterms unchanged.  Also the term and
 formula classes' equality and hashing, which ignore binder hints, and their
 `repr` text, and those of clauses and the prover's records."""
 
@@ -10,7 +11,6 @@ from collections import Counter
 import pytest
 
 from lfhh.hhf_logic import (
-    OPEN,
     TM,
     Clause,
     ClauseSet,
@@ -18,14 +18,24 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HEigen,
-    HLam,
-    HMeta,
-    h_instantiate,
     translate,
 )
 from lfhh.hhf_prover import Counters, Limits, Solution, Solver, resolve_term
-from lfhh.lf_syntax import App, Bound, Const, make_app, parse_query
+from lfhh.lf_syntax import (
+    NO_ANNOT,
+    OPEN,
+    App,
+    Bound,
+    Const,
+    HEigen,
+    HMeta,
+    Lam,
+    _shift,
+    _uses_bound,
+    instantiate,
+    make_app,
+    parse_query,
+)
 from lfhh.reconstruct import QuerySession, certify
 
 
@@ -35,10 +45,10 @@ def ref_closed(t, depth=0):
             return True
         case Bound(k):
             return k < depth
-        case HLam(_, b):
+        case Lam(_, _, b):
             return ref_closed(b, depth + 1)
         case App(f, a):
-            return not isinstance(f, HLam) and ref_closed(f, depth) and ref_closed(a, depth)
+            return not isinstance(f, Lam) and ref_closed(f, depth) and ref_closed(a, depth)
         case _:
             return False
 
@@ -51,12 +61,12 @@ def ref_scope(t):
             return 0
         case Bound(k):
             return k + 1
-        case HLam(_, b):
+        case Lam(_, _, b):
             s = ref_scope(b)
             return OPEN if s == OPEN else max(s - 1, 0)
         case App(f, a):
             sf, sa = ref_scope(f), ref_scope(a)
-            if isinstance(f, HLam) or OPEN in (sf, sa):
+            if isinstance(f, Lam) or OPEN in (sf, sa):
                 return OPEN
             return max(sf, sa)
         case _:
@@ -66,7 +76,7 @@ def ref_scope(t):
 def ref_lam_free(t):
     """No abstraction anywhere in `t`."""
     match t:
-        case HLam():
+        case Lam():
             return False
         case App(f, a):
             return ref_lam_free(f) and ref_lam_free(a)
@@ -74,19 +84,49 @@ def ref_lam_free(t):
             return True
 
 
-def ref_h_instantiate(body, values, depth=0):
+# The generated abstractions are unannotated: their annotation, `NO_ANNOT`,
+# is carried over as it is.
+
+
+def ref_instantiate(body, values, depth=0):
     match body:
         case Bound(k):
             if k < depth:
                 return body
             i = len(values) - 1 - (k - depth)
-            return values[i] if i >= 0 else Bound(k - len(values))
+            return ref_shift(values[i], depth) if i >= 0 else Bound(k - len(values))
         case App(f, a):
-            return App(ref_h_instantiate(f, values, depth), ref_h_instantiate(a, values, depth))
-        case HLam(h, b):
-            return HLam(h, ref_h_instantiate(b, values, depth + 1))
+            return App(ref_instantiate(f, values, depth), ref_instantiate(a, values, depth))
+        case Lam(h, annot, b):
+            return Lam(h, annot, ref_instantiate(b, values, depth + 1))
         case _:
             return body
+
+
+def ref_shift(t, by, cutoff=0):
+    """`t` with every index at or above `cutoff` raised by `by`."""
+    match t:
+        case Bound(k):
+            return Bound(k + by) if k >= cutoff else t
+        case App(f, a):
+            return App(ref_shift(f, by, cutoff), ref_shift(a, by, cutoff))
+        case Lam(h, annot, b):
+            return Lam(h, annot, ref_shift(b, by, cutoff + 1))
+        case _:
+            return t
+
+
+def ref_uses_bound(t, k):
+    """Whether `t` has the loose index `k`."""
+    match t:
+        case Bound(i):
+            return i == k
+        case App(f, a):
+            return ref_uses_bound(f, k) or ref_uses_bound(a, k)
+        case Lam(_, _, b):
+            return ref_uses_bound(b, k + 1)
+        case _:
+            return False
 
 
 METAS = [HMeta(f"G{i}", 100 + i, 0) for i in range(3)]
@@ -108,9 +148,9 @@ def random_term(rng, binders=0, size=6):
             return rng.choice(METAS)
         return rng.choice(EIGENS)
     if r < 0.5:
-        return HLam("x", random_term(rng, binders + 1, size - 1))
+        return Lam("x", NO_ANNOT, random_term(rng, binders + 1, size - 1))
     if r < 0.55:
-        fn = HLam("x", random_term(rng, binders + 1, size // 2))
+        fn = Lam("x", NO_ANNOT, random_term(rng, binders + 1, size // 2))
         return App(fn, random_term(rng, binders, size // 2))
     head = Const(rng.choice(["s", "cons", "c", "app"]))
     n = rng.randint(1, 3)
@@ -123,7 +163,7 @@ def subterms(t):
         case App(f, a):
             yield from subterms(f)
             yield from subterms(a)
-        case HLam(_, b):
+        case Lam(_, _, b):
             yield from subterms(b)
 
 
@@ -138,9 +178,10 @@ def test_generated_terms_cover_every_shape(terms):
     assert len(terms) >= 500
     assert sum(t.scope == 0 for t in terms) >= 100
     assert sum(t.scope != 0 for t in terms) >= 100
-    for kind in (HLam, HMeta, HEigen):
+    for kind in (Lam, HMeta, HEigen):
         assert any(isinstance(u, kind) for u in nodes)
-    assert any(isinstance(u, App) and isinstance(u.fn, HLam) for u in nodes)
+    assert all(u.annot is NO_ANNOT for u in nodes if isinstance(u, Lam))
+    assert any(isinstance(u, App) and isinstance(u.fn, Lam) for u in nodes)
     assert any(u.scope > 0 for u in nodes if isinstance(u, App))  # loose index
 
 
@@ -166,8 +207,8 @@ def rehint(x, hint):
     match x:
         case App(f, a):
             return App(rehint(f, hint), rehint(a, hint))
-        case HLam(_, b):
-            return HLam(hint, rehint(b, hint))
+        case Lam(_, annot, b):
+            return Lam(hint, annot, rehint(b, hint))
         case FAtom(s, c):
             return FAtom(rehint(s, hint), rehint(c, hint))
         case FImplies(a, b):
@@ -189,14 +230,14 @@ def test_equality_and_hash_ignore_binder_hints(append_sig, terms):
         renamed = ClauseSet(tuple(Clause(c.origin, rehint(c.formula, "renamed")) for c in program), mode)
         assert renamed == program and hash(renamed) == hash(program)
         assert renamed.clauses != program.clauses[::-1]
-    assert HLam("x", Bound(0)) != HLam("x", Bound(1))
+    assert Lam("x", NO_ANNOT, Bound(0)) != Lam("x", NO_ANNOT, Bound(1))
     assert FForall("x", TM, FTop()) != FForall("x", TM, FAtom(Bound(0), Const("tm")))
 
 
 def test_repr_of_every_node_class():
     # `repr` reaches error messages, so its text is pinned
-    assert repr(App(HLam("x", Bound(0)), Const("z"))) == (
-        "App(fn=HLam(hint='x', body=Bound(index=0)), arg=Const(name='z'))"
+    assert repr(App(Lam("x", NO_ANNOT, Bound(0)), Const("z"))) == (
+        "App(fn=Lam(hint='x', annot=NoAnnot(), body=Bound(index=0)), arg=Const(name='z'))"
     )
     assert repr(HMeta("X", 3, 1)) == "HMeta(name='X', id=3, level=1)"
     assert repr(HEigen("e!4", 4, 2)) == "HEigen(name='e!4', id=4, level=2)"
@@ -226,15 +267,24 @@ def test_closed_terms_come_back_unchanged(append_sig, terms):
             seen += 1
             assert solver._invert(u, m, {}, 0, 0) is u
             assert resolve_term(bindings, u) is u
-            assert h_instantiate(u, values) is u
+            assert instantiate(u, values) is u
+            assert _shift(u, 2, 0) is u
+            assert not _uses_bound(u, 0)
     assert seen >= 500
 
 
 def test_instantiate_agrees_with_reference(terms):
-    values = (Const("nil"), HMeta("V", 7, 0), HEigen("e!9", 9, 1))
+    # the values include loose indices, which are shifted where they land
+    values = (Const("nil"), HMeta("V", 7, 0), HEigen("e!9", 9, 1), App(Const("s"), Bound(1)))
+    checked = Counter()
     for t in terms:
         for depth in (0, 1, 2):
-            assert h_instantiate(t, values, depth) == ref_h_instantiate(t, values, depth)
+            assert instantiate(t, values, depth) == ref_instantiate(t, values, depth)
+            assert _shift(t, 2, depth) == ref_shift(t, 2, depth)
+            used = _uses_bound(t, depth)
+            assert used == ref_uses_bound(t, depth)
+            checked[used] += 1
+    assert checked[True] >= 100 and checked[False] >= 100, checked
 
 
 def test_closed_lambda_free_terms_unify_exactly_when_equal(append_sig, terms):

@@ -5,7 +5,7 @@ building the template's instance, and keeps the values of the clause's
 binders in registers: a binder that meets a closed term takes it into its
 register, and its variable is made only when it is needed.  Each case runs
 `_uni_head(_head_code(tmpl, nprefix), t, regs)` on one solver and
-`_uni(h_instantiate(tmpl, metas), t)` on a second solver in the same
+`_uni(instantiate(tmpl, metas), t)` on a second solver in the same
 state, where `metas` are the binders' variables with the ids the registers
 reserved; everything a caller can observe must agree.  A binder is compared through its resolved register
 value against its resolved variable, every other variable through its store
@@ -16,8 +16,8 @@ import random
 
 import pytest
 
-from lfhh.hhf_logic import ClauseSet, HEigen, HLam, HMeta, h_instantiate
-from lfhh.lf_syntax import App, Bound, Const, make_app
+from lfhh.hhf_logic import ClauseSet
+from lfhh.lf_syntax import NO_ANNOT, App, Bound, Const, HEigen, HMeta, Lam, instantiate, make_app
 from lfhh.hhf_logic import TM
 from lfhh.hhf_prover import Counters, Solution, Solver, _head_code, _meta, resolve_term
 
@@ -35,7 +35,7 @@ UNBOUND = [OLD, SAME, NEW, OLD1]
 BINDINGS = {
     GROUND.id: App(Const("f"), Const("c")),
     OPEN_BOUND.id: make_app(Const("g"), [E[0], OLD]),
-    FN_BOUND.id: HLam("w", make_app(Const("g"), [Bound(0), SAME])),
+    FN_BOUND.id: Lam("w", NO_ANNOT, make_app(Const("g"), [Bound(0), SAME])),
 }
 
 
@@ -59,7 +59,7 @@ def template(rng, nprefix, depth, size):
     if roll < 0.4:
         return closed(rng, 2)
     if roll < 0.5:
-        return HLam("x", template(rng, nprefix, depth + 1, size - 1))
+        return Lam("x", NO_ANNOT, template(rng, nprefix, depth + 1, size - 1))
     if roll < 0.6:
         local = [Bound(k) for k in range(depth)]
         return make_app(prefix(), rng.sample(local, rng.randint(0, depth)) or [template(rng, nprefix, depth, size - 1)])
@@ -73,7 +73,7 @@ def goal_term(rng, depth, size):
         leaves = [*E, *UNBOUND, GROUND, OPEN_BOUND, closed(rng, 1)] + [Bound(k) for k in range(depth)]
         return rng.choice(leaves)
     if roll < 0.35:
-        return HLam("y", goal_term(rng, depth + 1, size - 1))
+        return Lam("y", NO_ANNOT, goal_term(rng, depth + 1, size - 1))
     if roll < 0.45:
         # a flexible term: a pattern over eigenvariables and local variables,
         # or outside the fragment
@@ -127,7 +127,7 @@ def compare(tmpl, t, nprefix):
     verdict = in_place._uni_head(_head_code(tmpl, nprefix), t, regs)
     held = sum(r is not None and not isinstance(r, HMeta) for r in regs)
     got = observe(in_place, verdict, in_place._filled(regs))
-    want = observe(built, built._uni(h_instantiate(tmpl, metas), t), metas)
+    want = observe(built, built._uni(instantiate(tmpl, metas), t), metas)
     assert got == want, (tmpl, t)
     return {**want, "held": held}
 
@@ -165,7 +165,7 @@ def test_random_templates_and_goals():
         tmpl = template(rng, nprefix, 0, rng.randint(1, 4))
         if rng.random() < 0.5 and isinstance(tmpl, App):
             # a goal of the template's shape, so that unification goes deep
-            t = h_instantiate(tmpl, [goal_term(rng, 0, 2) for _ in range(nprefix)])
+            t = instantiate(tmpl, [goal_term(rng, 0, 2) for _ in range(nprefix)])
         else:
             t = goal_term(rng, 0, rng.randint(0, 4))
         out = compare(tmpl, t, nprefix)

@@ -10,17 +10,12 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HEigen,
-    HLam,
-    HMeta,
     SArrow,
     SBase,
     TM,
     TY,
     encode_term,
     erase_type,
-    h_apply,
-    h_instantiate,
     open_leaves,
     print_clauses,
     print_formula,
@@ -32,9 +27,13 @@ from lfhh.lf_syntax import (
     App,
     Bound,
     Const,
+    HEigen,
+    HMeta,
     Lam,
     Meta,
+    NO_ANNOT,
     TYPE,
+    instantiate,
     make_app,
     parse_expr_text,
     parse_signature,
@@ -87,7 +86,7 @@ def test_encode_with_metas():
 
 def test_encode_drops_annotations():
     e = Lam("x", Const("nat"), App(Const("s"), Bound(0)))
-    assert encode_term(e) == HLam("x", App(Const("s"), Bound(0)))
+    assert encode_term(e) == Lam("x", NO_ANNOT, App(Const("s"), Bound(0)))
 
 
 def test_encode_commutes_with_substitution(append_sig):
@@ -98,8 +97,8 @@ def test_encode_commutes_with_substitution(append_sig):
                 return v
             case App(f, a):
                 return App(h_subst(f, name, v), h_subst(a, name, v))
-            case HLam(h, b):
-                return HLam(h, h_subst(b, name, v))
+            case Lam(h, annot, b):
+                return Lam(h, annot, h_subst(b, name, v))
             case _:
                 return t
 
@@ -129,7 +128,7 @@ def random_hterm(rng, scope, size):
             return HEigen("e", 3, 1)
         return Const(rng.choice("cd"))
     if rng.random() < 0.4:
-        return HLam("x", random_hterm(rng, scope + 1, size - 1))
+        return Lam("x", NO_ANNOT, random_hterm(rng, scope + 1, size - 1))
     k = rng.randrange(1, size)
     return App(random_hterm(rng, scope, k), random_hterm(rng, scope, size - k))
 
@@ -140,7 +139,7 @@ def named(t, env, fresh):
     match t:
         case Bound(k):
             return ("var", env[-1 - k])
-        case HLam(_, b):
+        case Lam(_, _, b):
             x = f"n{next(fresh)}"
             return ("lam", x, named(b, env + [x], fresh))
         case App(f, a):
@@ -169,7 +168,7 @@ def unnamed(t, env):
         case ("var", x):
             return Bound(env[::-1].index(x))
         case ("lam", x, b):
-            return HLam("x", unnamed(b, env + [x]))
+            return Lam("x", NO_ANNOT, unnamed(b, env + [x]))
         case ("app", f, a):
             return App(unnamed(f, env), unnamed(a, env))
         case ("leaf", leaf):
@@ -191,16 +190,14 @@ def test_instantiate_and_apply_agree_with_named_substitution():
         open_values += any(v.scope != 0 for v in values)
         sub = {x: named(v, outer, fresh) for x, v in zip(replaced, values)}
         want = unnamed(subst(named(body, outer + replaced + local, fresh), sub), outer + local)
-        assert h_instantiate(body, values, len(local)) == want, (body, values, len(local))
+        assert instantiate(body, values, len(local)) == want, (body, values, len(local))
         v = values[-1]
-        lam = HLam("y", random_hterm(rng, len(outer) + 1, rng.randint(1, 9)))
+        lam = Lam("y", NO_ANNOT, random_hterm(rng, len(outer) + 1, rng.randint(1, 9)))
         want = unnamed(subst(named(lam.body, outer + ["y"], fresh), {"y": named(v, outer, fresh)}), outer)
-        assert h_apply(lam, v) == want
-        if not isinstance(body, HLam):
-            assert h_apply(body, v) == App(body, v)
+        assert instantiate(lam.body, (v,)) == want
         if v.scope == 0:
             # a closed value is put in place as it is
-            assert h_instantiate(Bound(len(local)), [v], len(local)) is v
+            assert instantiate(Bound(len(local)), [v], len(local)) is v
     assert open_values > 250
 
 
@@ -366,7 +363,7 @@ def formula_sort(f, consts, env=()):
                 return env[-1 - k]
             case HMeta() as m:
                 return m.stype
-            case HLam(_, b):
+            case Lam():
                 raise AssertionError("bare lambda needs an expected type")
             case App(fn, a):
                 ft = term_sort(fn, env)
@@ -376,7 +373,7 @@ def formula_sort(f, consts, env=()):
         raise AssertionError(f"bad term {t}")
 
     def check_term(t, want, env):
-        if isinstance(t, HLam):
+        if isinstance(t, Lam):
             assert isinstance(want, SArrow), f"lambda at base sort: {t}"
             check_term(t.body, want.cod, env + (want.dom,))
             return

@@ -12,9 +12,6 @@ from lfhh.hhf_logic import (
     FAtom,
     FForall,
     FTop,
-    HEigen,
-    HLam,
-    HMeta,
     TM,
     encode_term,
     inhabitation_goal,
@@ -29,7 +26,19 @@ from lfhh.hhf_prover import (
     compile_clause,
     solve,
 )
-from lfhh.lf_syntax import App, Bound, Const, make_app, parse_expr_text, parse_query, parse_signature
+from lfhh.lf_syntax import (
+    NO_ANNOT,
+    App,
+    Bound,
+    Const,
+    HEigen,
+    HMeta,
+    Lam,
+    make_app,
+    parse_expr_text,
+    parse_query,
+    parse_signature,
+)
 from lfhh.lf_typecheck import checked_signature
 
 from corpus import APPEND_TEXT, STLC_TEXT, append_proof, append_query_corpus, list_elems, list_term
@@ -232,7 +241,7 @@ def test_dropping_a_deep_search_is_cheap(append_sig, programs, cli_limits):
 def test_hypothetical_goal(append_sig, programs):
     goal, proof, _ = translate_query(append_sig, parse_expr_text("{x:nat} nat"), "optimized")
     sol = next(Solver(programs["optimized"]).solve(goal))
-    assert sol.value(proof) == HLam("x", Bound(0))
+    assert sol.value(proof) == Lam("x", NO_ANNOT, Bound(0))
 
 
 def test_solution_bindings_are_eigen_free(append_sig, programs):
@@ -276,7 +285,7 @@ def test_pattern_inversion(programs):
     x = HEigen("x", 901, 0)
     y = HEigen("y", 902, 0)
     assert solver.unify(make_app(f, [x, y]), make_app(Const("cons"), [x, y]))
-    assert solver.resolve(f) == HLam("w", HLam("w", make_app(Const("cons"), [Bound(1), Bound(0)])))
+    assert solver.resolve(f) == Lam("w", NO_ANNOT, Lam("w", NO_ANNOT, make_app(Const("cons"), [Bound(1), Bound(0)])))
 
 
 def test_non_pattern_diagnostic(programs):
@@ -294,7 +303,7 @@ def test_occurs_check(programs):
 
 def test_eta_respecting_rigid_compare(programs):
     solver = Solver(programs["optimized"])
-    assert solver.unify(HLam("x", App(Const("s"), Bound(0))), Const("s"))
+    assert solver.unify(Lam("x", NO_ANNOT, App(Const("s"), Bound(0))), Const("s"))
 
 
 def test_flex_flex_narrowing(programs):
@@ -305,7 +314,7 @@ def test_flex_flex_narrowing(programs):
     assert solver.unify(make_app(f, [x, y]), make_app(f, [x, z]))
     g = solver.resolve(f).body.body.fn
     assert isinstance(g, HMeta) and g.level == 1
-    assert solver.resolve(f) == HLam("w", HLam("w", App(g, Bound(1))))
+    assert solver.resolve(f) == Lam("w", NO_ANNOT, Lam("w", NO_ANNOT, App(g, Bound(1))))
     assert solver.unify(make_app(f, [x, y]), x)
     assert solver.resolve(make_app(f, [y, z])) == y
 
@@ -331,7 +340,7 @@ def test_raising_keeps_a_spine_eigenvariable_usable(programs):
     e = HEigen("e", 914, 1)
     assert solver.unify(App(m, e), App(Const("c"), g))
     assert solver.unify(g, e)
-    assert solver.resolve(m) == HLam("w", App(Const("c"), Bound(0)))
+    assert solver.resolve(m) == Lam("w", NO_ANNOT, App(Const("c"), Bound(0)))
 
 
 def test_transactional_rollback(programs):

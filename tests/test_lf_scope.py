@@ -17,9 +17,11 @@ from lfhh.lf_syntax import (
     App,
     Bound,
     Const,
+    HMeta,
     Lam,
     LfSyntaxError,
     Meta,
+    NO_ANNOT,
     NormalizeError,
     Pi,
     Signature,
@@ -34,7 +36,7 @@ from lfhh.lf_syntax import (
     parse_signature,
     spine,
 )
-from lfhh.hhf_logic import HLam, HMeta, encode_term
+from lfhh.hhf_logic import encode_term
 from lfhh.hhf_prover import Limits
 from lfhh.lf_typecheck import Derivation, Judgment, check_type, checked_signature
 from lfhh.reconstruct import QuerySession, ReconstructError, _Closing, decode_term
@@ -418,7 +420,7 @@ def test_meta_flag_agrees_with_reference_after_substitution(exprs):
 
 # a closed value for each residual classifier of the STLC queries
 STLC_VALUES = {
-    Const("tm"): App(App(Const("lam"), Const("base")), HLam("x", Bound(0))),
+    Const("tm"): App(App(Const("lam"), Const("base")), Lam("x", NO_ANNOT, Bound(0))),
     Const("tp"): Const("base"),
 }
 
@@ -488,7 +490,7 @@ def test_meta_flag_agrees_with_reference_through_the_query_pipeline():
     assert searched >= 100 and applied_raised >= 20 and closed >= 20 and function_typed >= 5
     # a residual under a binder is closed at its classifier, and the
     # abstraction is decoded around its value
-    t = HLam("x", App(App(Const("app"), HMeta("P", 1)), HMeta("Q", 2)))
+    t = Lam("x", NO_ANNOT, App(App(Const("app"), HMeta("P", 1)), HMeta("Q", 2)))
     met = []
     out = decode_term(
         sig, t, Pi("x", Const("tm"), Const("tm")), close=lambda m, cls: met.append((m.name, cls)) or STLC_VALUES[cls]

@@ -4,9 +4,12 @@ import tracemalloc
 import pytest
 
 from lfhh.lf_syntax import (
+    NO_ANNOT,
     App,
     Bound,
     Const,
+    HEigen,
+    HMeta,
     Lam,
     Meta,
     Pi,
@@ -27,7 +30,7 @@ from lfhh.lf_typecheck import (
     checked_signature,
 )
 
-from corpus import STLC_BLOCK, append_proof, extend, list_elems, list_term, substitute, substitution_instance, to_sexpr
+from corpus import STLC_BLOCK, STLC_TEXT, append_proof, extend, list_elems, list_term, substitute, substitution_instance, to_sexpr
 
 
 def recount(d: Derivation) -> int:
@@ -206,6 +209,36 @@ def test_kernel_rejects_a_meta_deep_inside_a_closed_term(append_sig):
     with pytest.raises(KernelError, match="meta-variables"):
         check_type(append_sig, under)
     check_object(append_sig, append_proof(elems, []), ty)  # the closed one is accepted
+
+
+_VAR, _EIGEN, _LAM = HMeta("X", 1), HEigen("c!1", 1, 1), Lam("x", NO_ANNOT, Bound(0))
+_TM = Const("tm")
+
+
+@pytest.mark.parametrize(
+    "subject, classifier, rule, shown",
+    [
+        (_VAR, "tm", "BackchainObj", "?X"),
+        (make_app(Const("app"), [_VAR, _VAR]), "tm", "BackchainObj", "app ?X ?X"),
+        (Lam("y", _TM, App(App(Const("app"), Bound(0)), _VAR)), "tm -> tm", "BackchainObj", "app y ?X"),
+        (_EIGEN, "tm", "BackchainObj", "c!1"),
+        (make_app(Const("app"), [_EIGEN, _EIGEN]), "tm", "BackchainObj", "|- c!1 : tm"),
+        (Lam("y", _TM, App(App(Const("app"), Bound(0)), _EIGEN)), "tm -> tm", "BackchainObj", "y |- c!1 : tm"),
+        (_LAM, "tm -> tm", "AbsObj", "[x:_] x"),
+        (make_app(Const("lam"), [Const("base"), _LAM]), "tm", "AbsObj", "[x:_] x"),
+        (Lam("y", _TM, _LAM), "tm -> tm -> tm", "AbsObj", "[x:_] x"),
+    ],
+    ids=[f"{node}-{where}" for node in ("var", "eigen", "lam") for where in ("top", "in-app", "in-lam")],
+)
+def test_kernel_rejects_the_provers_nodes(subject, classifier, rule, shown):
+    # a variable, an eigenvariable or an abstraction with no annotation, at
+    # the top, under an application or under an annotated abstraction, is a
+    # kernel error whose judgment prints the node
+    sig = checked_signature(parse_signature(STLC_TEXT))
+    with pytest.raises(KernelError) as e:
+        check_object(sig, subject, parse_expr_text(classifier))
+    assert e.value.rule == rule
+    assert shown in str(e.value)
 
 
 def test_loose_index_is_a_kernel_error(append_sig):

@@ -4,6 +4,7 @@ table pins what each method reads, field by field, so that a field added to
 a class or to its comparison shows up here."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -21,17 +22,29 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HEigen,
     HhFormula,
-    HhTerm,
-    HLam,
-    HMeta,
     SArrow,
     SBase,
     SimpleType,
 )
 from lfhh.hhf_prover import CompiledClause, Counters, Limits, Solution
-from lfhh.lf_syntax import TYPE, App, Bound, Const, Lam, LfExpr, Meta, Pi, SigEntry, Signature, TypeKind
+from lfhh.lf_syntax import (
+    NO_ANNOT,
+    TYPE,
+    App,
+    Bound,
+    Const,
+    HEigen,
+    HMeta,
+    Lam,
+    LfExpr,
+    Meta,
+    NoAnnot,
+    Pi,
+    SigEntry,
+    Signature,
+    TypeKind,
+)
 from lfhh.lf_typecheck import Derivation, Judgment
 from lfhh.reconstruct import CertifiedAnswer
 from lfhh.rigidity import GuardPlan
@@ -63,6 +76,18 @@ CASES = [
         ("hint", "annot", "body"),
         "Lam(hint='x', annot=Const(name='a'), body=Bound(index=0))",
     ),
+    (
+        # the prover's abstraction: equal to another exactly when their
+        # bodies are, and never to an annotated one, so the kernel's
+        # annotation compare keeps its meaning
+        Lam,
+        ("x", NO_ANNOT, Bound(0)),
+        {"hint": "y", "annot": Const("a"), "body": Bound(1), "scope": 9, "has_meta": True},
+        {"hint", "scope", "has_meta"},
+        ("hint", "annot", "body"),
+        "Lam(hint='x', annot=NoAnnot(), body=Bound(index=0))",
+    ),
+    (NoAnnot, (), {}, set(), (), "NoAnnot()"),
     (
         App,
         (Const("f"), Bound(0)),
@@ -115,14 +140,6 @@ CASES = [
         set(),
         ("dom", "cod"),
         "SArrow(dom=SBase(name='tm'), cod=SBase(name='ty'))",
-    ),
-    (
-        HLam,
-        ("x", Bound(0)),
-        {"hint": "y", "body": Bound(1), "scope": 9, "has_meta": True},
-        {"hint", "scope", "has_meta"},
-        ("hint", "body"),
-        "HLam(hint='x', body=Bound(index=0))",
     ),
     (
         HMeta,
@@ -256,7 +273,12 @@ def _with(cls, args, field, value):
     return out
 
 
-@pytest.mark.parametrize("cls, args, others, ignored, match_args, text", CASES, ids=[c[0].__name__ for c in CASES])
+def _case_id(case):
+    cls, args = case[:2]
+    return f"{cls.__name__}-unannotated" if cls is Lam and args[1] is NO_ANNOT else cls.__name__
+
+
+@pytest.mark.parametrize("cls, args, others, ignored, match_args, text", CASES, ids=[_case_id(c) for c in CASES])
 def test_equality_hash_repr_and_match_args(cls, args, others, ignored, match_args, text):
     a, b = cls(*args), cls(*args)
     assert a == b and not a != b
@@ -316,5 +338,26 @@ def test_walks_dispatch_by_class_not_match():
         matches = [n for n in ast.walk(tree) if isinstance(n, ast.Match)]
         found += [f"{path.name}:{n.lineno} in {owner.get(n, '<module>')}" for n in matches]
     assert not found, f"`match` statements: {found}"
-    bases = (LfExpr, HhTerm, HhFormula, SimpleType)
+    bases = (LfExpr, HhFormula, SimpleType)
     assert not [c for base in bases for c in base.__subclasses__() if c.__subclasses__()]
+
+
+def test_every_node_with_a_scope_is_an_lf_expression():
+    # the prover's terms are LF expressions: a second node set, with its own
+    # copies of the walks over it, does not grow back
+    found, summarized = [], 0
+    for path in sorted(pathlib.Path(lfhh.__file__).resolve().parent.glob("*.py")):
+        module = lfhh if path.stem == "__init__" else importlib.import_module(f"lfhh.{path.stem}")
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                cls = getattr(module, stmt.name)
+                if "scope" in vars(cls) or "scope" in getattr(cls, "__slots__", ()):
+                    summarized += 1
+                    if not issubclass(cls, LfExpr):
+                        found.append(f"{path.name}: class {stmt.name}")
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+            named = {t.id for t in targets if isinstance(t, ast.Name)} | {getattr(stmt, "name", None)}
+            found += [f"{path.name}: {n}" for n in named & {"HhTerm", "Term"}]
+    assert summarized >= 10
+    assert not found, f"term classes or unions outside LfExpr: {found}"

@@ -5,8 +5,6 @@ import pytest
 
 from lfhh import hhf_logic, hhf_prover
 from lfhh.hhf_logic import (
-    HLam,
-    HMeta,
     encode_term,
     open_leaves,
 )
@@ -15,7 +13,10 @@ from lfhh.lf_syntax import (
     App,
     Bound,
     Const,
+    HMeta,
+    Lam,
     LfExpr,
+    NO_ANNOT,
     make_app,
     parse_expr_text,
     parse_query,
@@ -39,7 +40,7 @@ from corpus import APPEND_TEXT, RIGID_GUARD_TEXT, STLC_TEXT, append_query_corpus
 
 
 def test_decode_lambda_with_annotations(append_sig):
-    t = HLam("x", App(Const("s"), Bound(0)))
+    t = Lam("x", NO_ANNOT, App(Const("s"), Bound(0)))
     d = decode_term(append_sig, t, parse_expr_text("{x:nat} nat"))
     assert d == parse_expr_text("[x:nat] s x")
     assert encode_term(d) == t
@@ -221,8 +222,8 @@ def _swap_const(t, a, b):
             return Const(b)
         case App(f, x):
             return App(_swap_const(f, a, b), _swap_const(x, a, b))
-        case HLam(h, body):
-            return HLam(h, _swap_const(body, a, b))
+        case Lam(h, annot, body):
+            return Lam(h, annot, _swap_const(body, a, b))
         case _:
             return t
 

@@ -16,8 +16,6 @@ from lfhh.hhf_logic import (
     FForall,
     FImplies,
     FTop,
-    HLam,
-    HMeta,
     encode_term,
     inhabitation_goal,
     translate,
@@ -28,8 +26,10 @@ from lfhh.lf_syntax import (
     App,
     Bound,
     Const,
+    HMeta,
     Lam,
     Meta,
+    NO_ANNOT,
     Pi,
     SigEntry,
     Signature,
@@ -102,9 +102,9 @@ def test_closed_lambda_unified_with_itself_uses_the_same_eigenvariables():
     # forall x1:tm. (forall x2:tm. top) => hastype (k x1) x1
     f = FForall("x1", TM, FImplies(FForall("x2", TM, FTop()), FAtom(App(Const("k"), Bound(0)), Bound(0))))
     program = ClauseSet((Clause("k", f),), "optimized")
-    term = App(Const("c"), HLam("y", App(Const("s"), Bound(0))))
+    term = App(Const("c"), Lam("y", NO_ANNOT, App(Const("s"), Bound(0))))
     traces = []
-    for other in (term, App(Const("c"), HLam("y", App(Const("s"), Bound(0))))):
+    for other in (term, App(Const("c"), Lam("y", NO_ANNOT, App(Const("s"), Bound(0))))):
         assert other == term
         solver = Solver(program, trace=True)
         sol = next(solver.solve(FAtom(App(Const("k"), term), other)))
@@ -169,7 +169,7 @@ def test_a_term_of_constants_variables_and_applications_is_its_own_encoding():
     assert encoded.arg is metas["Out"] and encoded.fn is query.fn
     lam = App(Const("lam"), Lam("x", Const("tm"), App(Const("s"), Bound(0))))
     body = encode_term(lam).arg
-    assert isinstance(body, HLam) and body.body is lam.arg.body
+    assert body.__class__ is Lam and body.annot is NO_ANNOT and body.body is lam.arg.body
 
 
 def test_decoding_a_term_without_abstractions_gives_it_back(append_sig):
